@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+# The benchmark's modules, and the program from this checkout's src/.
+sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "src"))
