@@ -17,23 +17,25 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional
 
 from . import __version__
 from .conditions import (
+    HOMOGENEITY_SCALES,
     audit_consistency_with_tradables,
     audit_neutrality_to_tradables,
     audit_positive_homogeneity,
     period_rates_from_market,
+    root_homogeneity_payoffs,
 )
 from .config import ValuationProblem, financiability_of, load_config
-from .engine import EngineConfig, backward_value
+from .engine import backward_value
 from .errors import NoBondAvailable, ProdvalError, SchemaViolation
 from .market import check_consistency
 from .resolution import extend_to_full_fulfillment
-from .risk import DiscreteDistribution, RiskMeasureSpec
+from .risk import RiskMeasureSpec
 from .solvency import RateCurve, multi_period_solvency
 
 
@@ -113,9 +115,7 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
     if mode is not None and mode != engine.mode:
         if mode == "A" and not problem.market.close_out:
             raise SchemaViolation("mode 'A' requires market.close_out = true")
-        engine = EngineConfig(
-            mode, engine.family, engine.bisection_tol, engine.grid_depth
-        )
+        engine = replace(engine, mode=mode)
     financiability = financiability_of(problem)
     rates = _engine_rates(problem)
     cost = backward_value(
@@ -267,25 +267,14 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
     neut = audit_neutrality_to_tradables(
         financiability, problem.market, tree, problem.restriction, rates
     )
-    payoffs = [DiscreteDistribution((3.0, 11.0), (0.25, 0.75))]
-    if financiability.variant == "state_price":
-        j1 = tree.grid.index(1)
-        targets = tree.descendants_at(tree.root, j1)
-        payoffs = [
-            DiscreteDistribution(
-                tuple(float(i + 1) for i in range(len(targets))),
-                tuple(1.0 / len(targets) for _ in targets),
-                tuple(targets),
-            )
-        ]
-        hom = audit_positive_homogeneity(
-            financiability, payoffs, [0.0, 0.5, 2.0],
-            rate=rates[tree.root], node=tree.root, horizon_index=j1,
-        )
-    else:
-        hom = audit_positive_homogeneity(
-            financiability, payoffs, [0.0, 0.5, 2.0], rate=rates[tree.root]
-        )
+    hom = audit_positive_homogeneity(
+        financiability,
+        root_homogeneity_payoffs(financiability, tree),
+        HOMOGENEITY_SCALES,
+        rate=rates[tree.root],
+        node=tree.root,
+        horizon_index=tree.grid.index(1),
+    )
 
     def audit_json(report):
         return {
@@ -319,12 +308,7 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
 def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     # Write-down resolution scales non-negative costs, so the valuation
     # runs in mode B regardless of the configured mode.
-    engine = EngineConfig(
-        "B",
-        problem.engine.family,
-        problem.engine.bisection_tol,
-        problem.engine.grid_depth,
-    )
+    engine = replace(problem.engine, mode="B")
     financiability = financiability_of(problem)
     rates = _engine_rates(problem)
     cost = backward_value(

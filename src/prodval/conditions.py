@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -249,6 +249,35 @@ def audit_positive_homogeneity(
             scaled = max_capital(spec, payoff.scaled(lam), rate, node, horizon_index)
             worst = max(worst, abs(scaled - lam * base))
     return HomogeneityReport(worst, worst <= tol)
+
+
+HOMOGENEITY_SCALES = (0.0, 0.5, 2.0)
+
+
+def root_homogeneity_payoffs(
+    spec: FinanciabilitySpec, tree: ScenarioTree
+) -> List[DiscreteDistribution]:
+    """Test payoffs for the positive-homogeneity audit over the root's
+    first year (node ``tree.root``, horizon index of date 1).
+
+    The state-price bound prices labeled atoms, so it gets a uniform
+    ladder 1, 2, ..., k over the k date-1 states; the other variants
+    ignore the states and get two fixed payoffs.
+    """
+    if spec.variant == "state_price":
+        targets = tree.descendants_at(tree.root, tree.grid.index(1))
+        k = len(targets)
+        return [
+            DiscreteDistribution(
+                tuple(float(i + 1) for i in range(k)),
+                tuple(1.0 / k for _ in range(k)),
+                tuple(targets),
+            )
+        ]
+    return [
+        DiscreteDistribution((3.0, 11.0), (0.25, 0.75)),
+        DiscreteDistribution((0.0, 5.0), (0.5, 0.5)),
+    ]
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ liabilities state by state.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,6 +45,7 @@ from .risk import DiscreteDistribution
 from .strategy import (
     CashflowProcess,
     Strategy,
+    accumulate_within_years,
     conversion_residual,
     short_position_cashflows,
     stopped,
@@ -257,10 +256,6 @@ def classify_failure(
     return "cannot_continue"
 
 
-def detect_failure(row: BalanceSheetRow) -> str:
-    return row.failure
-
-
 # --- one-period construction ----------------------------------------------------
 
 
@@ -273,13 +268,6 @@ class OnePeriodResult:
     value: float = INF
     params: tuple = ()
     portfolios: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
-
-
-def _year_layers(tree: ScenarioTree, node_i: int, j0: int, j1: int) -> List[List[int]]:
-    layers = [[node_i]]
-    for _ in range(j1 - j0):
-        layers.append([c for m in layers[-1] for c in tree.children[m]])
-    return layers
 
 
 def _roll_mix_linear(
@@ -300,7 +288,7 @@ def _roll_mix_linear(
     price somewhere in the year.
     """
     n = market.n_assets
-    layers = _year_layers(tree, node_i, j0, j1)
+    layers = tree.layers([node_i], j1 - j0)
     pot = {node_i: scale}
     portfolios: Dict[int, np.ndarray] = {}
     payoff: Dict[int, float] = {}
@@ -426,7 +414,7 @@ def _explicit_with_addon(
     """
     if not base.in_span(node_i):
         return None
-    layers = _year_layers(tree, node_i, j0, j1)
+    layers = tree.layers([node_i], j1 - j0)
     portfolios: Dict[int, np.ndarray] = {}
     payoff: Dict[int, float] = {}
     for depth, layer in enumerate(layers[:-1]):
@@ -599,21 +587,6 @@ def _simplex_grid(indices: Tuple[int, ...], depth: int) -> List[Dict[int, float]
     ]
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PRODVAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_nodes(fn, nodes):
-    threads = _thread_count()
-    if threads <= 1 or len(nodes) <= 1:
-        return [fn(n) for n in nodes]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, nodes))
-
-
 def backward_value(
     liab: LiabilitySpec,
     psi: IlliquidPortfolio,
@@ -648,17 +621,16 @@ def backward_value(
 
     candidates = _family_candidates(config)
 
+    def interior_net(m: int) -> float:
+        return liab.z(m) + psi.z(m) - liab.x(m)
+
     for i in range(T - 1, -1, -1):
         j1 = tree.grid.index(i + 1)
         ell_all = {
             nu: liab.x(nu) + values[nu] - liab.z(nu) - psi.z(nu)
             for nu in tree.by_date[j1]
         }
-
-        def interior_net(m: int) -> float:
-            return liab.z(m) + psi.z(m) - liab.x(m)
-
-        def build(node_i: int) -> OnePeriodResult:
+        for node_i in tree.nodes_at(i):
             best: Optional[OnePeriodResult] = None
             for fam, weights in candidates:
                 res = build_one_period(
@@ -683,20 +655,15 @@ def backward_value(
                     or (abs(res.vbar - best.vbar) <= 1e-12 and res.params < best.params)
                 ):
                     best = res
-            return best if best is not None else OnePeriodResult(False)
-
-        nodes_i = list(tree.by_date[tree.grid.index(i)])
-        results = _map_nodes(build, nodes_i)
-        for node_i, res in zip(nodes_i, results):
-            if not res.feasible:
+            if best is None:
                 values[node_i] = INF
                 infeasible.append(node_i)
                 params[node_i] = ("infeasible",)
                 continue
-            values[node_i] = res.vbar
-            capital[node_i] = res.capital
-            params[node_i] = res.params
-            portfolios.update(res.portfolios)
+            values[node_i] = best.vbar
+            capital[node_i] = best.capital
+            params[node_i] = best.params
+            portfolios.update(best.portfolios)
 
     zero = (0.0,) * market.n_assets
     assignment = {}
@@ -840,7 +807,7 @@ def validate_production_strategy(
                 for nu in tree.descendants_at(node_i, j1):
                     live[nu] = False
                 continue
-            layers = _year_layers(tree, node_i, j0, j1)
+            layers = tree.layers([node_i], j1 - j0)
             max_res = 0.0
             min_val = INF
             for layer in layers[1:-1]:
@@ -851,7 +818,7 @@ def validate_production_strategy(
             if min_val is INF:
                 min_val = 0.0
             surplus_atoms = {}
-            for nu in tree.descendants_at(node_i, j1):
+            for nu in layers[-1]:
                 held = strategy.held_into(nu)
                 a_trad = float(held @ market.payoff(nu))
                 a = a_trad + liab.z(nu) + psi.z(nu) + extra.get(nu, 0.0)
@@ -873,8 +840,8 @@ def validate_production_strategy(
                     node_i, i, max_res, min_val, ful_ok, c_i, bound, fin_ok, cost_ok
                 )
             )
-            for nu in tree.descendants_at(node_i, j1):
-                live[nu] = surplus_atoms[nu] >= -TOL
+            for nu, surplus in surplus_atoms.items():
+                live[nu] = surplus >= -TOL
     return ValidationReport(checks, skipped)
 
 
@@ -941,32 +908,12 @@ def illiquid_replica_shift(
 
     # xi accumulates the illiquid inflows within each year and is flat at
     # annual nodes; it never owns anything across year ends.
-    n_assets = market.n_assets
-    xi_assign: Dict[int, Tuple[float, ...]] = {}
-    zero = (0.0,) * n_assets
     T = tree.grid.horizon
-    for i in range(T):
-        j0 = tree.grid.index(i)
-        j1 = tree.grid.index(i + 1)
-        for node in tree.nodes_at(i):
-            xi_assign[node] = zero
-        layers = _year_layers_multi(tree, i, j0, j1)
-        for layer in layers[1:-1]:
-            for m in layer:
-                held_in = np.asarray(xi_assign[tree.parent[m]], dtype=float)
-                balance = float(held_in @ market.payoff(m)) + psi.z(m)
-                k = policy_index if policy_index is not None else market.bond_for_period(i)
-                price = market.prices[m][k]
-                if price <= 0.0:
-                    raise NoBondAvailable(
-                        f"accumulation asset {k} has no positive price at node {m}"
-                    )
-                x = np.zeros(n_assets)
-                x[k] = balance / price
-                xi_assign[m] = tuple(float(v) for v in x)
-    for leaf in tree.by_date[J]:
-        xi_assign[leaf] = zero
-    xi = Strategy(tree, n_assets, xi_assign)
+    xi = Strategy(
+        tree,
+        market.n_assets,
+        accumulate_within_years(market, tree, psi.z, policy_index),
+    )
 
     augmented = base_strategy.plus(xi)
     cap_star = {
@@ -994,13 +941,6 @@ def illiquid_replica_shift(
             v_psi = float(units @ market.price(node))
             per_node[node] = (v_star, v_base - v_psi, v_star - (v_base - v_psi))
     return ShiftReport(per_node, validation)
-
-
-def _year_layers_multi(tree: ScenarioTree, i: int, j0: int, j1: int) -> List[List[int]]:
-    layers = [list(tree.nodes_at(i))]
-    for _ in range(j1 - j0):
-        layers.append([c for m in layers[-1] for c in tree.children[m]])
-    return layers
 
 
 # --- short position additivity ----------------------------------------------------

@@ -101,14 +101,6 @@ class SpanMismatch(ProdvalError):
     """Strategy, capital, or flow spans do not cover the requested dates."""
 
 
-class InfeasibleFamily(ProdvalError):
-    """No scale of the strategy family satisfies the fulfillment condition."""
-
-
-class BisectionNoBracket(ProdvalError):
-    """The scale bracket could not be established before the cap."""
-
-
 class InfeasibleAtNode(ProdvalError):
     """Backward valuation hit an infeasible node (value is +inf there)."""
 

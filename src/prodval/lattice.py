@@ -7,8 +7,7 @@ filtration; branch probabilities are strictly positive and sum to one
 over each node's children, so "almost surely" statements become exact
 assertions at every node.
 
-Both structures are immutable after construction and safe to share
-across threads.
+Both structures are immutable after construction.
 """
 
 from __future__ import annotations
@@ -166,16 +165,19 @@ class ScenarioTree:
             node = parent
         return p
 
+    def layers(self, nodes: Sequence[int], steps: int) -> List[List[int]]:
+        """``nodes`` and their descendants 1..``steps`` grid steps later,
+        one list per step, in breadth-first order."""
+        out = [list(nodes)]
+        for _ in range(steps):
+            out.append([c for m in out[-1] for c in self.children[m]])
+        return out
+
     def descendants_at(self, node: int, j: int) -> List[int]:
         """Descendants of ``node`` living at date index ``j``."""
-        if j == self.date_idx[node]:
-            return [node]
         if j < self.date_idx[node]:
             raise ValueError("target date precedes the node's date")
-        frontier = [node]
-        for _ in range(j - self.date_idx[node]):
-            frontier = [c for m in frontier for c in self.children[m]]
-        return frontier
+        return self.layers([node], j - self.date_idx[node])[-1]
 
     def ancestor_at(self, node: int, j: int) -> int:
         """The unique ancestor of ``node`` at date index ``j``."""

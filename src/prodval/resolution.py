@@ -28,10 +28,12 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .conditions import (
+    HOMOGENEITY_SCALES,
     CapitalSchedule,
     FinanciabilitySpec,
     FulfillmentSpec,
     audit_positive_homogeneity,
+    root_homogeneity_payoffs,
 )
 from .engine import (
     IlliquidPortfolio,
@@ -44,12 +46,10 @@ from .errors import (
     FixedPointDivergence,
     HomogeneityAuditFailed,
     InfeasibleAtNode,
-    NoBondAvailable,
 )
 from .lattice import ScenarioTree
 from .market import TradableSet
-from .risk import DiscreteDistribution
-from .strategy import Strategy, strategy_value
+from .strategy import Strategy, accumulate_within_years, strategy_value
 
 TOL = 1e-9
 
@@ -120,47 +120,19 @@ def theta_psi_strategy(
     position's full liquidation value (price plus its own inflows) plus
     the excess arriving at that date.
     """
-    n = market.n_assets
-    zero = (0.0,) * n
-    assignment: Dict[int, Tuple[float, ...]] = {}
     inflows: Dict[int, float] = {}
-    payouts: Dict[int, float] = {}
-    T = tree.grid.horizon
     for node in range(tree.n_nodes):
         scale = 1.0 - _lam_prev(tree, lam, node)
         inflows[node] = scale * psi.z(node)
-    for i in range(T + 1):
+    assignment = accumulate_within_years(market, tree, inflows.get, policy_index)
+    payouts: Dict[int, float] = {}
+    for i in range(tree.grid.horizon + 1):
         for node in tree.nodes_at(i):
-            if i == 0:
-                payouts[node] = inflows[node]
-                assignment[node] = zero
-                continue
-            held = (
-                np.zeros(n)
-                if tree.parent[node] is None
-                else np.asarray(assignment[tree.parent[node]], dtype=float)
-            )
-            payouts[node] = float(held @ market.payoff(node)) + inflows[node]
-            assignment[node] = zero
-        if i == T:
-            break
-        j0 = tree.grid.index(i)
-        j1 = tree.grid.index(i + 1)
-        frontier = [c for m in tree.nodes_at(i) for c in tree.children[m]]
-        for j in range(j0 + 1, j1):
-            for m in frontier:
-                held = np.asarray(assignment[tree.parent[m]], dtype=float)
-                balance = float(held @ market.payoff(m)) + inflows[m]
-                k = policy_index if policy_index is not None else market.bond_for_period(i)
-                price = market.prices[m][k]
-                if price <= 0.0:
-                    raise NoBondAvailable(
-                        f"theta policy asset {k} has no positive price at node {m}"
-                    )
-                x = np.zeros(n)
-                x[k] = balance / price
-                assignment[m] = tuple(float(v) for v in x)
-            frontier = [c for m in frontier for c in tree.children[m]]
+            payouts[node] = inflows[node]
+            parent = tree.parent[node]
+            if parent is not None:
+                held = np.asarray(assignment[parent], dtype=float)
+                payouts[node] += float(held @ market.payoff(node))
     return ThetaPsiRecord(assignment, inflows, payouts)
 
 
@@ -333,33 +305,14 @@ def _check_homogeneity(
 ) -> None:
     """The extension scales capital by lam, which is only admissible for
     positively homogeneous financiability conditions."""
-    if financiability.variant == "state_price":
-        j1 = tree.grid.index(1)
-        targets = tree.descendants_at(tree.root, j1)
-        k = len(targets)
-        payoffs = [
-            DiscreteDistribution(
-                tuple(float(i + 1) for i in range(k)),
-                tuple(1.0 / k for _ in range(k)),
-                tuple(targets),
-            )
-        ]
-        report = audit_positive_homogeneity(
-            financiability,
-            payoffs,
-            [0.0, 0.5, 2.0],
-            rate=rates[tree.root],
-            node=tree.root,
-            horizon_index=j1,
-        )
-    else:
-        payoffs = [
-            DiscreteDistribution((3.0, 11.0), (0.25, 0.75)),
-            DiscreteDistribution((0.0, 5.0), (0.5, 0.5)),
-        ]
-        report = audit_positive_homogeneity(
-            financiability, payoffs, [0.0, 0.5, 2.0], rate=rates[tree.root]
-        )
+    report = audit_positive_homogeneity(
+        financiability,
+        root_homogeneity_payoffs(financiability, tree),
+        HOMOGENEITY_SCALES,
+        rate=rates[tree.root],
+        node=tree.root,
+        horizon_index=tree.grid.index(1),
+    )
     if not report.passed:
         raise HomogeneityAuditFailed(
             f"financiability condition is not positively homogeneous "

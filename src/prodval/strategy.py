@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from .errors import (
     CloseOutUnavailable,
+    NoBondAvailable,
     NodeOutsideSpan,
     StopNotAntichain,
     UnderlyingHasInflows,
@@ -356,11 +357,45 @@ def decompose_general(
     return GeneralStrategyDecomposition(plus, minus, star_out, star_in)
 
 
-def general_value(
-    strategy: Strategy, market: TradableSet, tree: ScenarioTree, node: int
-) -> float:
-    """v(phi) = v(phi+) - v(phi-); equals the signed portfolio's price."""
-    return strategy_value(strategy, market, node)
+def accumulate_within_years(
+    market: TradableSet,
+    tree: ScenarioTree,
+    inflow: Callable[[int], float],
+    policy_index: Optional[int] = None,
+) -> Dict[int, Tuple[float, ...]]:
+    """Portfolios that reinvest ``inflow`` within each year and hold
+    nothing out of annual nodes.
+
+    At every interior node the position bought one step earlier pays out
+    and, together with the node's inflow, is reinvested in the period's
+    risk-free bond, or in tradable ``policy_index`` when given. Raises
+    NoBondAvailable when that asset has no positive price at an interior
+    node.
+    """
+    n = market.n_assets
+    zero = (0.0,) * n
+    assignment: Dict[int, Tuple[float, ...]] = {}
+    T = tree.grid.horizon
+    for i in range(T + 1):
+        annual = tree.nodes_at(i)
+        for node in annual:
+            assignment[node] = zero
+        if i == T:
+            break
+        k = policy_index if policy_index is not None else market.bond_for_period(i)
+        steps = tree.grid.index(i + 1) - tree.grid.index(i)
+        for layer in tree.layers(annual, steps)[1:-1]:
+            for m in layer:
+                price = market.prices[m][k]
+                if price <= 0.0:
+                    raise NoBondAvailable(
+                        f"accumulation asset {k} has no positive price at node {m}"
+                    )
+                held = np.asarray(assignment[tree.parent[m]], dtype=float)
+                x = [0.0] * n
+                x[k] = (float(held @ market.payoff(m)) + inflow(m)) / price
+                assignment[m] = tuple(x)
+    return assignment
 
 
 def restriction_membership(

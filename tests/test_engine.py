@@ -783,29 +783,6 @@ class TestEngineProperties:
                 rates,
             )
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        tree = two_point_tree()
-        market = bond_market(tree, {0: 0.02})
-        leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 80.0, leaves[1]: 120.0})
-        rates = period_rates_from_market(market, tree)
-        common = dict(
-            fulfillment=FulfillmentSpec.var(0.005),
-            financiability=FinanciabilitySpec.cost_of_capital(0.06),
-            market=market,
-            tree=tree,
-            rates=rates,
-        )
-        serial = backward_value(
-            liab, IlliquidPortfolio.none(), EngineConfig(mode="B"), **common
-        )
-        monkeypatch.setenv("PRODVAL_THREADS", "4")
-        threaded = backward_value(
-            liab, IlliquidPortfolio.none(), EngineConfig(mode="B"), **common
-        )
-        assert serial.values == threaded.values
-        assert serial.capital == threaded.capital
-
     def test_failure_rows_recorded_for_all_states(self):
         # Lax fulfillment lets the bad branch fail; the row says so.
         grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)

@@ -123,6 +123,21 @@ class TestBuildTree:
             assert list(nodes) == list(range(nodes[0], nodes[0] + len(nodes)))
 
 
+    def test_layers_match_date_slices(self):
+        tree = random_tree(np.random.default_rng(2), years=2)
+        layers = tree.layers(tree.by_date[1], len(tree.grid.dates) - 2)
+        assert [sorted(layer) for layer in layers] == [
+            list(nodes) for nodes in tree.by_date[1:]
+        ]
+        assert tree.layers([0], 0) == [[0]]
+
+    def test_descendants_at_rejects_earlier_date(self):
+        tree = random_tree(np.random.default_rng(3), years=1)
+        node = tree.by_date[1][0]
+        assert tree.descendants_at(node, 1) == [node]
+        with pytest.raises(ValueError, match="precedes"):
+            tree.descendants_at(node, 0)
+
 class TestConditionalDistribution:
     def test_single_layer(self):
         tree = smallest_tree()

@@ -5,6 +5,7 @@ import pytest
 
 from prodval.errors import (
     CloseOutUnavailable,
+    NoBondAvailable,
     NodeOutsideSpan,
     StopNotAntichain,
     UnderlyingHasInflows,
@@ -14,6 +15,7 @@ from prodval.market import RestrictionSet, TradableSet, check_consistency
 from prodval.strategy import (
     CashflowProcess,
     Strategy,
+    accumulate_within_years,
     conversion_residual,
     decompose_general,
     is_self_financing,
@@ -370,6 +372,46 @@ class TestRestrictionMembership:
     def test_excluded_coordinate(self):
         m = self.membership((1.0, 1.0, 0.0), RestrictionSet.of_indices(3, [0]))
         assert m == {"R": False, "R_nonneg": False, "R_prime": False}
+
+
+class TestAccumulateWithinYears:
+    @staticmethod
+    def market(tree, price_at_d):
+        # Asset 1 is the accumulation asset; its price at "d" varies.
+        prices = {k: (1.0, 1.0) for k in range(tree.n_nodes)}
+        prices[tree.labels.index("d")] = (1.0, price_at_d)
+        return TradableSet(
+            tree=tree,
+            prices=prices,
+            inflows={k: (0.0, 0.0) for k in range(tree.n_nodes)},
+        )
+
+    def test_reinvests_interior_inflows_and_holds_nothing_at_year_ends(self):
+        tree = one_period_tree()
+        market = self.market(tree, 2.0)
+        inflow = {tree.labels.index("u"): 3.0, tree.labels.index("d"): 4.0}
+        got = accumulate_within_years(
+            market, tree, lambda m: inflow.get(m, 0.0), policy_index=1
+        )
+        by_label = {tree.labels[n]: x for n, x in got.items()}
+        assert by_label == {
+            "r": (0.0, 0.0),
+            "u": (0.0, 3.0),
+            "d": (0.0, 2.0),
+            "u1": (0.0, 0.0),
+            "d1": (0.0, 0.0),
+        }
+
+    def test_non_positive_price_at_interior_node_raises(self):
+        tree = one_period_tree()
+        market = self.market(tree, 0.0)
+        with pytest.raises(NoBondAvailable, match=f"node {tree.labels.index('d')}"):
+            accumulate_within_years(market, tree, lambda m: 1.0, policy_index=1)
+
+    def test_missing_period_bond_raises(self):
+        tree = one_period_tree()
+        with pytest.raises(NoBondAvailable, match="period"):
+            accumulate_within_years(self.market(tree, 1.0), tree, lambda m: 1.0)
 
 
 def test_consistency_propagation_on_random_trees():
