@@ -132,13 +132,14 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
     buf = io.StringIO()
     buf.write("node,date,vbar,capital,assets,liabilities,failure,params\n")
     for i in range(tree.grid.horizon + 1):
+        date = str(i)
         for node in tree.nodes_at(i):
             row = cost.rows.get(node)
             buf.write(
                 ",".join(
                     [
                         tree.labels[node],
-                        str(tree.date_of(node)),
+                        date,
                         _fmt(cost.values.get(node)),
                         _fmt(cost.capital.get(node)) if node in cost.capital else "",
                         _fmt(row.assets) if row else "",

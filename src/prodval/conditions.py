@@ -17,7 +17,6 @@ compares it against the period hurdle 1 + r + eta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -301,14 +300,15 @@ class TradableAuditReport:
 def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> Dict[int, float]:
     """Period rate r_{i,i+1} for every non-terminal node, read off the
     flagged bond at the node's annual ancestor."""
-    rates: Dict[int, float] = {}
-    for node in range(tree.n_nodes):
-        if tree.is_leaf(node):
-            continue
-        i = math.floor(tree.date_of(node))
-        anchor = tree.ancestor_at(node, tree.grid.index(i))
-        rates[node] = market.period_rate(anchor)
-    return rates
+    rates = np.empty(tree.n_nodes)
+    for j in range(len(tree.grid.dates) - 1):
+        nodes = np.asarray(tree.by_date[j], dtype=np.int64)
+        if tree.grid.is_annual(j):
+            rates[nodes] = [market.period_rate(n) for n in nodes.tolist()]
+        else:
+            rates[nodes] = rates[tree.parent[nodes]]
+    inner = len(tree.parent) - len(tree.by_date[-1])
+    return dict(enumerate(rates[:inner].tolist()))
 
 
 def flat_rates(tree: ScenarioTree, r: float) -> Dict[int, float]:

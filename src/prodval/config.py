@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Mapping, Optional
+
+import numpy as np
 
 from .conditions import FinanciabilitySpec, FulfillmentSpec
 from .engine import EngineConfig, IlliquidPortfolio, LiabilitySpec, StrategyFamily
@@ -32,12 +35,6 @@ class ValuationProblem:
     fulfillment: FulfillmentSpec
     financiability_cfg: dict
     engine: EngineConfig
-
-    def node_id(self, label: str) -> int:
-        try:
-            return self.tree.labels.index(label)
-        except ValueError:
-            raise CrossRefError(f"unknown node {label!r}") from None
 
 
 def load_config(path: str) -> ValuationProblem:
@@ -75,45 +72,37 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
     tree = build_tree(grid, _need(tree_doc, "nodes", "tree."))
     label_to_id = {lab: n for n, lab in enumerate(tree.labels)}
 
-    def node_of(label, where):
-        if str(label) not in label_to_id:
-            raise CrossRefError(f"{where} references unknown node {label!r}")
-        return label_to_id[str(label)]
-
     tradables = _need(market_doc, "tradables", "market.")
     if not isinstance(tradables, list) or not tradables:
         raise SchemaViolation("market.tradables must be a non-empty list")
     n_assets = len(tradables)
-    prices = {n: [0.0] * n_assets for n in range(tree.n_nodes)}
-    inflows = {n: [0.0] * n_assets for n in range(tree.n_nodes)}
+    prices = np.zeros((tree.n_nodes, n_assets))
+    inflows = np.zeros((tree.n_nodes, n_assets))
     bond_periods: Dict[int, int] = {}
     for k, spec in enumerate(tradables):
-        price_map = _need(spec, "prices", f"market.tradables[{k}].")
-        for lab in tree.labels:
-            if lab not in price_map:
-                raise CrossRefError(
-                    f"market.tradables[{k}].prices is missing node {lab!r}"
-                )
-        for lab, v in price_map.items():
-            prices[node_of(lab, f"market.tradables[{k}].prices")][k] = float(v)
-        for lab, v in spec.get("inflows", {}).items():
-            inflows[node_of(lab, f"market.tradables[{k}].inflows")][k] = float(v)
+        where = f"market.tradables[{k}]"
+        for column, flows, name in (
+            (prices, _need(spec, "prices", f"{where}."), "prices"),
+            (inflows, spec.get("inflows", {}), "inflows"),
+        ):
+            nodes = _node_ids(flows, label_to_id, f"{where}.{name}", name == "prices")
+            values = map(float, flows.values())
+            column[nodes, k] = np.fromiter(values, dtype=float, count=len(flows))
         if "bond_period" in spec:
             bond_periods[k] = int(spec["bond_period"])
     close_out = bool(market_doc.get("close_out", False))
     market = TradableSet(
         tree=tree,
-        prices={n: tuple(v) for n, v in prices.items()},
-        inflows={n: tuple(v) for n, v in inflows.items()},
+        prices=prices,
+        inflows=inflows,
         bond_periods=bond_periods,
         close_out=close_out,
     )
 
     def flow_map(section: Mapping, key: str, where: str) -> Dict[int, float]:
-        return {
-            node_of(lab, f"{where}.{key}"): float(v)
-            for lab, v in section.get(key, {}).items()
-        }
+        flows = section.get(key, {})
+        nodes = _node_ids(flows, label_to_id, f"{where}.{key}")
+        return dict(zip(nodes.tolist(), map(float, flows.values())))
 
     liability = LiabilitySpec(
         outflows=flow_map(liab_doc, "outflows", "liability"),
@@ -172,6 +161,25 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
         financiability_cfg=dict(financiability_cfg),
         engine=engine,
     )
+
+
+def _node_ids(
+    flows: Mapping, label_to_id: Mapping[str, int], where: str, complete: bool = False
+) -> np.ndarray:
+    """Node ids of a label-keyed section, in the section's order; with
+    ``complete`` every node must appear in it."""
+    ids = np.fromiter(
+        map(label_to_id.get, flows, repeat(-1)), dtype=np.int64, count=len(flows)
+    )
+    known = ids >= 0
+    # Labels are distinct, so fewer known labels than nodes means a gap.
+    if complete and np.count_nonzero(known) < len(label_to_id):
+        first = min(label_to_id.keys() - flows.keys(), key=label_to_id.get)
+        raise CrossRefError(f"{where} is missing node {first!r}")
+    if not known.all():
+        first = list(flows)[int(np.argmin(known))]
+        raise CrossRefError(f"{where} references unknown node {first!r}")
+    return ids
 
 
 def _fulfillment_from(doc: Mapping) -> FulfillmentSpec:
@@ -242,26 +250,25 @@ def problem_to_dict(problem: ValuationProblem) -> dict:
     def label_map(flows: Mapping[int, float]) -> Dict[str, float]:
         return {labels[n]: v for n, v in sorted(flows.items())}
 
-    nodes = []
-    for n in range(tree.n_nodes):
-        par = tree.parent[n]
-        nodes.append(
-            {
-                "id": labels[n],
-                "date": str(tree.date_of(n)),
-                "parent": None if par is None else labels[par],
-                "p": tree.prob[n],
-            }
+    date_text = [str(d) for d in grid.dates]
+    nodes = [
+        {
+            "id": labels[n],
+            "date": date_text[j],
+            "parent": None if par < 0 else labels[par],
+            "p": p,
+        }
+        for n, (par, j, p) in enumerate(
+            zip(tree.parent.tolist(), tree.date_idx.tolist(), tree.prob.tolist())
         )
+    ]
     tradables = []
     for k in range(market.n_assets):
+        prices = market.prices[:, k].tolist()
+        inflows = market.inflows[:, k].tolist()
         spec = {
-            "prices": {labels[n]: market.prices[n][k] for n in range(tree.n_nodes)},
-            "inflows": {
-                labels[n]: market.inflows[n][k]
-                for n in range(tree.n_nodes)
-                if market.inflows[n][k] != 0.0
-            },
+            "prices": dict(zip(labels, prices)),
+            "inflows": {lab: v for lab, v in zip(labels, inflows) if v != 0.0},
         }
         if k in market.bond_periods:
             spec["bond_period"] = market.bond_periods[k]

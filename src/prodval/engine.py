@@ -19,7 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -165,8 +175,7 @@ class EngineConfig:
 # --- outputs -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BalanceSheetRow:
+class BalanceSheetRow(NamedTuple):
     node: int
     assets: float
     liabilities: float
@@ -216,15 +225,15 @@ def liability_flows(
 
 
 def balance_sheet(
-    node: int,
+    node: Union[int, Sequence[int]],
     liab: LiabilitySpec,
     strategy: Strategy,
     psi: IlliquidPortfolio,
-    cost: float,
+    cost: Union[float, Sequence[float]],
     market: TradableSet,
     mode: str = "B",
-    extra_inflow: float = 0.0,
-) -> BalanceSheetRow:
+    extra_inflow: Union[float, Sequence[float]] = 0.0,
+) -> Union[BalanceSheetRow, List[BalanceSheetRow]]:
     """Assets and liabilities between the cash inflows and the liability
     payment at an annual date: A' = phi.S + inflows + (-vbar)_+ and
     L = X + (vbar)_+.
@@ -232,28 +241,63 @@ def balance_sheet(
     In mode A the borrowed tradables worth (-vbar)_+ count as liquid
     resources when classifying a failure as default versus
     cannot-continue; in mode B they do not exist.
+
+    ``node`` is one node id, giving one row, or a sequence of node ids,
+    giving one row per node computed as array operations; ``cost`` and
+    ``extra_inflow`` are then scalars or sequences of the same length.
     """
-    held = strategy.held_into(node)
-    tradables = float(held @ market.payoff(node))
-    inflows = liab.z(node) + psi.z(node) + extra_inflow
-    assets = tradables + inflows + max(0.0, -cost)
-    liabilities = liab.x(node) + max(0.0, cost)
-    payoff = max(0.0, assets - liabilities)
-    resources = tradables + inflows + (max(0.0, -cost) if mode == "A" else 0.0)
-    kind = classify_failure(assets, liabilities, resources, liab.x(node))
-    return BalanceSheetRow(node, assets, liabilities, payoff, kind)
+    ids = np.atleast_1d(node)
+    tradables = _row_dots(strategy.held_into(ids), market.payoffs[ids])
+    nodes = ids.tolist()
+    inflows = np.array([liab.z(n) + psi.z(n) for n in nodes]) + extra_inflow
+    outflow = np.array([liab.x(n) for n in nodes])
+    cost = np.asarray(cost, dtype=float)
+    borrowed = _positive_part(-cost)
+    assets = tradables + inflows + borrowed
+    liabilities = outflow + _positive_part(cost)
+    payoff = _positive_part(assets - liabilities)
+    resources = tradables + inflows + (borrowed if mode == "A" else 0.0)
+    kinds = classify_failure(assets, liabilities, resources, outflow)
+    rows = list(
+        map(
+            BalanceSheetRow._make,
+            zip(nodes, assets.tolist(), liabilities.tolist(), payoff.tolist(), kinds),
+        )
+    )
+    return rows[0] if np.ndim(node) == 0 else rows
 
 
-def classify_failure(
-    assets: float, liabilities: float, tradable_resources: float, outflow: float
-) -> str:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``.
+
+    Stacked matmul computes each through the same BLAS dot as
+    ``a[i] @ b[i]``, so the results match per-node dot products bit for
+    bit, which a multiply-and-sum does not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _positive_part(x: np.ndarray) -> np.ndarray:
+    """max(0, x) elementwise, zero where x is not positive (NaN included)."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def classify_failure(assets, liabilities, tradable_resources, outflow):
     """No failure when A' >= L; otherwise default if the tradable
-    resources cannot pay the liability outflow, else cannot-continue."""
-    if assets >= liabilities - TOL:
-        return "none"
-    if tradable_resources < outflow - TOL:
-        return "default"
-    return "cannot_continue"
+    resources cannot pay the liability outflow, else cannot-continue.
+
+    Scalars give one kind; arrays give a list of kinds, elementwise.
+    """
+    kind = np.where(
+        np.asarray(assets) >= np.asarray(liabilities) - TOL,
+        "none",
+        np.where(
+            np.asarray(tradable_resources) < np.asarray(outflow) - TOL,
+            "default",
+            "cannot_continue",
+        ),
+    )
+    return kind.tolist()
 
 
 # --- one-period construction ----------------------------------------------------
@@ -300,7 +344,7 @@ def _roll_mix_linear(
             for k, w in weights.items():
                 if w == 0.0:
                     continue
-                price = market.prices[m][k]
+                price = market.prices[m, k]
                 if price <= 0.0:
                     return None
                 x[k] = p * w / price
@@ -444,7 +488,7 @@ def _explicit_with_addon(
         k = market.bond_for_period(i)
     except NoBondAvailable:
         return None
-    price_i = market.prices[node_i][k]
+    price_i = float(market.prices[node_i, k])
     g = 1.0 / price_i
     s_star = buffer / g
     units = s_star / price_i
@@ -665,29 +709,26 @@ def backward_value(
             params[node_i] = best.params
             portfolios.update(best.portfolios)
 
-    zero = (0.0,) * market.n_assets
-    assignment = {}
-    signed = False
-    for n in range(tree.n_nodes):
-        vec = portfolios.get(n, zero)
-        # Scales from the bisection endpoint can leave pots, and hence
-        # units, a hair below zero; snap those while keeping genuinely
-        # signed explicit bases intact.
-        vec = tuple(0.0 if -TOL < v < 0.0 else v for v in vec)
-        signed = signed or min(vec, default=0.0) < 0.0
-        assignment[n] = vec
+    assignment = np.zeros((tree.n_nodes, market.n_assets))
+    if portfolios:
+        assignment[list(portfolios)] = list(portfolios.values())
+    # Scales from the bisection endpoint can leave pots, and hence units,
+    # a hair below zero; snap those while keeping genuinely signed
+    # explicit bases intact.
+    assignment[(assignment > -TOL) & (assignment < 0.0)] = 0.0
     strategy = Strategy(
         tree,
         market.n_assets,
         assignment,
-        sign_class="unrestricted" if signed else "nonneg",
+        sign_class="unrestricted" if (assignment < 0.0).any() else "nonneg",
     )
     rows: Dict[int, BalanceSheetRow] = {}
     for i in range(1, T + 1):
-        for node in tree.nodes_at(i):
-            rows[node] = balance_sheet(
-                node, liab, strategy, psi, values[node], market, config.mode
-            )
+        nodes = tree.nodes_at(i)
+        for row in balance_sheet(
+            nodes, liab, strategy, psi, [values[n] for n in nodes], market, config.mode
+        ):
+            rows[row.node] = row
     return ProductionCostProcess(
         values, capital, params, strategy, rows, config.mode, sorted(infeasible)
     )

@@ -7,14 +7,17 @@ filtration; branch probabilities are strictly positive and sum to one
 over each node's children, so "almost surely" statements become exact
 assertions at every node.
 
-Both structures are immutable after construction.
+Both structures are immutable after construction; the tree's per-node
+parent, date index and branch probability are read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import (
     DateNotInGrid,
@@ -107,34 +110,31 @@ def successor_date(grid: DateGrid, t: DateLike) -> Fraction:
     return Fraction(grid.horizon + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """Rooted scenario tree over a DateGrid.
 
     Node ids are normalized breadth-first by date so that the nodes of
-    one date form a contiguous id range. ``labels`` keeps the caller's
-    original node names for reporting.
+    one date form a contiguous id range. ``parent`` (-1 at the root),
+    ``date_idx`` and ``prob`` are read-only arrays indexed by node id.
+    ``labels`` keeps the caller's original node names for reporting.
     """
 
     grid: DateGrid
-    parent: Tuple[Optional[int], ...]
-    date_idx: Tuple[int, ...]
-    prob: Tuple[float, ...]
+    parent: np.ndarray
+    date_idx: np.ndarray
+    prob: np.ndarray
     labels: Tuple[str, ...]
     children: Tuple[Tuple[int, ...], ...] = field(init=False)
     by_date: Tuple[Tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        n = len(self.parent)
-        kids: List[List[int]] = [[] for _ in range(n)]
-        for node, par in enumerate(self.parent):
-            if par is not None:
-                kids[par].append(node)
-        object.__setattr__(self, "children", tuple(tuple(k) for k in kids))
-        slices: List[List[int]] = [[] for _ in range(len(self.grid.dates))]
-        for node, j in enumerate(self.date_idx):
-            slices[j].append(node)
-        object.__setattr__(self, "by_date", tuple(tuple(s) for s in slices))
+        for name, dtype in (("parent", np.int64), ("date_idx", np.int64), ("prob", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "children", _group_ids(self.parent, len(self.parent)))
+        object.__setattr__(self, "by_date", _group_ids(self.date_idx, len(self.grid.dates)))
 
     @property
     def n_nodes(self) -> int:
@@ -158,11 +158,10 @@ class ScenarioTree:
         p = 1.0
         node = descendant
         while node != ancestor:
-            p *= self.prob[node]
-            parent = self.parent[node]
-            if parent is None:
+            p *= float(self.prob[node])
+            node = int(self.parent[node])
+            if node < 0:
                 raise OrphanNode(f"{descendant} is not a descendant of {ancestor}")
-            node = parent
         return p
 
     def layers(self, nodes: Sequence[int], steps: int) -> List[List[int]]:
@@ -183,10 +182,20 @@ class ScenarioTree:
         """The unique ancestor of ``node`` at date index ``j``."""
         m = node
         while self.date_idx[m] > j:
-            m = self.parent[m]
+            m = int(self.parent[m])
         if self.date_idx[m] != j:
             raise ValueError("no ancestor at the requested date")
         return m
+
+
+def _group_ids(keys: np.ndarray, n_groups: int) -> Tuple[Tuple[int, ...], ...]:
+    """Ids 0..len(keys)-1 grouped by their key in 0..n_groups-1, ascending
+    within each group; ids with a negative key belong to no group."""
+    ids = np.flatnonzero(keys >= 0)
+    ids = ids[np.argsort(keys[ids], kind="stable")]
+    flat = tuple(ids.tolist())
+    ends = np.cumsum(np.bincount(keys[ids], minlength=n_groups)).tolist()
+    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
 def build_tree(
@@ -211,9 +220,18 @@ def build_tree(
             raise OrphanNode(f"duplicate node id {nid!r}")
         raw_by_id[nid] = spec
 
+    # Parse each distinct date value once; keyed by type as well, because
+    # equal values of different types (0.1 and its exact binary fraction)
+    # may name different grid dates.
+    parsed: Dict[Tuple[type, object], int] = {}
+
     def date_index(spec) -> int:
         d = spec["date"]
-        return grid.index(d)
+        key = (type(d), d)
+        j = parsed.get(key)
+        if j is None:
+            j = parsed[key] = grid.index(d)
+        return j
 
     roots = [nid for nid, spec in raw_by_id.items() if spec.get("parent") is None]
     if len(roots) != 1:
@@ -247,51 +265,54 @@ def build_tree(
         frontier = nxt
     if len(order) != len(raw_by_id):
         raise OrphanNode("some nodes are unreachable from the root")
-    order.sort(key=lambda nid: date_index(raw_by_id[nid]))
+    specs = [raw_by_id[nid] for nid in order]
+    date_idx = np.array([date_index(spec) for spec in specs], dtype=np.int64)
+    if (np.diff(date_idx) < 0).any():
+        by_date = np.argsort(date_idx, kind="stable")
+        order = [order[k] for k in by_date]
+        specs = [specs[k] for k in by_date]
+        date_idx = date_idx[by_date]
 
     norm = {nid: k for k, nid in enumerate(order)}
-    parent: List[Optional[int]] = []
-    date_idx: List[int] = []
-    prob: List[float] = []
-    labels: List[str] = []
-    for nid in order:
-        spec = raw_by_id[nid]
-        par = spec.get("parent")
-        parent.append(None if par is None else norm[par])
-        date_idx.append(date_index(spec))
-        p = float(spec.get("p", 1.0))
-        if p <= 0.0:
-            raise ProbabilityMass(f"node {nid!r} has non-positive probability {p}")
-        prob.append(p)
-        labels.append(str(nid))
+    parent = np.array(
+        [-1 if spec.get("parent") is None else norm[spec["parent"]] for spec in specs],
+        dtype=np.int64,
+    )
+    prob = np.array([float(spec.get("p", 1.0)) for spec in specs])
+    labels = tuple(str(nid) for nid in order)
+    bad = np.flatnonzero(prob <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        raise ProbabilityMass(
+            f"node {order[k]!r} has non-positive probability {float(prob[k])}"
+        )
 
     # Structural checks: edges advance exactly one grid step, children mass 1,
     # leaves at the horizon.
     J = len(grid.dates) - 1
-    kids: List[List[int]] = [[] for _ in order]
-    for node, par in enumerate(parent):
-        if par is None:
-            continue
-        if date_idx[node] != date_idx[par] + 1:
-            raise OrphanNode(
-                f"node {labels[node]!r} does not sit one grid step after its parent"
+    child = np.flatnonzero(parent >= 0)
+    bad = child[date_idx[child] != date_idx[parent[child]] + 1]
+    if bad.size:
+        raise OrphanNode(
+            f"node {labels[bad[0]]!r} does not sit one grid step after its parent"
+        )
+    n_kids = np.bincount(parent[child], minlength=len(order))
+    mass = np.bincount(parent[child], weights=prob[child], minlength=len(order))
+    bad_leaf = (n_kids == 0) & (date_idx != J)
+    bad_mass = (n_kids > 0) & (np.abs(mass - 1.0) > _MASS_TOL)
+    bad = np.flatnonzero(bad_leaf | bad_mass)
+    if bad.size:
+        node = int(bad[0])
+        if bad_leaf[node]:
+            raise LeafNotAtHorizon(
+                f"leaf {labels[node]!r} sits at date {grid.dates[date_idx[node]]}, "
+                f"not at the horizon {grid.horizon}"
             )
-        kids[par].append(node)
-    for node, ks in enumerate(kids):
-        if not ks:
-            if date_idx[node] != J:
-                raise LeafNotAtHorizon(
-                    f"leaf {labels[node]!r} sits at date {grid.dates[date_idx[node]]}, "
-                    f"not at the horizon {grid.horizon}"
-                )
-            continue
-        mass = sum(prob[c] for c in ks)
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise ProbabilityMass(
-                f"children of {labels[node]!r} have probability mass {mass!r}"
-            )
+        raise ProbabilityMass(
+            f"children of {labels[node]!r} have probability mass {float(mass[node])!r}"
+        )
 
-    return ScenarioTree(grid, tuple(parent), tuple(date_idx), tuple(prob), tuple(labels))
+    return ScenarioTree(grid, parent, date_idx, prob, labels)
 
 
 @dataclass(frozen=True)

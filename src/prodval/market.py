@@ -30,72 +30,77 @@ from . import lp
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradableSet:
     """d+1 tradables with per-node price and inflow vectors.
 
-    Prices are quoted immediately after the node's cash inflow. A
+    ``prices`` and ``inflows`` are read-only (n_nodes, d+1) arrays, built
+    from arrays or from node -> vector mappings; ``payoffs`` holds their
+    sum. Prices are quoted immediately after the node's cash inflow. A
     tradable flagged in ``bond_periods`` as {asset index: period i} is
     the one-period risk-free zero-coupon bond for (i, i+1): it pays 1 at
     every date-(i+1) node and its date-i price is 1/(1+R).
     """
 
     tree: ScenarioTree
-    prices: Mapping[int, Tuple[float, ...]]
-    inflows: Mapping[int, Tuple[float, ...]]
+    prices: np.ndarray
+    inflows: np.ndarray
     bond_periods: Mapping[int, int] = field(default_factory=dict)
     close_out: bool = False
+    payoffs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n_assets = None
-        for node in range(self.tree.n_nodes):
-            if node not in self.prices:
-                raise CrossRefError(f"missing price vector at node {node}")
-            if node not in self.inflows:
-                raise CrossRefError(f"missing inflow vector at node {node}")
-            s = np.asarray(self.prices[node], dtype=float)
-            z = np.asarray(self.inflows[node], dtype=float)
-            if n_assets is None:
-                n_assets = s.shape[0]
-            if s.shape[0] != n_assets or z.shape[0] != n_assets:
-                raise DimensionMismatch(f"vector length mismatch at node {node}")
-            if s.min(initial=0.0) < 0 or z.min(initial=0.0) < 0:
-                raise ValueError(f"negative price or inflow at node {node}")
-            # S != 0 wherever trading still happens; at the horizon the
-            # whole market may have matured (for example a single bond).
-            if not self.tree.is_leaf(node) and not s.any():
-                raise ValueError(f"price vector is identically zero at node {node}")
-        object.__setattr__(self, "_n_assets", n_assets)
+        n = self.tree.n_nodes
+        prices = _node_rows(self.prices, n, "price", None)
+        inflows = _node_rows(self.inflows, n, "inflow", prices.shape[1])
+        payoffs = prices + inflows
+        for name, arr in (("prices", prices), ("inflows", inflows), ("payoffs", payoffs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        bad = np.flatnonzero((prices < 0).any(axis=1) | (inflows < 0).any(axis=1))
+        if bad.size:
+            raise ValueError(f"negative price or inflow at node {bad[0]}")
+        # S != 0 wherever trading still happens; at the horizon the
+        # whole market may have matured (for example a single bond).
+        horizon = len(self.tree.grid.dates) - 1
+        bad = np.flatnonzero(~prices.any(axis=1) & (self.tree.date_idx < horizon))
+        if bad.size:
+            raise ValueError(f"price vector is identically zero at node {bad[0]}")
         self._check_bonds()
 
     def _check_bonds(self):
         for k, i in self.bond_periods.items():
-            j_end = self.tree.grid.index(i + 1)
-            for node in self.tree.by_date[j_end]:
-                if abs(self.prices[node][k]) > 1e-12 or abs(self.inflows[node][k] - 1.0) > 1e-12:
-                    raise ValueError(
-                        f"tradable {k} flagged as period-{i} bond must have price 0 "
-                        f"and inflow 1 at date {i + 1}"
-                    )
-            for node in self.tree.nodes_at(i):
-                if self.prices[node][k] <= 0:
-                    raise ValueError(
-                        f"period-{i} bond must have positive price at date {i}"
-                    )
+            end = np.asarray(self.tree.nodes_at(i + 1), dtype=np.int64)
+            bad = end[
+                (np.abs(self.prices[end, k]) > 1e-12)
+                | (np.abs(self.inflows[end, k] - 1.0) > 1e-12)
+            ]
+            if bad.size:
+                raise ValueError(
+                    f"tradable {k} flagged as period-{i} bond must have price 0 "
+                    f"and inflow 1 at date {i + 1}, not at node {bad[0]}"
+                )
+            start = np.asarray(self.tree.nodes_at(i), dtype=np.int64)
+            bad = start[self.prices[start, k] <= 0]
+            if bad.size:
+                raise ValueError(
+                    f"period-{i} bond must have positive price at date {i}, "
+                    f"not at node {bad[0]}"
+                )
 
     @property
     def n_assets(self) -> int:
-        return self._n_assets
+        return self.prices.shape[1]
 
     def price(self, node: int) -> np.ndarray:
-        return np.asarray(self.prices[node], dtype=float)
+        return self.prices[node]
 
     def inflow(self, node: int) -> np.ndarray:
-        return np.asarray(self.inflows[node], dtype=float)
+        return self.inflows[node]
 
     def payoff(self, node: int) -> np.ndarray:
         """S + Z at the node: what one unit bought before pays here."""
-        return self.price(node) + self.inflow(node)
+        return self.payoffs[node]
 
     def bond_for_period(self, i: int) -> int:
         for k, period in self.bond_periods.items():
@@ -107,7 +112,33 @@ class TradableSet:
         """R_{i,i+1} implied by the flagged bond's price at a date-i node."""
         i = int(self.tree.date_of(node))
         k = self.bond_for_period(i)
-        return 1.0 / self.prices[node][k] - 1.0
+        return 1.0 / float(self.prices[node, k]) - 1.0
+
+
+def _node_rows(values, n_nodes: int, what: str, width: Optional[int]) -> np.ndarray:
+    """(n_nodes, width) float array from an array with one row per node or
+    a node -> vector mapping; ``width`` None takes node 0's length."""
+    if isinstance(values, Mapping):
+        missing = next((m for m in range(n_nodes) if m not in values), None)
+        if missing is not None:
+            raise CrossRefError(f"missing {what} vector at node {missing}")
+        rows = [values[m] for m in range(n_nodes)]
+        if width is None:
+            width = len(rows[0])
+        bad = next((m for m, row in enumerate(rows) if len(row) != width), None)
+        if bad is not None:
+            raise DimensionMismatch(f"vector length mismatch at node {bad}")
+        return np.array(rows, dtype=float).reshape(n_nodes, width)
+    rows = np.array(values, dtype=float)
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"{what} array must have one row per node")
+    if len(rows) < n_nodes:
+        raise CrossRefError(f"missing {what} vector at node {len(rows)}")
+    if len(rows) > n_nodes:
+        raise DimensionMismatch(f"{what} array has {len(rows)} rows for {n_nodes} nodes")
+    if width is not None and rows.shape[1] != width:
+        raise DimensionMismatch("vector length mismatch at node 0")
+    return rows
 
 
 def portfolio_price(market: TradableSet, node: int, portfolio) -> float:
@@ -269,7 +300,7 @@ def compose_state_prices(
         q = 1.0
         m = target
         while m != node:
-            par = tree.parent[m]
+            par = int(tree.parent[m])
             q *= cert.weights_at(par)[m]
             m = par
         out[target] = q

@@ -129,8 +129,8 @@ def theta_psi_strategy(
     for i in range(tree.grid.horizon + 1):
         for node in tree.nodes_at(i):
             payouts[node] = inflows[node]
-            parent = tree.parent[node]
-            if parent is not None:
+            parent = int(tree.parent[node])
+            if parent >= 0:
                 held = np.asarray(assignment[parent], dtype=float)
                 payouts[node] += float(held @ market.payoff(node))
     return ThetaPsiRecord(assignment, inflows, payouts)
@@ -244,11 +244,10 @@ def extend_to_full_fulfillment(
     T = tree.grid.horizon
     J = len(tree.grid.dates) - 1
 
-    scaled_assign = {
-        n: tuple(_lam_floor(tree, lam, n) * v for v in cost.strategy.assignment[n])
-        for n in range(tree.n_nodes)
-    }
-    scaled_strategy = Strategy(tree, market.n_assets, scaled_assign)
+    lam_floor = np.array([_lam_floor(tree, lam, n) for n in range(tree.n_nodes)])
+    scaled_strategy = Strategy(
+        tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment
+    )
     scaled_capital = {
         n: _lam_floor(tree, lam, n) * c for n, c in cost.capital.items()
     }

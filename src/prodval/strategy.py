@@ -64,19 +64,21 @@ class CashflowProcess:
         return CashflowProcess(inflow, outflow)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
     """Predictable portfolio process over a date span.
 
     ``assignment[n]`` is the portfolio chosen at node n (held over the
     next interval); ``initial[n]`` at t_min nodes is the portfolio held
-    into the span start (defaults to zero).
+    into the span start. Both are read-only (n_nodes, n_assets) arrays,
+    built from arrays or from node -> vector mappings; nodes a mapping
+    leaves out hold nothing, and every span node needs an assignment.
     """
 
     tree: ScenarioTree
     n_assets: int
-    assignment: Mapping[int, Tuple[float, ...]]
-    initial: Mapping[int, Tuple[float, ...]] = field(default_factory=dict)
+    assignment: np.ndarray
+    initial: np.ndarray = field(default_factory=dict)
     sign_class: str = "nonneg"
     t_min: Fraction = Fraction(0)
     t_max: Optional[Fraction] = None
@@ -86,51 +88,81 @@ class Strategy:
             raise ValueError(f"unknown sign class {self.sign_class!r}")
         if self.t_max is None:
             object.__setattr__(self, "t_max", Fraction(self.tree.grid.horizon))
-        for node in self.span_nodes():
-            if node not in self.assignment:
-                raise NodeOutsideSpan(f"assignment missing at node {node}")
+        # Span and span-start flags per date index.
+        dates = self.tree.grid.dates
+        span = np.array([self.t_min <= d <= self.t_max for d in dates])
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_start", np.array([d == self.t_min for d in dates]))
+        if isinstance(self.assignment, Mapping):
+            for node in self.span_nodes():
+                if node not in self.assignment:
+                    raise NodeOutsideSpan(f"assignment missing at node {node}")
+        for name in ("assignment", "initial"):
+            arr = self._node_rows(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.sign_class == "nonneg":
-            for node, x in self.assignment.items():
-                if min(x, default=0.0) < -1e-12:
-                    raise ValueError(
-                        f"non-negative strategy has a negative unit at node {node}"
-                    )
+            bad = np.flatnonzero((self.assignment < -1e-12).any(axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"non-negative strategy has a negative unit at node {bad[0]}"
+                )
+
+    def _node_rows(self, values) -> np.ndarray:
+        shape = (self.tree.n_nodes, self.n_assets)
+        if not isinstance(values, Mapping):
+            return np.array(values, dtype=float).reshape(shape)
+        rows = np.zeros(shape)
+        if values:
+            nodes = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+            rows[nodes] = np.array(list(values.values()), dtype=float)
+        return rows
 
     @staticmethod
     def zero(tree: ScenarioTree, n_assets: int, sign_class: str = "nonneg") -> "Strategy":
-        z = (0.0,) * n_assets
         return Strategy(
-            tree, n_assets, {n: z for n in range(tree.n_nodes)}, sign_class=sign_class
+            tree, n_assets, np.zeros((tree.n_nodes, n_assets)), sign_class=sign_class
         )
 
     def span_nodes(self) -> Iterable[int]:
-        for node in range(self.tree.n_nodes):
-            if self.in_span(node):
-                yield node
+        for j, nodes in enumerate(self.tree.by_date):
+            if self._span[j]:
+                yield from nodes
 
     def in_span(self, node: int) -> bool:
-        t = self.tree.date_of(node)
-        return self.t_min <= t <= self.t_max
+        return bool(self._span[self.tree.date_idx[node]])
 
     def held_out(self, node: int) -> np.ndarray:
         if not self.in_span(node):
             raise NodeOutsideSpan(f"node {node} outside span")
-        return np.asarray(self.assignment[node], dtype=float)
+        return self.assignment[node]
 
-    def held_into(self, node: int) -> np.ndarray:
-        if not self.in_span(node):
-            raise NodeOutsideSpan(f"node {node} outside span")
-        if self.tree.date_of(node) == self.t_min:
-            x = self.initial.get(node)
-            return np.zeros(self.n_assets) if x is None else np.asarray(x, dtype=float)
-        return np.asarray(self.assignment[self.tree.parent[node]], dtype=float)
+    def held_into(self, node) -> np.ndarray:
+        """Portfolio held into ``node``: the parent's assignment, or the
+        initial portfolio at span-start nodes. An array of node ids gives
+        one row per node."""
+        j = self.tree.date_idx[node]
+        if np.ndim(node) == 0:
+            if not self._span[j]:
+                raise NodeOutsideSpan(f"node {node} outside span")
+            if self._start[j]:
+                return self.initial[node]
+            return self.assignment[self.tree.parent[node]]
+        outside = np.asarray(node)[~self._span[j]]
+        if outside.size:
+            raise NodeOutsideSpan(f"node {outside[0]} outside span")
+        return np.where(
+            self._start[j][:, None],
+            self.initial[node],
+            self.assignment[self.tree.parent[node]],
+        )
 
     def scaled(self, a: float) -> "Strategy":
         return Strategy(
             self.tree,
             self.n_assets,
-            {n: tuple(a * v for v in x) for n, x in self.assignment.items()},
-            {n: tuple(a * v for v in x) for n, x in self.initial.items()},
+            a * self.assignment,
+            a * self.initial,
             self.sign_class if a >= 0 else "unrestricted",
             self.t_min,
             self.t_max,
@@ -139,17 +171,6 @@ class Strategy:
     def plus(self, other: "Strategy", sign_class: Optional[str] = None) -> "Strategy":
         if (self.t_min, self.t_max) != (other.t_min, other.t_max):
             raise NodeOutsideSpan("cannot add strategies with different spans")
-        assignment = {
-            n: tuple(
-                a + b for a, b in zip(self.assignment[n], other.assignment[n])
-            )
-            for n in self.assignment
-        }
-        initial: Dict[int, Tuple[float, ...]] = {}
-        for n in set(self.initial) | set(other.initial):
-            a = self.initial.get(n, (0.0,) * self.n_assets)
-            b = other.initial.get(n, (0.0,) * self.n_assets)
-            initial[n] = tuple(x + y for x, y in zip(a, b))
         if sign_class is None:
             sign_class = (
                 "nonneg"
@@ -157,7 +178,13 @@ class Strategy:
                 else "unrestricted"
             )
         return Strategy(
-            self.tree, self.n_assets, assignment, initial, sign_class, self.t_min, self.t_max
+            self.tree,
+            self.n_assets,
+            self.assignment + other.assignment,
+            self.initial + other.initial,
+            sign_class,
+            self.t_min,
+            self.t_max,
         )
 
 
@@ -208,22 +235,22 @@ def _validate_stop(tree: ScenarioTree, stop: Set[int]) -> None:
     if not stop:
         raise StopNotAntichain("stop set is empty")
     for node in stop:
-        m = tree.parent[node]
-        while m is not None:
+        m = int(tree.parent[node])
+        while m >= 0:
             if m in stop:
                 raise StopNotAntichain(
                     f"stop node {node} is a descendant of stop node {m}"
                 )
-            m = tree.parent[m]
+            m = int(tree.parent[m])
     # A stopping time must trigger on every path.
     for leaf in tree.by_date[len(tree.grid.dates) - 1]:
         m = leaf
         hit = False
-        while m is not None:
+        while m >= 0:
             if m in stop:
                 hit = True
                 break
-            m = tree.parent[m]
+            m = int(tree.parent[m])
         if not hit:
             raise StopNotAntichain(f"no stop node on the path to leaf {leaf}")
 
@@ -232,11 +259,11 @@ def stop_status(tree: ScenarioTree, stop: Set[int], node: int) -> str:
     """'before', 'at', or 'after' the stopping time along this node's path."""
     if node in stop:
         return "at"
-    m = tree.parent[node]
-    while m is not None:
+    m = int(tree.parent[node])
+    while m >= 0:
         if m in stop:
             return "after"
-        m = tree.parent[m]
+        m = int(tree.parent[m])
     return "before"
 
 
@@ -247,16 +274,16 @@ def stopped(strategy: Strategy, tree: ScenarioTree, stop: Set[int]) -> Strategy:
     of tau, and the liability is extinguished there.
     """
     _validate_stop(tree, stop)
-    zero = (0.0,) * strategy.n_assets
-    assignment = {}
-    for node in strategy.span_nodes():
-        status = stop_status(tree, stop, node)
-        assignment[node] = strategy.assignment[node] if status == "before" else zero
+    before = [
+        node for node in strategy.span_nodes() if stop_status(tree, stop, node) == "before"
+    ]
+    assignment = np.zeros_like(strategy.assignment)
+    assignment[before] = strategy.assignment[before]
     return Strategy(
         strategy.tree,
         strategy.n_assets,
         assignment,
-        dict(strategy.initial),
+        strategy.initial,
         strategy.sign_class,
         strategy.t_min,
         strategy.t_max,
@@ -325,18 +352,10 @@ def decompose_general(
         raise CloseOutUnavailable(
             "general strategies need short positions available with close out"
         )
-    pos = {
-        n: tuple(max(v, 0.0) for v in x) for n, x in strategy.assignment.items()
-    }
-    neg = {
-        n: tuple(max(-v, 0.0) for v in x) for n, x in strategy.assignment.items()
-    }
-    pos_init = {
-        n: tuple(max(v, 0.0) for v in x) for n, x in strategy.initial.items()
-    }
-    neg_init = {
-        n: tuple(max(-v, 0.0) for v in x) for n, x in strategy.initial.items()
-    }
+    pos = np.maximum(strategy.assignment, 0.0)
+    neg = np.maximum(-strategy.assignment, 0.0)
+    pos_init = np.maximum(strategy.initial, 0.0)
+    neg_init = np.maximum(-strategy.initial, 0.0)
     plus = Strategy(
         tree, strategy.n_assets, pos, pos_init, "nonneg", strategy.t_min, strategy.t_max
     )
@@ -386,7 +405,7 @@ def accumulate_within_years(
         steps = tree.grid.index(i + 1) - tree.grid.index(i)
         for layer in tree.layers(annual, steps)[1:-1]:
             for m in layer:
-                price = market.prices[m][k]
+                price = float(market.prices[m, k])
                 if price <= 0.0:
                     raise NoBondAvailable(
                         f"accumulation asset {k} has no positive price at node {m}"

@@ -3,9 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from prodval import cli
 from prodval.cli import main, run
 from prodval.config import load_config, problem_from_dict, problem_to_dict
 from prodval.errors import CrossRefError, ParseError, SchemaViolation
+
+from util import generated_config
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -147,3 +150,80 @@ def test_main_error_exit(tmp_path, capsys):
     code = main(["value", "--config", str(missing)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+PLAIN_TYPES = (bool, int, float, str, type(None))
+
+
+def non_plain_values(obj, path="$"):
+    """Paths of every value (or key) that is not exactly a plain JSON type,
+    such as a numpy scalar."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}", type(key)
+            yield from non_plain_values(value, f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from non_plain_values(value, f"{path}[{i}]")
+    elif type(obj) not in PLAIN_TYPES:
+        yield path, type(obj)
+
+
+def generated_problem(**overrides):
+    doc = dict(generated_config(7, 2, 2), **overrides)
+    return problem_from_dict(doc)
+
+
+class TestPlainReportValues:
+    """Reports and the serialized config carry no numpy scalars, which
+    json.dumps either rejects (numpy.bool_) or could format differently."""
+
+    CASES = {
+        "check": {"restriction": {"indices": [0, 2, 3]}},
+        "solvency": {},
+        "adjust": {"fulfillment": {"type": "var", "alpha": 0.2}},
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(CASES))
+    def test_json_reports_hold_plain_values(self, subcommand, monkeypatch):
+        seen = []
+        original = cli._json_text
+
+        def recording(obj):
+            seen.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(cli, "_json_text", recording)
+        problem = generated_problem(**self.CASES[subcommand])
+        bundle = run(problem, subcommand)
+        assert bundle.exit_code == 0
+        assert len(seen) == 2  # the report and metadata.json
+        for obj in seen:
+            assert list(non_plain_values(obj)) == []
+
+    @pytest.mark.parametrize("config", ["two_point", "inconsistent_market", None])
+    def test_problem_to_dict_holds_plain_values(self, config):
+        if config is None:
+            problem = generated_problem()
+        else:
+            problem = load_config(str(CONFIGS / f"{config}.json"))
+        assert list(non_plain_values(problem_to_dict(problem))) == []
+
+    @pytest.mark.parametrize("subcommand", ["value", "solvency", "check", "adjust"])
+    def test_round_trip_reproduces_reports(self, subcommand):
+        overrides = {"restriction": {"indices": [0, 2, 3]}}
+        if subcommand == "adjust":
+            overrides["fulfillment"] = {"type": "var", "alpha": 0.2}
+        problem = generated_problem(**overrides)
+        doc = json.loads(json.dumps(problem_to_dict(problem)))
+        reloaded = problem_from_dict(doc)
+        before = run(problem, subcommand).files
+        after = run(reloaded, subcommand).files
+        # metadata.json hashes the config document, which the round trip
+        # normalizes; every report proper must be identical.
+        del before["metadata.json"], after["metadata.json"]
+        assert before and before == after
+        # A second round trip is a fixed point, metadata included.
+        again = problem_from_dict(json.loads(json.dumps(problem_to_dict(reloaded))))
+        assert run(again, subcommand).files == run(reloaded, subcommand).files

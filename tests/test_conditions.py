@@ -14,6 +14,7 @@ from prodval.conditions import (
     flat_rates,
     fulfillment_satisfied,
     max_capital,
+    period_rates_from_market,
 )
 from prodval.errors import MissingCertificate, NegativePayoffAtom
 from prodval.lattice import DateGrid, build_tree
@@ -302,3 +303,18 @@ def test_capital_schedule_rejects_negative():
         CapitalSchedule({0: -1.0})
     assert CapitalSchedule({0: 2.0}).at(0) == 2.0
     assert CapitalSchedule({0: 2.0}).at(5) == 0.0
+
+
+def test_period_rates_match_each_nodes_annual_anchor():
+    rng = np.random.default_rng(67)
+    tree = random_tree(rng, years=3, interior_per_year=2)
+    market, _ = state_price_market(rng, tree, n_risky=1)
+    rates = period_rates_from_market(market, tree)
+    expected = {}
+    for node in range(tree.n_nodes):
+        if tree.is_leaf(node):
+            continue
+        i = int(tree.date_of(node) // 1)
+        expected[node] = market.period_rate(tree.ancestor_at(node, tree.grid.index(i)))
+    assert rates == expected
+    assert all(type(r) is float for r in rates.values())

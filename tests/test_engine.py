@@ -448,6 +448,54 @@ class TestBalanceSheet:
         assert classify_failure(10.0, 5.0, 10.0, 3.0) == "none"
         assert classify_failure(4.0, 5.0, 2.0, 3.0) == "default"
         assert classify_failure(4.0, 5.0, 3.5, 3.0) == "cannot_continue"
+        assert classify_failure(
+            np.array([10.0, 4.0, 4.0]),
+            np.array([5.0, 5.0, 5.0]),
+            np.array([10.0, 2.0, 3.5]),
+            np.array([3.0, 3.0, 3.0]),
+        ) == ["none", "default", "cannot_continue"]
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_rows_for_a_date_match_the_per_node_formulas(self, mode):
+        """The array form equals the per-node arithmetic bit for bit, on a
+        signed strategy holding every asset."""
+        rng = np.random.default_rng(61)
+        tree = random_tree(rng, years=2, interior_per_year=2)
+        market, _ = state_price_market(rng, tree, n_risky=3)
+        n = market.n_assets
+        strategy = Strategy(
+            tree,
+            n,
+            rng.uniform(-1.0, 2.0, size=(tree.n_nodes, n)),
+            {0: tuple(rng.uniform(0.0, 1.0, size=n))},
+            sign_class="unrestricted",
+        )
+        nodes = tree.nodes_at(2)
+
+        def flows():
+            return dict(zip(nodes, rng.uniform(0.0, 5.0, len(nodes)).tolist()))
+
+        liab = LiabilitySpec(outflows=flows(), inflows=flows())
+        psi = IlliquidPortfolio(flows())
+        cost = rng.uniform(-20.0, 20.0, size=len(nodes)).tolist()
+        extra = rng.uniform(0.0, 1.0, size=len(nodes)).tolist()
+        rows = balance_sheet(nodes, liab, strategy, psi, cost, market, mode, extra)
+        assert [r.node for r in rows] == list(nodes)
+        for row, m, c, e in zip(rows, nodes, cost, extra):
+            tradables = float(strategy.held_into(m) @ market.payoff(m))
+            inflows = liab.z(m) + psi.z(m) + e
+            assets = tradables + inflows + max(0.0, -c)
+            liabilities = liab.x(m) + max(0.0, c)
+            resources = tradables + inflows + (max(0.0, -c) if mode == "A" else 0.0)
+            assert row == (
+                m,
+                assets,
+                liabilities,
+                max(0.0, assets - liabilities),
+                classify_failure(assets, liabilities, resources, liab.x(m)),
+            )
+            assert row == balance_sheet(m, liab, strategy, psi, c, market, mode, e)
+        assert {r.failure for r in rows} == {"none", "default", "cannot_continue"}
 
 
 class TestEngineProperties:

@@ -1,16 +1,20 @@
 """Golden sha256 digests of every report the CLI writes for the bundled
-configs, with exit codes and error text.
+configs and for configs generated from seeded random trees, with exit
+codes and error text.
 
 A refactor that keeps these digests keeps the reports byte-identical.
 Regenerate them only for an intended change of report content.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from prodval.cli import main
+
+from util import generated_config
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -78,25 +82,154 @@ GOLDEN = {
 }
 
 
+def _run_digests(args, out_dir, capsys):
+    code = main(list(args) + ["--output-dir", str(out_dir)])
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.iterdir())
+    }
+    return code, capsys.readouterr().err, digests
+
+
 @pytest.mark.parametrize(
     "config,subcommand", sorted(GOLDEN), ids=lambda v: str(v)
 )
 def test_reports_match_golden_digests(config, subcommand, tmp_path, capsys):
-    code = main(
-        [
-            subcommand,
-            "--config",
-            str(CONFIGS / f"{config}.json"),
-            "--output-dir",
-            str(tmp_path),
-        ]
-    )
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
-    }
-    assert (code, capsys.readouterr().err, digests) == GOLDEN[(config, subcommand)]
+    args = [subcommand, "--config", str(CONFIGS / f"{config}.json")]
+    got = _run_digests(args, tmp_path, capsys)
+    assert got == GOLDEN[(config, subcommand)]
 
 
 def test_golden_covers_every_bundled_config():
     assert {c for c, _ in GOLDEN} == {p.stem for p in CONFIGS.glob("*.json")}
+
+
+# --- generated trees ----------------------------------------------------------
+
+# (seed, years, interior dates per year): 274 and 217 nodes, up to three
+# children per node, one and two interior dates per year.
+TREES = {"tree274": (2, 3, 1), "tree217": (7, 2, 2)}
+
+# Subcommand arguments and config overrides per case.
+CASES = {
+    "value_risk_free_var": (("value",), {}),
+    "value_fixed_mix_es": (
+        ("value",),
+        {
+            "fulfillment": {"type": "es", "alpha": 0.05},
+            "engine": {
+                "mode": "B",
+                "family": {"type": "fixed_mix", "indices": [0, 1], "grid_depth": 2},
+            },
+        },
+    ),
+    "solvency_stage3": (("solvency", "--stage", "3"), {}),
+    "check_restricted": (("check",), {"restriction": {"indices": [0, 2, 3]}}),
+    "adjust": (("adjust",), {"fulfillment": {"type": "var", "alpha": 0.2}}),
+}
+
+
+GENERATED_GOLDEN = {
+    ("tree217", "adjust"): (
+        0,
+        "",
+        {
+            "adjust.csv": "8c8a00bad80f43ce86609a16c517985f2bd3828cb9246059d88e4dca2acb1e97",
+            "adjust.json": "5b2ef14e130c5a96292ec0a2384f89774c5ce9ac40960553acf658df9a143310",
+            "metadata.json": "03e43ac38166b65eaf4f7927e7f0f5f82e9af038d0c1c341816a368b7dd41413",
+        },
+    ),
+    ("tree217", "check_restricted"): (
+        0,
+        "",
+        {
+            "check.json": "39445c2af60fd84e3ceb69ab3b361151b8fa8674c02b8e5ad91f2314cab304f4",
+            "metadata.json": "60ff6caf61b821b64a1647165907d9700cf9714544659bb8b77b82d44e230223",
+        },
+    ),
+    ("tree217", "solvency_stage3"): (
+        0,
+        "",
+        {
+            "metadata.json": "35356b8b1a2de12636c6191f5429eabd7219eb5652490dc39a732abf53fa01aa",
+            "solvency.csv": "46829962346fedb69e73901d3c31f3f3c0ecd07c5348a6970416a8b5b6a2b8e8",
+            "solvency.json": "4e6b647c1ddf69e151d42126158562f9bd79f06fc730155c2eac56e1ce369b72",
+        },
+    ),
+    ("tree217", "value_fixed_mix_es"): (
+        0,
+        "",
+        {
+            "metadata.json": "929ff747dd66860388a82d103c7d72e0ff2253be636a5834a0dd908fb958db24",
+            "production.csv": "b65cffea67f4ac8d9bee7e0dd21baf53652b68305adbea167f5459ca80e11a80",
+        },
+    ),
+    ("tree217", "value_risk_free_var"): (
+        0,
+        "",
+        {
+            "metadata.json": "a22b53a950b97ac49f8782a6e2f6bf75a762aeabcd7bb478a140b39f57f687c4",
+            "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
+        },
+    ),
+    ("tree274", "adjust"): (
+        0,
+        "",
+        {
+            "adjust.csv": "77dfd8091a691b12a3067bf68e990b7e657f9e4468633405ee9a9154294414bb",
+            "adjust.json": "58f2624e8980a9be0d32cd5bb6f8b99b5ae3726693b34e93cf4dfddf2c07f404",
+            "metadata.json": "9acf443fe08e20740e0ae01cedb25b9852d3334bcf0fa056b02dedfd74f81da6",
+        },
+    ),
+    ("tree274", "check_restricted"): (
+        0,
+        "",
+        {
+            "check.json": "5ad4598d8c67e334891b501603f94d5ed659434aac1a23203aef3a74bb70c566",
+            "metadata.json": "0299dd0dfee9f14ea60829fdbaa581700ba5cbff0378eaf305d8ecc8520fb5e9",
+        },
+    ),
+    ("tree274", "solvency_stage3"): (
+        0,
+        "",
+        {
+            "metadata.json": "29f8626fabd0edac7be9070889d22db20a583c274e62b29569a7ec5c81b6f2fc",
+            "solvency.csv": "98230590d0a3f00059d038864e1653f873743014a1a1054388ee3c91c3ff41e2",
+            "solvency.json": "b6bff663307638cff2cae54c749b0aa950274ec1a69fd54029390121334b1645",
+        },
+    ),
+    ("tree274", "value_fixed_mix_es"): (
+        0,
+        "",
+        {
+            "metadata.json": "2dfc049cf16a3a60f7658f9bad4c23cc7e6cdab933fed0c8de63e21ad0fe662c",
+            "production.csv": "b74c71b856736cc04a1155ba41f00df77bf8e600c0640370f4b7829d91e2ad85",
+        },
+    ),
+    ("tree274", "value_risk_free_var"): (
+        0,
+        "",
+        {
+            "metadata.json": "1f624902087a807066c2510354f6be4181691c2c56abd880170300cbddc43f78",
+            "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tree,case", sorted(GENERATED_GOLDEN), ids=lambda v: str(v)
+)
+def test_generated_tree_reports_match_golden_digests(tree, case, tmp_path, capsys):
+    args, overrides = CASES[case]
+    doc = dict(generated_config(*TREES[tree]), **overrides)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc, indent=1))
+    out = tmp_path / "out"
+    out.mkdir()
+    got = _run_digests(list(args) + ["--config", str(config)], out, capsys)
+    assert got == GENERATED_GOLDEN[(tree, case)]
+
+
+def test_generated_golden_covers_every_tree_and_case():
+    assert set(GENERATED_GOLDEN) == {(t, c) for t in TREES for c in CASES}

@@ -224,3 +224,57 @@ def test_adapted_process_coverage():
         AdaptedProcess(tree, {tree.by_date[1][0]: 1.0})
     ok = AdaptedProcess(tree, {n: 1.0 for n in tree.by_date[1]})
     assert ok.covers(1)
+
+
+class TestArrayLayout:
+    def test_per_node_arrays_are_read_only(self):
+        tree = build_tree(
+            DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1),
+            [
+                {"id": "r", "date": 0, "parent": None, "p": 1.0},
+                {"id": "a", "date": "1/2", "parent": "r", "p": 0.25},
+                {"id": "b", "date": 0.5, "parent": "r", "p": 0.75},
+                {"id": "a1", "date": "1", "parent": "a", "p": 1.0},
+                {"id": "b1", "date": 1.0, "parent": "b", "p": 1.0},
+            ],
+        )
+        assert tree.parent.tolist() == [-1, 0, 0, 1, 2]
+        assert tree.date_idx.tolist() == [0, 1, 1, 2, 2]
+        assert tree.prob.tolist() == [1.0, 0.25, 0.75, 1.0, 1.0]
+        assert tree.children == ((1, 2), (3,), (4,), (), ())
+        for arr in (tree.parent, tree.date_idx, tree.prob):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_equal_dates_of_different_types_parse_separately(self):
+        # The float 0.1 reads as 1/10; the Fraction equal to that float is
+        # its exact binary value, which is not a grid date.
+        grid = DateGrid((Fraction(0), Fraction(1, 10), Fraction(1)), 1)
+        nodes = [
+            {"id": "r", "date": 0, "parent": None, "p": 1.0},
+            {"id": "a", "date": 0.1, "parent": "r", "p": 0.5},
+            {"id": "b", "date": Fraction(0.1), "parent": "r", "p": 0.5},
+            {"id": "a1", "date": 1, "parent": "a", "p": 1.0},
+            {"id": "b1", "date": 1, "parent": "b", "p": 1.0},
+        ]
+        with pytest.raises(DateNotInGrid):
+            build_tree(grid, nodes)
+
+    def test_structural_errors_name_the_first_node(self):
+        grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+        nodes = [
+            {"id": "r", "date": 0, "parent": None, "p": 1.0},
+            {"id": "a", "date": Fraction(1, 2), "parent": "r", "p": 0.5},
+            {"id": "b", "date": Fraction(1, 2), "parent": "r", "p": 0.5},
+            {"id": "a1", "date": 1, "parent": "a", "p": 0.5},
+            {"id": "b1", "date": 1, "parent": "b", "p": 0.5},
+        ]
+        with pytest.raises(ProbabilityMass, match=r"^children of 'a' have probability mass 0\.5$"):
+            build_tree(grid, nodes)
+        nodes[3]["p"] = 1.0
+        nodes[4] = {"id": "b1", "date": 0, "parent": "b", "p": 1.0}
+        with pytest.raises(OrphanNode, match=r"^node 'b1' does not sit one grid step"):
+            build_tree(grid, nodes)
+        del nodes[4]
+        with pytest.raises(LeafNotAtHorizon, match=r"^leaf 'b' sits at date 1/2"):
+            build_tree(grid, nodes)

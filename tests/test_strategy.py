@@ -95,6 +95,29 @@ class TestConversion:
         with pytest.raises(NodeOutsideSpan):
             conversion_residual(phi, market, tree, CashflowProcess(), 0)
 
+    def test_held_into_rows_match_single_nodes(self):
+        # Span from 1/2: nodes u, d start the span with their initial
+        # portfolios, u1 and d1 hold their parents' assignments.
+        tree = one_period_tree()
+        phi = Strategy(
+            tree,
+            2,
+            {n: (float(n), 10.0 * n) for n in range(1, tree.n_nodes)},
+            {1: (7.0, 8.0)},
+            t_min=Fraction(1, 2),
+        )
+        nodes = np.array([3, 1, 2, 4])
+        assert phi.held_into(nodes).tolist() == [
+            phi.held_into(int(n)).tolist() for n in nodes
+        ]
+        assert phi.held_into(nodes).tolist() == [
+            [1.0, 10.0], [7.0, 8.0], [0.0, 0.0], [2.0, 20.0]
+        ]
+        with pytest.raises(NodeOutsideSpan, match=r"^node 0 outside span$"):
+            phi.held_into(np.array([1, 0, 2]))
+        with pytest.raises(ValueError):
+            phi.assignment[1, 0] = 5.0
+
 
 class TestSelfFinancing:
     def test_reinvesting_inflows_is_self_financing(self):
@@ -261,7 +284,7 @@ class TestDecomposeGeneral:
         tree = one_period_tree()
         market = constant_market(tree, 2.0, 0.0)
         dec = decompose_general(hold_one(tree), market, tree)
-        assert all(v == (0.0,) for v in dec.minus.assignment.values())
+        assert dec.minus.assignment.tolist() == [[0.0]] * tree.n_nodes
         assert all(v == 0.0 for v in dec.star_outflow.values())
         assert all(v == 0.0 for v in dec.star_inflow.values())
 
@@ -296,8 +319,8 @@ class TestDecomposeGeneral:
             sign_class="unrestricted",
         )
         dec = decompose_general(phi, market, tree)
-        assert dec.plus.assignment[0] == (2.0, 0.0)
-        assert dec.minus.assignment[0] == (0.0, 3.0)
+        assert dec.plus.assignment[0].tolist() == [2.0, 0.0]
+        assert dec.minus.assignment[0].tolist() == [0.0, 3.0]
 
     def test_requires_close_out(self):
         tree = one_period_tree()

@@ -1,0 +1,291 @@
+"""Validation errors of the market and of config ingestion.
+
+Each defect must raise its own error class with a message that names
+the first offending node (node id for the market, label for the
+config), whatever form the market data is given in: node -> tuple and
+node -> array mappings, or one (n_nodes, n_assets) array.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prodval.config import problem_from_dict
+from prodval.errors import CrossRefError, DimensionMismatch
+from prodval.lattice import DateGrid, build_tree
+from prodval.market import TradableSet
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def one_period_tree():
+    """Ids: r=0 at 0, u=1 and d=2 at 1/2, u1=3 and d1=4 at 1."""
+    grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+    nodes = [
+        {"id": "r", "date": 0, "parent": None, "p": 1.0},
+        {"id": "u", "date": Fraction(1, 2), "parent": "r", "p": 0.5},
+        {"id": "d", "date": Fraction(1, 2), "parent": "r", "p": 0.5},
+        {"id": "u1", "date": 1, "parent": "u", "p": 1.0},
+        {"id": "d1", "date": 1, "parent": "d", "p": 1.0},
+    ]
+    return build_tree(grid, nodes)
+
+
+def bond_and_stock():
+    """Asset 0 is the period-0 bond, asset 1 a stock."""
+    prices = [
+        [0.98, 10.0],
+        [0.99, 11.0],
+        [0.99, 9.0],
+        [0.0, 12.0],
+        [0.0, 8.0],
+    ]
+    inflows = [
+        [0.0, 0.0],
+        [0.0, 0.5],
+        [0.0, 0.5],
+        [1.0, 0.0],
+        [1.0, 0.0],
+    ]
+    return prices, inflows
+
+
+def as_tuples(rows):
+    return {n: tuple(v) for n, v in enumerate(rows)}
+
+
+def as_array_rows(rows):
+    return {n: np.asarray(v, dtype=float) for n, v in enumerate(rows)}
+
+
+def as_array(rows):
+    return np.array(rows, dtype=float)
+
+
+FORMS = {"tuples": as_tuples, "array_rows": as_array_rows, "array": as_array}
+MAPPING_FORMS = ("array_rows", "tuples")
+
+
+def make_market(form, prices, inflows, **kw):
+    convert = FORMS[form]
+    return TradableSet(
+        tree=one_period_tree(), prices=convert(prices), inflows=convert(inflows), **kw
+    )
+
+
+@pytest.fixture(params=sorted(FORMS))
+def form(request):
+    return request.param
+
+
+class TestMarketValidation:
+    def test_valid_market_builds(self, form):
+        prices, inflows = bond_and_stock()
+        market = make_market(form, prices, inflows, bond_periods={0: 0})
+        assert market.n_assets == 2
+        assert list(market.price(1)) == [0.99, 11.0]
+        assert list(market.payoff(1)) == [0.99, 11.5]
+
+    def test_negative_price_names_first_node(self, form):
+        prices, inflows = bond_and_stock()
+        prices[4][1] = -1.0
+        prices[2][1] = -0.5
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 2$"):
+            make_market(form, prices, inflows)
+
+    def test_negative_inflow_names_first_node(self, form):
+        prices, inflows = bond_and_stock()
+        inflows[3][1] = -0.25
+        inflows[4][1] = -0.25
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 3$"):
+            make_market(form, prices, inflows)
+
+    def test_all_zero_prices_at_non_leaf(self, form):
+        prices, inflows = bond_and_stock()
+        prices[2] = [0.0, 0.0]
+        prices[1] = [0.0, 0.0]
+        with pytest.raises(
+            ValueError, match=r"price vector is identically zero at node 1$"
+        ):
+            make_market(form, prices, inflows)
+
+    def test_all_zero_prices_allowed_at_leaves(self, form):
+        prices, inflows = bond_and_stock()
+        prices[3] = [0.0, 0.0]
+        prices[4] = [0.0, 0.0]
+        market = make_market(form, prices, inflows)
+        assert not market.price(3).any()
+
+    @pytest.mark.parametrize("mapping_form", MAPPING_FORMS)
+    def test_vector_length_mismatch(self, mapping_form):
+        prices, inflows = bond_and_stock()
+        inflows[3] = [1.0, 0.0, 0.0]
+        inflows[4] = [1.0]
+        with pytest.raises(DimensionMismatch, match=r"vector length mismatch at node 3$"):
+            make_market(mapping_form, prices, inflows)
+
+    def test_vector_length_mismatch_in_arrays(self):
+        prices, inflows = bond_and_stock()
+        inflows = [row + [0.0] for row in inflows]
+        with pytest.raises(DimensionMismatch, match=r"vector length mismatch at node 0$"):
+            make_market("array", prices, inflows)
+
+    @pytest.mark.parametrize("mapping_form", MAPPING_FORMS)
+    def test_missing_node_in_prices(self, mapping_form):
+        prices, inflows = bond_and_stock()
+        convert = FORMS[mapping_form]
+        partial = convert(prices)
+        del partial[4]
+        del partial[2]
+        with pytest.raises(CrossRefError, match=r"missing price vector at node 2$"):
+            TradableSet(tree=one_period_tree(), prices=partial, inflows=convert(inflows))
+
+    def test_missing_rows_in_price_array(self):
+        prices, inflows = bond_and_stock()
+        with pytest.raises(CrossRefError, match=r"missing price vector at node 3$"):
+            make_market("array", prices[:3], inflows)
+
+    def test_bond_must_pay_one_at_year_end(self, form):
+        prices, inflows = bond_and_stock()
+        inflows[4][0] = 0.5
+        with pytest.raises(
+            ValueError,
+            match=r"tradable 0 flagged as period-0 bond must have price 0 "
+            r"and inflow 1 at date 1, not at node 4$",
+        ):
+            make_market(form, prices, inflows, bond_periods={0: 0})
+
+    def test_bond_must_have_zero_price_at_year_end(self, form):
+        prices, inflows = bond_and_stock()
+        prices[4][0] = 0.02
+        prices[3][0] = 0.01
+        with pytest.raises(
+            ValueError, match=r"must have price 0 and inflow 1 at date 1, not at node 3$"
+        ):
+            make_market(form, prices, inflows, bond_periods={0: 0})
+
+    def test_bond_needs_positive_price_at_period_start(self, form):
+        prices, inflows = bond_and_stock()
+        prices[0][0] = 0.0
+        with pytest.raises(
+            ValueError,
+            match=r"period-0 bond must have positive price at date 0, not at node 0$",
+        ):
+            make_market(form, prices, inflows, bond_periods={0: 0})
+
+    def test_arrays_are_read_only_and_rows_are_views(self, form):
+        prices, inflows = bond_and_stock()
+        market = make_market(form, prices, inflows, bond_periods={0: 0})
+        assert market.prices.shape == market.inflows.shape == (5, 2)
+        assert market.payoff(3).base is market.payoffs
+        with pytest.raises(ValueError):
+            market.prices[0, 0] = 1.0
+
+
+def two_point_doc():
+    """Labels: root at 0, mid at 1/2, lo and hi at 1."""
+    return json.loads((CONFIGS / "two_point.json").read_text())
+
+
+class TestConfigValidation:
+    def test_negative_price(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["prices"]["mid"] = -0.5
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 1$"):
+            problem_from_dict(doc)
+
+    def test_negative_inflow(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["inflows"]["hi"] = -1.0
+        doc["market"]["tradables"][0]["inflows"]["lo"] = -1.0
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 2$"):
+            problem_from_dict(doc)
+
+    def test_all_zero_price_vector_at_non_leaf(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["prices"]["mid"] = 0.0
+        with pytest.raises(
+            ValueError, match=r"price vector is identically zero at node 1$"
+        ):
+            problem_from_dict(doc)
+
+    def test_non_numeric_price(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["prices"]["lo"] = None
+        with pytest.raises(TypeError):
+            problem_from_dict(doc)
+
+    def test_missing_node_in_prices_names_first_label(self):
+        doc = two_point_doc()
+        del doc["market"]["tradables"][0]["prices"]["hi"]
+        del doc["market"]["tradables"][0]["prices"]["mid"]
+        with pytest.raises(
+            CrossRefError,
+            match=r"^market\.tradables\[0\]\.prices is missing node 'mid'$",
+        ):
+            problem_from_dict(doc)
+
+    def test_unknown_label_in_prices(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["prices"]["ghost"] = 1.0
+        with pytest.raises(
+            CrossRefError,
+            match=r"^market\.tradables\[0\]\.prices references unknown node 'ghost'$",
+        ):
+            problem_from_dict(doc)
+
+    def test_unknown_label_in_inflows_names_first_label(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["inflows"] = {
+            "lo": 1.0,
+            "ghost": 1.0,
+            "hi": 1.0,
+            "phantom": 2.0,
+        }
+        with pytest.raises(
+            CrossRefError,
+            match=r"^market\.tradables\[0\]\.inflows references unknown node 'ghost'$",
+        ):
+            problem_from_dict(doc)
+
+    def test_unknown_label_in_second_tradable(self):
+        doc = two_point_doc()
+        stock = {
+            "prices": {"root": 1.0, "mid": 1.0, "lo": 1.0, "hi": 1.0},
+            "inflows": {"spectre": 1.0},
+        }
+        doc["market"]["tradables"].append(stock)
+        with pytest.raises(
+            CrossRefError,
+            match=r"^market\.tradables\[1\]\.inflows references unknown node 'spectre'$",
+        ):
+            problem_from_dict(doc)
+
+    def test_unknown_label_in_liability_and_illiquid(self):
+        doc = two_point_doc()
+        doc["illiquid"] = {"inflows": {"lo": 1.0, "wraith": 1.0}}
+        with pytest.raises(
+            CrossRefError,
+            match=r"^illiquid\.inflows references unknown node 'wraith'$",
+        ):
+            problem_from_dict(doc)
+        doc = two_point_doc()
+        doc["liability"]["terminal"] = {"shade": 1.0}
+        with pytest.raises(
+            CrossRefError,
+            match=r"^liability\.terminal references unknown node 'shade'$",
+        ):
+            problem_from_dict(doc)
+
+    def test_bond_that_does_not_pay_one(self):
+        doc = two_point_doc()
+        doc["market"]["tradables"][0]["inflows"]["hi"] = 0.5
+        with pytest.raises(
+            ValueError,
+            match=r"flagged as period-0 bond must have price 0 and inflow 1 "
+            r"at date 1, not at node 3$",
+        ):
+            problem_from_dict(doc)

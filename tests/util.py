@@ -231,3 +231,50 @@ def self_financing_addon(rng, tree, market, scale=1.0):
             else:
                 assignment[node] = tuple(direction * (wealth / price))
     return Strategy(tree, n, assignment, initial=init_map)
+
+
+def generated_config(seed: int, years: int, interior_per_year: int) -> dict:
+    """Config for a seeded random tree with a consistent market (two risky
+    assets and one bond per year) and random annual liability flows."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, years=years, interior_per_year=interior_per_year)
+    market, _ = state_price_market(rng, tree, n_risky=2)
+    labels = tree.labels
+    parent_label = {c: labels[n] for n in range(tree.n_nodes) for c in tree.children[n]}
+    nodes = [
+        {
+            "id": labels[n],
+            "date": str(tree.date_of(n)),
+            "parent": parent_label.get(n),
+            "p": float(tree.prob[n]),
+        }
+        for n in range(tree.n_nodes)
+    ]
+    tradables = []
+    for k in range(market.n_assets):
+        spec = {
+            "prices": {labels[n]: float(market.prices[n][k]) for n in range(tree.n_nodes)},
+            "inflows": {
+                labels[n]: float(market.inflows[n][k])
+                for n in range(tree.n_nodes)
+                if market.inflows[n][k] != 0.0
+            },
+        }
+        if k in market.bond_periods:
+            spec["bond_period"] = market.bond_periods[k]
+        tradables.append(spec)
+    outflows, inflows = {}, {}
+    for i in range(1, years + 1):
+        for n in tree.nodes_at(i):
+            outflows[labels[n]] = float(rng.uniform(50.0, 150.0))
+            if i < years and rng.uniform() < 0.5:
+                inflows[labels[n]] = float(rng.uniform(0.0, 30.0))
+    return {
+        "grid": {"T": years, "dates": [str(d) for d in tree.grid.dates]},
+        "tree": {"nodes": nodes},
+        "market": {"tradables": tradables, "close_out": True},
+        "liability": {"outflows": outflows, "inflows": inflows},
+        "fulfillment": {"type": "var", "alpha": 0.005},
+        "financiability": {"type": "coc", "eta": 0.06},
+        "engine": {"mode": "B", "family": {"type": "risk_free"}},
+    }
