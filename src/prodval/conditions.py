@@ -37,7 +37,16 @@ from .market import (
     TradableSet,
     compose_state_prices,
 )
-from .risk import DiscreteDistribution, RiskMeasureSpec, apply_measure, lower_quantile
+from .risk import (
+    DiscreteDistribution,
+    DistributionRows,
+    RiskMeasureSpec,
+    apply_measure,
+    apply_measure_rows,
+    lower_quantile,
+    lower_quantile_rows,
+    sum_left_to_right,
+)
 
 SLACK = 1e-9
 
@@ -96,6 +105,14 @@ class FulfillmentSpec:
             return -surplus.min()
         return lower_quantile(surplus.negated(), self.p)
 
+    def required_buffer_rows(self, surplus: DistributionRows) -> np.ndarray:
+        """``required_buffer`` of every row."""
+        if self.variant == "full" or (self.variant == "probability" and self.p == 1.0):
+            return -surplus.min()
+        if self.variant == "risk_measure":
+            return apply_measure_rows(self.measure, surplus)
+        return lower_quantile_rows(surplus.negated(), self.p)
+
 
 def fulfillment_satisfied(spec: FulfillmentSpec, surplus: DiscreteDistribution) -> bool:
     """Decide the condition on the year-end surplus distribution.
@@ -106,6 +123,13 @@ def fulfillment_satisfied(spec: FulfillmentSpec, surplus: DiscreteDistribution) 
     if spec.variant == "probability":
         return surplus.prob_at_least(-SLACK) >= spec.p - 1e-12
     return spec.required_buffer(surplus) <= SLACK
+
+
+def fulfillment_satisfied_rows(spec: FulfillmentSpec, surplus: DistributionRows) -> np.ndarray:
+    """``fulfillment_satisfied`` of every row."""
+    if spec.variant == "probability":
+        return surplus.prob_at_least(-SLACK) >= spec.p - 1e-12
+    return spec.required_buffer_rows(surplus) <= SLACK
 
 
 @dataclass(frozen=True)
@@ -200,6 +224,70 @@ def max_capital(
             raise MissingCertificate(f"no state price for node {label}")
         total += q[label] * value
     return max(0.0, total)
+
+
+def max_capital_rows(
+    spec: FinanciabilitySpec,
+    payoff: DistributionRows,
+    rates: np.ndarray,
+    nodes: np.ndarray,
+    horizon_index: int,
+) -> np.ndarray:
+    """``max_capital`` of every row; row r is the payoff of the period
+    from ``nodes[r]`` with rate ``rates[r]``, its atoms labeled.
+
+    A row ``max_capital`` would reject is handed to it, so the first
+    such row raises that function's error.
+    """
+    if not len(nodes):
+        return np.zeros(0)
+    rejected = payoff.min() < -SLACK
+    if spec.variant == "zero":
+        capital = np.zeros(len(nodes))
+    elif spec.variant == "cost_of_capital":
+        denom = 1.0 + rates + spec.eta
+        rejected |= denom <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            capital = payoff.mean() / denom
+    else:
+        q, inconsistent = _state_price_rows(spec, payoff, nodes, horizon_index)
+        rejected |= inconsistent
+        capital = sum_left_to_right(q * np.where(payoff.mask, payoff.values, 0.0))
+    if rejected.any():
+        r = int(rejected.argmax())
+        max_capital(spec, payoff.row(r), float(rates[r]), int(nodes[r]), horizon_index)
+    return np.where(capital > 0.0, capital, 0.0)
+
+
+def _state_price_rows(spec, payoff, nodes, horizon_index):
+    """Per atom the product of the certificate's weights from the atom up
+    to its row's node (``compose_state_prices``), 0 at padding; and per
+    row whether that path meets a node without weights."""
+    tree, cert = spec.tree, spec.certificate
+    mask = payoff.mask
+    atoms = payoff.labels[mask]
+    steps = horizon_index - int(tree.date_idx[nodes[0]])
+    weight = np.zeros(tree.n_nodes)
+    bad = np.zeros(tree.n_nodes, dtype=bool)
+    q = np.ones(len(atoms))
+    inconsistent = np.zeros(len(atoms), dtype=bool)
+    cur = atoms
+    for _ in range(steps):
+        par = tree.parent[cur]
+        for m in np.unique(par).tolist():
+            verdict = cert.verdicts[m]
+            if verdict.consistent:
+                weight[list(verdict.weights)] = list(verdict.weights.values())
+            else:
+                bad[m] = True
+        q = q * weight[cur]
+        inconsistent |= bad[par]
+        cur = par
+    out = np.zeros(mask.shape)
+    out[mask] = q
+    row_bad = np.zeros(mask.shape, dtype=bool)
+    row_bad[mask] = inconsistent
+    return out, row_bad.any(axis=1)
 
 
 def financiability_holds(

@@ -39,14 +39,19 @@ class ValuationProblem:
 
 def load_config(path: str) -> ValuationProblem:
     """Read and validate a config file; all structural invariants are
-    checked here so the engine can assume a coherent problem."""
+    checked here so the engine can assume a coherent problem. A value
+    the problem's constructors reject (a negative or non-numeric price,
+    say) raises SchemaViolation, with their error as its cause."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
-    return problem_from_dict(doc)
+    try:
+        return problem_from_dict(doc)
+    except (ValueError, TypeError) as e:
+        raise SchemaViolation(f"invalid config: {e}") from e
 
 
 def _need(doc: Mapping, key: str, path: str = "") -> object:

@@ -39,7 +39,9 @@ from .conditions import (
     FulfillmentSpec,
     audit_neutrality_to_tradables,
     fulfillment_satisfied,
+    fulfillment_satisfied_rows,
     max_capital,
+    max_capital_rows,
 )
 from .errors import (
     CloseOutUnavailable,
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .lattice import ScenarioTree
 from .market import RestrictionSet, TradableSet
-from .risk import DiscreteDistribution
+from .risk import DiscreteDistribution, DistributionRows
 from .strategy import (
     CashflowProcess,
     Strategy,
@@ -326,10 +328,10 @@ def _roll_mix_linear(
 ):
     """Value-rebalanced mix without feasibility clamping.
 
-    Pots and payoffs are affine in the scale, which the closed-form
-    solver exploits; the result only has physical meaning where the pots
-    are non-negative. Returns None if a weighted asset has no positive
-    price somewhere in the year.
+    Pots and payoffs are affine in the scale (``_roll_bond`` rolls the
+    all-bond mix of the risk-free step as arrays); the result only has
+    physical meaning where the pots are non-negative. Returns None if a
+    weighted asset has no positive price somewhere in the year.
     """
     n = market.n_assets
     layers = tree.layers([node_i], j1 - j0)
@@ -360,50 +362,6 @@ def _roll_mix_linear(
 
 def _mix_interior_feasible(pot: Mapping[int, float], node_i: int) -> bool:
     return all(v >= -TOL for m, v in pot.items() if m != node_i)
-
-
-def _solve_affine_scale(
-    tree, market, node_i, j0, j1, weights, ell, interior_net, fulfillment
-):
-    """Closed-form step 1 for the risk-free family.
-
-    pot(s) and payoff(s) are affine in s; the bond's year payoff slope is
-    the same constant g = 1 + R on every path, so translation solvability
-    of the fulfillment condition gives s directly. Interior feasibility
-    adds a lower bound from the zero-scale flow roll.
-    """
-    lin0 = _roll_mix_linear(tree, market, node_i, j0, j1, weights, 0.0, interior_net)
-    lin1 = _roll_mix_linear(tree, market, node_i, j0, j1, weights, 1.0, interior_net)
-    if lin0 is None or lin1 is None:
-        return None
-    pot0, payoff0, _ = lin0
-    pot1, payoff1, _ = lin1
-
-    s_feas = 0.0
-    for m, b in pot0.items():
-        if m == node_i:
-            continue
-        a = pot1[m] - b
-        if b < -TOL:
-            if a <= TOL * max(1.0, abs(b)):
-                return None
-            s_feas = max(s_feas, -b / a)
-
-    gs = [payoff1[nu] - payoff0[nu] for nu in payoff1]
-    g = gs[0]
-    if g <= 0 or any(abs(x - g) > 1e-9 * max(1.0, g) for x in gs):
-        return None
-    surplus0 = _surplus_dist(tree, node_i, payoff0, ell)
-    buffer = fulfillment.required_buffer(surplus0)
-    if math.isinf(buffer) and buffer > 0:
-        return None
-    s_star = max(0.0, s_feas, buffer / g)
-
-    lin = _roll_mix_linear(tree, market, node_i, j0, j1, weights, s_star, interior_net)
-    pot, payoff, portfolios = lin
-    if not _mix_interior_feasible(pot, node_i):
-        return None
-    return s_star, payoff, portfolios
 
 
 def _bisect_scale(
@@ -518,20 +476,198 @@ def _surplus_dist(
     )
 
 
+def _year_layers(tree: ScenarioTree, roots: np.ndarray, steps: int):
+    """The nodes ``0..steps`` grid steps below ``roots``, one ascending id
+    array per step; per node the position of its root in ``roots``; and
+    per node below the first layer the index of its parent in the layer
+    above."""
+    root_pos = np.full(tree.n_nodes, -1)
+    root_pos[roots] = np.arange(len(roots))
+    slot = np.empty(tree.n_nodes, dtype=np.int64)
+    layers, pos, up = [roots], [root_pos[roots]], [None]
+    j = int(tree.date_idx[roots[0]])
+    for d in range(1, steps + 1):
+        slot[layers[-1]] = np.arange(len(layers[-1]))
+        nodes = np.asarray(tree.by_date[j + d], dtype=np.int64)
+        parents = tree.parent[nodes]
+        keep = root_pos[parents] >= 0
+        nodes, parents = nodes[keep], parents[keep]
+        root_pos[nodes] = root_pos[parents]
+        layers.append(nodes)
+        pos.append(root_pos[nodes])
+        up.append(slot[parents])
+    return layers, pos, up
+
+
+def _roll_bond(scale, up, price, payoff, net):
+    """Roll ``scale`` per root through the year fully in the bond: the
+    pots and bond units at the nodes of every layer but the last, and
+    the year-end payoffs.
+
+    The operations are those of ``_roll_mix_linear`` with the weight 1 on
+    the bond, whose dot product with a one-hot portfolio is the single
+    product units * payoff.
+    """
+    pots, units = [scale], []
+    for d in range(len(price)):
+        units.append(pots[-1] / price[d])
+        res = units[-1][up[d + 1]] * payoff[d]
+        if d + 1 == len(price):
+            return pots, units, res
+        pots.append(res + net[d])
+
+
+def _risk_free_step(
+    roots: np.ndarray,
+    ell: Union[Mapping[int, float], np.ndarray],
+    interior_net: Union[Callable[[int], float], np.ndarray],
+    fulfillment: FulfillmentSpec,
+    financiability: FinanciabilitySpec,
+    market: TradableSet,
+    tree: ScenarioTree,
+    rates: np.ndarray,
+    mode: str,
+):
+    """Closed-form step 1 and step 2 of the risk-free family at date-i
+    nodes, all rows at once.
+
+    pot(s) and payoff(s) are affine in s; the bond's year payoff slope is
+    the same constant g = 1 + R on every path, so translation solvability
+    of the fulfillment condition gives s directly. Interior feasibility
+    adds a lower bound from the zero-scale flow roll. Returns one result
+    per root, the bond index, and per layer of the year the nodes of the
+    feasible roots with their bond units.
+    """
+    n = len(roots)
+    i = int(tree.date_of(roots[0]))
+    j1 = tree.grid.index(i + 1)
+    if (tree.date_idx[roots] != tree.date_idx[roots[0]]).any():
+        raise ValueError("a batch of one-period steps must share one date")
+    try:
+        k = market.bond_for_period(i)
+    except NoBondAvailable:
+        return [OnePeriodResult(False, params=("risk_free", INF)) for _ in range(n)], 0, []
+    steps = j1 - tree.grid.index(i)
+    layers, pos, up = _year_layers(tree, roots, steps)
+    atoms = layers[-1]
+    price = [market.prices[nodes, k] for nodes in layers[:-1]]
+    payoff = [market.payoffs[nodes, k] for nodes in layers[1:]]
+    if callable(interior_net):
+        net = [np.array([interior_net(m) for m in nodes.tolist()]) for nodes in layers[1:-1]]
+    else:
+        net = [interior_net[nodes] for nodes in layers[1:-1]]
+    if isinstance(ell, np.ndarray):
+        ell_atoms = ell[atoms]
+    else:
+        ell_atoms = np.array([ell[m] for m in atoms.tolist()], dtype=float)
+    pad, rows = _atom_rows(tree, atoms, pos[-1], n, steps)
+
+    solved = np.ones(n, dtype=bool)
+    for d, p in enumerate(price):
+        solved[pos[d][p <= 0.0]] = False
+    # Rows already unsolved may divide by zero below; they are discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pots0, _, end0 = _roll_bond(np.zeros(n), up, price, payoff, net)
+        pots1, _, end1 = _roll_bond(np.ones(n), up, price, payoff, net)
+        s_feas = np.zeros(n)
+        for d in range(1, steps):
+            b = pots0[d]
+            a = pots1[d] - b
+            neg = b < -TOL
+            solved[pos[d][neg & (a <= TOL * np.maximum(1.0, np.abs(b)))]] = False
+            np.maximum.at(s_feas, pos[d][neg], -b[neg] / a[neg])
+
+        slopes = pad(end1 - end0)
+        # The first atom in node order, which breadth-first ids make the
+        # first in layer order.
+        g = slopes[:, 0]
+        spread = np.abs(slopes - g[:, None]) > 1e-9 * np.where(g > 1.0, g, 1.0)[:, None]
+        solved &= ~((g <= 0) | (spread & rows.mask).any(axis=1))
+        buffer = fulfillment.required_buffer_rows(rows.with_values(pad(end0 - ell_atoms)))
+        solved &= ~(np.isinf(buffer) & (buffer > 0))
+        # max(0, s_feas, buffer / g); s_feas is already at least 0.
+        translation = buffer / g
+        s_star = np.where(translation > s_feas, translation, s_feas)
+
+        pots, units, end = _roll_bond(s_star, up, price, payoff, net)
+        for d in range(1, steps):
+            solved[pos[d][~(pots[d] >= -TOL)]] = False
+        surplus = rows.with_values(pad(end - ell_atoms))
+        feasible = solved & fulfillment_satisfied_rows(fulfillment, surplus)
+
+    f = np.flatnonzero(feasible)
+    plus = DistributionRows(
+        np.where(surplus.values > 0.0, surplus.values, 0.0)[f],
+        rows.probs[f],
+        rows.counts[f],
+        rows.labels[f],
+    )
+    capital = max_capital_rows(financiability, plus, rates[f], roots[f], j1)
+    value = s_star[f]
+    vbar = value - capital
+    if mode == "B":
+        # Zero-cost variant of the same strategy: reduce the capital to
+        # the strategy value; monotonicity keeps financiability intact.
+        clamp = vbar < 0.0
+        capital = np.where(clamp, value, capital)
+        vbar = np.where(clamp, 0.0, vbar)
+
+    results = [
+        OnePeriodResult(False, params=("risk_free", s if ok else INF))
+        for s, ok in zip(s_star.tolist(), solved.tolist())
+    ]
+    for r, s, c, v in zip(f.tolist(), value.tolist(), capital.tolist(), vbar.tolist()):
+        results[r] = OnePeriodResult(
+            True, scale=s, capital=c, vbar=v, value=s, params=("risk_free", s)
+        )
+    held = [(nodes[feasible[p]], u[feasible[p]]) for nodes, p, u in zip(layers, pos, units)]
+    return results, k, held
+
+
+def _atom_rows(tree, atoms, row, n_rows, steps):
+    """Padded rows of the year-end atoms, ascending node ids in each row:
+    a function placing per-atom values in them, and the rows with the
+    conditional probabilities ``_surplus_dist`` gives the atoms (path
+    products from the atom upward, normalised by their left-to-right
+    sum in node order)."""
+    counts = np.bincount(row, minlength=n_rows)
+    order = np.argsort(row, kind="stable")
+    col = np.empty(len(atoms), dtype=np.int64)
+    col[order] = np.arange(len(atoms)) - (np.cumsum(counts) - counts)[row[order]]
+    shape = (n_rows, int(counts.max(initial=1)))
+
+    def pad(per_atom: np.ndarray) -> np.ndarray:
+        out = np.zeros(shape, dtype=per_atom.dtype)
+        out[row, col] = per_atom
+        return out
+
+    p = tree.prob[atoms]
+    up = tree.parent[atoms]
+    for _ in range(steps - 1):
+        p = p * tree.prob[up]
+        up = tree.parent[up]
+    paths = pad(p)
+    # Python's sum, as _surplus_dist normalises (np.sum adds pairwise).
+    total = [sum(r[:c]) for r, c in zip(paths.tolist(), counts.tolist())]
+    probs = paths / np.array(total)[:, None]
+    return pad, DistributionRows(np.zeros(shape), probs, counts, pad(atoms))
+
+
 def build_one_period(
-    node_i: int,
-    ell: Mapping[int, float],
-    interior_net: Callable[[int], float],
+    node_i: Union[int, Sequence[int]],
+    ell: Union[Mapping[int, float], np.ndarray],
+    interior_net: Union[Callable[[int], float], np.ndarray],
     family: StrategyFamily,
     fulfillment: FulfillmentSpec,
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rate: float,
+    rate: Union[float, Sequence[float]],
     mode: str = "B",
     bisection_tol: float = 1e-10,
     mix_weights: Optional[Mapping[int, float]] = None,
-) -> OnePeriodResult:
+    assignment: Optional[np.ndarray] = None,
+) -> Union[OnePeriodResult, List[OnePeriodResult]]:
     """Two-step construction over one year from a date-i node.
 
     ``ell`` maps each date-(i+1) descendant to the effective liability
@@ -542,25 +678,41 @@ def build_one_period(
     solves the financiability condition with equality on the capital
     payoff (A' - L)_+. Returns the infeasible sentinel (vbar = +inf)
     when no scale works.
+
+    For the risk-free family ``node_i`` may also be a sequence of nodes
+    of one date, solved together as array operations; ``ell`` and
+    ``interior_net`` may then be arrays indexed by node id and ``rate``
+    a sequence with one rate per node. The call returns one result per
+    node and writes the bond units of the feasible nodes' years into
+    ``assignment``, an (n_nodes, n_assets) array, instead of returning
+    portfolios.
     """
+    if family.variant == "risk_free":
+        roots = np.atleast_1d(np.asarray(node_i, dtype=np.int64))
+        rates = np.broadcast_to(np.asarray(rate, dtype=float), roots.shape)
+        results, k, held = _risk_free_step(
+            roots, ell, interior_net, fulfillment, financiability, market, tree,
+            rates, mode,
+        )
+        if np.ndim(node_i) > 0:
+            if assignment is not None:
+                for nodes, units in held:
+                    assignment[nodes, k] = units
+            return results
+        res = results[0]
+        for nodes, units in held:
+            for m, u in zip(nodes.tolist(), units.tolist()):
+                x = [0.0] * market.n_assets
+                x[k] = u
+                res.portfolios[m] = tuple(x)
+        return res
+
+    if np.ndim(node_i) > 0:
+        raise ValueError("only the risk_free family solves a batch of nodes")
     i = int(tree.date_of(node_i))
     j0 = tree.grid.index(i)
     j1 = tree.grid.index(i + 1)
-
-    if family.variant == "risk_free":
-        try:
-            k = market.bond_for_period(i)
-        except NoBondAvailable:
-            return OnePeriodResult(False, params=("risk_free", INF))
-        solved = _solve_affine_scale(
-            tree, market, node_i, j0, j1, {k: 1.0}, ell, interior_net, fulfillment
-        )
-        if solved is None:
-            return OnePeriodResult(False, params=("risk_free", INF))
-        s_star, payoff, portfolios = solved
-        value = s_star
-        params = ("risk_free", s_star)
-    elif family.variant == "fixed_mix":
+    if family.variant == "fixed_mix":
         weights = dict(mix_weights or {})
         s_star = _bisect_scale(
             tree, market, node_i, j0, j1, weights, ell, interior_net,
@@ -659,46 +811,44 @@ def backward_value(
     params: Dict[int, tuple] = {}
     portfolios: Dict[int, Tuple[float, ...]] = {}
     infeasible: List[int] = []
+    assignment = np.zeros((tree.n_nodes, market.n_assets))
 
     for leaf in tree.by_date[J]:
         values[leaf] = liab.y(leaf)
 
     candidates = _family_candidates(config)
+    outflow = _node_array(liab.outflows, tree.n_nodes)
+    inflow = _node_array(liab.inflows, tree.n_nodes)
+    psi_inflow = _node_array(psi.inflows, tree.n_nodes)
+    net = inflow + psi_inflow - outflow
+    vbar = np.zeros(tree.n_nodes)
+    vbar[list(values)] = list(values.values())
+    ell = np.zeros(tree.n_nodes)
 
     def interior_net(m: int) -> float:
         return liab.z(m) + psi.z(m) - liab.x(m)
 
     for i in range(T - 1, -1, -1):
-        j1 = tree.grid.index(i + 1)
-        ell_all = {
-            nu: liab.x(nu) + values[nu] - liab.z(nu) - psi.z(nu)
-            for nu in tree.by_date[j1]
-        }
-        for node_i in tree.nodes_at(i):
-            best: Optional[OnePeriodResult] = None
-            for fam, weights in candidates:
-                res = build_one_period(
-                    node_i,
-                    ell_all,
-                    interior_net,
-                    fam,
-                    fulfillment,
-                    financiability,
-                    market,
-                    tree,
-                    rates[node_i],
-                    config.mode,
-                    config.bisection_tol,
-                    weights,
+        ends = np.asarray(tree.nodes_at(i + 1), dtype=np.int64)
+        ell[ends] = outflow[ends] + vbar[ends] - inflow[ends] - psi_inflow[ends]
+        nodes = tree.nodes_at(i)
+        if config.family.variant == "risk_free":
+            results = build_one_period(
+                nodes, ell, net, config.family, fulfillment, financiability,
+                market, tree, [rates[n] for n in nodes], config.mode,
+                assignment=assignment,
+            )
+            best_of = [res if res.feasible else None for res in results]
+        else:
+            ell_all = dict(zip(ends.tolist(), ell[ends].tolist()))
+            best_of = [
+                _best_candidate(
+                    node_i, ell_all, interior_net, candidates, config,
+                    fulfillment, financiability, market, tree, rates[node_i],
                 )
-                if not res.feasible:
-                    continue
-                if (
-                    best is None
-                    or res.vbar < best.vbar - 1e-12
-                    or (abs(res.vbar - best.vbar) <= 1e-12 and res.params < best.params)
-                ):
-                    best = res
+                for node_i in nodes
+            ]
+        for node_i, best in zip(nodes, best_of):
             if best is None:
                 values[node_i] = INF
                 infeasible.append(node_i)
@@ -708,8 +858,8 @@ def backward_value(
             capital[node_i] = best.capital
             params[node_i] = best.params
             portfolios.update(best.portfolios)
+        vbar[list(nodes)] = [values[n] for n in nodes]
 
-    assignment = np.zeros((tree.n_nodes, market.n_assets))
     if portfolios:
         assignment[list(portfolios)] = list(portfolios.values())
     # Scales from the bisection endpoint can leave pots, and hence units,
@@ -732,6 +882,46 @@ def backward_value(
     return ProductionCostProcess(
         values, capital, params, strategy, rows, config.mode, sorted(infeasible)
     )
+
+
+def _best_candidate(
+    node_i, ell, interior_net, candidates, config, fulfillment, financiability,
+    market, tree, rate,
+) -> Optional[OnePeriodResult]:
+    """The feasible candidate with the least vbar; ties pick the
+    lexicographically smallest parameters. None if none is feasible."""
+    best: Optional[OnePeriodResult] = None
+    for fam, weights in candidates:
+        res = build_one_period(
+            node_i,
+            ell,
+            interior_net,
+            fam,
+            fulfillment,
+            financiability,
+            market,
+            tree,
+            rate,
+            config.mode,
+            config.bisection_tol,
+            weights,
+        )
+        if not res.feasible:
+            continue
+        if (
+            best is None
+            or res.vbar < best.vbar - 1e-12
+            or (abs(res.vbar - best.vbar) <= 1e-12 and res.params < best.params)
+        ):
+            best = res
+    return best
+
+
+def _node_array(flows: Mapping[int, float], n_nodes: int) -> np.ndarray:
+    """Per-node values of a node -> value mapping, zero where absent."""
+    out = np.zeros(n_nodes)
+    out[list(flows)] = [float(v) for v in flows.values()]
+    return out
 
 
 def _family_candidates(config: EngineConfig):

@@ -152,6 +152,22 @@ def test_main_error_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("price, cause", [(-0.5, ValueError), (None, TypeError)])
+def test_invalid_price_is_one_error_line(price, cause, tmp_path, capsys):
+    doc = two_point_doc()
+    doc["market"]["tradables"][0]["prices"]["mid"] = price
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = main(["value", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(SchemaViolation) as raised:
+        load_config(str(config))
+    assert isinstance(raised.value.__cause__, cause)
+
+
 PLAIN_TYPES = (bool, int, float, str, type(None))
 
 

@@ -126,7 +126,53 @@ CASES = {
     "solvency_stage3": (("solvency", "--stage", "3"), {}),
     "check_restricted": (("check",), {"restriction": {"indices": [0, 2, 3]}}),
     "adjust": (("adjust",), {"fulfillment": {"type": "var", "alpha": 0.2}}),
+    # The risk-free one-period step under every fulfillment and
+    # financiability variant, in both modes, and with infeasible nodes.
+    "value_risk_free_es": (("value",), {"fulfillment": {"type": "es", "alpha": 0.05}}),
+    "value_risk_free_prob90": (("value",), {"fulfillment": {"type": "prob", "p": 0.9}}),
+    "value_risk_free_prob100": (("value",), {"fulfillment": {"type": "prob", "p": 1.0}}),
+    "value_risk_free_full": (("value",), {"fulfillment": {"type": "full"}}),
+    "value_risk_free_zero": (("value",), {"financiability": {"type": "zero"}}),
+    "value_risk_free_state_price": (
+        ("value",),
+        {"financiability": {"type": "state_price"}},
+    ),
+    "value_risk_free_mode_a": (
+        ("value",),
+        lambda doc: dict(
+            _level_inflows(doc),
+            engine={"mode": "A", "family": {"type": "risk_free"}},
+        ),
+    ),
+    "value_risk_free_no_bond": (
+        ("value",),
+        lambda doc: dict(_drop_bond(doc, 1), financiability={"type": "zero"}),
+    ),
 }
+
+
+def _level_inflows(doc: dict) -> dict:
+    """An inflow of 100 wherever an outflow (drawn from 50..150) falls:
+    some years end with a net inflow, so mode A reports negative
+    production costs next to positive ones."""
+    outflows = doc["liability"]["outflows"]
+    inflows = dict.fromkeys(outflows, 100.0)
+    return dict(doc, liability={"outflows": outflows, "inflows": inflows})
+
+
+def _drop_bond(doc: dict, period: int) -> dict:
+    """Without the period bond, the nodes of that date are infeasible,
+    and so is every node above them: the run exits 2."""
+    market = doc["market"]
+    tradables = [t for t in market["tradables"] if t.get("bond_period") != period]
+    return dict(doc, market=dict(market, tradables=tradables))
+
+
+def _config(tree: str, overrides) -> dict:
+    doc = generated_config(*TREES[tree])
+    if callable(overrides):
+        return overrides(doc)
+    return dict(doc, **overrides)
 
 
 GENERATED_GOLDEN = {
@@ -164,12 +210,76 @@ GENERATED_GOLDEN = {
             "production.csv": "b65cffea67f4ac8d9bee7e0dd21baf53652b68305adbea167f5459ca80e11a80",
         },
     ),
+    ("tree217", "value_risk_free_es"): (
+        0,
+        "",
+        {
+            "metadata.json": "110415e9bf494610e51e7d38f0126253d52d150b5e6de149f8215a77cce2ed52",
+            "production.csv": "c4428b807ec9032b38a9a6c4b5cb4356ed829f9d2f1c4ae812c4ce158193e997",
+        },
+    ),
+    ("tree217", "value_risk_free_full"): (
+        0,
+        "",
+        {
+            "metadata.json": "2dc0f837ec001fd678d405fd3322067d2c1ab55fb13a02e6d6ff05e202497d5f",
+            "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
+        },
+    ),
+    ("tree217", "value_risk_free_mode_a"): (
+        0,
+        "",
+        {
+            "metadata.json": "3b87d90be938ed647fe1a7e4773fa6357ea14efd2d6e7d189a4168578b31a624",
+            "production.csv": "1514a10e284b17a5cb724232351f38547b10e159e60d6286c62ee05cdcd2ef27",
+        },
+    ),
+    ("tree217", "value_risk_free_no_bond"): (
+        2,
+        "",
+        {
+            "metadata.json": "b04857ab02197a43be5a16a55f42d8f8e18e907cce129ed6698963d0308f953c",
+            "production.csv": "491a9d3efd22ac59371db6f02ef0bbaff8d564e59f1fa42ee54d461e094cbbe5",
+        },
+    ),
+    ("tree217", "value_risk_free_prob100"): (
+        0,
+        "",
+        {
+            "metadata.json": "0947cfa30f003844da266d713b2a5b327b7b3d1fe9e29f1bdbee90bbce376407",
+            "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
+        },
+    ),
+    ("tree217", "value_risk_free_prob90"): (
+        0,
+        "",
+        {
+            "metadata.json": "250f1b240d0bd106198a1561498afdb810e01c1cd2de8b1a7dc70175d49791de",
+            "production.csv": "65fee6c79e1757e94579248c6d70ce08e68fd28b711de36ada1a0ae5034d44fd",
+        },
+    ),
+    ("tree217", "value_risk_free_state_price"): (
+        0,
+        "",
+        {
+            "metadata.json": "2d9e36756f59af007ffbba19cf2b4395ce9aa588d15a7540392c9728011da0e6",
+            "production.csv": "db870d97fb9771b02c7914be55ce2cca1a96314914cd2ef187795e1e26e391aa",
+        },
+    ),
     ("tree217", "value_risk_free_var"): (
         0,
         "",
         {
             "metadata.json": "a22b53a950b97ac49f8782a6e2f6bf75a762aeabcd7bb478a140b39f57f687c4",
             "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
+        },
+    ),
+    ("tree217", "value_risk_free_zero"): (
+        0,
+        "",
+        {
+            "metadata.json": "03ca3a4c9b2c664a08d022e36c2b0e29381f61e7d751834dc594f2ab091b1715",
+            "production.csv": "cb5e3254903cf7d77c8235cb43831e956807e1f72f3dca0e96a5735c82f91490",
         },
     ),
     ("tree274", "adjust"): (
@@ -206,12 +316,76 @@ GENERATED_GOLDEN = {
             "production.csv": "b74c71b856736cc04a1155ba41f00df77bf8e600c0640370f4b7829d91e2ad85",
         },
     ),
+    ("tree274", "value_risk_free_es"): (
+        0,
+        "",
+        {
+            "metadata.json": "3a4e2cfb57863bdd0b01c651c594176923beaf3f5a6a611284ef1bf814913c2a",
+            "production.csv": "1e6a0900ec22ad1f3c1a422e79d61ed2159dbd082f22edeb64a50c8585489284",
+        },
+    ),
+    ("tree274", "value_risk_free_full"): (
+        0,
+        "",
+        {
+            "metadata.json": "1b065f97b1700255e19ba4a1d5c1c8e7fd488f64c6c5180e1525fcdb9afa32c4",
+            "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
+        },
+    ),
+    ("tree274", "value_risk_free_mode_a"): (
+        0,
+        "",
+        {
+            "metadata.json": "9e74ef3c3e307d62f1aa1aa4ae659716210db9804a9753d7b0c992520b63820b",
+            "production.csv": "ed8897e1079a0d62e4fd04f28ab30151422cbcb09cd8eb58b3629c774acd4476",
+        },
+    ),
+    ("tree274", "value_risk_free_no_bond"): (
+        2,
+        "",
+        {
+            "metadata.json": "bc96906df053e39551c4d8327b3d636512d2776ac7f566c08fc9858da29bfb69",
+            "production.csv": "694dc9a4054cb6088f385e50fb75a4d805b1a2516e4cd27f5c97c54d68fe0156",
+        },
+    ),
+    ("tree274", "value_risk_free_prob100"): (
+        0,
+        "",
+        {
+            "metadata.json": "e973c7471481a0a56defd0c70da23359f10db9ee20d9562eb2244fd5125ad1ee",
+            "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
+        },
+    ),
+    ("tree274", "value_risk_free_prob90"): (
+        0,
+        "",
+        {
+            "metadata.json": "972d9b4f7f03fa7c28336f825424ed7e7e0dcf1dc12addb0b8bb31accb219512",
+            "production.csv": "ba22c208f48e334d0441950547771272ee7ca0657a1743b9eafd8d630f4729f7",
+        },
+    ),
+    ("tree274", "value_risk_free_state_price"): (
+        0,
+        "",
+        {
+            "metadata.json": "e6d39cd8645c10a147370af89f69c6bd9f374751cc353d7e64fddf63c4e6395f",
+            "production.csv": "53de94021e87147e2dd2667d68f763ce287d18e3b243efac77e176e063f89bf8",
+        },
+    ),
     ("tree274", "value_risk_free_var"): (
         0,
         "",
         {
             "metadata.json": "1f624902087a807066c2510354f6be4181691c2c56abd880170300cbddc43f78",
             "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
+        },
+    ),
+    ("tree274", "value_risk_free_zero"): (
+        0,
+        "",
+        {
+            "metadata.json": "fe536f9e7978fabcddffd6210e27f07a0bd92952a486d696c3de7b7cd9719f05",
+            "production.csv": "44c53afbee8e35ccd91fdd1f608ca65d9ec41718bae0f005607aaeab8d969a95",
         },
     ),
 }
@@ -222,7 +396,7 @@ GENERATED_GOLDEN = {
 )
 def test_generated_tree_reports_match_golden_digests(tree, case, tmp_path, capsys):
     args, overrides = CASES[case]
-    doc = dict(generated_config(*TREES[tree]), **overrides)
+    doc = _config(tree, overrides)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc, indent=1))
     out = tmp_path / "out"

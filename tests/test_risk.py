@@ -1,15 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodval.errors import BadLevel, EmptyDistribution
 from prodval.risk import (
     DiscreteDistribution,
+    DistributionRows,
     RiskMeasureSpec,
     apply_measure,
+    apply_measure_rows,
     expected_shortfall,
     lower_quantile,
+    lower_quantile_rows,
     value_at_risk,
 )
 
@@ -185,3 +189,67 @@ def test_sst_safety_level_property():
         mid = (beta + alpha) / 2
         assert value_at_risk(d, mid) <= 1e-12
     assert n_ok == 200
+
+
+# Values and weights from small sets, so rows have tied values with
+# different probabilities, and running sums that land on the levels.
+TIE_VALUES = (-math.inf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0)
+TIE_WEIGHTS = (0.1, 0.2, 0.25, 0.3, 0.7)
+LEVELS = (0.005, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9)
+
+
+@st.composite
+def tied_dists(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    atom = st.one_of(st.sampled_from(TIE_VALUES), st.floats(-5.0, 5.0))
+    values = draw(st.lists(atom, min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from(TIE_WEIGHTS), min_size=n, max_size=n))
+    total = sum(weights)
+    return DiscreteDistribution.from_atoms(
+        [(v, w / total) for v, w in zip(values, weights)]
+    )
+
+
+def stacked(dists, pad_value):
+    counts = np.array([len(d.values) for d in dists])
+    values = np.full((len(dists), counts.max()), pad_value)
+    probs = np.zeros(values.shape)
+    for r, d in enumerate(dists):
+        values[r, : counts[r]] = d.values
+        probs[r, : counts[r]] = d.probs
+    return DistributionRows(values, probs, counts)
+
+
+def hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+class TestDistributionRows:
+    """Each row gives the one-distribution result bit for bit, whatever
+    the padding holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(tied_dists(), min_size=1, max_size=6),
+        st.sampled_from(LEVELS),
+        st.sampled_from((-math.inf, 0.0, 7.0, math.inf)),
+    )
+    def test_rows_match_scalar_functions(self, dists, level, pad_value):
+        rows = stacked(dists, pad_value)
+        for spec in (
+            RiskMeasureSpec("full"),
+            RiskMeasureSpec("var", level),
+            RiskMeasureSpec("es", level),
+        ):
+            want = [apply_measure(spec, d) for d in dists]
+            assert hexes(apply_measure_rows(spec, rows)) == hexes(want)
+        want = [lower_quantile(d.negated(), level) for d in dists]
+        assert hexes(lower_quantile_rows(rows.negated(), level)) == hexes(want)
+        assert hexes(rows.min()) == hexes(d.min() for d in dists)
+        want = [d.prob_at_least(-1e-9) for d in dists]
+        assert hexes(rows.prob_at_least(-1e-9)) == hexes(want)
+        finite = [d for d in dists if not any(map(math.isinf, d.values))]
+        if finite:
+            rows = stacked(finite, pad_value)
+            assert hexes(rows.mean()) == hexes(d.mean() for d in finite)
+            assert rows.row(0) == finite[0]
