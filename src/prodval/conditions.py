@@ -274,7 +274,9 @@ def _state_price_rows(spec, payoff, nodes, horizon_index):
     cur = atoms
     for _ in range(steps):
         par = tree.parent[cur]
-        for m in np.unique(par).tolist():
+        # A set, not np.unique, which imports numpy.ma (about 2 MB of
+        # resident memory) on first use.
+        for m in set(par.tolist()):
             verdict = cert.verdicts[m]
             if verdict.consistent:
                 weight[list(verdict.weights)] = list(verdict.weights.values())

@@ -48,10 +48,11 @@ from .errors import (
     MissingCost,
     NeutralityAuditFailed,
     NoBondAvailable,
+    NodeOutsideSpan,
     SpanMismatch,
     ValidationFailed,
 )
-from .lattice import ScenarioTree
+from .lattice import ScenarioTree, conditional_distribution
 from .market import RestrictionSet, TradableSet
 from .risk import DiscreteDistribution, DistributionRows
 from .strategy import (
@@ -313,167 +314,6 @@ class OnePeriodResult:
     vbar: float = INF
     value: float = INF
     params: tuple = ()
-    portfolios: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
-
-
-def _roll_mix_linear(
-    tree: ScenarioTree,
-    market: TradableSet,
-    node_i: int,
-    j0: int,
-    j1: int,
-    weights: Mapping[int, float],
-    scale: float,
-    interior_net: Callable[[int], float],
-):
-    """Value-rebalanced mix without feasibility clamping.
-
-    Pots and payoffs are affine in the scale (``_roll_bond`` rolls the
-    all-bond mix of the risk-free step as arrays); the result only has
-    physical meaning where the pots are non-negative. Returns None if a
-    weighted asset has no positive price somewhere in the year.
-    """
-    n = market.n_assets
-    layers = tree.layers([node_i], j1 - j0)
-    pot = {node_i: scale}
-    portfolios: Dict[int, np.ndarray] = {}
-    payoff: Dict[int, float] = {}
-    for depth, layer in enumerate(layers[:-1]):
-        last_step = depth + 1 == len(layers) - 1
-        for m in layer:
-            p = pot[m]
-            x = np.zeros(n)
-            for k, w in weights.items():
-                if w == 0.0:
-                    continue
-                price = market.prices[m, k]
-                if price <= 0.0:
-                    return None
-                x[k] = p * w / price
-            portfolios[m] = x
-            for c in tree.children[m]:
-                res = float(x @ market.payoff(c))
-                if last_step:
-                    payoff[c] = res
-                else:
-                    pot[c] = res + interior_net(c)
-    return pot, payoff, portfolios
-
-
-def _mix_interior_feasible(pot: Mapping[int, float], node_i: int) -> bool:
-    return all(v >= -TOL for m, v in pot.items() if m != node_i)
-
-
-def _bisect_scale(
-    tree, market, node_i, j0, j1, weights, ell, interior_net, fulfillment, tol
-):
-    """Smallest scale satisfying interior feasibility and fulfillment.
-
-    Both are monotone in the scale (pots and payoffs are non-decreasing),
-    so the feasible set is an upper half line; bracket by doubling, then
-    bisect to ``tol`` and return the feasible endpoint.
-    """
-
-    def ok(s: float) -> bool:
-        lin = _roll_mix_linear(tree, market, node_i, j0, j1, weights, s, interior_net)
-        if lin is None:
-            return False
-        pot, payoff, _ = lin
-        if not _mix_interior_feasible(pot, node_i):
-            return False
-        return fulfillment_satisfied(
-            fulfillment, _surplus_dist(tree, node_i, payoff, ell)
-        )
-
-    if any(math.isinf(v) for v in ell.values()) and fulfillment.variant == "full":
-        return None
-    if ok(0.0):
-        return 0.0
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 2.0**60:
-            return None
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _explicit_with_addon(
-    tree, market, node_i, j0, j1, base: Strategy, ell, interior_net, fulfillment
-):
-    """The base strategy's own year slice, topped up by s units of value
-    in the period bond when its surplus misses the fulfillment condition.
-
-    The base must already fund interior dates exactly (residual zero);
-    the bond add-on is held through the year, so it leaves the interior
-    conversion untouched and shifts every year-end payoff by s(1+R).
-    """
-    if not base.in_span(node_i):
-        return None
-    layers = tree.layers([node_i], j1 - j0)
-    portfolios: Dict[int, np.ndarray] = {}
-    payoff: Dict[int, float] = {}
-    for depth, layer in enumerate(layers[:-1]):
-        last_step = depth + 1 == len(layers) - 1
-        for m in layer:
-            x = base.held_out(m)
-            if float(x @ market.price(m)) < -TOL:
-                return None
-            if m != node_i:
-                held_in = base.held_out(tree.parent[m])
-                resources = float(held_in @ market.payoff(m)) + interior_net(m)
-                if abs(float(x @ market.price(m)) - resources) > 1e-7:
-                    return None
-            portfolios[m] = x
-            for c in tree.children[m]:
-                if last_step:
-                    payoff[c] = float(x @ market.payoff(c))
-    surplus0 = _surplus_dist(tree, node_i, payoff, ell)
-    buffer = fulfillment.required_buffer(surplus0)
-    base_value = float(base.held_out(node_i) @ market.price(node_i))
-    if buffer <= 0.0:
-        return 0.0, base_value, payoff, {m: x.copy() for m, x in portfolios.items()}
-    if math.isinf(buffer):
-        return None
-    i = int(tree.date_of(node_i))
-    try:
-        k = market.bond_for_period(i)
-    except NoBondAvailable:
-        return None
-    price_i = float(market.prices[node_i, k])
-    g = 1.0 / price_i
-    s_star = buffer / g
-    units = s_star / price_i
-    out_portfolios = {}
-    for m, x in portfolios.items():
-        x2 = x.copy()
-        x2[k] += units
-        out_portfolios[m] = x2
-    payoff2 = {nu: v + units for nu, v in payoff.items()}
-    return s_star, base_value + s_star, payoff2, out_portfolios
-
-
-def _surplus_dist(
-    tree: ScenarioTree,
-    node_i: int,
-    payoff: Mapping[int, float],
-    ell: Mapping[int, float],
-) -> DiscreteDistribution:
-    targets = sorted(payoff)
-    atoms = []
-    for nu in targets:
-        p = tree.path_probability(node_i, nu)
-        atoms.append((payoff[nu] - ell[nu], p))
-    total = sum(p for _, p in atoms)
-    return DiscreteDistribution.from_atoms(
-        [(v, p / total) for v, p in atoms], labels=targets
-    )
 
 
 def _year_layers(tree: ScenarioTree, roots: np.ndarray, steps: int):
@@ -499,137 +339,61 @@ def _year_layers(tree: ScenarioTree, roots: np.ndarray, steps: int):
     return layers, pos, up
 
 
-def _roll_bond(scale, up, price, payoff, net):
-    """Roll ``scale`` per root through the year fully in the bond: the
-    pots and bond units at the nodes of every layer but the last, and
-    the year-end payoffs.
+class _Year(NamedTuple):
+    """The year below one date's nodes, with one row per node and
+    candidate: row ``r * n_cand + c`` is candidate c at the node in
+    position r.
 
-    The operations are those of ``_roll_mix_linear`` with the weight 1 on
-    the bond, whose dot product with a one-hot portfolio is the single
-    product units * payoff.
+    Per layer, from the date's nodes (layer 0) to the year-end atoms, an
+    entry per node and candidate: ``nodes`` its node, ``rows`` its row,
+    ``up`` the index of its parent's entry in the layer above. ``price``
+    holds the price rows of every layer but the last, ``payoff`` the
+    payoff rows of every layer but the first, and ``net`` the net flows
+    of the interior layers. ``pad`` and ``dist`` place per-atom values in
+    the padded rows of the atoms' conditional distribution, and ``ell``
+    is the effective liability at each atom entry.
     """
-    pots, units = [scale], []
-    for d in range(len(price)):
-        units.append(pots[-1] / price[d])
-        res = units[-1][up[d + 1]] * payoff[d]
-        if d + 1 == len(price):
-            return pots, units, res
-        pots.append(res + net[d])
+
+    nodes: List[np.ndarray]
+    rows: List[np.ndarray]
+    up: List[Optional[np.ndarray]]
+    price: List[np.ndarray]
+    payoff: List[np.ndarray]
+    net: List[Optional[np.ndarray]]
+    pad: Callable[[np.ndarray], np.ndarray]
+    dist: DistributionRows
+    ell: np.ndarray
 
 
-def _risk_free_step(
-    roots: np.ndarray,
-    ell: Union[Mapping[int, float], np.ndarray],
-    interior_net: Union[Callable[[int], float], np.ndarray],
-    fulfillment: FulfillmentSpec,
-    financiability: FinanciabilitySpec,
-    market: TradableSet,
-    tree: ScenarioTree,
-    rates: np.ndarray,
-    mode: str,
-):
-    """Closed-form step 1 and step 2 of the risk-free family at date-i
-    nodes, all rows at once.
-
-    pot(s) and payoff(s) are affine in s; the bond's year payoff slope is
-    the same constant g = 1 + R on every path, so translation solvability
-    of the fulfillment condition gives s directly. Interior feasibility
-    adds a lower bound from the zero-scale flow roll. Returns one result
-    per root, the bond index, and per layer of the year the nodes of the
-    feasible roots with their bond units.
-    """
-    n = len(roots)
-    i = int(tree.date_of(roots[0]))
-    j1 = tree.grid.index(i + 1)
-    if (tree.date_idx[roots] != tree.date_idx[roots[0]]).any():
-        raise ValueError("a batch of one-period steps must share one date")
-    try:
-        k = market.bond_for_period(i)
-    except NoBondAvailable:
-        return [OnePeriodResult(False, params=("risk_free", INF)) for _ in range(n)], 0, []
-    steps = j1 - tree.grid.index(i)
+def _year(tree, market, roots, n_cand, steps, ell, net) -> _Year:
     layers, pos, up = _year_layers(tree, roots, steps)
-    atoms = layers[-1]
-    price = [market.prices[nodes, k] for nodes in layers[:-1]]
-    payoff = [market.payoffs[nodes, k] for nodes in layers[1:]]
-    if callable(interior_net):
-        net = [np.array([interior_net(m) for m in nodes.tolist()]) for nodes in layers[1:-1]]
-    else:
-        net = [interior_net[nodes] for nodes in layers[1:-1]]
-    if isinstance(ell, np.ndarray):
-        ell_atoms = ell[atoms]
-    else:
-        ell_atoms = np.array([ell[m] for m in atoms.tolist()], dtype=float)
-    pad, rows = _atom_rows(tree, atoms, pos[-1], n, steps)
+    cand = np.arange(n_cand)
 
-    solved = np.ones(n, dtype=bool)
-    for d, p in enumerate(price):
-        solved[pos[d][p <= 0.0]] = False
-    # Rows already unsolved may divide by zero below; they are discarded.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pots0, _, end0 = _roll_bond(np.zeros(n), up, price, payoff, net)
-        pots1, _, end1 = _roll_bond(np.ones(n), up, price, payoff, net)
-        s_feas = np.zeros(n)
-        for d in range(1, steps):
-            b = pots0[d]
-            a = pots1[d] - b
-            neg = b < -TOL
-            solved[pos[d][neg & (a <= TOL * np.maximum(1.0, np.abs(b)))]] = False
-            np.maximum.at(s_feas, pos[d][neg], -b[neg] / a[neg])
+    def expand(index: np.ndarray) -> np.ndarray:
+        return (index[:, None] * n_cand + cand).ravel()
 
-        slopes = pad(end1 - end0)
-        # The first atom in node order, which breadth-first ids make the
-        # first in layer order.
-        g = slopes[:, 0]
-        spread = np.abs(slopes - g[:, None]) > 1e-9 * np.where(g > 1.0, g, 1.0)[:, None]
-        solved &= ~((g <= 0) | (spread & rows.mask).any(axis=1))
-        buffer = fulfillment.required_buffer_rows(rows.with_values(pad(end0 - ell_atoms)))
-        solved &= ~(np.isinf(buffer) & (buffer > 0))
-        # max(0, s_feas, buffer / g); s_feas is already at least 0.
-        translation = buffer / g
-        s_star = np.where(translation > s_feas, translation, s_feas)
-
-        pots, units, end = _roll_bond(s_star, up, price, payoff, net)
-        for d in range(1, steps):
-            solved[pos[d][~(pots[d] >= -TOL)]] = False
-        surplus = rows.with_values(pad(end - ell_atoms))
-        feasible = solved & fulfillment_satisfied_rows(fulfillment, surplus)
-
-    f = np.flatnonzero(feasible)
-    plus = DistributionRows(
-        np.where(surplus.values > 0.0, surplus.values, 0.0)[f],
-        rows.probs[f],
-        rows.counts[f],
-        rows.labels[f],
+    nodes = [np.repeat(layer, n_cand) for layer in layers]
+    rows = [expand(p) for p in pos]
+    pad, dist = _atom_rows(tree, nodes[-1], rows[-1], len(roots) * n_cand, steps)
+    return _Year(
+        nodes,
+        rows,
+        [None] + [expand(u) for u in up[1:]],
+        [market.prices[m] for m in nodes[:-1]],
+        [market.payoffs[m] for m in nodes[1:]],
+        [None] + [net[m] for m in nodes[1:-1]],
+        pad,
+        dist,
+        ell[nodes[-1]],
     )
-    capital = max_capital_rows(financiability, plus, rates[f], roots[f], j1)
-    value = s_star[f]
-    vbar = value - capital
-    if mode == "B":
-        # Zero-cost variant of the same strategy: reduce the capital to
-        # the strategy value; monotonicity keeps financiability intact.
-        clamp = vbar < 0.0
-        capital = np.where(clamp, value, capital)
-        vbar = np.where(clamp, 0.0, vbar)
-
-    results = [
-        OnePeriodResult(False, params=("risk_free", s if ok else INF))
-        for s, ok in zip(s_star.tolist(), solved.tolist())
-    ]
-    for r, s, c, v in zip(f.tolist(), value.tolist(), capital.tolist(), vbar.tolist()):
-        results[r] = OnePeriodResult(
-            True, scale=s, capital=c, vbar=v, value=s, params=("risk_free", s)
-        )
-    held = [(nodes[feasible[p]], u[feasible[p]]) for nodes, p, u in zip(layers, pos, units)]
-    return results, k, held
 
 
 def _atom_rows(tree, atoms, row, n_rows, steps):
     """Padded rows of the year-end atoms, ascending node ids in each row:
     a function placing per-atom values in them, and the rows with the
-    conditional probabilities ``_surplus_dist`` gives the atoms (path
-    products from the atom upward, normalised by their left-to-right
-    sum in node order)."""
+    conditional probabilities of the atoms (path products from the atom
+    upward, normalised by their left-to-right sum in node order, as
+    ``lattice.conditional_distribution`` gives them)."""
     counts = np.bincount(row, minlength=n_rows)
     order = np.argsort(row, kind="stable")
     col = np.empty(len(atoms), dtype=np.int64)
@@ -647,120 +411,306 @@ def _atom_rows(tree, atoms, row, n_rows, steps):
         p = p * tree.prob[up]
         up = tree.parent[up]
     paths = pad(p)
-    # Python's sum, as _surplus_dist normalises (np.sum adds pairwise).
+    # Python's sum, as the per-node distributions normalise (np.sum adds
+    # pairwise).
     total = [sum(r[:c]) for r, c in zip(paths.tolist(), counts.tolist())]
     probs = paths / np.array(total)[:, None]
     return pad, DistributionRows(np.zeros(shape), probs, counts, pad(atoms))
 
 
+def _roll(year: _Year, portfolio, scale: np.ndarray):
+    """Roll ``scale`` per row through the year: the pots at the entries
+    of every layer but the last, the portfolios held there, and the
+    year-end payoffs. ``portfolio(d, pots)`` gives the portfolios of
+    layer d from its pots."""
+    pots, held = [scale], []
+    for d, payoff in enumerate(year.payoff):
+        held.append(portfolio(d, pots[-1]))
+        res = _row_dots(held[-1][year.up[d + 1]], payoff)
+        if d + 1 == len(year.payoff):
+            return pots, held, res
+        pots.append(res + year.net[d + 1])
+
+
+def _interior_ok(year: _Year, pots, ok: np.ndarray) -> np.ndarray:
+    """``ok`` cleared at the rows with a pot below -TOL inside the year."""
+    for rows, pot in zip(year.rows[1:], pots[1:]):
+        ok[rows[~(pot >= -TOL)]] = False
+    return ok
+
+
+def _affine_scale(year: _Year, portfolio, fulfillment, solved):
+    """Closed-form scale of a mix whose year payoff has the same slope g
+    on every path (the period bond's 1 + R).
+
+    pot(s) and payoff(s) are affine in s, so two rolls give them, and
+    translation solvability of the fulfillment condition gives s
+    directly; interior feasibility adds a lower bound from the
+    zero-scale flow roll. Clears ``solved`` where no scale works.
+    """
+    n = len(solved)
+    pots0, _, end0 = _roll(year, portfolio, np.zeros(n))
+    pots1, _, end1 = _roll(year, portfolio, np.ones(n))
+    s_feas = np.zeros(n)
+    for rows, b, b1 in zip(year.rows[1:], pots0[1:], pots1[1:]):
+        a = b1 - b
+        neg = b < -TOL
+        solved[rows[neg & (a <= TOL * np.maximum(1.0, np.abs(b)))]] = False
+        np.maximum.at(s_feas, rows[neg], -b[neg] / a[neg])
+
+    slopes = year.pad(end1 - end0)
+    # The first atom in node order, which breadth-first ids make the
+    # first in layer order.
+    g = slopes[:, 0]
+    spread = np.abs(slopes - g[:, None]) > 1e-9 * np.where(g > 1.0, g, 1.0)[:, None]
+    solved &= ~((g <= 0) | (spread & year.dist.mask).any(axis=1))
+    buffer = fulfillment.required_buffer_rows(year.dist.with_values(year.pad(end0 - year.ell)))
+    solved &= ~(np.isinf(buffer) & (buffer > 0))
+    # max(0, s_feas, buffer / g); s_feas is already at least 0.
+    translation = buffer / g
+    return np.where(translation > s_feas, translation, s_feas)
+
+
+def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
+    """Smallest scale per row satisfying interior feasibility and
+    fulfillment.
+
+    Both are monotone in the scale (pots and payoffs are non-decreasing),
+    so the feasible set is an upper half line: bracket by doubling from 1
+    up to 2**60, then bisect to ``tol`` and take the feasible endpoint.
+    Every row takes the steps it would take alone. Clears ``solved``
+    where no scale works.
+    """
+    n = len(solved)
+
+    def ok(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        pots, _, end = _roll(year, portfolio, s)
+        good = np.flatnonzero(_interior_ok(year, pots, rows.copy()))
+        surplus = year.dist.with_values(year.pad(end - year.ell)).take(good)
+        out = np.zeros(n, dtype=bool)
+        out[good] = fulfillment_satisfied_rows(fulfillment, surplus)
+        return out
+
+    if fulfillment.variant == "full":
+        # An infinite liability atom can never be covered.
+        solved &= ~year.pad(np.isinf(year.ell)).any(axis=1)
+    pending = solved & ~ok(np.zeros(n), solved)
+    hi = np.ones(n)
+    bracketing = pending
+    while bracketing.any():
+        failed = bracketing & ~ok(hi, bracketing)
+        hi = np.where(failed, hi * 2.0, hi)
+        solved &= ~(hi > 2.0**60)
+        bracketing = failed & solved
+    pending &= solved
+    lo = np.zeros(n)
+    active = pending & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        good = ok(mid, active)
+        hi = np.where(good, mid, hi)
+        lo = np.where(active & ~good, mid, lo)
+        active &= hi - lo > tol
+    return np.where(pending, hi, 0.0)
+
+
+def _explicit_step(year: _Year, base: Strategy, roots, bond, market, fulfillment):
+    """The base strategy's own year slice, topped up by s units of value
+    in the period bond where its surplus misses the fulfillment
+    condition.
+
+    The base must already fund interior dates exactly (residual zero);
+    the bond top-up is held through the year, so it leaves the interior
+    conversion untouched and shifts every year-end payoff by s(1+R).
+    Returns per row the top-up s, whether it is solved, the strategy
+    value, and the portfolios and year-end payoffs with the top-up.
+    """
+    n = len(roots)
+    steps = len(year.payoff)
+    pots, held, end = _roll(year, lambda d, _: base.assignment[year.nodes[d]], np.zeros(n))
+    values = [_row_dots(x, price) for x, price in zip(held, year.price)]
+    # Per row the first layer whose value or funding check fails.
+    first_bad = np.full(n, steps)
+    for d, (rows, value) in enumerate(zip(year.rows, values)):
+        bad = value < -TOL
+        if d:
+            bad |= np.abs(value - pots[d]) > 1e-7
+        np.minimum.at(first_bad, rows[bad], d)
+    span = [base.in_span(int(nodes[0])) for nodes in year.nodes[:-1]]
+    solved = (first_bad == steps) & span[0]
+    if span[0] and not all(span):
+        # The year outlives the base: a row that passes every check
+        # before the span ends reads the base outside it.
+        out = span.index(False)
+        reaches = first_bad >= out
+        if reaches.any():
+            m = year.nodes[out][year.rows[out] == reaches.argmax()][0]
+            raise NodeOutsideSpan(f"node {m} outside span")
+
+    buffer = fulfillment.required_buffer_rows(year.dist.with_values(year.pad(end - year.ell)))
+    top = ~(buffer <= 0.0)
+    solved &= ~(top & np.isinf(buffer))
+    base_value = values[0]
+    if bond is None:
+        solved &= ~top
+        return np.zeros(n), solved, base_value, held, end
+    price = market.prices[roots, bond]
+    s = np.where(top, buffer / (1.0 / price), 0.0)
+    units = s / price
+    for rows, x in zip(year.rows, held):
+        x[:, bond] = np.where(top[rows], x[:, bond] + units[rows], x[:, bond])
+    atoms = year.rows[-1]
+    end = np.where(top[atoms], end + units[atoms], end)
+    return s, solved, np.where(top, base_value + s, base_value), held, end
+
+
 def build_one_period(
-    node_i: Union[int, Sequence[int]],
-    ell: Union[Mapping[int, float], np.ndarray],
-    interior_net: Union[Callable[[int], float], np.ndarray],
+    nodes: Sequence[int],
+    ell: np.ndarray,
+    interior_net: np.ndarray,
     family: StrategyFamily,
     fulfillment: FulfillmentSpec,
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rate: Union[float, Sequence[float]],
+    rates: Sequence[float],
     mode: str = "B",
     bisection_tol: float = 1e-10,
-    mix_weights: Optional[Mapping[int, float]] = None,
+    grid_depth: int = 3,
     assignment: Optional[np.ndarray] = None,
-) -> Union[OnePeriodResult, List[OnePeriodResult]]:
-    """Two-step construction over one year from a date-i node.
+) -> List[OnePeriodResult]:
+    """Two-step construction over one year from each of a date's nodes,
+    solved together as array operations.
 
-    ``ell`` maps each date-(i+1) descendant to the effective liability
-    X + vbar_next - inflows there; ``interior_net`` gives net flows at
-    interior nodes of the year. Step 1 finds the smallest admissible
-    scale: closed form for translation families (risk-free; explicit
-    base plus bond add-on), monotone bisection for fixed mixes. Step 2
-    solves the financiability condition with equality on the capital
-    payoff (A' - L)_+. Returns the infeasible sentinel (vbar = +inf)
-    when no scale works.
+    ``ell`` gives, indexed by node id, the effective liability
+    X + vbar_next - inflows at the date-(i+1) descendants; ``interior_net``
+    the net flows at interior nodes of the year; ``rates`` the period
+    rate of each node. Step 1 finds the smallest admissible scale of the
+    family: closed form for the risk-free bond, monotone bisection for
+    each fixed mix on the simplex grid of ``grid_depth``, the base plus a
+    bond top-up for an explicit base. Step 2 solves the financiability
+    condition with equality on the capital payoff (A' - L)_+. Among the
+    feasible fixed mixes a node takes the least vbar; ties within 1e-12
+    take the lexicographically smallest parameters, folded in grid order.
 
-    For the risk-free family ``node_i`` may also be a sequence of nodes
-    of one date, solved together as array operations; ``ell`` and
-    ``interior_net`` may then be arrays indexed by node id and ``rate``
-    a sequence with one rate per node. The call returns one result per
-    node and writes the bond units of the feasible nodes' years into
-    ``assignment``, an (n_nodes, n_assets) array, instead of returning
-    portfolios.
+    Returns one result per node, the infeasible sentinel (vbar = +inf)
+    where no scale works, and writes the portfolios of the feasible
+    nodes' years into ``assignment``, an (n_nodes, n_assets) array.
     """
-    if family.variant == "risk_free":
-        roots = np.atleast_1d(np.asarray(node_i, dtype=np.int64))
-        rates = np.broadcast_to(np.asarray(rate, dtype=float), roots.shape)
-        results, k, held = _risk_free_step(
-            roots, ell, interior_net, fulfillment, financiability, market, tree,
-            rates, mode,
-        )
-        if np.ndim(node_i) > 0:
-            if assignment is not None:
-                for nodes, units in held:
-                    assignment[nodes, k] = units
-            return results
-        res = results[0]
-        for nodes, units in held:
-            for m, u in zip(nodes.tolist(), units.tolist()):
-                x = [0.0] * market.n_assets
-                x[k] = u
-                res.portfolios[m] = tuple(x)
-        return res
-
-    if np.ndim(node_i) > 0:
-        raise ValueError("only the risk_free family solves a batch of nodes")
-    i = int(tree.date_of(node_i))
-    j0 = tree.grid.index(i)
+    roots = np.asarray(nodes, dtype=np.int64)
+    if (tree.date_idx[roots] != tree.date_idx[roots[0]]).any():
+        raise ValueError("a batch of one-period steps must share one date")
+    i = int(tree.date_of(roots[0]))
     j1 = tree.grid.index(i + 1)
-    if family.variant == "fixed_mix":
-        weights = dict(mix_weights or {})
-        s_star = _bisect_scale(
-            tree, market, node_i, j0, j1, weights, ell, interior_net,
-            fulfillment, bisection_tol,
-        )
-        if s_star is None:
-            return OnePeriodResult(False, params=("fixed_mix", _wkey(weights), INF))
-        lin = _roll_mix_linear(
-            tree, market, node_i, j0, j1, weights, s_star, interior_net
-        )
-        _, payoff, portfolios = lin
-        value = s_star
-        params = ("fixed_mix", _wkey(weights), s_star)
-    else:
-        solved = _explicit_with_addon(
-            tree, market, node_i, j0, j1, family.base, ell, interior_net, fulfillment
-        )
-        if solved is None:
-            return OnePeriodResult(False, params=("explicit", INF))
-        s_star, value, payoff, portfolios = solved
-        params = ("explicit", s_star)
+    try:
+        bond = market.bond_for_period(i)
+    except NoBondAvailable:
+        bond = None
+    variant = family.variant
+    # Each candidate's parameters but the scale.
+    heads = [(variant,)]
+    if variant == "risk_free":
+        if bond is None:
+            return [OnePeriodResult(False, params=(variant, INF)) for _ in nodes]
+        weights = [{bond: 1.0}]
+    elif variant == "fixed_mix":
+        weights = _simplex_grid(family.mix_indices, grid_depth)
+        heads = [(variant, tuple(sorted(w.items()))) for w in weights]
+    n_cand = len(heads)
+    year = _year(tree, market, roots, n_cand, j1 - tree.grid.index(i), ell, interior_net)
+    solved = np.ones(len(roots) * n_cand, dtype=bool)
 
-    surplus = _surplus_dist(tree, node_i, payoff, ell)
-    if not fulfillment_satisfied(fulfillment, surplus):
-        return OnePeriodResult(False, params=params)
-    plus_part = DiscreteDistribution(
-        tuple(max(0.0, v) for v in surplus.values), surplus.probs, surplus.labels
+    # Rows already unsolved may divide by zero or overflow below; they
+    # are discarded.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if variant == "explicit":
+            s, solved, value, held, end = _explicit_step(
+                year, family.base, roots, bond, market, fulfillment
+            )
+        else:
+            mix = np.zeros((n_cand, market.n_assets))
+            for c, w in enumerate(weights):
+                mix[c, list(w)] = list(w.values())
+            layer_mix = [mix[rows % n_cand] for rows in year.rows[:-1]]
+            for rows, w, price in zip(year.rows, layer_mix, year.price):
+                solved[rows[((w != 0.0) & (price <= 0.0)).any(axis=1)]] = False
+
+            def portfolio(d, pots):
+                w = layer_mix[d]
+                return np.where(w != 0.0, pots[:, None] * w / year.price[d], 0.0)
+
+            if variant == "risk_free":
+                s = _affine_scale(year, portfolio, fulfillment, solved)
+            else:
+                s = _bisect_scales(year, portfolio, fulfillment, solved, bisection_tol)
+            pots, held, end = _roll(year, portfolio, s)
+            _interior_ok(year, pots, solved)
+            value = s
+        surplus = year.dist.with_values(year.pad(end - year.ell))
+        feasible = solved & fulfillment_satisfied_rows(fulfillment, surplus)
+
+    f = np.flatnonzero(feasible)
+    plus = surplus.with_values(np.where(surplus.values > 0.0, surplus.values, 0.0))
+    capital = np.zeros(len(feasible))
+    capital[f] = max_capital_rows(
+        financiability,
+        plus.take(f),
+        np.repeat(np.asarray(rates, dtype=float), n_cand)[f],
+        np.repeat(roots, n_cand)[f],
+        j1,
     )
-    capital = max_capital(financiability, plus_part, rate, node_i, j1)
-    vbar = value - capital
-    if mode == "B" and vbar < 0.0:
+    vbar = np.where(feasible, value - capital, INF)
+    if mode == "B":
         # Zero-cost variant of the same strategy: reduce the capital to
         # the strategy value; monotonicity keeps financiability intact.
-        capital = value
-        vbar = 0.0
-    return OnePeriodResult(
-        True,
-        scale=s_star,
-        capital=capital,
-        vbar=vbar,
-        value=value,
-        params=params,
-        portfolios={m: tuple(float(v) for v in x) for m, x in portfolios.items()},
-    )
+        clamp = vbar < 0.0
+        capital = np.where(clamp, value, capital)
+        vbar = np.where(clamp, 0.0, vbar)
+
+    best = _cheapest(feasible, vbar, heads)
+    if assignment is not None:
+        won = np.zeros(len(feasible), dtype=bool)
+        won[best[best >= 0]] = True
+        for m, rows, x in zip(year.nodes, year.rows, held):
+            assignment[m[won[rows]]] = x[won[rows]]
+    results = []
+    first = np.arange(len(roots)) * n_cand
+    for row in np.where(best >= 0, best, first).tolist():
+        params = heads[row % n_cand]
+        s_row = float(s[row])
+        if feasible[row]:
+            results.append(OnePeriodResult(
+                True, scale=s_row, capital=float(capital[row]), vbar=float(vbar[row]),
+                value=float(value[row]), params=params + (s_row,),
+            ))
+        else:
+            results.append(
+                OnePeriodResult(False, params=params + (s_row if solved[row] else INF,))
+            )
+    return results
 
 
-def _wkey(weights: Mapping[int, float]) -> tuple:
-    return tuple(sorted(weights.items()))
+def _cheapest(feasible: np.ndarray, vbar: np.ndarray, heads: List[tuple]) -> np.ndarray:
+    """Per node the row of its feasible candidate with the least vbar, -1
+    where none is. Ties within 1e-12 pick the smaller parameters (the
+    candidates' ``heads`` differ, so the scale never decides); the fold
+    is sequential in candidate order, because such ties are not
+    transitive."""
+    n_cand = len(heads)
+    first = np.arange(len(feasible) // n_cand) * n_cand
+    rank = np.empty(n_cand, dtype=np.int64)
+    rank[sorted(range(n_cand), key=heads.__getitem__)] = np.arange(n_cand)
+    best = np.full(len(first), -1)
+    for c in range(n_cand):
+        row = first + c
+        held = np.where(best >= 0, best, row)
+        lead = vbar[held]
+        # Infeasible rows carry vbar = inf; inf - inf is discarded.
+        with np.errstate(invalid="ignore"):
+            tie = (np.abs(vbar[row] - lead) <= 1e-12) & (rank[c] < rank[held - first])
+        better = feasible[row] & ((best < 0) | (vbar[row] < lead - 1e-12) | tie)
+        best = np.where(better, row, best)
+    return best
 
 
 def _simplex_grid(indices: Tuple[int, ...], depth: int) -> List[Dict[int, float]]:
@@ -798,7 +748,7 @@ def backward_value(
     Initializes vbar at the leaves with the liability's terminal values,
     then for i = T-1 .. 0 sets the next liability value X + vbar at every
     date-(i+1) node (for all states, failed ones included) and runs the
-    one-period builder at every date-i node, minimizing vbar over the
+    one-period builder on the date-i nodes, minimizing vbar over the
     family's parameter grid. Ties pick the lexicographically smallest
     parameter vector. Infeasible nodes carry +inf and propagate.
     """
@@ -809,14 +759,12 @@ def backward_value(
     values: Dict[int, float] = {}
     capital: Dict[int, float] = {}
     params: Dict[int, tuple] = {}
-    portfolios: Dict[int, Tuple[float, ...]] = {}
     infeasible: List[int] = []
     assignment = np.zeros((tree.n_nodes, market.n_assets))
 
     for leaf in tree.by_date[J]:
         values[leaf] = liab.y(leaf)
 
-    candidates = _family_candidates(config)
     outflow = _node_array(liab.outflows, tree.n_nodes)
     inflow = _node_array(liab.inflows, tree.n_nodes)
     psi_inflow = _node_array(psi.inflows, tree.n_nodes)
@@ -825,43 +773,26 @@ def backward_value(
     vbar[list(values)] = list(values.values())
     ell = np.zeros(tree.n_nodes)
 
-    def interior_net(m: int) -> float:
-        return liab.z(m) + psi.z(m) - liab.x(m)
-
     for i in range(T - 1, -1, -1):
         ends = np.asarray(tree.nodes_at(i + 1), dtype=np.int64)
         ell[ends] = outflow[ends] + vbar[ends] - inflow[ends] - psi_inflow[ends]
         nodes = tree.nodes_at(i)
-        if config.family.variant == "risk_free":
-            results = build_one_period(
-                nodes, ell, net, config.family, fulfillment, financiability,
-                market, tree, [rates[n] for n in nodes], config.mode,
-                assignment=assignment,
-            )
-            best_of = [res if res.feasible else None for res in results]
-        else:
-            ell_all = dict(zip(ends.tolist(), ell[ends].tolist()))
-            best_of = [
-                _best_candidate(
-                    node_i, ell_all, interior_net, candidates, config,
-                    fulfillment, financiability, market, tree, rates[node_i],
-                )
-                for node_i in nodes
-            ]
-        for node_i, best in zip(nodes, best_of):
-            if best is None:
+        results = build_one_period(
+            nodes, ell, net, config.family, fulfillment, financiability, market, tree,
+            [rates[n] for n in nodes], config.mode, config.bisection_tol,
+            config.grid_depth, assignment,
+        )
+        for node_i, res in zip(nodes, results):
+            if not res.feasible:
                 values[node_i] = INF
                 infeasible.append(node_i)
                 params[node_i] = ("infeasible",)
                 continue
-            values[node_i] = best.vbar
-            capital[node_i] = best.capital
-            params[node_i] = best.params
-            portfolios.update(best.portfolios)
+            values[node_i] = res.vbar
+            capital[node_i] = res.capital
+            params[node_i] = res.params
         vbar[list(nodes)] = [values[n] for n in nodes]
 
-    if portfolios:
-        assignment[list(portfolios)] = list(portfolios.values())
     # Scales from the bisection endpoint can leave pots, and hence units,
     # a hair below zero; snap those while keeping genuinely signed
     # explicit bases intact.
@@ -884,52 +815,11 @@ def backward_value(
     )
 
 
-def _best_candidate(
-    node_i, ell, interior_net, candidates, config, fulfillment, financiability,
-    market, tree, rate,
-) -> Optional[OnePeriodResult]:
-    """The feasible candidate with the least vbar; ties pick the
-    lexicographically smallest parameters. None if none is feasible."""
-    best: Optional[OnePeriodResult] = None
-    for fam, weights in candidates:
-        res = build_one_period(
-            node_i,
-            ell,
-            interior_net,
-            fam,
-            fulfillment,
-            financiability,
-            market,
-            tree,
-            rate,
-            config.mode,
-            config.bisection_tol,
-            weights,
-        )
-        if not res.feasible:
-            continue
-        if (
-            best is None
-            or res.vbar < best.vbar - 1e-12
-            or (abs(res.vbar - best.vbar) <= 1e-12 and res.params < best.params)
-        ):
-            best = res
-    return best
-
-
 def _node_array(flows: Mapping[int, float], n_nodes: int) -> np.ndarray:
     """Per-node values of a node -> value mapping, zero where absent."""
     out = np.zeros(n_nodes)
     out[list(flows)] = [float(v) for v in flows.values()]
     return out
-
-
-def _family_candidates(config: EngineConfig):
-    fam = config.family
-    if fam.variant == "fixed_mix":
-        grids = _simplex_grid(fam.mix_indices, config.grid_depth)
-        return [(fam, w) for w in grids]
-    return [(fam, None)]
 
 
 # --- validation ----------------------------------------------------------------
@@ -1055,9 +945,7 @@ def validate_production_strategy(
                 a = a_trad + liab.z(nu) + psi.z(nu) + extra.get(nu, 0.0)
                 l_eff = liab.x(nu) + vbar[nu]
                 surplus_atoms[nu] = a - l_eff
-            dist = _surplus_dist(
-                tree, node_i, surplus_atoms, {nu: 0.0 for nu in surplus_atoms}
-            )
+            dist = conditional_distribution(tree, node_i, surplus_atoms, i + 1)
             ful_ok = fulfillment_satisfied(fulfillment, dist)
             plus_part = DiscreteDistribution(
                 tuple(max(0.0, v) for v in dist.values), dist.probs, dist.labels

@@ -57,18 +57,22 @@ class TradableSet:
         for name, arr in (("prices", prices), ("inflows", inflows), ("payoffs", payoffs)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        labels = self.tree.labels
         bad = np.flatnonzero((prices < 0).any(axis=1) | (inflows < 0).any(axis=1))
         if bad.size:
-            raise ValueError(f"negative price or inflow at node {bad[0]}")
+            raise ValueError(f"negative price or inflow at node {labels[bad[0]]!r}")
         # S != 0 wherever trading still happens; at the horizon the
         # whole market may have matured (for example a single bond).
         horizon = len(self.tree.grid.dates) - 1
         bad = np.flatnonzero(~prices.any(axis=1) & (self.tree.date_idx < horizon))
         if bad.size:
-            raise ValueError(f"price vector is identically zero at node {bad[0]}")
+            raise ValueError(
+                f"price vector is identically zero at node {labels[bad[0]]!r}"
+            )
         self._check_bonds()
 
     def _check_bonds(self):
+        labels = self.tree.labels
         for k, i in self.bond_periods.items():
             end = np.asarray(self.tree.nodes_at(i + 1), dtype=np.int64)
             bad = end[
@@ -78,14 +82,14 @@ class TradableSet:
             if bad.size:
                 raise ValueError(
                     f"tradable {k} flagged as period-{i} bond must have price 0 "
-                    f"and inflow 1 at date {i + 1}, not at node {bad[0]}"
+                    f"and inflow 1 at date {i + 1}, not at node {labels[bad[0]]!r}"
                 )
             start = np.asarray(self.tree.nodes_at(i), dtype=np.int64)
             bad = start[self.prices[start, k] <= 0]
             if bad.size:
                 raise ValueError(
                     f"period-{i} bond must have positive price at date {i}, "
-                    f"not at node {bad[0]}"
+                    f"not at node {labels[bad[0]]!r}"
                 )
 
     @property

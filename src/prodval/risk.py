@@ -138,6 +138,11 @@ class DistributionRows:
     def with_values(self, values: np.ndarray) -> "DistributionRows":
         return DistributionRows(values, self.probs, self.counts, self.labels)
 
+    def take(self, rows: np.ndarray) -> "DistributionRows":
+        """The given rows, in the given order."""
+        labels = None if self.labels is None else self.labels[rows]
+        return DistributionRows(self.values[rows], self.probs[rows], self.counts[rows], labels)
+
     def negated(self) -> "DistributionRows":
         return self.with_values(-self.values)
 

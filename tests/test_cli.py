@@ -168,6 +168,37 @@ def test_invalid_price_is_one_error_line(price, cause, tmp_path, capsys):
     assert isinstance(raised.value.__cause__, cause)
 
 
+def _set(doc, flows, label, value):
+    doc["market"]["tradables"][0][flows][label] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: _set(doc, "prices", "mid", -0.5),
+            "negative price or inflow at node 'mid'",
+        ),
+        (
+            lambda doc: _set(doc, "prices", "mid", 0.0),
+            "price vector is identically zero at node 'mid'",
+        ),
+        (
+            lambda doc: _set(doc, "inflows", "hi", 0.5),
+            "tradable 0 flagged as period-0 bond must have price 0 and inflow 1 "
+            "at date 1, not at node 'hi'",
+        ),
+    ],
+)
+def test_market_errors_name_the_config_label(edit, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(edit(two_point_doc())))
+    code = main(["value", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+
+
 PLAIN_TYPES = (bool, int, float, str, type(None))
 
 

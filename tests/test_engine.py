@@ -269,22 +269,29 @@ class TestPremiumExample:
             )
 
 
+def node_values(tree, values):
+    """Per-node array of a node -> value mapping, zero elsewhere."""
+    out = np.zeros(tree.n_nodes)
+    out[list(values)] = list(values.values())
+    return out
+
+
 class TestBuildOnePeriod:
     def test_two_point_closed_form(self):
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
         ell = {leaves[0]: 80.0, leaves[1]: 120.0}
-        res = build_one_period(
-            0,
-            ell,
-            lambda m: 0.0,
+        [res] = build_one_period(
+            [0],
+            node_values(tree, ell),
+            np.zeros(tree.n_nodes),
             StrategyFamily.risk_free(),
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
             tree,
-            rate=0.02,
+            rates=[0.02],
         )
         assert res.feasible
         assert res.scale == pytest.approx(120.0 / 1.02, abs=1e-9)
@@ -295,16 +302,16 @@ class TestBuildOnePeriod:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         ell = {nu: 50.0 for nu in tree.by_date[2]}
-        res = build_one_period(
-            0,
-            ell,
-            lambda m: 0.0,
+        [res] = build_one_period(
+            [0],
+            node_values(tree, ell),
+            np.zeros(tree.n_nodes),
             StrategyFamily.risk_free(),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
             tree,
-            rate=0.02,
+            rates=[0.02],
         )
         assert res.vbar == pytest.approx(50.0 / 1.02, abs=1e-12)
         assert res.capital == 0.0
@@ -313,16 +320,16 @@ class TestBuildOnePeriod:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         ell = {nu: 0.0 for nu in tree.by_date[2]}
-        res = build_one_period(
-            0,
-            ell,
-            lambda m: 0.0,
+        [res] = build_one_period(
+            [0],
+            node_values(tree, ell),
+            np.zeros(tree.n_nodes),
             StrategyFamily.risk_free(),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
             tree,
-            rate=0.02,
+            rates=[0.02],
         )
         assert res.vbar == 0.0
 
@@ -332,16 +339,16 @@ class TestBuildOnePeriod:
         market = bond_market(tree, {0: 0.0})
         mid = tree.by_date[1][0]
         ell = {nu: 0.0 for nu in tree.by_date[2]}
-        res = build_one_period(
-            0,
-            ell,
-            lambda m: -7.0 if m == mid else 0.0,
+        [res] = build_one_period(
+            [0],
+            node_values(tree, ell),
+            node_values(tree, {mid: -7.0}),
             StrategyFamily.risk_free(),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
             tree,
-            rate=0.0,
+            rates=[0.0],
         )
         assert res.feasible
         assert res.scale == pytest.approx(7.0, abs=1e-9)
@@ -354,16 +361,16 @@ class TestBuildOnePeriod:
         market = bond_market(tree, {0: 0.0})
         mid = tree.by_date[1][0]
         ell = {nu: -10.0 for nu in tree.by_date[2]}
-        res = build_one_period(
-            0,
-            ell,
-            lambda m: -7.0 if m == mid else 0.0,
+        [res] = build_one_period(
+            [0],
+            node_values(tree, ell),
+            node_values(tree, {mid: -7.0}),
             StrategyFamily.risk_free(),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
             tree,
-            rate=0.0,
+            rates=[0.0],
             mode="A",
         )
         assert res.feasible
@@ -377,16 +384,16 @@ class TestBuildOnePeriod:
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
         ell = {leaves[0]: math.inf, leaves[1]: 1.0}
-        res = build_one_period(
-            0,
-            ell,
-            lambda m: 0.0,
+        [res] = build_one_period(
+            [0],
+            node_values(tree, ell),
+            np.zeros(tree.n_nodes),
             StrategyFamily.risk_free(),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
             tree,
-            rate=0.02,
+            rates=[0.02],
         )
         assert not res.feasible
         assert res.vbar == math.inf
@@ -590,16 +597,16 @@ class TestEngineProperties:
                 RiskMeasureSpec("es", 0.25),
             ):
                 spec = FulfillmentSpec("risk_measure", measure)
-                res = build_one_period(
-                    0,
-                    ell,
-                    lambda m: 0.0,
+                [res] = build_one_period(
+                    [0],
+                    node_values(tree, ell),
+                    np.zeros(tree.n_nodes),
                     StrategyFamily.risk_free(),
                     spec,
                     FinanciabilitySpec.cost_of_capital(0.06),
                     market,
                     tree,
-                    rate=0.02,
+                    rates=[0.02],
                 )
                 payoff = res.scale * 1.02
                 dist = DiscreteDistribution.from_atoms(

@@ -8,8 +8,11 @@ Regenerate them only for an intended change of report content.
 
 import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prodval.cli import main
@@ -110,6 +113,11 @@ def test_golden_covers_every_bundled_config():
 # children per node, one and two interior dates per year.
 TREES = {"tree274": (2, 3, 1), "tree217": (7, 2, 2)}
 
+_FIXED_MIX = {
+    "mode": "B",
+    "family": {"type": "fixed_mix", "indices": [0, 1], "grid_depth": 2},
+}
+
 # Subcommand arguments and config overrides per case.
 CASES = {
     "value_risk_free_var": (("value",), {}),
@@ -148,6 +156,25 @@ CASES = {
         ("value",),
         lambda doc: dict(_drop_bond(doc, 1), financiability={"type": "zero"}),
     ),
+    # The fixed-mix and explicit one-period steps.
+    "value_fixed_mix_var": (("value",), {"engine": _FIXED_MIX}),
+    "value_fixed_mix_prob90": (
+        ("value",),
+        {"fulfillment": {"type": "prob", "p": 0.9}, "engine": _FIXED_MIX},
+    ),
+    "value_fixed_mix_full": (
+        ("value",),
+        {"fulfillment": {"type": "full"}, "engine": _FIXED_MIX},
+    ),
+    "value_fixed_mix_zero": (
+        ("value",),
+        {"financiability": {"type": "zero"}, "engine": _FIXED_MIX},
+    ),
+    "value_fixed_mix_mode_a": (
+        ("value",),
+        lambda doc: dict(_level_inflows(doc), engine=dict(_FIXED_MIX, mode="A")),
+    ),
+    "value_explicit": (("value",), lambda doc: dict(doc, engine=_explicit_engine(doc))),
 }
 
 
@@ -166,6 +193,33 @@ def _drop_bond(doc: dict, period: int) -> dict:
     market = doc["market"]
     tradables = [t for t in market["tradables"] if t.get("bond_period") != period]
     return dict(doc, market=dict(market, tradables=tradables))
+
+
+def _explicit_engine(doc: dict) -> dict:
+    """An explicit family whose base buys 0 to 300 units of the period
+    bond at each annual node and holds them through the year, so it
+    funds its interior dates exactly. Some years end above the
+    liability (no top-up) and some below it (a bond top-up)."""
+    rng = np.random.default_rng(0)
+    tradables = doc["market"]["tradables"]
+    bond = {t["bond_period"]: k for k, t in enumerate(tradables) if "bond_period" in t}
+    horizon = doc["grid"]["T"]
+    assignments = {}
+    # Parents come before their children in the node list.
+    for node in doc["tree"]["nodes"]:
+        date = Fraction(node["date"])
+        units = [0.0] * len(tradables)
+        if date < horizon:
+            k = bond[math.floor(date)]
+            if date.denominator == 1:
+                units[k] = float(rng.uniform(0.0, 300.0))
+            else:
+                units[k] = assignments[node["parent"]][k]
+        assignments[node["id"]] = units
+    return {
+        "mode": "B",
+        "family": {"type": "explicit", "strategy": {"assignments": assignments}},
+    }
 
 
 def _config(tree: str, overrides) -> dict:
@@ -202,12 +256,60 @@ GENERATED_GOLDEN = {
             "solvency.json": "4e6b647c1ddf69e151d42126158562f9bd79f06fc730155c2eac56e1ce369b72",
         },
     ),
+    ("tree217", "value_explicit"): (
+        0,
+        "",
+        {
+            "metadata.json": "d8afdc9645924c6c3ea26a1c5200b6433eb1bf8d2be5acf592d201f510c88498",
+            "production.csv": "198e0143adeba1f25835c89bafc1ddc05f3b82845a0f8076386487fd1aadb01c",
+        },
+    ),
     ("tree217", "value_fixed_mix_es"): (
         0,
         "",
         {
             "metadata.json": "929ff747dd66860388a82d103c7d72e0ff2253be636a5834a0dd908fb958db24",
             "production.csv": "b65cffea67f4ac8d9bee7e0dd21baf53652b68305adbea167f5459ca80e11a80",
+        },
+    ),
+    ("tree217", "value_fixed_mix_full"): (
+        0,
+        "",
+        {
+            "metadata.json": "c5d5faab399ad54b3f3196f4ba52befc6c22641d022197cc25614c239edd7268",
+            "production.csv": "26aca08217bd030ab3bd20af02c59c0ee929feb15a2d830ff60a84b3566d2485",
+        },
+    ),
+    ("tree217", "value_fixed_mix_mode_a"): (
+        0,
+        "",
+        {
+            "metadata.json": "de5bf7902a223b4013f2c0b82d148e1bbc96f9fa931d76dd878a88e8fc73cf59",
+            "production.csv": "6c25b6185dc7f0ba653ba5d398c4064d5e52d2e0aaf354c14cbcfc2b6dc15ac7",
+        },
+    ),
+    ("tree217", "value_fixed_mix_prob90"): (
+        0,
+        "",
+        {
+            "metadata.json": "a5af5426bd33d69b43b9a0511183c4f736bebf0606d5e7cfd4ce274823067115",
+            "production.csv": "da4516df2eefdde1dffbd13e6708a16e2d5d1c8056eee55f45a03eeee80bc6a4",
+        },
+    ),
+    ("tree217", "value_fixed_mix_var"): (
+        0,
+        "",
+        {
+            "metadata.json": "c80d55ddb75800899fd623a2bda8f3ccf56068f7220940d1ac41a8628f8b30cc",
+            "production.csv": "26aca08217bd030ab3bd20af02c59c0ee929feb15a2d830ff60a84b3566d2485",
+        },
+    ),
+    ("tree217", "value_fixed_mix_zero"): (
+        0,
+        "",
+        {
+            "metadata.json": "8e613de9c0cf4d556be8373e1a5ab95507dd6c390b02f10e8cda41d998f09f73",
+            "production.csv": "1c9f6d3f1b37b6fac32f24850fb861867fb3067a0855eb71950d119c8c7c7295",
         },
     ),
     ("tree217", "value_risk_free_es"): (
@@ -308,12 +410,60 @@ GENERATED_GOLDEN = {
             "solvency.json": "b6bff663307638cff2cae54c749b0aa950274ec1a69fd54029390121334b1645",
         },
     ),
+    ("tree274", "value_explicit"): (
+        0,
+        "",
+        {
+            "metadata.json": "bcab83fa41a57c525cd1f224e617142d234fffafd1ac315161f348ea5d3cd664",
+            "production.csv": "27326bfecceea86a565418ea45a637e54a82b1553ca9809edf92d98d0367a6d1",
+        },
+    ),
     ("tree274", "value_fixed_mix_es"): (
         0,
         "",
         {
             "metadata.json": "2dfc049cf16a3a60f7658f9bad4c23cc7e6cdab933fed0c8de63e21ad0fe662c",
             "production.csv": "b74c71b856736cc04a1155ba41f00df77bf8e600c0640370f4b7829d91e2ad85",
+        },
+    ),
+    ("tree274", "value_fixed_mix_full"): (
+        0,
+        "",
+        {
+            "metadata.json": "6b3dcbd974e307692c8603c3fd68a989cca56371e75fee555b08cf5aa2501a0b",
+            "production.csv": "da5479b9588cb8050b3137b6b85cdd6af61cc86f11c7adf3656ae74ba00c05b9",
+        },
+    ),
+    ("tree274", "value_fixed_mix_mode_a"): (
+        0,
+        "",
+        {
+            "metadata.json": "743ff474a87dff0606cce6d00b5fa8cb3caf27252287b6bf2aab821054a9af82",
+            "production.csv": "3363b56cb789c6ff2da8b35242664eb5b84131d0a98dc943b8d5479b875f11d7",
+        },
+    ),
+    ("tree274", "value_fixed_mix_prob90"): (
+        0,
+        "",
+        {
+            "metadata.json": "491959d9f6f211a5f43f6fa237aa80e56fbf2c39078cf3713dc9ec7504240953",
+            "production.csv": "c483f19c2beba79eb6bd40bd2f90bef61a141079d1f6877c3d4bef1bf71316f2",
+        },
+    ),
+    ("tree274", "value_fixed_mix_var"): (
+        0,
+        "",
+        {
+            "metadata.json": "cbc19124e01c8fc0e63f7128f010c796d7cbc692e61e6e3d4093a02ea27a2bff",
+            "production.csv": "da5479b9588cb8050b3137b6b85cdd6af61cc86f11c7adf3656ae74ba00c05b9",
+        },
+    ),
+    ("tree274", "value_fixed_mix_zero"): (
+        0,
+        "",
+        {
+            "metadata.json": "0db2a5f44ef51bfec4d0eaf8ee1d8fbcd14160caa750fb302edf6a5ebbde072e",
+            "production.csv": "6dc7353f36937adaeb31951e69ac68a1b3b66124f169f4468ec248b22b6c9b3a",
         },
     ),
     ("tree274", "value_risk_free_es"): (

@@ -6,8 +6,7 @@ through Python dicts. On random ragged trees, under every fulfillment
 and financiability variant, in both modes and with infeasible nodes,
 ``backward_value`` must reproduce its values, capital, parameters,
 infeasible nodes and strategy bit for bit, and raise the same errors;
-the single-node form of ``build_one_period`` must reproduce its
-per-node results.
+``build_one_period`` on one node must reproduce its per-node results.
 """
 
 import math
@@ -160,15 +159,11 @@ def oracle_one_period(
     if mode == "B" and vbar < 0.0:
         capital = value
         vbar = 0.0
-    return OnePeriodResult(
-        True,
-        scale=s_star,
-        capital=capital,
-        vbar=vbar,
-        value=value,
-        params=params,
-        portfolios={m: tuple(float(v) for v in x) for m, x in portfolios.items()},
+    result = OnePeriodResult(
+        True, scale=s_star, capital=capital, vbar=vbar, value=value, params=params
     )
+    result.portfolios = {m: tuple(float(v) for v in x) for m, x in portfolios.items()}
+    return result
 
 
 def oracle_backward(liab, psi, mode, fulfillment, financiability, market, tree, rates):
@@ -248,11 +243,12 @@ FULFILLMENTS = [
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
 
 
-def make_problem(seed, shape, defect, interior_flows, magnitude=1.0):
-    """A ragged tree (1-3 children per node) with a consistent market and
-    random liability flows times ``magnitude``; ``defect`` breaks the
-    risk-free step on purpose: no period bond, a zero bond price inside a
-    year, or a bond inflow inside a year (a path-dependent slope).
+def make_problem(seed, shape, defect, interior_flows, magnitude=1.0, max_branch=3):
+    """A ragged tree (1 to ``max_branch`` children per node) with a
+    consistent market and random liability flows times ``magnitude``;
+    ``defect`` breaks the risk-free step on purpose: no period bond, a
+    zero bond price inside a year, or a bond inflow inside a year (a
+    path-dependent slope).
 
     From a magnitude of about 1e4 the rounding of the pots at the solved
     scale can exceed the absolute tolerance, so the interior re-check
@@ -260,7 +256,7 @@ def make_problem(seed, shape, defect, interior_flows, magnitude=1.0):
     """
     rng = np.random.default_rng(seed)
     years, interior = shape
-    tree = random_tree(rng, years=years, interior_per_year=interior, max_branch=3)
+    tree = random_tree(rng, years=years, interior_per_year=interior, max_branch=max_branch)
     market, _ = state_price_market(rng, tree, n_risky=2)
     prices = market.prices.copy()
     inflows = market.inflows.copy()
@@ -375,13 +371,24 @@ def assert_matches_oracle(tree, market, liab, psi, fulfillment, financiability, 
     assert got.infeasible_nodes == infeasible
     assert got.strategy.assignment.tobytes() == assignment.tobytes()
 
+    net = np.array([interior_net(m) for m in range(tree.n_nodes)])
     for i, ell in ells.items():
+        ell_array = np.zeros(tree.n_nodes)
+        ell_array[list(ell)] = list(ell.values())
         for node in tree.nodes_at(i):
-            args = (node, ell, interior_net)
-            common = (fulfillment, fin, market, tree, rates[node], mode)
-            one = build_one_period(*args, StrategyFamily.risk_free(), *common)
-            ref = oracle_one_period(*args, *common)
-            assert _bits(vars(one)) == _bits(vars(ref))
+            common = (fulfillment, fin, market, tree)
+            ref = oracle_one_period(node, ell, interior_net, *common, rates[node], mode)
+            held = np.zeros((tree.n_nodes, market.n_assets))
+            [one] = build_one_period(
+                [node], ell_array, net, StrategyFamily.risk_free(), *common,
+                [rates[node]], mode, assignment=held,
+            )
+            portfolios = getattr(ref, "portfolios", {})
+            fields = {k: v for k, v in vars(ref).items() if k != "portfolios"}
+            assert _bits(vars(one)) == _bits(fields)
+            assert {m: tuple(held[m].tolist()) for m in portfolios} == portfolios
+            held[list(portfolios)] = 0.0
+            assert not held.any()
     return values
 
 
@@ -412,54 +419,40 @@ def test_batch_returns_one_result_per_node_and_fills_assignment():
     nodes = tree.nodes_at(1)
     ell = np.zeros(tree.n_nodes)
     ell[list(tree.nodes_at(2))] = 100.0
-    assignment = np.zeros((tree.n_nodes, market.n_assets))
-    results = build_one_period(
-        nodes,
-        ell,
-        np.zeros(tree.n_nodes),
+    args = (
         StrategyFamily.risk_free(),
         FulfillmentSpec.var(0.2),
         FinanciabilitySpec.cost_of_capital(0.06),
         market,
         tree,
-        [0.02] * len(nodes),
+    )
+    assignment = np.zeros((tree.n_nodes, market.n_assets))
+    results = build_one_period(
+        nodes, ell, np.zeros(tree.n_nodes), *args, [0.02] * len(nodes),
         assignment=assignment,
     )
     assert isinstance(results, list) and len(results) == len(nodes)
-    assert all(res.feasible is True and res.portfolios == {} for res in results)
+    assert all(res.feasible is True for res in results)
+    alone = np.zeros_like(assignment)
     for node, res in zip(nodes, results):
-        one = build_one_period(
-            node,
-            dict(enumerate(ell.tolist())),
-            lambda m: 0.0,
-            StrategyFamily.risk_free(),
-            FulfillmentSpec.var(0.2),
-            FinanciabilitySpec.cost_of_capital(0.06),
-            market,
-            tree,
-            0.02,
+        [one] = build_one_period(
+            [node], ell, np.zeros(tree.n_nodes), *args, [0.02], assignment=alone
         )
-        assert (one.scale, one.capital, one.vbar) == (res.scale, res.capital, res.vbar)
-        for m, units in one.portfolios.items():
-            assert tuple(assignment[m].tolist()) == units
+        assert vars(one) == vars(res)
+    assert alone.tobytes() == assignment.tobytes()
 
 
-def test_batch_rejects_other_families_and_mixed_dates():
+def test_batch_rejects_mixed_dates():
     tree, market, _, _ = make_problem(1, (2, 1), None, False)
-    args = (
-        np.zeros(tree.n_nodes),
-        np.zeros(tree.n_nodes),
-    )
-    rest = (
-        FulfillmentSpec.full(),
-        FinanciabilitySpec.zero(),
-        market,
-        tree,
-        [0.0, 0.0],
-    )
-    with pytest.raises(ValueError, match="risk_free family"):
-        build_one_period([0, 0], *args, StrategyFamily.fixed_mix((0,)), *rest)
     with pytest.raises(ValueError, match="one date"):
         build_one_period(
-            [0, tree.nodes_at(1)[0]], *args, StrategyFamily.risk_free(), *rest
+            [0, tree.nodes_at(1)[0]],
+            np.zeros(tree.n_nodes),
+            np.zeros(tree.n_nodes),
+            StrategyFamily.risk_free(),
+            FulfillmentSpec.full(),
+            FinanciabilitySpec.zero(),
+            market,
+            tree,
+            [0.0, 0.0],
         )

@@ -1,9 +1,10 @@
 """Validation errors of the market and of config ingestion.
 
 Each defect must raise its own error class with a message that names
-the first offending node (node id for the market, label for the
-config), whatever form the market data is given in: node -> tuple and
-node -> array mappings, or one (n_nodes, n_assets) array.
+the first offending node (its tree label where the tree knows one, the
+node id for mappings the caller keys by id), whatever form the market
+data is given in: node -> tuple and node -> array mappings, or one
+(n_nodes, n_assets) array.
 """
 
 import json
@@ -93,14 +94,14 @@ class TestMarketValidation:
         prices, inflows = bond_and_stock()
         prices[4][1] = -1.0
         prices[2][1] = -0.5
-        with pytest.raises(ValueError, match=r"negative price or inflow at node 2$"):
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 'd'$"):
             make_market(form, prices, inflows)
 
     def test_negative_inflow_names_first_node(self, form):
         prices, inflows = bond_and_stock()
         inflows[3][1] = -0.25
         inflows[4][1] = -0.25
-        with pytest.raises(ValueError, match=r"negative price or inflow at node 3$"):
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 'u1'$"):
             make_market(form, prices, inflows)
 
     def test_all_zero_prices_at_non_leaf(self, form):
@@ -108,7 +109,7 @@ class TestMarketValidation:
         prices[2] = [0.0, 0.0]
         prices[1] = [0.0, 0.0]
         with pytest.raises(
-            ValueError, match=r"price vector is identically zero at node 1$"
+            ValueError, match=r"price vector is identically zero at node 'u'$"
         ):
             make_market(form, prices, inflows)
 
@@ -154,7 +155,7 @@ class TestMarketValidation:
         with pytest.raises(
             ValueError,
             match=r"tradable 0 flagged as period-0 bond must have price 0 "
-            r"and inflow 1 at date 1, not at node 4$",
+            r"and inflow 1 at date 1, not at node 'd1'$",
         ):
             make_market(form, prices, inflows, bond_periods={0: 0})
 
@@ -163,7 +164,7 @@ class TestMarketValidation:
         prices[4][0] = 0.02
         prices[3][0] = 0.01
         with pytest.raises(
-            ValueError, match=r"must have price 0 and inflow 1 at date 1, not at node 3$"
+            ValueError, match=r"must have price 0 and inflow 1 at date 1, not at node 'u1'$"
         ):
             make_market(form, prices, inflows, bond_periods={0: 0})
 
@@ -172,7 +173,7 @@ class TestMarketValidation:
         prices[0][0] = 0.0
         with pytest.raises(
             ValueError,
-            match=r"period-0 bond must have positive price at date 0, not at node 0$",
+            match=r"period-0 bond must have positive price at date 0, not at node 'r'$",
         ):
             make_market(form, prices, inflows, bond_periods={0: 0})
 
@@ -194,21 +195,21 @@ class TestConfigValidation:
     def test_negative_price(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["prices"]["mid"] = -0.5
-        with pytest.raises(ValueError, match=r"negative price or inflow at node 1$"):
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 'mid'$"):
             problem_from_dict(doc)
 
     def test_negative_inflow(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["inflows"]["hi"] = -1.0
         doc["market"]["tradables"][0]["inflows"]["lo"] = -1.0
-        with pytest.raises(ValueError, match=r"negative price or inflow at node 2$"):
+        with pytest.raises(ValueError, match=r"negative price or inflow at node 'lo'$"):
             problem_from_dict(doc)
 
     def test_all_zero_price_vector_at_non_leaf(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["prices"]["mid"] = 0.0
         with pytest.raises(
-            ValueError, match=r"price vector is identically zero at node 1$"
+            ValueError, match=r"price vector is identically zero at node 'mid'$"
         ):
             problem_from_dict(doc)
 
@@ -286,6 +287,6 @@ class TestConfigValidation:
         with pytest.raises(
             ValueError,
             match=r"flagged as period-0 bond must have price 0 and inflow 1 "
-            r"at date 1, not at node 3$",
+            r"at date 1, not at node 'hi'$",
         ):
             problem_from_dict(doc)
