@@ -12,7 +12,6 @@ any error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -40,11 +39,8 @@ from .solvency import RateCurve, multi_period_solvency
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9f}"
+    # Infinities format as "inf" and "-inf".
+    return "" if x is None else f"{x:.9f}"
 
 
 def _round(x):
@@ -94,10 +90,9 @@ def _engine_rates(problem: ValuationProblem) -> Dict[int, float]:
 
 
 def _metadata(problem: ValuationProblem, subcommand: str, extra=None) -> str:
-    blob = json.dumps(problem.doc, sort_keys=True).encode()
     meta = {
         "subcommand": subcommand,
-        "config_sha256": hashlib.sha256(blob).hexdigest(),
+        "config_sha256": problem.config_sha256,
         "prodval_version": __version__,
         "tolerances": {
             "bisection": problem.engine.bisection_tol,

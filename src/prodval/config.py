@@ -8,7 +8,9 @@ the tree section; every tradable must price every node.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, Mapping, Optional
@@ -25,7 +27,14 @@ from .strategy import Strategy
 
 @dataclass
 class ValuationProblem:
-    doc: dict
+    """A validated config. Of the document itself it keeps only the
+    sections ``problem_to_dict`` re-emits verbatim and ``config_sha256``:
+    the sha256 of the config file's bytes for a loaded file, of the
+    canonical dump of ``problem_to_dict`` for an in-memory document."""
+
+    config_sha256: str
+    fulfillment_cfg: dict
+    engine_cfg: dict
     grid: DateGrid
     tree: ScenarioTree
     market: TradableSet
@@ -39,19 +48,36 @@ class ValuationProblem:
 
 def load_config(path: str) -> ValuationProblem:
     """Read and validate a config file; all structural invariants are
-    checked here so the engine can assume a coherent problem. A value
-    the problem's constructors reject (a negative or non-numeric price,
-    say) raises SchemaViolation, with their error as its cause."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    checked here so the engine can assume a coherent problem. A file
+    that cannot be read, is not UTF-8 or is not JSON raises ParseError.
+    A value the problem's constructors reject (a negative or non-numeric
+    price, say) raises SchemaViolation, with their error as its cause."""
+    doc, digest = _read_json(path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
-    try:
-        return problem_from_dict(doc)
+        return _problem(doc, digest)
     except (ValueError, TypeError) as e:
         raise SchemaViolation(f"invalid config: {e}") from e
+
+
+def _read_json(path: str):
+    """The parsed document and the sha256 of the file's bytes. Neither
+    the bytes nor the text outlive the parse."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot read config {path!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"config {path!r} is not UTF-8: {e.reason} at byte {e.start}"
+        ) from None
+    digest = hashlib.sha256(data).hexdigest()
+    del data
+    try:
+        return json.loads(text), digest
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
 
 
 def _need(doc: Mapping, key: str, path: str = "") -> object:
@@ -61,6 +87,15 @@ def _need(doc: Mapping, key: str, path: str = "") -> object:
 
 
 def problem_from_dict(doc: dict) -> ValuationProblem:
+    """Validate an in-memory config document; its ``config_sha256`` is
+    the sha256 of the canonical dump of ``problem_to_dict``."""
+    problem = _problem(doc, "")
+    blob = json.dumps(problem_to_dict(problem), sort_keys=True).encode()
+    problem.config_sha256 = hashlib.sha256(blob).hexdigest()
+    return problem
+
+
+def _problem(doc: dict, digest: str) -> ValuationProblem:
     if not isinstance(doc, dict):
         raise SchemaViolation("config root must be an object")
 
@@ -75,7 +110,16 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
         raise SchemaViolation(f"grid: {e}") from None
 
     tree = build_tree(grid, _need(tree_doc, "nodes", "tree."))
-    label_to_id = {lab: n for n, lab in enumerate(tree.labels)}
+    label_to_id = dict(zip(tree.labels, range(tree.n_nodes)))
+    looked_up: Dict[tuple, np.ndarray] = {}
+
+    def node_ids(flows: Mapping, where: str, complete: bool = False) -> np.ndarray:
+        # The price sections of all tradables usually list the same labels
+        # in the same order: look each such sequence up once.
+        key = (complete, tuple(flows))
+        if key not in looked_up:
+            looked_up[key] = _node_ids(flows, label_to_id, where, complete)
+        return looked_up[key]
 
     tradables = _need(market_doc, "tradables", "market.")
     if not isinstance(tradables, list) or not tradables:
@@ -90,9 +134,8 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
             (prices, _need(spec, "prices", f"{where}."), "prices"),
             (inflows, spec.get("inflows", {}), "inflows"),
         ):
-            nodes = _node_ids(flows, label_to_id, f"{where}.{name}", name == "prices")
-            values = map(float, flows.values())
-            column[nodes, k] = np.fromiter(values, dtype=float, count=len(flows))
+            nodes = node_ids(flows, f"{where}.{name}", name == "prices")
+            column[nodes, k] = _finite_values(flows, f"{where}.{name}")
         if "bond_period" in spec:
             bond_periods[k] = int(spec["bond_period"])
     close_out = bool(market_doc.get("close_out", False))
@@ -106,8 +149,8 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
 
     def flow_map(section: Mapping, key: str, where: str) -> Dict[int, float]:
         flows = section.get(key, {})
-        nodes = _node_ids(flows, label_to_id, f"{where}.{key}")
-        return dict(zip(nodes.tolist(), map(float, flows.values())))
+        nodes = node_ids(flows, f"{where}.{key}")
+        return dict(zip(nodes.tolist(), _finite_values(flows, f"{where}.{key}").tolist()))
 
     liability = LiabilitySpec(
         outflows=flow_map(liab_doc, "outflows", "liability"),
@@ -155,7 +198,9 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
     )
 
     return ValuationProblem(
-        doc=doc,
+        config_sha256=digest,
+        fulfillment_cfg=doc.get("fulfillment", {"type": "full"}),
+        engine_cfg=doc.get("engine", {"mode": mode}),
         grid=grid,
         tree=tree,
         market=market,
@@ -185,6 +230,19 @@ def _node_ids(
         first = list(flows)[int(np.argmin(known))]
         raise CrossRefError(f"{where} references unknown node {first!r}")
     return ids
+
+
+def _finite_values(flows: Mapping, where: str) -> np.ndarray:
+    """The values of a label-keyed section as floats; NaN and infinite
+    values are rejected, naming the first such node."""
+    values = np.fromiter(map(float, flows.values()), dtype=float, count=len(flows))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise SchemaViolation(
+            f"{where} has non-finite value {values[k]} at node {list(flows)[k]!r}"
+        )
+    return values
 
 
 def _fulfillment_from(doc: Mapping) -> FulfillmentSpec:
@@ -218,17 +276,26 @@ def _family_from(doc, tree, market, label_to_id, restriction) -> StrategyFamily:
         for lab, vec in _need(strat_doc, "assignments", "engine.family.strategy.").items():
             if lab not in label_to_id:
                 raise CrossRefError(f"strategy assignment references unknown node {lab!r}")
-            assignment[label_to_id[lab]] = tuple(float(v) for v in vec)
+            assignment[label_to_id[lab]] = _finite_units(vec, "assignments", lab)
         initial = {}
         for lab, vec in strat_doc.get("initial", {}).items():
             if lab not in label_to_id:
                 raise CrossRefError(f"strategy initial references unknown node {lab!r}")
-            initial[label_to_id[lab]] = tuple(float(v) for v in vec)
+            initial[label_to_id[lab]] = _finite_units(vec, "initial", lab)
         base = Strategy(tree, market.n_assets, assignment, initial)
         return StrategyFamily.explicit(base)
     raise SchemaViolation(
         f"engine.family.type must be risk_free, fixed_mix, or explicit, got {kind!r}"
     )
+
+
+def _finite_units(vec, section: str, label: str) -> tuple:
+    units = tuple(float(v) for v in vec)
+    if not all(map(math.isfinite, units)):
+        raise SchemaViolation(
+            f"engine.family.strategy.{section} has non-finite units at node {label!r}"
+        )
+    return units
 
 
 def financiability_of(problem: ValuationProblem) -> FinanciabilitySpec:
@@ -288,9 +355,9 @@ def problem_to_dict(problem: ValuationProblem) -> dict:
             "terminal": label_map(problem.liability.terminal),
         },
         "illiquid": {"inflows": label_map(problem.illiquid.inflows)},
-        "fulfillment": dict(problem.doc.get("fulfillment", {"type": "full"})),
+        "fulfillment": dict(problem.fulfillment_cfg),
         "financiability": dict(problem.financiability_cfg),
-        "engine": dict(problem.doc.get("engine", {"mode": problem.engine.mode})),
+        "engine": dict(problem.engine_cfg),
     }
     if problem.restriction is not None:
         if problem.restriction.indices is not None:

@@ -229,13 +229,12 @@ def liability_flows(
 
 def balance_sheet(
     node: Union[int, Sequence[int]],
-    liab: LiabilitySpec,
+    outflow: np.ndarray,
+    inflow: np.ndarray,
     strategy: Strategy,
-    psi: IlliquidPortfolio,
     cost: Union[float, Sequence[float]],
     market: TradableSet,
     mode: str = "B",
-    extra_inflow: Union[float, Sequence[float]] = 0.0,
 ) -> Union[BalanceSheetRow, List[BalanceSheetRow]]:
     """Assets and liabilities between the cash inflows and the liability
     payment at an annual date: A' = phi.S + inflows + (-vbar)_+ and
@@ -245,15 +244,16 @@ def balance_sheet(
     resources when classifying a failure as default versus
     cannot-continue; in mode B they do not exist.
 
-    ``node`` is one node id, giving one row, or a sequence of node ids,
-    giving one row per node computed as array operations; ``cost`` and
-    ``extra_inflow`` are then scalars or sequences of the same length.
+    ``outflow`` (the liability outflow X) and ``inflow`` (every cash
+    inflow but the tradables') are arrays indexed by node id. ``node``
+    is one node id, giving one row, or a sequence of node ids, giving
+    one row per node computed as array operations; ``cost`` is then a
+    scalar or a sequence of the same length.
     """
     ids = np.atleast_1d(node)
     tradables = _row_dots(strategy.held_into(ids), market.payoffs[ids])
-    nodes = ids.tolist()
-    inflows = np.array([liab.z(n) + psi.z(n) for n in nodes]) + extra_inflow
-    outflow = np.array([liab.x(n) for n in nodes])
+    inflows = inflow[ids]
+    outflow = outflow[ids]
     cost = np.asarray(cost, dtype=float)
     borrowed = _positive_part(-cost)
     assets = tradables + inflows + borrowed
@@ -264,7 +264,7 @@ def balance_sheet(
     rows = list(
         map(
             BalanceSheetRow._make,
-            zip(nodes, assets.tolist(), liabilities.tolist(), payoff.tolist(), kinds),
+            zip(ids.tolist(), assets.tolist(), liabilities.tolist(), payoff.tolist(), kinds),
         )
     )
     return rows[0] if np.ndim(node) == 0 else rows
@@ -478,8 +478,10 @@ def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
     Both are monotone in the scale (pots and payoffs are non-decreasing),
     so the feasible set is an upper half line: bracket by doubling from 1
     up to 2**60, then bisect to ``tol`` and take the feasible endpoint.
-    Every row takes the steps it would take alone. Clears ``solved``
-    where no scale works.
+    A row also stops once its bracket spans two adjacent floats, where
+    the midpoint rounds onto an endpoint: above about 2**19 that comes
+    before the default ``tol``. Every row takes the steps it would take
+    alone. Clears ``solved`` where no scale works.
     """
     n = len(solved)
 
@@ -508,9 +510,10 @@ def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
     while active.any():
         mid = 0.5 * (lo + hi)
         good = ok(mid, active)
+        stuck = (mid == lo) | (mid == hi)
         hi = np.where(good, mid, hi)
         lo = np.where(active & ~good, mid, lo)
-        active &= hi - lo > tol
+        active &= (hi - lo > tol) & ~stuck
     return np.where(pending, hi, 0.0)
 
 
@@ -762,15 +765,15 @@ def backward_value(
     infeasible: List[int] = []
     assignment = np.zeros((tree.n_nodes, market.n_assets))
 
-    for leaf in tree.by_date[J]:
-        values[leaf] = liab.y(leaf)
+    leaves = list(tree.by_date[J])
+    vbar = np.zeros(tree.n_nodes)
+    vbar[leaves] = _node_array(liab.terminal, tree.n_nodes)[leaves]
+    values.update(zip(leaves, vbar[leaves].tolist()))
 
     outflow = _node_array(liab.outflows, tree.n_nodes)
     inflow = _node_array(liab.inflows, tree.n_nodes)
     psi_inflow = _node_array(psi.inflows, tree.n_nodes)
     net = inflow + psi_inflow - outflow
-    vbar = np.zeros(tree.n_nodes)
-    vbar[list(values)] = list(values.values())
     ell = np.zeros(tree.n_nodes)
 
     for i in range(T - 1, -1, -1):
@@ -804,10 +807,11 @@ def backward_value(
         sign_class="unrestricted" if (assignment < 0.0).any() else "nonneg",
     )
     rows: Dict[int, BalanceSheetRow] = {}
+    cash_in = inflow + psi_inflow
     for i in range(1, T + 1):
         nodes = tree.nodes_at(i)
         for row in balance_sheet(
-            nodes, liab, strategy, psi, [values[n] for n in nodes], market, config.mode
+            nodes, outflow, cash_in, strategy, vbar[list(nodes)], market, config.mode
         ):
             rows[row.node] = row
     return ProductionCostProcess(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter, methodcaller
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -195,7 +197,7 @@ def _group_ids(keys: np.ndarray, n_groups: int) -> Tuple[Tuple[int, ...], ...]:
     ids = ids[np.argsort(keys[ids], kind="stable")]
     flat = tuple(ids.tolist())
     ends = np.cumsum(np.bincount(keys[ids], minlength=n_groups)).tolist()
-    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return tuple(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
 
 def build_tree(
@@ -208,83 +210,84 @@ def build_tree(
     date index), ``parent`` (id or None for the root), and ``p`` (branch
     probability, 1.0 for the root).
 
+    Node ids are assigned one tree level at a time: the root, then its
+    children, then theirs, siblings in input order. Errors are checked
+    in a fixed order and name the first offending node of that order.
+
     Raises ProbabilityMass, OrphanNode, LeafNotAtHorizon, or grid errors.
     """
     if not nodes:
         raise OrphanNode("empty node list")
+    n = len(nodes)
 
-    raw_by_id: Dict[object, Mapping] = {}
-    for spec in nodes:
-        nid = spec["id"]
-        if nid in raw_by_id:
+    ids = list(map(itemgetter("id"), nodes))
+    position: Dict[object, int] = {}
+    for k, nid in enumerate(ids):
+        if nid in position:
             raise OrphanNode(f"duplicate node id {nid!r}")
-        raw_by_id[nid] = spec
+        position[nid] = k
 
-    # Parse each distinct date value once; keyed by type as well, because
-    # equal values of different types (0.1 and its exact binary fraction)
-    # may name different grid dates.
-    parsed: Dict[Tuple[type, object], int] = {}
-
-    def date_index(spec) -> int:
-        d = spec["date"]
-        key = (type(d), d)
-        j = parsed.get(key)
-        if j is None:
-            j = parsed[key] = grid.index(d)
-        return j
-
-    roots = [nid for nid, spec in raw_by_id.items() if spec.get("parent") is None]
+    parents = list(map(methodcaller("get", "parent"), nodes))
+    roots = [k for k, par in enumerate(parents) if par is None]
     if len(roots) != 1:
         raise OrphanNode(f"expected exactly one root, found {len(roots)}")
-    root_id = roots[0]
-    if date_index(raw_by_id[root_id]) != 0:
+    root = roots[0]
+    if _date_indices(grid, [nodes[root]["date"]])[0] != 0:
         raise OrphanNode("root must sit at date 0")
 
-    children_of: Dict[object, List[object]] = {nid: [] for nid in raw_by_id}
-    for nid, spec in raw_by_id.items():
-        par = spec.get("parent")
-        if par is None:
-            continue
-        if par not in raw_by_id:
-            raise OrphanNode(f"node {nid!r} references unknown parent {par!r}")
-        children_of[par].append(nid)
+    # Input position of each node's parent, -1 at the root.
+    try:
+        up = np.fromiter(map(position.get, parents, repeat(-1)), dtype=np.int64, count=n)
+    except TypeError:  # an unhashable parent: the scan below meets it in input order
+        up = np.full(n, -1, dtype=np.int64)
+    up[root] = -1
+    for k in np.flatnonzero(up < 0).tolist():
+        if k != root and parents[k] not in position:
+            raise OrphanNode(f"node {ids[k]!r} references unknown parent {parents[k]!r}")
 
-    # Breadth-first ordering by date, preserving input order among siblings.
-    order: List[object] = []
-    frontier = [root_id]
-    visited = {root_id}
-    while frontier:
-        order.extend(frontier)
-        nxt = []
-        for nid in frontier:
-            for c in children_of[nid]:
-                if c in visited:
-                    raise OrphanNode(f"cycle detected at node {c!r}")
-                visited.add(c)
-                nxt.append(c)
-        frontier = nxt
-    if len(order) != len(raw_by_id):
+    # Children grouped by parent, in input order within each group; each
+    # level is the children of the previous one, in its order. A node on
+    # a cycle has no path up to the root, so it is never reached.
+    kids = np.argsort(up, kind="stable")[1:]
+    n_kids = np.bincount(up[kids], minlength=n)
+    first = np.cumsum(n_kids) - n_kids
+    level = np.array([root], dtype=np.int64)
+    levels = [level]
+    while True:
+        counts = n_kids[level]
+        total = int(counts.sum())
+        if not total:
+            break
+        offsets = np.cumsum(counts) - counts
+        level = kids[np.repeat(first[level] - offsets, counts) + np.arange(total)]
+        levels.append(level)
+    order = np.concatenate(levels)
+    if len(order) != n:
         raise OrphanNode("some nodes are unreachable from the root")
-    specs = [raw_by_id[nid] for nid in order]
-    date_idx = np.array([date_index(spec) for spec in specs], dtype=np.int64)
+
+    dates = list(map(itemgetter("date"), map(nodes.__getitem__, order.tolist())))
+    date_idx = _date_indices(grid, dates)
     if (np.diff(date_idx) < 0).any():
         by_date = np.argsort(date_idx, kind="stable")
-        order = [order[k] for k in by_date]
-        specs = [specs[k] for k in by_date]
+        order = order[by_date]
         date_idx = date_idx[by_date]
 
-    norm = {nid: k for k, nid in enumerate(order)}
-    parent = np.array(
-        [-1 if spec.get("parent") is None else norm[spec["parent"]] for spec in specs],
-        dtype=np.int64,
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    up = up[order]
+    parent = np.where(up >= 0, rank[up], -1)
+    ordered = order.tolist()
+    prob = np.fromiter(
+        map(float, map(methodcaller("get", "p", 1.0), map(nodes.__getitem__, ordered))),
+        dtype=float,
+        count=n,
     )
-    prob = np.array([float(spec.get("p", 1.0)) for spec in specs])
-    labels = tuple(str(nid) for nid in order)
+    labels = tuple(map(str, map(ids.__getitem__, ordered)))
     bad = np.flatnonzero(prob <= 0.0)
     if bad.size:
         k = int(bad[0])
         raise ProbabilityMass(
-            f"node {order[k]!r} has non-positive probability {float(prob[k])}"
+            f"node {ids[ordered[k]]!r} has non-positive probability {float(prob[k])}"
         )
 
     # Structural checks: edges advance exactly one grid step, children mass 1,
@@ -296,8 +299,8 @@ def build_tree(
         raise OrphanNode(
             f"node {labels[bad[0]]!r} does not sit one grid step after its parent"
         )
-    n_kids = np.bincount(parent[child], minlength=len(order))
-    mass = np.bincount(parent[child], weights=prob[child], minlength=len(order))
+    n_kids = np.bincount(parent[child], minlength=n)
+    mass = np.bincount(parent[child], weights=prob[child], minlength=n)
     bad_leaf = (n_kids == 0) & (date_idx != J)
     bad_mass = (n_kids > 0) & (np.abs(mass - 1.0) > _MASS_TOL)
     bad = np.flatnonzero(bad_leaf | bad_mass)
@@ -313,6 +316,25 @@ def build_tree(
         )
 
     return ScenarioTree(grid, parent, date_idx, prob, labels)
+
+
+def _date_indices(grid: DateGrid, dates: Sequence[DateLike]) -> np.ndarray:
+    """Grid index of each date. Each distinct date is parsed once, in
+    order of first appearance, so the first date that fails raises;
+    dates are told apart by type as well, because equal values of
+    different types (0.1 and its exact binary fraction) may name
+    different grid dates."""
+    keys = list(zip(map(type, dates), dates))
+    try:
+        parsed = dict.fromkeys(keys)
+    except TypeError:  # an unhashable date: parse in order up to it, where `in` raises
+        parsed = {}
+        for key in keys:
+            if key not in parsed:
+                parsed[key] = grid.index(key[1])
+    for key in parsed:
+        parsed[key] = grid.index(key[1])
+    return np.fromiter(map(parsed.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ class TradableSet:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         labels = self.tree.labels
+        bad = np.flatnonzero(~(np.isfinite(prices) & np.isfinite(inflows)).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite price or inflow at node {labels[bad[0]]!r}")
         bad = np.flatnonzero((prices < 0).any(axis=1) | (inflows < 0).any(axis=1))
         if bad.size:
             raise ValueError(f"negative price or inflow at node {labels[bad[0]]!r}")

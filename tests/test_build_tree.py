@@ -1,0 +1,342 @@
+"""Differential test of the level-by-level ``build_tree``.
+
+The oracle below is a frozen copy of the breadth-first ``build_tree``
+it replaced: one Python pass per node over dicts, with a per-node date
+memo. On random trees given in shuffled order, with dates written as
+strings, floats, integers and Fractions, the two must agree on the
+parent, date index, probability and label of every node; on trees
+broken in every way the builder checks, they must raise the same error
+class with the same message.
+"""
+
+import copy
+from fractions import Fraction
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
+import pytest
+
+from prodval.errors import (
+    LeafNotAtHorizon,
+    OrphanNode,
+    ProbabilityMass,
+)
+from prodval.lattice import DateGrid, ScenarioTree, build_tree
+
+_MASS_TOL = 1e-12
+
+
+# --- oracle: the breadth-first build, frozen ------------------------------------
+
+
+def _oracle_build_tree(grid: DateGrid, nodes: Sequence[Mapping]) -> ScenarioTree:
+    if not nodes:
+        raise OrphanNode("empty node list")
+
+    raw_by_id: Dict[object, Mapping] = {}
+    for spec in nodes:
+        nid = spec["id"]
+        if nid in raw_by_id:
+            raise OrphanNode(f"duplicate node id {nid!r}")
+        raw_by_id[nid] = spec
+
+    parsed: Dict[Tuple[type, object], int] = {}
+
+    def date_index(spec) -> int:
+        d = spec["date"]
+        key = (type(d), d)
+        j = parsed.get(key)
+        if j is None:
+            j = parsed[key] = grid.index(d)
+        return j
+
+    roots = [nid for nid, spec in raw_by_id.items() if spec.get("parent") is None]
+    if len(roots) != 1:
+        raise OrphanNode(f"expected exactly one root, found {len(roots)}")
+    root_id = roots[0]
+    if date_index(raw_by_id[root_id]) != 0:
+        raise OrphanNode("root must sit at date 0")
+
+    children_of: Dict[object, List[object]] = {nid: [] for nid in raw_by_id}
+    for nid, spec in raw_by_id.items():
+        par = spec.get("parent")
+        if par is None:
+            continue
+        if par not in raw_by_id:
+            raise OrphanNode(f"node {nid!r} references unknown parent {par!r}")
+        children_of[par].append(nid)
+
+    order: List[object] = []
+    frontier = [root_id]
+    visited = {root_id}
+    while frontier:
+        order.extend(frontier)
+        nxt = []
+        for nid in frontier:
+            for c in children_of[nid]:
+                if c in visited:
+                    raise OrphanNode(f"cycle detected at node {c!r}")
+                visited.add(c)
+                nxt.append(c)
+        frontier = nxt
+    if len(order) != len(raw_by_id):
+        raise OrphanNode("some nodes are unreachable from the root")
+    specs = [raw_by_id[nid] for nid in order]
+    date_idx = np.array([date_index(spec) for spec in specs], dtype=np.int64)
+    if (np.diff(date_idx) < 0).any():
+        by_date = np.argsort(date_idx, kind="stable")
+        order = [order[k] for k in by_date]
+        specs = [specs[k] for k in by_date]
+        date_idx = date_idx[by_date]
+
+    norm = {nid: k for k, nid in enumerate(order)}
+    parent = np.array(
+        [-1 if spec.get("parent") is None else norm[spec["parent"]] for spec in specs],
+        dtype=np.int64,
+    )
+    prob = np.array([float(spec.get("p", 1.0)) for spec in specs])
+    labels = tuple(str(nid) for nid in order)
+    bad = np.flatnonzero(prob <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        raise ProbabilityMass(
+            f"node {order[k]!r} has non-positive probability {float(prob[k])}"
+        )
+
+    J = len(grid.dates) - 1
+    child = np.flatnonzero(parent >= 0)
+    bad = child[date_idx[child] != date_idx[parent[child]] + 1]
+    if bad.size:
+        raise OrphanNode(
+            f"node {labels[bad[0]]!r} does not sit one grid step after its parent"
+        )
+    n_kids = np.bincount(parent[child], minlength=len(order))
+    mass = np.bincount(parent[child], weights=prob[child], minlength=len(order))
+    bad_leaf = (n_kids == 0) & (date_idx != J)
+    bad_mass = (n_kids > 0) & (np.abs(mass - 1.0) > _MASS_TOL)
+    bad = np.flatnonzero(bad_leaf | bad_mass)
+    if bad.size:
+        node = int(bad[0])
+        if bad_leaf[node]:
+            raise LeafNotAtHorizon(
+                f"leaf {labels[node]!r} sits at date {grid.dates[date_idx[node]]}, "
+                f"not at the horizon {grid.horizon}"
+            )
+        raise ProbabilityMass(
+            f"children of {labels[node]!r} have probability mass {float(mass[node])!r}"
+        )
+
+    return ScenarioTree(grid, parent, date_idx, prob, labels)
+
+
+# --- random trees -------------------------------------------------------------------
+
+
+def _random_grid(rng) -> DateGrid:
+    """1-3 years with 1-3 interior dates each, at quarters, fifths or
+    eighths, so that every date also has a short decimal form."""
+    years = int(rng.integers(1, 4))
+    dates = []
+    for i in range(years):
+        dates.append(Fraction(i))
+        den = int(rng.choice([4, 5, 8]))
+        picks = rng.choice(np.arange(1, den), size=int(rng.integers(1, 4)), replace=False)
+        dates += [Fraction(i) + Fraction(int(k), den) for k in sorted(picks)]
+    dates.append(Fraction(years))
+    return DateGrid(tuple(dates), years)
+
+
+def _date_text(rng, d: Fraction):
+    """One of the forms a config may give a date in."""
+    form = int(rng.integers(4))
+    if form == 0:
+        return str(d)
+    if form == 1:
+        return float(d)
+    if form == 2:
+        return d
+    return int(d) if d.denominator == 1 else str(float(d))
+
+
+def _random_nodes(rng, grid: DateGrid) -> List[dict]:
+    """A tree with 1-3 children per node, in shuffled order (the root not
+    necessarily first), with integer or string ids."""
+    int_ids = rng.uniform() < 0.3
+    nodes = []
+    frontier = [None]
+    for j, d in enumerate(grid.dates):
+        nxt = []
+        for par in frontier:
+            k = 1 if par is None else int(rng.integers(1, 4))
+            raw = rng.uniform(0.2, 1.0, size=k)
+            probs = (raw / raw.sum()).tolist()
+            for b in range(k):
+                nid = len(nodes) if int_ids else f"n{len(nodes)}"
+                spec = {"id": nid, "date": _date_text(rng, d), "parent": par}
+                if par is not None or rng.uniform() < 0.5:
+                    spec["p"] = 1.0 if par is None else probs[b]
+                nodes.append(spec)
+                nxt.append(nid)
+        frontier = nxt
+    order = rng.permutation(len(nodes))
+    return [nodes[k] for k in order]
+
+
+def _descendants(nodes, nid) -> List[object]:
+    kids = {}
+    for spec in nodes:
+        kids.setdefault(spec["parent"], []).append(spec["id"])
+    out, stack = [], [nid]
+    while stack:
+        m = stack.pop()
+        out.append(m)
+        stack += kids.get(m, [])
+    return out
+
+
+def _pick(rng, nodes, *, root=None):
+    """A random node spec; with ``root`` False, never the root (unless
+    every node is a root)."""
+    pool = [s for s in nodes if root is None or (s["parent"] is None) == root] or nodes
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _break(rng, grid, nodes, kind):
+    """Break the tree in place so that the builder must reject it."""
+    if kind == "duplicate_id":
+        _pick(rng, nodes, root=False)["id"] = _pick(rng, nodes)["id"]
+    elif kind == "two_roots":
+        _pick(rng, nodes, root=False)["parent"] = None
+    elif kind == "no_root":
+        _pick(rng, nodes, root=True)["parent"] = "ghost"
+    elif kind == "unknown_parent":
+        _pick(rng, nodes, root=False)["parent"] = "ghost"
+    elif kind == "cycle":
+        spec = _pick(rng, nodes, root=False)
+        below = _descendants(nodes, spec["id"])
+        spec["parent"] = below[int(rng.integers(len(below)))]
+    elif kind == "non_positive_p":
+        _pick(rng, nodes, root=False)["p"] = float(rng.choice([0.0, -0.25]))
+    elif kind == "skips_a_date":
+        spec = _pick(rng, nodes, root=False)
+        j = grid.index(spec["date"])
+        others = [d for k, d in enumerate(grid.dates) if k != j]
+        spec["date"] = _date_text(rng, others[int(rng.integers(len(others)))])
+    elif kind == "bad_mass":
+        spec = _pick(rng, nodes, root=False)
+        spec["p"] = spec["p"] * float(rng.choice([0.5, 1.5]))
+    elif kind == "leaf_before_horizon":
+        spec = _pick(rng, nodes)
+        if grid.index(spec["date"]) == len(grid.dates) - 1:
+            spec = next(s for s in nodes if s["id"] == spec["parent"])
+        doomed = set(_descendants(nodes, spec["id"])) - {spec["id"]}
+        nodes[:] = [s for s in nodes if s["id"] not in doomed]
+    elif kind == "date_not_in_grid":
+        _pick(rng, nodes)["date"] = "1/7"
+    elif kind == "root_not_at_zero":
+        root = _pick(rng, nodes, root=True)
+        root["date"] = _date_text(rng, grid.dates[1])
+    elif kind == "several":
+        for other in rng.choice(BREAKS[:-1], size=3):
+            try:
+                _break(rng, grid, nodes, other)
+            except Exception:
+                pass  # an earlier break left nothing for this one to break
+    else:
+        raise AssertionError(kind)
+
+
+BREAKS = (
+    "duplicate_id",
+    "two_roots",
+    "no_root",
+    "unknown_parent",
+    "cycle",
+    "non_positive_p",
+    "skips_a_date",
+    "bad_mass",
+    "leaf_before_horizon",
+    "date_not_in_grid",
+    "root_not_at_zero",
+    "several",
+)
+
+
+def _outcome(build, grid, nodes):
+    try:
+        tree = build(grid, copy.deepcopy(nodes))
+    except Exception as e:
+        return type(e), str(e)
+    return (
+        tree.parent.tolist(),
+        tree.date_idx.tolist(),
+        tree.prob.tolist(),
+        tree.labels,
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_matches_breadth_first_build(seed):
+    rng = np.random.default_rng(seed)
+    grid = _random_grid(rng)
+    nodes = _random_nodes(rng, grid)
+    got = _outcome(build_tree, grid, nodes)
+    assert not isinstance(got[0], type)
+    assert got == _outcome(_oracle_build_tree, grid, nodes)
+
+
+@pytest.mark.parametrize("kind", BREAKS)
+@pytest.mark.parametrize("seed", range(10))
+def test_same_error_as_breadth_first_build(kind, seed):
+    rng = np.random.default_rng([seed, BREAKS.index(kind)])
+    grid = _random_grid(rng)
+    nodes = _random_nodes(rng, grid)
+    _break(rng, grid, nodes, kind)
+    got = _outcome(build_tree, grid, nodes)
+    assert got == _outcome(_oracle_build_tree, grid, nodes)
+    if kind not in ("duplicate_id", "several"):
+        # A node may be given its own id; every other break is an error.
+        assert isinstance(got[0], type)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda nodes: nodes.clear(),
+        lambda nodes: nodes[2].update(id=["unhashable"]),
+        lambda nodes: nodes[2].update(parent=["unhashable"]),
+        lambda nodes: nodes[0].update(date=["unhashable"]),
+        lambda nodes: nodes[3].update(date=["unhashable"]),
+        lambda nodes: (nodes[1].update(parent="ghost"), nodes[3].update(parent=[1])),
+        lambda nodes: (nodes[1].update(date="1/7"), nodes[4].update(date=[1])),
+        lambda nodes: nodes[3].pop("date"),
+        lambda nodes: nodes[3].pop("id"),
+        lambda nodes: nodes[3].update(p="x"),
+        lambda nodes: nodes[3].update(p=None),
+        lambda nodes: nodes[3].update(date="x"),
+    ],
+)
+def test_malformed_specs_raise_as_before(edit):
+    grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+    nodes = [
+        {"id": "r", "date": 0, "parent": None, "p": 1.0},
+        {"id": "a", "date": "1/2", "parent": "r", "p": 0.5},
+        {"id": "b", "date": 0.5, "parent": "r", "p": 0.5},
+        {"id": "a1", "date": "1", "parent": "a", "p": 1.0},
+        {"id": "b1", "date": 1, "parent": "b", "p": 1.0},
+    ]
+    edit(nodes)
+    got = _outcome(build_tree, grid, nodes)
+    assert isinstance(got[0], type)
+    assert got == _outcome(_oracle_build_tree, grid, nodes)
+
+
+def test_a_cycle_off_the_root_is_unreachable():
+    grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+    nodes = [
+        {"id": "r", "date": 0, "parent": None},
+        {"id": "a", "date": "1/2", "parent": "b", "p": 1.0},
+        {"id": "b", "date": "1", "parent": "a", "p": 1.0},
+    ]
+    with pytest.raises(OrphanNode, match="^some nodes are unreachable from the root$"):
+        build_tree(grid, nodes)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from prodval import cli
 from prodval.cli import main, run
 from prodval.config import load_config, problem_from_dict, problem_to_dict
 from prodval.errors import CrossRefError, ParseError, SchemaViolation
+from prodval.market import TradableSet
 
 from util import generated_config
 
@@ -199,6 +203,96 @@ def test_market_errors_name_the_config_label(edit, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: invalid config: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file or directory"), (b"\xff\xfe{}", "is not UTF-8")],
+    ids=["missing", "not_utf8"],
+)
+def test_unreadable_config_is_one_error_line(content, reason, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_bytes(content)
+    code = main(["value", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(config)) in err and reason in err
+    with pytest.raises(ParseError):
+        load_config(str(config))
+
+
+def _explicit(assignments, initial=None):
+    strategy = {"assignments": assignments}
+    if initial is not None:
+        strategy["initial"] = initial
+    return {"mode": "B", "family": {"type": "explicit", "strategy": strategy}}
+
+
+@pytest.mark.parametrize(
+    "section, edit, message",
+    [
+        (
+            "prices",
+            lambda doc: _set(doc, "prices", "mid", math.nan),
+            "market.tradables[0].prices has non-finite value nan at node 'mid'",
+        ),
+        (
+            "inflows",
+            lambda doc: _set(doc, "inflows", "hi", math.inf),
+            "market.tradables[0].inflows has non-finite value inf at node 'hi'",
+        ),
+        (
+            "liability.outflows",
+            lambda doc: doc["liability"]["outflows"].update(lo=-math.inf),
+            "liability.outflows has non-finite value -inf at node 'lo'",
+        ),
+        (
+            "liability.inflows",
+            lambda doc: doc["liability"].update(inflows={"hi": math.nan}),
+            "liability.inflows has non-finite value nan at node 'hi'",
+        ),
+        (
+            "liability.terminal",
+            lambda doc: doc["liability"].update(terminal={"lo": 1.0, "hi": math.inf}),
+            "liability.terminal has non-finite value inf at node 'hi'",
+        ),
+        (
+            "illiquid.inflows",
+            lambda doc: doc.update(illiquid={"inflows": {"lo": math.nan}}),
+            "illiquid.inflows has non-finite value nan at node 'lo'",
+        ),
+        (
+            "strategy.assignments",
+            lambda doc: doc.update(engine=_explicit({"root": [1.0], "mid": [math.nan]})),
+            "engine.family.strategy.assignments has non-finite units at node 'mid'",
+        ),
+        (
+            "strategy.initial",
+            lambda doc: doc.update(engine=_explicit({}, {"root": [-math.inf]})),
+            "engine.family.strategy.initial has non-finite units at node 'root'",
+        ),
+    ],
+)
+def test_non_finite_inputs_name_section_and_node(section, edit, message, tmp_path, capsys):
+    doc = two_point_doc()
+    edit(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))  # NaN and Infinity literals, as json.loads reads them
+    code = main(["value", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        problem_from_dict(doc)
+
+
+def test_market_rejects_non_finite_prices():
+    problem = load_config(str(CONFIGS / "two_point.json"))
+    prices = problem.market.prices.copy()
+    prices[1, 0] = math.nan
+    with pytest.raises(ValueError, match="^non-finite price or inflow at node 'mid'$"):
+        TradableSet(problem.tree, prices, problem.market.inflows, problem.market.bond_periods)
+
+
 PLAIN_TYPES = (bool, int, float, str, type(None))
 
 
@@ -258,19 +352,27 @@ class TestPlainReportValues:
         assert list(non_plain_values(problem_to_dict(problem))) == []
 
     @pytest.mark.parametrize("subcommand", ["value", "solvency", "check", "adjust"])
-    def test_round_trip_reproduces_reports(self, subcommand):
+    def test_round_trip_reproduces_reports(self, subcommand, tmp_path):
         overrides = {"restriction": {"indices": [0, 2, 3]}}
         if subcommand == "adjust":
             overrides["fulfillment"] = {"type": "var", "alpha": 0.2}
         problem = generated_problem(**overrides)
-        doc = json.loads(json.dumps(problem_to_dict(problem)))
-        reloaded = problem_from_dict(doc)
+        blob = json.dumps(problem_to_dict(problem), indent=1).encode()
+        config = tmp_path / "config.json"
+        config.write_bytes(blob)
+        reloaded = load_config(str(config))
         before = run(problem, subcommand).files
         after = run(reloaded, subcommand).files
-        # metadata.json hashes the config document, which the round trip
-        # normalizes; every report proper must be identical.
-        del before["metadata.json"], after["metadata.json"]
+        # A loaded config's metadata.json carries the sha256 of the file's
+        # bytes; every report proper must be identical.
+        meta = json.loads(after.pop("metadata.json"))
+        assert meta["config_sha256"] == hashlib.sha256(blob).hexdigest()
+        assert json.loads(before.pop("metadata.json")) == dict(
+            meta, config_sha256=problem.config_sha256
+        )
         assert before and before == after
-        # A second round trip is a fixed point, metadata included.
+        # In memory the digest is that of the canonical problem_to_dict
+        # dump, which the round trip keeps: every file is identical.
         again = problem_from_dict(json.loads(json.dumps(problem_to_dict(reloaded))))
-        assert run(again, subcommand).files == run(reloaded, subcommand).files
+        assert again.config_sha256 == problem.config_sha256
+        assert run(again, subcommand).files == run(problem, subcommand).files

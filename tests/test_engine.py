@@ -404,12 +404,13 @@ class TestBalanceSheet:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 3.0})
+        outflow = np.zeros(tree.n_nodes)
+        outflow[leaves[0]] = 3.0
         row = balance_sheet(
             leaves[0],
-            liab,
+            outflow,
+            np.zeros(tree.n_nodes),
             Strategy.zero(tree, market.n_assets),
-            IlliquidPortfolio.none(),
             0.0,
             market,
         )
@@ -422,12 +423,13 @@ class TestBalanceSheet:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaf = tree.by_date[2][0]
-        liab = LiabilitySpec(outflows={leaf: 10.0})
+        outflow = np.zeros(tree.n_nodes)
+        outflow[leaf] = 10.0
         row = balance_sheet(
             leaf,
-            liab,
+            outflow,
+            np.zeros(tree.n_nodes),
             Strategy.zero(tree, market.n_assets),
-            IlliquidPortfolio.none(),
             -94.34,
             market,
             mode="A",
@@ -440,12 +442,13 @@ class TestBalanceSheet:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaf = tree.by_date[2][0]
-        liab = LiabilitySpec(outflows={leaf: 10.0})
+        outflow = np.zeros(tree.n_nodes)
+        outflow[leaf] = 10.0
         row = balance_sheet(
             leaf,
-            liab,
+            outflow,
+            np.zeros(tree.n_nodes),
             Strategy.zero(tree, market.n_assets),
-            IlliquidPortfolio.none(),
             90.0,
             market,
         )
@@ -465,7 +468,8 @@ class TestBalanceSheet:
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_rows_for_a_date_match_the_per_node_formulas(self, mode):
         """The array form equals the per-node arithmetic bit for bit, on a
-        signed strategy holding every asset."""
+        signed strategy holding every asset, with liability, illiquid and
+        extra inflows."""
         rng = np.random.default_rng(61)
         tree = random_tree(rng, years=2, interior_per_year=2)
         market, _ = state_price_market(rng, tree, n_risky=3)
@@ -486,7 +490,10 @@ class TestBalanceSheet:
         psi = IlliquidPortfolio(flows())
         cost = rng.uniform(-20.0, 20.0, size=len(nodes)).tolist()
         extra = rng.uniform(0.0, 1.0, size=len(nodes)).tolist()
-        rows = balance_sheet(nodes, liab, strategy, psi, cost, market, mode, extra)
+        outflow = np.array([liab.x(m) for m in range(tree.n_nodes)])
+        inflow = np.array([liab.z(m) + psi.z(m) for m in range(tree.n_nodes)])
+        inflow[list(nodes)] += extra
+        rows = balance_sheet(nodes, outflow, inflow, strategy, cost, market, mode)
         assert [r.node for r in rows] == list(nodes)
         for row, m, c, e in zip(rows, nodes, cost, extra):
             tradables = float(strategy.held_into(m) @ market.payoff(m))
@@ -501,7 +508,7 @@ class TestBalanceSheet:
                 max(0.0, assets - liabilities),
                 classify_failure(assets, liabilities, resources, liab.x(m)),
             )
-            assert row == balance_sheet(m, liab, strategy, psi, c, market, mode, e)
+            assert row == balance_sheet(m, outflow, inflow, strategy, c, market, mode)
         assert {r.failure for r in rows} == {"none", "default", "cannot_continue"}
 
 

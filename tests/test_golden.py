@@ -26,7 +26,7 @@ GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "5b0fed53418a4865b0fce23cb6d5d56d4c28974945c9fe4e37858532f01706b1",
+            "metadata.json": "2a0faaa76f1babd1e97b27db6fb7e1c8d512849ce297705d7f1e809eb8eefb92",
             "production.csv": "07fa895064c0756a96667cabe144cb73b921c8abfb657e338b7c49606ac11c0b",
         },
     ),
@@ -40,7 +40,7 @@ GOLDEN = {
         "",
         {
             "check.json": "95d162961d875c42d460a67cdb205c903952c744e4b6922ed112d1b815a5a4e3",
-            "metadata.json": "f4eb84f606f33a39ef134512edcf7477c02d80978da8dde21859011620db64d4",
+            "metadata.json": "5eafc8b8566016365c7bead781295c0ba08bbc0cfcdc8ec25cfae3314237211d",
         },
     ),
     ("inconsistent_market", "adjust"): (
@@ -52,7 +52,7 @@ GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "f342098b267a6e4db00b5596b664d988f640267aeb4207c2f3766c0c643ce5bc",
+            "metadata.json": "492146e34b2c959407c0bcd32b6e7ff98258411e414308fe4ac5d5ce4987ab3e",
             "production.csv": "2d401e565ad614c225fbb63d605cc5fae251ec8d0960460eebfac656e196ca13",
         },
     ),
@@ -60,7 +60,7 @@ GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "5152cfa15bd29f3f91c7b52d89384c9d943fdac588ea1daed80774cf5fbf6b38",
+            "metadata.json": "dbc13872850b1f0ecafb4c4b3c9d8a1770622cdc74f2480e2eb5a4ac3812c481",
             "solvency.csv": "a425f7388b816f5389b0e09a5a77d82afe422fa6bd90c6402d799e46578dd763",
             "solvency.json": "59123999e4712729d946e548e8cf6a36dc392995af54d65d7140b283f0a0603b",
         },
@@ -70,7 +70,7 @@ GOLDEN = {
         "",
         {
             "check.json": "bbeac0024d4245b7bcadaf521b71072538c90501c92bb3c830327ae5be3fd72f",
-            "metadata.json": "7d151c5068e75100ec10688c1bb63fd8267785b2b7d49273c12bbebba53beccf",
+            "metadata.json": "41a26cbf3794b163e2246d995f77ac4787d55495251f88d491484794643511e3",
         },
     ),
     ("two_point", "adjust"): (
@@ -79,7 +79,7 @@ GOLDEN = {
         {
             "adjust.csv": "7477b1cd50da3e233abe16bbdb17891384bd5a5815d9198094634edd034ec2b8",
             "adjust.json": "c0878c4366b72cbc6f92cd6272c3f25bcd7873a3db35e37bc438a170c6789301",
-            "metadata.json": "1ea638dc0701c75a62413c03ad6c877487f8c2cb4911f358ab5671cf11c1c9e8",
+            "metadata.json": "e5f891b88287f4f590d238df73ac5c17e15301175f4e7686b6905219ea5f6fbb",
         },
     ),
 }
@@ -236,7 +236,7 @@ GENERATED_GOLDEN = {
         {
             "adjust.csv": "8c8a00bad80f43ce86609a16c517985f2bd3828cb9246059d88e4dca2acb1e97",
             "adjust.json": "5b2ef14e130c5a96292ec0a2384f89774c5ce9ac40960553acf658df9a143310",
-            "metadata.json": "03e43ac38166b65eaf4f7927e7f0f5f82e9af038d0c1c341816a368b7dd41413",
+            "metadata.json": "b3eb0584573740174242fc7e57dec0d1f2295940cb6088384b85736bf68fbcc8",
         },
     ),
     ("tree217", "check_restricted"): (
@@ -244,14 +244,14 @@ GENERATED_GOLDEN = {
         "",
         {
             "check.json": "39445c2af60fd84e3ceb69ab3b361151b8fa8674c02b8e5ad91f2314cab304f4",
-            "metadata.json": "60ff6caf61b821b64a1647165907d9700cf9714544659bb8b77b82d44e230223",
+            "metadata.json": "a567df09f4b2efd656f5e25e15d2a835bf270f0bc836bc1ff481564398e6a6de",
         },
     ),
     ("tree217", "solvency_stage3"): (
         0,
         "",
         {
-            "metadata.json": "35356b8b1a2de12636c6191f5429eabd7219eb5652490dc39a732abf53fa01aa",
+            "metadata.json": "17e3d9b0b0dd983fa6f193226b9affd3998cbf11696d0a447ffd71c29759d3a2",
             "solvency.csv": "46829962346fedb69e73901d3c31f3f3c0ecd07c5348a6970416a8b5b6a2b8e8",
             "solvency.json": "4e6b647c1ddf69e151d42126158562f9bd79f06fc730155c2eac56e1ce369b72",
         },
@@ -260,7 +260,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "d8afdc9645924c6c3ea26a1c5200b6433eb1bf8d2be5acf592d201f510c88498",
+            "metadata.json": "50511dc7c3d9b500658a9e37c9c8a46736c023392e696df9a8e8b0944d6cc439",
             "production.csv": "198e0143adeba1f25835c89bafc1ddc05f3b82845a0f8076386487fd1aadb01c",
         },
     ),
@@ -268,7 +268,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "929ff747dd66860388a82d103c7d72e0ff2253be636a5834a0dd908fb958db24",
+            "metadata.json": "48d65ddc7373488b9d3b80e74383e9cfae351598258b94ffef79bca9f42bb270",
             "production.csv": "b65cffea67f4ac8d9bee7e0dd21baf53652b68305adbea167f5459ca80e11a80",
         },
     ),
@@ -276,7 +276,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "c5d5faab399ad54b3f3196f4ba52befc6c22641d022197cc25614c239edd7268",
+            "metadata.json": "ce1c9c03905e75b80a9acc6406d9c9afc40cca16071766cb2fe52b9ce41bc5ed",
             "production.csv": "26aca08217bd030ab3bd20af02c59c0ee929feb15a2d830ff60a84b3566d2485",
         },
     ),
@@ -284,7 +284,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "de5bf7902a223b4013f2c0b82d148e1bbc96f9fa931d76dd878a88e8fc73cf59",
+            "metadata.json": "93071d55ee10a309ee3b361ad8e8262f71509ed01c4ecb2aad859779ec6d63e2",
             "production.csv": "6c25b6185dc7f0ba653ba5d398c4064d5e52d2e0aaf354c14cbcfc2b6dc15ac7",
         },
     ),
@@ -292,7 +292,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "a5af5426bd33d69b43b9a0511183c4f736bebf0606d5e7cfd4ce274823067115",
+            "metadata.json": "7a0678e351f9ea1e9b9b421d5eb30b7eace77dc2e7d071d12602053a24c2f6de",
             "production.csv": "da4516df2eefdde1dffbd13e6708a16e2d5d1c8056eee55f45a03eeee80bc6a4",
         },
     ),
@@ -300,7 +300,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "c80d55ddb75800899fd623a2bda8f3ccf56068f7220940d1ac41a8628f8b30cc",
+            "metadata.json": "df1006515dc0349222d1b7e2574b34b956b349eab2c15f72e14aee7c2fb1c99a",
             "production.csv": "26aca08217bd030ab3bd20af02c59c0ee929feb15a2d830ff60a84b3566d2485",
         },
     ),
@@ -308,7 +308,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "8e613de9c0cf4d556be8373e1a5ab95507dd6c390b02f10e8cda41d998f09f73",
+            "metadata.json": "734386d8a0b094713660d667fae3dee6d84fba99ccefc749e9abe29b1b415107",
             "production.csv": "1c9f6d3f1b37b6fac32f24850fb861867fb3067a0855eb71950d119c8c7c7295",
         },
     ),
@@ -316,7 +316,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "110415e9bf494610e51e7d38f0126253d52d150b5e6de149f8215a77cce2ed52",
+            "metadata.json": "e281870eb1086d9e7042ec33ce7795f5ec51041d37b869c270cef80ef4c042f6",
             "production.csv": "c4428b807ec9032b38a9a6c4b5cb4356ed829f9d2f1c4ae812c4ce158193e997",
         },
     ),
@@ -324,7 +324,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "2dc0f837ec001fd678d405fd3322067d2c1ab55fb13a02e6d6ff05e202497d5f",
+            "metadata.json": "3979c2086ca8986c37b7739937a390ccadfd59902e4c17ddfa7cf7e7df778f00",
             "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
         },
     ),
@@ -332,7 +332,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "3b87d90be938ed647fe1a7e4773fa6357ea14efd2d6e7d189a4168578b31a624",
+            "metadata.json": "3af74f88e27d06b6b9ed708054e736aa55de1218a1e2ff84fcfaa01205579d3a",
             "production.csv": "1514a10e284b17a5cb724232351f38547b10e159e60d6286c62ee05cdcd2ef27",
         },
     ),
@@ -340,7 +340,7 @@ GENERATED_GOLDEN = {
         2,
         "",
         {
-            "metadata.json": "b04857ab02197a43be5a16a55f42d8f8e18e907cce129ed6698963d0308f953c",
+            "metadata.json": "9a3fa4c0ce368a03b9062302002251540dbc8962497ecd6adb7359c22021ec0a",
             "production.csv": "491a9d3efd22ac59371db6f02ef0bbaff8d564e59f1fa42ee54d461e094cbbe5",
         },
     ),
@@ -348,7 +348,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "0947cfa30f003844da266d713b2a5b327b7b3d1fe9e29f1bdbee90bbce376407",
+            "metadata.json": "6f729235e38c33af7c8e5b7f46dba4d54782e85b538ec4a8e51536e412b8f268",
             "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
         },
     ),
@@ -356,7 +356,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "250f1b240d0bd106198a1561498afdb810e01c1cd2de8b1a7dc70175d49791de",
+            "metadata.json": "123d5fc2cc5dd461e21c8c7c5e52b21ca07fee5c4862a0dcc1336bbeb854cf87",
             "production.csv": "65fee6c79e1757e94579248c6d70ce08e68fd28b711de36ada1a0ae5034d44fd",
         },
     ),
@@ -364,7 +364,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "2d9e36756f59af007ffbba19cf2b4395ce9aa588d15a7540392c9728011da0e6",
+            "metadata.json": "8138abc850b9fe2a7e5294f48fa1083d4192123e21dc771c8cdf230b0ecd3924",
             "production.csv": "db870d97fb9771b02c7914be55ce2cca1a96314914cd2ef187795e1e26e391aa",
         },
     ),
@@ -372,7 +372,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "a22b53a950b97ac49f8782a6e2f6bf75a762aeabcd7bb478a140b39f57f687c4",
+            "metadata.json": "ffe15119167671fa56aaf77fe931553bd334b5000b43c06a1b46ac5f2c6e9f1d",
             "production.csv": "39ffaac7d184d2c97a53a1175da0954875194844677b20a96edd8d66156892ae",
         },
     ),
@@ -380,7 +380,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "03ca3a4c9b2c664a08d022e36c2b0e29381f61e7d751834dc594f2ab091b1715",
+            "metadata.json": "4e3bc8986126b04481d41fe7ce83bc281f00c70285e70c3aca28335686037703",
             "production.csv": "cb5e3254903cf7d77c8235cb43831e956807e1f72f3dca0e96a5735c82f91490",
         },
     ),
@@ -390,7 +390,7 @@ GENERATED_GOLDEN = {
         {
             "adjust.csv": "77dfd8091a691b12a3067bf68e990b7e657f9e4468633405ee9a9154294414bb",
             "adjust.json": "58f2624e8980a9be0d32cd5bb6f8b99b5ae3726693b34e93cf4dfddf2c07f404",
-            "metadata.json": "9acf443fe08e20740e0ae01cedb25b9852d3334bcf0fa056b02dedfd74f81da6",
+            "metadata.json": "d9030ac6497a4922d44623cadb60acc5a95ff00ddedfe012705c2128e4b35ae4",
         },
     ),
     ("tree274", "check_restricted"): (
@@ -398,14 +398,14 @@ GENERATED_GOLDEN = {
         "",
         {
             "check.json": "5ad4598d8c67e334891b501603f94d5ed659434aac1a23203aef3a74bb70c566",
-            "metadata.json": "0299dd0dfee9f14ea60829fdbaa581700ba5cbff0378eaf305d8ecc8520fb5e9",
+            "metadata.json": "36ed4c68225483dcffedeb4040f5cde168c29cc1c22b164d7f10f3126ada3252",
         },
     ),
     ("tree274", "solvency_stage3"): (
         0,
         "",
         {
-            "metadata.json": "29f8626fabd0edac7be9070889d22db20a583c274e62b29569a7ec5c81b6f2fc",
+            "metadata.json": "2095457f1c19e654b86e8facfd81636ca57cd4241204ede76af8628e5c327aaa",
             "solvency.csv": "98230590d0a3f00059d038864e1653f873743014a1a1054388ee3c91c3ff41e2",
             "solvency.json": "b6bff663307638cff2cae54c749b0aa950274ec1a69fd54029390121334b1645",
         },
@@ -414,7 +414,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "bcab83fa41a57c525cd1f224e617142d234fffafd1ac315161f348ea5d3cd664",
+            "metadata.json": "d04961fd7c0ef1a869d91083e61133db825ccc121cc81c6ae0fbe9feeee86af3",
             "production.csv": "27326bfecceea86a565418ea45a637e54a82b1553ca9809edf92d98d0367a6d1",
         },
     ),
@@ -422,7 +422,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "2dfc049cf16a3a60f7658f9bad4c23cc7e6cdab933fed0c8de63e21ad0fe662c",
+            "metadata.json": "11ca56808bcbbf8fb9f5d1b49c62288318b26801693716512f2deeaf2488de9e",
             "production.csv": "b74c71b856736cc04a1155ba41f00df77bf8e600c0640370f4b7829d91e2ad85",
         },
     ),
@@ -430,7 +430,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "6b3dcbd974e307692c8603c3fd68a989cca56371e75fee555b08cf5aa2501a0b",
+            "metadata.json": "15d289fea4dcdc915ae607f7df07891f884cd65450d627fe3883656676683f24",
             "production.csv": "da5479b9588cb8050b3137b6b85cdd6af61cc86f11c7adf3656ae74ba00c05b9",
         },
     ),
@@ -438,7 +438,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "743ff474a87dff0606cce6d00b5fa8cb3caf27252287b6bf2aab821054a9af82",
+            "metadata.json": "edbd4290706a37fa92225fdb7c13307633fa7dc5580ea472a6628284fac7a82d",
             "production.csv": "3363b56cb789c6ff2da8b35242664eb5b84131d0a98dc943b8d5479b875f11d7",
         },
     ),
@@ -446,7 +446,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "491959d9f6f211a5f43f6fa237aa80e56fbf2c39078cf3713dc9ec7504240953",
+            "metadata.json": "52ba00367f1aa8c86017b19a3342b535540b23bfac066924c676b64fd3076153",
             "production.csv": "c483f19c2beba79eb6bd40bd2f90bef61a141079d1f6877c3d4bef1bf71316f2",
         },
     ),
@@ -454,7 +454,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "cbc19124e01c8fc0e63f7128f010c796d7cbc692e61e6e3d4093a02ea27a2bff",
+            "metadata.json": "63831a5b32f871b10f541285684ef46ff414bb98455712fe06057022e0852d9f",
             "production.csv": "da5479b9588cb8050b3137b6b85cdd6af61cc86f11c7adf3656ae74ba00c05b9",
         },
     ),
@@ -462,7 +462,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "0db2a5f44ef51bfec4d0eaf8ee1d8fbcd14160caa750fb302edf6a5ebbde072e",
+            "metadata.json": "05eed4b9a2f4b9de97e757545e8c59a55fea33c3d877df6f1e905cc5be3396f0",
             "production.csv": "6dc7353f36937adaeb31951e69ac68a1b3b66124f169f4468ec248b22b6c9b3a",
         },
     ),
@@ -470,7 +470,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "3a4e2cfb57863bdd0b01c651c594176923beaf3f5a6a611284ef1bf814913c2a",
+            "metadata.json": "83dc58bc10c352fad14a761c00023581c498c89285ec1a09aa3f897aeb712f29",
             "production.csv": "1e6a0900ec22ad1f3c1a422e79d61ed2159dbd082f22edeb64a50c8585489284",
         },
     ),
@@ -478,7 +478,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "1b065f97b1700255e19ba4a1d5c1c8e7fd488f64c6c5180e1525fcdb9afa32c4",
+            "metadata.json": "3c2a2238e9d75652f93d93059cf6ba64376e71a26eea14430a25954b135b034e",
             "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
         },
     ),
@@ -486,7 +486,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "9e74ef3c3e307d62f1aa1aa4ae659716210db9804a9753d7b0c992520b63820b",
+            "metadata.json": "d3e68359f184602686feafb909cbafb5c8b6c1cc7d0fa8292357dcb1fd4b7be6",
             "production.csv": "ed8897e1079a0d62e4fd04f28ab30151422cbcb09cd8eb58b3629c774acd4476",
         },
     ),
@@ -494,7 +494,7 @@ GENERATED_GOLDEN = {
         2,
         "",
         {
-            "metadata.json": "bc96906df053e39551c4d8327b3d636512d2776ac7f566c08fc9858da29bfb69",
+            "metadata.json": "09bcde09238a063f894a77249e564eee8259b881011d37e92f81363e3363135f",
             "production.csv": "694dc9a4054cb6088f385e50fb75a4d805b1a2516e4cd27f5c97c54d68fe0156",
         },
     ),
@@ -502,7 +502,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "e973c7471481a0a56defd0c70da23359f10db9ee20d9562eb2244fd5125ad1ee",
+            "metadata.json": "0b7807f701e31cfce3ebe3662605ea466a401d32c715300a559a0ed77c4b7822",
             "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
         },
     ),
@@ -510,7 +510,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "972d9b4f7f03fa7c28336f825424ed7e7e0dcf1dc12addb0b8bb31accb219512",
+            "metadata.json": "c2c54bc72fc6657932d13fcb15f9ef091a6526ddfc9343232cbea63704c99bc1",
             "production.csv": "ba22c208f48e334d0441950547771272ee7ca0657a1743b9eafd8d630f4729f7",
         },
     ),
@@ -518,7 +518,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "e6d39cd8645c10a147370af89f69c6bd9f374751cc353d7e64fddf63c4e6395f",
+            "metadata.json": "42b8c2c4f5d34fdc436ca370f31077ca19c65f2bda0e13049cf49be922af335b",
             "production.csv": "53de94021e87147e2dd2667d68f763ce287d18e3b243efac77e176e063f89bf8",
         },
     ),
@@ -526,7 +526,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "1f624902087a807066c2510354f6be4181691c2c56abd880170300cbddc43f78",
+            "metadata.json": "f0ae23867960a19583deea89d78875d22e9aef1d0263d48c23106be70c9434dc",
             "production.csv": "8a307f406ec4deda79a6baae7729a4ccb7a8a3c37cee16b25ed5452ec2addd9d",
         },
     ),
@@ -534,7 +534,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "metadata.json": "fe536f9e7978fabcddffd6210e27f07a0bd92952a486d696c3de7b7cd9719f05",
+            "metadata.json": "1ccd586d75fe598f4663ada08f8b2b6a908aa7eb5e4618cffebb0061dd7bee3a",
             "production.csv": "44c53afbee8e35ccd91fdd1f608ca65d9ec41718bae0f005607aaeab8d969a95",
         },
     ),

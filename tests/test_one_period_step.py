@@ -388,8 +388,8 @@ COMMON = dict(
     depth=st.integers(1, 3),
     zero_price=st.sampled_from([None, None, 0, 1]),
     # Flows stay small: once a scale's float spacing exceeds the
-    # bisection tolerance (above about 2**19 at 1e-10) the bisection
-    # never ends, in the oracle as in the batched step.
+    # bisection tolerance (above about 2**19 at 1e-10) the oracle's
+    # bisection never ends; the batched step's stops there.
     magnitude=st.sampled_from([1.0, 1.0, 100.0]),
     **COMMON,
 )
@@ -442,3 +442,19 @@ def test_full_fulfillment_reads_only_the_nodes_own_atoms():
         assert cost.values[a1] == INF and cost.values[a] == INF
         assert math.isfinite(cost.values[b])
         assert b not in cost.infeasible_nodes
+
+
+def test_bisection_ends_when_the_bracket_spans_adjacent_floats():
+    """At a scale above 2**19 the float spacing exceeds the default
+    bisection tolerance, so the bracket stops shrinking before it is
+    that narrow; the search must still end, at a feasible scale."""
+    tree, market, liab, psi = make_problem(1, (1, 1), None, False, 1e4, max_branch=2)
+    config = EngineConfig(family=StrategyFamily.fixed_mix((0,)))
+    cost = backward_value(
+        liab, psi, config, FulfillmentSpec.var(0.2), FinanciabilitySpec.cost_of_capital(0.06),
+        market, tree, flat_rates(tree, 0.02),
+    )
+    kind, _, scale = cost.params[tree.root]
+    assert kind == "fixed_mix"
+    assert 2.0**19 < scale < INF
+    assert cost.feasible
