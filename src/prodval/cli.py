@@ -340,29 +340,16 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     buf.write("node,date,xi,lambda,adjusted_inflow,adjusted_outflow\n")
     rows_json = []
     for i in range(tree.grid.horizon + 1):
+        date = str(i)
         for node in tree.nodes_at(i):
-            xi = result.xi.get(node)
-            lam = result.lam.get(node)
+            label, xi, lam = tree.labels[node], result.xi[node], result.lam[node]
+            inflow = result.adjusted_inflows.get(node, 0.0)
+            outflow = result.adjusted_outflows.get(node, 0.0)
             buf.write(
-                ",".join(
-                    [
-                        tree.labels[node],
-                        str(tree.date_of(node)),
-                        _fmt(xi),
-                        _fmt(lam),
-                        _fmt(result.adjusted_inflows.get(node, 0.0)),
-                        _fmt(result.adjusted_outflows.get(node, 0.0)),
-                    ]
-                )
-                + "\n"
+                f"{label},{date},{_fmt(xi)},{_fmt(lam)},{_fmt(inflow)},{_fmt(outflow)}\n"
             )
             rows_json.append(
-                {
-                    "node": tree.labels[node],
-                    "date": str(tree.date_of(node)),
-                    "xi": _round(xi) if xi is not None else None,
-                    "lambda": _round(lam) if lam is not None else None,
-                }
+                {"node": label, "date": date, "xi": _round(xi), "lambda": _round(lam)}
             )
     doc = {
         "rows": rows_json,

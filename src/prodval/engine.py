@@ -52,14 +52,14 @@ from .errors import (
     SpanMismatch,
     ValidationFailed,
 )
-from .lattice import ScenarioTree, conditional_distribution
+from .lattice import ScenarioTree
 from .market import RestrictionSet, TradableSet
 from .risk import DiscreteDistribution, DistributionRows
 from .strategy import (
     CashflowProcess,
     Strategy,
     accumulate_within_years,
-    conversion_residual,
+    row_dots,
     short_position_cashflows,
     stopped,
     strategy_value,
@@ -210,23 +210,6 @@ class ProductionCostProcess:
 # --- balance sheet and failure -------------------------------------------------
 
 
-def liability_flows(
-    liab: LiabilitySpec,
-    psi: IlliquidPortfolio,
-    extra_inflows: Optional[Mapping[int, float]] = None,
-) -> CashflowProcess:
-    """Company-level flows for the conversion equation: liability and
-    illiquid inflows in, contractual outflows out."""
-    inflow: Dict[int, float] = {}
-    for n, v in liab.inflows.items():
-        inflow[n] = inflow.get(n, 0.0) + v
-    for n, v in psi.inflows.items():
-        inflow[n] = inflow.get(n, 0.0) + v
-    for n, v in (extra_inflows or {}).items():
-        inflow[n] = inflow.get(n, 0.0) + v
-    return CashflowProcess(inflow, dict(liab.outflows))
-
-
 def balance_sheet(
     node: Union[int, Sequence[int]],
     outflow: np.ndarray,
@@ -251,7 +234,7 @@ def balance_sheet(
     scalar or a sequence of the same length.
     """
     ids = np.atleast_1d(node)
-    tradables = _row_dots(strategy.held_into(ids), market.payoffs[ids])
+    tradables = row_dots(strategy.held_into(ids), market.payoffs[ids])
     inflows = inflow[ids]
     outflow = outflow[ids]
     cost = np.asarray(cost, dtype=float)
@@ -268,16 +251,6 @@ def balance_sheet(
         )
     )
     return rows[0] if np.ndim(node) == 0 else rows
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``.
-
-    Stacked matmul computes each through the same BLAS dot as
-    ``a[i] @ b[i]``, so the results match per-node dot products bit for
-    bit, which a multiply-and-sum does not.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _positive_part(x: np.ndarray) -> np.ndarray:
@@ -426,7 +399,7 @@ def _roll(year: _Year, portfolio, scale: np.ndarray):
     pots, held = [scale], []
     for d, payoff in enumerate(year.payoff):
         held.append(portfolio(d, pots[-1]))
-        res = _row_dots(held[-1][year.up[d + 1]], payoff)
+        res = row_dots(held[-1][year.up[d + 1]], payoff)
         if d + 1 == len(year.payoff):
             return pots, held, res
         pots.append(res + year.net[d + 1])
@@ -531,7 +504,7 @@ def _explicit_step(year: _Year, base: Strategy, roots, bond, market, fulfillment
     n = len(roots)
     steps = len(year.payoff)
     pots, held, end = _roll(year, lambda d, _: base.assignment[year.nodes[d]], np.zeros(n))
-    values = [_row_dots(x, price) for x, price in zip(held, year.price)]
+    values = [row_dots(x, price) for x, price in zip(held, year.price)]
     # Per row the first layer whose value or funding check fails.
     first_bad = np.full(n, steps)
     for d, (rows, value) in enumerate(zip(year.rows, values)):
@@ -822,7 +795,8 @@ def backward_value(
 def _node_array(flows: Mapping[int, float], n_nodes: int) -> np.ndarray:
     """Per-node values of a node -> value mapping, zero where absent."""
     out = np.zeros(n_nodes)
-    out[list(flows)] = [float(v) for v in flows.values()]
+    n = len(flows)
+    out[np.fromiter(flows, np.int64, n)] = np.fromiter(flows.values(), float, n)
     return out
 
 
@@ -889,6 +863,10 @@ def validate_production_strategy(
     The cost process is derived from the strategy and capital schedule:
     vbar_i = v_i(phi) - C_i, with terminal values at i_max. Periods after
     a balance-sheet failure are skipped (the strategy stops there).
+
+    Each date's live nodes are checked together as array operations; the
+    fulfillment and financiability conditions are then decided node by
+    node on the year-end surplus distribution.
     """
     if i_max is None:
         i_max = tree.grid.horizon
@@ -901,71 +879,109 @@ def validate_production_strategy(
             "general (value non-negative) production strategies need the full "
             "fulfillment condition and close out"
         )
-    extra = dict(extra_annual_inflows or {})
+    n = tree.n_nodes
+    outflow = _node_array(liab.outflows, n)
+    liab_in = _node_array(liab.inflows, n)
+    psi_in = _node_array(psi.inflows, n)
+    extra = _node_array(extra_annual_inflows or {}, n)
+    # The conversion equation's cash inflows, summed in this order from 0.0.
+    cash_in = 0.0 + liab_in + psi_in + extra
+    bad = np.flatnonzero(cash_in < 0)
+    if bad.size:
+        raise ValueError(f"negative inflow {cash_in[bad[0]]} at node {bad[0]}")
+    net = cash_in - outflow
 
-    vbar: Dict[int, float] = {}
-    for node in tree.nodes_at(i_max):
-        if terminal is not None:
-            vbar[node] = float(terminal.get(node, 0.0))
-        else:
-            vbar[node] = liab.y(node)
+    vbar = np.zeros(n)
+    ends = list(tree.nodes_at(i_max))
+    vbar[ends] = _node_array(liab.terminal if terminal is None else terminal, n)[ends]
+    cap = _node_array(capital.values, n)
     for i in range(i_min, i_max):
-        for node in tree.nodes_at(i):
-            vbar[node] = strategy_value(strategy, market, node) - capital.at(node)
+        nodes = np.asarray(tree.nodes_at(i))
+        _require_span(strategy, nodes)
+        vbar[nodes] = row_dots(strategy.assignment[nodes], market.prices[nodes]) - cap[nodes]
 
-    flows = liability_flows(liab, psi, extra)
-
-    live: Dict[int, bool] = {}
-    start = set(start_set) if start_set is not None else set(tree.nodes_at(i_min))
-    for node in tree.nodes_at(i_min):
-        live[node] = node in start
+    live = np.zeros(n, dtype=bool)
+    first = list(tree.nodes_at(i_min))
+    start = set(first if start_set is None else start_set)
+    live[first] = [m in start for m in first]
 
     checks: List[PeriodCheck] = []
     skipped: List[Tuple[int, int, str]] = []
     for i in range(i_min, i_max):
         j0 = tree.grid.index(i)
         j1 = tree.grid.index(i + 1)
-        for node_i in tree.nodes_at(i):
-            if not live[node_i]:
-                reason = "outside start set" if i == i_min else "prior failure"
-                skipped.append((node_i, i, reason))
-                for nu in tree.descendants_at(node_i, j1):
-                    live[nu] = False
-                continue
-            layers = tree.layers([node_i], j1 - j0)
-            max_res = 0.0
-            min_val = INF
-            for layer in layers[1:-1]:
-                for m in layer:
-                    res = conversion_residual(strategy, market, tree, flows, m)
-                    max_res = max(max_res, abs(res))
-                    min_val = min(min_val, strategy_value(strategy, market, m))
-            if min_val is INF:
-                min_val = 0.0
-            surplus_atoms = {}
-            for nu in layers[-1]:
-                held = strategy.held_into(nu)
-                a_trad = float(held @ market.payoff(nu))
-                a = a_trad + liab.z(nu) + psi.z(nu) + extra.get(nu, 0.0)
-                l_eff = liab.x(nu) + vbar[nu]
-                surplus_atoms[nu] = a - l_eff
-            dist = conditional_distribution(tree, node_i, surplus_atoms, i + 1)
-            ful_ok = fulfillment_satisfied(fulfillment, dist)
+        nodes = np.asarray(tree.nodes_at(i))
+        reason = "outside start set" if i == i_min else "prior failure"
+        skipped.extend((m, i, reason) for m in nodes[~live[nodes]].tolist())
+        roots = nodes[live[nodes]]
+        live[list(tree.by_date[j1])] = False
+        if not roots.size:
+            continue
+        layers, pos, _ = _year_layers(tree, roots, j1 - j0)
+        for layer in layers[1:]:
+            _require_span(strategy, layer)
+
+        # (a) the conversion residual and the strategy value inside the year.
+        max_res = np.zeros(len(roots))
+        inner_pos, inner_val = [], []
+        for m, p in zip(layers[1:-1], pos[1:-1]):
+            held = strategy.held_into(m)
+            value = row_dots(strategy.assignment[m], market.prices[m])
+            before = row_dots(held, market.prices[m]) + row_dots(held, market.inflows[m])
+            res = np.abs(value - (before + net[m]))
+            np.maximum.at(max_res, p, np.where(res > 0.0, res, 0.0))
+            inner_pos.append(p)
+            inner_val.append(value)
+        min_val = _first_min(np.concatenate(inner_pos), np.concatenate(inner_val), len(roots))
+
+        # (b), (c) the year-end surplus A' - (X + vbar) seen from each root.
+        atoms = layers[-1]
+        assets = row_dots(strategy.held_into(atoms), market.payoffs[atoms])
+        assets = assets + liab_in[atoms] + psi_in[atoms] + extra[atoms]
+        surplus = assets - (outflow[atoms] + vbar[atoms])
+        live[atoms] = surplus >= -TOL
+        pad, dist = _atom_rows(tree, atoms, pos[-1], len(roots), j1 - j0)
+        plus = pad(_positive_part(surplus)).tolist()
+        for node_i, res, low, vbar_i, c_i, dist_i, plus_i in zip(
+            roots.tolist(),
+            max_res.tolist(),
+            min_val.tolist(),
+            vbar[roots].tolist(),
+            cap[roots].tolist(),
+            dist.with_values(pad(surplus)).rows(),
+            plus,
+        ):
+            ful_ok = fulfillment_satisfied(fulfillment, dist_i)
             plus_part = DiscreteDistribution(
-                tuple(max(0.0, v) for v in dist.values), dist.probs, dist.labels
+                tuple(plus_i[: len(dist_i.values)]), dist_i.probs, dist_i.labels
             )
-            c_i = capital.at(node_i)
             bound = max_capital(financiability, plus_part, rates[node_i], node_i, j1)
             fin_ok = c_i <= bound + TOL
-            cost_ok = mode == "A" or vbar[node_i] >= -TOL
-            checks.append(
-                PeriodCheck(
-                    node_i, i, max_res, min_val, ful_ok, c_i, bound, fin_ok, cost_ok
-                )
-            )
-            for nu, surplus in surplus_atoms.items():
-                live[nu] = surplus >= -TOL
+            cost_ok = mode == "A" or vbar_i >= -TOL
+            checks.append(PeriodCheck(node_i, i, res, low, ful_ok, c_i, bound, fin_ok, cost_ok))
     return ValidationReport(checks, skipped)
+
+
+def _require_span(strategy: Strategy, nodes: np.ndarray) -> None:
+    """NodeOutsideSpan for the first of one date's nodes when the date
+    lies outside the strategy's span."""
+    if not strategy.in_span(int(nodes[0])):
+        raise NodeOutsideSpan(f"node {nodes[0]} outside span")
+
+
+def _first_min(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per group the first of its smallest values below +inf, in the
+    order given, as a running ``min`` from +inf keeps it (NaN never
+    wins); 0.0 for a group without one."""
+    keep = values < INF
+    group, values = group[keep], values[keep]
+    order = np.lexsort((np.arange(len(values)), values, group))
+    group, values = group[order], values[order]
+    head = np.ones(len(group), dtype=bool)
+    head[1:] = group[1:] != group[:-1]
+    out = np.zeros(n_groups)
+    out[group[head]] = values[head]
+    return out
 
 
 # --- illiquid replica shift ------------------------------------------------------

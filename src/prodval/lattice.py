@@ -214,7 +214,9 @@ def build_tree(
     children, then theirs, siblings in input order. Errors are checked
     in a fixed order and name the first offending node of that order.
 
-    Raises ProbabilityMass, OrphanNode, LeafNotAtHorizon, or grid errors.
+    Raises ProbabilityMass (also for a non-finite probability),
+    OrphanNode (also for two ids with the same label, such as 1 and
+    "1"), LeafNotAtHorizon, or grid errors.
     """
     if not nodes:
         raise OrphanNode("empty node list")
@@ -226,6 +228,15 @@ def build_tree(
         if nid in position:
             raise OrphanNode(f"duplicate node id {nid!r}")
         position[nid] = k
+    # Labels name nodes in reports and label-keyed config sections, so
+    # distinct ids such as 1 and "1" must not share one.
+    labels_in = list(map(str, ids))
+    if len(set(labels_in)) != n:
+        seen = set()
+        for label in labels_in:
+            if label in seen:
+                raise OrphanNode(f"duplicate node label {label!r}")
+            seen.add(label)
 
     parents = list(map(methodcaller("get", "parent"), nodes))
     roots = [k for k, par in enumerate(parents) if par is None]
@@ -282,12 +293,14 @@ def build_tree(
         dtype=float,
         count=n,
     )
-    labels = tuple(map(str, map(ids.__getitem__, ordered)))
-    bad = np.flatnonzero(prob <= 0.0)
+    labels = tuple(map(labels_in.__getitem__, ordered))
+    # NaN passes both a sign check and the children-mass check below.
+    bad = np.flatnonzero(~(np.isfinite(prob) & (prob > 0.0)))
     if bad.size:
         k = int(bad[0])
+        kind = "non-positive" if prob[k] <= 0.0 else "non-finite"
         raise ProbabilityMass(
-            f"node {ids[ordered[k]]!r} has non-positive probability {float(prob[k])}"
+            f"node {ids[ordered[k]]!r} has {kind} probability {float(prob[k])}"
         )
 
     # Structural checks: edges advance exactly one grid step, children mass 1,

@@ -21,9 +21,8 @@ builds that extension and re-validates it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,16 +39,13 @@ from .engine import (
     LiabilitySpec,
     ProductionCostProcess,
     ValidationReport,
+    _node_array,
     validate_production_strategy,
 )
-from .errors import (
-    FixedPointDivergence,
-    HomogeneityAuditFailed,
-    InfeasibleAtNode,
-)
+from .errors import HomogeneityAuditFailed, InfeasibleAtNode
 from .lattice import ScenarioTree
 from .market import TradableSet
-from .strategy import Strategy, accumulate_within_years, strategy_value
+from .strategy import Strategy, accumulate_year, row_dots
 
 TOL = 1e-9
 
@@ -57,9 +53,10 @@ TOL = 1e-9
 @dataclass(frozen=True)
 class ThetaPsiRecord:
     """Side position holding the non-written-down share of illiquid
-    inflows: per-node assignments, incoming excess, and annual payouts."""
+    inflows: the (n_nodes, n_assets) assignment, incoming excess per
+    node, and payouts at annual nodes."""
 
-    assignment: Dict[int, Tuple[float, ...]]
+    assignment: np.ndarray
     inflows: Dict[int, float]  # (1 - lam) share arriving at each node
     payouts: Dict[int, float]  # X^theta at annual nodes
 
@@ -86,23 +83,91 @@ class AdjustmentResult:
         )
 
 
-def _lam_prev(tree: ScenarioTree, lam: Mapping[int, float], node: int) -> float:
-    """lam_{ceil(t-1)} at the node: the factor fixed one annual date back
-    for annual nodes, at the enclosing year start for interior ones."""
-    t = tree.date_of(node)
-    if t.denominator == 1:
-        i = int(t)
-        if i == 0:
-            return 1.0
-        return lam[tree.ancestor_at(node, tree.grid.index(i - 1))]
-    i = math.floor(t)
-    return lam[tree.ancestor_at(node, tree.grid.index(i))]
+def _annual_ancestors(tree: ScenarioTree) -> Tuple[np.ndarray, np.ndarray]:
+    """Per node its annual ancestor at floor(t), the node itself at an
+    annual date, and the one at ceil(t) - 1, -1 at the root."""
+    floor = np.arange(tree.n_nodes)
+    prev = np.full(tree.n_nodes, -1)
+    for j in range(1, len(tree.grid.dates)):
+        nodes = np.asarray(tree.by_date[j])
+        prev[nodes] = floor[tree.parent[nodes]]
+        if not tree.grid.is_annual(j):
+            floor[nodes] = prev[nodes]
+    return floor, prev
 
 
-def _lam_floor(tree: ScenarioTree, lam: Mapping[int, float], node: int) -> float:
-    t = tree.date_of(node)
-    i = math.floor(t)
-    return lam[tree.ancestor_at(node, tree.grid.index(i))]
+def _lam_prev(lam: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """lam_{ceil(t-1)} per node: the factor fixed one annual date back
+    for annual nodes, at the enclosing year start for interior ones, and
+    1 at the root."""
+    return np.where(prev >= 0, lam[prev], 1.0)
+
+
+def _annual_nodes(tree: ScenarioTree) -> List[int]:
+    return [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+
+
+def _sweep(
+    psi: IlliquidPortfolio,
+    lam: np.ndarray,
+    prev: np.ndarray,
+    market: TradableSet,
+    tree: ScenarioTree,
+    policy_index: Optional[int],
+    cost: Optional[ProductionCostProcess] = None,
+) -> Tuple[np.ndarray, ThetaPsiRecord]:
+    """Build theta forward, one year at a time; with ``cost``, the
+    write-down factors along with it.
+
+    ``lam`` holds a factor per node id. For year i the excess share
+    (1 - lam_i) of the illiquid inflows in (i, i+1] accumulates as in
+    ``accumulate_year``, and the payouts X^theta at the date-(i+1) nodes
+    follow. They depend only on lam at date i, so with ``cost`` the
+    factors at date i+1 are exact at that point: xi = min(lam L,
+    lam A' + X^theta) / (lam L) from the date's balance sheet rows (1
+    where nothing is owed or lam is already 0), and xi times the parent
+    year's factor goes into ``lam`` for the next year to read; ``lam``
+    then starts at 1. Without ``cost`` it is taken as given. Returns xi
+    (1 off the annual dates) and theta.
+    """
+    if cost is not None:
+        _require_nonnegative_cost(cost)
+    n = tree.n_nodes
+    psi_in = _node_array(psi.inflows, n)
+    xi = np.ones(n)
+    inflows = np.zeros(n)
+    assignment = np.zeros((n, market.n_assets))
+    payouts = np.zeros(n)
+    inflows[0] = (1.0 - 1.0) * psi_in[0]
+    payouts[0] = inflows[0]
+    for i in range(tree.grid.horizon):
+        ends = np.asarray(tree.nodes_at(i + 1))
+        # The ids of the year's interior and year-end nodes are contiguous.
+        year = slice(tree.by_date[tree.grid.index(i) + 1][0], int(ends[-1]) + 1)
+        inflows[year] = (1.0 - _lam_prev(lam, prev[year])) * psi_in[year]
+        accumulate_year(market, tree, i, inflows, assignment, policy_index)
+        held = assignment[tree.parent[ends]]
+        payouts[ends] = inflows[ends] + row_dots(held, market.payoffs[ends])
+        if cost is None:
+            continue
+        rows = [cost.rows[m] for m in ends.tolist()]
+        assets = np.array([row.assets for row in rows])
+        liabilities = np.array([row.liabilities for row in rows])
+        before = lam[prev[ends]]
+        owed = before * liabilities
+        resources = before * assets + payouts[ends]
+        # Rows with nothing owed may divide by zero; they keep factor 1.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.where(resources < owed, resources, owed) / owed
+        xi[ends] = np.where((liabilities <= TOL) | (before <= 0.0), 1.0, f)
+        lam[ends] = xi[ends] * before
+    annual = _annual_nodes(tree)
+    theta = ThetaPsiRecord(
+        assignment,
+        dict(enumerate(inflows.tolist())),
+        dict(zip(annual, payouts[annual].tolist())),
+    )
+    return xi, theta
 
 
 def theta_psi_strategy(
@@ -112,28 +177,18 @@ def theta_psi_strategy(
     tree: ScenarioTree,
     policy_index: Optional[int] = None,
 ) -> ThetaPsiRecord:
-    """Accumulate the excess illiquid inflows and pay everything out at
-    each annual date.
+    """Accumulate the excess illiquid inflows under the factors ``lam``
+    (per annual node) and pay everything out at each annual date.
 
     The interim balance is invested in the period's risk-free bond unless
     ``policy_index`` picks another tradable. The annual payout is the
     position's full liquidation value (price plus its own inflows) plus
     the excess arriving at that date.
     """
-    inflows: Dict[int, float] = {}
-    for node in range(tree.n_nodes):
-        scale = 1.0 - _lam_prev(tree, lam, node)
-        inflows[node] = scale * psi.z(node)
-    assignment = accumulate_within_years(market, tree, inflows.get, policy_index)
-    payouts: Dict[int, float] = {}
-    for i in range(tree.grid.horizon + 1):
-        for node in tree.nodes_at(i):
-            payouts[node] = inflows[node]
-            parent = int(tree.parent[node])
-            if parent >= 0:
-                held = np.asarray(assignment[parent], dtype=float)
-                payouts[node] += float(held @ market.payoff(node))
-    return ThetaPsiRecord(assignment, inflows, payouts)
+    factors = np.ones(tree.n_nodes)
+    factors[list(lam)] = list(lam.values())
+    _, prev = _annual_ancestors(tree)
+    return _sweep(psi, factors, prev, market, tree, policy_index)[1]
 
 
 def adjustment_factors(
@@ -143,46 +198,26 @@ def adjustment_factors(
     market: TradableSet,
     tree: ScenarioTree,
     policy_index: Optional[int] = None,
-    max_iter: int = 100,
-    tol: float = 1e-12,
 ) -> Tuple[Dict[int, float], Dict[int, float], ThetaPsiRecord]:
-    """Write-down factors xi and lam per annual node, with the theta
-    position resolved by fixed-point iteration from lam = 1.
+    """Write-down factors xi and lam per annual node, and the theta
+    position, from one exact forward sweep over the annual dates."""
+    _, prev = _annual_ancestors(tree)
+    lam = np.ones(tree.n_nodes)
+    xi, theta = _sweep(psi, lam, prev, market, tree, policy_index, cost)
+    annual = _annual_nodes(tree)
+    return _on(annual, xi), _on(annual, lam), theta
 
-    The excess payouts X^theta at a date depend only on factors at
-    earlier dates, so each pass extends correctness one failure date
-    further and the iteration converges within the number of years.
-    """
-    _require_nonnegative_cost(cost)
-    T = tree.grid.horizon
-    annual_nodes = [n for i in range(T + 1) for n in tree.nodes_at(i)]
-    lam = {n: 1.0 for n in annual_nodes}
-    xi: Dict[int, float] = {n: 1.0 for n in tree.nodes_at(0)}
-    theta = theta_psi_strategy(psi, lam, market, tree, policy_index)
-    for _ in range(max_iter):
-        new_lam = {n: 1.0 for n in tree.nodes_at(0)}
-        new_xi = {n: 1.0 for n in tree.nodes_at(0)}
-        for i in range(1, T + 1):
-            for node in tree.nodes_at(i):
-                prev = new_lam[tree.ancestor_at(node, tree.grid.index(i - 1))]
-                row = cost.rows[node]
-                if row.liabilities <= TOL or prev <= 0.0:
-                    f = 1.0
-                else:
-                    resources = prev * row.assets + theta.payouts[node]
-                    f = min(prev * row.liabilities, resources) / (
-                        prev * row.liabilities
-                    )
-                new_xi[node] = f
-                new_lam[node] = f * prev
-        drift = max(abs(new_lam[n] - lam[n]) for n in annual_nodes)
-        lam, xi = new_lam, new_xi
-        theta = theta_psi_strategy(psi, lam, market, tree, policy_index)
-        if drift <= tol:
-            return xi, lam, theta
-    raise FixedPointDivergence(
-        f"write-down factors did not settle within {max_iter} passes"
-    )
+
+def _on(nodes: List[int], values: np.ndarray) -> Dict[int, float]:
+    """node -> value for the given nodes, in their order."""
+    return dict(zip(nodes, values[nodes].tolist()))
+
+
+def _scaled(flows: Mapping[int, float], factor: np.ndarray) -> Dict[int, float]:
+    """Each flow times the factor at its node, in the mapping's order."""
+    nodes = list(flows)
+    scaled = factor[nodes] * np.array(list(flows.values()), dtype=float)
+    return dict(zip(nodes, scaled.tolist()))
 
 
 def _require_nonnegative_cost(cost: ProductionCostProcess) -> None:
@@ -196,24 +231,6 @@ def _require_nonnegative_cost(cost: ProductionCostProcess) -> None:
             "write-down resolution needs non-negative production cost "
             f"(mode B); negative at nodes {bad}"
         )
-
-
-def adjusted_liability(
-    liab: LiabilitySpec,
-    lam: Mapping[int, float],
-    tree: ScenarioTree,
-) -> LiabilitySpec:
-    """Scale inflows by lam_{ceil(t-1)} and outflows by lam_{floor(t)}."""
-    inflows = {
-        n: _lam_prev(tree, lam, n) * v for n, v in liab.inflows.items()
-    }
-    outflows = {
-        n: _lam_floor(tree, lam, n) * v for n, v in liab.outflows.items()
-    }
-    terminal = {
-        n: _lam_floor(tree, lam, n) * v for n, v in liab.terminal.items()
-    }
-    return LiabilitySpec(outflows, inflows, terminal)
 
 
 def extend_to_full_fulfillment(
@@ -232,38 +249,33 @@ def extend_to_full_fulfillment(
     phi-tilde holds lam_{floor(t)} times the original portfolios, the
     capital schedule and terminal values scale by lam, the illiquid
     inflows split into the scaled share (used in production) and the
-    excess share (paid out through theta as extra annual inflows). The
+    excess share (paid out through theta as extra annual inflows).
+    Inflows scale by lam_{ceil(t-1)}, outflows by lam_{floor(t)}. The
     result re-validates under the full fulfillment condition and records
     the worst deviation from the scaled-cost identity
     vbar_adjusted = lam * vbar.
     """
     _check_homogeneity(financiability, tree, rates)
-    xi, lam, theta = adjustment_factors(
-        liab, psi, cost, market, tree, policy_index
-    )
-    T = tree.grid.horizon
-    J = len(tree.grid.dates) - 1
+    floor, prev = _annual_ancestors(tree)
+    lam = np.ones(tree.n_nodes)
+    xi, theta = _sweep(psi, lam, prev, market, tree, policy_index, cost)
+    lam_floor = lam[floor]
+    lam_prev = _lam_prev(lam, prev)
 
-    lam_floor = np.array([_lam_floor(tree, lam, n) for n in range(tree.n_nodes)])
     scaled_strategy = Strategy(
         tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment
     )
-    scaled_capital = {
-        n: _lam_floor(tree, lam, n) * c for n, c in cost.capital.items()
-    }
-    scaled_terminal = {
-        n: lam[n] * cost.values[n] for n in tree.by_date[J]
-    }
-    adj_liab = adjusted_liability(liab, lam, tree)
-    adj_psi = IlliquidPortfolio(
-        {
-            n: _lam_prev(tree, lam, n) * v
-            for n, v in psi.inflows.items()
-        }
+    scaled_capital = _scaled(cost.capital, lam_floor)
+    leaves = tree.by_date[len(tree.grid.dates) - 1]
+    scaled_terminal = _scaled({n: cost.values[n] for n in leaves}, lam)
+    adj_liab = LiabilitySpec(
+        _scaled(liab.outflows, lam_floor),
+        _scaled(liab.inflows, lam_prev),
+        _scaled(liab.terminal, lam_floor),
     )
     validation = validate_production_strategy(
         scaled_strategy,
-        adj_psi,
+        IlliquidPortfolio(_scaled(psi.inflows, lam_prev)),
         CapitalSchedule(scaled_capital),
         adj_liab,
         FulfillmentSpec.full(),
@@ -275,17 +287,16 @@ def extend_to_full_fulfillment(
         terminal=scaled_terminal,
         extra_annual_inflows=theta.payouts,
     )
-    worst = 0.0
-    for i in range(T):
-        for node in tree.nodes_at(i):
-            got = strategy_value(scaled_strategy, market, node) - scaled_capital.get(
-                node, 0.0
-            )
-            want = lam[node] * cost.values[node]
-            worst = max(worst, abs(got - want))
+    annual = _annual_nodes(tree)
+    # The annual nodes before the horizon.
+    nodes = annual[: len(annual) - len(leaves)]
+    got = row_dots(scaled_strategy.assignment[nodes], market.prices[nodes])
+    got -= _node_array(scaled_capital, tree.n_nodes)[nodes]
+    want = lam[nodes] * np.array([cost.values[n] for n in nodes])
+    diff = np.abs(got - want)
     return AdjustmentResult(
-        xi=xi,
-        lam=lam,
+        xi=_on(annual, xi),
+        lam=_on(annual, lam),
         adjusted_inflows=dict(adj_liab.inflows),
         adjusted_outflows=dict(adj_liab.outflows),
         theta=theta,
@@ -293,7 +304,8 @@ def extend_to_full_fulfillment(
         scaled_capital=scaled_capital,
         scaled_terminal=scaled_terminal,
         validation=validation,
-        cost_identity_max_diff=worst,
+        # The largest deviation; NaN never wins, as in a running max().
+        cost_identity_max_diff=float(np.where(diff > 0.0, diff, 0.0).max(initial=0.0)),
     )
 
 

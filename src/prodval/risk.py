@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import repeat
+from operator import le
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +53,7 @@ class DiscreteDistribution:
             raise ValueError("values and probs must have equal length")
         if self.labels is not None and len(self.labels) != len(self.values):
             raise ValueError("labels must match atom count")
-        if any(p <= 0 for p in self.probs):
+        if any(map(le, self.probs, repeat(0))):  # some p <= 0
             raise ValueError("atom probabilities must be strictly positive")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-9:
@@ -134,6 +136,15 @@ class DistributionRows:
         return DiscreteDistribution(
             tuple(self.values[r, :c].tolist()), tuple(self.probs[r, :c].tolist()), labels
         )
+
+    def rows(self) -> List[DiscreteDistribution]:
+        """Every row, as ``row`` gives it, converted in one pass."""
+        values, probs, counts = self.values.tolist(), self.probs.tolist(), self.counts.tolist()
+        labels = [None] * len(counts) if self.labels is None else self.labels.tolist()
+        return [
+            DiscreteDistribution(tuple(v[:c]), tuple(p[:c]), None if lab is None else tuple(lab[:c]))
+            for v, p, lab, c in zip(values, probs, labels, counts)
+        ]
 
     def with_values(self, values: np.ndarray) -> "DistributionRows":
         return DistributionRows(values, self.probs, self.counts, self.labels)

@@ -376,6 +376,48 @@ def decompose_general(
     return GeneralStrategyDecomposition(plus, minus, star_out, star_in)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``.
+
+    Stacked matmul computes each through the same BLAS dot as
+    ``a[i] @ b[i]``, so the results match per-node dot products bit for
+    bit, which a multiply-and-sum does not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def accumulate_year(
+    market: TradableSet,
+    tree: ScenarioTree,
+    i: int,
+    inflow: np.ndarray,
+    assignment: np.ndarray,
+    policy_index: Optional[int] = None,
+) -> None:
+    """Reinvest ``inflow`` (indexed by node id) within year i.
+
+    At every interior node of the year the position bought one step
+    earlier pays out and, together with the node's inflow, is reinvested
+    in the period's risk-free bond, or in tradable ``policy_index`` when
+    given; the year's annual nodes hold nothing. Writes the interior
+    nodes' rows of ``assignment``, an (n_nodes, n_assets) array that is
+    zero there and at the year's start. Raises NoBondAvailable when that
+    asset has no positive price at an interior node, naming the first in
+    date order.
+    """
+    k = policy_index if policy_index is not None else market.bond_for_period(i)
+    for j in range(tree.grid.index(i) + 1, tree.grid.index(i + 1)):
+        nodes = np.asarray(tree.by_date[j])
+        price = market.prices[nodes, k]
+        bad = np.flatnonzero(price <= 0.0)
+        if bad.size:
+            raise NoBondAvailable(
+                f"accumulation asset {k} has no positive price at node {nodes[bad[0]]}"
+            )
+        held = assignment[tree.parent[nodes]]
+        assignment[nodes, k] = (row_dots(held, market.payoffs[nodes]) + inflow[nodes]) / price
+
+
 def accumulate_within_years(
     market: TradableSet,
     tree: ScenarioTree,
@@ -383,38 +425,13 @@ def accumulate_within_years(
     policy_index: Optional[int] = None,
 ) -> Dict[int, Tuple[float, ...]]:
     """Portfolios that reinvest ``inflow`` within each year and hold
-    nothing out of annual nodes.
-
-    At every interior node the position bought one step earlier pays out
-    and, together with the node's inflow, is reinvested in the period's
-    risk-free bond, or in tradable ``policy_index`` when given. Raises
-    NoBondAvailable when that asset has no positive price at an interior
-    node.
-    """
-    n = market.n_assets
-    zero = (0.0,) * n
-    assignment: Dict[int, Tuple[float, ...]] = {}
-    T = tree.grid.horizon
-    for i in range(T + 1):
-        annual = tree.nodes_at(i)
-        for node in annual:
-            assignment[node] = zero
-        if i == T:
-            break
-        k = policy_index if policy_index is not None else market.bond_for_period(i)
-        steps = tree.grid.index(i + 1) - tree.grid.index(i)
-        for layer in tree.layers(annual, steps)[1:-1]:
-            for m in layer:
-                price = float(market.prices[m, k])
-                if price <= 0.0:
-                    raise NoBondAvailable(
-                        f"accumulation asset {k} has no positive price at node {m}"
-                    )
-                held = np.asarray(assignment[tree.parent[m]], dtype=float)
-                x = [0.0] * n
-                x[k] = (float(held @ market.payoff(m)) + inflow(m)) / price
-                assignment[m] = tuple(x)
-    return assignment
+    nothing out of annual nodes, per node (``accumulate_year`` for every
+    year)."""
+    flows = np.array([inflow(m) for m in range(tree.n_nodes)], dtype=float)
+    assignment = np.zeros((tree.n_nodes, market.n_assets))
+    for i in range(tree.grid.horizon):
+        accumulate_year(market, tree, i, flows, assignment, policy_index)
+    return dict(enumerate(map(tuple, assignment.tolist())))
 
 
 def restriction_membership(

@@ -10,7 +10,10 @@ class with the same message.
 """
 
 import copy
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +24,7 @@ from prodval.errors import (
     OrphanNode,
     ProbabilityMass,
 )
+from prodval.config import problem_from_dict
 from prodval.lattice import DateGrid, ScenarioTree, build_tree
 
 _MASS_TOL = 1e-12
@@ -340,3 +344,80 @@ def test_a_cycle_off_the_root_is_unreachable():
     ]
     with pytest.raises(OrphanNode, match="^some nodes are unreachable from the root$"):
         build_tree(grid, nodes)
+
+
+# --- known differences from the frozen build_tree ------------------------------------
+
+
+def _two_point_nodes():
+    grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+    nodes = [
+        {"id": "r", "date": 0, "parent": None, "p": 1.0},
+        {"id": "m", "date": "1/2", "parent": "r", "p": 1.0},
+        {"id": "lo", "date": 1, "parent": "m", "p": 0.5},
+        {"id": "hi", "date": 1, "parent": "m", "p": 0.5},
+    ]
+    return grid, nodes
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_probability_is_rejected(p):
+    """A known difference: the frozen build_tree accepts a NaN branch
+    probability, because both its sign check and the children-mass
+    check are false for NaN. A non-finite probability is now rejected,
+    naming the node."""
+    grid, nodes = _two_point_nodes()
+    nodes[2]["p"] = p
+    kind = "non-positive" if p < 0 else "non-finite"
+    with pytest.raises(ProbabilityMass, match=f"^node 'lo' has {kind} probability {p}$"):
+        build_tree(grid, copy.deepcopy(nodes))
+    if math.isnan(p):
+        assert math.isnan(_oracle_build_tree(grid, nodes).prob[2])
+
+
+def test_ids_with_the_same_label_are_rejected():
+    """A known difference: the frozen build_tree gives the distinct ids 1
+    and "1" the same label '1'. They are now a duplicate, as equal ids
+    are."""
+    grid, nodes = _two_point_nodes()
+    nodes[2]["id"], nodes[3]["id"] = 1, "1"
+    with pytest.raises(OrphanNode, match="^duplicate node label '1'$"):
+        build_tree(grid, copy.deepcopy(nodes))
+    assert _oracle_build_tree(grid, nodes).labels[2:] == ("1", "1")
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def _two_point_config(**ids):
+    """configs/two_point.json with nodes renamed (label -> new id), its
+    label-keyed sections following the new labels."""
+    doc = json.loads((CONFIGS / "two_point.json").read_text())
+    for spec in doc["tree"]["nodes"]:
+        spec["id"] = ids.get(spec["id"], spec["id"])
+        spec["parent"] = ids.get(spec["parent"], spec["parent"])
+
+    def rekey(section):
+        return {str(ids.get(k, k)): v for k, v in section.items()}
+
+    doc["liability"]["outflows"] = rekey(doc["liability"]["outflows"])
+    for tradable in doc["market"]["tradables"]:
+        for key in ("prices", "inflows"):
+            if key in tradable:
+                tradable[key] = rekey(tradable[key])
+    return doc
+
+
+def test_config_with_a_nan_probability_is_rejected():
+    doc = _two_point_config()
+    next(s for s in doc["tree"]["nodes"] if s["id"] == "lo")["p"] = math.nan
+    with pytest.raises(ProbabilityMass, match="^node 'lo' has non-finite probability nan$"):
+        problem_from_dict(doc)
+
+
+def test_config_with_ids_sharing_a_label_names_the_label():
+    """Before, the sections keyed "1" resolved to one of the two nodes
+    and the config failed on a period-bond check at node '1'."""
+    doc = _two_point_config(lo=1, hi="1")
+    with pytest.raises(OrphanNode, match="^duplicate node label '1'$"):
+        problem_from_dict(doc)

@@ -134,6 +134,14 @@ CASES = {
     "solvency_stage3": (("solvency", "--stage", "3"), {}),
     "check_restricted": (("check",), {"restriction": {"indices": [0, 2, 3]}}),
     "adjust": (("adjust",), {"fulfillment": {"type": "var", "alpha": 0.2}}),
+    # Write-downs at two or more annual dates with the excess illiquid
+    # inflows paid out through theta (see test_adjust_illiquid_*).
+    "adjust_illiquid": (
+        ("adjust",),
+        lambda doc: dict(
+            _interior_illiquid(doc), fulfillment={"type": "var", "alpha": 0.2}
+        ),
+    ),
     # The risk-free one-period step under every fulfillment and
     # financiability variant, in both modes, and with infeasible nodes.
     "value_risk_free_es": (("value",), {"fulfillment": {"type": "es", "alpha": 0.05}}),
@@ -187,6 +195,12 @@ def _level_inflows(doc: dict) -> dict:
     return dict(doc, liability={"outflows": outflows, "inflows": inflows})
 
 
+def _interior_illiquid(doc: dict) -> dict:
+    """An illiquid inflow of 10 at every interior node."""
+    interior = [n["id"] for n in doc["tree"]["nodes"] if Fraction(n["date"]).denominator != 1]
+    return dict(doc, illiquid={"inflows": dict.fromkeys(interior, 10.0)})
+
+
 def _drop_bond(doc: dict, period: int) -> dict:
     """Without the period bond, the nodes of that date are infeasible,
     and so is every node above them: the run exits 2."""
@@ -237,6 +251,15 @@ GENERATED_GOLDEN = {
             "adjust.csv": "8c8a00bad80f43ce86609a16c517985f2bd3828cb9246059d88e4dca2acb1e97",
             "adjust.json": "5b2ef14e130c5a96292ec0a2384f89774c5ce9ac40960553acf658df9a143310",
             "metadata.json": "b3eb0584573740174242fc7e57dec0d1f2295940cb6088384b85736bf68fbcc8",
+        },
+    ),
+    ("tree217", "adjust_illiquid"): (
+        0,
+        "",
+        {
+            "adjust.csv": "bd5467bb3183a7d3a8e70d023693bcf52b8db3baace51a43a484b8573ea63820",
+            "adjust.json": "551c37556d1c4b742dcebc143bd34078f17597a7fc81de9e3ac43b9ab41cdb6d",
+            "metadata.json": "fba7c5029c1e2cd3d59b0aa3094bd767b22debc2e0002b46f2d61e506ffc0426",
         },
     ),
     ("tree217", "check_restricted"): (
@@ -391,6 +414,15 @@ GENERATED_GOLDEN = {
             "adjust.csv": "77dfd8091a691b12a3067bf68e990b7e657f9e4468633405ee9a9154294414bb",
             "adjust.json": "58f2624e8980a9be0d32cd5bb6f8b99b5ae3726693b34e93cf4dfddf2c07f404",
             "metadata.json": "d9030ac6497a4922d44623cadb60acc5a95ff00ddedfe012705c2128e4b35ae4",
+        },
+    ),
+    ("tree274", "adjust_illiquid"): (
+        0,
+        "",
+        {
+            "adjust.csv": "75505c8105f1cda917540452d68bbe9604ac8ac1744800efcd234406264a8b1c",
+            "adjust.json": "9816b3c38721e5193793119c4dacb75d44fa74541d5c53c81bd15d43918aa46c",
+            "metadata.json": "79a2330ae09d829e58cecfa5cbfe3ef35c27c2182cbcf2ec7be0629d0627845e",
         },
     ),
     ("tree274", "check_restricted"): (
@@ -557,3 +589,43 @@ def test_generated_tree_reports_match_golden_digests(tree, case, tmp_path, capsy
 
 def test_generated_golden_covers_every_tree_and_case():
     assert set(GENERATED_GOLDEN) == {(t, c) for t in TREES for c in CASES}
+
+
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_adjust_illiquid_pins_exercise_the_sweep(tree):
+    """The adjust_illiquid pins cover write-downs at two or more annual
+    dates and nonzero theta payouts, so they pin the write-down factors'
+    dependence on the excess illiquid inflows of earlier years."""
+    from dataclasses import replace
+
+    from prodval.cli import _engine_rates
+    from prodval.config import financiability_of, problem_from_dict
+    from prodval.engine import backward_value
+    from prodval.resolution import extend_to_full_fulfillment
+
+    problem = problem_from_dict(_config(tree, CASES["adjust_illiquid"][1]))
+    financiability = financiability_of(problem)
+    rates = _engine_rates(problem)
+    cost = backward_value(
+        problem.liability,
+        problem.illiquid,
+        replace(problem.engine, mode="B"),
+        problem.fulfillment,
+        financiability,
+        problem.market,
+        problem.tree,
+        rates,
+    )
+    result = extend_to_full_fulfillment(
+        problem.liability,
+        problem.illiquid,
+        cost,
+        financiability,
+        problem.market,
+        problem.tree,
+        rates,
+    )
+    dates = {problem.tree.date_of(n) for n, xi in result.xi.items() if xi < 1.0}
+    assert len(dates) >= 2
+    assert any(v != 0.0 for v in result.theta.payouts.values())
+    assert result.ok
