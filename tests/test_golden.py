@@ -266,7 +266,7 @@ GENERATED_GOLDEN = {
         0,
         "",
         {
-            "check.json": "39445c2af60fd84e3ceb69ab3b361151b8fa8674c02b8e5ad91f2314cab304f4",
+            "check.json": "c92606f6daae9c4bea482337a46811314fb9926df5d420a82a024b16d3b297b6",
             "metadata.json": "a567df09f4b2efd656f5e25e15d2a835bf270f0bc836bc1ff481564398e6a6de",
         },
     ),

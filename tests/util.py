@@ -239,6 +239,13 @@ def generated_config(seed: int, years: int, interior_per_year: int) -> dict:
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, years=years, interior_per_year=interior_per_year)
     market, _ = state_price_market(rng, tree, n_risky=2)
+    return config_doc(rng, tree, market)
+
+
+def config_doc(rng: np.random.Generator, tree: ScenarioTree, market: TradableSet) -> dict:
+    """Config for ``tree`` and ``market`` with random annual liability
+    flows drawn from ``rng``."""
+    years = tree.grid.horizon
     labels = tree.labels
     parent_label = {c: labels[n] for n in range(tree.n_nodes) for c in tree.children[n]}
     nodes = [
