@@ -8,11 +8,15 @@ and then enumerates every basis, so the answer is deterministic and
 needs nothing beyond numpy.
 
 Enumeration is chunked: bases are taken in ``itertools.combinations``
-order, ``_CHUNK`` at a time. Each chunk's ``(K, r, r)`` stack of
-``A[:, J]`` is solved in one ``np.linalg.solve`` call after dropping
-exactly singular bases, and the residual and ``z >= 0`` filters and the
+order, ``_CHUNK`` at a time, from an index array built once per
+``(n, r)`` and cached. Each chunk's ``(K, r, r)`` stack of ``A[:, J]``
+is solved in one ``np.linalg.solve`` call after dropping exactly
+singular bases, and the residual and ``z >= 0`` filters and the
 objectives are array operations. Each basis gets the same bits as a
-solve of its own.
+solve of its own. All-zero columns of ``A`` (a free weight on a
+coordinate with zero price and payoffs, say) are left out of the
+enumeration: every basis holding one is exactly singular, and the other
+bases keep their combinations order.
 
 A basis is a vertex when its solution is finite, non-negative within
 ``FEAS_TOL``, has an absolute residual within ``FEAS_TOL``, and the
@@ -26,14 +30,31 @@ incumbent is tested, by an SVD unless ``log|det B|`` already proves it.
 The vertex returned is part of the contract (stored benchmark reports
 and golden digests pin it where the optimum is not unique): the first
 vertex in combinations order whose objective improves on the incumbent
-by more than 1e-12. Tolerances are absolute on constraint residuals.
+by more than 1e-12. With an all-zero cost (the cone certificates) every
+vertex has objective 0, so enumeration stops at the first one.
+
+An optimum with a nonzero cost is reported unbounded when some ray
+``d >= 0`` with ``A d = 0`` and ``sum(d) = 1`` has ``c.d < -FEAS_TOL``.
+For any ``y``, ``c.d = (c - A^T y).d >= min(c - A^T y)`` on those rays,
+so the optimal basis ``J`` proves the LP bounded when the reduced costs
+``c - A^T y``, with ``A[:, J]^T y = c[J]``, are all at least
+``-FEAS_TOL * 1e-3``. Only when they are not (a degenerate optimum can
+have a negative reduced cost and still be bounded) is the ray LP
+``min c.d`` enumerated, and it stops at its first vertex below
+``-FEAS_TOL``: incumbents only decrease, so the verdict is the one the
+whole enumeration would give. The bound holds for exact rays; a ray
+LP vertex meets ``A d = 0`` only within ``FEAS_TOL``, so the two tests
+could part on a vertex that far from exact, which the differential
+tests against the whole enumeration have not produced. Tolerances are
+absolute on constraint residuals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -44,6 +65,7 @@ FEAS_TOL = 1e-9
 _RANK_TOL = 1e-11
 _MAX_BASES = 500_000
 _CHUNK = 512  # bases per stacked solve
+_DUAL_TOL = FEAS_TOL * 1e-3  # reduced-cost floor that proves boundedness
 
 
 @dataclass
@@ -94,29 +116,54 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, scale: float):
     return Ak, bk
 
 
-def solve_standard(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, check_ray: bool = True
-) -> LPResult:
+def _reduced_system(A: np.ndarray, b: np.ndarray):
+    """(A, b, scale) with only independent rows kept; None if inconsistent."""
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    reduced = _independent_rows(A, b, scale)
+    if reduced is None:
+        return None
+    return reduced[0], reduced[1], scale
+
+
+def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
     """min c.z subject to A z = b, z >= 0, by vertex enumeration."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    n = A.shape[1]
 
-    reduced = _independent_rows(A, b, scale)
+    reduced = _reduced_system(A, b)
     if reduced is None:
         return LPResult("infeasible")
-    A, b = reduced
-    r = A.shape[0]
+    A, b, scale = reduced
 
-    if r == 0:
+    if not len(A):
         # No effective constraints: z = 0 is the vertex.
-        if check_ray and bool((c < -FEAS_TOL).any()):
+        if bool((c < -FEAS_TOL).any()):
             return LPResult("unbounded")
         return LPResult("optimal", np.zeros(n), 0.0)
 
-    if _n_choose(n, r) > _MAX_BASES:
+    # With an all-zero cost every vertex has objective 0, so the first
+    # one found is the answer and no ray can improve on it.
+    zero_cost = not np.abs(c).max(initial=0.0) > 0.0
+    vertex = _best_vertex(c, A, b, scale, stop_below=np.inf if zero_cost else -np.inf)
+    if vertex is None:
+        return LPResult("infeasible")
+    x, obj, J = vertex
+    if not zero_cost and not _bounded_by_basis(c, A, J) and _improving_ray(c, A):
+        return LPResult("unbounded")
+    return LPResult("optimal", x, obj)
+
+
+def _best_vertex(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, stop_below: float
+):
+    """(x, objective, basis) of the first vertex in combinations order
+    that improves on the incumbent by more than 1e-12, or None if there
+    is no vertex. Returns the incumbent as soon as its objective is
+    below ``stop_below``."""
+    r, n = A.shape
+    if math.comb(n, r) > _MAX_BASES:
         raise NumericalFailure(f"basis enumeration too large: C({n},{r})")
 
     tol = _RANK_TOL * scale
@@ -124,15 +171,13 @@ def solve_standard(
     # a basis whose log|det| clears this floor is well conditioned
     # without an SVD (the factor 2 absorbs the rounding of log|det|).
     sure_log_det = math.log(2.0 * tol) + (r - 1) * math.log(float(np.linalg.norm(A)))
-    best_obj = None
-    best_x = None
-    bases = combinations(range(n), r)
-    while True:
-        J = np.fromiter(
-            chain.from_iterable(islice(bases, _CHUNK)), dtype=np.intp
-        ).reshape(-1, r)
-        if not len(J):
-            break
+    # A basis holding an all-zero column is exactly singular, and leaving
+    # those columns out keeps the combinations order of the other bases.
+    cols = np.flatnonzero(A.any(axis=0))
+    bases = _bases(len(cols), r)
+    best = None
+    for start in range(0, len(bases), _CHUNK):
+        J = cols[bases[start : start + _CHUNK]]
         B = A[:, J].transpose(1, 0, 2)  # B[k] = A[:, J[k]]
         # An exactly singular basis has no basic solution (and would make
         # the stacked solve raise); slogdet's sign is 0 exactly then.
@@ -160,7 +205,7 @@ def solve_standard(
         # incumbent by more than 1e-12 becomes the incumbent.
         k = 0
         while k < K:
-            hit = ok[k:] if best_obj is None else ok[k:] & (obj[k:] < best_obj - 1e-12)
+            hit = ok[k:] if best is None else ok[k:] & (obj[k:] < best[1] - 1e-12)
             hit = np.flatnonzero(hit)
             if not len(hit):
                 break
@@ -170,28 +215,48 @@ def solve_standard(
             # only would-be incumbents gives the same answer as testing all.
             if log_det[k] > sure_log_det or _full_row_rank(B[k], tol):
                 best_x = x[k].copy()
-                best_obj = float(c @ best_x)
+                best = (best_x, float(c @ best_x), J[k])
+                # Incumbents only decrease, so a later one stays below.
+                if best[1] < stop_below:
+                    return best
             k += 1
-    if best_x is None:
-        return LPResult("infeasible")
-
-    if check_ray and bool(np.abs(c).max(initial=0.0) > 0.0):
-        ray = _improving_ray(c, A)
-        if ray is not None:
-            return LPResult("unbounded")
-    return LPResult("optimal", best_x, best_obj)
+    return best
 
 
-def _improving_ray(c: np.ndarray, A: np.ndarray) -> Optional[np.ndarray]:
-    """Direction d >= 0 with A d = 0, sum d = 1, c.d < 0, if one exists."""
+@functools.lru_cache(maxsize=32)
+def _bases(n: int, r: int) -> np.ndarray:
+    """Every r-subset of range(n), one row each in combinations order.
+
+    Read-only, as every caller shares it; the narrowest unsigned dtype
+    that holds n keeps the cached arrays small."""
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n), r)),
+        dtype=np.min_scalar_type(n),
+        count=math.comb(n, r) * r,
+    )
+    flat.flags.writeable = False
+    return flat.reshape(-1, r)
+
+
+def _bounded_by_basis(c: np.ndarray, A: np.ndarray, J: np.ndarray) -> bool:
+    """Whether the reduced costs at basis J prove that no ray improves
+    the objective: c.d = (c - A^T y).d >= min(c - A^T y) for every
+    d >= 0 with A d = 0 and sum d = 1, whatever y is."""
+    # A[:, J] passed the conditioning test, so the solve cannot fail.
+    y = np.linalg.solve(A[:, J].T, c[J])
+    return bool((c - A.T @ y).min() >= -_DUAL_TOL)
+
+
+def _improving_ray(c: np.ndarray, A: np.ndarray) -> bool:
+    """Whether some d >= 0 with A d = 0 and sum d = 1 has c.d < -FEAS_TOL."""
     r, n = A.shape
-    A2 = np.vstack([A, np.ones((1, n))])
-    b2 = np.zeros(r + 1)
-    b2[-1] = 1.0
-    res = solve_standard(c, A2, b2, check_ray=False)
-    if res.status == "optimal" and res.objective is not None and res.objective < -FEAS_TOL:
-        return res.x
-    return None
+    b = np.zeros(r + 1)
+    b[-1] = 1.0
+    reduced = _reduced_system(np.vstack([A, np.ones((1, n))]), b)
+    if reduced is None:
+        return False
+    vertex = _best_vertex(c, *reduced, stop_below=-FEAS_TOL)
+    return vertex is not None and vertex[1] < -FEAS_TOL
 
 
 def solve_lp(
@@ -215,58 +280,41 @@ def solve_lp(
         nonneg = True
     if isinstance(nonneg, bool):
         nonneg = [nonneg] * n
-    nonneg = list(nonneg)
-
-    rows_eq = 0 if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n).shape[0]
-    rows_ub = 0 if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n).shape[0]
 
     # Column layout: one column per non-negative variable, two per free
-    # variable (x = x+ - x-), then one slack per inequality row.
-    col_of: list[tuple[int, int]] = []  # (var index, sign)
+    # variable (x = x+ - x-), then one slack per inequality row. Column j
+    # holds sign[j] times variable var[j].
+    var: list[int] = []
+    sign: list[float] = []
     for i in range(n):
-        col_of.append((i, +1))
+        var.append(i)
+        sign.append(1.0)
         if not nonneg[i]:
-            col_of.append((i, -1))
-    n_cols = len(col_of) + rows_ub
+            var.append(i)
+            sign.append(-1.0)
+    k = len(var)
 
-    A_rows = []
-    b_all = []
-    if rows_eq:
-        Ae = np.asarray(A_eq, dtype=float).reshape(-1, n)
-        be = np.asarray(b_eq, dtype=float).reshape(-1)
-        for k in range(rows_eq):
-            row = np.zeros(n_cols)
-            for j, (i, s) in enumerate(col_of):
-                row[j] = s * Ae[k, i]
-            A_rows.append(row)
-            b_all.append(be[k])
-    if rows_ub:
-        Au = np.asarray(A_ub, dtype=float).reshape(-1, n)
-        bu = np.asarray(b_ub, dtype=float).reshape(-1)
-        for k in range(rows_ub):
-            row = np.zeros(n_cols)
-            for j, (i, s) in enumerate(col_of):
-                row[j] = s * Au[k, i]
-            row[len(col_of) + k] = 1.0
-            A_rows.append(row)
-            b_all.append(bu[k])
+    Ae, be = _constraint_rows(A_eq, b_eq, n)
+    Au, bu = _constraint_rows(A_ub, b_ub, n)
+    # Row 0 is the cost, then the equality and the inequality rows, all
+    # laid out by one gather.
+    rows = np.concatenate([c[None], Ae, Au])
+    std = np.zeros((len(rows), k + len(Au)))
+    np.multiply(rows[:, var], sign, out=std[:, :k])
+    std[1 + len(Ae) :, k:] = np.eye(len(Au))
 
-    A_std = np.array(A_rows) if A_rows else np.zeros((0, n_cols))
-    b_std = np.array(b_all)
-    c_std = np.zeros(n_cols)
-    for j, (i, s) in enumerate(col_of):
-        c_std[j] = s * c[i]
-
-    res = solve_standard(c_std, A_std, b_std)
+    res = solve_standard(std[0], std[1:], np.concatenate([be, bu]))
     if res.status != "optimal":
         return res
+    # Summed column by column in layout order: x+ first, then -x-.
     x = np.zeros(n)
-    for j, (i, s) in enumerate(col_of):
-        x[i] += s * res.x[j]
+    np.add.at(x, var, np.multiply(sign, res.x[:k]))
     return LPResult("optimal", x, float(c @ x))
 
 
-def _n_choose(n: int, r: int) -> int:
-    from math import comb
-
-    return comb(n, r)
+def _constraint_rows(A, b, n: int):
+    """(A, b) as an (m, n) matrix and m values; no rows when A is None."""
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+    if not len(A):
+        return A, np.zeros(0)
+    return A, np.asarray(b, dtype=float).reshape(-1)

@@ -8,6 +8,13 @@ singular value is at most ``_RANK_TOL * scale`` is not a vertex. The
 oracle applies that rule to every basis; the kernel only to a basis
 about to become the incumbent, which must give the same answer.
 
+The oracle decides boundedness the old way, by enumerating the whole
+ray LP (min c.d over d >= 0, A d = 0, sum d = 1) after every optimum
+with a nonzero cost. The kernel proves most optima bounded from the
+reduced costs of the optimal basis, stops the ray LP at its first
+vertex below -FEAS_TOL, stops at the first vertex when every cost is
+zero, and leaves all-zero columns out of the enumeration.
+
 On random standard-form problems, and through ``solve_lp`` with free
 variables and inequality rows, the kernel must reproduce the oracle's
 status, ``x`` and objective bit for bit, and raise the same errors.
@@ -214,6 +221,27 @@ def standard_problem(seed: int, kind: str):
         b = np.zeros(A.shape[0])
         b[0] = 1.0
         c = np.concatenate([rows[0], -rows[0], np.zeros(len(rows))])
+    elif kind == "zero_columns":
+        # The audit shape of near_parallel with one restricted coordinate
+        # whose price and payoffs are all zero at the node, so both halves
+        # of its weight are all-zero columns. Its cost is zero, as in the
+        # audits, or not, which makes one half an improving ray.
+        k = int(rng.integers(2, 5))
+        children = int(rng.integers(1, 4))
+        s = _matrix(rng, k, integer)
+        Y = _matrix(rng, (children, k), integer)
+        j = int(rng.integers(k))
+        s[j] = 0.0
+        Y[:, j] = 0.0
+        A = np.zeros((1 + children, 2 * k + children))
+        A[0, :k], A[0, k : 2 * k] = s, -s
+        A[1:, :k], A[1:, k : 2 * k], A[1:, 2 * k :] = -Y, Y, np.eye(children)
+        b = np.zeros(A.shape[0])
+        b[0] = 1.0
+        cost = rng.uniform(0.1, 1.0, children) @ Y * rng.choice([-1.0, 1.0])
+        if rng.uniform() < 0.3:
+            cost[j] = _matrix(rng, 1, integer)[0]
+        c = np.concatenate([cost, -cost, np.zeros(children)])
     elif kind == "no_rows":
         m = int(rng.integers(0, 3))
         n = int(rng.integers(1, 5))
@@ -249,6 +277,7 @@ KINDS = (
     "infeasible",
     "unbounded",
     "near_parallel",
+    "zero_columns",
     "no_rows",
     "many_bases",
 )
@@ -298,12 +327,33 @@ def test_solve_lp_with_free_variables_matches_per_basis_loop(seed):
     assert got == want
 
 
-def test_generators_cover_every_case():
+def _recorded(monkeypatch, name):
+    """Route the kernel's ``lp.<name>`` through a wrapper; returns the
+    list of its results, one per call."""
+    results = []
+    fn = getattr(lp, name)
+
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(lp, name, wrapper)
+    return results
+
+
+def test_generators_cover_every_case(monkeypatch):
     """Across fixed seeds, the generators reach what the kernel must get
     right: exactly singular bases, ill-conditioned bases, every status,
-    empty constraint sets, and an incumbent found past the first chunk."""
+    empty constraint sets, all-zero columns, an incumbent found past the
+    first chunk, and the three ways an optimum is checked for a ray:
+    bounded by the optimal basis's reduced costs, bounded only after the
+    ray LP (a degenerate optimum with a negative reduced cost), and
+    unbounded."""
     seen = {"singular": 0, "ill_conditioned": 0, "late_incumbent": 0}
     statuses = {kind: set() for kind in KINDS}
+    rays = {"certified": 0, "bounded_after_ray": 0, "unbounded_by_ray": 0}
+    certified = _recorded(monkeypatch, "_bounded_by_basis")
+    rayed = _recorded(monkeypatch, "_improving_ray")
     for kind in KINDS:
         for seed in range(40):
             c, A, b = standard_problem(seed, kind)
@@ -313,14 +363,45 @@ def test_generators_cover_every_case():
             seen["singular"] += stats["singular"]
             seen["ill_conditioned"] += stats["ill_conditioned"]
             seen["late_incumbent"] += stats["incumbent_index"] >= lp._CHUNK
+            certified.clear()
+            rayed.clear()
+            try:
+                solve_standard(c, A, b)
+            except NumericalFailure:
+                continue
+            rays["certified"] += certified == [True]
+            rays["bounded_after_ray"] += rayed == [False]
+            rays["unbounded_by_ray"] += rayed == [True]
     assert seen["singular"] and seen["ill_conditioned"] and seen["late_incumbent"]
+    assert all(rays.values()), rays
     assert {"optimal", "infeasible"} <= statuses["dependent_rows"]
     assert {"optimal", "infeasible"} <= statuses["tall"]
     assert "infeasible" in statuses["infeasible"]
     assert "unbounded" in statuses["unbounded"]
     assert {"optimal", "unbounded"} <= statuses["no_rows"]
+    assert {"optimal", "unbounded"} <= statuses["zero_columns"]
     assert "optimal" in statuses["degenerate"] and "optimal" in statuses["many_bases"]
     assert any(
         comb(A.shape[1], A.shape[0]) > lp._CHUNK
         for A in (standard_problem(s, "many_bases")[1] for s in range(5))
     )
+
+
+def test_improving_ray_runs_only_without_certificate(monkeypatch):
+    """The ray LP runs only when the optimal basis's reduced costs leave
+    boundedness open, and never for an all-zero cost."""
+    calls = _recorded(monkeypatch, "_improving_ray")
+    # min x1 + 2 x2 with x1 + x2 = 1: basis {x1} has reduced costs (0, 1).
+    res = solve_standard(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert (res.status, res.objective, calls) == ("optimal", 1.0, [])
+    # A cone certificate's zero cost: the first vertex is the answer.
+    res = solve_standard(np.zeros(3), np.array([[1.0, 2.0, 0.0]]), np.array([2.0]))
+    assert (res.status, res.x.tolist(), calls) == ("optimal", [2.0, 0.0, 0.0], [])
+    # Degenerate: z = 0 is the only vertex and basis {x1} has reduced
+    # cost -1 on x2, but every ray has c.d = d1 >= 0.
+    A = np.array([[1.0, 1.0, -1.0]])
+    res = solve_standard(np.array([0.0, -1.0, 1.0]), A, np.zeros(1))
+    assert (res.status, calls) == ("optimal", [False])
+    # x1 = x2 = t for any t >= 0, and c.(1, 1) = -1.
+    res = solve_standard(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.zeros(1))
+    assert (res.status, calls) == ("unbounded", [False, True])
