@@ -31,20 +31,14 @@ from .errors import (
     NumericalFailure,
 )
 from .lattice import ScenarioTree
-from .market import (
-    ConsistencyCertificate,
-    RestrictionSet,
-    TradableSet,
-    compose_state_prices,
-)
+from .market import ConsistencyCertificate, RestrictionSet, TradableSet
 from .risk import (
     DiscreteDistribution,
-    DistributionRows,
+    Distributions,
     RiskMeasureSpec,
     apply_measure,
-    apply_measure_rows,
     lower_quantile,
-    lower_quantile_rows,
+    rows_of,
     sum_left_to_right,
 )
 
@@ -89,47 +83,34 @@ class FulfillmentSpec:
     def probability(p: float) -> "FulfillmentSpec":
         return FulfillmentSpec("probability", p=p)
 
-    def required_buffer(self, surplus: DiscreteDistribution) -> float:
+    def required_buffer(self, surplus: Distributions):
         """Smallest deterministic add-on c making ``surplus + c`` satisfy
-        the condition (the effective rho of the surplus).
+        the condition (the effective rho of the surplus), for one
+        distribution or per row.
 
         All variants are translation-solvable: full and risk_measure via
         translation invariance, probability via the quantile identity
         P[Y + c >= 0] >= p iff c >= q_p(-Y).
         """
-        if self.variant == "full":
-            return -surplus.min()
-        if self.variant == "risk_measure":
-            return apply_measure(self.measure, surplus)
-        if self.p == 1.0:
-            return -surplus.min()
-        return lower_quantile(surplus.negated(), self.p)
-
-    def required_buffer_rows(self, surplus: DistributionRows) -> np.ndarray:
-        """``required_buffer`` of every row."""
+        rows, back = rows_of(surplus)
         if self.variant == "full" or (self.variant == "probability" and self.p == 1.0):
-            return -surplus.min()
+            return back(-rows.min())
         if self.variant == "risk_measure":
-            return apply_measure_rows(self.measure, surplus)
-        return lower_quantile_rows(surplus.negated(), self.p)
+            return back(apply_measure(self.measure, rows))
+        return back(lower_quantile(rows.negated(), self.p))
 
 
-def fulfillment_satisfied(spec: FulfillmentSpec, surplus: DiscreteDistribution) -> bool:
-    """Decide the condition on the year-end surplus distribution.
+def fulfillment_satisfied(spec: FulfillmentSpec, surplus: Distributions):
+    """Decide the condition on the year-end surplus distribution, for one
+    distribution (a bool) or per row (a bool array).
 
     full: min >= 0; risk_measure: rho <= 0; probability: P[>= 0] >= p.
     Comparisons carry a 1e-9 slack so boundary constructions pass.
     """
+    rows, back = rows_of(surplus)
     if spec.variant == "probability":
-        return surplus.prob_at_least(-SLACK) >= spec.p - 1e-12
-    return spec.required_buffer(surplus) <= SLACK
-
-
-def fulfillment_satisfied_rows(spec: FulfillmentSpec, surplus: DistributionRows) -> np.ndarray:
-    """``fulfillment_satisfied`` of every row."""
-    if spec.variant == "probability":
-        return surplus.prob_at_least(-SLACK) >= spec.p - 1e-12
-    return spec.required_buffer_rows(surplus) <= SLACK
+        return back(rows.prob_at_least(-SLACK) >= spec.p - 1e-12)
+    return back(spec.required_buffer(rows) <= SLACK)
 
 
 @dataclass(frozen=True)
@@ -192,104 +173,111 @@ class FinanciabilitySpec:
 
 def max_capital(
     spec: FinanciabilitySpec,
-    payoff: DiscreteDistribution,
-    rate: float,
-    node: Optional[int] = None,
+    payoff: Distributions,
+    rate,
+    node=None,
     horizon_index: Optional[int] = None,
-) -> float:
+):
     """Largest C_i the condition accepts for the given payoff distribution.
 
     The payoff is C'_{i+1} = (A' - L)_+, so atoms must be non-negative.
     For the state-price bound the distribution must carry node labels and
     ``node``/``horizon_index`` locate the period on the certificate tree.
     Never negative.
+
+    Takes one distribution with one rate and node and returns a float, or
+    DistributionRows with an array of rates and of nodes (row r is the
+    period from ``node[r]`` with rate ``rate[r]``) and returns an array.
+    For rows the first row the condition rejects raises, with the first
+    error that row alone would raise.
     """
-    if min(payoff.values) < -SLACK:
-        raise NegativePayoffAtom(f"capital payoff has atom {min(payoff.values)}")
+    rows, back = rows_of(payoff)
+    n = len(rows.counts)
+    low = rows.min()
+    checks = [(low < -SLACK, lambda r: NegativePayoffAtom(f"capital payoff has atom {float(low[r])}"))]
     if spec.variant == "zero":
-        return 0.0
-    if spec.variant == "cost_of_capital":
-        denom = 1.0 + rate + spec.eta
-        if denom <= 0:
-            raise BadRate(f"1 + r + eta = {denom} must be positive")
-        return max(0.0, payoff.mean() / denom)
-    if payoff.labels is None or node is None or horizon_index is None:
-        raise MissingCertificate(
-            "state-price bound needs labeled payoff atoms and the period location"
-        )
-    q = compose_state_prices(spec.certificate, spec.tree, node, horizon_index)
-    total = 0.0
-    for value, label in zip(payoff.values, payoff.labels):
-        if label not in q:
-            raise MissingCertificate(f"no state price for node {label}")
-        total += q[label] * value
-    return max(0.0, total)
-
-
-def max_capital_rows(
-    spec: FinanciabilitySpec,
-    payoff: DistributionRows,
-    rates: np.ndarray,
-    nodes: np.ndarray,
-    horizon_index: int,
-) -> np.ndarray:
-    """``max_capital`` of every row; row r is the payoff of the period
-    from ``nodes[r]`` with rate ``rates[r]``, its atoms labeled.
-
-    A row ``max_capital`` would reject is handed to it, so the first
-    such row raises that function's error.
-    """
-    if not len(nodes):
-        return np.zeros(0)
-    rejected = payoff.min() < -SLACK
-    if spec.variant == "zero":
-        capital = np.zeros(len(nodes))
+        capital = np.zeros(n)
     elif spec.variant == "cost_of_capital":
-        denom = 1.0 + rates + spec.eta
-        rejected |= denom <= 0
+        denom = np.broadcast_to(1.0 + np.asarray(rate, dtype=float) + spec.eta, (n,))
+        checks.append((denom <= 0, lambda r: BadRate(f"1 + r + eta = {float(denom[r])} must be positive")))
         with np.errstate(divide="ignore", invalid="ignore"):
-            capital = payoff.mean() / denom
+            capital = rows.mean() / denom
+    elif rows.labels is None or node is None or horizon_index is None:
+        checks.append((np.ones(n, dtype=bool), lambda r: MissingCertificate(
+            "state-price bound needs labeled payoff atoms and the period location"
+        )))
+        capital = np.zeros(n)
     else:
-        q, inconsistent = _state_price_rows(spec, payoff, nodes, horizon_index)
-        rejected |= inconsistent
-        capital = sum_left_to_right(q * np.where(payoff.mask, payoff.values, 0.0))
-    if rejected.any():
-        r = int(rejected.argmax())
-        max_capital(spec, payoff.row(r), float(rates[r]), int(nodes[r]), horizon_index)
-    return np.where(capital > 0.0, capital, 0.0)
+        nodes = np.broadcast_to(np.asarray(node, dtype=np.int64), (n,))
+        q = _state_prices(spec, rows, nodes, horizon_index, checks)
+        capital = sum_left_to_right(q * np.where(rows.mask, rows.values, 0.0))
+    _raise_first(checks)
+    return back(np.where(capital > 0.0, capital, 0.0))
 
 
-def _state_price_rows(spec, payoff, nodes, horizon_index):
-    """Per atom the product of the certificate's weights from the atom up
-    to its row's node (``compose_state_prices``), 0 at padding; and per
-    row whether that path meets a node without weights."""
+def _raise_first(checks) -> None:
+    """Raise at the first row failing any of ``checks`` (pairs of a
+    per-row mask and a function of the row giving the error), with the
+    error of the first check that row fails."""
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        r = int(failed.argmax())
+        raise next(error(r) for mask, error in checks if mask[r])
+
+
+def _state_prices(spec, payoff, nodes, horizon_index, checks):
+    """Per atom the product of the certificate's weights along the path
+    from the atom up to its row's node, multiplied from the atom upward
+    (1 at padding). Appends to ``checks`` the row errors, in the order
+    they are raised: a horizon before the node's date; an atom whose path
+    meets a node without weights; an atom that is not a
+    date-``horizon_index`` descendant of its row's node."""
     tree, cert = spec.tree, spec.certificate
-    mask = payoff.mask
-    atoms = payoff.labels[mask]
-    steps = horizon_index - int(tree.date_idx[nodes[0]])
+    labels = payoff.labels
+    steps = horizon_index - tree.date_idx[nodes]
+    known = payoff.mask & (labels >= 0) & (labels < tree.n_nodes)
+    cur = np.where(known, labels, 0)
+    walks = known & (tree.date_idx[cur] == horizon_index) & (steps >= 0)[:, None]
     weight = np.zeros(tree.n_nodes)
-    bad = np.zeros(tree.n_nodes, dtype=bool)
-    q = np.ones(len(atoms))
-    inconsistent = np.zeros(len(atoms), dtype=bool)
-    cur = atoms
-    for _ in range(steps):
+    unweighted = np.zeros(tree.n_nodes, dtype=bool)
+    q = np.ones(labels.shape)
+    through_bad = np.zeros(labels.shape, dtype=bool)
+    for k in range(int(steps.max(initial=0))):
+        moving = walks & (k < steps)[:, None]
         par = tree.parent[cur]
         # A set, not np.unique, which imports numpy.ma (about 2 MB of
         # resident memory) on first use.
-        for m in set(par.tolist()):
+        for m in set(par[moving].tolist()):
             verdict = cert.verdicts[m]
             if verdict.consistent:
                 weight[list(verdict.weights)] = list(verdict.weights.values())
             else:
-                bad[m] = True
-        q = q * weight[cur]
-        inconsistent |= bad[par]
-        cur = par
-    out = np.zeros(mask.shape)
-    out[mask] = q
-    row_bad = np.zeros(mask.shape, dtype=bool)
-    row_bad[mask] = inconsistent
-    return out, row_bad.any(axis=1)
+                unweighted[m] = True
+        np.multiply(q, weight[cur], out=q, where=moving)
+        through_bad |= moving & unweighted[par]
+        np.copyto(cur, par, where=moving)
+    descendant = walks & (cur == nodes[:, None])
+    through_bad &= descendant
+    stray = payoff.mask & ~descendant
+
+    def lowest_unweighted(r: int) -> int:
+        """The lowest node without weights on the path of row r's first
+        atom whose path meets one."""
+        m = int(tree.parent[labels[r, through_bad[r].argmax()]])
+        while not unweighted[m]:
+            m = int(tree.parent[m])
+        return m
+
+    checks += [
+        (steps < 0, lambda r: ValueError("target date precedes the node's date")),
+        (through_bad.any(axis=1), lambda r: NumericalFailure(
+            f"no weights at inconsistent node {lowest_unweighted(r)}"
+        )),
+        (stray.any(axis=1), lambda r: MissingCertificate(
+            f"no state price for node {int(labels[r, stray[r].argmax()])}"
+        )),
+    ]
+    return q
 
 
 def financiability_holds(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -39,13 +40,10 @@ from .conditions import (
     FulfillmentSpec,
     audit_neutrality_to_tradables,
     fulfillment_satisfied,
-    fulfillment_satisfied_rows,
     max_capital,
-    max_capital_rows,
 )
 from .errors import (
     CloseOutUnavailable,
-    MissingCost,
     NeutralityAuditFailed,
     NoBondAvailable,
     NodeOutsideSpan,
@@ -54,7 +52,7 @@ from .errors import (
 )
 from .lattice import ScenarioTree
 from .market import RestrictionSet, TradableSet
-from .risk import DiscreteDistribution, DistributionRows
+from .risk import DistributionRows
 from .strategy import (
     CashflowProcess,
     Strategy,
@@ -199,12 +197,6 @@ class ProductionCostProcess:
     @property
     def feasible(self) -> bool:
         return not self.infeasible_nodes
-
-    def value_at(self, node: int) -> float:
-        try:
-            return self.values[node]
-        except KeyError:
-            raise MissingCost(f"no production cost stored at node {node}") from None
 
 
 # --- balance sheet and failure -------------------------------------------------
@@ -437,7 +429,7 @@ def _affine_scale(year: _Year, portfolio, fulfillment, solved):
     g = slopes[:, 0]
     spread = np.abs(slopes - g[:, None]) > 1e-9 * np.where(g > 1.0, g, 1.0)[:, None]
     solved &= ~((g <= 0) | (spread & year.dist.mask).any(axis=1))
-    buffer = fulfillment.required_buffer_rows(year.dist.with_values(year.pad(end0 - year.ell)))
+    buffer = fulfillment.required_buffer(year.dist.with_values(year.pad(end0 - year.ell)))
     solved &= ~(np.isinf(buffer) & (buffer > 0))
     # max(0, s_feas, buffer / g); s_feas is already at least 0.
     translation = buffer / g
@@ -463,7 +455,7 @@ def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
         good = np.flatnonzero(_interior_ok(year, pots, rows.copy()))
         surplus = year.dist.with_values(year.pad(end - year.ell)).take(good)
         out = np.zeros(n, dtype=bool)
-        out[good] = fulfillment_satisfied_rows(fulfillment, surplus)
+        out[good] = fulfillment_satisfied(fulfillment, surplus)
         return out
 
     if fulfillment.variant == "full":
@@ -523,7 +515,7 @@ def _explicit_step(year: _Year, base: Strategy, roots, bond, market, fulfillment
             m = year.nodes[out][year.rows[out] == reaches.argmax()][0]
             raise NodeOutsideSpan(f"node {m} outside span")
 
-    buffer = fulfillment.required_buffer_rows(year.dist.with_values(year.pad(end - year.ell)))
+    buffer = fulfillment.required_buffer(year.dist.with_values(year.pad(end - year.ell)))
     top = ~(buffer <= 0.0)
     solved &= ~(top & np.isinf(buffer))
     base_value = values[0]
@@ -623,12 +615,12 @@ def build_one_period(
             _interior_ok(year, pots, solved)
             value = s
         surplus = year.dist.with_values(year.pad(end - year.ell))
-        feasible = solved & fulfillment_satisfied_rows(fulfillment, surplus)
+        feasible = solved & fulfillment_satisfied(fulfillment, surplus)
 
     f = np.flatnonzero(feasible)
     plus = surplus.with_values(np.where(surplus.values > 0.0, surplus.values, 0.0))
     capital = np.zeros(len(feasible))
-    capital[f] = max_capital_rows(
+    capital[f] = max_capital(
         financiability,
         plus.take(f),
         np.repeat(np.asarray(rates, dtype=float), n_cand)[f],
@@ -864,9 +856,9 @@ def validate_production_strategy(
     vbar_i = v_i(phi) - C_i, with terminal values at i_max. Periods after
     a balance-sheet failure are skipped (the strategy stops there).
 
-    Each date's live nodes are checked together as array operations; the
-    fulfillment and financiability conditions are then decided node by
-    node on the year-end surplus distribution.
+    Each date's live nodes are checked together as array operations,
+    the fulfillment and financiability conditions with one call each on
+    the rows of the year-end surplus distributions.
     """
     if i_max is None:
         i_max = tree.grid.horizon
@@ -941,24 +933,29 @@ def validate_production_strategy(
         surplus = assets - (outflow[atoms] + vbar[atoms])
         live[atoms] = surplus >= -TOL
         pad, dist = _atom_rows(tree, atoms, pos[-1], len(roots), j1 - j0)
-        plus = pad(_positive_part(surplus)).tolist()
-        for node_i, res, low, vbar_i, c_i, dist_i, plus_i in zip(
+        ful_ok = fulfillment_satisfied(fulfillment, dist.with_values(pad(surplus)))
+        bound = max_capital(
+            financiability,
+            dist.with_values(pad(_positive_part(surplus))),
+            np.array([rates[m] for m in roots.tolist()], dtype=float),
+            roots,
+            j1,
+        )
+        c = cap[roots]
+        fin_ok = c <= bound + TOL
+        cost_ok = (vbar[roots] >= -TOL) | (mode == "A")
+        checks.extend(map(
+            PeriodCheck,
             roots.tolist(),
+            repeat(i),
             max_res.tolist(),
             min_val.tolist(),
-            vbar[roots].tolist(),
-            cap[roots].tolist(),
-            dist.with_values(pad(surplus)).rows(),
-            plus,
-        ):
-            ful_ok = fulfillment_satisfied(fulfillment, dist_i)
-            plus_part = DiscreteDistribution(
-                tuple(plus_i[: len(dist_i.values)]), dist_i.probs, dist_i.labels
-            )
-            bound = max_capital(financiability, plus_part, rates[node_i], node_i, j1)
-            fin_ok = c_i <= bound + TOL
-            cost_ok = mode == "A" or vbar_i >= -TOL
-            checks.append(PeriodCheck(node_i, i, res, low, ful_ok, c_i, bound, fin_ok, cost_ok))
+            ful_ok.tolist(),
+            c.tolist(),
+            bound.tolist(),
+            fin_ok.tolist(),
+            cost_ok.tolist(),
+        ))
     return ValidationReport(checks, skipped)
 
 

@@ -93,10 +93,6 @@ class BadRate(ProdvalError):
 
 # --- engine ----------------------------------------------------------------
 
-class MissingCost(ProdvalError):
-    """Production cost is not available at a node where it is required."""
-
-
 class SpanMismatch(ProdvalError):
     """Strategy, capital, or flow spans do not cover the requested dates."""
 

@@ -296,19 +296,3 @@ def check_consistency(
         verdicts[node] = NodeVerdict(False, violation=tuple(float(v) for v in x_full))
     return ConsistencyCertificate(verdicts)
 
-
-def compose_state_prices(
-    cert: ConsistencyCertificate, tree: ScenarioTree, node: int, j_end: int
-) -> Dict[int, float]:
-    """Price of one unit of cash at each date-j_end descendant, obtained
-    by multiplying per-step certificate weights along the path."""
-    out: Dict[int, float] = {}
-    for target in tree.descendants_at(node, j_end):
-        q = 1.0
-        m = target
-        while m != node:
-            par = int(tree.parent[m])
-            q *= cert.weights_at(par)[m]
-            m = par
-        out[target] = q
-    return out

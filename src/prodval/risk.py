@@ -13,9 +13,11 @@ the ES integral is evaluated exactly (no sampling). ES is the discrete
 expected shortfall of Acerbi & Tasche (2002), "On the coherence of
 expected shortfall".
 
-``DistributionRows`` stacks many distributions as the rows of padded
-arrays; its functions give the same numbers, bit for bit, as the
-one-distribution functions applied row by row.
+Every function takes either one ``DiscreteDistribution`` and returns a
+float, or a ``DistributionRows`` stacking many distributions as the rows
+of padded arrays and returns one value per row. A single distribution is
+evaluated as a one-row ``DistributionRows`` (``rows_of``), so there is
+one implementation of each measure.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import le
-from typing import List, Optional, Sequence
+from operator import gt
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +39,9 @@ _PROB_TOL = 1e-12
 class DiscreteDistribution:
     """Finite distribution given by atoms (value, probability).
 
-    Values may repeat; ``normalized()`` merges equal values. Optional
-    ``labels`` tag each atom with the tree node it came from, which the
-    state-price capital bound needs to match weights to outcomes.
+    Values may repeat. Optional ``labels`` tag each atom with the tree
+    node it came from, which the state-price capital bound needs to match
+    weights to outcomes.
     """
 
     values: tuple
@@ -53,7 +55,8 @@ class DiscreteDistribution:
             raise ValueError("values and probs must have equal length")
         if self.labels is not None and len(self.labels) != len(self.values):
             raise ValueError("labels must match atom count")
-        if any(map(le, self.probs, repeat(0))):  # some p <= 0
+        # Written as "every p > 0" so that a NaN probability fails too.
+        if not all(map(gt, self.probs, repeat(0))):
             raise ValueError("atom probabilities must be strictly positive")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-9:
@@ -68,17 +71,6 @@ class DiscreteDistribution:
     @staticmethod
     def point(value: float) -> "DiscreteDistribution":
         return DiscreteDistribution((float(value),), (1.0,))
-
-    def normalized(self) -> "DiscreteDistribution":
-        """Merge repeated values and rescale probabilities to sum to one."""
-        total = math.fsum(self.probs)
-        merged: dict = {}
-        for v, p in zip(self.values, self.probs):
-            merged[v] = merged.get(v, 0.0) + p / total
-        items = sorted(merged.items())
-        return DiscreteDistribution(
-            tuple(v for v, _ in items), tuple(p for _, p in items)
-        )
 
     def negated(self) -> "DiscreteDistribution":
         return DiscreteDistribution(
@@ -99,15 +91,6 @@ class DiscreteDistribution:
 
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
-
-    def min(self) -> float:
-        return min(self.values)
-
-    def prob_at_least(self, threshold: float) -> float:
-        return math.fsum(p for v, p in zip(self.values, self.probs) if v >= threshold)
-
-    def _sorted(self):
-        return sorted(zip(self.values, self.probs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +113,6 @@ class DistributionRows:
         """True at real atoms, False at padding."""
         return np.arange(self.values.shape[1]) < self.counts[:, None]
 
-    def row(self, r: int) -> DiscreteDistribution:
-        c = int(self.counts[r])
-        labels = None if self.labels is None else tuple(self.labels[r, :c].tolist())
-        return DiscreteDistribution(
-            tuple(self.values[r, :c].tolist()), tuple(self.probs[r, :c].tolist()), labels
-        )
-
-    def rows(self) -> List[DiscreteDistribution]:
-        """Every row, as ``row`` gives it, converted in one pass."""
-        values, probs, counts = self.values.tolist(), self.probs.tolist(), self.counts.tolist()
-        labels = [None] * len(counts) if self.labels is None else self.labels.tolist()
-        return [
-            DiscreteDistribution(tuple(v[:c]), tuple(p[:c]), None if lab is None else tuple(lab[:c]))
-            for v, p, lab, c in zip(values, probs, labels, counts)
-        ]
-
     def with_values(self, values: np.ndarray) -> "DistributionRows":
         return DistributionRows(values, self.probs, self.counts, self.labels)
 
@@ -158,26 +125,55 @@ class DistributionRows:
         return self.with_values(-self.values)
 
     def min(self) -> np.ndarray:
-        """The first smallest atom of each row, as ``min`` picks it."""
+        """The first smallest atom of each row, as Python's ``min`` picks
+        it (of -0.0 and 0.0 the one listed first)."""
         first = np.where(self.mask, self.values, math.inf).argmin(axis=1)
         return np.take_along_axis(self.values, first[:, None], axis=1)[:, 0]
 
     def mean(self) -> np.ndarray:
-        """Per row, math.fsum of value * probability, as ``mean``."""
-        terms = np.where(self.mask, self.values * self.probs, 0.0)
+        """Per row, math.fsum of value * probability."""
+        terms = np.where(self.mask, self.values, 0.0) * self.probs
         return np.array([math.fsum(row) for row in terms.tolist()])
 
     def prob_at_least(self, threshold: float) -> np.ndarray:
+        """Per row, math.fsum of the probabilities of the atoms >= threshold."""
         hit = np.where(self.mask & (self.values >= threshold), self.probs, 0.0)
         return np.array([math.fsum(row) for row in hit.tolist()])
 
     def _sorted(self):
         """Atom values sorted by (value, probability) within each row,
         padding last, and the running sums of their probabilities, added
-        left to right as the loops over ``_sorted`` atoms add them."""
+        left to right from the first atom."""
         order = np.lexsort((self.probs, self.values, ~self.mask), axis=1)
         values = np.take_along_axis(self.values, order, axis=1)
         return values, np.cumsum(np.take_along_axis(self.probs, order, axis=1), axis=1)
+
+
+Distributions = Union[DiscreteDistribution, DistributionRows]
+
+
+def _one_value(out: np.ndarray):
+    return out[0].item()
+
+
+def _all_rows(out: np.ndarray) -> np.ndarray:
+    return out
+
+
+def rows_of(dist: Distributions) -> Tuple[DistributionRows, Callable]:
+    """``dist`` as DistributionRows (a DiscreteDistribution becomes one
+    row), and the function that turns the per-row results back into what
+    the caller passed: the array itself, or the one row's Python value."""
+    if isinstance(dist, DistributionRows):
+        return dist, _all_rows
+    labels = None if dist.labels is None else np.array([dist.labels])
+    rows = DistributionRows(
+        np.array([dist.values], dtype=float),
+        np.array([dist.probs], dtype=float),
+        np.array([len(dist.values)]),
+        labels,
+    )
+    return rows, _one_value
 
 
 @dataclass(frozen=True)
@@ -196,98 +192,63 @@ class RiskMeasureSpec:
                 raise BadLevel(f"alpha must lie in (0,1), got {self.alpha}")
 
 
-def lower_quantile(dist: DiscreteDistribution, u: float) -> float:
+def lower_quantile(dist: Distributions, u: float):
     """Smallest atom value whose cumulative probability reaches u.
 
-    Applies the infimum definition literally: the atom where the cumulative
-    probability first reaches u (>= u, no interpolation).
+    Applies the infimum definition literally: the atom where the running
+    sum of the sorted probabilities first reaches u (>= u, no
+    interpolation), else the largest atom; padding never reaches u before
+    the last atom.
     """
     if not (0.0 < u <= 1.0):
         raise BadLevel(f"quantile level must lie in (0,1], got {u}")
-    cum = 0.0
-    atoms = dist._sorted()
-    for value, p in atoms:
-        cum += p
-        if cum >= u - _PROB_TOL:
-            return value
-    return atoms[-1][0]
-
-
-def lower_quantile_rows(rows: DistributionRows, u: float) -> np.ndarray:
-    """``lower_quantile`` of every row: the running sum is sequential, as
-    in the loop, and padding never reaches u before the last atom."""
-    if not (0.0 < u <= 1.0):
-        raise BadLevel(f"quantile level must lie in (0,1], got {u}")
+    rows, back = rows_of(dist)
     values, cum = rows._sorted()
     hit = cum >= u - _PROB_TOL
     at = np.where(hit.any(axis=1), hit.argmax(axis=1), rows.counts - 1)
-    return np.take_along_axis(values, at[:, None], axis=1)[:, 0]
+    return back(np.take_along_axis(values, at[:, None], axis=1)[:, 0])
 
 
-def value_at_risk(dist: DiscreteDistribution, alpha: float) -> float:
+def value_at_risk(dist: Distributions, alpha: float):
     """VaR_alpha(Y) = q_{1-alpha}(-Y)."""
     if not (0.0 < alpha < 1.0):
         raise BadLevel(f"alpha must lie in (0,1), got {alpha}")
-    return lower_quantile(dist.negated(), 1.0 - alpha)
+    rows, back = rows_of(dist)
+    return back(lower_quantile(rows.negated(), 1.0 - alpha))
 
 
-def expected_shortfall(dist: DiscreteDistribution, alpha: float) -> float:
+def expected_shortfall(dist: Distributions, alpha: float):
     """ES_alpha(Y) = -(1/alpha) * integral over (0, alpha] of q_u(Y) du.
 
     The quantile function is piecewise constant on the cumulative
     probability segments, so the integral is a finite sum of segment
-    lengths clipped to (0, alpha].
+    lengths clipped to (0, alpha], added left to right in sorted order.
+    Atoms past the level and the padding have empty segments.
     """
     if not (0.0 < alpha < 1.0):
         raise BadLevel(f"alpha must lie in (0,1), got {alpha}")
-    integral = 0.0
-    cum = 0.0
-    for value, p in dist._sorted():
-        lo = min(cum, alpha)
-        cum += p
-        hi = min(cum, alpha)
-        if hi > lo:
-            integral += value * (hi - lo)
-        if cum >= alpha:
-            break
-    return -integral / alpha
-
-
-def expected_shortfall_rows(rows: DistributionRows, alpha: float) -> np.ndarray:
-    """``expected_shortfall`` of every row. Atoms past the level and the
-    padding have empty clipped segments and add nothing, so the loop's
-    early stop changes no sum."""
-    if not (0.0 < alpha < 1.0):
-        raise BadLevel(f"alpha must lie in (0,1), got {alpha}")
+    rows, back = rows_of(dist)
     values, cum = rows._sorted()
     hi = np.minimum(cum, alpha)
     lo = np.minimum(np.hstack([np.zeros((len(cum), 1)), cum[:, :-1]]), alpha)
     with np.errstate(invalid="ignore"):
         terms = np.where(hi > lo, values * (hi - lo), 0.0)
-    return -sum_left_to_right(terms) / alpha
+    return back(-sum_left_to_right(terms) / alpha)
 
 
 def sum_left_to_right(terms: np.ndarray) -> np.ndarray:
     """Row sums of ``terms`` added left to right from 0.0, as a Python
-    loop adds them (np.sum adds pairwise, and cumsum alone keeps a -0.0
-    first term)."""
+    loop or ``sum`` adds them (np.sum adds pairwise, and cumsum alone
+    keeps a -0.0 first term)."""
     start = np.zeros((len(terms), 1))
     return np.cumsum(np.hstack([start, terms]), axis=1)[:, -1]
 
 
-def apply_measure(spec: RiskMeasureSpec, dist: DiscreteDistribution) -> float:
+def apply_measure(spec: RiskMeasureSpec, dist: Distributions):
     """Dispatch rho(Y): full -> -min Y, var -> VaR, es -> ES."""
+    rows, back = rows_of(dist)
     if spec.variant == "full":
-        return -dist.min()
+        return back(-rows.min())
     if spec.variant == "var":
-        return value_at_risk(dist, spec.alpha)
-    return expected_shortfall(dist, spec.alpha)
-
-
-def apply_measure_rows(spec: RiskMeasureSpec, rows: DistributionRows) -> np.ndarray:
-    """``apply_measure`` of every row."""
-    if spec.variant == "full":
-        return -rows.min()
-    if spec.variant == "var":
-        return lower_quantile_rows(rows.negated(), 1.0 - spec.alpha)
-    return expected_shortfall_rows(rows, spec.alpha)
+        return back(value_at_risk(rows, spec.alpha))
+    return back(expected_shortfall(rows, spec.alpha))

@@ -12,14 +12,21 @@ M_1. Stage 3 drops the positive part from the financiability condition,
 which lowers SCR_0 and raises the reported cost; with deterministic
 SCRs and flat rates its risk-margin recursion unrolls to the familiar
 summation formula RM_0 = CoC * sum_i SCR_i / (1+r)^(i+1).
+
+Each stage function takes one node's period-end states, or the padded
+rows of many period starts (one row each); ``multi_period_solvency``
+evaluates all nodes of an annual date in one call, and one node is
+evaluated as one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence
 
-from .engine import LiabilitySpec
+import numpy as np
+
+from .engine import LiabilitySpec, _atom_rows, _node_array, _year_layers
 from .errors import (
     BadRate,
     FixedPointDivergence,
@@ -28,7 +35,14 @@ from .errors import (
 )
 from .lattice import ScenarioTree
 from .market import TradableSet
-from .risk import DiscreteDistribution, RiskMeasureSpec, apply_measure
+from .risk import (
+    DiscreteDistribution,
+    DistributionRows,
+    RiskMeasureSpec,
+    apply_measure,
+    rows_of,
+    sum_left_to_right,
+)
 
 TOL = 1e-9
 
@@ -84,133 +98,176 @@ class PeriodState:
         return self.x + self.bel + self.rm
 
 
-def _check_rates(r: float, eta: float) -> None:
-    if 1.0 + r <= 0.0:
-        raise BadRate(f"1 + r must be positive, got r = {r}")
-    if 1.0 + r + eta <= 0.0:
-        raise BadRate(f"1 + r + eta must be positive, got {1.0 + r + eta}")
+class _States(NamedTuple):
+    """The period-end states of many period starts, one padded row per
+    start: the probabilities (``dist``, whose values are unused), the net
+    outflows x and the continuation values bel and rm, 0 at padding."""
+
+    dist: DistributionRows
+    x: np.ndarray
+    bel: np.ndarray
+    rm: np.ndarray
+
+    @property
+    def prob(self) -> np.ndarray:
+        return self.dist.probs
+
+    @property
+    def liability(self) -> np.ndarray:
+        return self.x + self.bel + self.rm
+
+    def measure(self, rho: RiskMeasureSpec, values: np.ndarray) -> np.ndarray:
+        """rho of each row's distribution with the given atom values."""
+        return apply_measure(rho, self.dist.with_values(values))
+
+    def total(self, member, terms: np.ndarray) -> np.ndarray:
+        """Per row the sum of ``terms`` over the member states, added left
+        to right in state order."""
+        return sum_left_to_right(np.where(member & self.dist.mask, terms, 0.0))
 
 
-def _liability_dist(states: Sequence[PeriodState]) -> DiscreteDistribution:
-    return DiscreteDistribution.from_atoms(
-        [(s.liability, s.prob) for s in states]
-    )
+def _check_rates(r: np.ndarray, eta: float) -> None:
+    """BadRate for the first period start whose rate fails."""
+    bad = np.flatnonzero((1.0 + r <= 0.0) | (1.0 + r + eta <= 0.0))
+    if bad.size:
+        rate = float(r[bad[0]])
+        if 1.0 + rate <= 0.0:
+            raise BadRate(f"1 + r must be positive, got r = {rate}")
+        raise BadRate(f"1 + r + eta must be positive, got {1.0 + rate + eta}")
 
 
-def stage1_value(
-    states: Sequence[PeriodState], r: float, eta: float, rho: RiskMeasureSpec
-) -> Tuple[float, float, float, float]:
+def _states_of(states, r, eta):
+    """The states as _States with their rates as an array, after checking
+    the rates; one node's sequence of PeriodState (and float rate) becomes
+    one row, whose probabilities must form a distribution. Also returns
+    the function turning a per-row result back into what the caller
+    passed: the array, or the one row's float."""
+    if isinstance(states, _States):
+        _check_rates(r, eta)
+        return states, r, lambda out: out
+    rates = np.array([r], dtype=float)
+    _check_rates(rates, eta)
+    dist, back = rows_of(DiscreteDistribution.from_atoms([(s.liability, s.prob) for s in states]))
+
+    def row(field: str) -> np.ndarray:
+        return np.array([[getattr(s, field) for s in states]], dtype=float)
+
+    return _States(dist, row("x"), row("bel"), row("rm")), rates, back
+
+
+# Rows of infinite liabilities give 0 * inf and inf - inf at padding or
+# in unused terms; Python floats give those NaNs without a warning.
+@np.errstate(invalid="ignore", over="ignore")
+def stage1_value(states, r, eta: float, rho: RiskMeasureSpec) -> tuple:
     """First stage: value as a whole with risk-free investment.
 
     A_0 = rho(-L_1)/(1+r) makes the fulfillment condition bind; on
     M_1 = {L_1 <= rho(-L_1)} the capital payoff is (1+r)A_0 - L_1 and
     SCR_0 solves the expected-excess-return condition with equality.
-    Returns (A_0, SCR_0, vbar_0, P[M_1]).
+    Returns (A_0, SCR_0, vbar_0, P[M_1]): floats for one node's states
+    (a sequence of PeriodState, with a float rate), arrays for the rows
+    of many (with an array of rates), as for every stage function.
     """
-    _check_rates(r, eta)
-    l_dist = _liability_dist(states)
-    threshold = apply_measure(rho, l_dist.negated())
+    st, r, back = _states_of(states, r, eta)
+    liability = st.liability
+    threshold = st.measure(rho, -liability)
     a0 = threshold / (1.0 + r)
-    p_m1 = 0.0
-    excess = 0.0
-    for s in states:
-        if s.liability <= threshold + TOL:
-            p_m1 += s.prob
-            excess += s.prob * (threshold - s.liability)
+    member = liability <= (threshold + TOL)[:, None]
+    p_m1 = st.total(member, st.prob)
+    excess = st.total(member, st.prob * (threshold[:, None] - liability))
     scr = excess / (1.0 + r + eta)
-    return a0, scr, a0 - scr, p_m1
+    return tuple(map(back, (a0, scr, a0 - scr, p_m1)))
 
 
-def stage1_closed_form(
-    states: Sequence[PeriodState], r: float, eta: float, rho: RiskMeasureSpec
-) -> float:
+@np.errstate(invalid="ignore", over="ignore")
+def stage1_closed_form(states, r, eta: float, rho: RiskMeasureSpec):
     """The introductory closed form, valid only when P[M_1] = 1:
 
     vbar_0 = E[L_1]/(1+r) + eta/(1+r+eta) * rho((E[L_1] - L_1)/(1+r)).
     """
-    _check_rates(r, eta)
-    l_dist = _liability_dist(states)
-    threshold = apply_measure(rho, l_dist.negated())
-    outside = sum(s.prob for s in states if s.liability > threshold + TOL)
-    if outside > 1e-12:
+    st, r, back = _states_of(states, r, eta)
+    liability = st.liability
+    threshold = st.measure(rho, -liability)
+    outside = st.total(liability > (threshold + TOL)[:, None], st.prob)
+    bad = np.flatnonzero(outside > 1e-12)
+    if bad.size:
         raise MassOutsideM1(
-            f"closed form needs P[M_1] = 1; mass {outside} lies above rho(-L)"
+            f"closed form needs P[M_1] = 1; mass {float(outside[bad[0]])} lies above rho(-L)"
         )
-    mean = l_dist.mean()
-    deviation = DiscreteDistribution.from_atoms(
-        [((mean - s.liability) / (1.0 + r), s.prob) for s in states]
-    )
-    return mean / (1.0 + r) + eta / (1.0 + r + eta) * apply_measure(rho, deviation)
+    mean = st.dist.with_values(liability).mean()
+    deviation = st.measure(rho, (mean[:, None] - liability) / (1.0 + r)[:, None])
+    return back(mean / (1.0 + r) + eta / (1.0 + r + eta) * deviation)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def stage2_decompose(
-    states: Sequence[PeriodState],
-    r: float,
+    states,
+    r,
     eta: float,
     rho: RiskMeasureSpec,
-    bel_shape: Optional[Sequence[float]] = None,
+    bel_shape=None,
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 200,
-) -> Tuple[float, float, float, float]:
+) -> tuple:
     """Second stage: split the value into BEL_0 + RM_0 with SCR_0.
 
     The best estimate solves E[1_M (A_1^BEL - X_1 - BEL_1)] = 0. With the
     default risk-free BEL investment, M_1 = {L_1 <= rho(-L_1)} does not
     depend on BEL_0 and everything is explicit. A non-risk-free shape
-    (per-state gross return of one unit invested for BEL) couples M_1 to
-    BEL_0 and is resolved by damped fixed-point iteration.
-    Returns (BEL_0, RM_0, SCR_0, P[M_1]).
+    (per-state gross return of one unit invested for BEL, padded like
+    the states for rows) couples M_1 to BEL_0 and is resolved by damped
+    fixed-point iteration, each row iterating until its own step is
+    within ``tol``. Returns (BEL_0, RM_0, SCR_0, P[M_1]).
     """
-    _check_rates(r, eta)
+    st, r, back = _states_of(states, r, eta)
     if bel_shape is None:
-        shape = [1.0 + r] * len(states)
+        g = (1.0 + r)[:, None]
     else:
-        shape = list(bel_shape)
-        if len(shape) != len(states):
+        g = np.array(bel_shape, dtype=float, ndmin=2)
+        if g.shape != st.x.shape:
             raise ValueError("bel_shape must give one gross return per state")
+    liability = st.liability
 
-    def split(bel0: float):
-        a1 = [bel0 * g for g in shape]
-        mismatch_dist = DiscreteDistribution.from_atoms(
-            [(a - s.liability, s.prob) for a, s in zip(a1, states)]
-        )
-        mismatch = apply_measure(rho, mismatch_dist)
-        member = [
-            a - s.liability >= -mismatch - TOL for a, s in zip(a1, states)
-        ]
-        p_m1 = sum(s.prob for s, m in zip(states, member) if m)
-        num = sum(s.prob * (s.x + s.bel) for s, m in zip(states, member) if m)
-        den = sum(s.prob * g for s, g, m in zip(states, shape, member) if m)
-        new_bel0 = num / den if den > 0 else 0.0
+    def split(bel0: np.ndarray):
+        gap = bel0[:, None] * g - liability
+        mismatch = st.measure(rho, gap)
+        member = gap >= (-mismatch - TOL)[:, None]
+        p_m1 = st.total(member, st.prob)
+        num = st.total(member, st.prob * (st.x + st.bel))
+        den = st.total(member, st.prob * g)
+        with np.errstate(divide="ignore"):
+            new_bel0 = np.where(den > 0, num / den, 0.0)
         return new_bel0, mismatch, member, p_m1
 
-    bel0, mismatch, member, p_m1 = split(0.0)
+    bel0, mismatch, member, p_m1 = split(np.zeros(len(r)))
     if bel_shape is None:
-        # Risk-free: M_1 is independent of BEL_0, one pass is exact.
+        # Risk-free: M_1 is independent of BEL_0, one more pass is exact.
         bel0, mismatch, member, p_m1 = split(bel0)
     else:
+        active = np.ones(len(r), dtype=bool)
         for _ in range(max_iter):
-            new_bel0, mismatch, member, p_m1 = split(bel0)
-            if abs(new_bel0 - bel0) <= tol:
-                bel0 = new_bel0
+            new_bel0 = split(bel0)[0]
+            done = active & (np.abs(new_bel0 - bel0) <= tol)
+            damped = (1.0 - damping) * bel0 + damping * new_bel0
+            bel0 = np.where(done, new_bel0, np.where(active, damped, bel0))
+            active &= ~done
+            if not active.any():
                 break
-            bel0 = (1.0 - damping) * bel0 + damping * new_bel0
         else:
             raise FixedPointDivergence("stage-2 BEL fixed point did not converge")
         _, mismatch, member, p_m1 = split(bel0)
 
-    e_rm1 = sum(s.prob * s.rm for s, m in zip(states, member) if m)
+    e_rm1 = st.total(member, st.prob * st.rm)
     rm0 = ((1.0 + r + eta) - p_m1 * (1.0 + r)) * mismatch / (
         (1.0 + r + eta) * (1.0 + r)
     ) + e_rm1 / (1.0 + r + eta)
     scr0 = mismatch / (1.0 + r) - rm0
-    return bel0, rm0, scr0, p_m1
+    return tuple(map(back, (bel0, rm0, scr0, p_m1)))
 
 
-def stage3_decompose(
-    states: Sequence[PeriodState], r: float, eta: float, rho: RiskMeasureSpec
-) -> Tuple[float, float, float, float]:
+@np.errstate(invalid="ignore", over="ignore")
+def stage3_decompose(states, r, eta: float, rho: RiskMeasureSpec) -> tuple:
     """Third stage: drop the positive part from the financiability
     condition and invest everything risk-free.
 
@@ -219,23 +276,18 @@ def stage3_decompose(
     SCR_0 comes from the mismatch equation and is floored at zero.
     Returns (BEL_0, RM_0, SCR_0, P[M_1]).
     """
-    _check_rates(r, eta)
-    bel0 = sum(s.prob * (s.x + s.bel) for s in states) / (1.0 + r)
-    a1 = (1.0 + r) * bel0
-    mismatch_dist = DiscreteDistribution.from_atoms(
-        [(a1 - s.liability, s.prob) for s in states]
-    )
-    mismatch = apply_measure(rho, mismatch_dist)
-    e_rm1 = sum(s.prob * s.rm for s in states)
+    st, r, back = _states_of(states, r, eta)
+    bel0 = st.total(True, st.prob * (st.x + st.bel)) / (1.0 + r)
+    gap = ((1.0 + r) * bel0)[:, None] - st.liability
+    mismatch = st.measure(rho, gap)
+    e_rm1 = st.total(True, st.prob * st.rm)
     rm0 = eta * mismatch / ((1.0 + r + eta) * (1.0 + r)) + e_rm1 / (1.0 + r + eta)
     scr0 = mismatch / (1.0 + r) - rm0
-    if scr0 < 0.0:
-        scr0 = 0.0
-        rm0 = mismatch / (1.0 + r)
-    p_m1 = sum(
-        s.prob for s in states if a1 - s.liability >= -mismatch - TOL
-    )
-    return bel0, rm0, scr0, p_m1
+    floor = scr0 < 0.0
+    scr0 = np.where(floor, 0.0, scr0)
+    rm0 = np.where(floor, mismatch / (1.0 + r), rm0)
+    p_m1 = st.total(gap >= (-mismatch - TOL)[:, None], st.prob)
+    return tuple(map(back, (bel0, rm0, scr0, p_m1)))
 
 
 @dataclass(frozen=True)
@@ -258,9 +310,6 @@ class SolvencyReport:
     stage: int
     rows: Dict[int, SolvencyRow]
     sii_formula_rm0: Optional[float] = None  # set in the deterministic case
-
-    def row_at_root(self) -> SolvencyRow:
-        return self.rows[0]
 
 
 def solvency_ii_risk_margin(
@@ -287,7 +336,8 @@ def multi_period_solvency(
     against outflows). Leaves start from BEL = terminal value, RM = 0.
     In the stage-3 case with per-date deterministic SCRs and flat rates
     the report also carries the Solvency II summation formula value for
-    cross-checking.
+    cross-checking. Each annual date's nodes are one call of the stage
+    function, on the padded rows of their period-end states.
     """
     if stage not in (1, 2, 3):
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
@@ -298,40 +348,32 @@ def multi_period_solvency(
             )
     T = tree.grid.horizon
     J = len(tree.grid.dates) - 1
-    bel: Dict[int, float] = {}
-    rm: Dict[int, float] = {}
+    n = tree.n_nodes
+    x = _node_array(liab.outflows, n) - _node_array(liab.inflows, n)
+    bel = np.zeros(n)
+    rm = np.zeros(n)
+    leaves = np.asarray(tree.by_date[J], dtype=np.int64)
+    bel[leaves] = _node_array(liab.terminal, n)[leaves]
+    step = {1: stage1_value, 2: stage2_decompose, 3: stage3_decompose}[stage]
     rows: Dict[int, SolvencyRow] = {}
-    for leaf in tree.by_date[J]:
-        bel[leaf] = liab.y(leaf)
-        rm[leaf] = 0.0
 
     for i in range(T - 1, -1, -1):
-        j1 = tree.grid.index(i + 1)
-        for node in tree.nodes_at(i):
-            kids = tree.descendants_at(node, j1)
-            total_p = sum(tree.path_probability(node, c) for c in kids)
-            states = [
-                PeriodState(
-                    tree.path_probability(node, c) / total_p,
-                    liab.x(c) - liab.z(c),
-                    bel[c],
-                    rm[c],
-                )
-                for c in kids
-            ]
-            r = rates.at(node)
-            if stage == 1:
-                a0, scr, vbar, p_m1 = stage1_value(states, r, eta, rho)
-                bel[node], rm[node] = vbar, 0.0
-                rows[node] = SolvencyRow(node, i, vbar, 0.0, scr, p_m1, 1)
-            elif stage == 2:
-                b, m, scr, p_m1 = stage2_decompose(states, r, eta, rho)
-                bel[node], rm[node] = b, m
-                rows[node] = SolvencyRow(node, i, b, m, scr, p_m1, 2)
-            else:
-                b, m, scr, p_m1 = stage3_decompose(states, r, eta, rho)
-                bel[node], rm[node] = b, m
-                rows[node] = SolvencyRow(node, i, b, m, scr, p_m1, 3)
+        j0, j1 = tree.grid.index(i), tree.grid.index(i + 1)
+        nodes = np.asarray(tree.nodes_at(i), dtype=np.int64)
+        layers, pos, _ = _year_layers(tree, nodes, j1 - j0)
+        pad, dist = _atom_rows(tree, layers[-1], pos[-1], len(nodes), j1 - j0)
+        kids = layers[-1]
+        states = _States(dist, pad(x[kids]), pad(bel[kids]), pad(rm[kids]))
+        r = np.array([rates.at(m) for m in nodes.tolist()], dtype=float)
+        out = step(states, r, eta, rho)
+        if stage == 1:
+            _, scr, b, p_m1 = out
+            m = np.zeros(len(nodes))
+        else:
+            b, m, scr, p_m1 = out
+        bel[nodes], rm[nodes] = b, m
+        for node, *values in zip(nodes.tolist(), b.tolist(), m.tolist(), scr.tolist(), p_m1.tolist()):
+            rows[node] = SolvencyRow(node, i, *values, stage)
 
     report = SolvencyReport(stage, rows)
     if stage == 3 and rates.is_flat():

@@ -16,11 +16,18 @@ from prodval.conditions import (
     max_capital,
     period_rates_from_market,
 )
-from prodval.errors import MissingCertificate, NegativePayoffAtom
+from prodval.errors import (
+    BadRate,
+    MissingCertificate,
+    NegativePayoffAtom,
+    NumericalFailure,
+    ProdvalError,
+)
 from prodval.lattice import DateGrid, build_tree
 from prodval.market import TradableSet, check_consistency
-from prodval.risk import DiscreteDistribution
+from prodval.risk import DiscreteDistribution, DistributionRows
 
+import scalar_reference as ref
 from util import random_tree, state_price_market
 
 
@@ -195,6 +202,160 @@ class TestHomogeneityAudit:
             spec, [payoff], [0.0, 3.0], rate=0.0, node=0, horizon_index=1
         )
         assert report.passed
+
+
+def three_leaf_fixture(u_consistent):
+    """One asset on r -> {u -> {u1, u2}, d -> {d1}} (dates 0, 1/2, 1).
+    Unless ``u_consistent`` it is worth nothing at u's children, so u has
+    no state-price weights."""
+    grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+    nodes = [
+        {"id": "r", "date": 0, "parent": None, "p": 1.0},
+        {"id": "u", "date": Fraction(1, 2), "parent": "r", "p": 0.5},
+        {"id": "d", "date": Fraction(1, 2), "parent": "r", "p": 0.5},
+        {"id": "u1", "date": 1, "parent": "u", "p": 0.5},
+        {"id": "u2", "date": 1, "parent": "u", "p": 0.5},
+        {"id": "d1", "date": 1, "parent": "d", "p": 1.0},
+    ]
+    tree = build_tree(grid, nodes)
+    u_leaf = 1.0 if u_consistent else 0.0
+    market = TradableSet(
+        tree=tree,
+        prices={0: (1.0,), 1: (1.0,), 2: (1.0,), 3: (u_leaf,), 4: (u_leaf,), 5: (1.0,)},
+        inflows={n: (0.0,) for n in range(tree.n_nodes)},
+    )
+    cert = check_consistency(market, tree)
+    assert [cert.verdicts[n].consistent for n in (0, 1, 2)] == [True, u_consistent, True]
+    return tree, cert, FinanciabilitySpec.state_price(cert, tree)
+
+
+def stacked(dists):
+    """The distributions as DistributionRows, padded with NaN values."""
+    width = max(len(d.values) for d in dists)
+    values = np.full((len(dists), width), np.nan)
+    probs = np.zeros(values.shape)
+    labels = np.zeros(values.shape, dtype=np.int64)
+    for r, d in enumerate(dists):
+        values[r, : len(d.values)] = d.values
+        probs[r, : len(d.probs)] = d.probs
+        if d.labels is not None:
+            labels[r, : len(d.labels)] = d.labels
+    unlabeled = any(d.labels is None for d in dists)
+    counts = np.array([len(d.values) for d in dists])
+    return DistributionRows(values, probs, counts, None if unlabeled else labels)
+
+
+def raised(fn):
+    with pytest.raises(ProdvalError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def uniform(labels, value=10.0):
+    k = len(labels)
+    return DiscreteDistribution((value,) * k, (1.0 / k,) * k, tuple(labels))
+
+
+class TestStatePriceErrors:
+    """max_capital raises the frozen per-distribution function's error, as
+    one distribution and for the first offending row of many."""
+
+    def check(self, spec, good, bad, node, bad_node, horizon_index, want):
+        """``bad`` alone raises ``want`` (and so does the frozen loop); as
+        the second of three rows after a ``good`` one it raises the same,
+        ahead of the third row's own error."""
+        one = raised(lambda: max_capital(spec, bad, 0.0, bad_node, horizon_index))
+        assert one == want
+        assert raised(lambda: ref.max_capital(spec, bad, 0.0, bad_node, horizon_index)) == want
+        rows = stacked([good, bad, uniform((99,))])
+        nodes = np.array([node, bad_node, node])
+        got = raised(lambda: max_capital(spec, rows, np.zeros(3), nodes, horizon_index))
+        assert got == want
+
+    def test_label_not_a_descendant_at_the_horizon(self):
+        tree, cert, spec = three_leaf_fixture(u_consistent=True)
+        good = uniform((3, 4, 5))
+        # Not at the horizon date, not a node, and below another node.
+        for bad, bad_node, label in (
+            (uniform((3, 1)), 0, 1),
+            (uniform((3, 7)), 0, 7),
+            (uniform((4, 5)), 1, 5),
+        ):
+            want = (MissingCertificate, f"no state price for node {label}")
+            self.check(spec, good, bad, 0, bad_node, 2, want)
+
+    def test_path_through_an_inconsistent_node(self):
+        tree, cert, spec = three_leaf_fixture(u_consistent=False)
+        want = (NumericalFailure, "no weights at inconsistent node 1")
+        good = uniform((5,))
+        for bad in (uniform((3, 4, 5)), uniform((4,)), uniform((5, 3))):
+            self.check(spec, good, bad, 0, 0, 2, want)
+        # Only the atoms' own paths are priced: d1's path avoids u.
+        price = cert.weights_at(0)[2] * cert.weights_at(2)[5]
+        assert max_capital(spec, good, 0.0, 0, 2) == 10.0 * price
+
+    def test_lowest_node_without_weights_is_named(self):
+        # r -> a -> b -> leaf and r -> c -> d -> leaf2 at dates 0, 1/3,
+        # 2/3, 1; neither a nor b has weights.
+        grid = DateGrid((Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)), 1)
+        nodes = [{"id": "r", "date": 0, "parent": None, "p": 1.0}]
+        for top, kids in (("a", ("b", "leaf")), ("c", ("d", "leaf2"))):
+            nodes.append({"id": top, "date": Fraction(1, 3), "parent": "r", "p": 0.5})
+            nodes.append({"id": kids[0], "date": Fraction(2, 3), "parent": top, "p": 1.0})
+            nodes.append({"id": kids[1], "date": 1, "parent": kids[0], "p": 1.0})
+        tree = build_tree(grid, nodes)
+        by_label = {lab: n for n, lab in enumerate(tree.labels)}
+        prices = {n: (1.0, 0.0) for n in range(tree.n_nodes)}
+        prices[by_label["b"]] = (0.0, 1.0)
+        prices[by_label["leaf"]] = (0.0, 0.0)
+        market = TradableSet(
+            tree=tree, prices=prices, inflows={n: (0.0, 0.0) for n in range(tree.n_nodes)}
+        )
+        cert = check_consistency(market, tree)
+        consistent = [cert.verdicts[by_label[lab]].consistent for lab in "rabcd"]
+        assert consistent == [True, False, False, True, True]
+        spec = FinanciabilitySpec.state_price(cert, tree)
+        want = (NumericalFailure, f"no weights at inconsistent node {by_label['b']}")
+        good = uniform((by_label["leaf2"],))
+        self.check(spec, good, uniform((by_label["leaf"],)), 0, 0, 3, want)
+
+    def test_unlabeled_atoms(self):
+        tree, cert, spec = three_leaf_fixture(u_consistent=True)
+        want = (
+            MissingCertificate,
+            "state-price bound needs labeled payoff atoms and the period location",
+        )
+        bare = dist((10.0, 0.5), (4.0, 0.5))
+        assert raised(lambda: max_capital(spec, bare, 0.0, 0, 2)) == want
+        assert raised(lambda: ref.max_capital(spec, bare, 0.0, 0, 2)) == want
+        assert raised(lambda: max_capital(spec, uniform((3, 4)), 0.0, None, 2)) == want
+        rows = stacked([uniform((3, 4)), bare])
+        assert raised(lambda: max_capital(spec, rows, np.zeros(2), np.zeros(2, dtype=int), 2)) == want
+
+    def test_rows_match_one_distribution_each(self):
+        tree, cert, spec = three_leaf_fixture(u_consistent=True)
+        specs = (
+            spec,
+            FinanciabilitySpec.cost_of_capital(0.06),
+            FinanciabilitySpec.zero(),
+        )
+        payoffs = [uniform((3, 4, 5), 10.0), dist((0.0, 0.25), (7.5, 0.75), labels=(5, 3))]
+        rates = np.array([0.02, -0.01])
+        for spec in specs:
+            got = max_capital(spec, stacked(payoffs), rates, np.zeros(2, dtype=int), 2)
+            want = [ref.max_capital(spec, d, r, 0, 2) for d, r in zip(payoffs, rates.tolist())]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+    def test_negative_atom_and_bad_rate_name_the_first_offending_row(self):
+        spec = FinanciabilitySpec.cost_of_capital(0.06)
+        payoffs = [dist((1.0, 1.0)), dist((-2.0, 0.5), (1.0, 0.5)), dist((-3.0, 1.0))]
+        nodes = np.zeros(3, dtype=int)
+        got = raised(lambda: max_capital(spec, stacked(payoffs), np.zeros(3), nodes))
+        assert got == (NegativePayoffAtom, "capital payoff has atom -2.0")
+        rates = np.array([0.0, -1.5, -2.0])
+        got = raised(lambda: max_capital(spec, stacked(payoffs[:1] * 3), rates, nodes))
+        assert got == raised(lambda: ref.max_capital(spec, payoffs[0], -1.5))
+        assert got == (BadRate, "1 + r + eta = -0.44 must be positive")
 
 
 def bond_only_market(tree, r=0.02):

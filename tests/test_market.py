@@ -3,16 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prodval.conditions import FinanciabilitySpec, max_capital
 from prodval.errors import DimensionMismatch, NoBondAvailable
 from prodval.lattice import DateGrid, build_tree
 from prodval.market import (
     RestrictionSet,
     TradableSet,
     check_consistency,
-    compose_state_prices,
     portfolio_inflow,
     portfolio_price,
 )
+from prodval.risk import DiscreteDistribution
 
 from util import random_tree, state_price_market
 
@@ -260,16 +261,21 @@ class TestRandomMarkets:
             )
 
 
-def test_compose_state_prices_prices_year_payoffs():
+def test_state_price_capital_prices_the_period_bond():
     rng = np.random.default_rng(29)
     tree = random_tree(rng, years=1, interior_per_year=2)
     market, _ = state_price_market(rng, tree, n_risky=1, with_bonds=True)
     cert = check_consistency(market, tree)
-    q = compose_state_prices(cert, tree, 0, len(tree.grid.dates) - 1)
-    # The composed weights price the period bond exactly.
+    j_end = len(tree.grid.dates) - 1
+    targets = tree.descendants_at(0, j_end)
+    unit = DiscreteDistribution(
+        tuple(1.0 for _ in targets), tuple(1.0 / len(targets) for _ in targets), tuple(targets)
+    )
+    spec = FinanciabilitySpec.state_price(cert, tree)
+    # The composed weights price the period bond's unit payoff exactly.
     k = market.bond_for_period(0)
     price = market.prices[0][k]
-    assert sum(q.values()) == pytest.approx(price, abs=1e-9)
+    assert max_capital(spec, unit, 0.0, 0, j_end) == pytest.approx(price, abs=1e-9)
 
 
 def test_restriction_membership():

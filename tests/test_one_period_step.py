@@ -25,8 +25,6 @@ from prodval.conditions import (
     FinanciabilitySpec,
     FulfillmentSpec,
     flat_rates,
-    fulfillment_satisfied,
-    max_capital,
 )
 from prodval.engine import (
     TOL,
@@ -40,6 +38,7 @@ from prodval.market import TradableSet
 from prodval.risk import DiscreteDistribution
 from prodval.strategy import Strategy
 
+import scalar_reference as ref
 from test_risk_free_step import (
     FULFILLMENTS,
     SHAPES,
@@ -96,7 +95,7 @@ def _bisect_scale(tree, market, node_i, j0, j1, weights, ell, interior_net, fulf
         pot, payoff, _ = lin
         if not _mix_interior_feasible(pot, node_i):
             return False
-        return fulfillment_satisfied(fulfillment, _surplus_dist(tree, node_i, payoff, ell))
+        return ref.fulfillment_satisfied(fulfillment, _surplus_dist(tree, node_i, payoff, ell))
 
     # The one fix: the node's own year-end atoms, not every atom of the date.
     own = tree.descendants_at(node_i, j1)
@@ -141,7 +140,7 @@ def _explicit_with_addon(tree, market, node_i, j0, j1, base, ell, interior_net, 
                 if last_step:
                     payoff[c] = float(x @ market.payoff(c))
     surplus0 = _surplus_dist(tree, node_i, payoff, ell)
-    buffer = fulfillment.required_buffer(surplus0)
+    buffer = ref.required_buffer(fulfillment, surplus0)
     base_value = float(base.held_out(node_i) @ market.price(node_i))
     if buffer <= 0.0:
         return 0.0, base_value, payoff, {m: x.copy() for m, x in portfolios.items()}
@@ -198,12 +197,12 @@ def oracle_one_period(
         s_star, value, payoff, portfolios = solved
         params = ("explicit", s_star)
     surplus = _surplus_dist(tree, node_i, payoff, ell)
-    if not fulfillment_satisfied(fulfillment, surplus):
+    if not ref.fulfillment_satisfied(fulfillment, surplus):
         return OnePeriodResult(False, params=params)
     plus_part = DiscreteDistribution(
         tuple(max(0.0, v) for v in surplus.values), surplus.probs, surplus.labels
     )
-    capital = max_capital(financiability, plus_part, rate, node_i, j1)
+    capital = ref.max_capital(financiability, plus_part, rate, node_i, j1)
     vbar = value - capital
     if mode == "B" and vbar < 0.0:
         capital = value

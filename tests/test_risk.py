@@ -10,12 +10,12 @@ from prodval.risk import (
     DistributionRows,
     RiskMeasureSpec,
     apply_measure,
-    apply_measure_rows,
     expected_shortfall,
     lower_quantile,
-    lower_quantile_rows,
     value_at_risk,
 )
+
+import scalar_reference as ref
 
 
 def dist(*atoms):
@@ -112,6 +112,13 @@ class TestApplyMeasure:
     def test_empty(self):
         with pytest.raises(EmptyDistribution):
             DiscreteDistribution((), ())
+
+    def test_nan_probability_is_rejected(self):
+        # NaN <= 0 is false, and so is the check of the sum.
+        with pytest.raises(ValueError, match="strictly positive"):
+            DiscreteDistribution((-1.0, 2.0), (math.nan, 1.0))
+        with pytest.raises(ValueError, match="strictly positive"):
+            DiscreteDistribution.from_atoms([(1.0, 0.5), (2.0, math.nan), (3.0, 0.5)])
 
 
 MEASURES = [
@@ -225,8 +232,8 @@ def hexes(xs):
 
 
 class TestDistributionRows:
-    """Each row gives the one-distribution result bit for bit, whatever
-    the padding holds."""
+    """Each row gives the frozen one-distribution loop's result bit for
+    bit, whatever the padding holds, and so does a single distribution."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -241,15 +248,23 @@ class TestDistributionRows:
             RiskMeasureSpec("var", level),
             RiskMeasureSpec("es", level),
         ):
-            want = [apply_measure(spec, d) for d in dists]
-            assert hexes(apply_measure_rows(spec, rows)) == hexes(want)
-        want = [lower_quantile(d.negated(), level) for d in dists]
-        assert hexes(lower_quantile_rows(rows.negated(), level)) == hexes(want)
-        assert hexes(rows.min()) == hexes(d.min() for d in dists)
-        want = [d.prob_at_least(-1e-9) for d in dists]
+            want = [ref.apply_measure(spec, d) for d in dists]
+            assert hexes(apply_measure(spec, rows)) == hexes(want)
+            assert hexes(apply_measure(spec, d) for d in dists) == hexes(want)
+        want = [ref.lower_quantile(d.negated(), level) for d in dists]
+        assert hexes(lower_quantile(rows.negated(), level)) == hexes(want)
+        assert hexes(lower_quantile(d.negated(), level) for d in dists) == hexes(want)
+        assert hexes(rows.min()) == hexes(ref.dist_min(d) for d in dists)
+        want = [ref.prob_at_least(d, -1e-9) for d in dists]
         assert hexes(rows.prob_at_least(-1e-9)) == hexes(want)
         finite = [d for d in dists if not any(map(math.isinf, d.values))]
         if finite:
             rows = stacked(finite, pad_value)
-            assert hexes(rows.mean()) == hexes(d.mean() for d in finite)
-            assert rows.row(0) == finite[0]
+            assert hexes(rows.mean()) == hexes(ref.dist_mean(d) for d in finite)
+
+    def test_one_distribution_gives_python_scalars(self):
+        d = dist((-1.0, 0.25), (2.0, 0.75))
+        spec = RiskMeasureSpec("es", 0.5)
+        assert type(apply_measure(spec, d)) is float
+        assert type(lower_quantile(d, 0.5)) is float
+        assert type(value_at_risk(d, 0.5)) is float

@@ -21,8 +21,6 @@ from prodval.conditions import (
     FinanciabilitySpec,
     FulfillmentSpec,
     flat_rates,
-    fulfillment_satisfied,
-    max_capital,
 )
 from prodval.engine import (
     TOL,
@@ -38,6 +36,7 @@ from prodval.errors import NoBondAvailable, ProdvalError
 from prodval.market import TradableSet, check_consistency
 from prodval.risk import DiscreteDistribution, RiskMeasureSpec
 
+import scalar_reference as ref
 from util import random_tree, state_price_market
 
 INF = math.inf
@@ -109,7 +108,7 @@ def _solve_affine_scale(tree, market, node_i, j0, j1, weights, ell, interior_net
     if g <= 0 or any(abs(x - g) > 1e-9 * max(1.0, g) for x in gs):
         return None
     surplus0 = _surplus_dist(tree, node_i, payoff0, ell)
-    buffer = fulfillment.required_buffer(surplus0)
+    buffer = ref.required_buffer(fulfillment, surplus0)
     if math.isinf(buffer) and buffer > 0:
         return None
     s_star = max(0.0, s_feas, buffer / g)
@@ -149,12 +148,12 @@ def oracle_one_period(
     value = s_star
     params = ("risk_free", s_star)
     surplus = _surplus_dist(tree, node_i, payoff, ell)
-    if not fulfillment_satisfied(fulfillment, surplus):
+    if not ref.fulfillment_satisfied(fulfillment, surplus):
         return OnePeriodResult(False, params=params)
     plus_part = DiscreteDistribution(
         tuple(max(0.0, v) for v in surplus.values), surplus.probs, surplus.labels
     )
-    capital = max_capital(financiability, plus_part, rate, node_i, j1)
+    capital = ref.max_capital(financiability, plus_part, rate, node_i, j1)
     vbar = value - capital
     if mode == "B" and vbar < 0.0:
         capital = value

@@ -38,8 +38,6 @@ from prodval.conditions import (
     FulfillmentSpec,
     audit_positive_homogeneity,
     flat_rates,
-    fulfillment_satisfied,
-    max_capital,
     period_rates_from_market,
     root_homogeneity_payoffs,
 )
@@ -69,6 +67,7 @@ from prodval.risk import DiscreteDistribution, RiskMeasureSpec
 from prodval.strategy import CashflowProcess, Strategy, conversion_residual, strategy_value
 
 from test_engine import bond_market
+import scalar_reference as ref
 from util import random_tree, state_price_market
 
 INF = math.inf
@@ -299,12 +298,12 @@ def oracle_validate(
                 l_eff = liab.x(nu) + vbar[nu]
                 surplus_atoms[nu] = a - l_eff
             dist = conditional_distribution(tree, node_i, surplus_atoms, i + 1)
-            ful_ok = fulfillment_satisfied(fulfillment, dist)
+            ful_ok = ref.fulfillment_satisfied(fulfillment, dist)
             plus_part = DiscreteDistribution(
                 tuple(max(0.0, v) for v in dist.values), dist.probs, dist.labels
             )
             c_i = capital.at(node_i)
-            bound = max_capital(financiability, plus_part, rates[node_i], node_i, j1)
+            bound = ref.max_capital(financiability, plus_part, rates[node_i], node_i, j1)
             fin_ok = c_i <= bound + TOL
             cost_ok = mode == "A" or vbar[node_i] >= -TOL
             checks.append(
