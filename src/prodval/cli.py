@@ -244,7 +244,11 @@ def _certificate_json(problem: ValuationProblem, cert) -> dict:
 def run_check(problem: ValuationProblem) -> ReportBundle:
     tree = problem.tree
     financiability = financiability_of(problem)
-    cert_used = check_consistency(problem.market, tree, problem.restriction)
+    # A state-price condition already holds the certificate on the
+    # restriction used.
+    cert_used = financiability.certificate
+    if cert_used is None:
+        cert_used = check_consistency(problem.market, tree, problem.restriction)
     doc: dict = {
         "consistency": {
             "restriction": "full"

@@ -163,15 +163,10 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
 
     restriction = None
     if "restriction" in doc:
-        r_doc = doc["restriction"]
-        if "indices" in r_doc:
-            restriction = RestrictionSet.of_indices(n_assets, r_doc["indices"])
-        elif "basis" in r_doc:
-            restriction = RestrictionSet(
-                n_assets, basis=tuple(tuple(map(float, row)) for row in r_doc["basis"])
-            )
-        else:
-            raise SchemaViolation("restriction needs indices or basis")
+        try:
+            restriction = _restriction_from(doc["restriction"], n_assets)
+        except (TypeError, ValueError) as e:
+            raise SchemaViolation(f"restriction: {e}") from None
 
     fulfillment = _fulfillment_from(doc.get("fulfillment", {"type": "full"}))
     financiability_cfg = doc.get("financiability", {"type": "coc", "eta": 0.06})
@@ -230,6 +225,22 @@ def _node_ids(
         first = list(flows)[int(np.argmin(known))]
         raise CrossRefError(f"{where} references unknown node {first!r}")
     return ids
+
+
+def _restriction_from(doc, n_assets: int) -> RestrictionSet:
+    """The admissible subspace of a ``restriction`` section: distinct
+    tradable indices, or linearly independent basis vectors with one
+    finite entry per tradable."""
+    if not isinstance(doc, dict) or ("indices" in doc) == ("basis" in doc):
+        raise ValueError("give an object with exactly one of indices or basis")
+    if "indices" in doc:
+        if not isinstance(doc["indices"], list):
+            raise ValueError("indices must be a list")
+        return RestrictionSet.of_indices(n_assets, doc["indices"])
+    rows = doc["basis"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("basis must be a list of vectors")
+    return RestrictionSet(n_assets, basis=tuple(tuple(map(float, row)) for row in rows))
 
 
 def _finite_values(flows: Mapping, where: str) -> np.ndarray:

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .lattice import ScenarioTree
 from .market import RestrictionSet, TradableSet
-from .risk import DistributionRows
+from .risk import DistributionRows, sum_left_to_right
 from .strategy import (
     CashflowProcess,
     Strategy,
@@ -376,10 +376,9 @@ def _atom_rows(tree, atoms, row, n_rows, steps):
         p = p * tree.prob[up]
         up = tree.parent[up]
     paths = pad(p)
-    # Python's sum, as the per-node distributions normalise (np.sum adds
-    # pairwise).
-    total = [sum(r[:c]) for r, c in zip(paths.tolist(), counts.tolist())]
-    probs = paths / np.array(total)[:, None]
+    # Left to right, as the per-node distributions normalise (np.sum adds
+    # pairwise); the padding adds 0.0.
+    probs = paths / sum_left_to_right(paths)[:, None]
     return pad, DistributionRows(np.zeros(shape), probs, counts, pad(atoms))
 
 

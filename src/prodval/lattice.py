@@ -30,7 +30,7 @@ from .errors import (
     ProbabilityMass,
     ProcessUndefinedAtDate,
 )
-from .risk import DiscreteDistribution
+from .risk import DiscreteDistribution, sum_left_to_right
 
 DateLike = Union[int, float, str, Fraction]
 
@@ -394,7 +394,7 @@ def conditional_distribution(
         if target not in values:
             raise ProcessUndefinedAtDate(f"process undefined at node {target}")
         atoms.append((float(values[target]), tree.path_probability(node, target)))
-    total = sum(p for _, p in atoms)
+    total = float(sum_left_to_right(np.array([[p for _, p in atoms]]))[0])
     return DiscreteDistribution.from_atoms(
         [(v, p / total) for v, p in atoms], labels=targets
     )

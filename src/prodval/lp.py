@@ -47,6 +47,17 @@ LP vertex meets ``A d = 0`` only within ``FEAS_TOL``, so the two tests
 could part on a vertex that far from exact, which the differential
 tests against the whole enumeration have not produced. Tolerances are
 absolute on constraint residuals.
+
+The greedy row reduction (``_kept_rows``) works on a stack of matrices,
+testing together those that have kept equally many rows; one LP calls
+it with a stack of one. ``full_rank_vertices`` uses it to decide a stack
+of zero-cost LPs (the cone certificates) without enumeration where each
+system keeps n rows (Y of full column rank: a complete node, whose
+weights are unique). There the one basis is the reduced matrix, whose
+rank test was the conditioning test, so one stacked ``np.linalg.solve``
+with the enumeration's residual, sign and clip rules gives each system
+the bits ``solve_lp`` gives it. The dropped-row test stays a ``lstsq``
+per system, skipped where every dropped row is zero.
 """
 
 from __future__ import annotations
@@ -75,32 +86,63 @@ class LPResult:
     objective: Optional[float] = None
 
 
-def _full_row_rank(M: np.ndarray, tol: float) -> bool:
-    """Whether M, with no more rows than columns, has rank len(M) as
-    ``np.linalg.matrix_rank(M, tol=tol)`` counts it: every singular value
-    exceeds tol."""
-    return bool(np.linalg.svd(M, compute_uv=False)[-1] > tol)
+def _full_row_rank(M: np.ndarray, tol) -> np.ndarray:
+    """Whether M, or each matrix of a stack M, with no more rows than
+    columns, has rank len(M) as ``np.linalg.matrix_rank(M, tol=tol)``
+    counts it: every singular value exceeds tol. A stacked SVD gives each
+    matrix the bits of an SVD of its own."""
+    return np.linalg.svd(M, compute_uv=False)[..., -1] > tol
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray, scale: float):
-    """Greedily keep a maximal independent row set; None if inconsistent."""
-    m, n = A.shape
-    tol = _RANK_TOL * scale
-    # Full row rank (or no rows): every row is kept, and none is left to
-    # check.
-    if m == 0 or (m <= n and _full_row_rank(A, tol)):
-        return A, b
-    kept: list[int] = []
+def _kept_rows(A: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The rows the greedy row reduction keeps in each matrix of the
+    stack A, shape (N, m, n), as an (N, m) mask; ``tol`` holds each
+    matrix's rank tolerance.
+
+    A matrix of full row rank keeps every row. Otherwise row i is kept
+    when it is independent of the rows kept before it, until n are kept.
+    Matrices that have kept equally many rows are tested together."""
+    N, m, n = A.shape
+    todo = np.arange(N)
+    if m and m <= n:
+        todo = np.flatnonzero(~_full_row_rank(A, tol))
+    kept = np.ones((N, m), dtype=bool)
+    if not len(todo):
+        return kept
+    kept[todo] = False
+    rows = np.zeros((N, n), dtype=np.intp)  # rows[k, :count[k]] are kept
+    count = np.zeros(N, dtype=np.intp)
     for i in range(m):
-        if _full_row_rank(A[kept + [i]], tol):
-            kept.append(i)
-            if len(kept) == n:
-                break  # no further row can be independent
-    # Consistency: dropped rows must be implied by the kept ones.
+        if not len(todo):
+            break
+        c = count[todo]
+        sizes = sorted(set(c.tolist()), reverse=True)
+        # Larger sizes first, so a matrix that keeps row i is not tested
+        # again with its new size.
+        for size in sizes:
+            g = todo if len(sizes) == 1 else todo[c == size]
+            rows[g, size] = i
+            hit = g[_full_row_rank(A[g[:, None], rows[g, : size + 1]], tol[g])]
+            count[hit] = size + 1
+        if sizes[0] + 1 == n:
+            # No further row can be independent of n kept ones.
+            todo = todo[count[todo] < n]
+    held = np.arange(n) < count[:, None]
+    kept[np.nonzero(held)[0], rows[held]] = True
+    return kept
+
+
+def _dropped_rows(A: np.ndarray, b: np.ndarray, kept: np.ndarray, scale: float) -> str:
+    """Whether the rows of A z = b outside the ``kept`` mask follow from
+    the kept ones: "implied", "inconsistent" (b does not follow), or
+    "failed" (a dropped row of A could not be expressed)."""
+    dropped = ~kept
+    if not (A[dropped].any() or b[dropped].any()):
+        # 0 = 0 holds for every z (and lstsq would give zero coefficients).
+        return "implied"
     Ak, bk = A[kept], b[kept]
-    dropped = [i for i in range(m) if i not in kept]
-    if not kept:
-        bad_fit = np.zeros(len(dropped), dtype=bool)
+    if not len(Ak):
+        bad_fit = np.zeros(int(dropped.sum()), dtype=bool)
         bad_b = np.abs(b[dropped]) > FEAS_TOL * scale
     else:
         # Express each dropped row in terms of the kept rows; b must match.
@@ -108,17 +150,37 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, scale: float):
         bad_fit = np.abs(Ak.T @ coef - A[dropped].T).max(axis=0) > FEAS_TOL * scale
         bad_b = np.abs(coef.T @ bk - b[dropped]) > FEAS_TOL * scale
     bad = np.flatnonzero(bad_fit | bad_b)
-    if len(bad):
-        # The first bad row decides between raising and infeasible.
-        if bad_fit[bad[0]]:
-            raise NumericalFailure("row reduction failed to express a dependent row")
+    if not len(bad):
+        return "implied"
+    # The first bad row decides between the two.
+    return "failed" if bad_fit[bad[0]] else "inconsistent"
+
+
+def _independent_rows(A: np.ndarray, b: np.ndarray, scale: float):
+    """Greedily keep a maximal independent row set; None if inconsistent."""
+    kept = _kept_rows(A[None], np.array([_RANK_TOL * scale]))[0]
+    if kept.all():
+        return A, b
+    status = _dropped_rows(A, b, kept, scale)
+    if status == "failed":
+        raise NumericalFailure("row reduction failed to express a dependent row")
+    if status == "inconsistent":
         return None
-    return Ak, bk
+    return A[kept], b[kept]
+
+
+def _scale(A: np.ndarray, b: np.ndarray):
+    """The largest of 1, |A| and |b|, for one system or per system of a
+    stack: the unit of the rank tolerance. fmax skips a NaN as Python's
+    max does."""
+    return np.fmax(
+        1.0, np.fmax(np.abs(A).max(axis=(-2, -1), initial=0.0), np.abs(b).max(axis=-1, initial=0.0))
+    )
 
 
 def _reduced_system(A: np.ndarray, b: np.ndarray):
     """(A, b, scale) with only independent rows kept; None if inconsistent."""
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    scale = float(_scale(A, b))
     reduced = _independent_rows(A, b, scale)
     if reduced is None:
         return None
@@ -153,6 +215,47 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
     if not zero_cost and not _bounded_by_basis(c, A, J) and _improving_ray(c, A):
         return LPResult("unbounded")
     return LPResult("optimal", x, obj)
+
+
+def full_rank_vertices(A: np.ndarray, b: np.ndarray):
+    """The zero-cost LPs A[k] z = b[k], z >= 0 of a stack, shape (N, m, n),
+    decided together where A[k] has rank n: (decided, x), where x[k]
+    holds the bits of ``solve_lp(zeros(n), A[k], b[k]).x`` for each k with
+    ``decided[k]``. Every other LP is left to ``solve_lp``.
+
+    With rank n the greedy reduction keeps n rows, and the one basis left
+    is the whole reduced matrix, whose rank test was the conditioning
+    test. A system is decided when its dropped rows are implied and its
+    basic solution passes the residual and sign filters; then it is the
+    only vertex. An LP those rules make infeasible, or whose dropped rows
+    fail, is left to ``solve_lp`` too.
+    """
+    N, m, n = A.shape
+    decided = np.zeros(N, dtype=bool)
+    x = np.zeros((N, n))
+    if m < n or not n or not N:
+        return decided, x
+    scale = _scale(A, b)
+    kept = _kept_rows(A, _RANK_TOL * scale)
+    full = kept.sum(axis=1) == n
+    for k in np.flatnonzero(full & ~kept.all(axis=1)):
+        full[k] = _dropped_rows(A[k], b[k], kept[k], scale[k]) == "implied"
+    idx = np.flatnonzero(full)
+    B = A[idx][kept[idx]].reshape(len(idx), n, n)
+    c = b[idx][kept[idx]].reshape(len(idx), n)
+    # An exactly singular basis has no basic solution.
+    regular = np.linalg.slogdet(B)[0] != 0
+    idx, B, c = idx[regular], B[regular], c[regular]
+    # The steps of _best_vertex: a (K, r, 1) stack of right-hand sides.
+    z = np.linalg.solve(B, c[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs((B @ z[..., None])[..., 0] - c).max(axis=1)
+    ok = (resid <= FEAS_TOL) & (z.min(axis=1) >= -FEAS_TOL)
+    decided[idx[ok]] = True
+    # solve_lp adds the clipped solution to zeros; adding 0.0 here too
+    # gives a clipped -0.0 the same bits whatever clip makes of it.
+    x[idx[ok]] = z[ok].clip(0.0, None) + 0.0
+    return decided, x
 
 
 def _best_vertex(

@@ -178,10 +178,38 @@ class RestrictionSet:
     def __post_init__(self):
         if (self.indices is None) == (self.basis is None):
             raise ValueError("give exactly one of indices or basis")
-        if self.basis is not None:
-            B = np.asarray(self.basis, dtype=float)
-            if np.linalg.matrix_rank(B) != B.shape[0]:
-                raise ValueError("basis vectors must be linearly independent")
+        if self.indices is not None:
+            self._check_indices()
+        else:
+            self._check_basis()
+
+    def _check_indices(self):
+        if not self.indices:
+            raise ValueError("indices must name at least one tradable")
+        for k in self.indices:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise ValueError(f"index {k!r} is not an integer")
+            if not 0 <= k < self.dim_full:
+                raise ValueError(f"index {k} is not a tradable index (0 to {self.dim_full - 1})")
+        if len(set(self.indices)) != len(self.indices):
+            dup = next(k for k in self.indices if self.indices.count(k) > 1)
+            raise ValueError(f"index {dup} is given twice")
+
+    def _check_basis(self):
+        if not self.basis:
+            raise ValueError("basis must hold at least one vector")
+        for i, row in enumerate(self.basis):
+            if len(row) != self.dim_full:
+                raise ValueError(
+                    f"basis vector {i} has {len(row)} entries, "
+                    f"not one per tradable ({self.dim_full})"
+                )
+        B = np.asarray(self.basis, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(B).all(axis=1))
+        if bad.size:
+            raise ValueError(f"basis vector {bad[0]} has a non-finite entry")
+        if np.linalg.matrix_rank(B) != B.shape[0]:
+            raise ValueError("basis vectors must be linearly independent")
 
     @staticmethod
     def full(dim: int) -> "RestrictionSet":
@@ -189,7 +217,9 @@ class RestrictionSet:
 
     @staticmethod
     def of_indices(dim: int, indices: Sequence[int]) -> "RestrictionSet":
-        return RestrictionSet(dim, indices=tuple(sorted(indices)))
+        # Checked before sorting, which mixed types would break.
+        checked = RestrictionSet(dim, indices=tuple(indices))
+        return RestrictionSet(dim, indices=tuple(sorted(checked.indices)))
 
     def matrix(self) -> np.ndarray:
         """Basis matrix with one column per basis vector, shape (d+1, m)."""
@@ -259,23 +289,37 @@ def check_consistency(
     (in restricted coordinates) where the implication holds, otherwise a
     violating portfolio x with x.(S_c + Z_c) >= 0 for all children and
     x.S_node < 0.
+
+    The weights come from the LP ``lp.solve_lp(0, Y, s)`` over the
+    restricted child payoffs Y. Where Y has full column rank (a complete
+    node: the weights are its unique state prices), the nodes of one date
+    and child count are decided together by ``lp.full_rank_vertices``,
+    which gives the LP's bits. Every other node, and every complete node
+    those rules leave open (a price outside the cone or the span of Y),
+    solves the LP, and an inconsistent node solves the Farkas LP too.
     """
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
     B = restriction.matrix()
+    # Each node's restricted payoffs and prices: a stacked product gives
+    # every row the bits of B.T @ v.
+    pay = np.matmul(B.T, market.payoffs[..., None])[..., 0]
+    price = np.matmul(B.T, market.prices[..., None])[..., 0]
+    decided = _complete_node_weights(tree, pay, price)
     verdicts: Dict[int, NodeVerdict] = {}
     for node in range(tree.n_nodes):
         children = tree.children[node]
         if not children:
             continue
-        Y = np.column_stack([B.T @ market.payoff(c) for c in children])
-        s = B.T @ market.price(node)
-        primal = lp.solve_lp(
-            c=np.zeros(len(children)), A_eq=Y, b_eq=s, nonneg=True
-        )
-        if primal.status == "optimal":
-            lam = {c: float(primal.x[k]) for k, c in enumerate(children)}
-            verdicts[node] = NodeVerdict(True, weights=lam)
+        lam = decided.get(node)
+        if lam is None:
+            Y = pay[list(children)].T
+            s = price[node]
+            primal = lp.solve_lp(c=np.zeros(len(children)), A_eq=Y, b_eq=s, nonneg=True)
+            if primal.status == "optimal":
+                lam = primal.x.tolist()
+        if lam is not None:
+            verdicts[node] = NodeVerdict(True, weights=dict(zip(children, lam)))
             continue
         # Farkas alternative: u with u.y_c >= 0 for all c and u.s = -1.
         m = B.shape[1]
@@ -296,3 +340,25 @@ def check_consistency(
         verdicts[node] = NodeVerdict(False, violation=tuple(float(v) for v in x_full))
     return ConsistencyCertificate(verdicts)
 
+
+def _complete_node_weights(
+    tree: ScenarioTree, pay: np.ndarray, price: np.ndarray
+) -> Dict[int, list]:
+    """node -> weights, as floats in child order, for the nodes that
+    ``lp.full_rank_vertices`` decides: one stacked call per date and
+    child count."""
+    out: Dict[int, list] = {}
+    for nodes in tree.by_date:
+        groups: Dict[int, list] = {}
+        for node in nodes:
+            if tree.children[node]:
+                groups.setdefault(len(tree.children[node]), []).append(node)
+        for group in groups.values():
+            kids = np.array([tree.children[node] for node in group])
+            # Y[k] = pay[kids[k]].T, one column per child.
+            decided, lam = lp.full_rank_vertices(
+                pay[kids].transpose(0, 2, 1), price[group]
+            )
+            for k in np.flatnonzero(decided).tolist():
+                out[group[k]] = lam[k].tolist()
+    return out

@@ -317,9 +317,8 @@ def solvency_ii_risk_margin(
 ) -> float:
     """RM_0 = CoC * sum_i SCR_i / (1+r)^(i+1) for a deterministic SCR
     path under flat rates."""
-    return eta * sum(
-        scr / (1.0 + r) ** (i + 1) for i, scr in enumerate(scr_path)
-    )
+    terms = [scr / (1.0 + r) ** (i + 1) for i, scr in enumerate(scr_path)]
+    return eta * float(sum_left_to_right(np.array([terms], dtype=float))[0])
 
 
 def multi_period_solvency(

@@ -8,10 +8,10 @@ time, and the node-by-node solvency recursion, that the row kernels
 replaced. The differential tests compare the program with them bit for
 bit, so they must not call the program's risk or condition functions.
 
-Sums over states are explicit loops from 0.0, as ``sum`` added floats
-before Python 3.12 (which compensates); the normalising total of a
-node's path probabilities keeps ``sum``, as ``lattice`` and the engine's
-atom rows form it.
+Sums over states, and the normalising total of a node's path
+probabilities, are explicit loops from 0.0, as ``sum`` added floats
+before Python 3.12 (which compensates) and as ``risk.sum_left_to_right``
+adds them on every version.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
         j1 = tree.grid.index(i + 1)
         for node in tree.nodes_at(i):
             kids = tree.descendants_at(node, j1)
-            total_p = sum(tree.path_probability(node, c) for c in kids)
+            total_p = loop_sum(tree.path_probability(node, c) for c in kids)
             states = [
                 PeriodState(
                     tree.path_probability(node, c) / total_p,

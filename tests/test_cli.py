@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from prodval import cli
+from prodval import cli, market
 from prodval.cli import main, run
 from prodval.config import load_config, problem_from_dict, problem_to_dict
 from prodval.errors import CrossRefError, ParseError, SchemaViolation
@@ -376,3 +376,47 @@ class TestPlainReportValues:
         again = problem_from_dict(json.loads(json.dumps(problem_to_dict(reloaded))))
         assert again.config_sha256 == problem.config_sha256
         assert run(again, subcommand).files == run(problem, subcommand).files
+
+
+@pytest.mark.parametrize(
+    "financiability, restricted",
+    [("state_price", False), ("state_price", True), ("coc", True)],
+)
+def test_check_certifies_each_subspace_once(financiability, restricted, monkeypatch):
+    """Under state_price the used subspace's certificate is the one the
+    financiability condition holds; check does not compute it again."""
+    overrides = {"financiability": {"type": financiability}}
+    if restricted:
+        overrides["restriction"] = {"indices": [0, 2, 3]}
+    problem = generated_problem(**overrides)
+    calls = []
+    original = market.check_consistency
+
+    def counting(mkt, tree, restriction=None):
+        calls.append(restriction)
+        return original(mkt, tree, restriction)
+
+    # financiability_of looks the function up in prodval.market.
+    monkeypatch.setattr(market, "check_consistency", counting)
+    monkeypatch.setattr(cli, "check_consistency", counting)
+    assert run(problem, "check").exit_code == 0
+    assert calls == ([problem.restriction, None] if restricted else [None])
+
+
+@pytest.mark.parametrize("subcommand", ["value", "check"])
+@pytest.mark.parametrize(
+    "restriction",
+    [{"indices": [7]}, {"indices": []}, {"indices": [-1]}, {"indices": [0.5]},
+     {"indices": [0, 0]}, {"basis": [[1.0, 2.0]]}, {"basis": [[math.nan]]}],
+    ids=["out_of_range", "empty", "negative", "fractional", "repeated", "basis_length",
+         "basis_nan"],
+)
+def test_bad_restriction_is_one_error_line(subcommand, restriction, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(two_point_doc(), restriction=restriction)))
+    code = main([subcommand, "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: restriction: ") and err.count("\n") == 1
+    with pytest.raises(SchemaViolation, match="^restriction: "):
+        load_config(str(config))

@@ -6,15 +6,19 @@ A refactor that keeps these digests keeps the reports byte-identical.
 Regenerate them only for an intended change of report content.
 """
 
+import builtins
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodval
 from prodval.cli import main
 
 from util import generated_config
@@ -103,6 +107,69 @@ def test_reports_match_golden_digests(config, subcommand, tmp_path, capsys):
     assert got == GOLDEN[(config, subcommand)]
 
 
+def compensates(items, start=0) -> bool:
+    """Whether Python 3.12's ``sum`` compensates: an int start and every
+    item exactly a float (it does not compensate numpy scalars or arrays)."""
+    return type(start) is int and all(type(x) is float for x in items)
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 adds floats: Neumaier-compensated where
+    ``compensates``, the plain sum otherwise."""
+    items = list(iterable)
+    if not compensates(items, start):
+        return builtins.sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.fixture
+def python312_sum(monkeypatch):
+    """Shadow ``sum`` in every prodval module with ``compensated_sum``, so
+    that a run on an older Python adds floats as 3.12 would; returns the
+    items of the sums it compensated."""
+    compensated = []
+
+    def shadow(iterable, /, start=0):
+        items = list(iterable)
+        if compensates(items, start):
+            compensated.append(items)
+        return compensated_sum(items, start)
+
+    for info in pkgutil.iter_modules(prodval.__path__):
+        module = importlib.import_module(f"prodval.{info.name}")
+        monkeypatch.setattr(module, "sum", shadow, raising=False)
+    return compensated
+
+
+def test_compensated_sum_is_the_312_sum():
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    # Not every item a float: added as they come.
+    assert compensated_sum([1e16, np.float64(1.0), -1e16]) == builtins.sum(
+        [1e16, np.float64(1.0), -1e16]
+    )
+
+
+@pytest.mark.parametrize(
+    "config,subcommand", sorted(GOLDEN), ids=lambda v: str(v)
+)
+def test_reports_keep_their_bytes_under_a_compensated_sum(
+    config, subcommand, tmp_path, capsys, python312_sum
+):
+    test_reports_match_golden_digests(config, subcommand, tmp_path, capsys)
+    # The program adds floats with risk.sum_left_to_right, which gives
+    # every Python version the same bits.
+    assert python312_sum == []
+
+
 def test_golden_covers_every_bundled_config():
     assert {c for c, _ in GOLDEN} == {p.stem for p in CONFIGS.glob("*.json")}
 
@@ -133,6 +200,12 @@ CASES = {
     ),
     "solvency_stage3": (("solvency", "--stage", "3"), {}),
     "check_restricted": (("check",), {"restriction": {"indices": [0, 2, 3]}}),
+    # The used subspace's certificate comes from the financiability
+    # condition; the full space's from its own check.
+    "check_state_price": (
+        ("check",),
+        {"restriction": {"indices": [0, 2, 3]}, "financiability": {"type": "state_price"}},
+    ),
     "adjust": (("adjust",), {"fulfillment": {"type": "var", "alpha": 0.2}}),
     # Write-downs at two or more annual dates with the excess illiquid
     # inflows paid out through theta (see test_adjust_illiquid_*).
@@ -268,6 +341,14 @@ GENERATED_GOLDEN = {
         {
             "check.json": "c92606f6daae9c4bea482337a46811314fb9926df5d420a82a024b16d3b297b6",
             "metadata.json": "a567df09f4b2efd656f5e25e15d2a835bf270f0bc836bc1ff481564398e6a6de",
+        },
+    ),
+    ("tree217", "check_state_price"): (
+        0,
+        "",
+        {
+            "check.json": "fb89d0a1dee1e86893e97596514b9fe55ed40a5ac11b6718e3a69f6061245556",
+            "metadata.json": "17456afb4012fd54e7a0aaed34eedfd822eb821d75a277acdfaacacfe46893f4",
         },
     ),
     ("tree217", "solvency_stage3"): (
@@ -433,6 +514,14 @@ GENERATED_GOLDEN = {
             "metadata.json": "36ed4c68225483dcffedeb4040f5cde168c29cc1c22b164d7f10f3126ada3252",
         },
     ),
+    ("tree274", "check_state_price"): (
+        0,
+        "",
+        {
+            "check.json": "db0ea7fad76e6f10f6479bace8289a4805225a88e13086d375522fe4bc21a8fb",
+            "metadata.json": "52bc1c6dcd4a56fff7c481b4226afec06eed53be6ecd97cc9f8dba09ef0c3f74",
+        },
+    ),
     ("tree274", "solvency_stage3"): (
         0,
         "",
@@ -585,6 +674,16 @@ def test_generated_tree_reports_match_golden_digests(tree, case, tmp_path, capsy
     out.mkdir()
     got = _run_digests(list(args) + ["--config", str(config)], out, capsys)
     assert got == GENERATED_GOLDEN[(tree, case)]
+
+
+@pytest.mark.parametrize(
+    "tree,case", sorted(GENERATED_GOLDEN), ids=lambda v: str(v)
+)
+def test_generated_reports_keep_their_bytes_under_a_compensated_sum(
+    tree, case, tmp_path, capsys, python312_sum
+):
+    test_generated_tree_reports_match_golden_digests(tree, case, tmp_path, capsys)
+    assert python312_sum == []
 
 
 def test_generated_golden_covers_every_tree_and_case():

@@ -79,7 +79,7 @@ def _surplus_dist(tree, node_i, payoff, ell):
     for nu in targets:
         p = tree.path_probability(node_i, nu)
         atoms.append((payoff[nu] - ell[nu], p))
-    total = sum(p for _, p in atoms)
+    total = ref.loop_sum(p for _, p in atoms)
     return DiscreteDistribution.from_atoms(
         [(v, p / total) for v, p in atoms], labels=targets
     )

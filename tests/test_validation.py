@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from prodval.config import problem_from_dict
-from prodval.errors import CrossRefError, DimensionMismatch
+from prodval.errors import CrossRefError, DimensionMismatch, SchemaViolation
 from prodval.lattice import DateGrid, build_tree
-from prodval.market import TradableSet
+from prodval.market import RestrictionSet, TradableSet
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -290,3 +290,49 @@ class TestConfigValidation:
             r"at date 1, not at node 'hi'$",
         ):
             problem_from_dict(doc)
+
+
+# The two-point config has one tradable.
+BAD_RESTRICTIONS = [
+    ({"indices": [7]}, "index 7 is not a tradable index (0 to 0)"),
+    ({"indices": [-1]}, "index -1 is not a tradable index (0 to 0)"),
+    ({"indices": []}, "indices must name at least one tradable"),
+    ({"indices": [0.5]}, "index 0.5 is not an integer"),
+    ({"indices": [True]}, "index True is not an integer"),
+    ({"indices": [0, 0]}, "index 0 is given twice"),
+    ({"indices": 0}, "indices must be a list"),
+    ({"basis": [[1.0, 2.0]]}, "basis vector 0 has 2 entries, not one per tradable (1)"),
+    ({"basis": [[float("nan")]]}, "basis vector 0 has a non-finite entry"),
+    ({"basis": []}, "basis must hold at least one vector"),
+    ({"basis": [[0.0]]}, "basis vectors must be linearly independent"),
+    ({"basis": [1.0]}, "basis must be a list of vectors"),
+    ({"basis": [["a"]]}, "could not convert string to float: 'a'"),
+    ({}, "give an object with exactly one of indices or basis"),
+    ({"indices": [0], "basis": [[1.0]]}, "give an object with exactly one of indices or basis"),
+    ([0], "give an object with exactly one of indices or basis"),
+]
+
+
+class TestRestrictionValidation:
+    @pytest.mark.parametrize("restriction, message", BAD_RESTRICTIONS)
+    def test_bad_restriction_is_a_schema_violation(self, restriction, message):
+        doc = dict(two_point_doc(), restriction=restriction)
+        with pytest.raises(SchemaViolation) as raised:
+            problem_from_dict(doc)
+        assert str(raised.value) == f"restriction: {message}"
+
+    @pytest.mark.parametrize(
+        "restriction", [{"indices": [0]}, {"basis": [[2.0]]}]
+    )
+    def test_valid_restriction_loads(self, restriction):
+        problem = problem_from_dict(dict(two_point_doc(), restriction=restriction))
+        assert problem.restriction.dim == 1
+
+    def test_restriction_set_checks_its_own_arguments(self):
+        with pytest.raises(ValueError, match="^index 3 is not a tradable index"):
+            RestrictionSet.of_indices(3, [2, 3])
+        with pytest.raises(ValueError, match="^index 'a' is not an integer$"):
+            RestrictionSet.of_indices(3, [0, "a"])
+        with pytest.raises(ValueError, match="^basis vector 1 has 2 entries"):
+            RestrictionSet(3, basis=((1.0, 0.0, 0.0), (0.0, 1.0)))
+        assert RestrictionSet.of_indices(3, [2, 0]).indices == (0, 2)
