@@ -16,7 +16,6 @@ from .conditions import (
     CapitalSchedule,
     FinanciabilitySpec,
     FulfillmentSpec,
-    financiability_holds,
     fulfillment_satisfied,
     max_capital,
 )
@@ -31,20 +30,16 @@ from .engine import (
     validate_production_strategy,
 )
 from .lattice import (
-    AdaptedProcess,
     DateGrid,
     ScenarioTree,
     build_tree,
     conditional_distribution,
-    successor_date,
 )
 from .market import (
     ConsistencyCertificate,
     RestrictionSet,
     TradableSet,
     check_consistency,
-    portfolio_inflow,
-    portfolio_price,
 )
 from .risk import (
     DiscreteDistribution,
@@ -67,10 +62,20 @@ from .strategy import (
     Strategy,
     conversion_residual,
     decompose_general,
-    is_self_financing,
-    restriction_membership,
     short_position_cashflows,
     strategy_value,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CapitalSchedule", "CashflowProcess", "ConsistencyCertificate", "DateGrid",
+    "DiscreteDistribution", "EngineConfig", "FinanciabilitySpec", "FulfillmentSpec",
+    "IlliquidPortfolio", "LiabilitySpec", "ProductionCostProcess", "RateCurve",
+    "RestrictionSet", "RiskMeasureSpec", "ScenarioTree", "Strategy", "StrategyFamily",
+    "TradableSet", "apply_measure", "backward_value", "build_one_period", "build_tree",
+    "check_consistency", "conditional_distribution", "conversion_residual",
+    "decompose_general", "expected_shortfall", "fulfillment_satisfied",
+    "lower_quantile", "max_capital", "multi_period_solvency",
+    "short_position_cashflows", "stage1_closed_form", "stage1_value",
+    "stage2_decompose", "stage3_decompose", "strategy_value",
+    "validate_production_strategy", "value_at_risk",
+]

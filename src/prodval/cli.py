@@ -26,6 +26,7 @@ from .conditions import (
     audit_consistency_with_tradables,
     audit_neutrality_to_tradables,
     audit_positive_homogeneity,
+    flat_rates,
     period_rates_from_market,
     root_homogeneity_payoffs,
 )
@@ -75,18 +76,15 @@ class ReportBundle:
     exit_code: int = 0
 
 
-def _engine_rates(problem: ValuationProblem) -> Dict[int, float]:
+def _engine_rates(problem: ValuationProblem):
+    """The period rates, an array indexed by inner node id."""
     try:
         return period_rates_from_market(problem.market, problem.tree)
     except NoBondAvailable:
         if problem.financiability_cfg.get("type") == "coc":
             raise
         # State-price and zero conditions never read the rate.
-        return {
-            n: 0.0
-            for n in range(problem.tree.n_nodes)
-            if not problem.tree.is_leaf(n)
-        }
+        return flat_rates(problem.tree, 0.0)
 
 
 def _metadata(problem: ValuationProblem, subcommand: str, extra=None) -> str:
@@ -271,7 +269,7 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         financiability,
         root_homogeneity_payoffs(financiability, tree),
         HOMOGENEITY_SCALES,
-        rate=rates[tree.root],
+        rate=float(rates[tree.root]),
         node=tree.root,
         horizon_index=tree.grid.index(1),
     )
@@ -343,12 +341,13 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     buf = io.StringIO()
     buf.write("node,date,xi,lambda,adjusted_inflow,adjusted_outflow\n")
     rows_json = []
+    inflows = result.adjusted_inflows.tolist()
+    outflows = result.adjusted_outflows.tolist()
     for i in range(tree.grid.horizon + 1):
         date = str(i)
         for node in tree.nodes_at(i):
             label, xi, lam = tree.labels[node], result.xi[node], result.lam[node]
-            inflow = result.adjusted_inflows.get(node, 0.0)
-            outflow = result.adjusted_outflows.get(node, 0.0)
+            inflow, outflow = inflows[node], outflows[node]
             buf.write(
                 f"{label},{date},{_fmt(xi)},{_fmt(lam)},{_fmt(inflow)},{_fmt(outflow)}\n"
             )

@@ -18,7 +18,7 @@ compares it against the period hurdle 1 + r + eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     NegativePayoffAtom,
     NumericalFailure,
 )
-from .lattice import ScenarioTree
+from .lattice import ScenarioTree, node_array
 from .market import ConsistencyCertificate, RestrictionSet, TradableSet
 from .risk import (
     DiscreteDistribution,
@@ -113,19 +113,15 @@ def fulfillment_satisfied(spec: FulfillmentSpec, surplus: Distributions):
     return back(spec.required_buffer(rows) <= SLACK)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapitalSchedule:
-    """Non-negative capital per annual node."""
+    """Non-negative capital C_i per node, a read-only array indexed by
+    node id; only the annual nodes' entries are read."""
 
-    values: Mapping[int, float]
+    values: np.ndarray
 
     def __post_init__(self):
-        for node, c in self.values.items():
-            if c < 0:
-                raise ValueError(f"negative capital {c} at node {node}")
-
-    def at(self, node: int) -> float:
-        return float(self.values.get(node, 0.0))
+        object.__setattr__(self, "values", node_array(self.values, "capital"))
 
 
 @dataclass(frozen=True)
@@ -280,24 +276,6 @@ def _state_prices(spec, payoff, nodes, horizon_index, checks):
     return q
 
 
-def financiability_holds(
-    spec: FinanciabilitySpec,
-    capital: float,
-    payoff: DiscreteDistribution,
-    rate: float,
-    node: Optional[int] = None,
-    horizon_index: Optional[int] = None,
-) -> bool:
-    """C_i is acceptable iff it does not exceed the maximal capital.
-
-    Valid because every variant is monotone: a smaller capital with the
-    same payoff stays acceptable, matching the definition's property (b).
-    """
-    if capital < 0:
-        return False
-    return capital <= max_capital(spec, payoff, rate, node, horizon_index) + SLACK
-
-
 # --- audits ------------------------------------------------------------------
 
 
@@ -375,9 +353,10 @@ class TradableAuditReport:
         return any(a.flagged for a in self.per_node.values())
 
 
-def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> Dict[int, float]:
+def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> np.ndarray:
     """Period rate r_{i,i+1} for every non-terminal node, read off the
-    flagged bond at the node's annual ancestor."""
+    flagged bond at the node's annual ancestor: an array indexed by node
+    id over the inner nodes (the ids before the horizon's)."""
     rates = np.empty(tree.n_nodes)
     for j in range(len(tree.grid.dates) - 1):
         nodes = np.asarray(tree.by_date[j], dtype=np.int64)
@@ -385,14 +364,17 @@ def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> Dict[in
             rates[nodes] = [market.period_rate(n) for n in nodes.tolist()]
         else:
             rates[nodes] = rates[tree.parent[nodes]]
-    inner = len(tree.parent) - len(tree.by_date[-1])
-    return dict(enumerate(rates[:inner].tolist()))
+    return rates[: _n_inner(tree)]
 
 
-def flat_rates(tree: ScenarioTree, r: float) -> Dict[int, float]:
-    return {
-        node: r for node in range(tree.n_nodes) if not tree.is_leaf(node)
-    }
+def flat_rates(tree: ScenarioTree, r: float) -> np.ndarray:
+    """The rate ``r`` at every inner node, as ``period_rates_from_market``
+    gives rates."""
+    return np.full(_n_inner(tree), float(r))
+
+
+def _n_inner(tree: ScenarioTree) -> int:
+    return tree.n_nodes - len(tree.by_date[-1])
 
 
 def _step_return_lp(
@@ -426,7 +408,7 @@ def _audit_tradables(
     market: TradableSet,
     tree: ScenarioTree,
     restriction: Optional[RestrictionSet],
-    rates: Mapping[int, float],
+    rates: np.ndarray,
     kind: str,
 ) -> TradableAuditReport:
     if restriction is None:
@@ -445,7 +427,7 @@ def _audit_tradables(
             flagged = kind == "neutrality"
             per_node[node] = NodeAudit("by_construction", None, None, flagged)
             continue
-        hurdle = 1.0 + rates[node] + spec.eta
+        hurdle = 1.0 + float(rates[node]) + spec.eta
         res, sign = _step_return_lp(
             market, tree, restriction, node, maximize=(kind == "consistency")
         )
@@ -473,7 +455,7 @@ def audit_consistency_with_tradables(
     market: TradableSet,
     tree: ScenarioTree,
     restriction: Optional[RestrictionSet],
-    rates: Mapping[int, float],
+    rates: np.ndarray,
 ) -> TradableAuditReport:
     """Flag nodes where a self-financing payoff would be funded above its
     market price (expected step return above the period hurdle)."""
@@ -485,7 +467,7 @@ def audit_neutrality_to_tradables(
     market: TradableSet,
     tree: ScenarioTree,
     restriction: Optional[RestrictionSet],
-    rates: Mapping[int, float],
+    rates: np.ndarray,
 ) -> TradableAuditReport:
     """Flag nodes where some admissible self-financing portfolio earns an
     expected step return below the period hurdle."""

@@ -147,19 +147,18 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
         close_out=close_out,
     )
 
-    def flow_map(section: Mapping, key: str, where: str) -> Dict[int, float]:
+    def flow_array(section: Mapping, key: str, where: str) -> np.ndarray:
         flows = section.get(key, {})
-        nodes = node_ids(flows, f"{where}.{key}")
-        return dict(zip(nodes.tolist(), _finite_values(flows, f"{where}.{key}").tolist()))
+        out = np.zeros(tree.n_nodes)
+        out[node_ids(flows, f"{where}.{key}")] = _finite_values(flows, f"{where}.{key}")
+        return out
 
     liability = LiabilitySpec(
-        outflows=flow_map(liab_doc, "outflows", "liability"),
-        inflows=flow_map(liab_doc, "inflows", "liability"),
-        terminal=flow_map(liab_doc, "terminal", "liability"),
+        outflows=flow_array(liab_doc, "outflows", "liability"),
+        inflows=flow_array(liab_doc, "inflows", "liability"),
+        terminal=flow_array(liab_doc, "terminal", "liability"),
     )
-    illiquid = IlliquidPortfolio(
-        flow_map(doc.get("illiquid", {}), "inflows", "illiquid")
-    )
+    illiquid = IlliquidPortfolio(flow_array(doc.get("illiquid", {}), "inflows", "illiquid"))
 
     restriction = None
     if "restriction" in doc:
@@ -283,30 +282,47 @@ def _family_from(doc, tree, market, label_to_id, restriction) -> StrategyFamily:
         return StrategyFamily.fixed_mix(indices)
     if kind == "explicit":
         strat_doc = _need(doc, "strategy", "engine.family.")
-        assignment = {}
-        for lab, vec in _need(strat_doc, "assignments", "engine.family.strategy.").items():
-            if lab not in label_to_id:
-                raise CrossRefError(f"strategy assignment references unknown node {lab!r}")
-            assignment[label_to_id[lab]] = _finite_units(vec, "assignments", lab)
-        initial = {}
-        for lab, vec in strat_doc.get("initial", {}).items():
-            if lab not in label_to_id:
-                raise CrossRefError(f"strategy initial references unknown node {lab!r}")
-            initial[label_to_id[lab]] = _finite_units(vec, "initial", lab)
-        base = Strategy(tree, market.n_assets, assignment, initial)
-        return StrategyFamily.explicit(base)
+        where = "engine.family.strategy."
+        assigned = _need(strat_doc, "assignments", where)
+        assignment = _units_array(assigned, where + "assignments", label_to_id, market.n_assets)
+        initial = _units_array(
+            strat_doc.get("initial", {}), where + "initial", label_to_id, market.n_assets, False
+        )
+        if len(assigned) < tree.n_nodes:
+            first = min(label_to_id.keys() - assigned.keys(), key=label_to_id.get)
+            raise SchemaViolation(f"{where}assignments has no units at node {first!r}")
+        return StrategyFamily.explicit(Strategy(tree, market.n_assets, assignment, initial))
     raise SchemaViolation(
         f"engine.family.type must be risk_free, fixed_mix, or explicit, got {kind!r}"
     )
 
 
-def _finite_units(vec, section: str, label: str) -> tuple:
-    units = tuple(float(v) for v in vec)
-    if not all(map(math.isfinite, units)):
-        raise SchemaViolation(
-            f"engine.family.strategy.{section} has non-finite units at node {label!r}"
-        )
-    return units
+def _units_array(
+    section, where: str, label_to_id: Mapping[str, int], n_assets: int, nonnegative: bool = True
+) -> np.ndarray:
+    """The (n_nodes, n_assets) units of a label-keyed strategy section,
+    zero at the nodes it leaves out. Each vector must hold one finite
+    number per tradable, with ``nonnegative`` none below -1e-12; the
+    first vector in the section's order that does not raises."""
+    if not isinstance(section, dict):
+        raise SchemaViolation(f"{where} must map node labels to unit vectors")
+    out = np.zeros((len(label_to_id), n_assets))
+    ids = _node_ids(section, label_to_id, where).tolist()
+    for node, (label, vec) in zip(ids, section.items()):
+        if not isinstance(vec, list) or len(vec) != n_assets:
+            raise SchemaViolation(
+                f"{where} needs one unit per tradable ({n_assets}) at node {label!r}"
+            )
+        try:
+            units = list(map(float, vec))
+        except (TypeError, ValueError):
+            raise SchemaViolation(f"{where} has a non-numeric unit at node {label!r}") from None
+        if not all(map(math.isfinite, units)):
+            raise SchemaViolation(f"{where} has non-finite units at node {label!r}")
+        if nonnegative and min(units) < -1e-12:
+            raise SchemaViolation(f"{where} has a negative unit at node {label!r}")
+        out[node] = units
+    return out
 
 
 def financiability_of(problem: ValuationProblem) -> FinanciabilitySpec:
@@ -330,8 +346,9 @@ def problem_to_dict(problem: ValuationProblem) -> dict:
     tree, grid, market = problem.tree, problem.grid, problem.market
     labels = tree.labels
 
-    def label_map(flows: Mapping[int, float]) -> Dict[str, float]:
-        return {labels[n]: v for n, v in sorted(flows.items())}
+    def label_map(flows: np.ndarray) -> Dict[str, float]:
+        """The nonzero entries, in node order."""
+        return {lab: v for lab, v in zip(labels, flows.tolist()) if v != 0.0}
 
     date_text = [str(d) for d in grid.dates]
     nodes = [
@@ -347,11 +364,9 @@ def problem_to_dict(problem: ValuationProblem) -> dict:
     ]
     tradables = []
     for k in range(market.n_assets):
-        prices = market.prices[:, k].tolist()
-        inflows = market.inflows[:, k].tolist()
         spec = {
-            "prices": dict(zip(labels, prices)),
-            "inflows": {lab: v for lab, v in zip(labels, inflows) if v != 0.0},
+            "prices": dict(zip(labels, market.prices[:, k].tolist())),
+            "inflows": label_map(market.inflows[:, k]),
         }
         if k in market.bond_periods:
             spec["bond_period"] = market.bond_periods[k]

@@ -24,7 +24,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -50,7 +49,7 @@ from .errors import (
     SpanMismatch,
     ValidationFailed,
 )
-from .lattice import ScenarioTree
+from .lattice import ScenarioTree, node_array
 from .market import RestrictionSet, TradableSet
 from .risk import DistributionRows, sum_left_to_right
 from .strategy import (
@@ -70,62 +69,45 @@ INF = math.inf
 # --- inputs ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiabilitySpec:
-    """Contractual outflows, actual inflows, and terminal values per leaf."""
+    """Contractual outflows, actual inflows, and terminal values (read at
+    the leaves): read-only arrays indexed by node id."""
 
-    outflows: Mapping[int, float] = field(default_factory=dict)
-    inflows: Mapping[int, float] = field(default_factory=dict)
-    terminal: Mapping[int, float] = field(default_factory=dict)
+    outflows: np.ndarray
+    inflows: np.ndarray
+    terminal: np.ndarray
 
     def __post_init__(self):
-        for name, flows in (("outflow", self.outflows), ("inflow", self.inflows)):
-            for node, v in flows.items():
-                if v < 0:
-                    raise ValueError(f"negative liability {name} {v} at node {node}")
-        for node, v in self.terminal.items():
-            if not math.isfinite(v):
-                raise ValueError(f"terminal value at node {node} must be finite")
+        for name, what, nonnegative in (
+            ("outflows", "liability outflow", True),
+            ("inflows", "liability inflow", True),
+            ("terminal", "terminal value", False),
+        ):
+            object.__setattr__(self, name, node_array(getattr(self, name), what, nonnegative))
 
-    def x(self, node: int) -> float:
-        return float(self.outflows.get(node, 0.0))
-
-    def z(self, node: int) -> float:
-        return float(self.inflows.get(node, 0.0))
-
-    def y(self, node: int) -> float:
-        return float(self.terminal.get(node, 0.0))
-
-    def plus(self, other: "LiabilitySpec") -> "LiabilitySpec":
-        out = dict(self.outflows)
-        for n, v in other.outflows.items():
-            out[n] = out.get(n, 0.0) + v
-        inf_ = dict(self.inflows)
-        for n, v in other.inflows.items():
-            inf_[n] = inf_.get(n, 0.0) + v
-        term = dict(self.terminal)
-        for n, v in other.terminal.items():
-            term[n] = term.get(n, 0.0) + v
-        return LiabilitySpec(out, inf_, term)
+    def sections(self) -> Tuple[Tuple[str, np.ndarray], ...]:
+        """(config section, array) pairs, for ``tree.require_per_node``."""
+        return (
+            ("liability.outflows", self.outflows),
+            ("liability.inflows", self.inflows),
+            ("liability.terminal", self.terminal),
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IlliquidPortfolio:
-    """Held-to-maturity assets, reduced to their aggregate inflow stream."""
+    """Held-to-maturity assets, reduced to their aggregate inflow stream:
+    a read-only array indexed by node id."""
 
-    inflows: Mapping[int, float] = field(default_factory=dict)
+    inflows: np.ndarray
 
     def __post_init__(self):
-        for node, v in self.inflows.items():
-            if v < 0:
-                raise ValueError(f"negative illiquid inflow {v} at node {node}")
-
-    def z(self, node: int) -> float:
-        return float(self.inflows.get(node, 0.0))
+        object.__setattr__(self, "inflows", node_array(self.inflows, "illiquid inflow"))
 
     @staticmethod
-    def none() -> "IlliquidPortfolio":
-        return IlliquidPortfolio({})
+    def none(n_nodes: int) -> "IlliquidPortfolio":
+        return IlliquidPortfolio(np.zeros(n_nodes))
 
 
 @dataclass(frozen=True)
@@ -708,7 +690,7 @@ def backward_value(
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rates: Mapping[int, float],
+    rates: np.ndarray,
 ) -> ProductionCostProcess:
     """Backward-recursive production cost over the whole horizon.
 
@@ -718,9 +700,11 @@ def backward_value(
     one-period builder on the date-i nodes, minimizing vbar over the
     family's parameter grid. Ties pick the lexicographically smallest
     parameter vector. Infeasible nodes carry +inf and propagate.
+    ``rates`` holds the period rate of every inner node, by node id.
     """
     if config.mode == "A" and not market.close_out:
         raise CloseOutUnavailable("mode A requires short positions with close out")
+    tree.require_per_node(*liab.sections(), ("illiquid.inflows", psi.inflows))
     T = tree.grid.horizon
     J = len(tree.grid.dates) - 1
     values: Dict[int, float] = {}
@@ -731,12 +715,10 @@ def backward_value(
 
     leaves = list(tree.by_date[J])
     vbar = np.zeros(tree.n_nodes)
-    vbar[leaves] = _node_array(liab.terminal, tree.n_nodes)[leaves]
+    vbar[leaves] = liab.terminal[leaves]
     values.update(zip(leaves, vbar[leaves].tolist()))
 
-    outflow = _node_array(liab.outflows, tree.n_nodes)
-    inflow = _node_array(liab.inflows, tree.n_nodes)
-    psi_inflow = _node_array(psi.inflows, tree.n_nodes)
+    outflow, inflow, psi_inflow = liab.outflows, liab.inflows, psi.inflows
     net = inflow + psi_inflow - outflow
     ell = np.zeros(tree.n_nodes)
 
@@ -746,7 +728,7 @@ def backward_value(
         nodes = tree.nodes_at(i)
         results = build_one_period(
             nodes, ell, net, config.family, fulfillment, financiability, market, tree,
-            [rates[n] for n in nodes], config.mode, config.bisection_tol,
+            rates[list(nodes)], config.mode, config.bisection_tol,
             config.grid_depth, assignment,
         )
         for node_i, res in zip(nodes, results):
@@ -781,14 +763,6 @@ def backward_value(
     return ProductionCostProcess(
         values, capital, params, strategy, rows, config.mode, sorted(infeasible)
     )
-
-
-def _node_array(flows: Mapping[int, float], n_nodes: int) -> np.ndarray:
-    """Per-node values of a node -> value mapping, zero where absent."""
-    out = np.zeros(n_nodes)
-    n = len(flows)
-    out[np.fromiter(flows, np.int64, n)] = np.fromiter(flows.values(), float, n)
-    return out
 
 
 # --- validation ----------------------------------------------------------------
@@ -826,9 +800,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> List[PeriodCheck]:
-        return [c for c in self.checks if not c.ok]
-
 
 def validate_production_strategy(
     strategy: Strategy,
@@ -839,13 +810,13 @@ def validate_production_strategy(
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rates: Mapping[int, float],
+    rates: np.ndarray,
     mode: str = "B",
     start_set: Optional[Sequence[int]] = None,
     i_min: int = 0,
     i_max: Optional[int] = None,
-    terminal: Optional[Mapping[int, float]] = None,
-    extra_annual_inflows: Optional[Mapping[int, float]] = None,
+    terminal: Optional[np.ndarray] = None,
+    extra_annual_inflows: Optional[np.ndarray] = None,
 ) -> ValidationReport:
     """Check conditions (a) interior funding, (b) financiability, and
     (c) fulfillment per one-year period, on the start set and wherever no
@@ -855,9 +826,12 @@ def validate_production_strategy(
     vbar_i = v_i(phi) - C_i, with terminal values at i_max. Periods after
     a balance-sheet failure are skipped (the strategy stops there).
 
-    Each date's live nodes are checked together as array operations,
-    the fulfillment and financiability conditions with one call each on
-    the rows of the year-end surplus distributions.
+    ``terminal`` replaces the liability's terminal values at i_max, and
+    ``extra_annual_inflows`` adds cash inflows; both, like every flow,
+    are arrays indexed by node id. Each date's live nodes are checked
+    together as array operations, the fulfillment and financiability
+    conditions with one call each on the rows of the year-end surplus
+    distributions.
     """
     if i_max is None:
         i_max = tree.grid.horizon
@@ -871,10 +845,17 @@ def validate_production_strategy(
             "fulfillment condition and close out"
         )
     n = tree.n_nodes
-    outflow = _node_array(liab.outflows, n)
-    liab_in = _node_array(liab.inflows, n)
-    psi_in = _node_array(psi.inflows, n)
-    extra = _node_array(extra_annual_inflows or {}, n)
+    if terminal is None:
+        terminal = liab.terminal
+    extra = np.zeros(n) if extra_annual_inflows is None else extra_annual_inflows
+    tree.require_per_node(
+        *liab.sections(),
+        ("illiquid.inflows", psi.inflows),
+        ("capital", capital.values),
+        ("terminal", terminal),
+        ("extra_annual_inflows", extra),
+    )
+    outflow, liab_in, psi_in = liab.outflows, liab.inflows, psi.inflows
     # The conversion equation's cash inflows, summed in this order from 0.0.
     cash_in = 0.0 + liab_in + psi_in + extra
     bad = np.flatnonzero(cash_in < 0)
@@ -884,8 +865,8 @@ def validate_production_strategy(
 
     vbar = np.zeros(n)
     ends = list(tree.nodes_at(i_max))
-    vbar[ends] = _node_array(liab.terminal if terminal is None else terminal, n)[ends]
-    cap = _node_array(capital.values, n)
+    vbar[ends] = terminal[ends]
+    cap = capital.values
     for i in range(i_min, i_max):
         nodes = np.asarray(tree.nodes_at(i))
         _require_span(strategy, nodes)
@@ -936,7 +917,7 @@ def validate_production_strategy(
         bound = max_capital(
             financiability,
             dist.with_values(pad(_positive_part(surplus))),
-            np.array([rates[m] for m in roots.tolist()], dtype=float),
+            rates[roots],
             roots,
             j1,
         )
@@ -1006,7 +987,7 @@ def illiquid_replica_shift(
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rates: Mapping[int, float],
+    rates: np.ndarray,
     restriction: Optional[RestrictionSet] = None,
     policy_index: Optional[int] = None,
 ) -> ShiftReport:
@@ -1028,38 +1009,29 @@ def illiquid_replica_shift(
     units = np.asarray(psi_units, dtype=float)
     if units.min(initial=0.0) < 0:
         raise ValueError("static illiquid position must be non-negative")
-    J = len(tree.grid.dates) - 1
-    for leaf in tree.by_date[J]:
-        if abs(float(units @ market.price(leaf))) > TOL:
-            raise ValueError("static position must be worthless at the horizon")
-
-    psi = IlliquidPortfolio(
-        {
-            n: float(units @ market.inflow(n))
-            for n in range(tree.n_nodes)
-            if float(units @ market.inflow(n)) != 0.0
-        }
-    )
+    tree.require_per_node(("capital", base_capital.values))
+    # Per node units @ inflow and units @ price, each with the bits of
+    # that dot product.
+    per_node = np.broadcast_to(units, market.prices.shape)
+    v_psi = row_dots(per_node, market.prices)
+    if (np.abs(v_psi[list(tree.by_date[-1])]) > TOL).any():
+        raise ValueError("static position must be worthless at the horizon")
+    psi = IlliquidPortfolio(row_dots(per_node, market.inflows))
 
     # xi accumulates the illiquid inflows within each year and is flat at
     # annual nodes; it never owns anything across year ends.
-    T = tree.grid.horizon
     xi = Strategy(
         tree,
         market.n_assets,
-        accumulate_within_years(market, tree, psi.z, policy_index),
+        accumulate_within_years(market, tree, psi.inflows, policy_index),
     )
 
     augmented = base_strategy.plus(xi)
-    cap_star = {
-        node: base_capital.at(node) + float(units @ market.price(node))
-        for i in range(T)
-        for node in tree.nodes_at(i)
-    }
+    cap_star = CapitalSchedule(base_capital.values + v_psi)
     validation = validate_production_strategy(
         augmented,
         psi,
-        CapitalSchedule(cap_star),
+        cap_star,
         liab,
         fulfillment,
         financiability,
@@ -1068,14 +1040,16 @@ def illiquid_replica_shift(
         rates,
         mode="A" if market.close_out else "B",
     )
-    per_node: Dict[int, Tuple[float, float, float]] = {}
-    for i in range(T):
+    shifts: Dict[int, Tuple[float, float, float]] = {}
+    for i in range(tree.grid.horizon):
         for node in tree.nodes_at(i):
-            v_star = strategy_value(augmented, market, node) - cap_star[node]
-            v_base = strategy_value(base_strategy, market, node) - base_capital.at(node)
-            v_psi = float(units @ market.price(node))
-            per_node[node] = (v_star, v_base - v_psi, v_star - (v_base - v_psi))
-    return ShiftReport(per_node, validation)
+            v_star = strategy_value(augmented, market, node) - float(cap_star.values[node])
+            v_base = strategy_value(base_strategy, market, node) - float(
+                base_capital.values[node]
+            )
+            v = float(v_psi[node])
+            shifts[node] = (v_star, v_base - v, v_star - (v_base - v))
+    return ShiftReport(shifts, validation)
 
 
 # --- short position additivity ----------------------------------------------------
@@ -1106,7 +1080,7 @@ def add_short_position(
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rates: Mapping[int, float],
+    rates: np.ndarray,
     psi: Optional[IlliquidPortfolio] = None,
 ) -> AdditivityReport:
     """Add the short-position liability L(phi) on top of a produced
@@ -1121,9 +1095,10 @@ def add_short_position(
         raise ValidationFailed("short-position additivity needs full fulfillment")
     if not market.close_out:
         raise CloseOutUnavailable("short positions need close out availability")
-    psi = psi or IlliquidPortfolio.none()
+    psi = psi or IlliquidPortfolio.none(tree.n_nodes)
+    tree.require_per_node(*liab.sections())
     l_phi = short_position_cashflows(phi, stop, market, tree, phi_outflows)
-    combined_liab = liab.plus(LiabilitySpec(outflows=dict(l_phi.outflow)))
+    combined_liab = LiabilitySpec(liab.outflows + l_phi.outflow, liab.inflows, liab.terminal)
     phi_p = stopped(phi, tree, stop)
     combined = base_strategy.plus(phi_p)
     validation = validate_production_strategy(
@@ -1141,8 +1116,9 @@ def add_short_position(
     per_node: Dict[int, Tuple[float, float, float]] = {}
     for i in range(tree.grid.horizon):
         for node in tree.nodes_at(i):
-            v_comb = strategy_value(combined, market, node) - base_capital.at(node)
-            v_base = strategy_value(base_strategy, market, node) - base_capital.at(node)
+            c = float(base_capital.values[node])
+            v_comb = strategy_value(combined, market, node) - c
+            v_base = strategy_value(base_strategy, market, node) - c
             shift = strategy_value(phi_p, market, node)
             per_node[node] = (v_comb, v_base + shift, v_comb - (v_base + shift))
     return AdditivityReport(per_node, validation)

@@ -35,10 +35,6 @@ class LeafNotAtHorizon(ProdvalError):
     """A leaf node sits at a date before the horizon T."""
 
 
-class ProcessUndefinedAtDate(ProdvalError):
-    """An adapted process has no value at a node where one is required."""
-
-
 # --- market / LP -----------------------------------------------------------
 
 class DimensionMismatch(ProdvalError):

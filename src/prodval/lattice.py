@@ -23,12 +23,12 @@ import numpy as np
 
 from .errors import (
     DateNotInGrid,
+    DimensionMismatch,
     InvalidDateGrid,
     LeafNotAtHorizon,
     MissingInteriorDate,
     OrphanNode,
     ProbabilityMass,
-    ProcessUndefinedAtDate,
 )
 from .risk import DiscreteDistribution, sum_left_to_right
 
@@ -56,8 +56,7 @@ class DateGrid:
     """Strictly increasing rational dates spanning [0, T].
 
     Invariants: contains every integer 0..T, and at least one date
-    strictly inside each calendar year. The successor of the horizon is
-    the sentinel T+1.
+    strictly inside each calendar year.
     """
 
     dates: Tuple[Fraction, ...]
@@ -100,16 +99,6 @@ class DateGrid:
     def is_annual(self, j: int) -> bool:
         return self.dates[j].denominator == 1
 
-    def annual_indices(self) -> List[int]:
-        return [j for j in range(len(self.dates)) if self.is_annual(j)]
-
-
-def successor_date(grid: DateGrid, t: DateLike) -> Fraction:
-    """The next grid date gamma(t); gamma(T) is the sentinel T+1."""
-    j = grid.index(t)
-    if j + 1 < len(grid.dates):
-        return grid.dates[j + 1]
-    return Fraction(grid.horizon + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +144,15 @@ class ScenarioTree:
     def is_leaf(self, node: int) -> bool:
         return not self.children[node]
 
+    def require_per_node(self, *sections: Tuple[str, np.ndarray]) -> None:
+        """DimensionMismatch naming the first (name, array) section that
+        does not hold one entry per node."""
+        for name, values in sections:
+            if len(values) != self.n_nodes:
+                raise DimensionMismatch(
+                    f"{name} has {len(values)} entries for {self.n_nodes} nodes"
+                )
+
     def path_probability(self, ancestor: int, descendant: int) -> float:
         """Product of branch probabilities from ancestor down to descendant."""
         p = 1.0
@@ -188,6 +186,24 @@ class ScenarioTree:
         if self.date_idx[m] != j:
             raise ValueError("no ancestor at the requested date")
         return m
+
+
+def node_array(values, what: str, nonnegative: bool = True) -> np.ndarray:
+    """``values`` as a read-only 1-D float array indexed by node id.
+    ValueError naming the first node whose value is not finite or, with
+    ``nonnegative``, negative."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"{what} must be a 1-D array indexed by node id")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{what} at node {bad[0]} must be finite")
+    if nonnegative:
+        bad = np.flatnonzero(arr < 0)
+        if bad.size:
+            raise ValueError(f"negative {what} {arr[bad[0]]} at node {bad[0]}")
+    arr.flags.writeable = False
+    return arr
 
 
 def _group_ids(keys: np.ndarray, n_groups: int) -> Tuple[Tuple[int, ...], ...]:
@@ -350,36 +366,15 @@ def _date_indices(grid: DateGrid, dates: Sequence[DateLike]) -> np.ndarray:
     return np.fromiter(map(parsed.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """Node-indexed values defined on every node of the dates it covers."""
-
-    tree: ScenarioTree
-    values: Mapping[int, float]
-
-    def __post_init__(self):
-        covered = {self.tree.date_idx[n] for n in self.values}
-        for j in covered:
-            for node in self.tree.by_date[j]:
-                if node not in self.values:
-                    raise ProcessUndefinedAtDate(
-                        f"process covers date index {j} but misses node {node}"
-                    )
-
-    def __getitem__(self, node: int) -> float:
-        return self.values[node]
-
-    def covers(self, j: int) -> bool:
-        return all(node in self.values for node in self.tree.by_date[j])
-
-
 def conditional_distribution(
     tree: ScenarioTree,
     node: int,
-    process,
+    values: np.ndarray,
     horizon: DateLike,
 ) -> DiscreteDistribution:
-    """Distribution of an adapted process at ``horizon`` seen from ``node``.
+    """Distribution at ``horizon`` seen from ``node`` of a process given
+    by ``values``, an array indexed by node id (only the entries at the
+    ``horizon`` descendants are read).
 
     Probabilities are products of branch probabilities along each path,
     renormalized to sum to one. Atoms are labeled with their node ids.
@@ -387,13 +382,9 @@ def conditional_distribution(
     j = tree.grid.index(horizon)
     if j < tree.date_idx[node]:
         raise ValueError("horizon precedes the node's date")
-    values = process.values if isinstance(process, AdaptedProcess) else process
+    tree.require_per_node(("process", values))
     targets = tree.descendants_at(node, j)
-    atoms = []
-    for target in targets:
-        if target not in values:
-            raise ProcessUndefinedAtDate(f"process undefined at node {target}")
-        atoms.append((float(values[target]), tree.path_probability(node, target)))
+    atoms = [(float(values[m]), tree.path_probability(node, m)) for m in targets]
     total = float(sum_left_to_right(np.array([[p for _, p in atoms]]))[0])
     return DiscreteDistribution.from_atoms(
         [(v, p / total) for v, p in atoms], labels=targets

@@ -34,10 +34,10 @@ _TOL = 1e-9
 class TradableSet:
     """d+1 tradables with per-node price and inflow vectors.
 
-    ``prices`` and ``inflows`` are read-only (n_nodes, d+1) arrays, built
-    from arrays or from node -> vector mappings; ``payoffs`` holds their
-    sum. Prices are quoted immediately after the node's cash inflow. A
-    tradable flagged in ``bond_periods`` as {asset index: period i} is
+    ``prices`` and ``inflows`` are read-only (n_nodes, d+1) arrays, one
+    row per node id; ``payoffs`` holds their sum. Prices are quoted
+    immediately after the node's cash inflow. A tradable flagged in
+    ``bond_periods`` as {asset index: period i} is
     the one-period risk-free zero-coupon bond for (i, i+1): it pays 1 at
     every date-(i+1) node and its date-i price is 1/(1+R).
     """
@@ -123,19 +123,8 @@ class TradableSet:
 
 
 def _node_rows(values, n_nodes: int, what: str, width: Optional[int]) -> np.ndarray:
-    """(n_nodes, width) float array from an array with one row per node or
-    a node -> vector mapping; ``width`` None takes node 0's length."""
-    if isinstance(values, Mapping):
-        missing = next((m for m in range(n_nodes) if m not in values), None)
-        if missing is not None:
-            raise CrossRefError(f"missing {what} vector at node {missing}")
-        rows = [values[m] for m in range(n_nodes)]
-        if width is None:
-            width = len(rows[0])
-        bad = next((m for m, row in enumerate(rows) if len(row) != width), None)
-        if bad is not None:
-            raise DimensionMismatch(f"vector length mismatch at node {bad}")
-        return np.array(rows, dtype=float).reshape(n_nodes, width)
+    """(n_nodes, width) float array from an array with one row per node;
+    ``width`` None takes the array's."""
     rows = np.array(values, dtype=float)
     if rows.ndim != 2:
         raise DimensionMismatch(f"{what} array must have one row per node")
@@ -146,24 +135,6 @@ def _node_rows(values, n_nodes: int, what: str, width: Optional[int]) -> np.ndar
     if width is not None and rows.shape[1] != width:
         raise DimensionMismatch("vector length mismatch at node 0")
     return rows
-
-
-def portfolio_price(market: TradableSet, node: int, portfolio) -> float:
-    x = np.asarray(portfolio, dtype=float)
-    if x.shape[0] != market.n_assets:
-        raise DimensionMismatch(
-            f"portfolio has {x.shape[0]} entries, market has {market.n_assets}"
-        )
-    return float(x @ market.price(node))
-
-
-def portfolio_inflow(market: TradableSet, node: int, portfolio) -> float:
-    x = np.asarray(portfolio, dtype=float)
-    if x.shape[0] != market.n_assets:
-        raise DimensionMismatch(
-            f"portfolio has {x.shape[0]} entries, market has {market.n_assets}"
-        )
-    return float(x @ market.inflow(node))
 
 
 @dataclass(frozen=True)
@@ -264,17 +235,6 @@ class ConsistencyCertificate:
     @property
     def consistent(self) -> bool:
         return all(v.consistent for v in self.verdicts.values())
-
-    def violations(self) -> Dict[int, Tuple[float, ...]]:
-        return {
-            n: v.violation for n, v in self.verdicts.items() if not v.consistent
-        }
-
-    def weights_at(self, node: int) -> Dict[int, float]:
-        v = self.verdicts[node]
-        if not v.consistent:
-            raise NumericalFailure(f"no weights at inconsistent node {node}")
-        return v.weights
 
 
 def check_consistency(

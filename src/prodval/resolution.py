@@ -22,7 +22,7 @@ builds that extension and re-validates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .engine import (
     LiabilitySpec,
     ProductionCostProcess,
     ValidationReport,
-    _node_array,
     validate_production_strategy,
 )
 from .errors import HomogeneityAuditFailed, InfeasibleAtNode
@@ -50,27 +49,30 @@ from .strategy import Strategy, accumulate_year, row_dots
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaPsiRecord:
     """Side position holding the non-written-down share of illiquid
-    inflows: the (n_nodes, n_assets) assignment, incoming excess per
-    node, and payouts at annual nodes."""
+    inflows: the (n_nodes, n_assets) assignment, and per node id the
+    incoming excess and the payouts (zero off the annual nodes)."""
 
     assignment: np.ndarray
-    inflows: Dict[int, float]  # (1 - lam) share arriving at each node
-    payouts: Dict[int, float]  # X^theta at annual nodes
+    inflows: np.ndarray  # (1 - lam) share arriving at each node
+    payouts: np.ndarray  # X^theta at annual nodes
 
 
 @dataclass
 class AdjustmentResult:
+    """The factors per annual node, and the adjusted flows, capital and
+    terminal values as arrays indexed by node id."""
+
     xi: Dict[int, float]
     lam: Dict[int, float]
-    adjusted_inflows: Dict[int, float]
-    adjusted_outflows: Dict[int, float]
+    adjusted_inflows: np.ndarray
+    adjusted_outflows: np.ndarray
     theta: ThetaPsiRecord
     scaled_strategy: Strategy
-    scaled_capital: Dict[int, float]
-    scaled_terminal: Dict[int, float]
+    scaled_capital: np.ndarray
+    scaled_terminal: np.ndarray
     validation: Optional[ValidationReport] = None
     cost_identity_max_diff: float = 0.0
 
@@ -132,8 +134,9 @@ def _sweep(
     """
     if cost is not None:
         _require_nonnegative_cost(cost)
+    tree.require_per_node(("illiquid.inflows", psi.inflows))
     n = tree.n_nodes
-    psi_in = _node_array(psi.inflows, n)
+    psi_in = psi.inflows
     xi = np.ones(n)
     inflows = np.zeros(n)
     assignment = np.zeros((n, market.n_assets))
@@ -161,34 +164,7 @@ def _sweep(
             f = np.where(resources < owed, resources, owed) / owed
         xi[ends] = np.where((liabilities <= TOL) | (before <= 0.0), 1.0, f)
         lam[ends] = xi[ends] * before
-    annual = _annual_nodes(tree)
-    theta = ThetaPsiRecord(
-        assignment,
-        dict(enumerate(inflows.tolist())),
-        dict(zip(annual, payouts[annual].tolist())),
-    )
-    return xi, theta
-
-
-def theta_psi_strategy(
-    psi: IlliquidPortfolio,
-    lam: Mapping[int, float],
-    market: TradableSet,
-    tree: ScenarioTree,
-    policy_index: Optional[int] = None,
-) -> ThetaPsiRecord:
-    """Accumulate the excess illiquid inflows under the factors ``lam``
-    (per annual node) and pay everything out at each annual date.
-
-    The interim balance is invested in the period's risk-free bond unless
-    ``policy_index`` picks another tradable. The annual payout is the
-    position's full liquidation value (price plus its own inflows) plus
-    the excess arriving at that date.
-    """
-    factors = np.ones(tree.n_nodes)
-    factors[list(lam)] = list(lam.values())
-    _, prev = _annual_ancestors(tree)
-    return _sweep(psi, factors, prev, market, tree, policy_index)[1]
+    return xi, ThetaPsiRecord(assignment, inflows, payouts)
 
 
 def adjustment_factors(
@@ -213,13 +189,6 @@ def _on(nodes: List[int], values: np.ndarray) -> Dict[int, float]:
     return dict(zip(nodes, values[nodes].tolist()))
 
 
-def _scaled(flows: Mapping[int, float], factor: np.ndarray) -> Dict[int, float]:
-    """Each flow times the factor at its node, in the mapping's order."""
-    nodes = list(flows)
-    scaled = factor[nodes] * np.array(list(flows.values()), dtype=float)
-    return dict(zip(nodes, scaled.tolist()))
-
-
 def _require_nonnegative_cost(cost: ProductionCostProcess) -> None:
     if cost.infeasible_nodes:
         raise InfeasibleAtNode(
@@ -240,7 +209,7 @@ def extend_to_full_fulfillment(
     financiability: FinanciabilitySpec,
     market: TradableSet,
     tree: ScenarioTree,
-    rates: Mapping[int, float],
+    rates: np.ndarray,
     policy_index: Optional[int] = None,
 ) -> AdjustmentResult:
     """Scale the produced strategy into a full-fulfillment production
@@ -256,6 +225,7 @@ def extend_to_full_fulfillment(
     vbar_adjusted = lam * vbar.
     """
     _check_homogeneity(financiability, tree, rates)
+    tree.require_per_node(*liab.sections())
     floor, prev = _annual_ancestors(tree)
     lam = np.ones(tree.n_nodes)
     xi, theta = _sweep(psi, lam, prev, market, tree, policy_index, cost)
@@ -265,17 +235,19 @@ def extend_to_full_fulfillment(
     scaled_strategy = Strategy(
         tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment
     )
-    scaled_capital = _scaled(cost.capital, lam_floor)
-    leaves = tree.by_date[len(tree.grid.dates) - 1]
-    scaled_terminal = _scaled({n: cost.values[n] for n in leaves}, lam)
+    # The cost process holds node -> value mappings.
+    scaled_capital = np.zeros(tree.n_nodes)
+    funded = list(cost.capital)
+    scaled_capital[funded] = lam_floor[funded] * np.array(list(cost.capital.values()))
+    leaves = list(tree.by_date[len(tree.grid.dates) - 1])
+    scaled_terminal = np.zeros(tree.n_nodes)
+    scaled_terminal[leaves] = lam[leaves] * np.array([cost.values[n] for n in leaves])
     adj_liab = LiabilitySpec(
-        _scaled(liab.outflows, lam_floor),
-        _scaled(liab.inflows, lam_prev),
-        _scaled(liab.terminal, lam_floor),
+        lam_floor * liab.outflows, lam_prev * liab.inflows, lam_floor * liab.terminal
     )
     validation = validate_production_strategy(
         scaled_strategy,
-        IlliquidPortfolio(_scaled(psi.inflows, lam_prev)),
+        IlliquidPortfolio(lam_prev * psi.inflows),
         CapitalSchedule(scaled_capital),
         adj_liab,
         FulfillmentSpec.full(),
@@ -291,14 +263,14 @@ def extend_to_full_fulfillment(
     # The annual nodes before the horizon.
     nodes = annual[: len(annual) - len(leaves)]
     got = row_dots(scaled_strategy.assignment[nodes], market.prices[nodes])
-    got -= _node_array(scaled_capital, tree.n_nodes)[nodes]
+    got -= scaled_capital[nodes]
     want = lam[nodes] * np.array([cost.values[n] for n in nodes])
     diff = np.abs(got - want)
     return AdjustmentResult(
         xi=_on(annual, xi),
         lam=_on(annual, lam),
-        adjusted_inflows=dict(adj_liab.inflows),
-        adjusted_outflows=dict(adj_liab.outflows),
+        adjusted_inflows=adj_liab.inflows,
+        adjusted_outflows=adj_liab.outflows,
         theta=theta,
         scaled_strategy=scaled_strategy,
         scaled_capital=scaled_capital,
@@ -312,7 +284,7 @@ def extend_to_full_fulfillment(
 def _check_homogeneity(
     financiability: FinanciabilitySpec,
     tree: ScenarioTree,
-    rates: Mapping[int, float],
+    rates: np.ndarray,
 ) -> None:
     """The extension scales capital by lam, which is only admissible for
     positively homogeneous financiability conditions."""
@@ -320,7 +292,7 @@ def _check_homogeneity(
         financiability,
         root_homogeneity_payoffs(financiability, tree),
         HOMOGENEITY_SCALES,
-        rate=rates[tree.root],
+        rate=float(rates[tree.root]),
         node=tree.root,
         horizon_index=tree.grid.index(1),
     )

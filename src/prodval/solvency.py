@@ -26,7 +26,7 @@ from typing import Dict, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import LiabilitySpec, _atom_rows, _node_array, _year_layers
+from .engine import LiabilitySpec, _atom_rows, _year_layers
 from .errors import (
     BadRate,
     FixedPointDivergence,
@@ -340,19 +340,23 @@ def multi_period_solvency(
     """
     if stage not in (1, 2, 3):
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
-    for node, v in list(liab.outflows.items()) + list(liab.inflows.items()):
-        if v != 0.0 and tree.date_of(node).denominator != 1:
-            raise InteriorFlowsPresent(
-                f"cash flow at interior date {tree.date_of(node)} (node {node})"
-            )
+    tree.require_per_node(*liab.sections())
+    annual = np.array([tree.grid.is_annual(j) for j in range(len(tree.grid.dates))])
+    interior = ~annual[tree.date_idx]
+    bad = np.flatnonzero(interior & ((liab.outflows != 0.0) | (liab.inflows != 0.0)))
+    if bad.size:
+        node = int(bad[0])
+        raise InteriorFlowsPresent(
+            f"cash flow at interior date {tree.date_of(node)} (node {node})"
+        )
     T = tree.grid.horizon
     J = len(tree.grid.dates) - 1
     n = tree.n_nodes
-    x = _node_array(liab.outflows, n) - _node_array(liab.inflows, n)
+    x = liab.outflows - liab.inflows
     bel = np.zeros(n)
     rm = np.zeros(n)
     leaves = np.asarray(tree.by_date[J], dtype=np.int64)
-    bel[leaves] = _node_array(liab.terminal, n)[leaves]
+    bel[leaves] = liab.terminal[leaves]
     step = {1: stage1_value, 2: stage2_decompose, 3: stage3_decompose}[stage]
     rows: Dict[int, SolvencyRow] = {}
 

@@ -13,9 +13,9 @@ whose left-minus-right residual is the basic bookkeeping check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Iterable, Optional, Set
 
 import numpy as np
 
@@ -26,42 +26,23 @@ from .errors import (
     StopNotAntichain,
     UnderlyingHasInflows,
 )
-from .lattice import ScenarioTree
-from .market import RestrictionSet, TradableSet
+from .lattice import ScenarioTree, node_array
+from .market import TradableSet, _node_rows
 
 SIGN_CLASSES = ("nonneg", "value_nonneg", "unrestricted")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CashflowProcess:
-    """Non-negative inflows and outflows per node; missing nodes mean zero."""
+    """Non-negative inflows and outflows, read-only arrays indexed by node
+    id."""
 
-    inflow: Mapping[int, float] = field(default_factory=dict)
-    outflow: Mapping[int, float] = field(default_factory=dict)
+    inflow: np.ndarray
+    outflow: np.ndarray
 
     def __post_init__(self):
-        for name, flows in (("inflow", self.inflow), ("outflow", self.outflow)):
-            for node, v in flows.items():
-                if v < 0:
-                    raise ValueError(f"negative {name} {v} at node {node}")
-
-    def z(self, node: int) -> float:
-        return float(self.inflow.get(node, 0.0))
-
-    def x(self, node: int) -> float:
-        return float(self.outflow.get(node, 0.0))
-
-    def net(self, node: int) -> float:
-        return self.z(node) - self.x(node)
-
-    def plus(self, other: "CashflowProcess") -> "CashflowProcess":
-        inflow = dict(self.inflow)
-        for n, v in other.inflow.items():
-            inflow[n] = inflow.get(n, 0.0) + v
-        outflow = dict(self.outflow)
-        for n, v in other.outflow.items():
-            outflow[n] = outflow.get(n, 0.0) + v
-        return CashflowProcess(inflow, outflow)
+        for name in ("inflow", "outflow"):
+            object.__setattr__(self, name, node_array(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +51,14 @@ class Strategy:
 
     ``assignment[n]`` is the portfolio chosen at node n (held over the
     next interval); ``initial[n]`` at t_min nodes is the portfolio held
-    into the span start. Both are read-only (n_nodes, n_assets) arrays,
-    built from arrays or from node -> vector mappings; nodes a mapping
-    leaves out hold nothing, and every span node needs an assignment.
+    into the span start, zero unless given. Both are read-only
+    (n_nodes, n_assets) arrays, one row per node id.
     """
 
     tree: ScenarioTree
     n_assets: int
     assignment: np.ndarray
-    initial: np.ndarray = field(default_factory=dict)
+    initial: Optional[np.ndarray] = None
     sign_class: str = "nonneg"
     t_min: Fraction = Fraction(0)
     t_max: Optional[Fraction] = None
@@ -93,12 +73,10 @@ class Strategy:
         span = np.array([self.t_min <= d <= self.t_max for d in dates])
         object.__setattr__(self, "_span", span)
         object.__setattr__(self, "_start", np.array([d == self.t_min for d in dates]))
-        if isinstance(self.assignment, Mapping):
-            for node in self.span_nodes():
-                if node not in self.assignment:
-                    raise NodeOutsideSpan(f"assignment missing at node {node}")
+        if self.initial is None:
+            object.__setattr__(self, "initial", np.zeros((self.tree.n_nodes, self.n_assets)))
         for name in ("assignment", "initial"):
-            arr = self._node_rows(getattr(self, name))
+            arr = _node_rows(getattr(self, name), self.tree.n_nodes, name, self.n_assets)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.sign_class == "nonneg":
@@ -107,16 +85,6 @@ class Strategy:
                 raise ValueError(
                     f"non-negative strategy has a negative unit at node {bad[0]}"
                 )
-
-    def _node_rows(self, values) -> np.ndarray:
-        shape = (self.tree.n_nodes, self.n_assets)
-        if not isinstance(values, Mapping):
-            return np.array(values, dtype=float).reshape(shape)
-        rows = np.zeros(shape)
-        if values:
-            nodes = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-            rows[nodes] = np.array(list(values.values()), dtype=float)
-        return rows
 
     @staticmethod
     def zero(tree: ScenarioTree, n_assets: int, sign_class: str = "nonneg") -> "Strategy":
@@ -201,6 +169,7 @@ def conversion_residual(
     node: int,
 ) -> float:
     """Left minus right side of the conversion equation at the node."""
+    tree.require_per_node(("inflow", flows.inflow), ("outflow", flows.outflow))
     held_in = strategy.held_into(node)
     held_out = strategy.held_out(node)
     s = market.price(node)
@@ -208,26 +177,9 @@ def conversion_residual(
     rhs = (
         float(held_in @ s)
         + float(held_in @ market.inflow(node))
-        + flows.net(node)
+        + float(flows.inflow[node] - flows.outflow[node])
     )
     return lhs - rhs
-
-
-def is_self_financing(
-    strategy: Strategy,
-    market: TradableSet,
-    tree: ScenarioTree,
-    flows: CashflowProcess,
-    tol: float = 1e-9,
-) -> Dict[int, bool]:
-    """Per node: the strategy's flows cancel and the conversion balances."""
-    out = {}
-    for node in strategy.span_nodes():
-        balanced = abs(flows.z(node) - flows.x(node)) <= tol
-        out[node] = balanced and abs(
-            conversion_residual(strategy, market, tree, flows, node)
-        ) <= tol
-    return out
 
 
 def _validate_stop(tree: ScenarioTree, stop: Set[int]) -> None:
@@ -305,25 +257,24 @@ def short_position_cashflows(
     With ``pay_at_tmax`` the liquidation is deferred to the span end
     instead (the close-out argument makes the two interchangeable).
     """
-    for node, v in flows.inflow.items():
-        if v > 0:
-            raise UnderlyingHasInflows(f"underlying has inflow {v} at node {node}")
+    tree.require_per_node(("inflow", flows.inflow), ("outflow", flows.outflow))
+    bad = np.flatnonzero(flows.inflow > 0)
+    if bad.size:
+        raise UnderlyingHasInflows(
+            f"underlying has inflow {flows.inflow[bad[0]]} at node {bad[0]}"
+        )
     if pay_at_tmax:
         stop = set(tree.nodes_at(underlying.t_max))
     _validate_stop(tree, stop)
-    outflow: Dict[int, float] = {}
+    outflow = np.zeros(tree.n_nodes)
     for node in underlying.span_nodes():
         status = stop_status(tree, stop, node)
         if status == "before":
-            x = flows.x(node)
+            outflow[node] = flows.outflow[node]
         elif status == "at":
             held = underlying.held_into(node)
-            x = float(held @ market.payoff(node))
-        else:
-            x = 0.0
-        if x != 0.0:
-            outflow[node] = x
-    return CashflowProcess({}, outflow)
+            outflow[node] = float(held @ market.payoff(node))
+    return CashflowProcess(np.zeros(tree.n_nodes), outflow)
 
 
 @dataclass(frozen=True)
@@ -332,8 +283,8 @@ class GeneralStrategyDecomposition:
 
     plus: Strategy
     minus: Strategy
-    star_outflow: Dict[int, float]
-    star_inflow: Dict[int, float]
+    star_outflow: np.ndarray  # indexed by node id, zero outside the span
+    star_inflow: np.ndarray
 
     def star_flows(self) -> CashflowProcess:
         return CashflowProcess(self.star_inflow, self.star_outflow)
@@ -362,8 +313,8 @@ def decompose_general(
     minus = Strategy(
         tree, strategy.n_assets, neg, neg_init, "nonneg", strategy.t_min, strategy.t_max
     )
-    star_out: Dict[int, float] = {}
-    star_in: Dict[int, float] = {}
+    star_out = np.zeros(tree.n_nodes)
+    star_in = np.zeros(tree.n_nodes)
     for node in strategy.span_nodes():
         held_in = minus.held_into(node)
         star_out[node] = float(
@@ -371,8 +322,6 @@ def decompose_general(
         )
         if tree.date_of(node) < strategy.t_max:
             star_in[node] = float(minus.held_out(node) @ market.price(node))
-        else:
-            star_in[node] = 0.0
     return GeneralStrategyDecomposition(plus, minus, star_out, star_in)
 
 
@@ -421,31 +370,14 @@ def accumulate_year(
 def accumulate_within_years(
     market: TradableSet,
     tree: ScenarioTree,
-    inflow: Callable[[int], float],
+    inflow: np.ndarray,
     policy_index: Optional[int] = None,
-) -> Dict[int, Tuple[float, ...]]:
-    """Portfolios that reinvest ``inflow`` within each year and hold
-    nothing out of annual nodes, per node (``accumulate_year`` for every
-    year)."""
-    flows = np.array([inflow(m) for m in range(tree.n_nodes)], dtype=float)
+) -> np.ndarray:
+    """The (n_nodes, n_assets) portfolios that reinvest ``inflow``
+    (indexed by node id) within each year and hold nothing out of annual
+    nodes (``accumulate_year`` for every year)."""
+    tree.require_per_node(("inflow", inflow))
     assignment = np.zeros((tree.n_nodes, market.n_assets))
     for i in range(tree.grid.horizon):
-        accumulate_year(market, tree, i, flows, assignment, policy_index)
-    return dict(enumerate(map(tuple, assignment.tolist())))
-
-
-def restriction_membership(
-    strategy: Strategy,
-    restriction: RestrictionSet,
-    market: TradableSet,
-    tol: float = 1e-9,
-) -> Dict[int, Dict[str, bool]]:
-    """Per node: membership in R, R^{>=0}, and R' (value non-negative)."""
-    out = {}
-    for node in strategy.span_nodes():
-        x = strategy.held_out(node)
-        in_r = restriction.contains(x, tol)
-        in_r_nonneg = in_r and bool(x.min(initial=0.0) >= -tol)
-        in_r_prime = in_r and strategy_value(strategy, market, node) >= -tol
-        out[node] = {"R": in_r, "R_nonneg": in_r_nonneg, "R_prime": in_r_prime}
-    return out
+        accumulate_year(market, tree, i, inflow, assignment, policy_index)
+    return assignment

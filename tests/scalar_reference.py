@@ -27,6 +27,7 @@ from prodval.errors import (
     MassOutsideM1,
     MissingCertificate,
     NegativePayoffAtom,
+    NumericalFailure,
 )
 from prodval.risk import DiscreteDistribution
 from prodval.solvency import PeriodState, SolvencyReport, SolvencyRow, solvency_ii_risk_margin
@@ -132,7 +133,10 @@ def compose_state_prices(cert, tree, node: int, j_end: int) -> Dict[int, float]:
         m = target
         while m != node:
             par = int(tree.parent[m])
-            q *= cert.weights_at(par)[m]
+            verdict = cert.verdicts[par]
+            if not verdict.consistent:
+                raise NumericalFailure(f"no weights at inconsistent node {par}")
+            q *= verdict.weights[m]
             m = par
         out[target] = q
     return out
@@ -272,8 +276,9 @@ def stage3_decompose(states, r, eta, rho):
 def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
     if stage not in (1, 2, 3):
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
-    for node, v in list(liab.outflows.items()) + list(liab.inflows.items()):
-        if v != 0.0 and tree.date_of(node).denominator != 1:
+    for node in range(tree.n_nodes):
+        flows = (liab.outflows[node], liab.inflows[node])
+        if flows != (0.0, 0.0) and tree.date_of(node).denominator != 1:
             raise InteriorFlowsPresent(
                 f"cash flow at interior date {tree.date_of(node)} (node {node})"
             )
@@ -283,7 +288,7 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
     rm: Dict[int, float] = {}
     rows: Dict[int, SolvencyRow] = {}
     for leaf in tree.by_date[J]:
-        bel[leaf] = liab.y(leaf)
+        bel[leaf] = float(liab.terminal[leaf])
         rm[leaf] = 0.0
 
     for i in range(T - 1, -1, -1):
@@ -294,7 +299,7 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
             states = [
                 PeriodState(
                     tree.path_probability(node, c) / total_p,
-                    liab.x(c) - liab.z(c),
+                    float(liab.outflows[c]) - float(liab.inflows[c]),
                     bel[c],
                     rm[c],
                 )

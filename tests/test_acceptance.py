@@ -60,6 +60,8 @@ from prodval.strategy import (
 
 from test_engine import bond_market, two_point_tree
 from util import (
+    by_node,
+    liability,
     pathwise_tree,
     random_paying_strategy,
     random_stop,
@@ -82,10 +84,10 @@ def test_criterion_01_intro_closed_form():
     tree = two_point_tree()
     market = bond_market(tree, {0: 0.02})
     leaves = tree.by_date[2]
-    liab = LiabilitySpec(outflows={leaves[0]: 80.0, leaves[1]: 120.0})
+    liab = liability(tree, outflows={leaves[0]: 80.0, leaves[1]: 120.0})
     engine_value = backward_value(
         liab,
-        IlliquidPortfolio.none(),
+        IlliquidPortfolio.none(tree.n_nodes),
         EngineConfig(mode="B"),
         FulfillmentSpec.var(0.005),
         FinanciabilitySpec.cost_of_capital(0.06),
@@ -110,14 +112,14 @@ def test_criterion_02_premium_pullback_example():
     market = bond_market(tree, {0: 0.0, 1: 0.0})
     n1 = tree.nodes_at(1)[0]
     n2 = tree.nodes_at(2)[0]
-    liab = LiabilitySpec(outflows={n1: 10.0}, inflows={n2: 100.0})
+    liab = liability(tree, outflows={n1: 10.0}, inflows={n2: 100.0})
     rates = period_rates_from_market(market, tree)
 
     values = {}
     for mode in ("B", "A"):
         values[mode] = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode=mode),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -162,7 +164,7 @@ def _theorem_instance(rng, years):
     phi, x_flows = random_paying_strategy(rng, tree, market)
     stop = random_stop(rng, tree)
     l_phi = short_position_cashflows(phi, stop, market, tree, x_flows)
-    liab = LiabilitySpec(outflows=dict(l_phi.outflow))
+    liab = LiabilitySpec(l_phi.outflow, np.zeros(tree.n_nodes), np.zeros(tree.n_nodes))
     cert = check_consistency(market, tree, None)
     fin = FinanciabilitySpec.state_price(cert, tree)
     phi_p = stopped(phi, tree, stop)
@@ -185,7 +187,7 @@ def test_criterion_03_market_price_recovery():
         rates = period_rates_from_market(market, tree)
         cost = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="A", family=StrategyFamily.explicit(phi_p)),
             FulfillmentSpec.full(),
             fin,
@@ -228,8 +230,8 @@ def test_criterion_03_market_price_recovery():
         if k % 50 == 0:
             reportable = validate_production_strategy(
                 theta,
-                IlliquidPortfolio.none(),
-                CapitalSchedule(capital),
+                IlliquidPortfolio.none(tree.n_nodes),
+                CapitalSchedule(by_node(tree, capital)),
                 liab,
                 FulfillmentSpec.full(),
                 fin,
@@ -265,8 +267,8 @@ def _failure_instance(rng, with_psi):
         for node in range(tree.n_nodes):
             if node != 0 and rng.uniform() < 0.4:
                 psi_inflows[node] = float(rng.uniform(0.0, 2.0))
-    liab = LiabilitySpec(outflows=outflows, inflows=inflows)
-    psi = IlliquidPortfolio(psi_inflows)
+    liab = liability(tree, outflows=outflows, inflows=inflows)
+    psi = IlliquidPortfolio(by_node(tree, psi_inflows))
     return tree, market, liab, psi
 
 
@@ -337,7 +339,7 @@ def test_criterion_05_short_position_additivity():
                 outflows[node] = float(rng.uniform(0.0, 5.0))
                 if rng.uniform() < 0.3:
                     inflows[node] = float(rng.uniform(0.0, 2.0))
-        liab = LiabilitySpec(outflows=outflows, inflows=inflows)
+        liab = liability(tree, outflows=outflows, inflows=inflows)
         rates = period_rates_from_market(market, tree)
         if k % 2 == 0:
             fin = FinanciabilitySpec.state_price(
@@ -347,7 +349,7 @@ def test_criterion_05_short_position_additivity():
             fin = FinanciabilitySpec.cost_of_capital(0.06)
         cost = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="A"),
             FulfillmentSpec.full(),
             fin,
@@ -361,7 +363,7 @@ def test_criterion_05_short_position_additivity():
         res = add_short_position(
             liab,
             cost.strategy,
-            CapitalSchedule(cost.capital),
+            CapitalSchedule(by_node(tree, cost.capital)),
             phi,
             stop,
             x_flows,
@@ -407,8 +409,8 @@ def _tuned_market(rng, years, hurdle):
             prices[node] = expected / hurdle
     market = TradableSet(
         tree=tree,
-        prices={n: (prices[n],) for n in range(tree.n_nodes)},
-        inflows={n: (inflows[n],) for n in range(tree.n_nodes)},
+        prices=by_node(tree, {n: (prices[n],) for n in range(tree.n_nodes)}),
+        inflows=by_node(tree, {n: (inflows[n],) for n in range(tree.n_nodes)}),
         close_out=True,
     )
     return tree, market
@@ -432,7 +434,7 @@ def test_criterion_06_illiquid_replica_shift():
             for n in range(tree.n_nodes)
             if market.inflows[n][0] > 0.0
         }
-        liab = LiabilitySpec(outflows=outflows)
+        liab = liability(tree, outflows=outflows)
         # Base strategy: u_liab units plus a self-financing extra layer.
         extra0 = float(rng.uniform(0.0, 0.5))
         assignment = {}
@@ -451,7 +453,12 @@ def test_criterion_06_illiquid_replica_shift():
                         else 0.0
                     )
                 assignment[node] = (u_liab + extra[node],)
-        base = Strategy(tree, 1, assignment, initial={0: (u_liab + extra0,)})
+        base = Strategy(
+            tree,
+            1,
+            by_node(tree, assignment),
+            initial=by_node(tree, {0: (u_liab + extra0,)}),
+        )
         # Capital: the cost-of-capital bound on each year's excess.
         capital = {}
         for i in range(tree.grid.horizon):
@@ -466,7 +473,7 @@ def test_criterion_06_illiquid_replica_shift():
                         held[0]
                         * (market.prices[c][0] + market.inflows[c][0])
                     )
-                    ell = liab.x(c) + (
+                    ell = float(liab.outflows[c]) + (
                         strategy_value(base, market, c) - 0.0
                         if int(tree.date_of(c)) < tree.grid.horizon
                         else 0.0
@@ -480,7 +487,7 @@ def test_criterion_06_illiquid_replica_shift():
             liab,
             psi_units,
             base,
-            CapitalSchedule(capital),
+            CapitalSchedule(by_node(tree, capital)),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(eta),
             market,
@@ -567,7 +574,7 @@ def test_criterion_08_solvency_ii_formula():
             rank = tree.children[tree.parent[node]].index(node)
             outflows[node] = hi if rank == 0 else lo
     report_obj = multi_period_solvency(
-        LiabilitySpec(outflows=outflows),
+        liability(tree, outflows=outflows),
         RateCurve.flat(tree, r),
         eta,
         RiskMeasureSpec("var", 0.005),
@@ -661,8 +668,8 @@ def test_criterion_10_consistency_certificates():
             prices[node] = list(perturbed)
             market = TradableSet(
                 tree=tree,
-                prices={n: tuple(v) for n, v in prices.items()},
-                inflows={n: tuple(v) for n, v in inflows.items()},
+                prices=by_node(tree, {n: tuple(v) for n, v in prices.items()}),
+                inflows=by_node(tree, {n: tuple(v) for n, v in inflows.items()}),
             )
         cert = check_consistency(market, tree, None)
         for node, verdict in cert.verdicts.items():
@@ -692,14 +699,8 @@ def test_criterion_10_consistency_certificates():
     ftree = build_tree(grid, nodes)
     fixture = TradableSet(
         tree=ftree,
-        prices={
-            0: (0.9, 1.0),
-            1: (1.0, 2.0),
-            2: (1.0, 2.0),
-            3: (1.0, 1.0),
-            4: (1.0, 1.0),
-        },
-        inflows={n: (0.0, 0.0) for n in range(5)},
+        prices=np.array([(0.9, 1.0), (1.0, 2.0), (1.0, 2.0), (1.0, 1.0), (1.0, 1.0)]),
+        inflows=np.zeros((5, 2)),
     )
     refuted = not check_consistency(fixture, ftree, None).verdicts[0].consistent
     ok = refuted and n_violations > 0
@@ -726,13 +727,13 @@ def test_criterion_11_nonnegative_cashflows_corollary():
             z = float(rng.uniform(0.0, x))  # never exceeds the outflow
             outflows[node] = x
             inflows[node] = z
-        liab = LiabilitySpec(outflows=outflows, inflows=inflows)
+        liab = liability(tree, outflows=outflows, inflows=inflows)
         fin = FinanciabilitySpec.state_price(
             check_consistency(market, tree, None), tree
         )
         cost = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="A"),
             FulfillmentSpec.full(),
             fin,

@@ -285,6 +285,114 @@ def test_non_finite_inputs_name_section_and_node(section, edit, message, tmp_pat
         problem_from_dict(doc)
 
 
+def _units(**by_label):
+    """Explicit-strategy assignments on the two_point tree: one bond unit
+    at every node, except where given."""
+    return dict({"root": [1.0], "mid": [1.0], "lo": [0.0], "hi": [0.0]}, **by_label)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc.update(engine=_explicit({"root": [1.0], "lo": [0.0], "hi": [0.0]})),
+            "engine.family.strategy.assignments has no units at node 'mid'",
+        ),
+        (
+            lambda doc: doc.update(
+                engine=_explicit({lab: [1.0, 0.0] for lab in ("root", "mid", "lo", "hi")})
+            ),
+            "engine.family.strategy.assignments needs one unit per tradable (1) at node 'root'",
+        ),
+        (
+            lambda doc: doc.update(engine=_explicit(_units(mid=[1.0, 2.0]))),
+            "engine.family.strategy.assignments needs one unit per tradable (1) at node 'mid'",
+        ),
+        (
+            lambda doc: doc.update(engine=_explicit(_units(lo=1.0))),
+            "engine.family.strategy.assignments needs one unit per tradable (1) at node 'lo'",
+        ),
+        (
+            lambda doc: doc.update(engine=_explicit(_units(mid=[-1.0]))),
+            "engine.family.strategy.assignments has a negative unit at node 'mid'",
+        ),
+        (
+            lambda doc: doc.update(engine=_explicit(_units(hi=["one"]))),
+            "engine.family.strategy.assignments has a non-numeric unit at node 'hi'",
+        ),
+        (
+            lambda doc: doc.update(engine=_explicit(_units(), {"root": [1.0, 1.0]})),
+            "engine.family.strategy.initial needs one unit per tradable (1) at node 'root'",
+        ),
+        (
+            lambda doc: doc.update(engine=_explicit([[1.0]] * 4)),
+            "engine.family.strategy.assignments must map node labels to unit vectors",
+        ),
+    ],
+    ids=["missing", "length", "ragged", "not_a_list", "negative", "non_numeric",
+         "initial_length", "not_a_map"],
+)
+def test_explicit_strategy_errors_name_section_and_node(edit, message, tmp_path, capsys):
+    doc = two_point_doc()
+    edit(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = main(["value", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        problem_from_dict(doc)
+
+
+def test_explicit_strategy_unknown_label_is_a_cross_reference_error():
+    doc = dict(two_point_doc(), engine=_explicit(_units(ghost=[1.0])))
+    with pytest.raises(
+        CrossRefError,
+        match=r"^engine\.family\.strategy\.assignments references unknown node 'ghost'$",
+    ):
+        problem_from_dict(doc)
+
+
+def test_explicit_strategy_config_values_its_units():
+    doc = dict(two_point_doc(), engine=_explicit(_units(), {"root": [0.5]}))
+    problem = problem_from_dict(doc)
+    base = problem.engine.family.base
+    assert base.assignment.tolist() == [[1.0], [1.0], [0.0], [0.0]]
+    assert base.initial.tolist() == [[0.5], [0.0], [0.0], [0.0]]
+    assert run(problem, "value").exit_code == 0
+
+
+def test_round_trip_drops_explicit_zero_flows():
+    """A liability listing explicit zeros reloads to an equal problem;
+    the dump lists each section's nonzero entries in node order, so the
+    in-memory digest is the same on the second round trip."""
+    doc = two_point_doc()
+    doc["liability"] = {
+        "outflows": {"hi": 120.0, "root": 0.0, "lo": 80.0, "mid": 0.0},
+        "inflows": {"mid": 0.0},
+        "terminal": {"hi": 0.0, "lo": 5.0},
+    }
+    doc["illiquid"] = {"inflows": {"lo": 0.0, "mid": 2.0}}
+    problem = problem_from_dict(doc)
+    dumped = problem_to_dict(problem)
+    assert dumped["liability"] == {
+        "outflows": {"lo": 80.0, "hi": 120.0},
+        "inflows": {},
+        "terminal": {"lo": 5.0},
+    }
+    assert dumped["illiquid"] == {"inflows": {"mid": 2.0}}
+    reloaded = problem_from_dict(json.loads(json.dumps(dumped)))
+    for (name, want), (_, got) in zip(
+        problem.liability.sections(), reloaded.liability.sections()
+    ):
+        assert got.tolist() == want.tolist(), name
+    assert reloaded.illiquid.inflows.tolist() == problem.illiquid.inflows.tolist()
+    assert problem_to_dict(reloaded) == dumped
+    assert reloaded.config_sha256 == problem.config_sha256
+    for subcommand in ("value", "solvency", "adjust"):
+        assert run(reloaded, subcommand).files == run(problem, subcommand).files
+
+
 def test_market_rejects_non_finite_prices():
     problem = load_config(str(CONFIGS / "two_point.json"))
     prices = problem.market.prices.copy()

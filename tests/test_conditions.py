@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from prodval.conditions import (
     audit_consistency_with_tradables,
     audit_neutrality_to_tradables,
     audit_positive_homogeneity,
-    financiability_holds,
     flat_rates,
     fulfillment_satisfied,
     max_capital,
@@ -28,7 +28,7 @@ from prodval.market import TradableSet, check_consistency
 from prodval.risk import DiscreteDistribution, DistributionRows
 
 import scalar_reference as ref
-from util import random_tree, state_price_market
+from util import by_node, random_tree, state_price_market
 
 
 def dist(*atoms, labels=None):
@@ -108,14 +108,10 @@ def spb_fixture():
     s = 0.49 * y1 + 0.49 * y2
     market = TradableSet(
         tree=tree,
-        prices={
-            0: tuple(s),
-            1: tuple(y1),
-            2: tuple(y2),
-            3: (1.0, 1.0),
-            4: (1.0, 1.0),
-        },
-        inflows={n: (0.0, 0.0) for n in range(tree.n_nodes)},
+        prices=by_node(
+            tree, {0: tuple(s), 1: tuple(y1), 2: tuple(y2), 3: (1.0, 1.0), 4: (1.0, 1.0)}
+        ),
+        inflows=np.zeros((tree.n_nodes, 2)),
     )
     cert = check_consistency(market, tree)
     return tree, market, cert
@@ -135,7 +131,7 @@ class TestMaxCapital:
     def test_state_price_weighted_sum(self):
         tree, market, cert = spb_fixture()
         spec = FinanciabilitySpec.state_price(cert, tree)
-        lam = cert.weights_at(0)
+        lam = cert.verdicts[0].weights
         assert lam[1] == pytest.approx(0.49, abs=1e-9)
         assert lam[2] == pytest.approx(0.49, abs=1e-9)
         payoff = dist((10.0, 0.5), (10.0, 0.5), labels=(1, 2))
@@ -165,22 +161,6 @@ class TestMaxCapital:
             lo = dist(*zip(values, w))
             hi = dist(*zip(values + bump, w))
             assert max_capital(coc, hi, 0.02) >= max_capital(coc, lo, 0.02) - 1e-12
-
-
-class TestFinanciabilityHolds:
-    def test_zero_capital_always_ok(self):
-        payoff = dist((5.0, 0.3), (0.0, 0.7))
-        for spec in (
-            FinanciabilitySpec.cost_of_capital(0.06),
-            FinanciabilitySpec.zero(),
-        ):
-            assert financiability_holds(spec, 0.0, payoff, 0.02)
-
-    def test_boundary_capital(self):
-        spec = FinanciabilitySpec.cost_of_capital(0.06)
-        payoff = dist((108.0, 1.0))
-        assert financiability_holds(spec, 100.0, payoff, 0.02)
-        assert not financiability_holds(spec, 100.01, payoff, 0.02)
 
 
 class TestHomogeneityAudit:
@@ -221,8 +201,10 @@ def three_leaf_fixture(u_consistent):
     u_leaf = 1.0 if u_consistent else 0.0
     market = TradableSet(
         tree=tree,
-        prices={0: (1.0,), 1: (1.0,), 2: (1.0,), 3: (u_leaf,), 4: (u_leaf,), 5: (1.0,)},
-        inflows={n: (0.0,) for n in range(tree.n_nodes)},
+        prices=by_node(
+            tree, {0: (1.0,), 1: (1.0,), 2: (1.0,), 3: (u_leaf,), 4: (u_leaf,), 5: (1.0,)}
+        ),
+        inflows=np.zeros((tree.n_nodes, 1)),
     )
     cert = check_consistency(market, tree)
     assert [cert.verdicts[n].consistent for n in (0, 1, 2)] == [True, u_consistent, True]
@@ -291,7 +273,7 @@ class TestStatePriceErrors:
         for bad in (uniform((3, 4, 5)), uniform((4,)), uniform((5, 3))):
             self.check(spec, good, bad, 0, 0, 2, want)
         # Only the atoms' own paths are priced: d1's path avoids u.
-        price = cert.weights_at(0)[2] * cert.weights_at(2)[5]
+        price = cert.verdicts[0].weights[2] * cert.verdicts[2].weights[5]
         assert max_capital(spec, good, 0.0, 0, 2) == 10.0 * price
 
     def test_lowest_node_without_weights_is_named(self):
@@ -309,7 +291,7 @@ class TestStatePriceErrors:
         prices[by_label["b"]] = (0.0, 1.0)
         prices[by_label["leaf"]] = (0.0, 0.0)
         market = TradableSet(
-            tree=tree, prices=prices, inflows={n: (0.0, 0.0) for n in range(tree.n_nodes)}
+            tree=tree, prices=by_node(tree, prices), inflows=np.zeros((tree.n_nodes, 2))
         )
         cert = check_consistency(market, tree)
         consistent = [cert.verdicts[by_label[lab]].consistent for lab in "rabcd"]
@@ -372,7 +354,12 @@ def bond_only_market(tree, r=0.02):
         else:
             prices[node] = (0.0,)
         inflows[node] = (1.0,) if j == 2 else (0.0,)
-    return TradableSet(tree=tree, prices=prices, inflows=inflows, bond_periods={0: 0})
+    return TradableSet(
+        tree=tree,
+        prices=by_node(tree, prices),
+        inflows=by_node(tree, inflows),
+        bond_periods={0: 0},
+    )
 
 
 class TestTradableAudits:
@@ -393,8 +380,8 @@ class TestTradableAudits:
         prices = {0: (1.0,), 1: (1.3,), 2: (0.94,), 3: (1.0,), 4: (1.0,)}
         market = TradableSet(
             tree=tree,
-            prices=prices,
-            inflows={n: (0.0,) for n in range(tree.n_nodes)},
+            prices=by_node(tree, prices),
+            inflows=np.zeros((tree.n_nodes, 1)),
         )
         spec = FinanciabilitySpec.cost_of_capital(0.06)
         report = audit_consistency_with_tradables(
@@ -448,8 +435,8 @@ class TestTradableAudits:
         }
         market = TradableSet(
             tree=tree,
-            prices=prices,
-            inflows={n: (0.0,) for n in range(tree.n_nodes)},
+            prices=by_node(tree, prices),
+            inflows=np.zeros((tree.n_nodes, 1)),
         )
         spec = FinanciabilitySpec.cost_of_capital(0.06)
         rates = flat_rates(tree, 0.02)
@@ -460,10 +447,14 @@ class TestTradableAudits:
 
 
 def test_capital_schedule_rejects_negative():
+    with pytest.raises(ValueError, match=r"^negative capital -1\.0 at node 1$"):
+        CapitalSchedule([2.0, -1.0, -3.0])
+    with pytest.raises(ValueError, match="^capital at node 2 must be finite$"):
+        CapitalSchedule([2.0, 0.0, math.nan])
+    capital = CapitalSchedule([2.0, 0.0])
+    assert capital.values.tolist() == [2.0, 0.0]
     with pytest.raises(ValueError):
-        CapitalSchedule({0: -1.0})
-    assert CapitalSchedule({0: 2.0}).at(0) == 2.0
-    assert CapitalSchedule({0: 2.0}).at(5) == 0.0
+        capital.values[1] = 5.0
 
 
 def test_period_rates_match_each_nodes_annual_anchor():
@@ -471,11 +462,12 @@ def test_period_rates_match_each_nodes_annual_anchor():
     tree = random_tree(rng, years=3, interior_per_year=2)
     market, _ = state_price_market(rng, tree, n_risky=1)
     rates = period_rates_from_market(market, tree)
-    expected = {}
+    expected = []
     for node in range(tree.n_nodes):
         if tree.is_leaf(node):
             continue
         i = int(tree.date_of(node) // 1)
-        expected[node] = market.period_rate(tree.ancestor_at(node, tree.grid.index(i)))
-    assert rates == expected
-    assert all(type(r) is float for r in rates.values())
+        expected.append(market.period_rate(tree.ancestor_at(node, tree.grid.index(i))))
+    # The inner nodes are the ids before the horizon's.
+    assert rates.tolist() == expected
+    assert flat_rates(tree, 0.02).tolist() == [0.02] * len(expected)

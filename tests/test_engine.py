@@ -14,7 +14,6 @@ from prodval.conditions import (
 from prodval.engine import (
     EngineConfig,
     IlliquidPortfolio,
-    LiabilitySpec,
     StrategyFamily,
     backward_value,
     balance_sheet,
@@ -27,7 +26,14 @@ from prodval.lattice import DateGrid, build_tree
 from prodval.market import TradableSet, check_consistency
 from prodval.strategy import CashflowProcess, Strategy, strategy_value
 
-from util import make_grid, pathwise_tree, random_tree, state_price_market
+from util import (
+    by_node,
+    liability,
+    make_grid,
+    pathwise_tree,
+    random_tree,
+    state_price_market,
+)
 
 
 def two_point_tree():
@@ -66,8 +72,8 @@ def bond_market(tree, rates_by_period):
         inflows[node] = tuple(z)
     return TradableSet(
         tree=tree,
-        prices=prices,
-        inflows=inflows,
+        prices=by_node(tree, prices),
+        inflows=by_node(tree, inflows),
         bond_periods={i: i for i in range(years)},
         close_out=True,
     )
@@ -80,14 +86,14 @@ class TestTwoPointExample:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 80.0, leaves[1]: 120.0})
+        liab = liability(tree, outflows={leaves[0]: 80.0, leaves[1]: 120.0})
         return tree, market, liab
 
     def test_backward_value_matches_hand_arithmetic(self):
         tree, market, liab = self.make()
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -106,7 +112,7 @@ class TestTwoPointExample:
         tree, market, liab = self.make()
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -123,7 +129,7 @@ class TestTwoPointExample:
         rates = period_rates_from_market(market, tree)
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -133,8 +139,8 @@ class TestTwoPointExample:
         )
         report = validate_production_strategy(
             res.strategy,
-            IlliquidPortfolio.none(),
-            CapitalSchedule(res.capital),
+            IlliquidPortfolio.none(tree.n_nodes),
+            CapitalSchedule(by_node(tree, res.capital)),
             liab,
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -150,7 +156,7 @@ class TestTwoPointExample:
         rates = period_rates_from_market(market, tree)
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -161,8 +167,8 @@ class TestTwoPointExample:
         inflated = {n: 1.01 * c for n, c in res.capital.items()}
         report = validate_production_strategy(
             res.strategy,
-            IlliquidPortfolio.none(),
-            CapitalSchedule(inflated),
+            IlliquidPortfolio.none(tree.n_nodes),
+            CapitalSchedule(by_node(tree, inflated)),
             liab,
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -172,14 +178,14 @@ class TestTwoPointExample:
             mode="B",
         )
         assert not report.ok
-        assert any(not c.financiability_ok for c in report.failures())
+        assert any(not c.financiability_ok for c in report.checks)
 
     def test_shrunk_strategy_fails_fulfillment_under_full(self):
         tree, market, liab = self.make()
         rates = period_rates_from_market(market, tree)
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -190,8 +196,8 @@ class TestTwoPointExample:
         shrunk = res.strategy.scaled(0.99)
         report = validate_production_strategy(
             shrunk,
-            IlliquidPortfolio.none(),
-            CapitalSchedule({n: 0.0 for n in res.capital}),
+            IlliquidPortfolio.none(tree.n_nodes),
+            CapitalSchedule(by_node(tree, {n: 0.0 for n in res.capital})),
             liab,
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -211,8 +217,8 @@ class TestPremiumExample:
         market = bond_market(tree, {0: 0.0, 1: 0.0})
         n1 = tree.nodes_at(1)[0]
         n2 = tree.nodes_at(2)[0]
-        liab = LiabilitySpec(
-            outflows={n1: 10.0}, inflows={n2: 100.0}
+        liab = liability(
+            tree, outflows={n1: 10.0}, inflows={n2: 100.0}
         )
         return tree, market, liab, n1
 
@@ -220,7 +226,7 @@ class TestPremiumExample:
         tree, market, liab, _ = self.make()
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -234,7 +240,7 @@ class TestPremiumExample:
         tree, market, liab, n1 = self.make()
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="A"),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -259,7 +265,7 @@ class TestPremiumExample:
         with pytest.raises(CloseOutUnavailable):
             backward_value(
                 liab,
-                IlliquidPortfolio.none(),
+                IlliquidPortfolio.none(tree.n_nodes),
                 EngineConfig(mode="A"),
                 FulfillmentSpec.full(),
                 FinanciabilitySpec.cost_of_capital(0.06),
@@ -478,7 +484,7 @@ class TestBalanceSheet:
             tree,
             n,
             rng.uniform(-1.0, 2.0, size=(tree.n_nodes, n)),
-            {0: tuple(rng.uniform(0.0, 1.0, size=n))},
+            by_node(tree, {0: tuple(rng.uniform(0.0, 1.0, size=n))}),
             sign_class="unrestricted",
         )
         nodes = tree.nodes_at(2)
@@ -486,27 +492,28 @@ class TestBalanceSheet:
         def flows():
             return dict(zip(nodes, rng.uniform(0.0, 5.0, len(nodes)).tolist()))
 
-        liab = LiabilitySpec(outflows=flows(), inflows=flows())
-        psi = IlliquidPortfolio(flows())
+        liab = liability(tree, outflows=flows(), inflows=flows())
+        psi = IlliquidPortfolio(by_node(tree, flows()))
         cost = rng.uniform(-20.0, 20.0, size=len(nodes)).tolist()
         extra = rng.uniform(0.0, 1.0, size=len(nodes)).tolist()
-        outflow = np.array([liab.x(m) for m in range(tree.n_nodes)])
-        inflow = np.array([liab.z(m) + psi.z(m) for m in range(tree.n_nodes)])
+        outflow = liab.outflows
+        inflow = liab.inflows + psi.inflows
         inflow[list(nodes)] += extra
         rows = balance_sheet(nodes, outflow, inflow, strategy, cost, market, mode)
         assert [r.node for r in rows] == list(nodes)
         for row, m, c, e in zip(rows, nodes, cost, extra):
             tradables = float(strategy.held_into(m) @ market.payoff(m))
-            inflows = liab.z(m) + psi.z(m) + e
+            x = float(liab.outflows[m])
+            inflows = float(liab.inflows[m]) + float(psi.inflows[m]) + e
             assets = tradables + inflows + max(0.0, -c)
-            liabilities = liab.x(m) + max(0.0, c)
+            liabilities = x + max(0.0, c)
             resources = tradables + inflows + (max(0.0, -c) if mode == "A" else 0.0)
             assert row == (
                 m,
                 assets,
                 liabilities,
                 max(0.0, assets - liabilities),
-                classify_failure(assets, liabilities, resources, liab.x(m)),
+                classify_failure(assets, liabilities, resources, x),
             )
             assert row == balance_sheet(m, outflow, inflow, strategy, c, market, mode)
         assert {r.failure for r in rows} == {"none", "default", "cannot_continue"}
@@ -520,19 +527,11 @@ class TestEngineProperties:
             tree = random_tree(rng, years=2, max_branch=2)
             market, _ = state_price_market(rng, tree, n_risky=1, with_bonds=True)
             J = len(tree.grid.dates) - 1
-            liab = LiabilitySpec(
-                outflows={
-                    n: float(rng.uniform(0, 5))
-                    for j in tree.grid.annual_indices()
-                    if j > 0
-                    for n in tree.by_date[j]
-                },
-                inflows={
-                    n: float(rng.uniform(0, 8))
-                    for j in tree.grid.annual_indices()
-                    if j > 0
-                    for n in tree.by_date[j]
-                },
+            annual = [n for i in range(1, tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+            liab = liability(
+                tree,
+                outflows={n: float(rng.uniform(0, 5)) for n in annual},
+                inflows={n: float(rng.uniform(0, 8)) for n in annual},
             )
             rates = period_rates_from_market(market, tree)
             common = dict(
@@ -543,10 +542,10 @@ class TestEngineProperties:
                 rates=rates,
             )
             res_a = backward_value(
-                liab, IlliquidPortfolio.none(), EngineConfig(mode="A"), **common
+                liab, IlliquidPortfolio.none(tree.n_nodes), EngineConfig(mode="A"), **common
             )
             res_b = backward_value(
-                liab, IlliquidPortfolio.none(), EngineConfig(mode="B"), **common
+                liab, IlliquidPortfolio.none(tree.n_nodes), EngineConfig(mode="B"), **common
             )
             assert res_a.values[0] <= res_b.values[0] + 1e-9
 
@@ -556,11 +555,11 @@ class TestEngineProperties:
         tree = pathwise_tree(years=1)
         market = bond_market(tree, {0: 0.0})
         leaf = tree.by_date[2][0]
-        liab = LiabilitySpec(inflows={leaf: 50.0})
+        liab = liability(tree, inflows={leaf: 50.0})
         rates = period_rates_from_market(market, tree)
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -574,8 +573,8 @@ class TestEngineProperties:
         )
         report = validate_production_strategy(
             res.strategy,
-            IlliquidPortfolio.none(),
-            CapitalSchedule(res.capital),
+            IlliquidPortfolio.none(tree.n_nodes),
+            CapitalSchedule(by_node(tree, res.capital)),
             liab,
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -625,7 +624,7 @@ class TestEngineProperties:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 80.0, leaves[1]: 120.0})
+        liab = liability(tree, outflows={leaves[0]: 80.0, leaves[1]: 120.0})
         rates = period_rates_from_market(market, tree)
         common = dict(
             fulfillment=FulfillmentSpec.var(0.005),
@@ -636,13 +635,13 @@ class TestEngineProperties:
         )
         rf = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             **common,
         )
         mix = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B", family=StrategyFamily.fixed_mix((0,))),
             **common,
         )
@@ -660,15 +659,15 @@ class TestEngineProperties:
         cert = check_consistency(market, tree, None)
         fin = FinanciabilitySpec.state_price(cert, tree)
         leaves = tree.by_date[len(tree.grid.dates) - 1]
-        liab = LiabilitySpec(
-            outflows={n: float(rng.uniform(1, 5)) for n in leaves}
+        liab = liability(
+            tree, outflows={n: float(rng.uniform(1, 5)) for n in leaves}
         )
         rates = period_rates_from_market(market, tree)
         values = []
         for indices in ((2,), (0,), (0, 1, 2)):
             res = backward_value(
                 liab,
-                IlliquidPortfolio.none(),
+                IlliquidPortfolio.none(tree.n_nodes),
                 EngineConfig(mode="A", family=StrategyFamily.fixed_mix(indices)),
                 FulfillmentSpec.full(),
                 fin,
@@ -701,11 +700,11 @@ class TestEngineProperties:
         tree = bt(grid, nodes)
         market = bond_market(tree, {0: 0.0, 1: 0.0})
         idx = {lab: tree.labels.index(lab) for lab in tree.labels}
-        liab = LiabilitySpec(outflows={idx["a2"]: 5.0, idx["b2"]: 5.0})
+        liab = liability(tree, outflows={idx["a2"]: 5.0, idx["b2"]: 5.0})
         rates = period_rates_from_market(market, tree)
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -715,8 +714,8 @@ class TestEngineProperties:
         )
         report = validate_production_strategy(
             res.strategy,
-            IlliquidPortfolio.none(),
-            CapitalSchedule(res.capital),
+            IlliquidPortfolio.none(tree.n_nodes),
+            CapitalSchedule(by_node(tree, res.capital)),
             liab,
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -742,15 +741,15 @@ class TestEngineProperties:
         signed = S(
             tree,
             market.n_assets,
-            {n: (0.0,) for n in range(tree.n_nodes)},
+            np.zeros((tree.n_nodes, market.n_assets)),
             sign_class="value_nonneg",
         )
         with pytest.raises(COU):
             validate_production_strategy(
                 signed,
-                IlliquidPortfolio.none(),
-                CapitalSchedule({}),
-                LiabilitySpec(),
+                IlliquidPortfolio.none(tree.n_nodes),
+                CapitalSchedule(np.zeros(tree.n_nodes)),
+                liability(tree),
                 FulfillmentSpec.var(0.005),
                 FinanciabilitySpec.cost_of_capital(0.06),
                 market,
@@ -762,12 +761,12 @@ class TestEngineProperties:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 80.0, leaves[1]: 120.0})
+        liab = liability(tree, outflows={leaves[0]: 80.0, leaves[1]: 120.0})
         rates = period_rates_from_market(market, tree)
         ful = FulfillmentSpec.full()
         fin = FinanciabilitySpec.cost_of_capital(0.06)
         cost = backward_value(
-            liab, IlliquidPortfolio.none(), EngineConfig(mode="A"), ful, fin,
+            liab, IlliquidPortfolio.none(tree.n_nodes), EngineConfig(mode="A"), ful, fin,
             market, tree, rates,
         )
         from prodval.engine import add_short_position
@@ -777,10 +776,10 @@ class TestEngineProperties:
         res = add_short_position(
             liab,
             cost.strategy,
-            CapitalSchedule(cost.capital),
+            CapitalSchedule(by_node(tree, cost.capital)),
             phi,
             set(tree.by_date[2]),
-            CashflowProcess(),
+            CashflowProcess(np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)),
             ful,
             fin,
             market,
@@ -794,26 +793,27 @@ class TestEngineProperties:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 80.0, leaves[1]: 120.0})
+        liab = liability(tree, outflows={leaves[0]: 80.0, leaves[1]: 120.0})
         rates = period_rates_from_market(market, tree)
         ful = FulfillmentSpec.full()
         fin = FinanciabilitySpec.cost_of_capital(0.06)
         cost = backward_value(
-            liab, IlliquidPortfolio.none(), EngineConfig(mode="A"), ful, fin,
+            liab, IlliquidPortfolio.none(tree.n_nodes), EngineConfig(mode="A"), ful, fin,
             market, tree, rates,
         )
         from prodval.engine import add_short_position
         from prodval.strategy import CashflowProcess, Strategy
 
-        one = {n: (1.0,) for n in range(tree.n_nodes)}
-        phi = Strategy(tree, 1, one, initial={0: (1.0,)})
+        phi = Strategy(
+            tree, 1, np.ones((tree.n_nodes, 1)), initial=by_node(tree, {0: (1.0,)})
+        )
         res = add_short_position(
             liab,
             cost.strategy,
-            CapitalSchedule(cost.capital),
+            CapitalSchedule(by_node(tree, cost.capital)),
             phi,
             set(tree.by_date[2]),
-            CashflowProcess(),
+            CashflowProcess(np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)),
             ful,
             fin,
             market,
@@ -834,10 +834,10 @@ class TestEngineProperties:
         rates = period_rates_from_market(market, tree)
         with pytest.raises(NeutralityAuditFailed):
             illiquid_replica_shift(
-                LiabilitySpec(),
+                liability(tree),
                 (0.0,),
                 Strategy.zero(tree, market.n_assets),
-                CapitalSchedule({}),
+                CapitalSchedule(np.zeros(tree.n_nodes)),
                 FulfillmentSpec.full(),
                 FinanciabilitySpec.cost_of_capital(0.06),
                 market,
@@ -858,10 +858,10 @@ class TestEngineProperties:
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
         bad_leaf = tree.labels.index("bad")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0, bad_leaf: 100.0})
+        liab = liability(tree, outflows={ok_leaf: 10.0, bad_leaf: 100.0})
         res = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.probability(0.85),
             FinanciabilitySpec.cost_of_capital(0.06),

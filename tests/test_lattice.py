@@ -9,18 +9,12 @@ from prodval.errors import (
     LeafNotAtHorizon,
     MissingInteriorDate,
     OrphanNode,
+    DimensionMismatch,
     ProbabilityMass,
-    ProcessUndefinedAtDate,
 )
-from prodval.lattice import (
-    AdaptedProcess,
-    DateGrid,
-    build_tree,
-    conditional_distribution,
-    successor_date,
-)
+from prodval.lattice import DateGrid, build_tree, conditional_distribution
 
-from util import make_grid, random_tree
+from util import by_node, make_grid, random_tree
 
 
 def half_grid():
@@ -44,15 +38,9 @@ class TestDateGrid:
         with pytest.raises(MissingInteriorDate):
             DateGrid((Fraction(0), Fraction(1)), 1)
 
-    def test_successor_adjacent(self):
-        assert successor_date(half_grid(), 0) == Fraction(1, 2)
-
-    def test_successor_of_horizon_is_sentinel(self):
-        assert successor_date(half_grid(), 1) == Fraction(2)
-
     def test_date_not_in_grid(self):
         with pytest.raises(DateNotInGrid):
-            successor_date(half_grid(), 0.25)
+            half_grid().index(0.25)
 
     def test_exact_rational_dates(self):
         grid = DateGrid.build([0, 0.1, "1/2", 1], 1)
@@ -142,14 +130,14 @@ class TestConditionalDistribution:
     def test_single_layer(self):
         tree = smallest_tree()
         leaves = tree.by_date[2]
-        process = {leaves[0]: 80.0, leaves[1]: 120.0}
+        process = by_node(tree, {leaves[0]: 80.0, leaves[1]: 120.0})
         d = conditional_distribution(tree, 0, process, 1)
         assert sorted(zip(d.values, d.probs)) == [(80.0, 0.5), (120.0, 0.5)]
 
     def test_point_mass_at_own_date(self):
         tree = smallest_tree()
         leaf = tree.by_date[2][0]
-        d = conditional_distribution(tree, leaf, {leaf: 42.0}, 1)
+        d = conditional_distribution(tree, leaf, by_node(tree, {leaf: 42.0}), 1)
         assert d.values == (42.0,) and d.probs == (1.0,)
 
     def test_three_level_binary_path_products(self):
@@ -167,7 +155,7 @@ class TestConditionalDistribution:
                 )
         tree = build_tree(grid, nodes)
         values = {n: float(i) for i, n in enumerate(tree.by_date[3])}
-        d = conditional_distribution(tree, 0, values, 1)
+        d = conditional_distribution(tree, 0, by_node(tree, values), 1)
         expected = {}
         for leaf in tree.by_date[3]:
             mid = tree.parent[leaf]
@@ -178,24 +166,17 @@ class TestConditionalDistribution:
         for v in expected:
             assert got[v] == pytest.approx(expected[v], abs=1e-15)
 
-    def test_undefined_process(self):
+    def test_process_needs_one_value_per_node(self):
         tree = smallest_tree()
-        with pytest.raises(ProcessUndefinedAtDate):
-            conditional_distribution(tree, 0, {tree.by_date[2][0]: 1.0}, 1)
-
-    def test_accepts_adapted_process_wrapper(self):
-        tree = smallest_tree()
-        leaves = tree.by_date[2]
-        process = AdaptedProcess(tree, {leaves[0]: 80.0, leaves[1]: 120.0})
-        d = conditional_distribution(tree, 0, process, 1)
-        assert sorted(d.values) == [80.0, 120.0]
+        with pytest.raises(DimensionMismatch, match="^process has 3 entries for 5 nodes$"):
+            conditional_distribution(tree, 0, np.ones(3), 1)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             tree = random_tree(rng, years=2)
             j = len(tree.grid.dates) - 1
-            values = {n: float(rng.normal()) for n in tree.by_date[j]}
+            values = by_node(tree, {n: float(rng.normal()) for n in tree.by_date[j]})
             for node in tree.by_date[1]:
                 d = conditional_distribution(tree, node, values, tree.grid.dates[j])
                 assert abs(math.fsum(d.probs) - 1.0) <= 1e-12
@@ -208,7 +189,7 @@ def test_tower_property():
         tree = random_tree(rng, years=1, interior_per_year=2, max_branch=3)
         j = len(tree.grid.dates) - 1
         horizon = tree.grid.dates[j]
-        values = {n: float(rng.uniform(-10, 10)) for n in tree.by_date[j]}
+        values = by_node(tree, {n: float(rng.uniform(-10, 10)) for n in tree.by_date[j]})
         for mid_j in (1, 2):
             total = 0.0
             for node in tree.by_date[mid_j]:
@@ -216,14 +197,6 @@ def test_tower_property():
                 total += tree.path_probability(0, node) * inner
             direct = conditional_distribution(tree, 0, values, horizon).mean()
             assert abs(total - direct) <= 1e-12
-
-
-def test_adapted_process_coverage():
-    tree = smallest_tree()
-    with pytest.raises(ProcessUndefinedAtDate):
-        AdaptedProcess(tree, {tree.by_date[1][0]: 1.0})
-    ok = AdaptedProcess(tree, {n: 1.0 for n in tree.by_date[1]})
-    assert ok.covers(1)
 
 
 class TestArrayLayout:

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 from prodval.conditions import FinanciabilitySpec, max_capital
-from prodval.errors import DimensionMismatch, NoBondAvailable
+from prodval.errors import NoBondAvailable
 from prodval.lattice import DateGrid, build_tree
-from prodval.market import (
-    RestrictionSet,
-    TradableSet,
-    check_consistency,
-    portfolio_inflow,
-    portfolio_price,
-)
+from prodval.market import RestrictionSet, TradableSet, check_consistency
 from prodval.risk import DiscreteDistribution
 
-from util import random_tree, state_price_market
+from util import by_node, random_tree, state_price_market
 
 
 def one_period_tree():
@@ -31,40 +25,14 @@ def one_period_tree():
 
 
 def flat_market(tree, prices_by_node, inflows_by_node=None, **kw):
-    inflows_by_node = inflows_by_node or {}
-    n = len(next(iter(prices_by_node.values())))
-    return TradableSet(
-        tree=tree,
-        prices={k: tuple(v) for k, v in prices_by_node.items()},
-        inflows={
-            k: tuple(inflows_by_node.get(k, (0.0,) * n))
-            for k in prices_by_node
-        },
-        **kw,
-    )
+    prices = by_node(tree, prices_by_node)
+    inflows = np.zeros_like(prices)
+    for node, row in (inflows_by_node or {}).items():
+        inflows[node] = row
+    return TradableSet(tree=tree, prices=prices, inflows=inflows, **kw)
 
 
 class TestPortfolioAlgebra:
-    def setup_method(self):
-        self.tree = one_period_tree()
-        self.market = flat_market(
-            self.tree,
-            {n: (10.0, 4.0) for n in range(self.tree.n_nodes)},
-            {n: (3.0, 7.0) for n in range(self.tree.n_nodes)},
-        )
-
-    def test_zero_portfolio(self):
-        assert portfolio_price(self.market, 0, [0.0, 0.0]) == 0.0
-        assert portfolio_inflow(self.market, 0, [0.0, 0.0]) == 0.0
-
-    def test_dot_products(self):
-        assert portfolio_price(self.market, 0, [2.0, 3.0]) == 32.0
-        assert portfolio_inflow(self.market, 0, [2.0, 0.0]) == 6.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            portfolio_price(self.market, 0, [1.0])
-
     def test_single_bond_unit(self):
         tree = one_period_tree()
         market = flat_market(
@@ -73,8 +41,8 @@ class TestPortfolioAlgebra:
             {3: (1.0,), 4: (1.0,)},
             bond_periods={0: 0},
         )
-        assert portfolio_price(market, 0, [1.0]) == pytest.approx(0.9803921568627451)
-        assert portfolio_inflow(market, 3, [1.0]) == 1.0
+        assert market.price(0) @ [1.0] == pytest.approx(0.9803921568627451)
+        assert market.inflow(3) @ [1.0] == 1.0
         assert market.period_rate(0) == pytest.approx(0.02)
         with pytest.raises(NoBondAvailable):
             market.bond_for_period(5)
@@ -93,7 +61,7 @@ class TestCheckConsistency:
         assert cert.consistent
         # At an interior node the child pays 1, so the weights sum to the
         # bond price there.
-        lam = cert.weights_at(1)
+        lam = cert.verdicts[1].weights
         assert sum(lam.values()) == pytest.approx(1 / 1.01, abs=1e-12)
 
     def test_two_tradable_fixture_refuted(self):
@@ -151,7 +119,7 @@ class TestCheckConsistency:
             },
         )
         cert = check_consistency(market, tree)
-        lam = cert.weights_at(0)
+        lam = cert.verdicts[0].weights
         oracle = np.linalg.solve(np.column_stack([y1, y2]), s)
         assert lam[1] == pytest.approx(oracle[0], abs=1e-9)
         assert lam[2] == pytest.approx(oracle[1], abs=1e-9)
@@ -191,9 +159,7 @@ class TestRandomMarkets:
             base = np.array(prices[kids[0]]) + np.array(inflows[kids[0]])
             prices[0] = list(base * rng.uniform(0.5, 1.5, size=len(base)))
             market2 = TradableSet(
-                tree=tree,
-                prices={n: tuple(v) for n, v in prices.items()},
-                inflows={n: tuple(v) for n, v in inflows.items()},
+                tree=tree, prices=by_node(tree, prices), inflows=by_node(tree, inflows)
             )
             cert = check_consistency(market2, tree)
             for node, verdict in cert.verdicts.items():
@@ -223,7 +189,7 @@ class TestRandomMarkets:
         for node in range(tree.n_nodes):
             if tree.is_leaf(node):
                 continue
-            lam = cert.weights_at(node)
+            lam = cert.verdicts[node].weights
             v_node = units @ market.price(node)
             recon = sum(
                 lam[c]
@@ -246,18 +212,20 @@ class TestRandomMarkets:
             n: (base.inflows[n][0], 2 * base.inflows[n][0])
             for n in range(tree.n_nodes)
         }
-        market = TradableSet(tree=tree, prices=prices, inflows=inflows)
+        market = TradableSet(
+            tree=tree, prices=by_node(tree, prices), inflows=by_node(tree, inflows)
+        )
         assert check_consistency(market, tree).consistent
         # phi holds (1, 1); theta holds (3, 0): same value everywhere, and
         # both pay out their inflows, which coincide.
         phi = np.array([1.0, 1.0])
         theta = np.array([3.0, 0.0])
         for node in range(tree.n_nodes):
-            assert portfolio_price(market, node, phi) == pytest.approx(
-                portfolio_price(market, node, theta), abs=1e-9
+            assert phi @ market.price(node) == pytest.approx(
+                theta @ market.price(node), abs=1e-9
             )
-            assert portfolio_inflow(market, node, phi) == pytest.approx(
-                portfolio_inflow(market, node, theta), abs=1e-9
+            assert phi @ market.inflow(node) == pytest.approx(
+                theta @ market.inflow(node), abs=1e-9
             )
 
 

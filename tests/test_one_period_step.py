@@ -260,7 +260,7 @@ def oracle_backward(liab, psi, config, fulfillment, financiability, market, tree
     portfolios = {}
     infeasible = []
     for leaf in tree.by_date[J]:
-        values[leaf] = liab.y(leaf)
+        values[leaf] = float(liab.terminal[leaf])
     fam = config.family
     if fam.variant == "fixed_mix":
         candidates = [(fam, w) for w in _simplex_grid(fam.mix_indices, config.grid_depth)]
@@ -268,12 +268,13 @@ def oracle_backward(liab, psi, config, fulfillment, financiability, market, tree
         candidates = [(fam, None)]
 
     def interior_net(m):
-        return liab.z(m) + psi.z(m) - liab.x(m)
+        return float(liab.inflows[m]) + float(psi.inflows[m]) - float(liab.outflows[m])
 
     for i in range(T - 1, -1, -1):
         j1 = tree.grid.index(i + 1)
         ell_all = {
-            nu: liab.x(nu) + values[nu] - liab.z(nu) - psi.z(nu)
+            nu: float(liab.outflows[nu]) + values[nu] - float(liab.inflows[nu])
+            - float(psi.inflows[nu])
             for nu in tree.by_date[j1]
         }
         for node_i in tree.nodes_at(i):
@@ -330,7 +331,9 @@ def explicit_base(rng, tree, market, liab, psi, kind):
                 x[m, 1] += rng.uniform(0.0, 20.0)
             else:
                 resources = float(x[tree.parent[m]] @ market.payoff(m))
-                resources += liab.z(m) + psi.z(m) - liab.x(m)
+                resources += (
+                    float(liab.inflows[m]) + float(psi.inflows[m]) - float(liab.outflows[m])
+                )
                 if market.prices[m, k] > 0.0:
                     x[m, k] = resources / market.prices[m, k]
     span = {}

@@ -11,7 +11,6 @@ from prodval.conditions import (
 from prodval.engine import (
     EngineConfig,
     IlliquidPortfolio,
-    LiabilitySpec,
     backward_value,
 )
 from prodval.errors import InfeasibleAtNode
@@ -20,10 +19,10 @@ from prodval.market import TradableSet
 from prodval.resolution import (
     adjustment_factors,
     extend_to_full_fulfillment,
-    theta_psi_strategy,
 )
 
 from test_engine import bond_market
+from util import by_node, liability
 
 
 def fail_tree(p_bad=0.1):
@@ -41,7 +40,7 @@ def run_engine(tree, market, liab, psi=None, p=0.85):
     rates = period_rates_from_market(market, tree)
     cost = backward_value(
         liab,
-        psi or IlliquidPortfolio.none(),
+        psi or IlliquidPortfolio.none(tree.n_nodes),
         EngineConfig(mode="B"),
         FulfillmentSpec.probability(p),
         FinanciabilitySpec.cost_of_capital(0.06),
@@ -58,10 +57,10 @@ class TestAdjustmentFactors:
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
         bad_leaf = tree.labels.index("bad")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0, bad_leaf: 10.0})
+        liab = liability(tree, outflows={ok_leaf: 10.0, bad_leaf: 10.0})
         cost, _ = run_engine(tree, market, liab)
         xi, lam, theta = adjustment_factors(
-            liab, IlliquidPortfolio.none(), cost, market, tree
+            liab, IlliquidPortfolio.none(tree.n_nodes), cost, market, tree
         )
         assert all(v == 1.0 for v in xi.values())
         assert all(v == 1.0 for v in lam.values())
@@ -72,10 +71,10 @@ class TestAdjustmentFactors:
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
         bad_leaf = tree.labels.index("bad")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0, bad_leaf: 100.0})
+        liab = liability(tree, outflows={ok_leaf: 10.0, bad_leaf: 100.0})
         cost, _ = run_engine(tree, market, liab)
         xi, lam, _ = adjustment_factors(
-            liab, IlliquidPortfolio.none(), cost, market, tree
+            liab, IlliquidPortfolio.none(tree.n_nodes), cost, market, tree
         )
         assert xi[bad_leaf] == pytest.approx(0.1, abs=1e-12)
         assert lam[bad_leaf] == pytest.approx(0.1, abs=1e-12)
@@ -85,10 +84,10 @@ class TestAdjustmentFactors:
         tree = fail_tree()
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0})
+        liab = liability(tree, outflows={ok_leaf: 10.0})
         cost, _ = run_engine(tree, market, liab, p=0.85)
         xi, lam, _ = adjustment_factors(
-            liab, IlliquidPortfolio.none(), cost, market, tree
+            liab, IlliquidPortfolio.none(tree.n_nodes), cost, market, tree
         )
         bad_leaf = tree.labels.index("bad")
         assert xi[bad_leaf] == 1.0
@@ -110,42 +109,8 @@ class TestAdjustmentFactors:
         )
         with pytest.raises(InfeasibleAtNode):
             adjustment_factors(
-                LiabilitySpec(), IlliquidPortfolio.none(), cost, market, tree
+                liability(tree), IlliquidPortfolio.none(tree.n_nodes), cost, market, tree
             )
-
-
-class TestThetaPsi:
-    def test_identity_lam_means_zero_theta(self):
-        tree = fail_tree()
-        market = bond_market(tree, {0: 0.0})
-        lam = {n: 1.0 for i in (0, 1) for n in tree.nodes_at(i)}
-        psi = IlliquidPortfolio({tree.labels.index("m"): 50.0})
-        theta = theta_psi_strategy(psi, lam, market, tree)
-        assert all(v == 0.0 for v in theta.payouts.values())
-
-    def test_zero_psi_means_zero_theta(self):
-        tree = fail_tree()
-        market = bond_market(tree, {0: 0.0})
-        lam = {n: 0.5 for i in (0, 1) for n in tree.nodes_at(i)}
-        lam[0] = 1.0
-        theta = theta_psi_strategy(IlliquidPortfolio.none(), lam, market, tree)
-        assert all(v == 0.0 for v in theta.payouts.values())
-
-    def test_excess_share_accumulates_to_the_annual_payout(self):
-        # lam fixed at 0.8 entering the year, inflow 50 at the interior
-        # date: the excess 10 rolls risk-free into the annual payout.
-        grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 2 - 1)
-        tree = fail_tree()
-        market = bond_market(tree, {0: 0.0})
-        mid = tree.labels.index("m")
-        lam = {0: 0.8}
-        for n in tree.nodes_at(1):
-            lam[n] = 0.8
-        psi = IlliquidPortfolio({mid: 50.0})
-        theta = theta_psi_strategy(psi, lam, market, tree)
-        assert theta.inflows[mid] == pytest.approx(10.0, abs=1e-12)
-        for leaf in tree.nodes_at(1):
-            assert theta.payouts[leaf] == pytest.approx(10.0, abs=1e-12)
 
 
 class TestExtension:
@@ -154,11 +119,11 @@ class TestExtension:
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
         bad_leaf = tree.labels.index("bad")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0, bad_leaf: 10.0})
+        liab = liability(tree, outflows={ok_leaf: 10.0, bad_leaf: 10.0})
         cost, rates = run_engine(tree, market, liab)
         res = extend_to_full_fulfillment(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             cost,
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
@@ -167,7 +132,7 @@ class TestExtension:
         )
         assert res.ok
         assert all(v == 1.0 for v in res.lam.values())
-        assert res.adjusted_outflows == {ok_leaf: 10.0, bad_leaf: 10.0}
+        assert res.adjusted_outflows.tolist() == liab.outflows.tolist()
 
     def test_deterministic_shortfall_scales_the_branch(self):
         # The bad branch can pay 80% of its claim: lam = 0.8 there.
@@ -175,12 +140,12 @@ class TestExtension:
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
         bad_leaf = tree.labels.index("bad")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0, bad_leaf: 12.5})
+        liab = liability(tree, outflows={ok_leaf: 10.0, bad_leaf: 12.5})
         cost, rates = run_engine(tree, market, liab)
         assert cost.values[0] == pytest.approx(10.0, abs=1e-12)
         res = extend_to_full_fulfillment(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             cost,
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
@@ -198,11 +163,11 @@ class TestExtension:
         market = bond_market(tree, {0: 0.0})
         ok_leaf = tree.labels.index("ok")
         bad_leaf = tree.labels.index("bad")
-        liab = LiabilitySpec(outflows={ok_leaf: 10.0, bad_leaf: 100.0})
+        liab = liability(tree, outflows={ok_leaf: 10.0, bad_leaf: 100.0})
         cost, rates = run_engine(tree, market, liab)
         res = extend_to_full_fulfillment(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             cost,
             FinanciabilitySpec.cost_of_capital(0.06),
             market,
@@ -248,10 +213,11 @@ class TestExtension:
         tree = two_year_tree()
         market = bond_market(tree, {0: 0.0, 1: 0.0})
         idx = {lab: tree.labels.index(lab) for lab in tree.labels}
-        liab = LiabilitySpec(
-            outflows={idx["A"]: 10.0, idx["B"]: 100.0, idx["Bok"]: 50.0, idx["Bbad"]: 500.0}
+        liab = liability(
+            tree,
+            outflows={idx["A"]: 10.0, idx["B"]: 100.0, idx["Bok"]: 50.0, idx["Bbad"]: 500.0},
         )
-        psi = IlliquidPortfolio({idx["Bm"]: 40.0})
+        psi = IlliquidPortfolio(by_node(tree, {idx["Bm"]: 40.0}))
 
         cost_with, rates = run_engine(tree, market, liab, psi=psi)
         res_with = extend_to_full_fulfillment(
@@ -266,7 +232,7 @@ class TestExtension:
         cost_without, _ = run_engine(tree, market, liab)
         res_without = extend_to_full_fulfillment(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             cost_without,
             FinanciabilitySpec.cost_of_capital(0.06),
             market,

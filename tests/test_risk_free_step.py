@@ -37,7 +37,7 @@ from prodval.market import TradableSet, check_consistency
 from prodval.risk import DiscreteDistribution, RiskMeasureSpec
 
 import scalar_reference as ref
-from util import random_tree, state_price_market
+from util import by_node, random_tree, state_price_market
 
 INF = math.inf
 
@@ -177,15 +177,16 @@ def oracle_backward(liab, psi, mode, fulfillment, financiability, market, tree, 
     infeasible = []
     ells = {}
     for leaf in tree.by_date[J]:
-        values[leaf] = liab.y(leaf)
+        values[leaf] = float(liab.terminal[leaf])
 
     def interior_net(m):
-        return liab.z(m) + psi.z(m) - liab.x(m)
+        return float(liab.inflows[m]) + float(psi.inflows[m]) - float(liab.outflows[m])
 
     for i in range(T - 1, -1, -1):
         j1 = tree.grid.index(i + 1)
         ell_all = {
-            nu: liab.x(nu) + values[nu] - liab.z(nu) - psi.z(nu)
+            nu: float(liab.outflows[nu]) + values[nu] - float(liab.inflows[nu])
+            - float(psi.inflows[nu])
             for nu in tree.by_date[j1]
         }
         ells[i] = ell_all
@@ -291,8 +292,9 @@ def make_problem(seed, shape, defect, interior_flows, magnitude=1.0, max_branch=
     for leaf in tree.by_date[-1]:
         if rng.uniform() < 0.3:
             terminal[leaf] = float(rng.uniform(-20.0, 40.0))
+
     def scaled(flows):
-        return {n: v * magnitude for n, v in flows.items()}
+        return by_node(tree, {n: v * magnitude for n, v in flows.items()})
 
     liab = LiabilitySpec(scaled(outflows), scaled(liab_inflows), scaled(terminal))
     return tree, market, liab, IlliquidPortfolio(scaled(psi_inflows))

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodval.engine import LiabilitySpec
 from prodval.errors import InteriorFlowsPresent, MassOutsideM1
 from prodval.lattice import DateGrid, build_tree
 from prodval.risk import (
@@ -24,6 +23,8 @@ from prodval.solvency import (
     stage2_decompose,
     stage3_decompose,
 )
+
+from util import liability
 
 VAR = RiskMeasureSpec("var", 0.005)
 
@@ -211,7 +212,7 @@ class TestMultiPeriod:
                 # Symmetric: the up child gets hi, the down child lo.
                 sibling_rank = tree.children[tree.parent[node]].index(node)
                 outflows[node] = hi if sibling_rank == 0 else lo
-        liab = LiabilitySpec(outflows=outflows)
+        liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(
             liab, rates, 0.06, RiskMeasureSpec("var", 0.005), 3, tree
@@ -236,7 +237,7 @@ class TestMultiPeriod:
         tree, _ = symmetric_tree(2)
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(
-            LiabilitySpec(), rates, 0.06, VAR, 3, tree
+            liability(tree), rates, 0.06, VAR, 3, tree
         )
         for row in report.rows.values():
             assert row.bel == 0.0 and row.rm == 0.0 and row.scr == 0.0
@@ -244,7 +245,7 @@ class TestMultiPeriod:
     def test_single_period_is_the_stage_operation(self):
         tree, _ = symmetric_tree(1)
         leaves = tree.by_date[2]
-        liab = LiabilitySpec(outflows={leaves[0]: 120.0, leaves[1]: 80.0})
+        liab = liability(tree, outflows={leaves[0]: 120.0, leaves[1]: 80.0})
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(liab, rates, 0.06, VAR, 2, tree)
         bel, rm, scr, p = stage2_decompose(two_point_states(), 0.02, 0.06, VAR)
@@ -255,7 +256,7 @@ class TestMultiPeriod:
     def test_interior_flows_rejected(self):
         tree, _ = symmetric_tree(1)
         mid = tree.by_date[1][0]
-        liab = LiabilitySpec(outflows={mid: 5.0})
+        liab = liability(tree, outflows={mid: 5.0})
         with pytest.raises(InteriorFlowsPresent):
             multi_period_solvency(
                 liab, RateCurve.flat(tree, 0.02), 0.06, VAR, 3, tree
@@ -268,7 +269,7 @@ class TestMultiPeriod:
         for i in (1, 2):
             for node in tree.nodes_at(i):
                 outflows[node] = float(rng.uniform(10, 100))
-        liab = LiabilitySpec(outflows=outflows)
+        liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
         # VaR at 0.5% with branch mass 0.5 puts every state inside M_1.
         reports = {
@@ -292,7 +293,7 @@ class TestMultiPeriod:
         for i in (1, 2):
             for node in tree.nodes_at(i):
                 outflows[node] = float(rng.uniform(10, 100))
-        liab = LiabilitySpec(outflows=outflows)
+        liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(liab, rates, 0.06, es, 1, tree)
         bel = {n: r.total for n, r in report.rows.items()}
@@ -301,7 +302,8 @@ class TestMultiPeriod:
                 j1 = tree.grid.index(i + 1)
                 kids = tree.descendants_at(node, j1)
                 l1 = {
-                    c: liab.x(c) + (bel[c] if c in bel else liab.y(c))
+                    c: float(liab.outflows[c])
+                    + (bel[c] if c in bel else float(liab.terminal[c]))
                     for c in kids
                 }
                 l_dist = DiscreteDistribution.from_atoms(
@@ -339,11 +341,11 @@ def test_engine_totals_match_stage2_with_risk_free_investment():
         for i in (1, 2):
             for node in tree.nodes_at(i):
                 outflows[node] = float(rng.uniform(10, 100))
-        liab = LiabilitySpec(outflows=outflows)
+        liab = liability(tree, outflows=outflows)
         alpha = 0.005 if trial % 2 == 0 else 0.4  # the latter leaves mass outside M_1
         cost = backward_value(
             liab,
-            IlliquidPortfolio.none(),
+            IlliquidPortfolio.none(tree.n_nodes),
             EngineConfig(mode="B"),
             FulfillmentSpec.var(alpha),
             FinanciabilitySpec.cost_of_capital(0.06),

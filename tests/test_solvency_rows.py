@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from prodval import solvency
-from prodval.engine import LiabilitySpec
 from prodval.errors import ProdvalError
 from prodval.risk import DistributionRows, RiskMeasureSpec
 from prodval.solvency import (
@@ -24,7 +23,7 @@ from prodval.solvency import (
     stage2_decompose,
 )
 
-from util import random_tree
+from util import liability, random_tree
 
 LEVELS = (0.005, 0.1, 0.25, 0.5, 0.75)
 # Small value sets, so states tie and thresholds land on atoms.
@@ -78,7 +77,7 @@ def _problem(seed, years, interior, branch, flat, with_inflows):
             if with_inflows and rng.uniform() < 0.3:
                 inflows[node] = _flow(rng)
     terminal = {n: _flow(rng) for n in tree.nodes_at(years) if rng.uniform() < 0.5}
-    liab = LiabilitySpec(outflows=outflows, inflows=inflows, terminal=terminal)
+    liab = liability(tree, outflows=outflows, inflows=inflows, terminal=terminal)
     if flat:
         rates = RateCurve.flat(tree, 0.02)
     else:

@@ -11,22 +11,26 @@ from prodval.errors import (
     UnderlyingHasInflows,
 )
 from prodval.lattice import DateGrid, build_tree
-from prodval.market import RestrictionSet, TradableSet, check_consistency
+from prodval.market import TradableSet, check_consistency
 from prodval.strategy import (
     CashflowProcess,
     Strategy,
     accumulate_within_years,
     conversion_residual,
     decompose_general,
-    is_self_financing,
-    restriction_membership,
     short_position_cashflows,
     stop_status,
     stopped,
     strategy_value,
 )
 
-from util import random_paying_strategy, random_stop, random_tree, state_price_market
+from util import (
+    by_node,
+    random_paying_strategy,
+    random_stop,
+    random_tree,
+    state_price_market,
+)
 
 
 def one_period_tree():
@@ -44,11 +48,18 @@ def one_period_tree():
 def constant_market(tree, price, inflow):
     n = tree.n_nodes
     return TradableSet(
-        tree=tree,
-        prices={k: (price,) for k in range(n)},
-        inflows={k: (inflow,) for k in range(n)},
-        close_out=True,
+        tree=tree, prices=np.full((n, 1), price), inflows=np.full((n, 1), inflow), close_out=True
     )
+
+
+def same_rows(tree, row):
+    """One row per node, each ``row``."""
+    return np.tile(np.asarray(row, dtype=float), (tree.n_nodes, 1))
+
+
+def flows(tree, inflow=None, outflow=None):
+    """A CashflowProcess from node -> value mappings."""
+    return CashflowProcess(by_node(tree, inflow or {}), by_node(tree, outflow or {}))
 
 
 def hold_one(tree, n_assets=1):
@@ -56,8 +67,8 @@ def hold_one(tree, n_assets=1):
     return Strategy(
         tree,
         n_assets,
-        {n: one for n in range(tree.n_nodes)},
-        initial={n: one for n in tree.by_date[0]},
+        same_rows(tree, one),
+        initial=by_node(tree, {n: one for n in tree.by_date[0]}),
     )
 
 
@@ -67,33 +78,28 @@ class TestConversion:
         market = constant_market(tree, 3.0, 0.0)
         phi = hold_one(tree)
         for node in range(tree.n_nodes):
-            assert conversion_residual(phi, market, tree, CashflowProcess(), node) == 0.0
+            assert conversion_residual(phi, market, tree, flows(tree), node) == 0.0
 
     def test_passive_holding_with_inflow_paid_out(self):
         tree = one_period_tree()
         market = constant_market(tree, 3.0, 5.0)
         phi = hold_one(tree)
-        flows = CashflowProcess({}, {n: 5.0 for n in range(tree.n_nodes)})
+        paid = flows(tree, outflow={n: 5.0 for n in range(tree.n_nodes)})
         for node in range(tree.n_nodes):
-            assert conversion_residual(phi, market, tree, flows, node) == 0.0
+            assert conversion_residual(phi, market, tree, paid, node) == 0.0
 
     def test_unpaid_inflow_leaves_residual(self):
         tree = one_period_tree()
         market = constant_market(tree, 3.0, 5.0)
         phi = hold_one(tree)
-        assert conversion_residual(phi, market, tree, CashflowProcess(), 1) == -5.0
+        assert conversion_residual(phi, market, tree, flows(tree), 1) == -5.0
 
     def test_outside_span(self):
         tree = one_period_tree()
         market = constant_market(tree, 1.0, 0.0)
-        phi = Strategy(
-            tree,
-            1,
-            {n: (1.0,) for n in range(tree.n_nodes)},
-            t_min=Fraction(1, 2),
-        )
+        phi = Strategy(tree, 1, same_rows(tree, (1.0,)), t_min=Fraction(1, 2))
         with pytest.raises(NodeOutsideSpan):
-            conversion_residual(phi, market, tree, CashflowProcess(), 0)
+            conversion_residual(phi, market, tree, flows(tree), 0)
 
     def test_held_into_rows_match_single_nodes(self):
         # Span from 1/2: nodes u, d start the span with their initial
@@ -102,8 +108,8 @@ class TestConversion:
         phi = Strategy(
             tree,
             2,
-            {n: (float(n), 10.0 * n) for n in range(1, tree.n_nodes)},
-            {1: (7.0, 8.0)},
+            by_node(tree, {n: (float(n), 10.0 * n) for n in range(1, tree.n_nodes)}),
+            by_node(tree, {1: (7.0, 8.0)}),
             t_min=Fraction(1, 2),
         )
         nodes = np.array([3, 1, 2, 4])
@@ -124,7 +130,6 @@ class TestSelfFinancing:
         tree = one_period_tree()
         market = constant_market(tree, 2.0, 1.0)
         # Units grow by the reinvested inflow: u' = u * (S + Z) / S.
-        units = {0: 1.0}
         assignment = {}
         for j, nodes in enumerate(tree.by_date):
             for n in nodes:
@@ -133,25 +138,11 @@ class TestSelfFinancing:
                 else:
                     u_in = assignment[tree.parent[n]][0]
                 assignment[n] = (u_in * (2.0 + 1.0) / 2.0,) if j > 0 else (1.5,)
-        phi = Strategy(tree, 1, assignment, initial={0: (1.0,)})
-        flags = is_self_financing(phi, market, tree, CashflowProcess())
-        assert all(flags.values())
-
-    def test_passive_holding_is_not_self_financing(self):
-        tree = one_period_tree()
-        market = constant_market(tree, 2.0, 1.0)
-        phi = hold_one(tree)
-        flows = CashflowProcess({}, {n: 1.0 for n in range(tree.n_nodes)})
-        flags = is_self_financing(phi, market, tree, flows)
-        assert not any(flags.values())
-
-    def test_zero_strategy(self):
-        tree = one_period_tree()
-        market = constant_market(tree, 2.0, 1.0)
-        flags = is_self_financing(
-            Strategy.zero(tree, 1), market, tree, CashflowProcess()
+        phi = Strategy(
+            tree, 1, by_node(tree, assignment), initial=by_node(tree, {0: (1.0,)})
         )
-        assert all(flags.values())
+        for node in range(tree.n_nodes):
+            assert conversion_residual(phi, market, tree, flows(tree), node) == 0.0
 
 
 class TestValue:
@@ -171,16 +162,11 @@ class TestValue:
         tree = one_period_tree()
         market = TradableSet(
             tree=tree,
-            prices={n: (2.0, 3.0) for n in range(tree.n_nodes)},
-            inflows={n: (0.0, 0.0) for n in range(tree.n_nodes)},
+            prices=same_rows(tree, (2.0, 3.0)),
+            inflows=same_rows(tree, (0.0, 0.0)),
             close_out=True,
         )
-        phi = Strategy(
-            tree,
-            2,
-            {n: (2.0, -1.0) for n in range(tree.n_nodes)},
-            sign_class="unrestricted",
-        )
+        phi = Strategy(tree, 2, same_rows(tree, (2.0, -1.0)), sign_class="unrestricted")
         dec = decompose_general(phi, market, tree)
         assert strategy_value(phi, market, 0) == pytest.approx(
             strategy_value(dec.plus, market, 0) - strategy_value(dec.minus, market, 0)
@@ -193,33 +179,33 @@ class TestShortPosition:
         market = constant_market(tree, 2.0, 0.5)
         phi = hold_one(tree)
         stop = set(tree.by_date[2])
-        flows = short_position_cashflows(phi, stop, market, tree, CashflowProcess())
+        out = short_position_cashflows(phi, stop, market, tree, flows(tree)).outflow
         for leaf in tree.by_date[2]:
-            assert flows.x(leaf) == pytest.approx(2.5)
+            assert out[leaf] == pytest.approx(2.5)
         for node in (0, 1, 2):
-            assert flows.x(node) == 0.0
+            assert out[node] == 0.0
 
     def test_stop_at_root(self):
         tree = one_period_tree()
         market = constant_market(tree, 2.0, 0.5)
         phi = hold_one(tree)
-        flows = short_position_cashflows(phi, {0}, market, tree, CashflowProcess())
-        assert flows.x(0) == pytest.approx(2.5)
-        assert all(flows.x(n) == 0.0 for n in range(1, tree.n_nodes))
+        out = short_position_cashflows(phi, {0}, market, tree, flows(tree)).outflow
+        assert out[0] == pytest.approx(2.5)
+        assert all(out[n] == 0.0 for n in range(1, tree.n_nodes))
 
     def test_stop_on_one_branch_only(self):
         tree = one_period_tree()
         market = constant_market(tree, 2.0, 0.5)
         phi = hold_one(tree)
-        x_flows = CashflowProcess({}, {n: 0.5 for n in range(tree.n_nodes)})
+        x_flows = flows(tree, outflow={n: 0.5 for n in range(tree.n_nodes)})
         u, d = tree.by_date[1]
         d_leaf = tree.children[d][0]
         stop = {u, d_leaf}
-        flows = short_position_cashflows(phi, stop, market, tree, x_flows)
-        assert flows.x(u) == pytest.approx(2.5)  # liquidation
-        assert flows.x(tree.children[u][0]) == 0.0  # extinguished
-        assert flows.x(d) == pytest.approx(0.5)  # X continues
-        assert flows.x(d_leaf) == pytest.approx(2.5)
+        out = short_position_cashflows(phi, stop, market, tree, x_flows).outflow
+        assert out[u] == pytest.approx(2.5)  # liquidation
+        assert out[tree.children[u][0]] == 0.0  # extinguished
+        assert out[d] == pytest.approx(0.5)  # X continues
+        assert out[d_leaf] == pytest.approx(2.5)
 
     def test_pay_at_horizon_variant(self):
         # The alternative settlement defers the liquidation to t_max on
@@ -227,15 +213,15 @@ class TestShortPosition:
         tree = one_period_tree()
         market = constant_market(tree, 2.0, 0.5)
         phi = hold_one(tree)
-        x_flows = CashflowProcess({}, {n: 0.5 for n in range(tree.n_nodes)})
-        flows = short_position_cashflows(
+        x_flows = flows(tree, outflow={n: 0.5 for n in range(tree.n_nodes)})
+        out = short_position_cashflows(
             phi, {0}, market, tree, x_flows, pay_at_tmax=True
-        )
+        ).outflow
         for leaf in tree.by_date[2]:
-            assert flows.x(leaf) == pytest.approx(2.5)
-        assert flows.x(0) == pytest.approx(0.5)
+            assert out[leaf] == pytest.approx(2.5)
+        assert out[0] == pytest.approx(0.5)
         for mid in tree.by_date[1]:
-            assert flows.x(mid) == pytest.approx(0.5)
+            assert out[mid] == pytest.approx(0.5)
 
     def test_underlying_must_have_no_inflows(self):
         tree = one_period_tree()
@@ -246,7 +232,7 @@ class TestShortPosition:
                 set(tree.by_date[2]),
                 market,
                 tree,
-                CashflowProcess({0: 1.0}, {}),
+                flows(tree, inflow={0: 1.0}),
             )
 
     def test_stop_must_be_antichain(self):
@@ -256,11 +242,11 @@ class TestShortPosition:
         bad = {u, tree.children[u][0], tree.by_date[1][1]}
         with pytest.raises(StopNotAntichain):
             short_position_cashflows(
-                hold_one(tree), bad, market, tree, CashflowProcess()
+                hold_one(tree), bad, market, tree, flows(tree)
             )
         with pytest.raises(StopNotAntichain):
             short_position_cashflows(
-                hold_one(tree), {u}, market, tree, CashflowProcess()
+                hold_one(tree), {u}, market, tree, flows(tree)
             )
 
     def test_liability_produced_by_stopped_underlying(self):
@@ -273,7 +259,7 @@ class TestShortPosition:
             stop = random_stop(rng, tree)
             liab = short_position_cashflows(phi, stop, market, tree, x_flows)
             phi_p = stopped(phi, tree, stop)
-            out = CashflowProcess({}, dict(liab.outflow))
+            out = CashflowProcess(np.zeros(tree.n_nodes), liab.outflow)
             for node in range(tree.n_nodes):
                 res = conversion_residual(phi_p, market, tree, out, node)
                 assert abs(res) <= 1e-9
@@ -285,8 +271,8 @@ class TestDecomposeGeneral:
         market = constant_market(tree, 2.0, 0.0)
         dec = decompose_general(hold_one(tree), market, tree)
         assert dec.minus.assignment.tolist() == [[0.0]] * tree.n_nodes
-        assert all(v == 0.0 for v in dec.star_outflow.values())
-        assert all(v == 0.0 for v in dec.star_inflow.values())
+        assert not dec.star_outflow.any()
+        assert not dec.star_inflow.any()
 
     def test_constant_short_unit(self):
         tree = one_period_tree()
@@ -294,8 +280,8 @@ class TestDecomposeGeneral:
         phi = Strategy(
             tree,
             1,
-            {n: (-1.0,) for n in range(tree.n_nodes)},
-            initial={0: (-1.0,)},
+            same_rows(tree, (-1.0,)),
+            initial=by_node(tree, {0: (-1.0,)}),
             sign_class="unrestricted",
         )
         dec = decompose_general(phi, market, tree)
@@ -308,31 +294,20 @@ class TestDecomposeGeneral:
         tree = one_period_tree()
         market = TradableSet(
             tree=tree,
-            prices={n: (1.0, 1.0) for n in range(tree.n_nodes)},
-            inflows={n: (0.0, 0.0) for n in range(tree.n_nodes)},
+            prices=same_rows(tree, (1.0, 1.0)),
+            inflows=same_rows(tree, (0.0, 0.0)),
             close_out=True,
         )
-        phi = Strategy(
-            tree,
-            2,
-            {n: (2.0, -3.0) for n in range(tree.n_nodes)},
-            sign_class="unrestricted",
-        )
+        phi = Strategy(tree, 2, same_rows(tree, (2.0, -3.0)), sign_class="unrestricted")
         dec = decompose_general(phi, market, tree)
         assert dec.plus.assignment[0].tolist() == [2.0, 0.0]
         assert dec.minus.assignment[0].tolist() == [0.0, 3.0]
 
     def test_requires_close_out(self):
         tree = one_period_tree()
-        market = TradableSet(
-            tree=tree,
-            prices={n: (1.0,) for n in range(tree.n_nodes)},
-            inflows={n: (0.0,) for n in range(tree.n_nodes)},
-            close_out=False,
-        )
-        phi = Strategy(
-            tree, 1, {n: (-1.0,) for n in range(tree.n_nodes)}, sign_class="unrestricted"
-        )
+        market = constant_market(tree, 1.0, 0.0)
+        market = TradableSet(tree, market.prices, market.inflows, close_out=False)
+        phi = Strategy(tree, 1, same_rows(tree, (-1.0,)), sign_class="unrestricted")
         with pytest.raises(CloseOutUnavailable):
             decompose_general(phi, market, tree)
 
@@ -353,88 +328,59 @@ class TestDecomposeGeneral:
                 for n in range(tree.n_nodes)
             }
             initial = {n: tuple(rng.uniform(-1, 1, size=2)) for n in tree.by_date[0]}
-            phi = Strategy(tree, 2, assignment, initial, sign_class="unrestricted")
-            flows = CashflowProcess(
-                {n: float(rng.uniform(0, 1)) for n in range(tree.n_nodes)},
-                {n: float(rng.uniform(0, 1)) for n in range(tree.n_nodes)},
+            phi = Strategy(
+                tree,
+                2,
+                by_node(tree, assignment),
+                by_node(tree, initial),
+                sign_class="unrestricted",
+            )
+            own = CashflowProcess(
+                rng.uniform(0, 1, size=tree.n_nodes), rng.uniform(0, 1, size=tree.n_nodes)
             )
             dec = decompose_general(phi, market, tree)
-            with_star = flows.plus(dec.star_flows())
+            star = dec.star_flows()
+            with_star = CashflowProcess(
+                own.inflow + star.inflow, own.outflow + star.outflow
+            )
             for node in range(tree.n_nodes):
                 lhs = conversion_residual(dec.plus, market, tree, with_star, node)
-                rhs = conversion_residual(phi, market, tree, flows, node)
+                rhs = conversion_residual(phi, market, tree, own, node)
                 assert abs(lhs - rhs) <= 1e-12
-
-
-class TestRestrictionMembership:
-    def setup_method(self):
-        self.tree = one_period_tree()
-        self.market = TradableSet(
-            tree=self.tree,
-            prices={n: (1.0, 2.0, 1.0) for n in range(self.tree.n_nodes)},
-            inflows={n: (0.0, 0.0, 0.0) for n in range(self.tree.n_nodes)},
-        )
-
-    def membership(self, units, restriction):
-        phi = Strategy(
-            self.tree,
-            3,
-            {n: units for n in range(self.tree.n_nodes)},
-            sign_class="unrestricted",
-        )
-        return restriction_membership(phi, restriction, self.market)[0]
-
-    def test_all_positive_full_space(self):
-        m = self.membership((1.0, 1.0, 1.0), RestrictionSet.full(3))
-        assert m == {"R": True, "R_nonneg": True, "R_prime": True}
-
-    def test_negative_component_positive_value(self):
-        m = self.membership((2.0, 0.5, -1.0), RestrictionSet.full(3))
-        assert m == {"R": True, "R_nonneg": False, "R_prime": True}
-
-    def test_excluded_coordinate(self):
-        m = self.membership((1.0, 1.0, 0.0), RestrictionSet.of_indices(3, [0]))
-        assert m == {"R": False, "R_nonneg": False, "R_prime": False}
 
 
 class TestAccumulateWithinYears:
     @staticmethod
     def market(tree, price_at_d):
         # Asset 1 is the accumulation asset; its price at "d" varies.
-        prices = {k: (1.0, 1.0) for k in range(tree.n_nodes)}
+        prices = same_rows(tree, (1.0, 1.0))
         prices[tree.labels.index("d")] = (1.0, price_at_d)
-        return TradableSet(
-            tree=tree,
-            prices=prices,
-            inflows={k: (0.0, 0.0) for k in range(tree.n_nodes)},
-        )
+        return TradableSet(tree=tree, prices=prices, inflows=np.zeros_like(prices))
 
     def test_reinvests_interior_inflows_and_holds_nothing_at_year_ends(self):
         tree = one_period_tree()
         market = self.market(tree, 2.0)
-        inflow = {tree.labels.index("u"): 3.0, tree.labels.index("d"): 4.0}
-        got = accumulate_within_years(
-            market, tree, lambda m: inflow.get(m, 0.0), policy_index=1
-        )
-        by_label = {tree.labels[n]: x for n, x in got.items()}
+        inflow = by_node(tree, {tree.labels.index("u"): 3.0, tree.labels.index("d"): 4.0})
+        got = accumulate_within_years(market, tree, inflow, policy_index=1)
+        by_label = dict(zip(tree.labels, got.tolist()))
         assert by_label == {
-            "r": (0.0, 0.0),
-            "u": (0.0, 3.0),
-            "d": (0.0, 2.0),
-            "u1": (0.0, 0.0),
-            "d1": (0.0, 0.0),
+            "r": [0.0, 0.0],
+            "u": [0.0, 3.0],
+            "d": [0.0, 2.0],
+            "u1": [0.0, 0.0],
+            "d1": [0.0, 0.0],
         }
 
     def test_non_positive_price_at_interior_node_raises(self):
         tree = one_period_tree()
         market = self.market(tree, 0.0)
         with pytest.raises(NoBondAvailable, match=f"node {tree.labels.index('d')}"):
-            accumulate_within_years(market, tree, lambda m: 1.0, policy_index=1)
+            accumulate_within_years(market, tree, np.ones(tree.n_nodes), policy_index=1)
 
     def test_missing_period_bond_raises(self):
         tree = one_period_tree()
         with pytest.raises(NoBondAvailable, match="period"):
-            accumulate_within_years(self.market(tree, 1.0), tree, lambda m: 1.0)
+            accumulate_within_years(self.market(tree, 1.0), tree, np.ones(tree.n_nodes))
 
 
 def test_consistency_propagation_on_random_trees():
@@ -464,7 +410,7 @@ def test_consistency_propagation_on_random_trees():
                 wealth = float(
                     held_in @ market.price(node) + held_in @ market.inflow(node)
                 )
-                target = wealth + phi_flows.net(node)
+                target = wealth + phi_flows.inflow[node] - phi_flows.outflow[node]
                 if target < 0:
                     ok = False
                     break
@@ -475,7 +421,7 @@ def test_consistency_propagation_on_random_trees():
                 break
         if not ok:
             continue
-        theta = Strategy(tree, n, theta_assign, theta_init)
+        theta = Strategy(tree, n, by_node(tree, theta_assign), by_node(tree, theta_init))
         for node in range(tree.n_nodes):
             if tree.is_leaf(node):
                 continue

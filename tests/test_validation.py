@@ -1,10 +1,9 @@
 """Validation errors of the market and of config ingestion.
 
 Each defect must raise its own error class with a message that names
-the first offending node (its tree label where the tree knows one, the
-node id for mappings the caller keys by id), whatever form the market
-data is given in: node -> tuple and node -> array mappings, or one
-(n_nodes, n_assets) array.
+the first offending node (its tree label where the tree knows one),
+whatever form the market data is given in: one row per node id, as a
+tuple of tuples, a list of arrays, or one (n_nodes, n_assets) array.
 """
 
 import json
@@ -55,11 +54,11 @@ def bond_and_stock():
 
 
 def as_tuples(rows):
-    return {n: tuple(v) for n, v in enumerate(rows)}
+    return tuple(map(tuple, rows))
 
 
 def as_array_rows(rows):
-    return {n: np.asarray(v, dtype=float) for n, v in enumerate(rows)}
+    return [np.asarray(v, dtype=float) for v in rows]
 
 
 def as_array(rows):
@@ -67,7 +66,6 @@ def as_array(rows):
 
 
 FORMS = {"tuples": as_tuples, "array_rows": as_array_rows, "array": as_array}
-MAPPING_FORMS = ("array_rows", "tuples")
 
 
 def make_market(form, prices, inflows, **kw):
@@ -120,29 +118,11 @@ class TestMarketValidation:
         market = make_market(form, prices, inflows)
         assert not market.price(3).any()
 
-    @pytest.mark.parametrize("mapping_form", MAPPING_FORMS)
-    def test_vector_length_mismatch(self, mapping_form):
-        prices, inflows = bond_and_stock()
-        inflows[3] = [1.0, 0.0, 0.0]
-        inflows[4] = [1.0]
-        with pytest.raises(DimensionMismatch, match=r"vector length mismatch at node 3$"):
-            make_market(mapping_form, prices, inflows)
-
     def test_vector_length_mismatch_in_arrays(self):
         prices, inflows = bond_and_stock()
         inflows = [row + [0.0] for row in inflows]
         with pytest.raises(DimensionMismatch, match=r"vector length mismatch at node 0$"):
             make_market("array", prices, inflows)
-
-    @pytest.mark.parametrize("mapping_form", MAPPING_FORMS)
-    def test_missing_node_in_prices(self, mapping_form):
-        prices, inflows = bond_and_stock()
-        convert = FORMS[mapping_form]
-        partial = convert(prices)
-        del partial[4]
-        del partial[2]
-        with pytest.raises(CrossRefError, match=r"missing price vector at node 2$"):
-            TradableSet(tree=one_period_tree(), prices=partial, inflows=convert(inflows))
 
     def test_missing_rows_in_price_array(self):
         prices, inflows = bond_and_stock()

@@ -68,7 +68,7 @@ from prodval.strategy import CashflowProcess, Strategy, conversion_residual, str
 
 from test_engine import bond_market
 import scalar_reference as ref
-from util import random_tree, state_price_market
+from util import by_node, liability, random_tree, state_price_market
 
 INF = math.inf
 
@@ -124,7 +124,7 @@ def oracle_theta(psi, lam, market, tree, policy_index=None):
     inflows = {}
     for node in range(tree.n_nodes):
         scale = 1.0 - _lam_prev(tree, lam, node)
-        inflows[node] = scale * psi.z(node)
+        inflows[node] = scale * float(psi.inflows[node])
     assignment = oracle_accumulate_within_years(market, tree, inflows.get, policy_index)
     payouts = {}
     for i in range(tree.grid.horizon + 1):
@@ -182,7 +182,7 @@ def oracle_extend(liab, psi, cost, financiability, market, tree, rates, policy_i
         financiability,
         root_homogeneity_payoffs(financiability, tree),
         HOMOGENEITY_SCALES,
-        rate=rates[tree.root],
+        rate=float(rates[tree.root]),
         node=tree.root,
         horizon_index=tree.grid.index(1),
     )
@@ -198,16 +198,21 @@ def oracle_extend(liab, psi, cost, financiability, market, tree, rates, policy_i
     scaled = Strategy(tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment)
     capital = {n: _lam_floor(tree, lam, n) * c for n, c in cost.capital.items()}
     terminal = {n: lam[n] * cost.values[n] for n in tree.by_date[J]}
+    nodes = range(tree.n_nodes)
+    lam_floor = [_lam_floor(tree, lam, n) for n in nodes]
+    lam_prev = [_lam_prev(tree, lam, n) for n in nodes]
     adj_liab = LiabilitySpec(
-        {n: _lam_floor(tree, lam, n) * v for n, v in liab.outflows.items()},
-        {n: _lam_prev(tree, lam, n) * v for n, v in liab.inflows.items()},
-        {n: _lam_floor(tree, lam, n) * v for n, v in liab.terminal.items()},
+        np.array([f * v for f, v in zip(lam_floor, liab.outflows.tolist())]),
+        np.array([f * v for f, v in zip(lam_prev, liab.inflows.tolist())]),
+        np.array([f * v for f, v in zip(lam_floor, liab.terminal.tolist())]),
     )
-    adj_psi = IlliquidPortfolio({n: _lam_prev(tree, lam, n) * v for n, v in psi.inflows.items()})
+    adj_psi = IlliquidPortfolio(
+        np.array([f * v for f, v in zip(lam_prev, psi.inflows.tolist())])
+    )
     validation = oracle_validate(
-        scaled, adj_psi, CapitalSchedule(capital), adj_liab, FulfillmentSpec.full(),
-        financiability, market, tree, rates, mode="B", terminal=terminal,
-        extra_annual_inflows=theta[2],
+        scaled, adj_psi, CapitalSchedule(by_node(tree, capital)), adj_liab,
+        FulfillmentSpec.full(), financiability, market, tree, rates, mode="B",
+        terminal=by_node(tree, terminal), extra_annual_inflows=by_node(tree, theta[2]),
     )
     worst = 0.0
     for i in range(T):
@@ -218,12 +223,12 @@ def oracle_extend(liab, psi, cost, financiability, market, tree, rates, policy_i
     fields = {
         "xi": xi,
         "lam": lam,
-        "adjusted_inflows": dict(adj_liab.inflows),
-        "adjusted_outflows": dict(adj_liab.outflows),
+        "adjusted_inflows": adj_liab.inflows,
+        "adjusted_outflows": adj_liab.outflows,
         "theta": theta,
         "assignment": scaled.assignment,
-        "scaled_capital": capital,
-        "scaled_terminal": terminal,
+        "scaled_capital": by_node(tree, capital),
+        "scaled_terminal": by_node(tree, terminal),
         "validation": validation,
         "cost_identity_max_diff": worst,
     }
@@ -245,23 +250,19 @@ def oracle_validate(
             "general (value non-negative) production strategies need the full "
             "fulfillment condition and close out"
         )
-    extra = dict(extra_annual_inflows or {})
+    extra = np.zeros(tree.n_nodes) if extra_annual_inflows is None else extra_annual_inflows
 
     vbar = {}
     for node in tree.nodes_at(i_max):
         if terminal is not None:
-            vbar[node] = float(terminal.get(node, 0.0))
+            vbar[node] = float(terminal[node])
         else:
-            vbar[node] = liab.y(node)
+            vbar[node] = float(liab.terminal[node])
     for i in range(i_min, i_max):
         for node in tree.nodes_at(i):
-            vbar[node] = strategy_value(strategy, market, node) - capital.at(node)
+            vbar[node] = strategy_value(strategy, market, node) - float(capital.values[node])
 
-    inflow = {}
-    for flows in (liab.inflows, psi.inflows, extra):
-        for n, v in flows.items():
-            inflow[n] = inflow.get(n, 0.0) + v
-    flows = CashflowProcess(inflow, dict(liab.outflows))
+    flows = CashflowProcess(0.0 + liab.inflows + psi.inflows + extra, liab.outflows)
 
     live = {}
     start = set(start_set) if start_set is not None else set(tree.nodes_at(i_min))
@@ -290,27 +291,27 @@ def oracle_validate(
                     min_val = min(min_val, strategy_value(strategy, market, m))
             if min_val is INF:
                 min_val = 0.0
-            surplus_atoms = {}
+            surplus_atoms = np.zeros(tree.n_nodes)
             for nu in layers[-1]:
                 held = strategy.held_into(nu)
                 a_trad = float(held @ market.payoff(nu))
-                a = a_trad + liab.z(nu) + psi.z(nu) + extra.get(nu, 0.0)
-                l_eff = liab.x(nu) + vbar[nu]
+                a = a_trad + float(liab.inflows[nu]) + float(psi.inflows[nu]) + float(extra[nu])
+                l_eff = float(liab.outflows[nu]) + vbar[nu]
                 surplus_atoms[nu] = a - l_eff
             dist = conditional_distribution(tree, node_i, surplus_atoms, i + 1)
             ful_ok = ref.fulfillment_satisfied(fulfillment, dist)
             plus_part = DiscreteDistribution(
                 tuple(max(0.0, v) for v in dist.values), dist.probs, dist.labels
             )
-            c_i = capital.at(node_i)
-            bound = ref.max_capital(financiability, plus_part, rates[node_i], node_i, j1)
+            c_i = float(capital.values[node_i])
+            bound = ref.max_capital(financiability, plus_part, float(rates[node_i]), node_i, j1)
             fin_ok = c_i <= bound + TOL
             cost_ok = mode == "A" or vbar[node_i] >= -TOL
             checks.append(
                 PeriodCheck(node_i, i, max_res, min_val, ful_ok, c_i, bound, fin_ok, cost_ok)
             )
-            for nu, surplus in surplus_atoms.items():
-                live[nu] = surplus >= -TOL
+            for nu in layers[-1]:
+                live[nu] = surplus_atoms[nu] >= -TOL
     return ValidationReport(checks, skipped)
 
 
@@ -401,8 +402,8 @@ def _assert_same_extension(got, fields, tree, rel):
     _close(got.xi, fields["xi"], rel)
     _close(got.lam, fields["lam"], rel)
     _close(got.theta.assignment, np.array([assignment[n] for n in range(tree.n_nodes)]), rel)
-    _close(dict(got.theta.inflows), inflows, rel)
-    _close(dict(got.theta.payouts), payouts, rel)
+    _close(got.theta.inflows, by_node(tree, inflows), rel)
+    _close(got.theta.payouts, by_node(tree, payouts), rel)
     for name in ("adjusted_inflows", "adjusted_outflows", "scaled_capital", "scaled_terminal"):
         _close(getattr(got, name), fields[name], rel)
     _close(got.scaled_strategy.assignment, fields["assignment"], rel)
@@ -437,7 +438,8 @@ def failure_problem(seed, years, interior, market_kind, psi_scale, liab_inflows)
                 inflows[n] = float(rng.uniform(0.0, 5.0))
         if rng.uniform() < 0.4:
             psi[n] = float(rng.uniform(0.0, 2.0)) * psi_scale
-    return tree, market, LiabilitySpec(outflows, inflows), IlliquidPortfolio(psi)
+    psi = IlliquidPortfolio(by_node(tree, psi))
+    return tree, market, liability(tree, outflows, inflows), psi
 
 
 def _financiability(kind, market, tree):
@@ -506,7 +508,7 @@ def test_random_problems_write_down_at_several_dates():
         if res is None:
             continue
         dates = {int(tree.date_of(n)) for n, v in res.xi.items() if v < 1.0}
-        paid = any(v != 0.0 for v in res.theta.payouts.values())
+        paid = bool(res.theta.payouts.any())
         seen.add((len(dates), paid))
     assert {(2, True), (3, True)} <= seen
 
@@ -567,7 +569,9 @@ def test_validation_matches_per_node_oracle(
         tree, market.n_assets, scale * built.strategy.assignment,
         sign_class=sign_class, **spans[span],
     )
-    capital = CapitalSchedule({n: capital_scale * c for n, c in built.capital.items()})
+    capital = CapitalSchedule(
+        by_node(tree, {n: capital_scale * c for n, c in built.capital.items()})
+    )
     kwargs = {"mode": mode}
     if periods == "random":
         i_min = int(rng.integers(T))
@@ -580,10 +584,14 @@ def test_validation_matches_per_node_oracle(
         kwargs["start_set"] = [n for n in first if rng.uniform() < 0.6]
     if terminal:
         last = tree.by_date[tree.grid.index(min(i_max, T))]
-        kwargs["terminal"] = {n: float(rng.uniform(-5.0, 30.0)) for n in last if rng.uniform() < 0.7}
+        kwargs["terminal"] = by_node(
+            tree, {n: float(rng.uniform(-5.0, 30.0)) for n in last if rng.uniform() < 0.7}
+        )
     if extra:
         annual = [n for i in range(T + 1) for n in tree.nodes_at(i)]
-        kwargs["extra_annual_inflows"] = {n: float(rng.uniform(0.0, 3.0)) for n in annual}
+        kwargs["extra_annual_inflows"] = by_node(
+            tree, {n: float(rng.uniform(0.0, 3.0)) for n in annual}
+        )
     args = (strategy, psi, capital, liab, fulfillment, fin, market, tree, rates)
     want, want_error = _outcome(lambda: oracle_validate(*args, **kwargs))
     got, got_error = _outcome(lambda: validate_production_strategy(*args, **kwargs))

@@ -16,6 +16,25 @@ from prodval.lattice import DateGrid, ScenarioTree, build_tree
 from prodval.market import TradableSet
 
 
+def by_node(tree: ScenarioTree, values: dict) -> np.ndarray:
+    """The array indexed by node id of a node -> value (or node -> vector)
+    mapping, zero at the nodes it leaves out."""
+    first = next(iter(values.values()), 0.0)
+    out = np.zeros((tree.n_nodes,) + np.shape(first))
+    for node, value in values.items():
+        out[node] = value
+    return out
+
+
+def liability(tree: ScenarioTree, outflows=None, inflows=None, terminal=None):
+    """A LiabilitySpec from node -> value mappings (each zero if omitted)."""
+    from prodval.engine import LiabilitySpec
+
+    return LiabilitySpec(
+        *(by_node(tree, flows or {}) for flows in (outflows, inflows, terminal))
+    )
+
+
 def make_grid(years: int, interior_per_year: int = 1) -> DateGrid:
     dates = []
     for i in range(years):
@@ -128,8 +147,8 @@ def state_price_market(
 
     market = TradableSet(
         tree=tree,
-        prices={n: tuple(prices[n]) for n in range(tree.n_nodes)},
-        inflows={n: tuple(inflows[n]) for n in range(tree.n_nodes)},
+        prices=by_node(tree, prices),
+        inflows=by_node(tree, inflows),
         bond_periods=bond_periods,
         close_out=True,
     )
@@ -182,8 +201,8 @@ def random_paying_strategy(rng, tree, market, scale=1.0):
                 nxt = direction * (target / price)
             assignment[node] = tuple(nxt)
             outflow[node] = wealth - target
-    phi = Strategy(tree, n, assignment, initial=init_map)
-    return phi, CashflowProcess({}, outflow)
+    phi = Strategy(tree, n, by_node(tree, assignment), by_node(tree, init_map))
+    return phi, CashflowProcess(np.zeros(tree.n_nodes), by_node(tree, outflow))
 
 
 def random_stop(rng, tree, p_stop=0.2):
@@ -230,7 +249,7 @@ def self_financing_addon(rng, tree, market, scale=1.0):
                 assignment[node] = tuple(np.zeros(n))
             else:
                 assignment[node] = tuple(direction * (wealth / price))
-    return Strategy(tree, n, assignment, initial=init_map)
+    return Strategy(tree, n, by_node(tree, assignment), by_node(tree, init_map))
 
 
 def generated_config(seed: int, years: int, interior_per_year: int) -> dict:
