@@ -17,8 +17,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Optional
+
+import numpy as np
 
 from . import __version__
 from .conditions import (
@@ -31,7 +36,12 @@ from .conditions import (
     root_homogeneity_payoffs,
 )
 from .config import ValuationProblem, financiability_of, load_config
-from .engine import backward_value
+from .engine import (
+    FAILURE_KINDS,
+    PARAM_KINDS,
+    ProductionCostProcess,
+    backward_value,
+)
 from .errors import NoBondAvailable, ProdvalError, SchemaViolation
 from .market import check_consistency
 from .resolution import extend_to_full_fulfillment
@@ -39,9 +49,14 @@ from .risk import RiskMeasureSpec
 from .solvency import RateCurve, multi_period_solvency
 
 
-def _fmt(x) -> str:
+def _fmt(x: float) -> str:
     # Infinities format as "inf" and "-inf".
-    return "" if x is None else f"{x:.9f}"
+    return f"{x:.9f}"
+
+
+def _fmt_all(values: list) -> list:
+    """``_fmt`` of each of a list of floats."""
+    return [f"{x:.9f}" for x in values]
 
 
 def _round(x):
@@ -52,22 +67,172 @@ def _round(x):
     return x
 
 
+def _round_all(values: list) -> list:
+    """``_round`` of each of a list of floats."""
+    if all(map(math.isfinite, values)):
+        return list(map(round, values, repeat(9)))
+    return list(map(_round, values))
+
+
+def _per_distinct(encode, values: list) -> list:
+    """``encode(values)`` for a list transform ``encode``, run once per
+    distinct value when at most half the values are distinct, as in the
+    write-down factors (1 wherever nothing was written down). Columns
+    holding a zero are encoded whole, because 0.0 and -0.0 are one key
+    but encode apart."""
+    distinct = set(values)
+    if 2 * len(distinct) > len(values) or 0.0 in distinct:
+        return encode(values)
+    keys = list(distinct)
+    return list(map(dict(zip(keys, encode(keys))).__getitem__, values))
+
+
+# --- JSON text ---------------------------------------------------------------
+#
+# ``_json_text(obj)`` is ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+# newline, byte for byte. The indenting encoder of the json module runs in
+# Python; here only the structure is walked in Python, and leaves are
+# encoded a whole list of siblings at a time by C functions. A list of flat
+# dicts sharing one key set (a report's rows) renders from one template.
+# Anything but dicts with str keys, lists and plain leaves goes to
+# json.dumps itself.
+
+
+class _NotPlain(Exception):
+    """A value the fast writer leaves to json.dumps."""
+
+
+_LEAF_TYPES = {str, int, float, bool, type(None)}
+
+
+def _leaf(x) -> str:
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is float:
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise _NotPlain
+
+
+def _reprs(values: list) -> list:
+    return list(map(float.__repr__, values))
+
+
+def _leaves(values: list) -> Optional[list]:
+    """The JSON text of each value, or None unless every value is a leaf."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if all(map(math.isfinite, values)):
+            return _per_distinct(_reprs, values)
+    elif kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    elif kinds == {int}:
+        return list(map(int.__repr__, values))
+    elif not kinds <= _LEAF_TYPES:
+        return None
+    return list(map(_leaf, values))
+
+
+def _rows(values: list, level: int) -> Optional[list]:
+    """The JSON text of each value at nesting ``level`` when all are flat
+    dicts with one non-empty key set of strings, else None."""
+    first = values[0]
+    if type(first) is not dict or not first or set(map(type, first)) != {str}:
+        return None
+    if set(map(type, values)) != {dict} or set(map(len, values)) != {len(first)}:
+        return None
+    names = sorted(first)
+    columns = []
+    for name in names:
+        try:
+            column = _leaves(list(map(itemgetter(name), values)))
+        except KeyError:  # the key sets differ
+            return None
+        if column is None:
+            return None
+        columns.append(column)
+    pad = "\n" + "  " * (level + 1)
+    template = (
+        "{"
+        + ",".join(pad + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names)
+        + "\n" + "  " * level + "}"
+    )
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _text(obj, level: int) -> str:
+    """The JSON text of ``obj`` opened at nesting ``level``."""
+    t = type(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _NotPlain
+        keys = sorted(obj)
+        values = _values(list(map(obj.__getitem__, keys)), level + 1)
+        items = map("".join, zip(map(encode_basestring_ascii, keys), repeat(": "), values))
+        brackets = "{}"
+    elif t is list:
+        if not obj:
+            return "[]"
+        items = _values(obj, level + 1)
+        brackets = "[]"
+    else:
+        return _leaf(obj)
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _values(values: list, level: int) -> list:
+    """The JSON text of each of a container's values, opened at ``level``."""
+    return (
+        _leaves(values)
+        or _rows(values, level)
+        or [_text(v, level) for v in values]
+    )
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        text = _text(obj, 0)
+    except _NotPlain:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+    return text + "\n"
 
 
-def _params_text(params: tuple) -> str:
-    if not params:
-        return ""
-    kind = params[0]
-    if kind == "risk_free":
-        return f"risk_free;s={_fmt(params[1])}"
-    if kind == "fixed_mix":
-        w = ",".join(f"{k}:{_fmt(v)}" for k, v in params[1])
-        return f"fixed_mix;w={w};s={_fmt(params[2])}"
-    if kind == "explicit":
-        return f"explicit;s={_fmt(params[1])}"
-    return str(kind)
+def _params_texts(cost: ProductionCostProcess, ids: slice) -> list:
+    """The ``production.csv`` params field of each node in ``ids``."""
+    texts = list(map(PARAM_KINDS.__getitem__, cost.kind[ids].tolist()))
+    at = np.flatnonzero(cost.funded[ids])
+    if not at.size:
+        return texts
+    heads = [texts[k] + ";" for k in at.tolist()]
+    if cost.mix_indices:
+        mixes: Dict[tuple, str] = {}
+        for k, w in enumerate(map(tuple, cost.weights[ids][at].tolist())):
+            if w not in mixes:
+                mixes[w] = ",".join(
+                    f"{a}:{_fmt(v)}" for a, v in zip(cost.mix_indices, w) if v
+                )
+            heads[k] += f"w={mixes[w]};"
+    params = list(map("{}s={}".format, heads, _fmt_all(cost.scale[ids][at].tolist())))
+    if len(params) == len(texts):
+        return params
+    for k, text in zip(at.tolist(), params):
+        texts[k] = text
+    return texts
 
 
 @dataclass
@@ -121,28 +286,33 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
         problem.tree,
         rates,
     )
-    tree = problem.tree
     buf = io.StringIO()
     buf.write("node,date,vbar,capital,assets,liabilities,failure,params\n")
+    tree = problem.tree
     for i in range(tree.grid.horizon + 1):
-        date = str(i)
-        for node in tree.nodes_at(i):
-            row = cost.rows.get(node)
-            buf.write(
-                ",".join(
-                    [
-                        tree.labels[node],
-                        date,
-                        _fmt(cost.values.get(node)),
-                        _fmt(cost.capital.get(node)) if node in cost.capital else "",
-                        _fmt(row.assets) if row else "",
-                        _fmt(row.liabilities) if row else "",
-                        row.failure if row else "",
-                        _params_text(cost.params.get(node, ())),
-                    ]
-                )
-                + "\n"
-            )
+        nodes = tree.nodes_at(i)
+        ids = slice(nodes[0], nodes[-1] + 1)
+        funded = cost.funded[ids]
+        if funded.all():
+            capital = _fmt_all(cost.capital[ids].tolist())
+        else:
+            capital = [
+                _fmt(c) if ok else "" for c, ok in zip(cost.capital[ids].tolist(), funded.tolist())
+            ]
+        if cost.has_row[ids].all():
+            sheet = cost.sheet
+            assets = _fmt_all(sheet.assets[ids].tolist())
+            liabilities = _fmt_all(sheet.liabilities[ids].tolist())
+            failure = list(map(FAILURE_KINDS.__getitem__, sheet.failure[ids].tolist()))
+        else:
+            assets = liabilities = failure = repeat("")
+        buf.writelines(map(
+            "%s,%s,%s,%s,%s,%s,%s,%s\n".__mod__,
+            zip(
+                tree.labels[ids], repeat(str(i)), _fmt_all(cost.values[ids].tolist()),
+                capital, assets, liabilities, failure, _params_texts(cost, ids),
+            ),
+        ))
     files = {
         "production.csv": buf.getvalue(),
         "metadata.json": _metadata(
@@ -185,34 +355,22 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     buf = io.StringIO()
     buf.write("node,date,bel,rm,scr,p_m1,stage\n")
     rows_json = []
+    fields = ("bel", "rm", "scr", "p_m1")
     for i in range(tree.grid.horizon):
-        for node in tree.nodes_at(i):
-            row = report.rows[node]
-            buf.write(
-                ",".join(
-                    [
-                        tree.labels[node],
-                        str(i),
-                        _fmt(row.bel),
-                        _fmt(row.rm),
-                        _fmt(row.scr),
-                        _fmt(row.p_m1),
-                        str(row.stage),
-                    ]
-                )
-                + "\n"
-            )
-            rows_json.append(
-                {
-                    "node": tree.labels[node],
-                    "date": i,
-                    "bel": _round(row.bel),
-                    "rm": _round(row.rm),
-                    "scr": _round(row.scr),
-                    "p_m1": _round(row.p_m1),
-                    "stage": row.stage,
-                }
-            )
+        nodes = tree.nodes_at(i)
+        labels = tree.labels[nodes[0]:nodes[-1] + 1]
+        rows = list(map(report.rows.__getitem__, nodes))
+        columns = [list(map(attrgetter(f), rows)) for f in fields]
+        stages = list(map(attrgetter("stage"), rows))
+        buf.writelines(map(
+            "%s,%s,%s,%s,%s,%s,%s\n".__mod__,
+            zip(labels, repeat(str(i)), *map(_fmt_all, columns), map(str, stages)),
+        ))
+        rows_json += [
+            {"node": label, "date": i, "bel": bel, "rm": rm, "scr": scr, "p_m1": p_m1,
+             "stage": st}
+            for label, bel, rm, scr, p_m1, st in zip(labels, *map(_round_all, columns), stages)
+        ]
     doc = {"stage": stage, "rows": rows_json}
     if report.sii_formula_rm0 is not None:
         doc["sii_formula_rm0"] = _round(report.sii_formula_rm0)
@@ -341,19 +499,27 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     buf = io.StringIO()
     buf.write("node,date,xi,lambda,adjusted_inflow,adjusted_outflow\n")
     rows_json = []
-    inflows = result.adjusted_inflows.tolist()
-    outflows = result.adjusted_outflows.tolist()
     for i in range(tree.grid.horizon + 1):
         date = str(i)
-        for node in tree.nodes_at(i):
-            label, xi, lam = tree.labels[node], result.xi[node], result.lam[node]
-            inflow, outflow = inflows[node], outflows[node]
-            buf.write(
-                f"{label},{date},{_fmt(xi)},{_fmt(lam)},{_fmt(inflow)},{_fmt(outflow)}\n"
+        nodes = tree.nodes_at(i)
+        ids = slice(nodes[0], nodes[-1] + 1)
+        labels = tree.labels[ids]
+        xi = list(map(result.xi.__getitem__, nodes))
+        lam = list(map(result.lam.__getitem__, nodes))
+        buf.writelines(map(
+            "%s,%s,%s,%s,%s,%s\n".__mod__,
+            zip(
+                labels, repeat(date), _per_distinct(_fmt_all, xi), _per_distinct(_fmt_all, lam),
+                _fmt_all(result.adjusted_inflows[ids].tolist()),
+                _fmt_all(result.adjusted_outflows[ids].tolist()),
+            ),
+        ))
+        rows_json += [
+            {"node": label, "date": date, "xi": x, "lambda": lm}
+            for label, x, lm in zip(
+                labels, _per_distinct(_round_all, xi), _per_distinct(_round_all, lam)
             )
-            rows_json.append(
-                {"node": label, "date": date, "xi": _round(xi), "lambda": _round(lam)}
-            )
+        ]
     doc = {
         "rows": rows_json,
         "revalidation_ok": result.validation.ok,
@@ -422,16 +588,20 @@ def main(argv=None) -> int:
             mode=getattr(args, "mode", None),
             fmt=args.format,
         )
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in sorted(bundle.files.items()):
-            path = out / name
-            path.write_text(text, encoding="utf-8")
-            print(path)
-        return bundle.exit_code
     except ProdvalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    out = Path(args.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in sorted(bundle.files.items()):
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as e:
+        print(f"error: cannot write reports to '{out}': {e.strerror or e}", file=sys.stderr)
+        return 1
+    for name in sorted(bundle.files):
+        print(out / name)
+    return bundle.exit_code
 
 
 if __name__ == "__main__":

@@ -286,7 +286,7 @@ def _family_from(doc, tree, market, label_to_id, restriction) -> StrategyFamily:
         assigned = _need(strat_doc, "assignments", where)
         assignment = _units_array(assigned, where + "assignments", label_to_id, market.n_assets)
         initial = _units_array(
-            strat_doc.get("initial", {}), where + "initial", label_to_id, market.n_assets, False
+            strat_doc.get("initial", {}), where + "initial", label_to_id, market.n_assets
         )
         if len(assigned) < tree.n_nodes:
             first = min(label_to_id.keys() - assigned.keys(), key=label_to_id.get)
@@ -298,12 +298,12 @@ def _family_from(doc, tree, market, label_to_id, restriction) -> StrategyFamily:
 
 
 def _units_array(
-    section, where: str, label_to_id: Mapping[str, int], n_assets: int, nonnegative: bool = True
+    section, where: str, label_to_id: Mapping[str, int], n_assets: int
 ) -> np.ndarray:
     """The (n_nodes, n_assets) units of a label-keyed strategy section,
     zero at the nodes it leaves out. Each vector must hold one finite
-    number per tradable, with ``nonnegative`` none below -1e-12; the
-    first vector in the section's order that does not raises."""
+    number per tradable, none below -1e-12; the first vector in the
+    section's order that does not raises."""
     if not isinstance(section, dict):
         raise SchemaViolation(f"{where} must map node labels to unit vectors")
     out = np.zeros((len(label_to_id), n_assets))
@@ -319,7 +319,7 @@ def _units_array(
             raise SchemaViolation(f"{where} has a non-numeric unit at node {label!r}") from None
         if not all(map(math.isfinite, units)):
             raise SchemaViolation(f"{where} has non-finite units at node {label!r}")
-        if nonnegative and min(units) < -1e-12:
+        if min(units) < -1e-12:
             raise SchemaViolation(f"{where} has a negative unit at node {label!r}")
         out[node] = units
     return out

@@ -28,7 +28,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -158,21 +157,53 @@ class EngineConfig:
 # --- outputs -----------------------------------------------------------------
 
 
-class BalanceSheetRow(NamedTuple):
-    node: int
-    assets: float
-    liabilities: float
-    capital_payoff: float
-    failure: str  # "none" | "default" | "cannot_continue"
+FAILURE_KINDS = ("none", "default", "cannot_continue")
+"""The balance-sheet failure kinds, indexed by their int8 codes."""
+
+PARAM_KINDS = ("", "infeasible", "risk_free", "fixed_mix", "explicit")
+"""The kinds of a node's production parameters, indexed by their int8
+codes: no one-period step runs from the node (a leaf), no member of the
+family is feasible there, or the family variant that produced it."""
+INFEASIBLE = PARAM_KINDS.index("infeasible")
 
 
-@dataclass
+class BalanceSheet(NamedTuple):
+    """Balance-sheet rows as parallel arrays: A', L, the capital payoff
+    (A' - L)_+, and the failure kind as an int8 code into
+    ``FAILURE_KINDS``."""
+
+    assets: np.ndarray
+    liabilities: np.ndarray
+    capital_payoff: np.ndarray
+    failure: np.ndarray
+
+
+@dataclass(eq=False)
 class ProductionCostProcess:
-    values: Dict[int, float]
-    capital: Dict[int, float]
-    params: Dict[int, tuple]
+    """The production cost process and how it was produced, as arrays
+    indexed by node id.
+
+    ``values`` holds vbar at the annual nodes, +inf at infeasible ones
+    and 0.0 between the annual dates. ``kind`` holds each
+    node's parameter kind (a code into ``PARAM_KINDS``); ``funded`` marks
+    the nodes where a feasible one-period step ran, and only there do
+    ``capital`` (the capital raised, 0.0 elsewhere), ``scale`` and, for a
+    fixed mix, ``weights`` mean anything. ``weights`` has one column per
+    asset index of ``mix_indices``, the family's distinct mix indices in
+    ascending order, and none for other families. ``sheet`` holds the
+    balance sheet at the annual nodes after the root, where ``has_row``
+    is set, and zeros elsewhere.
+    """
+
+    values: np.ndarray
+    capital: np.ndarray
+    kind: np.ndarray
+    scale: np.ndarray
+    weights: np.ndarray
+    mix_indices: Tuple[int, ...]
     strategy: Strategy
-    rows: Dict[int, BalanceSheetRow]
+    sheet: BalanceSheet
+    has_row: np.ndarray
     mode: str
     infeasible_nodes: List[int]
 
@@ -180,19 +211,23 @@ class ProductionCostProcess:
     def feasible(self) -> bool:
         return not self.infeasible_nodes
 
+    @property
+    def funded(self) -> np.ndarray:
+        return self.kind > INFEASIBLE
+
 
 # --- balance sheet and failure -------------------------------------------------
 
 
 def balance_sheet(
-    node: Union[int, Sequence[int]],
+    nodes: Sequence[int],
     outflow: np.ndarray,
     inflow: np.ndarray,
     strategy: Strategy,
-    cost: Union[float, Sequence[float]],
+    cost: Sequence[float],
     market: TradableSet,
     mode: str = "B",
-) -> Union[BalanceSheetRow, List[BalanceSheetRow]]:
+) -> BalanceSheet:
     """Assets and liabilities between the cash inflows and the liability
     payment at an annual date: A' = phi.S + inflows + (-vbar)_+ and
     L = X + (vbar)_+.
@@ -202,29 +237,22 @@ def balance_sheet(
     cannot-continue; in mode B they do not exist.
 
     ``outflow`` (the liability outflow X) and ``inflow`` (every cash
-    inflow but the tradables') are arrays indexed by node id. ``node``
-    is one node id, giving one row, or a sequence of node ids, giving
-    one row per node computed as array operations; ``cost`` is then a
-    scalar or a sequence of the same length.
+    inflow but the tradables') are arrays indexed by node id. Gives one
+    row per node id of ``nodes``, at ``cost`` of the same length (a
+    single id and cost give one row), computed as array operations.
     """
-    ids = np.atleast_1d(node)
+    ids = np.atleast_1d(nodes)
     tradables = row_dots(strategy.held_into(ids), market.payoffs[ids])
     inflows = inflow[ids]
     outflow = outflow[ids]
-    cost = np.asarray(cost, dtype=float)
+    cost = np.atleast_1d(np.asarray(cost, dtype=float))
     borrowed = _positive_part(-cost)
     assets = tradables + inflows + borrowed
     liabilities = outflow + _positive_part(cost)
     payoff = _positive_part(assets - liabilities)
     resources = tradables + inflows + (borrowed if mode == "A" else 0.0)
     kinds = classify_failure(assets, liabilities, resources, outflow)
-    rows = list(
-        map(
-            BalanceSheetRow._make,
-            zip(ids.tolist(), assets.tolist(), liabilities.tolist(), payoff.tolist(), kinds),
-        )
-    )
-    return rows[0] if np.ndim(node) == 0 else rows
+    return BalanceSheet(assets, liabilities, payoff, kinds)
 
 
 def _positive_part(x: np.ndarray) -> np.ndarray:
@@ -232,22 +260,22 @@ def _positive_part(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def classify_failure(assets, liabilities, tradable_resources, outflow):
+def classify_failure(assets, liabilities, tradable_resources, outflow) -> np.ndarray:
     """No failure when A' >= L; otherwise default if the tradable
     resources cannot pay the liability outflow, else cannot-continue.
 
-    Scalars give one kind; arrays give a list of kinds, elementwise.
+    Gives the kinds elementwise as int8 codes into ``FAILURE_KINDS`` (a
+    0-d array for scalars).
     """
-    kind = np.where(
+    return np.where(
         np.asarray(assets) >= np.asarray(liabilities) - TOL,
-        "none",
+        np.int8(0),
         np.where(
             np.asarray(tradable_resources) < np.asarray(outflow) - TOL,
-            "default",
-            "cannot_continue",
+            np.int8(1),
+            np.int8(2),
         ),
     )
-    return kind.tolist()
 
 
 # --- one-period construction ----------------------------------------------------
@@ -707,40 +735,50 @@ def backward_value(
     tree.require_per_node(*liab.sections(), ("illiquid.inflows", psi.inflows))
     T = tree.grid.horizon
     J = len(tree.grid.dates) - 1
-    values: Dict[int, float] = {}
-    capital: Dict[int, float] = {}
-    params: Dict[int, tuple] = {}
-    infeasible: List[int] = []
-    assignment = np.zeros((tree.n_nodes, market.n_assets))
+    n = tree.n_nodes
+    family = config.family
+    code = np.int8(PARAM_KINDS.index(family.variant))
+    kind = np.zeros(n, dtype=np.int8)
+    capital = np.zeros(n)
+    scale = np.zeros(n)
+    mix_indices = tuple(sorted(set(family.mix_indices or ())))
+    weights = np.zeros((n, len(mix_indices)))
+    # A fixed mix's parameters name its nonzero weights in asset order.
+    weights_of = {
+        tuple(sorted(w.items())): [w.get(k, 0.0) for k in mix_indices]
+        for w in (_simplex_grid(family.mix_indices, config.grid_depth) if mix_indices else ())
+    }
+    assignment = np.zeros((n, market.n_assets))
 
     leaves = list(tree.by_date[J])
-    vbar = np.zeros(tree.n_nodes)
+    vbar = np.zeros(n)
     vbar[leaves] = liab.terminal[leaves]
-    values.update(zip(leaves, vbar[leaves].tolist()))
 
     outflow, inflow, psi_inflow = liab.outflows, liab.inflows, psi.inflows
     net = inflow + psi_inflow - outflow
-    ell = np.zeros(tree.n_nodes)
+    ell = np.zeros(n)
 
     for i in range(T - 1, -1, -1):
         ends = np.asarray(tree.nodes_at(i + 1), dtype=np.int64)
         ell[ends] = outflow[ends] + vbar[ends] - inflow[ends] - psi_inflow[ends]
         nodes = tree.nodes_at(i)
         results = build_one_period(
-            nodes, ell, net, config.family, fulfillment, financiability, market, tree,
+            nodes, ell, net, family, fulfillment, financiability, market, tree,
             rates[list(nodes)], config.mode, config.bisection_tol,
             config.grid_depth, assignment,
         )
-        for node_i, res in zip(nodes, results):
-            if not res.feasible:
-                values[node_i] = INF
-                infeasible.append(node_i)
-                params[node_i] = ("infeasible",)
-                continue
-            values[node_i] = res.vbar
-            capital[node_i] = res.capital
-            params[node_i] = res.params
-        vbar[list(nodes)] = [values[n] for n in nodes]
+        # A date's node ids are contiguous; an infeasible result carries
+        # vbar = +inf and capital 0.0.
+        ids = slice(nodes[0], nodes[-1] + 1)
+        vbar[ids] = [res.vbar for res in results]
+        capital[ids] = [res.capital for res in results]
+        scale[ids] = [res.scale for res in results]
+        kind[ids] = [code if res.feasible else INFEASIBLE for res in results]
+        if mix_indices:
+            won = [(m, res.params[1]) for m, res in zip(nodes, results) if res.feasible]
+            if won:
+                at, heads = zip(*won)
+                weights[list(at)] = list(map(weights_of.__getitem__, heads))
 
     # Scales from the bisection endpoint can leave pots, and hence units,
     # a hair below zero; snap those while keeping genuinely signed
@@ -752,16 +790,19 @@ def backward_value(
         assignment,
         sign_class="unrestricted" if (assignment < 0.0).any() else "nonneg",
     )
-    rows: Dict[int, BalanceSheetRow] = {}
+    sheet = BalanceSheet(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int8))
+    has_row = np.zeros(n, dtype=bool)
     cash_in = inflow + psi_inflow
     for i in range(1, T + 1):
         nodes = tree.nodes_at(i)
-        for row in balance_sheet(
-            nodes, outflow, cash_in, strategy, vbar[list(nodes)], market, config.mode
-        ):
-            rows[row.node] = row
+        ids = slice(nodes[0], nodes[-1] + 1)
+        rows = balance_sheet(nodes, outflow, cash_in, strategy, vbar[ids], market, config.mode)
+        for column, part in zip(sheet, rows):
+            column[ids] = part
+        has_row[ids] = True
     return ProductionCostProcess(
-        values, capital, params, strategy, rows, config.mode, sorted(infeasible)
+        vbar, capital, kind, scale, weights, mix_indices, strategy, sheet, has_row,
+        config.mode, np.flatnonzero(kind == INFEASIBLE).tolist(),
     )
 
 

@@ -153,9 +153,7 @@ def _sweep(
         payouts[ends] = inflows[ends] + row_dots(held, market.payoffs[ends])
         if cost is None:
             continue
-        rows = [cost.rows[m] for m in ends.tolist()]
-        assets = np.array([row.assets for row in rows])
-        liabilities = np.array([row.liabilities for row in rows])
+        assets, liabilities = cost.sheet.assets[ends], cost.sheet.liabilities[ends]
         before = lam[prev[ends]]
         owed = before * liabilities
         resources = before * assets + payouts[ends]
@@ -194,7 +192,7 @@ def _require_nonnegative_cost(cost: ProductionCostProcess) -> None:
         raise InfeasibleAtNode(
             f"cannot adjust an infeasible cost process, nodes {cost.infeasible_nodes}"
         )
-    bad = [n for n, v in cost.values.items() if v < -TOL]
+    bad = np.flatnonzero(cost.values < -TOL).tolist()
     if bad:
         raise InfeasibleAtNode(
             "write-down resolution needs non-negative production cost "
@@ -235,13 +233,10 @@ def extend_to_full_fulfillment(
     scaled_strategy = Strategy(
         tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment
     )
-    # The cost process holds node -> value mappings.
-    scaled_capital = np.zeros(tree.n_nodes)
-    funded = list(cost.capital)
-    scaled_capital[funded] = lam_floor[funded] * np.array(list(cost.capital.values()))
+    scaled_capital = np.where(cost.funded, lam_floor * cost.capital, 0.0)
     leaves = list(tree.by_date[len(tree.grid.dates) - 1])
     scaled_terminal = np.zeros(tree.n_nodes)
-    scaled_terminal[leaves] = lam[leaves] * np.array([cost.values[n] for n in leaves])
+    scaled_terminal[leaves] = lam[leaves] * cost.values[leaves]
     adj_liab = LiabilitySpec(
         lam_floor * liab.outflows, lam_prev * liab.inflows, lam_floor * liab.terminal
     )
@@ -264,7 +259,7 @@ def extend_to_full_fulfillment(
     nodes = annual[: len(annual) - len(leaves)]
     got = row_dots(scaled_strategy.assignment[nodes], market.prices[nodes])
     got -= scaled_capital[nodes]
-    want = lam[nodes] * np.array([cost.values[n] for n in nodes])
+    want = lam[nodes] * cost.values[nodes]
     diff = np.abs(got - want)
     return AdjustmentResult(
         xi=_on(annual, xi),

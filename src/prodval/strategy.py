@@ -80,11 +80,12 @@ class Strategy:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.sign_class == "nonneg":
-            bad = np.flatnonzero((self.assignment < -1e-12).any(axis=1))
-            if bad.size:
-                raise ValueError(
-                    f"non-negative strategy has a negative unit at node {bad[0]}"
-                )
+            for name, what in (("assignment", "unit"), ("initial", "initial unit")):
+                bad = np.flatnonzero((getattr(self, name) < -1e-12).any(axis=1))
+                if bad.size:
+                    raise ValueError(
+                        f"non-negative strategy has a negative {what} at node {bad[0]}"
+                    )
 
     @staticmethod
     def zero(tree: ScenarioTree, n_assets: int, sign_class: str = "nonneg") -> "Strategy":

@@ -1,0 +1,233 @@
+"""Frozen node-by-node report formatting for ``value``, ``solvency`` and
+``adjust``.
+
+``prodval.cli`` formats these reports one date at a time from arrays
+and writes JSON with its own encoder. These are the loops over one node
+at a time, and the ``json.dumps(..., sort_keys=True, indent=2)`` writer,
+that it replaced. They read the cost process through the node -> value
+mappings of ``util.cost_mappings``, as the loops read the cost process
+when it held mappings. The differential tests compare every report file
+and exit code with them byte for byte, so they must not call the CLI's
+formatting.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+from dataclasses import replace
+from typing import Optional
+
+from prodval import __version__
+from prodval.cli import ReportBundle, _engine_rates, _solvency_rho
+from prodval.config import ValuationProblem, financiability_of
+from prodval.engine import backward_value
+from prodval.errors import SchemaViolation
+from prodval.resolution import extend_to_full_fulfillment
+from prodval.solvency import RateCurve, multi_period_solvency
+
+from util import cost_mappings
+
+
+def _fmt(x) -> str:
+    return "" if x is None else f"{x:.9f}"
+
+
+def _round(x):
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return round(x, 9)
+    return x
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _params_text(params: tuple) -> str:
+    if not params:
+        return ""
+    kind = params[0]
+    if kind == "risk_free":
+        return f"risk_free;s={_fmt(params[1])}"
+    if kind == "fixed_mix":
+        w = ",".join(f"{k}:{_fmt(v)}" for k, v in params[1])
+        return f"fixed_mix;w={w};s={_fmt(params[2])}"
+    if kind == "explicit":
+        return f"explicit;s={_fmt(params[1])}"
+    return str(kind)
+
+
+def _metadata(problem: ValuationProblem, subcommand: str, extra=None) -> str:
+    meta = {
+        "subcommand": subcommand,
+        "config_sha256": problem.config_sha256,
+        "prodval_version": __version__,
+        "tolerances": {
+            "bisection": problem.engine.bisection_tol,
+            "value": 1e-9,
+            "probability_mass": 1e-12,
+        },
+    }
+    if extra:
+        meta.update(extra)
+    return _json_text(meta)
+
+
+def _cost(problem: ValuationProblem, engine):
+    return backward_value(
+        problem.liability,
+        problem.illiquid,
+        engine,
+        problem.fulfillment,
+        financiability_of(problem),
+        problem.market,
+        problem.tree,
+        _engine_rates(problem),
+    )
+
+
+def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBundle:
+    engine = problem.engine
+    if mode is not None and mode != engine.mode:
+        if mode == "A" and not problem.market.close_out:
+            raise SchemaViolation("mode 'A' requires market.close_out = true")
+        engine = replace(engine, mode=mode)
+    tree = problem.tree
+    cost = cost_mappings(_cost(problem, engine), tree)
+    buf = io.StringIO()
+    buf.write("node,date,vbar,capital,assets,liabilities,failure,params\n")
+    for i in range(tree.grid.horizon + 1):
+        date = str(i)
+        for node in tree.nodes_at(i):
+            row = cost.rows.get(node)
+            buf.write(
+                ",".join(
+                    [
+                        tree.labels[node],
+                        date,
+                        _fmt(cost.values.get(node)),
+                        _fmt(cost.capital.get(node)) if node in cost.capital else "",
+                        _fmt(row.assets) if row else "",
+                        _fmt(row.liabilities) if row else "",
+                        row.failure if row else "",
+                        _params_text(cost.params.get(node, ())),
+                    ]
+                )
+                + "\n"
+            )
+    feasible = not cost.infeasible_nodes
+    files = {
+        "production.csv": buf.getvalue(),
+        "metadata.json": _metadata(
+            problem,
+            "value",
+            {
+                "mode": engine.mode,
+                "feasible": feasible,
+                "value_semantics": "family minimum (upper bound)",
+            },
+        ),
+    }
+    return ReportBundle(files, 0 if feasible else 2)
+
+
+def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundle:
+    cfg = problem.financiability_cfg
+    if cfg.get("type") != "coc":
+        raise SchemaViolation(
+            "solvency needs a cost_of_capital financiability condition (eta)"
+        )
+    eta = float(cfg.get("eta", 0.06))
+    rates = RateCurve.from_market(problem.market, problem.tree)
+    report = multi_period_solvency(
+        problem.liability, rates, eta, _solvency_rho(problem), stage, problem.tree
+    )
+    tree = problem.tree
+    buf = io.StringIO()
+    buf.write("node,date,bel,rm,scr,p_m1,stage\n")
+    rows_json = []
+    for i in range(tree.grid.horizon):
+        for node in tree.nodes_at(i):
+            row = report.rows[node]
+            buf.write(
+                ",".join(
+                    [
+                        tree.labels[node],
+                        str(i),
+                        _fmt(row.bel),
+                        _fmt(row.rm),
+                        _fmt(row.scr),
+                        _fmt(row.p_m1),
+                        str(row.stage),
+                    ]
+                )
+                + "\n"
+            )
+            rows_json.append(
+                {
+                    "node": tree.labels[node],
+                    "date": i,
+                    "bel": _round(row.bel),
+                    "rm": _round(row.rm),
+                    "scr": _round(row.scr),
+                    "p_m1": _round(row.p_m1),
+                    "stage": row.stage,
+                }
+            )
+    doc = {"stage": stage, "rows": rows_json}
+    if report.sii_formula_rm0 is not None:
+        doc["sii_formula_rm0"] = _round(report.sii_formula_rm0)
+    files = {"metadata.json": _metadata(problem, "solvency", {"stage": stage})}
+    if fmt in ("csv", "both"):
+        files["solvency.csv"] = buf.getvalue()
+    if fmt in ("json", "both"):
+        files["solvency.json"] = _json_text(doc)
+    return ReportBundle(files)
+
+
+def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
+    cost = _cost(problem, replace(problem.engine, mode="B"))
+    if not cost.feasible:
+        return ReportBundle(
+            {"metadata.json": _metadata(problem, "adjust", {"feasible": False})}, 2
+        )
+    result = extend_to_full_fulfillment(
+        problem.liability,
+        problem.illiquid,
+        cost,
+        financiability_of(problem),
+        problem.market,
+        problem.tree,
+        _engine_rates(problem),
+    )
+    tree = problem.tree
+    buf = io.StringIO()
+    buf.write("node,date,xi,lambda,adjusted_inflow,adjusted_outflow\n")
+    rows_json = []
+    inflows = result.adjusted_inflows.tolist()
+    outflows = result.adjusted_outflows.tolist()
+    for i in range(tree.grid.horizon + 1):
+        date = str(i)
+        for node in tree.nodes_at(i):
+            label, xi, lam = tree.labels[node], result.xi[node], result.lam[node]
+            inflow, outflow = inflows[node], outflows[node]
+            buf.write(
+                f"{label},{date},{_fmt(xi)},{_fmt(lam)},{_fmt(inflow)},{_fmt(outflow)}\n"
+            )
+            rows_json.append(
+                {"node": label, "date": date, "xi": _round(xi), "lambda": _round(lam)}
+            )
+    doc = {
+        "rows": rows_json,
+        "revalidation_ok": result.validation.ok,
+        "cost_identity_max_diff": _round(result.cost_identity_max_diff),
+    }
+    files = {"metadata.json": _metadata(problem, "adjust", {"mode": "B"})}
+    if fmt in ("csv", "both"):
+        files["adjust.csv"] = buf.getvalue()
+    if fmt in ("json", "both"):
+        files["adjust.json"] = _json_text(doc)
+    return ReportBundle(files)

@@ -148,6 +148,21 @@ def test_main_writes_files(tmp_path):
     assert (tmp_path / "metadata.json").exists()
 
 
+@pytest.mark.parametrize(
+    "below, reason", [("", "File exists"), ("sub", "Not a directory")], ids=["file", "below_file"]
+)
+def test_unusable_output_dir_is_one_error_line(below, reason, tmp_path, capsys):
+    blocker = tmp_path / "reports"
+    blocker.write_text("not a directory")
+    out = blocker / below if below else blocker
+    argv = ["value", "--config", str(CONFIGS / "two_point.json"), "--output-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write reports to '{out}': {reason}\n"
+    assert captured.out == ""
+    assert blocker.read_text() == "not a directory"
+
+
 def test_main_error_exit(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     missing.write_text("{}")
@@ -325,12 +340,16 @@ def _units(**by_label):
             "engine.family.strategy.initial needs one unit per tradable (1) at node 'root'",
         ),
         (
+            lambda doc: doc.update(engine=_explicit(_units(), {"root": [-5.0]})),
+            "engine.family.strategy.initial has a negative unit at node 'root'",
+        ),
+        (
             lambda doc: doc.update(engine=_explicit([[1.0]] * 4)),
             "engine.family.strategy.assignments must map node labels to unit vectors",
         ),
     ],
     ids=["missing", "length", "ragged", "not_a_list", "negative", "non_numeric",
-         "initial_length", "not_a_map"],
+         "initial_length", "initial_negative", "not_a_map"],
 )
 def test_explicit_strategy_errors_name_section_and_node(edit, message, tmp_path, capsys):
     doc = two_point_doc()

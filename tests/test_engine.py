@@ -12,6 +12,7 @@ from prodval.conditions import (
     period_rates_from_market,
 )
 from prodval.engine import (
+    FAILURE_KINDS,
     EngineConfig,
     IlliquidPortfolio,
     StrategyFamily,
@@ -140,7 +141,7 @@ class TestTwoPointExample:
         report = validate_production_strategy(
             res.strategy,
             IlliquidPortfolio.none(tree.n_nodes),
-            CapitalSchedule(by_node(tree, res.capital)),
+            CapitalSchedule(res.capital),
             liab,
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -164,11 +165,10 @@ class TestTwoPointExample:
             tree,
             rates,
         )
-        inflated = {n: 1.01 * c for n, c in res.capital.items()}
         report = validate_production_strategy(
             res.strategy,
             IlliquidPortfolio.none(tree.n_nodes),
-            CapitalSchedule(by_node(tree, inflated)),
+            CapitalSchedule(1.01 * res.capital),
             liab,
             FulfillmentSpec.var(0.005),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -197,7 +197,7 @@ class TestTwoPointExample:
         report = validate_production_strategy(
             shrunk,
             IlliquidPortfolio.none(tree.n_nodes),
-            CapitalSchedule(by_node(tree, {n: 0.0 for n in res.capital})),
+            CapitalSchedule(np.zeros(tree.n_nodes)),
             liab,
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -412,18 +412,18 @@ class TestBalanceSheet:
         leaves = tree.by_date[2]
         outflow = np.zeros(tree.n_nodes)
         outflow[leaves[0]] = 3.0
-        row = balance_sheet(
-            leaves[0],
+        sheet = balance_sheet(
+            [leaves[0]],
             outflow,
             np.zeros(tree.n_nodes),
             Strategy.zero(tree, market.n_assets),
-            0.0,
+            [0.0],
             market,
         )
-        assert row.assets == 0.0
-        assert row.liabilities == 3.0
-        assert row.capital_payoff == 0.0
-        assert row.failure == "default"
+        assert sheet.assets.tolist() == [0.0]
+        assert sheet.liabilities.tolist() == [3.0]
+        assert sheet.capital_payoff.tolist() == [0.0]
+        assert sheet.failure.tolist() == [FAILURE_KINDS.index("default")]
 
     def test_negative_cost_is_an_asset(self):
         tree = two_point_tree()
@@ -431,18 +431,18 @@ class TestBalanceSheet:
         leaf = tree.by_date[2][0]
         outflow = np.zeros(tree.n_nodes)
         outflow[leaf] = 10.0
-        row = balance_sheet(
-            leaf,
+        sheet = balance_sheet(
+            [leaf],
             outflow,
             np.zeros(tree.n_nodes),
             Strategy.zero(tree, market.n_assets),
-            -94.34,
+            [-94.34],
             market,
             mode="A",
         )
-        assert row.assets == pytest.approx(94.34)
-        assert row.liabilities == 10.0
-        assert row.failure == "none"
+        assert sheet.assets[0] == pytest.approx(94.34)
+        assert sheet.liabilities[0] == 10.0
+        assert FAILURE_KINDS[sheet.failure[0]] == "none"
 
     def test_positive_cost_adds_to_liabilities(self):
         tree = two_point_tree()
@@ -450,26 +450,28 @@ class TestBalanceSheet:
         leaf = tree.by_date[2][0]
         outflow = np.zeros(tree.n_nodes)
         outflow[leaf] = 10.0
-        row = balance_sheet(
-            leaf,
+        sheet = balance_sheet(
+            [leaf],
             outflow,
             np.zeros(tree.n_nodes),
             Strategy.zero(tree, market.n_assets),
-            90.0,
+            [90.0],
             market,
         )
-        assert row.liabilities == 100.0
+        assert sheet.liabilities[0] == 100.0
 
     def test_failure_classification(self):
-        assert classify_failure(10.0, 5.0, 10.0, 3.0) == "none"
-        assert classify_failure(4.0, 5.0, 2.0, 3.0) == "default"
-        assert classify_failure(4.0, 5.0, 3.5, 3.0) == "cannot_continue"
-        assert classify_failure(
+        assert FAILURE_KINDS[classify_failure(10.0, 5.0, 10.0, 3.0)] == "none"
+        assert FAILURE_KINDS[classify_failure(4.0, 5.0, 2.0, 3.0)] == "default"
+        assert FAILURE_KINDS[classify_failure(4.0, 5.0, 3.5, 3.0)] == "cannot_continue"
+        codes = classify_failure(
             np.array([10.0, 4.0, 4.0]),
             np.array([5.0, 5.0, 5.0]),
             np.array([10.0, 2.0, 3.5]),
             np.array([3.0, 3.0, 3.0]),
-        ) == ["none", "default", "cannot_continue"]
+        )
+        assert codes.dtype == np.int8
+        assert [FAILURE_KINDS[k] for k in codes] == ["none", "default", "cannot_continue"]
 
     @pytest.mark.parametrize("mode", ["A", "B"])
     def test_rows_for_a_date_match_the_per_node_formulas(self, mode):
@@ -499,8 +501,9 @@ class TestBalanceSheet:
         outflow = liab.outflows
         inflow = liab.inflows + psi.inflows
         inflow[list(nodes)] += extra
-        rows = balance_sheet(nodes, outflow, inflow, strategy, cost, market, mode)
-        assert [r.node for r in rows] == list(nodes)
+        sheet = balance_sheet(nodes, outflow, inflow, strategy, cost, market, mode)
+        rows = list(zip(*(column.tolist() for column in sheet)))
+        assert len(rows) == len(nodes)
         for row, m, c, e in zip(rows, nodes, cost, extra):
             tradables = float(strategy.held_into(m) @ market.payoff(m))
             x = float(liab.outflows[m])
@@ -509,14 +512,14 @@ class TestBalanceSheet:
             liabilities = x + max(0.0, c)
             resources = tradables + inflows + (max(0.0, -c) if mode == "A" else 0.0)
             assert row == (
-                m,
                 assets,
                 liabilities,
                 max(0.0, assets - liabilities),
                 classify_failure(assets, liabilities, resources, x),
             )
-            assert row == balance_sheet(m, outflow, inflow, strategy, c, market, mode)
-        assert {r.failure for r in rows} == {"none", "default", "cannot_continue"}
+            one = balance_sheet([m], outflow, inflow, strategy, [c], market, mode)
+            assert row == tuple(column.item() for column in one)
+        assert {FAILURE_KINDS[r[3]] for r in rows} == {"none", "default", "cannot_continue"}
 
 
 class TestEngineProperties:
@@ -574,7 +577,7 @@ class TestEngineProperties:
         report = validate_production_strategy(
             res.strategy,
             IlliquidPortfolio.none(tree.n_nodes),
-            CapitalSchedule(by_node(tree, res.capital)),
+            CapitalSchedule(res.capital),
             liab,
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -715,7 +718,7 @@ class TestEngineProperties:
         report = validate_production_strategy(
             res.strategy,
             IlliquidPortfolio.none(tree.n_nodes),
-            CapitalSchedule(by_node(tree, res.capital)),
+            CapitalSchedule(res.capital),
             liab,
             FulfillmentSpec.full(),
             FinanciabilitySpec.cost_of_capital(0.06),
@@ -776,7 +779,7 @@ class TestEngineProperties:
         res = add_short_position(
             liab,
             cost.strategy,
-            CapitalSchedule(by_node(tree, cost.capital)),
+            CapitalSchedule(cost.capital),
             phi,
             set(tree.by_date[2]),
             CashflowProcess(np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)),
@@ -810,7 +813,7 @@ class TestEngineProperties:
         res = add_short_position(
             liab,
             cost.strategy,
-            CapitalSchedule(by_node(tree, cost.capital)),
+            CapitalSchedule(cost.capital),
             phi,
             set(tree.by_date[2]),
             CashflowProcess(np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)),
@@ -869,6 +872,6 @@ class TestEngineProperties:
             tree,
             period_rates_from_market(market, tree),
         )
-        assert res.rows[ok_leaf].failure == "none"
-        assert res.rows[bad_leaf].failure == "default"
-        assert bad_leaf in res.values
+        assert FAILURE_KINDS[res.sheet.failure[ok_leaf]] == "none"
+        assert FAILURE_KINDS[res.sheet.failure[bad_leaf]] == "default"
+        assert res.has_row[bad_leaf] and math.isfinite(res.values[bad_leaf])

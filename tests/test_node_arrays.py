@@ -188,8 +188,7 @@ def test_replica_shift_inflows_and_capital_keep_per_node_bits(monkeypatch):
     psi = IlliquidPortfolio(zeros(tree.n_nodes))
     config = prodval.engine.EngineConfig(mode="A")
     cost = backward_value(liab, psi, config, FulfillmentSpec.full(), fin, market, tree, rates)
-    capital = np.zeros(tree.n_nodes)
-    capital[list(cost.capital)] = list(cost.capital.values())
+    capital = cost.capital
     # Bonds only: worthless at the horizon, paying 1 at their maturity.
     units = np.concatenate([[0.0, 0.0], rng.uniform(0.5, 2.0, market.n_assets - 2)])
     seen = []

@@ -27,6 +27,7 @@ from prodval.conditions import (
     flat_rates,
 )
 from prodval.engine import (
+    PARAM_KINDS,
     TOL,
     EngineConfig,
     OnePeriodResult,
@@ -39,6 +40,7 @@ from prodval.risk import DiscreteDistribution
 from prodval.strategy import Strategy
 
 import scalar_reference as ref
+from util import cost_mappings
 from test_risk_free_step import (
     FULFILLMENTS,
     SHAPES,
@@ -365,8 +367,8 @@ def assert_matches_oracle(tree, market, liab, psi, config, fulfillment, financia
     if want_error is not None:
         return
     values, capital, params, infeasible, assignment = want
+    got = cost_mappings(got, tree)
     assert _bits(got.values) == _bits(values)
-    assert list(got.values) == list(values)
     assert _bits(got.capital) == _bits(capital)
     assert _bits(got.params) == _bits(params)
     assert got.infeasible_nodes == infeasible
@@ -456,7 +458,6 @@ def test_bisection_ends_when_the_bracket_spans_adjacent_floats():
         liab, psi, config, FulfillmentSpec.var(0.2), FinanciabilitySpec.cost_of_capital(0.06),
         market, tree, flat_rates(tree, 0.02),
     )
-    kind, _, scale = cost.params[tree.root]
-    assert kind == "fixed_mix"
-    assert 2.0**19 < scale < INF
+    assert PARAM_KINDS[cost.kind[tree.root]] == "fixed_mix"
+    assert 2.0**19 < cost.scale[tree.root] < INF
     assert cost.feasible

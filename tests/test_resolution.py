@@ -93,21 +93,28 @@ class TestAdjustmentFactors:
         assert xi[bad_leaf] == 1.0
 
     def test_requires_nonnegative_cost(self):
-        from prodval.engine import ProductionCostProcess
+        from prodval.engine import BalanceSheet, ProductionCostProcess
         from prodval.strategy import Strategy
 
         tree = fail_tree()
         market = bond_market(tree, {0: 0.0})
+        n = tree.n_nodes
+        values = np.zeros(n)
+        values[0] = -1.0
         cost = ProductionCostProcess(
-            values={0: -1.0},
-            capital={},
-            params={},
+            values=values,
+            capital=np.zeros(n),
+            kind=np.zeros(n, dtype=np.int8),
+            scale=np.zeros(n),
+            weights=np.zeros((n, 0)),
+            mix_indices=(),
             strategy=Strategy.zero(tree, market.n_assets),
-            rows={},
+            sheet=BalanceSheet(*np.zeros((3, n)), np.zeros(n, dtype=np.int8)),
+            has_row=np.zeros(n, dtype=bool),
             mode="A",
             infeasible_nodes=[],
         )
-        with pytest.raises(InfeasibleAtNode):
+        with pytest.raises(InfeasibleAtNode, match=r"negative at nodes \[0\]$"):
             adjustment_factors(
                 liability(tree), IlliquidPortfolio.none(tree.n_nodes), cost, market, tree
             )

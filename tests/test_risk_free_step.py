@@ -37,7 +37,7 @@ from prodval.market import TradableSet, check_consistency
 from prodval.risk import DiscreteDistribution, RiskMeasureSpec
 
 import scalar_reference as ref
-from util import by_node, random_tree, state_price_market
+from util import by_node, cost_mappings, random_tree, state_price_market
 
 INF = math.inf
 
@@ -365,8 +365,8 @@ def assert_matches_oracle(tree, market, liab, psi, fulfillment, financiability, 
     if want_error is not None:
         return None
     values, capital, params, infeasible, assignment, ells, interior_net = want
+    got = cost_mappings(got, tree)
     assert _bits(got.values) == _bits(values)
-    assert list(got.values) == list(values)
     assert _bits(got.capital) == _bits(capital)
     assert _bits(got.params) == _bits(params)
     assert got.infeasible_nodes == infeasible

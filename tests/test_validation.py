@@ -17,6 +17,7 @@ from prodval.config import problem_from_dict
 from prodval.errors import CrossRefError, DimensionMismatch, SchemaViolation
 from prodval.lattice import DateGrid, build_tree
 from prodval.market import RestrictionSet, TradableSet
+from prodval.strategy import Strategy
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -270,6 +271,28 @@ class TestConfigValidation:
             r"at date 1, not at node 'hi'$",
         ):
             problem_from_dict(doc)
+
+    def test_negative_initial_unit_of_an_explicit_strategy(self):
+        doc = two_point_doc()
+        units = {"root": [1.0], "mid": [1.0], "lo": [0.0], "hi": [0.0]}
+        strategy = {"assignments": units, "initial": {"root": [-5.0]}}
+        doc["engine"] = {"mode": "B", "family": {"type": "explicit", "strategy": strategy}}
+        with pytest.raises(
+            SchemaViolation,
+            match=r"^engine\.family\.strategy\.initial has a negative unit at node 'root'$",
+        ):
+            problem_from_dict(doc)
+
+    def test_non_negative_strategy_rejects_a_negative_initial_unit(self):
+        tree = one_period_tree()
+        initial = np.zeros((tree.n_nodes, 1))
+        initial[3] = -1.0
+        with pytest.raises(
+            ValueError, match=r"^non-negative strategy has a negative initial unit at node 3$"
+        ):
+            Strategy(tree, 1, np.zeros((tree.n_nodes, 1)), initial)
+        signed = Strategy(tree, 1, np.zeros((tree.n_nodes, 1)), initial, sign_class="unrestricted")
+        assert signed.initial[3, 0] == -1.0
 
 
 # The two-point config has one tradable.

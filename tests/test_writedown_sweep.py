@@ -68,7 +68,7 @@ from prodval.strategy import CashflowProcess, Strategy, conversion_residual, str
 
 from test_engine import bond_market
 import scalar_reference as ref
-from util import by_node, liability, random_tree, state_price_market
+from util import by_node, cost_mappings, liability, random_tree, state_price_market
 
 INF = math.inf
 
@@ -377,7 +377,9 @@ def assert_extension_matches(liab, psi, cost, financiability, market, tree, rate
     """``extend_to_full_fulfillment`` reproduces the frozen fixed point,
     or raises its error; returns the result."""
     want, want_error = _outcome(
-        lambda: oracle_extend(liab, psi, cost, financiability, market, tree, rates, policy)
+        lambda: oracle_extend(
+            liab, psi, cost_mappings(cost, tree), financiability, market, tree, rates, policy
+        )
     )
     got, got_error = _outcome(
         lambda: extend_to_full_fulfillment(
@@ -569,9 +571,7 @@ def test_validation_matches_per_node_oracle(
         tree, market.n_assets, scale * built.strategy.assignment,
         sign_class=sign_class, **spans[span],
     )
-    capital = CapitalSchedule(
-        by_node(tree, {n: capital_scale * c for n, c in built.capital.items()})
-    )
+    capital = CapitalSchedule(capital_scale * built.capital)
     kwargs = {"mode": mode}
     if periods == "random":
         i_min = int(rng.integers(T))

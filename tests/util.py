@@ -9,6 +9,7 @@ randomized property tests an independent pricing oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +25,49 @@ def by_node(tree: ScenarioTree, values: dict) -> np.ndarray:
     for node, value in values.items():
         out[node] = value
     return out
+
+
+def cost_mappings(cost, tree: ScenarioTree) -> SimpleNamespace:
+    """A ProductionCostProcess as the node -> value mappings that the
+    per-node reference implementations build and read, keyed in node
+    order: ``values`` at the annual nodes; ``capital`` and ``params``,
+    the parameter tuple the one-period step reports, at the funded nodes
+    and ``("infeasible",)`` at the infeasible ones; the balance-sheet
+    ``rows`` (assets, liabilities, capital_payoff and the failure kind's
+    name) where the process has them. ``strategy``, ``mode`` and
+    ``infeasible_nodes`` pass through."""
+    from prodval.engine import FAILURE_KINDS, PARAM_KINDS
+
+    annual = [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+    params = {}
+    for n in sorted(annual):
+        kind = PARAM_KINDS[cost.kind[n]]
+        if kind == "infeasible":
+            params[n] = (kind,)
+        elif kind == "fixed_mix":
+            w = tuple((k, v) for k, v in zip(cost.mix_indices, cost.weights[n].tolist()) if v)
+            params[n] = (kind, w, float(cost.scale[n]))
+        elif kind:
+            params[n] = (kind, float(cost.scale[n]))
+    funded = np.flatnonzero(cost.funded).tolist()
+    sheet = cost.sheet
+    return SimpleNamespace(
+        values={n: float(cost.values[n]) for n in sorted(annual)},
+        capital={n: float(cost.capital[n]) for n in funded},
+        params=params,
+        rows={
+            n: SimpleNamespace(
+                assets=float(sheet.assets[n]),
+                liabilities=float(sheet.liabilities[n]),
+                capital_payoff=float(sheet.capital_payoff[n]),
+                failure=FAILURE_KINDS[sheet.failure[n]],
+            )
+            for n in np.flatnonzero(cost.has_row).tolist()
+        },
+        strategy=cost.strategy,
+        mode=cost.mode,
+        infeasible_nodes=cost.infeasible_nodes,
+    )
 
 
 def liability(tree: ScenarioTree, outflows=None, inflows=None, terminal=None):
