@@ -38,7 +38,6 @@ from .conditions import (
 from .config import ValuationProblem, financiability_of, load_config
 from .engine import (
     FAILURE_KINDS,
-    PARAM_KINDS,
     ProductionCostProcess,
     backward_value,
 )
@@ -72,19 +71,6 @@ def _round_all(values: list) -> list:
     if all(map(math.isfinite, values)):
         return list(map(round, values, repeat(9)))
     return list(map(_round, values))
-
-
-def _per_distinct(encode, values: list) -> list:
-    """``encode(values)`` for a list transform ``encode``, run once per
-    distinct value when at most half the values are distinct, as in the
-    write-down factors (1 wherever nothing was written down). Columns
-    holding a zero are encoded whole, because 0.0 and -0.0 are one key
-    but encode apart."""
-    distinct = set(values)
-    if 2 * len(distinct) > len(values) or 0.0 in distinct:
-        return encode(values)
-    keys = list(distinct)
-    return list(map(dict(zip(keys, encode(keys))).__getitem__, values))
 
 
 # --- JSON text ---------------------------------------------------------------
@@ -126,16 +112,12 @@ def _leaf(x) -> str:
     raise _NotPlain
 
 
-def _reprs(values: list) -> list:
-    return list(map(float.__repr__, values))
-
-
 def _leaves(values: list) -> Optional[list]:
     """The JSON text of each value, or None unless every value is a leaf."""
     kinds = set(map(type, values))
     if kinds == {float}:
         if all(map(math.isfinite, values)):
-            return _per_distinct(_reprs, values)
+            return list(map(float.__repr__, values))
     elif kinds == {str}:
         return list(map(encode_basestring_ascii, values))
     elif kinds == {int}:
@@ -212,25 +194,31 @@ def _json_text(obj) -> str:
     return text + "\n"
 
 
-def _params_texts(cost: ProductionCostProcess, ids: slice) -> list:
-    """The ``production.csv`` params field of each node in ``ids``."""
-    texts = list(map(PARAM_KINDS.__getitem__, cost.kind[ids].tolist()))
+def _head_text(head: tuple) -> str:
+    """The ``production.csv`` params field of a node's parameters but the
+    scale: empty where no step ran, ``infeasible``, or the variant and a
+    fixed mix's weights, each followed by ``;``."""
+    if head in ((), ("infeasible",)):
+        return "".join(head)
+    text = head[0] + ";"
+    if len(head) > 1:
+        text += "w=" + ",".join(f"{k}:{_fmt(v)}" for k, v in head[1]) + ";"
+    return text
+
+
+def _params_texts(cost: ProductionCostProcess, head_texts: list, ids: slice) -> list:
+    """The ``production.csv`` params field of each node in ``ids``, given
+    the ``_head_text`` of each of ``cost.heads``."""
+    texts = list(map(head_texts.__getitem__, cost.head[ids].tolist()))
     at = np.flatnonzero(cost.funded[ids])
     if not at.size:
         return texts
-    heads = [texts[k] + ";" for k in at.tolist()]
-    if cost.mix_indices:
-        mixes: Dict[tuple, str] = {}
-        for k, w in enumerate(map(tuple, cost.weights[ids][at].tolist())):
-            if w not in mixes:
-                mixes[w] = ",".join(
-                    f"{a}:{_fmt(v)}" for a, v in zip(cost.mix_indices, w) if v
-                )
-            heads[k] += f"w={mixes[w]};"
-    params = list(map("{}s={}".format, heads, _fmt_all(cost.scale[ids][at].tolist())))
+    scales = _fmt_all(cost.scale[ids][at].tolist())
+    at = at.tolist()
+    params = list(map("{}s={}".format, map(texts.__getitem__, at), scales))
     if len(params) == len(texts):
         return params
-    for k, text in zip(at.tolist(), params):
+    for k, text in zip(at, params):
         texts[k] = text
     return texts
 
@@ -289,6 +277,7 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
     buf = io.StringIO()
     buf.write("node,date,vbar,capital,assets,liabilities,failure,params\n")
     tree = problem.tree
+    head_texts = list(map(_head_text, cost.heads))
     for i in range(tree.grid.horizon + 1):
         nodes = tree.nodes_at(i)
         ids = slice(nodes[0], nodes[-1] + 1)
@@ -299,7 +288,7 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
             capital = [
                 _fmt(c) if ok else "" for c, ok in zip(cost.capital[ids].tolist(), funded.tolist())
             ]
-        if cost.has_row[ids].all():
+        if i > 0:
             sheet = cost.sheet
             assets = _fmt_all(sheet.assets[ids].tolist())
             liabilities = _fmt_all(sheet.liabilities[ids].tolist())
@@ -310,7 +299,7 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
             "%s,%s,%s,%s,%s,%s,%s,%s\n".__mod__,
             zip(
                 tree.labels[ids], repeat(str(i)), _fmt_all(cost.values[ids].tolist()),
-                capital, assets, liabilities, failure, _params_texts(cost, ids),
+                capital, assets, liabilities, failure, _params_texts(cost, head_texts, ids),
             ),
         ))
     files = {
@@ -509,16 +498,14 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
         buf.writelines(map(
             "%s,%s,%s,%s,%s,%s\n".__mod__,
             zip(
-                labels, repeat(date), _per_distinct(_fmt_all, xi), _per_distinct(_fmt_all, lam),
+                labels, repeat(date), _fmt_all(xi), _fmt_all(lam),
                 _fmt_all(result.adjusted_inflows[ids].tolist()),
                 _fmt_all(result.adjusted_outflows[ids].tolist()),
             ),
         ))
         rows_json += [
             {"node": label, "date": date, "xi": x, "lambda": lm}
-            for label, x, lm in zip(
-                labels, _per_distinct(_round_all, xi), _per_distinct(_round_all, lam)
-            )
+            for label, x, lm in zip(labels, _round_all(xi), _round_all(lam))
         ]
     doc = {
         "rows": rows_json,

@@ -160,11 +160,10 @@ class EngineConfig:
 FAILURE_KINDS = ("none", "default", "cannot_continue")
 """The balance-sheet failure kinds, indexed by their int8 codes."""
 
-PARAM_KINDS = ("", "infeasible", "risk_free", "fixed_mix", "explicit")
-"""The kinds of a node's production parameters, indexed by their int8
-codes: no one-period step runs from the node (a leaf), no member of the
-family is feasible there, or the family variant that produced it."""
-INFEASIBLE = PARAM_KINDS.index("infeasible")
+NO_STEP, INFEASIBLE = 0, 1
+"""``ProductionCostProcess.head`` at a node where no one-period step runs
+(a leaf, or a node between the annual dates) and at one where no member
+of the family is feasible."""
 
 
 class BalanceSheet(NamedTuple):
@@ -184,26 +183,23 @@ class ProductionCostProcess:
     indexed by node id.
 
     ``values`` holds vbar at the annual nodes, +inf at infeasible ones
-    and 0.0 between the annual dates. ``kind`` holds each
-    node's parameter kind (a code into ``PARAM_KINDS``); ``funded`` marks
-    the nodes where a feasible one-period step ran, and only there do
-    ``capital`` (the capital raised, 0.0 elsewhere), ``scale`` and, for a
-    fixed mix, ``weights`` mean anything. ``weights`` has one column per
-    asset index of ``mix_indices``, the family's distinct mix indices in
-    ascending order, and none for other families. ``sheet`` holds the
-    balance sheet at the annual nodes after the root, where ``has_row``
-    is set, and zeros elsewhere.
+    and 0.0 between the annual dates. ``head`` holds each node's
+    parameters but the scale as an index into ``heads``, which lists
+    ``()`` (``NO_STEP``), ``("infeasible",)`` (``INFEASIBLE``) and then
+    the family's candidates (``candidate_heads``). ``funded`` marks the
+    nodes where a feasible one-period step ran, and only there do
+    ``capital`` (the capital raised, 0.0 elsewhere) and ``scale`` mean
+    anything. ``sheet`` holds the balance sheet at the annual nodes after
+    the root and zeros elsewhere.
     """
 
     values: np.ndarray
     capital: np.ndarray
-    kind: np.ndarray
+    head: np.ndarray
+    heads: Tuple[tuple, ...]
     scale: np.ndarray
-    weights: np.ndarray
-    mix_indices: Tuple[int, ...]
     strategy: Strategy
     sheet: BalanceSheet
-    has_row: np.ndarray
     mode: str
     infeasible_nodes: List[int]
 
@@ -213,7 +209,7 @@ class ProductionCostProcess:
 
     @property
     def funded(self) -> np.ndarray:
-        return self.kind > INFEASIBLE
+        return self.head > INFEASIBLE
 
 
 # --- balance sheet and failure -------------------------------------------------
@@ -289,6 +285,7 @@ class OnePeriodResult:
     vbar: float = INF
     value: float = INF
     params: tuple = ()
+    candidate: int = 0
 
 
 def _year_layers(tree: ScenarioTree, roots: np.ndarray, steps: int):
@@ -584,15 +581,13 @@ def build_one_period(
     except NoBondAvailable:
         bond = None
     variant = family.variant
-    # Each candidate's parameters but the scale.
-    heads = [(variant,)]
+    heads = candidate_heads(family, grid_depth)
     if variant == "risk_free":
         if bond is None:
             return [OnePeriodResult(False, params=(variant, INF)) for _ in nodes]
         weights = [{bond: 1.0}]
     elif variant == "fixed_mix":
-        weights = _simplex_grid(family.mix_indices, grid_depth)
-        heads = [(variant, tuple(sorted(w.items()))) for w in weights]
+        weights = [dict(head[1]) for head in heads]
     n_cand = len(heads)
     year = _year(tree, market, roots, n_cand, j1 - tree.grid.index(i), ell, interior_net)
     solved = np.ones(len(roots) * n_cand, dtype=bool)
@@ -653,12 +648,13 @@ def build_one_period(
     results = []
     first = np.arange(len(roots)) * n_cand
     for row in np.where(best >= 0, best, first).tolist():
-        params = heads[row % n_cand]
+        c = row % n_cand
+        params = heads[c]
         s_row = float(s[row])
         if feasible[row]:
             results.append(OnePeriodResult(
                 True, scale=s_row, capital=float(capital[row]), vbar=float(vbar[row]),
-                value=float(value[row]), params=params + (s_row,),
+                value=float(value[row]), params=params + (s_row,), candidate=c,
             ))
         else:
             results.append(
@@ -688,6 +684,19 @@ def _cheapest(feasible: np.ndarray, vbar: np.ndarray, heads: List[tuple]) -> np.
         better = feasible[row] & ((best < 0) | (vbar[row] < lead - 1e-12) | tie)
         best = np.where(better, row, best)
     return best
+
+
+def candidate_heads(family: StrategyFamily, grid_depth: int) -> List[tuple]:
+    """Each candidate's parameters but the scale, in the order
+    ``build_one_period`` tries them: the variant, and for a fixed mix its
+    nonzero weights as (asset index, weight) pairs in asset order, one
+    candidate per point of the simplex grid of ``grid_depth``."""
+    if family.variant != "fixed_mix":
+        return [(family.variant,)]
+    return [
+        (family.variant, tuple(sorted(w.items())))
+        for w in _simplex_grid(family.mix_indices, grid_depth)
+    ]
 
 
 def _simplex_grid(indices: Tuple[int, ...], depth: int) -> List[Dict[int, float]]:
@@ -737,17 +746,11 @@ def backward_value(
     J = len(tree.grid.dates) - 1
     n = tree.n_nodes
     family = config.family
-    code = np.int8(PARAM_KINDS.index(family.variant))
-    kind = np.zeros(n, dtype=np.int8)
+    heads = ((), ("infeasible",), *candidate_heads(family, config.grid_depth))
+    first = INFEASIBLE + 1  # the index of the first candidate in heads
+    head = np.full(n, NO_STEP)
     capital = np.zeros(n)
     scale = np.zeros(n)
-    mix_indices = tuple(sorted(set(family.mix_indices or ())))
-    weights = np.zeros((n, len(mix_indices)))
-    # A fixed mix's parameters name its nonzero weights in asset order.
-    weights_of = {
-        tuple(sorted(w.items())): [w.get(k, 0.0) for k in mix_indices]
-        for w in (_simplex_grid(family.mix_indices, config.grid_depth) if mix_indices else ())
-    }
     assignment = np.zeros((n, market.n_assets))
 
     leaves = list(tree.by_date[J])
@@ -773,12 +776,7 @@ def backward_value(
         vbar[ids] = [res.vbar for res in results]
         capital[ids] = [res.capital for res in results]
         scale[ids] = [res.scale for res in results]
-        kind[ids] = [code if res.feasible else INFEASIBLE for res in results]
-        if mix_indices:
-            won = [(m, res.params[1]) for m, res in zip(nodes, results) if res.feasible]
-            if won:
-                at, heads = zip(*won)
-                weights[list(at)] = list(map(weights_of.__getitem__, heads))
+        head[ids] = [first + res.candidate if res.feasible else INFEASIBLE for res in results]
 
     # Scales from the bisection endpoint can leave pots, and hence units,
     # a hair below zero; snap those while keeping genuinely signed
@@ -791,7 +789,6 @@ def backward_value(
         sign_class="unrestricted" if (assignment < 0.0).any() else "nonneg",
     )
     sheet = BalanceSheet(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int8))
-    has_row = np.zeros(n, dtype=bool)
     cash_in = inflow + psi_inflow
     for i in range(1, T + 1):
         nodes = tree.nodes_at(i)
@@ -799,10 +796,9 @@ def backward_value(
         rows = balance_sheet(nodes, outflow, cash_in, strategy, vbar[ids], market, config.mode)
         for column, part in zip(sheet, rows):
             column[ids] = part
-        has_row[ids] = True
     return ProductionCostProcess(
-        vbar, capital, kind, scale, weights, mix_indices, strategy, sheet, has_row,
-        config.mode, np.flatnonzero(kind == INFEASIBLE).tolist(),
+        vbar, capital, head, heads, scale, strategy, sheet,
+        config.mode, np.flatnonzero(head == INFEASIBLE).tolist(),
     )
 
 

@@ -108,6 +108,27 @@ class TestTwoPointExample:
         assert res.capital[0] == pytest.approx(scr, abs=1e-9)
         assert round(res.values[0], 6) == 99.128540
 
+    def test_risk_free_family_ignores_mix_indices(self):
+        """Only a fixed mix reads ``mix_indices``; on another variant they
+        change neither the value nor the parameters."""
+        tree, market, liab = self.make()
+        args = (
+            FulfillmentSpec.var(0.005),
+            FinanciabilitySpec.cost_of_capital(0.06),
+            market,
+            tree,
+            period_rates_from_market(market, tree),
+        )
+        psi = IlliquidPortfolio.none(tree.n_nodes)
+        plain = backward_value(liab, psi, EngineConfig(mode="B"), *args)
+        stray = backward_value(
+            liab, psi, EngineConfig(family=StrategyFamily("risk_free", mix_indices=(0,))), *args
+        )
+        assert stray.heads == plain.heads == ((), ("infeasible",), ("risk_free",))
+        np.testing.assert_array_equal(stray.head, plain.head)
+        np.testing.assert_array_equal(stray.values, plain.values)
+        np.testing.assert_array_equal(stray.scale, plain.scale)
+
     def test_fulfillment_boundary_is_tight(self):
         # Step 1 satisfies the risk-measure form with equality.
         tree, market, liab = self.make()
@@ -874,4 +895,4 @@ class TestEngineProperties:
         )
         assert FAILURE_KINDS[res.sheet.failure[ok_leaf]] == "none"
         assert FAILURE_KINDS[res.sheet.failure[bad_leaf]] == "default"
-        assert res.has_row[bad_leaf] and math.isfinite(res.values[bad_leaf])
+        assert tree.date_of(bad_leaf) > 0 and math.isfinite(res.values[bad_leaf])

@@ -27,7 +27,6 @@ from prodval.conditions import (
     flat_rates,
 )
 from prodval.engine import (
-    PARAM_KINDS,
     TOL,
     EngineConfig,
     OnePeriodResult,
@@ -458,6 +457,6 @@ def test_bisection_ends_when_the_bracket_spans_adjacent_floats():
         liab, psi, config, FulfillmentSpec.var(0.2), FinanciabilitySpec.cost_of_capital(0.06),
         market, tree, flat_rates(tree, 0.02),
     )
-    assert PARAM_KINDS[cost.kind[tree.root]] == "fixed_mix"
+    assert cost.heads[cost.head[tree.root]] == ("fixed_mix", ((0, 1.0),))
     assert 2.0**19 < cost.scale[tree.root] < INF
     assert cost.feasible

@@ -104,13 +104,11 @@ class TestAdjustmentFactors:
         cost = ProductionCostProcess(
             values=values,
             capital=np.zeros(n),
-            kind=np.zeros(n, dtype=np.int8),
+            head=np.zeros(n, dtype=int),
+            heads=((), ("infeasible",), ("risk_free",)),
             scale=np.zeros(n),
-            weights=np.zeros((n, 0)),
-            mix_indices=(),
             strategy=Strategy.zero(tree, market.n_assets),
             sheet=BalanceSheet(*np.zeros((3, n)), np.zeros(n, dtype=np.int8)),
-            has_row=np.zeros(n, dtype=bool),
             mode="A",
             infeasible_nodes=[],
         )

@@ -34,21 +34,18 @@ def cost_mappings(cost, tree: ScenarioTree) -> SimpleNamespace:
     the parameter tuple the one-period step reports, at the funded nodes
     and ``("infeasible",)`` at the infeasible ones; the balance-sheet
     ``rows`` (assets, liabilities, capital_payoff and the failure kind's
-    name) where the process has them. ``strategy``, ``mode`` and
+    name) at the annual nodes after the root. ``strategy``, ``mode`` and
     ``infeasible_nodes`` pass through."""
-    from prodval.engine import FAILURE_KINDS, PARAM_KINDS
+    from prodval.engine import FAILURE_KINDS
 
     annual = [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i)]
     params = {}
     for n in sorted(annual):
-        kind = PARAM_KINDS[cost.kind[n]]
-        if kind == "infeasible":
-            params[n] = (kind,)
-        elif kind == "fixed_mix":
-            w = tuple((k, v) for k, v in zip(cost.mix_indices, cost.weights[n].tolist()) if v)
-            params[n] = (kind, w, float(cost.scale[n]))
-        elif kind:
-            params[n] = (kind, float(cost.scale[n]))
+        head = cost.heads[cost.head[n]]
+        if cost.funded[n]:
+            params[n] = head + (float(cost.scale[n]),)
+        elif head:
+            params[n] = head
     funded = np.flatnonzero(cost.funded).tolist()
     sheet = cost.sheet
     return SimpleNamespace(
@@ -62,7 +59,8 @@ def cost_mappings(cost, tree: ScenarioTree) -> SimpleNamespace:
                 capital_payoff=float(sheet.capital_payoff[n]),
                 failure=FAILURE_KINDS[sheet.failure[n]],
             )
-            for n in np.flatnonzero(cost.has_row).tolist()
+            for n in sorted(annual)
+            if tree.date_of(n) > 0
         },
         strategy=cost.strategy,
         mode=cost.mode,
