@@ -210,16 +210,18 @@ def _params_texts(cost: ProductionCostProcess, head_texts: list, ids: slice) -> 
     """The ``production.csv`` params field of each node in ``ids``, given
     the ``_head_text`` of each of ``cost.heads``."""
     texts = list(map(head_texts.__getitem__, cost.head[ids].tolist()))
-    at = np.flatnonzero(cost.funded[ids])
-    if not at.size:
-        return texts
-    scales = _fmt_all(cost.scale[ids][at].tolist())
-    at = at.tolist()
-    params = list(map("{}s={}".format, map(texts.__getitem__, at), scales))
-    if len(params) == len(texts):
-        return params
-    for k, text in zip(at, params):
-        texts[k] = text
+    at = np.flatnonzero(cost.funded[ids]).tolist()
+    for k, scale in zip(at, cost.scale[ids][at].tolist()):
+        texts[k] = f"{texts[k]}s={_fmt(scale)}"
+    return texts
+
+
+def _blanked(values: np.ndarray, keep: np.ndarray) -> list:
+    """``_fmt`` of each value where ``keep`` is true, "" elsewhere."""
+    texts = [""] * len(values)
+    at = np.flatnonzero(keep).tolist()
+    for k, x in zip(at, values[at].tolist()):
+        texts[k] = _fmt(x)
     return texts
 
 
@@ -281,27 +283,37 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
     for i in range(tree.grid.horizon + 1):
         nodes = tree.nodes_at(i)
         ids = slice(nodes[0], nodes[-1] + 1)
+        # Each date's rows come from one template; "%.9f" in it formats
+        # the numbers (as _fmt does), except in the capital and params
+        # fields of a date where some node ran no funded step.
         funded = cost.funded[ids]
-        if funded.all():
-            capital = _fmt_all(cost.capital[ids].tolist())
+        columns = [tree.labels[ids], cost.values[ids].tolist()]
+        all_funded = bool(funded.all())
+        if all_funded:
+            columns.append(cost.capital[ids].tolist())
         else:
-            capital = [
-                _fmt(c) if ok else "" for c, ok in zip(cost.capital[ids].tolist(), funded.tolist())
-            ]
+            columns.append(_blanked(cost.capital[ids], funded))
         if i > 0:
             sheet = cost.sheet
-            assets = _fmt_all(sheet.assets[ids].tolist())
-            liabilities = _fmt_all(sheet.liabilities[ids].tolist())
-            failure = list(map(FAILURE_KINDS.__getitem__, sheet.failure[ids].tolist()))
+            columns += [
+                sheet.assets[ids].tolist(),
+                sheet.liabilities[ids].tolist(),
+                list(map(FAILURE_KINDS.__getitem__, sheet.failure[ids].tolist())),
+            ]
+        if all_funded:
+            columns += [
+                list(map(head_texts.__getitem__, cost.head[ids].tolist())),
+                cost.scale[ids].tolist(),
+            ]
         else:
-            assets = liabilities = failure = repeat("")
-        buf.writelines(map(
-            "%s,%s,%s,%s,%s,%s,%s,%s\n".__mod__,
-            zip(
-                tree.labels[ids], repeat(str(i)), _fmt_all(cost.values[ids].tolist()),
-                capital, assets, liabilities, failure, _params_texts(cost, head_texts, ids),
-            ),
-        ))
+            columns.append(_params_texts(cost, head_texts, ids))
+        template = "%s,{},%.9f,{},{},{}\n".format(
+            i,
+            "%.9f" if all_funded else "%s",
+            "%.9f,%.9f,%s" if i > 0 else ",,",
+            "%ss=%.9f" if all_funded else "%s",
+        )
+        buf.writelines(map(template.__mod__, zip(*columns)))
     files = {
         "production.csv": buf.getvalue(),
         "metadata.json": _metadata(

@@ -361,7 +361,7 @@ def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> np.ndar
     for j in range(len(tree.grid.dates) - 1):
         nodes = np.asarray(tree.by_date[j], dtype=np.int64)
         if tree.grid.is_annual(j):
-            rates[nodes] = [market.period_rate(n) for n in nodes.tolist()]
+            rates[nodes] = market.period_rates(int(tree.grid.dates[j]))
         else:
             rates[nodes] = rates[tree.parent[nodes]]
     return rates[: _n_inner(tree)]

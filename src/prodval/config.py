@@ -21,7 +21,7 @@ from .conditions import FinanciabilitySpec, FulfillmentSpec
 from .engine import EngineConfig, IlliquidPortfolio, LiabilitySpec, StrategyFamily
 from .errors import CrossRefError, ParseError, SchemaViolation
 from .lattice import DateGrid, ScenarioTree, build_tree
-from .market import RestrictionSet, TradableSet
+from .market import RestrictionSet, TradableSet, check_tradable_indices
 from .strategy import Strategy
 
 
@@ -109,17 +109,11 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     except (TypeError, ValueError) as e:
         raise SchemaViolation(f"grid: {e}") from None
 
-    tree = build_tree(grid, _need(tree_doc, "nodes", "tree."))
-    label_to_id = dict(zip(tree.labels, range(tree.n_nodes)))
-    looked_up: Dict[tuple, np.ndarray] = {}
-
-    def node_ids(flows: Mapping, where: str, complete: bool = False) -> np.ndarray:
-        # The price sections of all tradables usually list the same labels
-        # in the same order: look each such sequence up once.
-        key = (complete, tuple(flows))
-        if key not in looked_up:
-            looked_up[key] = _node_ids(flows, label_to_id, where, complete)
-        return looked_up[key]
+    nodes = _need(tree_doc, "nodes", "tree.")
+    if not isinstance(nodes, list):
+        raise SchemaViolation("tree.nodes must be a list of node objects")
+    tree = build_tree(grid, nodes)
+    sections = _Sections(tree)
 
     tradables = _need(market_doc, "tradables", "market.")
     if not isinstance(tradables, list) or not tradables:
@@ -130,12 +124,13 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     bond_periods: Dict[int, int] = {}
     for k, spec in enumerate(tradables):
         where = f"market.tradables[{k}]"
+        spec = _object(spec, where)
         for column, flows, name in (
             (prices, _need(spec, "prices", f"{where}."), "prices"),
             (inflows, spec.get("inflows", {}), "inflows"),
         ):
-            nodes = node_ids(flows, f"{where}.{name}", name == "prices")
-            column[nodes, k] = _finite_values(flows, f"{where}.{name}")
+            ids, values = sections.column(flows, f"{where}.{name}", name == "prices")
+            column[ids, k] = values
         if "bond_period" in spec:
             bond_periods[k] = int(spec["bond_period"])
     close_out = bool(market_doc.get("close_out", False))
@@ -148,17 +143,19 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     )
 
     def flow_array(section: Mapping, key: str, where: str) -> np.ndarray:
-        flows = section.get(key, {})
         out = np.zeros(tree.n_nodes)
-        out[node_ids(flows, f"{where}.{key}")] = _finite_values(flows, f"{where}.{key}")
+        ids, values = sections.column(section.get(key, {}), f"{where}.{key}")
+        out[ids] = values
         return out
 
+    liab_doc = _object(liab_doc, "liability")
     liability = LiabilitySpec(
         outflows=flow_array(liab_doc, "outflows", "liability"),
         inflows=flow_array(liab_doc, "inflows", "liability"),
         terminal=flow_array(liab_doc, "terminal", "liability"),
     )
-    illiquid = IlliquidPortfolio(flow_array(doc.get("illiquid", {}), "inflows", "illiquid"))
+    illiquid_doc = _object(doc.get("illiquid", {}), "illiquid")
+    illiquid = IlliquidPortfolio(flow_array(illiquid_doc, "inflows", "illiquid"))
 
     restriction = None
     if "restriction" in doc:
@@ -182,7 +179,7 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     if mode == "A" and not close_out:
         raise SchemaViolation("engine.mode 'A' requires market.close_out = true")
     family_doc = engine_doc.get("family", {"type": "risk_free"})
-    family = _family_from(family_doc, tree, market, label_to_id, restriction)
+    family = _family_from(family_doc, tree, market, tree.label_ids, restriction)
     tolerances = engine_doc.get("tolerances", {})
     engine = EngineConfig(
         mode=mode,
@@ -205,6 +202,46 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
         financiability_cfg=dict(financiability_cfg),
         engine=engine,
     )
+
+
+def _object(section, where: str) -> dict:
+    """``section``, which must be a JSON object."""
+    if not isinstance(section, dict):
+        raise SchemaViolation(f"{where} must be an object, not {type(section).__name__}")
+    return section
+
+
+class _Sections:
+    """Reads the label-keyed sections of one config as node-id columns
+    of ``tree``."""
+
+    def __init__(self, tree: ScenarioTree):
+        self.label_to_id = tree.label_ids
+        # The labels in node order. The sections of one parsed document
+        # share their key objects, so once a complete section has matched
+        # the labels, its keys stand in for them and later sections
+        # compare by identity.
+        self.labels = tree.labels
+
+    def column(self, flows, where: str, complete: bool = False):
+        """The node ids (a slice where the section lists a run of
+        consecutive nodes in node order) and the finite values of a
+        label-keyed section; with ``complete`` every node must appear."""
+        if not isinstance(flows, dict):
+            raise SchemaViolation(
+                f"{where} must map node labels to numbers, not {type(flows).__name__}"
+            )
+        keys = tuple(flows)
+        start = self.label_to_id.get(keys[0], -1) if keys else 0
+        stop = start + len(keys)
+        whole = start == 0 and stop == len(self.labels)
+        if start >= 0 and (whole or not complete) and keys == self.labels[start:stop]:
+            if whole:
+                self.labels = keys
+            ids = slice(start, stop)
+        else:
+            ids = _node_ids(flows, self.label_to_id, where, complete)
+        return ids, _finite_values(flows, where)
 
 
 def _node_ids(
@@ -274,7 +311,14 @@ def _family_from(doc, tree, market, label_to_id, restriction) -> StrategyFamily:
         return StrategyFamily.risk_free()
     if kind == "fixed_mix":
         if "indices" in doc:
-            indices = tuple(int(k) for k in doc["indices"])
+            indices = doc["indices"]
+            try:
+                if not isinstance(indices, list):
+                    raise ValueError("indices must be a list")
+                check_tradable_indices(indices, market.n_assets)
+            except ValueError as e:
+                raise SchemaViolation(f"engine.family: {e}") from None
+            indices = tuple(indices)
         elif restriction is not None and restriction.indices is not None:
             indices = restriction.indices
         else:

@@ -29,6 +29,7 @@ from .errors import (
     MissingInteriorDate,
     OrphanNode,
     ProbabilityMass,
+    SchemaViolation,
 )
 from .risk import DiscreteDistribution, sum_left_to_right
 
@@ -109,6 +110,9 @@ class ScenarioTree:
     one date form a contiguous id range. ``parent`` (-1 at the root),
     ``date_idx`` and ``prob`` are read-only arrays indexed by node id.
     ``labels`` keeps the caller's original node names for reporting.
+    ``children`` (the child ids of each node, ascending) and
+    ``label_ids`` (the node id of each label) are built on first use,
+    unless build_tree already holds them.
     """
 
     grid: DateGrid
@@ -116,7 +120,6 @@ class ScenarioTree:
     date_idx: np.ndarray
     prob: np.ndarray
     labels: Tuple[str, ...]
-    children: Tuple[Tuple[int, ...], ...] = field(init=False)
     by_date: Tuple[Tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
@@ -124,8 +127,19 @@ class ScenarioTree:
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "children", _group_ids(self.parent, len(self.parent)))
         object.__setattr__(self, "by_date", _group_ids(self.date_idx, len(self.grid.dates)))
+
+    def __getattr__(self, name: str):
+        # Only reached while an attribute is missing: the two below are
+        # built on first use and then held as plain attributes.
+        if name == "children":
+            value = _group_ids(self.parent, len(self.parent))
+        elif name == "label_ids":
+            value = dict(zip(self.labels, range(self.n_nodes)))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def n_nodes(self) -> int:
@@ -230,36 +244,52 @@ def build_tree(
     children, then theirs, siblings in input order. Errors are checked
     in a fixed order and name the first offending node of that order.
 
-    Raises ProbabilityMass (also for a non-finite probability),
-    OrphanNode (also for two ids with the same label, such as 1 and
-    "1"), LeafNotAtHorizon, or grid errors.
+    Raises SchemaViolation (a node that is not a mapping or lacks ``id``
+    or ``date``, named by its position in ``tree.nodes``),
+    ProbabilityMass (also for a non-finite probability), OrphanNode
+    (also for two ids with the same label, such as 1 and "1"),
+    LeafNotAtHorizon, or grid errors.
     """
     if not nodes:
         raise OrphanNode("empty node list")
     n = len(nodes)
 
-    ids = list(map(itemgetter("id"), nodes))
-    position: Dict[object, int] = {}
-    for k, nid in enumerate(ids):
-        if nid in position:
-            raise OrphanNode(f"duplicate node id {nid!r}")
-        position[nid] = k
-    # Labels name nodes in reports and label-keyed config sections, so
-    # distinct ids such as 1 and "1" must not share one.
-    labels_in = list(map(str, ids))
-    if len(set(labels_in)) != n:
-        seen = set()
-        for label in labels_in:
-            if label in seen:
-                raise OrphanNode(f"duplicate node label {label!r}")
-            seen.add(label)
+    # Each field is read in one pass over the list, in input order.
+    try:
+        ids = list(map(itemgetter("id"), nodes))
+        dates_in = list(map(itemgetter("date"), nodes))
+    except (KeyError, TypeError):
+        _raise_malformed(nodes)
+        raise
+    parents = _field(nodes, "parent", None)
+    probs_in = _field(nodes, "p", 1.0)
 
-    parents = list(map(methodcaller("get", "parent"), nodes))
-    roots = [k for k, par in enumerate(parents) if par is None]
-    if len(roots) != 1:
-        raise OrphanNode(f"expected exactly one root, found {len(roots)}")
-    root = roots[0]
-    if _date_indices(grid, [nodes[root]["date"]])[0] != 0:
+    position: Dict[object, int] = dict(zip(ids, range(n)))
+    if len(position) != n:
+        seen = set()
+        for nid in ids:
+            if nid in seen:
+                raise OrphanNode(f"duplicate node id {nid!r}")
+            seen.add(nid)
+    # Labels name nodes in reports and label-keyed config sections, so
+    # distinct ids such as 1 and "1" must not share one. Distinct str ids
+    # are their own distinct labels.
+    if set(map(type, ids)) == {str}:
+        labels_in = ids
+    else:
+        labels_in = list(map(str, ids))
+        if len(set(labels_in)) != n:
+            seen = set()
+            for label in labels_in:
+                if label in seen:
+                    raise OrphanNode(f"duplicate node label {label!r}")
+                seen.add(label)
+
+    n_roots = parents.count(None)
+    if n_roots != 1:
+        raise OrphanNode(f"expected exactly one root, found {n_roots}")
+    root = parents.index(None)
+    if _date_indices(grid, [dates_in[root]])[0] != 0:
         raise OrphanNode("root must sit at date 0")
 
     # Input position of each node's parent, -1 at the root.
@@ -292,24 +322,29 @@ def build_tree(
     if len(order) != n:
         raise OrphanNode("some nodes are unreachable from the root")
 
-    dates = list(map(itemgetter("date"), map(nodes.__getitem__, order.tolist())))
-    date_idx = _date_indices(grid, dates)
+    # Node lists written level by level (as problem_to_dict writes them)
+    # are already in this order, and their columns need no gather.
+    identity = bool((order == np.arange(n)).all())
+    date_idx = _date_indices(grid, dates_in if identity else _gather(dates_in, order))
     if (np.diff(date_idx) < 0).any():
         by_date = np.argsort(date_idx, kind="stable")
         order = order[by_date]
         date_idx = date_idx[by_date]
+        identity = False
 
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    up = up[order]
-    parent = np.where(up >= 0, rank[up], -1)
-    ordered = order.tolist()
-    prob = np.fromiter(
-        map(float, map(methodcaller("get", "p", 1.0), map(nodes.__getitem__, ordered))),
-        dtype=float,
-        count=n,
-    )
-    labels = tuple(map(labels_in.__getitem__, ordered))
+    if identity:
+        parent = up
+        ordered = range(n)
+    else:
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        up = up[order]
+        parent = np.where(up >= 0, rank[up], -1)
+        ordered = order.tolist()
+        probs_in = _gather(probs_in, ordered)
+        labels_in = _gather(labels_in, ordered)
+    prob = np.fromiter(map(float, probs_in), dtype=float, count=n)
+    labels = tuple(labels_in)
     # NaN passes both a sign check and the children-mass check below.
     bad = np.flatnonzero(~(np.isfinite(prob) & (prob > 0.0)))
     if bad.size:
@@ -344,16 +379,46 @@ def build_tree(
             f"children of {labels[node]!r} have probability mass {float(mass[node])!r}"
         )
 
-    return ScenarioTree(grid, parent, date_idx, prob, labels)
+    tree = ScenarioTree(grid, parent, date_idx, prob, labels)
+    if identity and labels_in is ids:
+        # The id -> position dict is the tree's label -> node id dict.
+        object.__setattr__(tree, "label_ids", position)
+    return tree
+
+
+def _field(nodes: Sequence[Mapping], key: str, default) -> list:
+    """``spec.get(key, default)`` of each node spec."""
+    try:
+        return list(map(itemgetter(key), nodes))
+    except KeyError:
+        return list(map(methodcaller("get", key, default), nodes))
+
+
+def _gather(column: list, order) -> list:
+    return list(map(column.__getitem__, order))
+
+
+def _raise_malformed(nodes: Sequence) -> None:
+    """SchemaViolation naming the first node, by its position in
+    ``tree.nodes``, that is not a mapping or lacks ``id`` or ``date``."""
+    for k, spec in enumerate(nodes):
+        if not isinstance(spec, Mapping):
+            raise SchemaViolation(
+                f"tree.nodes[{k}] must be an object, not {type(spec).__name__}"
+            )
+        for key in ("id", "date"):
+            if key not in spec:
+                raise SchemaViolation(f"tree.nodes[{k}] has no {key!r}")
 
 
 def _date_indices(grid: DateGrid, dates: Sequence[DateLike]) -> np.ndarray:
     """Grid index of each date. Each distinct date is parsed once, in
     order of first appearance, so the first date that fails raises;
-    dates are told apart by type as well, because equal values of
-    different types (0.1 and its exact binary fraction) may name
-    different grid dates."""
-    keys = list(zip(map(type, dates), dates))
+    unless all dates are strings, dates are told apart by type as well,
+    because equal values of different types (0.1 and its exact binary
+    fraction) may name different grid dates."""
+    plain = set(map(type, dates)) == {str}
+    keys = dates if plain else list(zip(map(type, dates), dates))
     try:
         parsed = dict.fromkeys(keys)
     except TypeError:  # an unhashable date: parse in order up to it, where `in` raises
@@ -362,7 +427,7 @@ def _date_indices(grid: DateGrid, dates: Sequence[DateLike]) -> np.ndarray:
             if key not in parsed:
                 parsed[key] = grid.index(key[1])
     for key in parsed:
-        parsed[key] = grid.index(key[1])
+        parsed[key] = grid.index(key if plain else key[1])
     return np.fromiter(map(parsed.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 

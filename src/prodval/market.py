@@ -115,11 +115,12 @@ class TradableSet:
                 return k
         raise NoBondAvailable(f"no flagged risk-free bond for period ({i}, {i + 1})")
 
-    def period_rate(self, node: int) -> float:
-        """R_{i,i+1} implied by the flagged bond's price at a date-i node."""
-        i = int(self.tree.date_of(node))
+    def period_rates(self, i: int) -> np.ndarray:
+        """R_{i,i+1} implied by the flagged bond's price at each date-i
+        node, in node id order."""
         k = self.bond_for_period(i)
-        return 1.0 / float(self.prices[node, k]) - 1.0
+        nodes = np.asarray(self.tree.nodes_at(i), dtype=np.int64)
+        return 1.0 / self.prices[nodes, k] - 1.0
 
 
 def _node_rows(values, n_nodes: int, what: str, width: Optional[int]) -> np.ndarray:
@@ -137,6 +138,21 @@ def _node_rows(values, n_nodes: int, what: str, width: Optional[int]) -> np.ndar
     return rows
 
 
+def check_tradable_indices(indices: Sequence, n_assets: int) -> None:
+    """ValueError unless ``indices`` names at least one tradable, each
+    by a distinct integer in 0..n_assets-1."""
+    if not indices:
+        raise ValueError("indices must name at least one tradable")
+    for k in indices:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"index {k!r} is not an integer")
+        if not 0 <= k < n_assets:
+            raise ValueError(f"index {k} is not a tradable index (0 to {n_assets - 1})")
+    if len(set(indices)) != len(indices):
+        dup = next(k for k in indices if indices.count(k) > 1)
+        raise ValueError(f"index {dup} is given twice")
+
+
 @dataclass(frozen=True)
 class RestrictionSet:
     """Admissible portfolio subspace: a coordinate subset or an explicit
@@ -150,21 +166,9 @@ class RestrictionSet:
         if (self.indices is None) == (self.basis is None):
             raise ValueError("give exactly one of indices or basis")
         if self.indices is not None:
-            self._check_indices()
+            check_tradable_indices(self.indices, self.dim_full)
         else:
             self._check_basis()
-
-    def _check_indices(self):
-        if not self.indices:
-            raise ValueError("indices must name at least one tradable")
-        for k in self.indices:
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-                raise ValueError(f"index {k!r} is not an integer")
-            if not 0 <= k < self.dim_full:
-                raise ValueError(f"index {k} is not a tradable index (0 to {self.dim_full - 1})")
-        if len(set(self.indices)) != len(self.indices):
-            dup = next(k for k in self.indices if self.indices.count(k) > 1)
-            raise ValueError(f"index {dup} is given twice")
 
     def _check_basis(self):
         if not self.basis:

@@ -74,8 +74,7 @@ class RateCurve:
     def from_market(market: TradableSet, tree: ScenarioTree) -> "RateCurve":
         values = {}
         for i in range(tree.grid.horizon):
-            for node in tree.nodes_at(i):
-                values[node] = market.period_rate(node)
+            values.update(zip(tree.nodes_at(i), market.period_rates(i).tolist()))
         return RateCurve(values)
 
     def is_flat(self) -> bool:

@@ -23,6 +23,7 @@ from prodval.errors import (
     LeafNotAtHorizon,
     OrphanNode,
     ProbabilityMass,
+    SchemaViolation,
 )
 from prodval.config import problem_from_dict
 from prodval.lattice import DateGrid, ScenarioTree, build_tree
@@ -162,10 +163,13 @@ def _date_text(rng, d: Fraction):
     return int(d) if d.denominator == 1 else str(float(d))
 
 
-def _random_nodes(rng, grid: DateGrid) -> List[dict]:
-    """A tree with 1-3 children per node, in shuffled order (the root not
-    necessarily first), with integer or string ids."""
-    int_ids = rng.uniform() < 0.3
+def _random_nodes(rng, grid: DateGrid, ids=None, dates="any", shuffle=True) -> List[dict]:
+    """A tree with 1-3 children per node, with ``ids`` "int", "str" or
+    "mixed" (by default int or str at random) and ``dates`` "str" or in
+    any form. With ``shuffle`` the nodes come in shuffled order (the root
+    not necessarily first), else level by level, in breadth-first order."""
+    if ids is None:
+        ids = "int" if rng.uniform() < 0.3 else "str"
     nodes = []
     frontier = [None]
     for j, d in enumerate(grid.dates):
@@ -175,13 +179,17 @@ def _random_nodes(rng, grid: DateGrid) -> List[dict]:
             raw = rng.uniform(0.2, 1.0, size=k)
             probs = (raw / raw.sum()).tolist()
             for b in range(k):
-                nid = len(nodes) if int_ids else f"n{len(nodes)}"
-                spec = {"id": nid, "date": _date_text(rng, d), "parent": par}
+                as_int = ids == "int" or (ids == "mixed" and rng.uniform() < 0.5)
+                nid = len(nodes) if as_int else f"n{len(nodes)}"
+                date = str(d) if dates == "str" else _date_text(rng, d)
+                spec = {"id": nid, "date": date, "parent": par}
                 if par is not None or rng.uniform() < 0.5:
                     spec["p"] = 1.0 if par is None else probs[b]
                 nodes.append(spec)
                 nxt.append(nid)
         frontier = nxt
+    if not shuffle:
+        return nodes
     order = rng.permutation(len(nodes))
     return [nodes[k] for k in order]
 
@@ -303,6 +311,44 @@ def test_same_error_as_breadth_first_build(kind, seed):
         assert isinstance(got[0], type)
 
 
+# Node lists written level by level, as problem_to_dict and the benchmark's
+# generator write them, take build_tree's shortcuts: no gathers when the
+# input order is already breadth-first, ids as labels when all are strings,
+# and plain date keys when all dates are strings.
+ID_KINDS = ("str", "int", "mixed")
+
+
+@pytest.mark.parametrize("dates", ["str", "any"])
+@pytest.mark.parametrize("ids", ID_KINDS)
+@pytest.mark.parametrize("seed", range(8))
+def test_breadth_first_input_matches(seed, ids, dates):
+    rng = np.random.default_rng([seed, ID_KINDS.index(ids), dates == "str"])
+    grid = _random_grid(rng)
+    nodes = _random_nodes(rng, grid, ids=ids, dates=dates, shuffle=False)
+    got = _outcome(build_tree, grid, nodes)
+    assert not isinstance(got[0], type)
+    assert got == _outcome(_oracle_build_tree, grid, nodes)
+    tree = build_tree(grid, nodes)
+    assert tree.label_ids == {label: k for k, label in enumerate(tree.labels)}
+    assert tree.children == tuple(
+        tuple(np.flatnonzero(tree.parent == k).tolist()) for k in range(tree.n_nodes)
+    )
+
+
+@pytest.mark.parametrize("kind", BREAKS)
+@pytest.mark.parametrize("ids", ID_KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_same_error_on_breadth_first_input(kind, ids, seed):
+    rng = np.random.default_rng([seed, BREAKS.index(kind), ID_KINDS.index(ids), 1])
+    grid = _random_grid(rng)
+    nodes = _random_nodes(rng, grid, ids=ids, dates="str", shuffle=False)
+    _break(rng, grid, nodes, kind)
+    got = _outcome(build_tree, grid, nodes)
+    assert got == _outcome(_oracle_build_tree, grid, nodes)
+    if kind not in ("duplicate_id", "several"):
+        assert isinstance(got[0], type)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -313,8 +359,8 @@ def test_same_error_as_breadth_first_build(kind, seed):
         lambda nodes: nodes[3].update(date=["unhashable"]),
         lambda nodes: (nodes[1].update(parent="ghost"), nodes[3].update(parent=[1])),
         lambda nodes: (nodes[1].update(date="1/7"), nodes[4].update(date=[1])),
-        lambda nodes: nodes[3].pop("date"),
-        lambda nodes: nodes[3].pop("id"),
+        lambda nodes: nodes[3].update(parent="b1"),
+        lambda nodes: nodes[2].update(date="1"),
         lambda nodes: nodes[3].update(p="x"),
         lambda nodes: nodes[3].update(p=None),
         lambda nodes: nodes[3].update(date="x"),
@@ -333,6 +379,34 @@ def test_malformed_specs_raise_as_before(edit):
     got = _outcome(build_tree, grid, nodes)
     assert isinstance(got[0], type)
     assert got == _outcome(_oracle_build_tree, grid, nodes)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda nodes: nodes[3].pop("id"), "tree.nodes[3] has no 'id'"),
+        (lambda nodes: nodes[3].pop("date"), "tree.nodes[3] has no 'date'"),
+        (lambda nodes: nodes.__setitem__(1, "a"), "tree.nodes[1] must be an object, not str"),
+        (lambda nodes: nodes.__setitem__(4, [1]), "tree.nodes[4] must be an object, not list"),
+    ],
+)
+def test_malformed_nodes_are_schema_violations(edit, message):
+    """A known difference: the frozen build_tree raises KeyError for a
+    node without id or date and TypeError for a node that is not an
+    object. Both are now SchemaViolations naming the node's position."""
+    grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
+    nodes = [
+        {"id": "r", "date": 0, "parent": None, "p": 1.0},
+        {"id": "a", "date": "1/2", "parent": "r", "p": 0.5},
+        {"id": "b", "date": 0.5, "parent": "r", "p": 0.5},
+        {"id": "a1", "date": "1", "parent": "a", "p": 1.0},
+        {"id": "b1", "date": 1, "parent": "b", "p": 1.0},
+    ]
+    edit(nodes)
+    with pytest.raises(SchemaViolation) as err:
+        build_tree(grid, copy.deepcopy(nodes))
+    assert str(err.value) == message
+    assert _outcome(_oracle_build_tree, grid, nodes)[0] in (KeyError, TypeError)
 
 
 def test_a_cycle_off_the_root_is_unreachable():

@@ -547,3 +547,73 @@ def test_bad_restriction_is_one_error_line(subcommand, restriction, tmp_path, ca
     assert err.startswith("error: restriction: ") and err.count("\n") == 1
     with pytest.raises(SchemaViolation, match="^restriction: "):
         load_config(str(config))
+
+
+def _nodes(doc):
+    return doc["tree"]["nodes"]
+
+
+def _family(**family):
+    return lambda doc: doc["engine"].update(family=family)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _nodes(doc)[2].pop("id"), "tree.nodes[2] has no 'id'"),
+        (lambda doc: _nodes(doc)[1].pop("date"), "tree.nodes[1] has no 'date'"),
+        (lambda doc: doc["tree"].update(nodes={"root": _nodes(doc)[0]}),
+         "tree.nodes must be a list of node objects"),
+        (lambda doc: _nodes(doc).__setitem__(3, "hi"), "tree.nodes[3] must be an object, not str"),
+        (lambda doc: doc["market"]["tradables"][0].update(prices=[0.98, 0.99, 0.0, 0.0]),
+         "market.tradables[0].prices must map node labels to numbers, not list"),
+        (lambda doc: doc["market"]["tradables"][0].update(inflows=[1.0, 1.0]),
+         "market.tradables[0].inflows must map node labels to numbers, not list"),
+        (lambda doc: doc["market"]["tradables"].__setitem__(0, [0.98]),
+         "market.tradables[0] must be an object, not list"),
+        (lambda doc: doc["liability"].update(outflows=[80.0, 120.0]),
+         "liability.outflows must map node labels to numbers, not list"),
+        (lambda doc: doc["liability"].update(terminal=[1.0]),
+         "liability.terminal must map node labels to numbers, not list"),
+        (lambda doc: doc.update(liability=[]), "liability must be an object, not list"),
+        (lambda doc: doc.update(illiquid=[{"lo": 1.0}]), "illiquid must be an object, not list"),
+        (lambda doc: doc.update(illiquid={"inflows": [1.0]}),
+         "illiquid.inflows must map node labels to numbers, not list"),
+        (_family(type="fixed_mix", indices=[5]),
+         "engine.family: index 5 is not a tradable index (0 to 0)"),
+        (_family(type="fixed_mix", indices=[0, 0]), "engine.family: index 0 is given twice"),
+        (_family(type="fixed_mix", indices=[]),
+         "engine.family: indices must name at least one tradable"),
+        (_family(type="fixed_mix", indices=["0"]), "engine.family: index '0' is not an integer"),
+        (_family(type="fixed_mix", indices=[0.0]), "engine.family: index 0.0 is not an integer"),
+        (_family(type="fixed_mix", indices=0), "engine.family: indices must be a list"),
+    ],
+    ids=[
+        "node_without_id", "node_without_date", "nodes_not_a_list", "node_not_an_object",
+        "prices_as_list", "inflows_as_list", "tradable_as_list", "outflows_as_list",
+        "terminal_as_list", "liability_as_list", "illiquid_as_list", "illiquid_inflows_as_list",
+        "mix_index_out_of_range", "mix_index_repeated", "mix_indices_empty",
+        "mix_index_string", "mix_index_float", "mix_indices_not_a_list",
+    ],
+)
+def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):
+    doc = two_point_doc()
+    edit(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["value", "--config", str(config), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("family", [{"indices": [0]}, {}])
+def test_valid_fixed_mix_indices_load(family):
+    doc = two_point_doc()
+    doc["engine"]["family"] = dict(family, type="fixed_mix")
+    problem = problem_from_dict(doc)
+    assert problem.engine.family.mix_indices == (0,)
+    assert "fixed_mix;w=0:1.000000000;s=" in run(problem, "value").files["production.csv"]

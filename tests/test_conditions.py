@@ -467,7 +467,8 @@ def test_period_rates_match_each_nodes_annual_anchor():
         if tree.is_leaf(node):
             continue
         i = int(tree.date_of(node) // 1)
-        expected.append(market.period_rate(tree.ancestor_at(node, tree.grid.index(i))))
+        anchor = tree.ancestor_at(node, tree.grid.index(i))
+        expected.append(1.0 / float(market.prices[anchor, market.bond_for_period(i)]) - 1.0)
     # The inner nodes are the ids before the horizon's.
     assert rates.tolist() == expected
     assert flat_rates(tree, 0.02).tolist() == [0.02] * len(expected)

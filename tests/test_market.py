@@ -43,7 +43,7 @@ class TestPortfolioAlgebra:
         )
         assert market.price(0) @ [1.0] == pytest.approx(0.9803921568627451)
         assert market.inflow(3) @ [1.0] == 1.0
-        assert market.period_rate(0) == pytest.approx(0.02)
+        assert market.period_rates(0).tolist() == pytest.approx([0.02])
         with pytest.raises(NoBondAvailable):
             market.bond_for_period(5)
 

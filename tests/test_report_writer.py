@@ -135,13 +135,19 @@ def _relabel(doc: dict, prefix: str) -> None:
         doc["liability"][section] = {label(k): v for k, v in doc["liability"][section].items()}
 
 
-def _problem(seed, years, interior, family, fulfillment, no_bond, prefix):
+def _problem(seed, years, interior, family, fulfillment, no_bond, prefix, zero_price=False):
     """A generated problem: two risky assets (0 and 1) and one bond per
     year (2, 3, ...). ``no_bond`` takes the year-0 bond's flag away, so
     the risk-free family is infeasible there; the zero condition then
-    stands in for the cost of capital, which needs the period rates."""
+    stands in for the cost of capital, which needs the period rates.
+    ``zero_price`` sets asset 0's price to zero at the first date-1 node:
+    no mix holding asset 0 can start there, so with two or more years
+    that date mixes funded and unfunded nodes."""
     doc = generated_config(seed, years, interior)
     _relabel(doc, prefix)
+    if zero_price:
+        first = next(node["id"] for node in doc["tree"]["nodes"] if node["date"] == "1")
+        doc["market"]["tradables"][0]["prices"][first] = 0.0
     doc["fulfillment"] = fulfillment
     doc["engine"] = {"mode": "B", "family": family}
     if family["type"] == "explicit":
@@ -159,6 +165,7 @@ def _problem(seed, years, interior, family, fulfillment, no_bond, prefix):
 
 FAMILIES = [
     {"type": "risk_free"},
+    {"type": "fixed_mix", "indices": [0]},
     {"type": "fixed_mix", "indices": [0, 2]},
     {"type": "fixed_mix", "indices": [2, 1, 0]},
     {"type": "explicit"},
@@ -201,11 +208,12 @@ def _assert_same_reports(got, want):
     no_bond=st.booleans(),
     prefix=st.sampled_from(PREFIXES),
     mode=st.sampled_from([None, "A", "B"]),
+    zero_price=st.booleans(),
 )
 def test_value_report_matches_node_by_node(
-    seed, years, interior, family, fulfillment, no_bond, prefix, mode
+    seed, years, interior, family, fulfillment, no_bond, prefix, mode, zero_price
 ):
-    problem = _problem(seed, years, interior, family, fulfillment, no_bond, prefix)
+    problem = _problem(seed, years, interior, family, fulfillment, no_bond, prefix, zero_price)
     _assert_same_reports(
         lambda: run(problem, "value", mode=mode), lambda: ref.run_value(problem, mode)
     )
@@ -221,11 +229,12 @@ def test_value_report_matches_node_by_node(
     no_bond=st.booleans(),
     prefix=st.sampled_from(PREFIXES),
     fmt=st.sampled_from(["csv", "json", "both"]),
+    zero_price=st.booleans(),
 )
 def test_adjust_report_matches_node_by_node(
-    seed, years, interior, family, fulfillment, no_bond, prefix, fmt
+    seed, years, interior, family, fulfillment, no_bond, prefix, fmt, zero_price
 ):
-    problem = _problem(seed, years, interior, family, fulfillment, no_bond, prefix)
+    problem = _problem(seed, years, interior, family, fulfillment, no_bond, prefix, zero_price)
     _assert_same_reports(
         lambda: run(problem, "adjust", fmt=fmt), lambda: ref.run_adjust(problem, fmt)
     )
@@ -253,20 +262,26 @@ def test_solvency_report_matches_node_by_node(
 
 def test_generated_problems_reach_every_field():
     """The generators above reach the fields the differential tests are
-    for: each parameter kind, inf and failures in production.csv, and
+    for: each parameter kind, inf and failures in production.csv, dates
+    whose rows mix funded nodes and nodes without capital, and
     write-downs in adjust.csv."""
     seen = set()
     for seed in range(6):
         for family in FAMILIES:
-            for no_bond in (False, True):
+            for no_bond, zero_price in ((False, False), (True, False), (False, True)):
                 problem = _problem(
-                    seed, 2, 1, family, {"type": "var", "alpha": 0.2}, no_bond, ""
+                    seed, 2, 1, family, {"type": "var", "alpha": 0.2}, no_bond, "", zero_price
                 )
                 text = run(problem, "value", mode="A").files["production.csv"]
                 fields = [line.split(",") for line in text.splitlines()[1:]]
                 seen |= {f[-1].split(";")[0] for f in fields}
                 seen |= {"inf"} & {f[2] for f in fields}
                 seen |= {f[6] for f in fields}
+                blank = {}
+                for f in fields:
+                    blank.setdefault(f[1], set()).add(f[3] == "")
+                if {True, False} in blank.values():
+                    seen.add("mixed_date")
                 if no_bond:
                     continue
                 adjust = run(problem, "adjust").files.get("adjust.csv", "")
@@ -274,5 +289,5 @@ def test_generated_problems_reach_every_field():
                     seen.add("written_down")
     assert seen >= {
         "", "risk_free", "fixed_mix", "explicit", "infeasible", "inf",
-        "none", "default", "written_down",
+        "none", "default", "written_down", "mixed_date",
     }
