@@ -10,9 +10,12 @@ builder solves for.
 
 The two audits quantify the definition's "consistent with" and "neutral
 to the tradables" properties over one-step self-financing portfolios:
-per node, a small LP maximizes (or minimizes) the expected payoff of
-unit-price admissible portfolios with non-negative child payoffs and
-compares it against the period hurdle 1 + r + eta.
+per node, the maximum (or minimum) expected payoff of unit-price
+admissible portfolios with non-negative child payoffs is compared
+against the period hurdle 1 + r + eta. That optimum is a linear-
+fractional program over the cone of the children's attainable payoffs;
+it is read off the cone's extreme rays, for the nodes of one date and
+child count at a time, without an LP.
 """
 
 from __future__ import annotations
@@ -377,30 +380,70 @@ def _n_inner(tree: ScenarioTree) -> int:
     return tree.n_nodes - len(tree.by_date[-1])
 
 
-def _step_return_lp(
-    market: TradableSet,
-    tree: ScenarioTree,
-    restriction: RestrictionSet,
-    node: int,
-    maximize: bool,
-):
-    """Optimize the expected one-step payoff of unit-price admissible
-    portfolios with non-negative child payoffs."""
-    B = restriction.matrix()
-    children = tree.children[node]
-    payoffs = [B.T @ market.payoff(c) for c in children]
-    probs = [tree.prob[c] for c in children]
-    s = B.T @ market.price(node)
-    c_vec = sum(p * y for p, y in zip(probs, payoffs))
-    sign = -1.0 if maximize else 1.0
-    return lp.solve_lp(
-        c=sign * c_vec,
-        A_eq=s.reshape(1, -1),
-        b_eq=np.array([1.0]),
-        A_ub=-np.array(payoffs),
-        b_ub=np.zeros(len(children)),
-        nonneg=False,
-    ), sign
+def _cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
+    """What both audits are decided from, for a stack of nodes with equal
+    child counts: Y (N, K, d) holds each node's restricted child payoffs,
+    one row per child, s (N, d) its restricted price and p (N, K) its
+    child probabilities. Returns per node (outside, ray, positive, flat,
+    hi, lo).
+
+    The payoffs of admissible portfolios with non-negative child payoffs
+    form the cone C = range(Y) ∩ R^K_+. ``outside``: s is not in the row
+    space of Y. ``ray``: C has an extreme ray. Otherwise Y^T λ = s, and a
+    portfolio with payoff z ∈ C costs λ.z; ``positive``, ``flat``, ``hi``
+    and ``lo`` are those of ``lp.cone_ratios`` with cost λ: some extreme
+    ray e has λ.e > 0 (above a noise floor), some has not, and the
+    largest and smallest ratio p.e/λ.e over the rays of the first kind.
+
+    One stacked SVD of Y gives every node's rank r, counting the singular
+    values above the LP's rank tolerance ``lp._RANK_TOL * max(1, |Y|,
+    |s|)``; s is outside when a component of V^T s beyond the first r
+    exceeds it. ``lp.cone_ratios`` reads the rest off the rays of the
+    cone {z >= 0 : W z = 0}, W the left null space of Y, one call per
+    rank; at r = K the rays are the unit vectors, with no solve."""
+    N, K, d = Y.shape
+    tol = lp._RANK_TOL * lp._scale(Y, s)
+    U, sv, Vt = np.linalg.svd(Y)
+    rank = (sv > tol[:, None]).sum(axis=1)
+    t = (Vt @ s[..., None])[..., 0]
+    outside = ((np.arange(d) >= rank[:, None]) & (np.abs(t) > tol[:, None])).any(axis=1)
+    ray, positive, flat = (np.zeros(N, dtype=bool) for _ in range(3))
+    hi, lo = np.full(N, -np.inf), np.full(N, np.inf)
+    for r in set(rank.tolist()):
+        g = np.flatnonzero(rank == r)
+        # The least-norm solution of Y^T λ = s where s is not outside;
+        # λ.z is the same for every solution when z ∈ C.
+        lam = (U[g, :, :r] @ (t[g, :r] / sv[g, :r])[..., None])[..., 0]
+        W = U[g, :, r:].transpose(0, 2, 1)  # the left null space of Y
+        ray[g], positive[g], flat[g], hi[g], lo[g] = lp.cone_ratios(W, lam, p[g])
+    return outside, ray, positive, flat, hi, lo
+
+
+def _verdict(kind: str, outside, ray, positive, flat, hi, lo):
+    """(status, optimum) of one node's audit from its ``_cone_facts``.
+
+    Both audits optimize the expected one-step payoff p.Yx of the
+    unit-price admissible portfolios x (s.x = 1) with non-negative child
+    payoffs Yx, the consistency audit its maximum and the neutrality
+    audit its minimum. With z = Yx that is p.z over C with λ.z = 1, whose
+    optimum is a ratio p.e/λ.e at an extreme ray e of C (Charnes & Cooper
+    1962); p > 0, so p.e > 0 on every ray:
+
+    - s outside the row space of Y: every z ∈ C has a unit-price
+      portfolio, z = 0 too. The maximum is unbounded if C has a ray and
+      0 if not; the minimum is 0.
+    - no ray with λ.e > 0: no portfolio has unit price, both are vacuous.
+    - otherwise the maximum is unbounded if a ray has λ.e <= 0 (adding it
+      costs nothing) and the largest ratio if not; the minimum is the
+      smallest ratio.
+    """
+    if not (outside or positive):
+        return "vacuous", None
+    if kind == "neutrality":
+        return "optimal", 0.0 if outside else lo
+    if ray if outside else flat:
+        return "unbounded", None
+    return "optimal", 0.0 if outside else hi
 
 
 def _audit_tradables(
@@ -411,42 +454,37 @@ def _audit_tradables(
     rates: np.ndarray,
     kind: str,
 ) -> TradableAuditReport:
+    """Each inner node's audit, decided by ``_cone_facts`` for the nodes
+    of one date and child count at a time and by ``_verdict``."""
+    inner = [node for node in range(tree.n_nodes) if tree.children[node]]
+    if spec.variant == "state_price":
+        audit = NodeAudit("by_construction", None, None, False)
+        return TradableAuditReport(kind, dict.fromkeys(inner, audit))
+    if spec.variant == "zero":
+        # Only C = 0 is acceptable: adding a priced self-financing
+        # payoff can never be financed, so zero is consistent but not
+        # neutral.
+        audit = NodeAudit("by_construction", None, None, kind == "neutrality")
+        return TradableAuditReport(kind, dict.fromkeys(inner, audit))
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
-    per_node: Dict[int, NodeAudit] = {}
-    for node in range(tree.n_nodes):
-        if tree.is_leaf(node):
-            continue
-        if spec.variant == "state_price":
-            per_node[node] = NodeAudit("by_construction", None, None, False)
-            continue
-        if spec.variant == "zero":
-            # Only C = 0 is acceptable: adding a priced self-financing
-            # payoff can never be financed, so zero is consistent but
-            # not neutral.
-            flagged = kind == "neutrality"
-            per_node[node] = NodeAudit("by_construction", None, None, flagged)
-            continue
-        hurdle = 1.0 + float(rates[node]) + spec.eta
-        res, sign = _step_return_lp(
-            market, tree, restriction, node, maximize=(kind == "consistency")
-        )
-        if res.status == "infeasible":
-            per_node[node] = NodeAudit("vacuous", None, hurdle, False)
-            continue
-        if res.status == "unbounded":
-            if kind == "neutrality":
-                raise NumericalFailure(
-                    f"neutrality LP unexpectedly unbounded at node {node}"
-                )
-            per_node[node] = NodeAudit("unbounded", None, hurdle, True)
-            continue
-        optimum = sign * res.objective
-        if kind == "consistency":
-            flagged = optimum > hurdle + SLACK
-        else:
-            flagged = optimum < hurdle - SLACK
-        per_node[node] = NodeAudit("optimal", optimum, hurdle, flagged)
+    pay = restriction.restrict(market.payoffs)
+    price = restriction.restrict(market.prices)
+    hurdles = (1.0 + rates + spec.eta).tolist()
+    per_node: Dict[int, NodeAudit] = dict.fromkeys(inner)  # in node order
+    for group, kids in tree.sibling_groups():
+        facts = _cone_facts(pay[kids], price[group], tree.prob[kids])
+        for node, *fact in zip(group, *(f.tolist() for f in facts)):
+            status, optimum = _verdict(kind, *fact)
+            hurdle = hurdles[node]
+            if status == "optimal":
+                if kind == "consistency":
+                    flagged = optimum > hurdle + SLACK
+                else:
+                    flagged = optimum < hurdle - SLACK
+            else:
+                flagged = status == "unbounded"
+            per_node[node] = NodeAudit(status, optimum, hurdle, flagged)
     return TradableAuditReport(kind, per_node)
 
 

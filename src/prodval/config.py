@@ -132,7 +132,12 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
             ids, values = sections.column(flows, f"{where}.{name}", name == "prices")
             column[ids, k] = values
         if "bond_period" in spec:
-            bond_periods[k] = int(spec["bond_period"])
+            try:
+                bond_periods[k] = int(spec["bond_period"])
+            except (TypeError, ValueError):
+                raise SchemaViolation(
+                    f"{where}.bond_period must be an integer, not {spec['bond_period']!r}"
+                ) from None
     close_out = bool(market_doc.get("close_out", False))
     market = TradableSet(
         tree=tree,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter, methodcaller
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,6 +158,18 @@ class ScenarioTree:
     def is_leaf(self, node: int) -> bool:
         return not self.children[node]
 
+    def sibling_groups(self) -> Iterator[Tuple[List[int], np.ndarray]]:
+        """The inner nodes grouped by date and child count, in date order:
+        per group its node ids and an array holding each one's children
+        as a row, shape (len(nodes), child count)."""
+        for nodes in self.by_date:
+            groups: Dict[int, List[int]] = {}
+            for node in nodes:
+                if self.children[node]:
+                    groups.setdefault(len(self.children[node]), []).append(node)
+            for group in groups.values():
+                yield group, np.array([self.children[node] for node in group])
+
     def require_per_node(self, *sections: Tuple[str, np.ndarray]) -> None:
         """DimensionMismatch naming the first (name, array) section that
         does not hold one entry per node."""
@@ -244,8 +256,9 @@ def build_tree(
     children, then theirs, siblings in input order. Errors are checked
     in a fixed order and name the first offending node of that order.
 
-    Raises SchemaViolation (a node that is not a mapping or lacks ``id``
-    or ``date``, named by its position in ``tree.nodes``),
+    Raises SchemaViolation (a node that is not a mapping, lacks ``id``
+    or ``date``, or has an ``id``, ``parent``, ``date`` or ``p`` of the
+    wrong kind, named by its position in ``tree.nodes``),
     ProbabilityMass (also for a non-finite probability), OrphanNode
     (also for two ids with the same label, such as 1 and "1"),
     LeafNotAtHorizon, or grid errors.
@@ -264,7 +277,11 @@ def build_tree(
     parents = _field(nodes, "parent", None)
     probs_in = _field(nodes, "p", 1.0)
 
-    position: Dict[object, int] = dict(zip(ids, range(n)))
+    try:
+        position: Dict[object, int] = dict(zip(ids, range(n)))
+    except TypeError:
+        _raise_bad_field(nodes, "id", None, hash, "a string or a number")
+        raise
     if len(position) != n:
         seen = set()
         for nid in ids:
@@ -289,7 +306,12 @@ def build_tree(
     if n_roots != 1:
         raise OrphanNode(f"expected exactly one root, found {n_roots}")
     root = parents.index(None)
-    if _date_indices(grid, [dates_in[root]])[0] != 0:
+    try:
+        root_date = _date_indices(grid, [dates_in[root]])[0]
+    except (TypeError, ValueError):
+        _raise_bad_field(nodes, "date", None, as_date, "a date")
+        raise
+    if root_date != 0:
         raise OrphanNode("root must sit at date 0")
 
     # Input position of each node's parent, -1 at the root.
@@ -298,9 +320,13 @@ def build_tree(
     except TypeError:  # an unhashable parent: the scan below meets it in input order
         up = np.full(n, -1, dtype=np.int64)
     up[root] = -1
-    for k in np.flatnonzero(up < 0).tolist():
-        if k != root and parents[k] not in position:
-            raise OrphanNode(f"node {ids[k]!r} references unknown parent {parents[k]!r}")
+    try:
+        for k in np.flatnonzero(up < 0).tolist():
+            if k != root and parents[k] not in position:
+                raise OrphanNode(f"node {ids[k]!r} references unknown parent {parents[k]!r}")
+    except TypeError:
+        _raise_bad_field(nodes, "parent", None, hash, "a node id")
+        raise
 
     # Children grouped by parent, in input order within each group; each
     # level is the children of the previous one, in its order. A node on
@@ -325,7 +351,11 @@ def build_tree(
     # Node lists written level by level (as problem_to_dict writes them)
     # are already in this order, and their columns need no gather.
     identity = bool((order == np.arange(n)).all())
-    date_idx = _date_indices(grid, dates_in if identity else _gather(dates_in, order))
+    try:
+        date_idx = _date_indices(grid, dates_in if identity else _gather(dates_in, order))
+    except (TypeError, ValueError):
+        _raise_bad_field(nodes, "date", None, as_date, "a date")
+        raise
     if (np.diff(date_idx) < 0).any():
         by_date = np.argsort(date_idx, kind="stable")
         order = order[by_date]
@@ -343,7 +373,11 @@ def build_tree(
         ordered = order.tolist()
         probs_in = _gather(probs_in, ordered)
         labels_in = _gather(labels_in, ordered)
-    prob = np.fromiter(map(float, probs_in), dtype=float, count=n)
+    try:
+        prob = np.fromiter(map(float, probs_in), dtype=float, count=n)
+    except (TypeError, ValueError):
+        _raise_bad_field(nodes, "p", 1.0, float, "a number")
+        raise
     labels = tuple(labels_in)
     # NaN passes both a sign check and the children-mass check below.
     bad = np.flatnonzero(~(np.isfinite(prob) & (prob > 0.0)))
@@ -409,6 +443,18 @@ def _raise_malformed(nodes: Sequence) -> None:
         for key in ("id", "date"):
             if key not in spec:
                 raise SchemaViolation(f"tree.nodes[{k}] has no {key!r}")
+
+
+def _raise_bad_field(nodes: Sequence[Mapping], key: str, default, parse, what: str) -> None:
+    """SchemaViolation naming the first node, by its position in
+    ``tree.nodes``, whose ``key`` (``default`` where it has none) makes
+    ``parse`` raise TypeError or ValueError."""
+    for k, spec in enumerate(nodes):
+        value = spec.get(key, default)
+        try:
+            parse(value)
+        except (TypeError, ValueError):
+            raise SchemaViolation(f"tree.nodes[{k}].{key} must be {what}, not {value!r}") from None
 
 
 def _date_indices(grid: DateGrid, dates: Sequence[DateLike]) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Small dense linear programs solved by exhaustive basis enumeration.
 
-Problems here are small: the audits optimize over free portfolio
-weights on d+1 <= 9 tradables with one row per child, the certificates
+Problems here are small: the cone certificates (``market``) optimize
 over cone weights on a node's children. ``solve_standard`` reduces
 ``A z = b`` to independent rows (one SVD when ``A`` has full row rank)
 and then enumerates every basis, so the answer is deterministic and
-needs nothing beyond numpy.
+needs nothing beyond numpy. The tradable audits (``conditions``) solve
+no LP: they are read off the extreme rays of each node's cone of
+non-negative attainable child payoffs by ``cone_ratios``, which takes
+them for a stack of nodes as the vertices of {W z = 0, sum z = 1,
+z >= 0}, one stacked solve over the supports in ``_bases`` order.
 
 Enumeration is chunked: bases are taken in ``itertools.combinations``
 order, ``_CHUNK`` at a time, from an index array built once per
@@ -75,6 +78,8 @@ from .errors import NumericalFailure
 FEAS_TOL = 1e-9
 _RANK_TOL = 1e-11
 _MAX_BASES = 500_000
+_MAX_SUPPORTS = 1 << 16  # cone_ratios candidate rays per cone
+_RAY_CHUNK = 1 << 14  # cone_ratios candidate rays per stacked solve
 _CHUNK = 512  # bases per stacked solve
 _DUAL_TOL = FEAS_TOL * 1e-3  # reduced-cost floor that proves boundedness
 
@@ -256,6 +261,80 @@ def full_rank_vertices(A: np.ndarray, b: np.ndarray):
     # gives a clipped -0.0 the same bits whatever clip makes of it.
     x[idx[ok]] = z[ok].clip(0.0, None) + 0.0
     return decided, x
+
+
+def cone_ratios(W: np.ndarray, c: np.ndarray, p: np.ndarray):
+    """The linear-fractional programs max and min of p.z / c.z over the
+    cones {z >= 0 : W[k] z = 0} of a stack W, shape (N, q, K), with c and
+    p of shape (N, K), read off each cone's extreme rays e. Returns per
+    cone (ray, positive, flat, hi, lo): whether it has a ray; whether some
+    ray has c.e above the noise floor FEAS_TOL * max|c|, and whether some
+    has not; the largest and smallest p.e / c.e over the rays of the
+    first kind (-inf and inf without one).
+
+    The rays, scaled to sum 1, are the vertices of {W z = 0, sum z = 1,
+    z >= 0}: the basic solutions on the supports of ``_bases(K, q+1)``
+    whose basis passes the conditioning test (smallest singular value
+    above ``_RANK_TOL * scale``) and whose entries are at least -FEAS_TOL,
+    clipped at 0 (``_cone_rays``). With q = 0 they are the unit vectors,
+    and no solve is needed. The cones are taken in chunks of about
+    ``_RAY_CHUNK`` candidate rays. Raises NumericalFailure above
+    ``_MAX_SUPPORTS`` supports per cone, before building any."""
+    N, q, K = W.shape
+    n_supports = math.comb(K, q + 1)
+    if n_supports > _MAX_SUPPORTS:
+        raise NumericalFailure(f"ray enumeration too large: C({K},{q + 1})")
+    ray, positive, flat = (np.zeros(N, dtype=bool) for _ in range(3))
+    hi, lo = np.full(N, -np.inf), np.full(N, np.inf)
+    step = max(1, _RAY_CHUNK // max(n_supports, 1))
+    for start in range(0, N, step):
+        k = slice(start, start + step)
+        if q:
+            rays, is_ray = _cone_rays(W[k])
+            cost = (rays @ c[k, :, None])[..., 0]
+            prob = (rays @ p[k, :, None])[..., 0]
+        else:
+            is_ray = np.ones(c[k].shape, dtype=bool)
+            cost, prob = c[k], p[k]
+        floor = FEAS_TOL * np.abs(c[k]).max(axis=1, initial=0.0)
+        up = is_ray & (cost > floor[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = prob / cost
+        ray[k] = is_ray.any(axis=1)
+        positive[k] = up.any(axis=1)
+        flat[k] = (is_ray & ~up).any(axis=1)
+        hi[k] = np.where(up, ratio, -np.inf).max(axis=1, initial=-np.inf)
+        lo[k] = np.where(up, ratio, np.inf).min(axis=1, initial=np.inf)
+    return ray, positive, flat, hi, lo
+
+
+def _cone_rays(W: np.ndarray):
+    """The candidate rays of ``cone_ratios`` for a stack W, shape
+    (N, q, K) with q >= 1: (rays, valid), where rays has shape
+    (N, C(K, q+1), K) and rays[k, j], on the j-th support, is a ray of
+    cone k exactly where valid[k, j]. One stacked solve for the stack; a
+    degenerate vertex may appear more than once."""
+    N, q, K = W.shape
+    M = np.concatenate([W, np.ones((N, 1, K))], axis=1)
+    supports = _bases(K, q + 1)
+    rays = np.zeros((N, len(supports), K))
+    valid = np.zeros((N, len(supports)), dtype=bool)
+    if not (N and len(supports)):
+        return rays, valid
+    # B[k, j] = M[k][:, supports[j]].
+    B = M[:, :, supports].transpose(0, 2, 1, 3)
+    # M holds a row of ones, so this is the LP's scale max(1, |M|).
+    tol = _RANK_TOL * np.abs(M).max(axis=(1, 2))
+    regular = np.linalg.svd(B, compute_uv=False)[..., -1] > tol[:, None]
+    rhs = np.zeros((int(regular.sum()), q + 1, 1))
+    rhs[:, -1] = 1.0
+    z = np.linalg.solve(B[regular], rhs)[..., 0]
+    feasible = z.min(axis=1) >= -FEAS_TOL
+    node, j = np.nonzero(regular)
+    node, j, z = node[feasible], j[feasible], z[feasible]
+    rays[node[:, None], j[:, None], supports[j]] = z.clip(0.0, None)
+    valid[node, j] = True
+    return rays, valid
 
 
 def _best_vertex(

@@ -205,6 +205,11 @@ class RestrictionSet:
             return B
         return np.asarray(self.basis, dtype=float).T
 
+    def restrict(self, rows: np.ndarray) -> np.ndarray:
+        """Each row of ``rows`` in the basis coordinates, B.T @ row with B
+        = ``matrix()``: a stacked product gives every row those bits."""
+        return np.matmul(self.matrix().T, rows[..., None])[..., 0]
+
     @property
     def dim(self) -> int:
         return len(self.indices) if self.indices is not None else len(self.basis)
@@ -265,10 +270,8 @@ def check_consistency(
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
     B = restriction.matrix()
-    # Each node's restricted payoffs and prices: a stacked product gives
-    # every row the bits of B.T @ v.
-    pay = np.matmul(B.T, market.payoffs[..., None])[..., 0]
-    price = np.matmul(B.T, market.prices[..., None])[..., 0]
+    pay = restriction.restrict(market.payoffs)
+    price = restriction.restrict(market.prices)
     decided = _complete_node_weights(tree, pay, price)
     verdicts: Dict[int, NodeVerdict] = {}
     for node in range(tree.n_nodes):
@@ -312,17 +315,9 @@ def _complete_node_weights(
     ``lp.full_rank_vertices`` decides: one stacked call per date and
     child count."""
     out: Dict[int, list] = {}
-    for nodes in tree.by_date:
-        groups: Dict[int, list] = {}
-        for node in nodes:
-            if tree.children[node]:
-                groups.setdefault(len(tree.children[node]), []).append(node)
-        for group in groups.values():
-            kids = np.array([tree.children[node] for node in group])
-            # Y[k] = pay[kids[k]].T, one column per child.
-            decided, lam = lp.full_rank_vertices(
-                pay[kids].transpose(0, 2, 1), price[group]
-            )
-            for k in np.flatnonzero(decided).tolist():
-                out[group[k]] = lam[k].tolist()
+    for group, kids in tree.sibling_groups():
+        # Y[k] = pay[kids[k]].T, one column per child.
+        decided, lam = lp.full_rank_vertices(pay[kids].transpose(0, 2, 1), price[group])
+        for k in np.flatnonzero(decided).tolist():
+            out[group[k]] = lam[k].tolist()
     return out

@@ -353,17 +353,17 @@ def test_same_error_on_breadth_first_input(kind, ids, seed):
     "edit",
     [
         lambda nodes: nodes.clear(),
-        lambda nodes: nodes[2].update(id=["unhashable"]),
-        lambda nodes: nodes[2].update(parent=["unhashable"]),
-        lambda nodes: nodes[0].update(date=["unhashable"]),
-        lambda nodes: nodes[3].update(date=["unhashable"]),
+        lambda nodes: nodes[2].update(id="a"),
+        lambda nodes: nodes[2].update(parent="ghost"),
+        lambda nodes: nodes[0].update(date="1/2"),
+        lambda nodes: nodes[3].update(date="1/3"),
         lambda nodes: (nodes[1].update(parent="ghost"), nodes[3].update(parent=[1])),
         lambda nodes: (nodes[1].update(date="1/7"), nodes[4].update(date=[1])),
         lambda nodes: nodes[3].update(parent="b1"),
         lambda nodes: nodes[2].update(date="1"),
-        lambda nodes: nodes[3].update(p="x"),
-        lambda nodes: nodes[3].update(p=None),
-        lambda nodes: nodes[3].update(date="x"),
+        lambda nodes: nodes[3].update(p=-1.0),
+        lambda nodes: nodes[3].update(p=0.5),
+        lambda nodes: nodes[3].update(date="1/2"),
     ],
 )
 def test_malformed_specs_raise_as_before(edit):
@@ -388,12 +388,24 @@ def test_malformed_specs_raise_as_before(edit):
         (lambda nodes: nodes[3].pop("date"), "tree.nodes[3] has no 'date'"),
         (lambda nodes: nodes.__setitem__(1, "a"), "tree.nodes[1] must be an object, not str"),
         (lambda nodes: nodes.__setitem__(4, [1]), "tree.nodes[4] must be an object, not list"),
+        (lambda nodes: nodes[2].update(id=["unhashable"]),
+         "tree.nodes[2].id must be a string or a number, not ['unhashable']"),
+        (lambda nodes: nodes[2].update(parent=["unhashable"]),
+         "tree.nodes[2].parent must be a node id, not ['unhashable']"),
+        (lambda nodes: nodes[0].update(date=["unhashable"]),
+         "tree.nodes[0].date must be a date, not ['unhashable']"),
+        (lambda nodes: nodes[3].update(date=["unhashable"]),
+         "tree.nodes[3].date must be a date, not ['unhashable']"),
+        (lambda nodes: nodes[3].update(p="x"), "tree.nodes[3].p must be a number, not 'x'"),
+        (lambda nodes: nodes[3].update(p=None), "tree.nodes[3].p must be a number, not None"),
+        (lambda nodes: nodes[3].update(date="x"), "tree.nodes[3].date must be a date, not 'x'"),
     ],
 )
 def test_malformed_nodes_are_schema_violations(edit, message):
     """A known difference: the frozen build_tree raises KeyError for a
-    node without id or date and TypeError for a node that is not an
-    object. Both are now SchemaViolations naming the node's position."""
+    node without id or date, and TypeError or ValueError for a node that
+    is not an object or whose id, parent, date or p is of the wrong kind.
+    All are now SchemaViolations naming the node's position."""
     grid = DateGrid((Fraction(0), Fraction(1, 2), Fraction(1)), 1)
     nodes = [
         {"id": "r", "date": 0, "parent": None, "p": 1.0},
@@ -406,7 +418,7 @@ def test_malformed_nodes_are_schema_violations(edit, message):
     with pytest.raises(SchemaViolation) as err:
         build_tree(grid, copy.deepcopy(nodes))
     assert str(err.value) == message
-    assert _outcome(_oracle_build_tree, grid, nodes)[0] in (KeyError, TypeError)
+    assert _outcome(_oracle_build_tree, grid, nodes)[0] in (KeyError, TypeError, ValueError)
 
 
 def test_a_cycle_off_the_root_is_unreachable():

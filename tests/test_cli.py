@@ -587,6 +587,15 @@ def _family(**family):
         (_family(type="fixed_mix", indices=["0"]), "engine.family: index '0' is not an integer"),
         (_family(type="fixed_mix", indices=[0.0]), "engine.family: index 0.0 is not an integer"),
         (_family(type="fixed_mix", indices=0), "engine.family: indices must be a list"),
+        (lambda doc: _nodes(doc)[2].update(p="x"), "tree.nodes[2].p must be a number, not 'x'"),
+        (lambda doc: _nodes(doc)[2].update(date="x"),
+         "tree.nodes[2].date must be a date, not 'x'"),
+        (lambda doc: _nodes(doc)[2].update(id=["x"]),
+         "tree.nodes[2].id must be a string or a number, not ['x']"),
+        (lambda doc: _nodes(doc)[2].update(parent=["mid"]),
+         "tree.nodes[2].parent must be a node id, not ['mid']"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period="x"),
+         "market.tradables[0].bond_period must be an integer, not 'x'"),
     ],
     ids=[
         "node_without_id", "node_without_date", "nodes_not_a_list", "node_not_an_object",
@@ -594,6 +603,8 @@ def _family(**family):
         "terminal_as_list", "liability_as_list", "illiquid_as_list", "illiquid_inflows_as_list",
         "mix_index_out_of_range", "mix_index_repeated", "mix_indices_empty",
         "mix_index_string", "mix_index_float", "mix_indices_not_a_list",
+        "probability_not_a_number", "date_not_a_date", "id_not_hashable",
+        "parent_not_hashable", "bond_period_not_an_integer",
     ],
 )
 def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):

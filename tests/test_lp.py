@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from prodval import cli, lp
 from prodval.cli import main
 from prodval.errors import NumericalFailure
 from prodval.lattice import build_tree
@@ -143,26 +144,46 @@ def _full_tree(branch: int, years: int, interior_per_year: int):
     return build_tree(grid, nodes)
 
 
-def test_check_on_four_children_and_eight_risky_assets(tmp_path):
-    """`check` on a one-year tree (one interior date) with 4 children per
-    node, 8 risky assets and a bond: each audit LP enumerates C(22,5)
-    bases. Every certificate must hold by its defining property: weights
-    >= 0 whose combination of the children's price-plus-inflow vectors
-    reconstructs the node's price (up to the reports' 9 decimals).
+def _check_state_price_market(tmp_path, monkeypatch, branch: int):
+    """Run `check` on a one-year tree (one interior date) with ``branch``
+    children per node, 8 risky assets and a bond. Every certificate must
+    hold by its defining property: weights >= 0 whose combination of the
+    children's price-plus-inflow vectors reconstructs the node's price
+    (up to the reports' 9 decimals).
 
     The market prices by state prices mu * p_c, so every unit-price
     portfolio has the expected one-step return 1/mu: both audit optima
-    are 1/mu at every node."""
+    are 1/mu at every node. The audits are read off the rays of each
+    node's child-payoff cone, so neither calls ``lp.solve_lp``."""
     rng = np.random.default_rng(0)
-    tree = _full_tree(4, 1, 1)
+    tree = _full_tree(branch, 1, 1)
     market, state_prices = state_price_market(rng, tree, n_risky=8)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_doc(rng, tree, market)))
+
+    solves = []
+    solve_lp = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: solves.append(1) or solve_lp(*a, **k))
+    audit_solves = {}
+    for name in ("audit_consistency_with_tradables", "audit_neutrality_to_tradables"):
+
+        def counted(*args, _audit=getattr(cli, name), _name=name):
+            before = len(solves)
+            report = _audit(*args)
+            audit_solves[_name] = len(solves) - before
+            return report
+
+        monkeypatch.setattr(cli, name, counted)
+
     assert main(["check", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+    assert audit_solves == {
+        "audit_consistency_with_tradables": 0,
+        "audit_neutrality_to_tradables": 0,
+    }
     report = json.loads((tmp_path / "check.json").read_text())
     certs = report["consistency"]["used_subspace"]
     index = {label: n for n, label in enumerate(tree.labels)}
-    assert len(certs) == 5
+    assert len(certs) == 1 + branch
     for label, entry in certs.items():
         assert entry["consistent"]
         node = index[label]
@@ -173,10 +194,21 @@ def test_check_on_four_children_and_eight_risky_assets(tmp_path):
         np.testing.assert_allclose(rebuilt, market.price(node), rtol=0, atol=1e-8)
     for kind in ("consistency_with_tradables", "neutrality_to_tradables"):
         audits = report["audits"][kind]["per_node"]
-        assert len(audits) == 5
+        assert len(audits) == 1 + branch
         for label, audit in audits.items():
             node = index[label]
             child = tree.children[node][0]
             mu = state_prices[node][child] / tree.prob[child]
             assert audit["status"] == "optimal"
             assert audit["optimum"] == pytest.approx(1.0 / mu, abs=1e-8)
+
+
+def test_check_on_four_children_and_eight_risky_assets(tmp_path, monkeypatch):
+    _check_state_price_market(tmp_path, monkeypatch, 4)
+
+
+def test_check_on_six_children_and_eight_risky_assets(tmp_path, monkeypatch):
+    """With 6 children and 9 tradables an audit LP enumerates C(24,7)
+    bases at each of the 7 inner nodes: about 9 s for both audits on a
+    2-vCPU VM."""
+    _check_state_price_market(tmp_path, monkeypatch, 6)
