@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Integral, Real
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -170,27 +171,38 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
             raise SchemaViolation(f"restriction: {e}") from None
 
     fulfillment = _fulfillment_from(doc.get("fulfillment", {"type": "full"}))
-    financiability_cfg = doc.get("financiability", {"type": "coc", "eta": 0.06})
+    financiability_cfg = _object(
+        doc.get("financiability", {"type": "coc", "eta": 0.06}), "financiability"
+    )
     if financiability_cfg.get("type") not in ("coc", "state_price", "zero"):
         raise SchemaViolation(
             f"financiability.type must be coc, state_price, or zero, "
             f"got {financiability_cfg.get('type')!r}"
         )
+    if financiability_cfg["type"] == "coc" and "eta" in financiability_cfg:
+        _non_negative(financiability_cfg["eta"], "financiability.eta")
 
-    engine_doc = doc.get("engine", {})
+    engine_doc = _object(doc.get("engine", {}), "engine")
     mode = str(engine_doc.get("mode", "B")).upper()
     if mode not in ("A", "B"):
         raise SchemaViolation(f"engine.mode must be 'A' or 'B', got {mode!r}")
     if mode == "A" and not close_out:
         raise SchemaViolation("engine.mode 'A' requires market.close_out = true")
-    family_doc = engine_doc.get("family", {"type": "risk_free"})
+    family_doc = _object(engine_doc.get("family", {"type": "risk_free"}), "engine.family")
     family = _family_from(family_doc, tree, market, tree.label_ids, restriction)
-    tolerances = engine_doc.get("tolerances", {})
+    tolerances = _object(engine_doc.get("tolerances", {}), "engine.tolerances")
+    grid_depth = family_doc.get("grid_depth", 3)
+    if isinstance(grid_depth, bool) or not isinstance(grid_depth, Integral) or grid_depth < 0:
+        raise SchemaViolation(
+            f"engine.family.grid_depth must be an integer >= 0, not {grid_depth!r}"
+        )
     engine = EngineConfig(
         mode=mode,
         family=family,
-        bisection_tol=float(tolerances.get("bisection", 1e-10)),
-        grid_depth=int(family_doc.get("grid_depth", 3)),
+        bisection_tol=_non_negative(
+            tolerances.get("bisection", 1e-10), "engine.tolerances.bisection", positive=True
+        ),
+        grid_depth=int(grid_depth),
     )
 
     return ValuationProblem(
@@ -214,6 +226,21 @@ def _object(section, where: str) -> dict:
     if not isinstance(section, dict):
         raise SchemaViolation(f"{where} must be an object, not {type(section).__name__}")
     return section
+
+
+def _non_negative(value, where: str, positive: bool = False) -> float:
+    """``value`` as a float; SchemaViolation unless it is a finite number
+    (a boolean is not one) that is >= 0, or > 0 if ``positive``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+        or value < 0
+        or positive and value == 0
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise SchemaViolation(f"{where} must be a finite number {bound}, not {value!r}")
+    return float(value)
 
 
 class _Sections:

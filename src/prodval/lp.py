@@ -1,14 +1,20 @@
 """Small dense linear programs solved by exhaustive basis enumeration.
 
-Problems here are small: the cone certificates (``market``) optimize
-over cone weights on a node's children. ``solve_standard`` reduces
-``A z = b`` to independent rows (one SVD when ``A`` has full row rank)
-and then enumerates every basis, so the answer is deterministic and
-needs nothing beyond numpy. The tradable audits (``conditions``) solve
-no LP: they are read off the extreme rays of each node's cone of
-non-negative attainable child payoffs by ``cone_ratios``, which takes
-them for a stack of nodes as the vertices of {W z = 0, sum z = 1,
-z >= 0}, one stacked solve over the supports in ``_bases`` order.
+Problems here are small. ``solve_standard`` reduces ``A z = b`` to
+independent rows (one SVD when ``A`` has full row rank) and then
+enumerates every basis, so the answer is deterministic and needs
+nothing beyond numpy. Three kinds of problem use it:
+
+- the cone certificates (``market``): the zero-cost membership LP of
+  every inner node, decided for a stack of nodes at once by
+  ``cone_vertices``;
+- the Farkas LP of a node whose price lies outside that cone, through
+  ``solve_lp``;
+- the tradable audits (``conditions``) solve no LP: they are read off
+  the extreme rays of each node's cone of non-negative attainable child
+  payoffs by ``cone_ratios``, which takes them for a stack of nodes as
+  the vertices of {W z = 0, sum z = 1, z >= 0}, one stacked solve over
+  the supports in ``_bases`` order.
 
 Enumeration is chunked: bases are taken in ``itertools.combinations``
 order, ``_CHUNK`` at a time, from an index array built once per
@@ -16,10 +22,10 @@ order, ``_CHUNK`` at a time, from an index array built once per
 is solved in one ``np.linalg.solve`` call after dropping exactly
 singular bases, and the residual and ``z >= 0`` filters and the
 objectives are array operations. Each basis gets the same bits as a
-solve of its own. All-zero columns of ``A`` (a free weight on a
-coordinate with zero price and payoffs, say) are left out of the
-enumeration: every basis holding one is exactly singular, and the other
-bases keep their combinations order.
+solve of its own. A basis holding an all-zero column of ``A`` (a free
+weight on a coordinate with zero price and payoffs, say) is exactly
+singular, so leaving those columns out keeps the combinations order of
+the other bases.
 
 A basis is a vertex when its solution is finite, non-negative within
 ``FEAS_TOL``, has an absolute residual within ``FEAS_TOL``, and the
@@ -33,8 +39,19 @@ incumbent is tested, by an SVD unless ``log|det B|`` already proves it.
 The vertex returned is part of the contract (stored benchmark reports
 and golden digests pin it where the optimum is not unique): the first
 vertex in combinations order whose objective improves on the incumbent
-by more than 1e-12. With an all-zero cost (the cone certificates) every
-vertex has objective 0, so enumeration stops at the first one.
+by more than 1e-12. With an all-zero cost every vertex has objective 0,
+so enumeration stops at the first one.
+
+``cone_vertices`` takes those steps for a stack of zero-cost LPs: the
+greedy row reduction (``_kept_rows``) and the dropped-row test
+(``_dropped_status``) for the whole stack, then per kept-row count one
+enumeration (``_first_vertices``) that keeps each system until its
+first vertex, about ``_VERTEX_CHUNK`` (system, basis) pairs per stacked
+solve. Each system gets the bits ``solve_lp`` gives it. The dropped-row
+test expresses the dropped rows of all systems that keep equally many
+rows through one stacked SVD; a system whose residuals lie too close to
+the threshold for the rounding of that solve and of ``lstsq`` to agree
+is tested alone, as ``solve_standard`` tests every system.
 
 An optimum with a nonzero cost is reported unbounded when some ray
 ``d >= 0`` with ``A d = 0`` and ``sum(d) = 1`` has ``c.d < -FEAS_TOL``.
@@ -50,17 +67,6 @@ LP vertex meets ``A d = 0`` only within ``FEAS_TOL``, so the two tests
 could part on a vertex that far from exact, which the differential
 tests against the whole enumeration have not produced. Tolerances are
 absolute on constraint residuals.
-
-The greedy row reduction (``_kept_rows``) works on a stack of matrices,
-testing together those that have kept equally many rows; one LP calls
-it with a stack of one. ``full_rank_vertices`` uses it to decide a stack
-of zero-cost LPs (the cone certificates) without enumeration where each
-system keeps n rows (Y of full column rank: a complete node, whose
-weights are unique). There the one basis is the reduced matrix, whose
-rank test was the conditioning test, so one stacked ``np.linalg.solve``
-with the enumeration's residual, sign and clip rules gives each system
-the bits ``solve_lp`` gives it. The dropped-row test stays a ``lstsq``
-per system, skipped where every dropped row is zero.
 """
 
 from __future__ import annotations
@@ -81,6 +87,8 @@ _MAX_BASES = 500_000
 _MAX_SUPPORTS = 1 << 16  # cone_ratios candidate rays per cone
 _RAY_CHUNK = 1 << 14  # cone_ratios candidate rays per stacked solve
 _CHUNK = 512  # bases per stacked solve
+_VERTEX_CHUNK = 1 << 14  # cone_vertices (system, basis) pairs per stacked solve
+_ROUNDING_SLACK = 1 << 10  # eps multiple in the stacked dropped-row test's bounds
 _DUAL_TOL = FEAS_TOL * 1e-3  # reduced-cost floor that proves boundedness
 
 
@@ -222,45 +230,174 @@ def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
     return LPResult("optimal", x, obj)
 
 
-def full_rank_vertices(A: np.ndarray, b: np.ndarray):
+def cone_vertices(A: np.ndarray, b: np.ndarray):
     """The zero-cost LPs A[k] z = b[k], z >= 0 of a stack, shape (N, m, n),
-    decided together where A[k] has rank n: (decided, x), where x[k]
-    holds the bits of ``solve_lp(zeros(n), A[k], b[k]).x`` for each k with
-    ``decided[k]``. Every other LP is left to ``solve_lp``.
+    decided together: (feasible, x). Where ``feasible[k]``, x[k] holds the
+    bits of ``solve_lp(zeros(n), A[k], b[k]).x``; ``solve_lp`` finds every
+    other LP infeasible. Raises the NumericalFailure that ``solve_lp``
+    raises on the first LP of the stack that raises one.
 
-    With rank n the greedy reduction keeps n rows, and the one basis left
-    is the whole reduced matrix, whose rank test was the conditioning
-    test. A system is decided when its dropped rows are implied and its
-    basic solution passes the residual and sign filters; then it is the
-    only vertex. An LP those rules make infeasible, or whose dropped rows
-    fail, is left to ``solve_lp`` too.
-    """
+    These are ``solve_standard``'s steps, each taken for the whole stack:
+    the row reduction (``_kept_rows``), the dropped-row test
+    (``_dropped_status``), and per kept-row count r the first vertex of
+    each system (``_first_vertices``). A system that keeps no row has the
+    vertex z = 0."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     N, m, n = A.shape
-    decided = np.zeros(N, dtype=bool)
+    feasible = np.zeros(N, dtype=bool)
     x = np.zeros((N, n))
-    if m < n or not n or not N:
-        return decided, x
+    if not N:
+        return feasible, x
     scale = _scale(A, b)
     kept = _kept_rows(A, _RANK_TOL * scale)
-    full = kept.sum(axis=1) == n
-    for k in np.flatnonzero(full & ~kept.all(axis=1)):
-        full[k] = _dropped_rows(A[k], b[k], kept[k], scale[k]) == "implied"
-    idx = np.flatnonzero(full)
-    B = A[idx][kept[idx]].reshape(len(idx), n, n)
-    c = b[idx][kept[idx]].reshape(len(idx), n)
-    # An exactly singular basis has no basic solution.
-    regular = np.linalg.slogdet(B)[0] != 0
-    idx, B, c = idx[regular], B[regular], c[regular]
-    # The steps of _best_vertex: a (K, r, 1) stack of right-hand sides.
-    z = np.linalg.solve(B, c[..., None])[..., 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs((B @ z[..., None])[..., 0] - c).max(axis=1)
-    ok = (resid <= FEAS_TOL) & (z.min(axis=1) >= -FEAS_TOL)
-    decided[idx[ok]] = True
-    # solve_lp adds the clipped solution to zeros; adding 0.0 here too
-    # gives a clipped -0.0 the same bits whatever clip makes of it.
-    x[idx[ok]] = z[ok].clip(0.0, None) + 0.0
-    return decided, x
+    inconsistent, failed = _dropped_status(A, b, kept, scale)
+    rank = kept.sum(axis=1)
+    implied = ~(inconsistent | failed)
+    too_large = np.array([r > 0 and math.comb(n, r) > _MAX_BASES for r in range(m + 1)])
+    raises = np.flatnonzero(failed | implied & too_large[rank])
+    if len(raises):
+        k = raises[0]
+        if failed[k]:
+            raise NumericalFailure("row reduction failed to express a dependent row")
+        raise NumericalFailure(f"basis enumeration too large: C({n},{rank[k]})")
+    feasible[implied & (rank == 0)] = True
+    for r in sorted(set(rank[implied].tolist()) - {0}):
+        idx = np.flatnonzero(implied & (rank == r))
+        rows = kept[idx]
+        feasible[idx], x[idx] = _first_vertices(
+            A[idx][rows].reshape(-1, r, n), b[idx][rows].reshape(-1, r), scale[idx]
+        )
+    return feasible, x
+
+
+def _dropped_status(A: np.ndarray, b: np.ndarray, kept: np.ndarray, scale: np.ndarray):
+    """``_dropped_rows`` for each system of a stack, as two masks:
+    (inconsistent, failed).
+
+    Systems that keep equally many rows are tested together: each dropped
+    row is expressed in the kept rows through a stacked SVD of the kept
+    rows instead of a ``lstsq`` per system. The two solves round
+    differently, so a flag is taken from the stack only where the
+    difference cannot change it: where its residual clears the threshold
+    by more than a bound on the rounding of either solve, which grows
+    with the condition number kappa of the kept rows. A system with a
+    flag that close to the threshold (or not finite) is tested alone."""
+    N, m, n = A.shape
+    inconsistent = np.zeros(N, dtype=bool)
+    failed = np.zeros(N, dtype=bool)
+    unsure = np.zeros(N, dtype=bool)
+    rank = kept.sum(axis=1)
+    eps = np.finfo(float).eps * _ROUNDING_SLACK
+    # 0 = 0 holds for every z, as in _dropped_rows.
+    zero = ~((A != 0).any(axis=2) | (b != 0))
+    todo = rank < m
+    todo[todo] = ~(zero[todo] | kept[todo]).all(axis=1)
+    for r in sorted(set(rank[todo].tolist())):
+        idx = np.flatnonzero(todo & (rank == r))
+        thr = FEAS_TOL * scale[idx, None]
+        drop = ~kept[idx]
+        Ad = A[idx][drop].reshape(len(idx), m - r, n)
+        bd = b[idx][drop].reshape(len(idx), m - r)
+        if r:
+            Ak = A[idx][kept[idx]].reshape(len(idx), r, n)
+            bk = b[idx][kept[idx]].reshape(len(idx), r)
+            # Ak = U diag(S) Vt; the least-squares coef[:, j] of dropped
+            # row j is U diag(1/S) Vt Ad[j].
+            U, S, Vt = np.linalg.svd(Ak, full_matrices=False)
+            coef = U @ ((Vt @ Ad.transpose(0, 2, 1)) / S[..., None])
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit = np.abs(Ak.transpose(0, 2, 1) @ coef - Ad.transpose(0, 2, 1)).max(axis=1)
+                gap = np.abs((coef * bk[..., None]).sum(axis=1) - bd)
+                # Rounding bounds of a backward-stable least-squares
+                # solve and of the residuals taken from it (Higham,
+                # Accuracy and Stability, ch. 20), for either solve.
+                kappa = (S[:, 0] / S[:, -1])[:, None]
+                c_norm = np.linalg.norm(coef, axis=1)
+                b_norm = np.linalg.norm(bk, axis=1)[:, None]
+                fit_err = eps * kappa * np.linalg.norm(Ad, axis=2)
+                res_norm = math.sqrt(n) * (fit + fit_err)
+                coef_err = eps * kappa * (c_norm + kappa * res_norm / S[:, :1])
+                gap_err = (coef_err + eps * c_norm) * b_norm + eps * np.abs(bd)
+        else:
+            fit = fit_err = np.zeros(bd.shape)
+            gap, gap_err = np.abs(bd), 0.0
+        fit_bad, fit_ok = fit - fit_err > thr, fit + fit_err <= thr
+        gap_bad, gap_ok = gap - gap_err > thr, gap + gap_err <= thr
+        # The first row that is not surely implied decides, if its kind
+        # is sure.
+        open_row = ~(fit_ok & gap_ok)
+        q = open_row.argmax(axis=1)
+        row = np.arange(len(idx)), q
+        some = open_row.any(axis=1)
+        failed[idx] = some & fit_bad[row]
+        inconsistent[idx] = some & fit_ok[row] & gap_bad[row]
+        unsure[idx] = some & ~(failed[idx] | inconsistent[idx])
+    for k in np.flatnonzero(unsure).tolist():
+        status = _dropped_rows(A[k], b[k], kept[k], scale[k])
+        inconsistent[k] = status == "inconsistent"
+        failed[k] = status == "failed"
+    return inconsistent, failed
+
+
+def _first_vertices(A: np.ndarray, b: np.ndarray, scale: np.ndarray):
+    """(found, x): for each system A[k] z = b[k], z >= 0 of a stack of
+    reduced systems, shape (N, r, n) with r independent rows, whether it
+    has a vertex, and ``solve_lp``'s bits of the first one in
+    combinations order, the vertex ``_best_vertex`` returns at zero cost.
+
+    The bases of ``_bases(n, r)`` are taken over all n columns: a basis
+    holding an all-zero column is exactly singular, so the others keep
+    the order ``_best_vertex`` gives them. About ``_VERTEX_CHUNK``
+    (system, basis) pairs go into one stacked solve, a system's bases
+    ``_CHUNK`` at a time, and a system leaves once it has its vertex. The
+    filters are ``_best_vertex``'s: slogdet sign, residual, sign, then
+    the conditioning test on the bases that pass them."""
+    N, r, n = A.shape
+    found = np.zeros(N, dtype=bool)
+    x = np.zeros((N, n))
+    bases = _bases(n, r)
+    tol = _RANK_TOL * scale
+    # _best_vertex's log|det| floor. It may differ from that one in the
+    # last bits, but a log|det| within rounding of either floor has
+    # sigma_min near 2 * tol, so the SVD passes it all the same.
+    sure_log_det = np.log(2.0 * tol) + (r - 1) * np.log(np.linalg.norm(A, axis=(1, 2)))
+    step = min(len(bases), _CHUNK)
+    per_chunk = max(1, _VERTEX_CHUNK // step)
+    for start in range(0, N, per_chunk):
+        todo = np.arange(start, min(N, start + per_chunk))
+        for first in range(0, len(bases), step):
+            J = bases[first : first + step]
+            # B[t, j] = A[todo[t]][:, J[j]].
+            B = A[todo][:, :, J].transpose(0, 2, 1, 3)
+            sign, log_det = np.linalg.slogdet(B)
+            t, j = np.nonzero(sign != 0)
+            B, c = B[t, j], b[todo[t]]
+            z = np.linalg.solve(B, c[..., None])[..., 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = np.abs((B @ z[..., None])[..., 0] - c).max(axis=1)
+            ok = (resid <= FEAS_TOL) & (z.min(axis=1) >= -FEAS_TOL)
+            t, j, B, z = t[ok], j[ok], B[ok], z[ok]
+            good = log_det[t, j] > sure_log_det[todo[t]]
+            # Only the bases before a system's first sure one need an SVD.
+            first_sure = np.full(len(todo), step)
+            np.minimum.at(first_sure, t[good], j[good])
+            test = ~good & (j < first_sure[t])
+            good[test] = _full_row_rank(B[test], tol[todo[t[test]]])
+            # np.nonzero ran row-major, so the first hit per t is its
+            # first basis in combinations order.
+            t, j, z = t[good], j[good], z[good]
+            t, hit = np.unique(t, return_index=True)
+            node = todo[t]
+            # solve_lp adds the clipped solution to zeros; adding 0.0 here
+            # too gives a clipped -0.0 the same bits whatever clip makes
+            # of it.
+            x[node[:, None], J[j[hit]]] = z[hit].clip(0.0, None) + 0.0
+            found[node] = True
+            todo = np.delete(todo, t)
+            if not len(todo):
+                break
+    return found, x
 
 
 def cone_ratios(W: np.ndarray, c: np.ndarray, p: np.ndarray):

@@ -259,35 +259,33 @@ def check_consistency(
     violating portfolio x with x.(S_c + Z_c) >= 0 for all children and
     x.S_node < 0.
 
-    The weights come from the LP ``lp.solve_lp(0, Y, s)`` over the
-    restricted child payoffs Y. Where Y has full column rank (a complete
-    node: the weights are its unique state prices), the nodes of one date
-    and child count are decided together by ``lp.full_rank_vertices``,
-    which gives the LP's bits. Every other node, and every complete node
-    those rules leave open (a price outside the cone or the span of Y),
-    solves the LP, and an inconsistent node solves the Farkas LP too.
+    The weights are the vertex the LP ``lp.solve_lp(0, Y, s)`` over the
+    restricted child payoffs Y finds, bit for bit. The LPs of every inner
+    node, complete or not, are decided together per date and child count
+    by ``lp.cone_vertices``, one stacked vertex enumeration each. Only a
+    node whose LP is infeasible (its price lies outside the cone of its
+    child payoffs) solves an LP of its own: the Farkas LP, for its
+    violating portfolio. A NumericalFailure of the membership LPs is
+    raised before any Farkas LP is solved, for the first failing node in
+    date and child-count order.
     """
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
     B = restriction.matrix()
     pay = restriction.restrict(market.payoffs)
     price = restriction.restrict(market.prices)
-    decided = _complete_node_weights(tree, pay, price)
+    weights = _cone_weights(tree, pay, price)
     verdicts: Dict[int, NodeVerdict] = {}
     for node in range(tree.n_nodes):
         children = tree.children[node]
         if not children:
             continue
-        lam = decided.get(node)
-        if lam is None:
-            Y = pay[list(children)].T
-            s = price[node]
-            primal = lp.solve_lp(c=np.zeros(len(children)), A_eq=Y, b_eq=s, nonneg=True)
-            if primal.status == "optimal":
-                lam = primal.x.tolist()
+        lam = weights.get(node)
         if lam is not None:
             verdicts[node] = NodeVerdict(True, weights=dict(zip(children, lam)))
             continue
+        Y = pay[list(children)].T
+        s = price[node]
         # Farkas alternative: u with u.y_c >= 0 for all c and u.s = -1.
         m = B.shape[1]
         alt = lp.solve_lp(
@@ -308,16 +306,14 @@ def check_consistency(
     return ConsistencyCertificate(verdicts)
 
 
-def _complete_node_weights(
-    tree: ScenarioTree, pay: np.ndarray, price: np.ndarray
-) -> Dict[int, list]:
-    """node -> weights, as floats in child order, for the nodes that
-    ``lp.full_rank_vertices`` decides: one stacked call per date and
-    child count."""
+def _cone_weights(tree: ScenarioTree, pay: np.ndarray, price: np.ndarray) -> Dict[int, list]:
+    """node -> weights, as floats in child order, for the inner nodes
+    whose price lies in the cone of their child payoffs: one
+    ``lp.cone_vertices`` call per date and child count."""
     out: Dict[int, list] = {}
     for group, kids in tree.sibling_groups():
         # Y[k] = pay[kids[k]].T, one column per child.
-        decided, lam = lp.full_rank_vertices(pay[kids].transpose(0, 2, 1), price[group])
-        for k in np.flatnonzero(decided).tolist():
+        feasible, lam = lp.cone_vertices(pay[kids].transpose(0, 2, 1), price[group])
+        for k in np.flatnonzero(feasible).tolist():
             out[group[k]] = lam[k].tolist()
     return out

@@ -596,6 +596,35 @@ def _family(**family):
          "tree.nodes[2].parent must be a node id, not ['mid']"),
         (lambda doc: doc["market"]["tradables"][0].update(bond_period="x"),
          "market.tradables[0].bond_period must be an integer, not 'x'"),
+        (lambda doc: doc.update(engine=[]), "engine must be an object, not list"),
+        (lambda doc: doc["engine"].update(family=[]), "engine.family must be an object, not list"),
+        (lambda doc: doc["engine"].update(tolerances=[1e-10]),
+         "engine.tolerances must be an object, not list"),
+        (lambda doc: doc.update(financiability=[]), "financiability must be an object, not list"),
+        (lambda doc: doc["financiability"].update(eta="x"),
+         "financiability.eta must be a finite number >= 0, not 'x'"),
+        (lambda doc: doc["financiability"].update(eta=True),
+         "financiability.eta must be a finite number >= 0, not True"),
+        (lambda doc: doc["financiability"].update(eta=math.inf),
+         "financiability.eta must be a finite number >= 0, not inf"),
+        (lambda doc: doc["financiability"].update(eta=-0.01),
+         "financiability.eta must be a finite number >= 0, not -0.01"),
+        (_family(type="risk_free", grid_depth=-1),
+         "engine.family.grid_depth must be an integer >= 0, not -1"),
+        (_family(type="fixed_mix", grid_depth="2"),
+         "engine.family.grid_depth must be an integer >= 0, not '2'"),
+        (_family(type="fixed_mix", grid_depth=2.5),
+         "engine.family.grid_depth must be an integer >= 0, not 2.5"),
+        (_family(type="fixed_mix", grid_depth=True),
+         "engine.family.grid_depth must be an integer >= 0, not True"),
+        (lambda doc: doc["engine"].update(tolerances={"bisection": 0}),
+         "engine.tolerances.bisection must be a finite number > 0, not 0"),
+        (lambda doc: doc["engine"].update(tolerances={"bisection": -1}),
+         "engine.tolerances.bisection must be a finite number > 0, not -1"),
+        (lambda doc: doc["engine"].update(tolerances={"bisection": math.nan}),
+         "engine.tolerances.bisection must be a finite number > 0, not nan"),
+        (lambda doc: doc["engine"].update(tolerances={"bisection": False}),
+         "engine.tolerances.bisection must be a finite number > 0, not False"),
     ],
     ids=[
         "node_without_id", "node_without_date", "nodes_not_a_list", "node_not_an_object",
@@ -604,7 +633,11 @@ def _family(**family):
         "mix_index_out_of_range", "mix_index_repeated", "mix_indices_empty",
         "mix_index_string", "mix_index_float", "mix_indices_not_a_list",
         "probability_not_a_number", "date_not_a_date", "id_not_hashable",
-        "parent_not_hashable", "bond_period_not_an_integer",
+        "parent_not_hashable", "bond_period_not_an_integer", "engine_as_list",
+        "family_as_list", "tolerances_as_list", "financiability_as_list", "eta_not_a_number",
+        "eta_boolean", "eta_infinite", "eta_negative", "grid_depth_negative",
+        "grid_depth_string", "grid_depth_fraction", "grid_depth_boolean", "bisection_zero",
+        "bisection_negative", "bisection_nan", "bisection_boolean",
     ],
 )
 def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):
@@ -619,6 +652,22 @@ def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
         problem_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "engine, financiability",
+    [({"family": {"type": "fixed_mix", "grid_depth": 0}}, {"type": "coc", "eta": 0}),
+     ({"tolerances": {"bisection": 1}}, {"type": "coc", "eta": 1.5}),
+     ({}, {"type": "zero", "eta": "unused"})],
+)
+def test_edge_values_load(engine, financiability):
+    """grid_depth 0, integer eta and bisection tolerances load; eta is
+    read only under the cost-of-capital condition."""
+    doc = two_point_doc()
+    doc.update(engine=engine, financiability=financiability)
+    problem = problem_from_dict(doc)
+    assert problem.engine.grid_depth == engine.get("family", {}).get("grid_depth", 3)
+    assert problem.engine.bisection_tol == engine.get("tolerances", {}).get("bisection", 1e-10)
 
 
 @pytest.mark.parametrize("family", [{"indices": [0]}, {}])
