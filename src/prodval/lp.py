@@ -289,10 +289,9 @@ def _dropped_status(A: np.ndarray, b: np.ndarray, kept: np.ndarray, scale: np.nd
     unsure = np.zeros(N, dtype=bool)
     rank = kept.sum(axis=1)
     eps = np.finfo(float).eps * _ROUNDING_SLACK
-    # 0 = 0 holds for every z, as in _dropped_rows.
-    zero = ~((A != 0).any(axis=2) | (b != 0))
-    todo = rank < m
-    todo[todo] = ~(zero[todo] | kept[todo]).all(axis=1)
+    # Only systems with a nonzero dropped row: 0 = 0 holds for every z,
+    # as in _dropped_rows.
+    todo = (((A != 0).any(axis=2) | (b != 0)) & ~kept).any(axis=1)
     for r in sorted(set(rank[todo].tolist())):
         idx = np.flatnonzero(todo & (rank == r))
         thr = FEAS_TOL * scale[idx, None]

@@ -366,18 +366,27 @@ def test_kernel_generators_reach_every_case(monkeypatch):
     sign filters but fail the conditioning test, clipped weights, and
     infeasible systems."""
     seen = dict.fromkeys(
-        ("m<n", "m=n", "m>n", "mixed_rank", "rank_0", "zero_column", "implied",
-         "inconsistent", "failed", "ill_conditioned", "clipped", "infeasible"),
+        "m<n m=n m>n mixed_rank rank_0 zero_column implied inconsistent failed "
+        "ill_conditioned clipped infeasible".split(),
         0,
     )
     full_row_rank = lp._full_row_rank
 
     def conditioning(M, tol):
         passed = full_row_rank(M, tol)
-        seen["ill_conditioned"] += int((~np.asarray(passed)).sum()) if M.ndim == 3 else 0
+        seen["ill_conditioned"] += int((~passed).sum())
         return passed
 
-    monkeypatch.setattr(lp, "_first_vertices", _spy_first_vertices(conditioning))
+    first_vertices = lp._first_vertices
+
+    def spied(*args):
+        # Only the enumeration's conditioning test is counted, not the
+        # row reduction's rank test.
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_full_row_rank", conditioning)
+            return first_vertices(*args)
+
+    monkeypatch.setattr(lp, "_first_vertices", spied)
     for seed in range(300):
         rng = np.random.default_rng(seed)
         A, b = _stack(rng, lambda kinds: kinds[int(rng.integers(len(kinds)))])
@@ -400,21 +409,6 @@ def test_kernel_generators_reach_every_case(monkeypatch):
             z = np.linalg.lstsq(a, v, rcond=None)[0] if m else x
             seen["clipped"] += int(((z < -1e-12) & (z > -2 * FEAS_TOL) & (x == 0.0)).any())
     assert all(seen.values()), seen
-
-
-def _spy_first_vertices(conditioning):
-    """lp._first_vertices with ``conditioning`` in place of the SVD test."""
-    first_vertices = lp._first_vertices
-
-    def spied(*args):
-        real = lp._full_row_rank
-        lp._full_row_rank = conditioning
-        try:
-            return first_vertices(*args)
-        finally:
-            lp._full_row_rank = real
-
-    return spied
 
 
 def test_chunks_decide_alike(monkeypatch):
