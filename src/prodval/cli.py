@@ -12,6 +12,7 @@ any error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -46,6 +47,11 @@ from .market import check_consistency
 from .resolution import extend_to_full_fulfillment
 from .risk import RiskMeasureSpec
 from .solvency import RateCurve, multi_period_solvency
+
+try:  # numpy >= 2
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import _set_madvise_hugepage
 
 
 def _fmt(x: float) -> str:
@@ -576,31 +582,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _base_pages():
+    """numpy's huge-page advice off for one call, then restored.
+
+    numpy advises the kernel to back each array of 4 MiB or more (the
+    (nodes, tradables) payoffs and prices of a large tree) with
+    transparent huge pages. glibc often places such an array inside its
+    heap, and the advice outlives the array: later allocations there,
+    the next config parse's small objects among them, are faulted in,
+    or collapsed in the background, as whole 2 MiB pages, as many as
+    the host has free at the time. With the advice on, repeated calls
+    in one process held 10-30 MB of huge pages, and their peak memory
+    moved by up to 20 MB between identical runs."""
+    previous = _set_madvise_hugepage(False)
+    try:
+        yield
+    finally:
+        _set_madvise_hugepage(previous)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        problem = load_config(args.config)
-        bundle = run(
-            problem,
-            args.subcommand,
-            stage=getattr(args, "stage", 3),
-            mode=getattr(args, "mode", None),
-            fmt=args.format,
-        )
-    except ProdvalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    out = Path(args.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in sorted(bundle.files.items()):
-            (out / name).write_text(text, encoding="utf-8")
-    except OSError as e:
-        print(f"error: cannot write reports to '{out}': {e.strerror or e}", file=sys.stderr)
-        return 1
-    for name in sorted(bundle.files):
-        print(out / name)
-    return bundle.exit_code
+    with _base_pages():
+        try:
+            problem = load_config(args.config)
+            bundle = run(
+                problem,
+                args.subcommand,
+                stage=getattr(args, "stage", 3),
+                mode=getattr(args, "mode", None),
+                fmt=args.format,
+            )
+        except ProdvalError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        out = Path(args.output_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in sorted(bundle.files.items()):
+                (out / name).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write reports to '{out}': {e.strerror or e}", file=sys.stderr)
+            return 1
+        for name in sorted(bundle.files):
+            print(out / name)
+        return bundle.exit_code
 
 
 if __name__ == "__main__":

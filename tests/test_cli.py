@@ -171,6 +171,26 @@ def test_main_error_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, code", [(None, 0), ("{}", 1)], ids=["valued", "rejected"])
+def test_main_advises_no_huge_pages_during_the_call(text, code, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(text or (CONFIGS / "two_point.json").read_text())
+    during = []
+
+    def loading(path):
+        during.append(cli._set_madvise_hugepage(False))
+        return load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", loading)
+    before = cli._set_madvise_hugepage(True)
+    try:
+        assert main(["value", "--config", str(config), "--output-dir", str(tmp_path)]) == code
+        assert during == [False]
+        assert cli._set_madvise_hugepage(True) is True  # restored on return
+    finally:
+        cli._set_madvise_hugepage(before)
+
+
 @pytest.mark.parametrize("price, cause", [(-0.5, ValueError), (None, TypeError)])
 def test_invalid_price_is_one_error_line(price, cause, tmp_path, capsys):
     doc = two_point_doc()
