@@ -105,8 +105,11 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     market_doc = _need(doc, "market")
     liab_doc = _need(doc, "liability")
 
+    horizon = _need(grid_doc, "T", "grid.")
+    if isinstance(horizon, bool) or not isinstance(horizon, Integral):
+        raise SchemaViolation(f"grid.T must be an integer, not {horizon!r}")
     try:
-        grid = DateGrid.build(_need(grid_doc, "dates", "grid."), int(_need(grid_doc, "T", "grid.")))
+        grid = DateGrid.build(_need(grid_doc, "dates", "grid."), horizon)
     except (TypeError, ValueError) as e:
         raise SchemaViolation(f"grid: {e}") from None
 
@@ -139,7 +142,9 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
                 raise SchemaViolation(
                     f"{where}.bond_period must be an integer, not {spec['bond_period']!r}"
                 ) from None
-    close_out = bool(market_doc.get("close_out", False))
+    close_out = market_doc.get("close_out", False)
+    if not isinstance(close_out, bool):
+        raise SchemaViolation(f"market.close_out must be true or false, not {close_out!r}")
     market = TradableSet(
         tree=tree,
         prices=prices,
@@ -170,7 +175,7 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
         except (TypeError, ValueError) as e:
             raise SchemaViolation(f"restriction: {e}") from None
 
-    fulfillment = _fulfillment_from(doc.get("fulfillment", {"type": "full"}))
+    fulfillment = _fulfillment_from(_object(doc.get("fulfillment", {"type": "full"}), "fulfillment"))
     financiability_cfg = _object(
         doc.get("financiability", {"type": "coc", "eta": 0.06}), "financiability"
     )
@@ -329,12 +334,27 @@ def _fulfillment_from(doc: Mapping) -> FulfillmentSpec:
     if kind == "full":
         return FulfillmentSpec.full()
     if kind == "var":
-        return FulfillmentSpec.var(float(_need(doc, "alpha", "fulfillment.")))
+        return FulfillmentSpec.var(_level(doc, "alpha"))
     if kind == "es":
-        return FulfillmentSpec.es(float(_need(doc, "alpha", "fulfillment.")))
+        return FulfillmentSpec.es(_level(doc, "alpha"))
     if kind == "prob":
-        return FulfillmentSpec.probability(float(_need(doc, "p", "fulfillment.")))
+        return FulfillmentSpec.probability(_level(doc, "p", closed=True))
     raise SchemaViolation(f"fulfillment.type must be full, var, es, or prob, got {kind!r}")
+
+
+def _level(doc: Mapping, key: str, closed: bool = False) -> float:
+    """``fulfillment.<key>`` as a float; SchemaViolation unless it is a
+    finite number (a boolean is not one) in (0, 1), or (0, 1] if
+    ``closed``."""
+    value = _need(doc, key, "fulfillment.")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not (0.0 < value < 1.0 or closed and value == 1.0)
+    ):
+        interval = "(0, 1]" if closed else "(0, 1)"
+        raise SchemaViolation(f"fulfillment.{key} must be a number in {interval}, not {value!r}")
+    return float(value)
 
 
 def _family_from(doc, tree, market, label_to_id, restriction) -> StrategyFamily:

@@ -8,6 +8,7 @@ import pytest
 
 from prodval import cli, market
 from prodval.cli import main, run
+from prodval.conditions import FulfillmentSpec
 from prodval.config import load_config, problem_from_dict, problem_to_dict
 from prodval.errors import CrossRefError, ParseError, SchemaViolation
 from prodval.market import TradableSet
@@ -645,6 +646,29 @@ def _family(**family):
          "engine.tolerances.bisection must be a finite number > 0, not nan"),
         (lambda doc: doc["engine"].update(tolerances={"bisection": False}),
          "engine.tolerances.bisection must be a finite number > 0, not False"),
+        (lambda doc: doc.update(fulfillment=[]), "fulfillment must be an object, not list"),
+        (lambda doc: doc.update(fulfillment={"type": "prob", "p": True}),
+         "fulfillment.p must be a number in (0, 1], not True"),
+        (lambda doc: doc.update(fulfillment={"type": "prob", "p": 0}),
+         "fulfillment.p must be a number in (0, 1], not 0"),
+        (lambda doc: doc.update(fulfillment={"type": "prob", "p": 1.5}),
+         "fulfillment.p must be a number in (0, 1], not 1.5"),
+        (lambda doc: doc.update(fulfillment={"type": "var", "alpha": True}),
+         "fulfillment.alpha must be a number in (0, 1), not True"),
+        (lambda doc: doc.update(fulfillment={"type": "es", "alpha": "0.01"}),
+         "fulfillment.alpha must be a number in (0, 1), not '0.01'"),
+        (lambda doc: doc.update(fulfillment={"type": "var", "alpha": 1}),
+         "fulfillment.alpha must be a number in (0, 1), not 1"),
+        (lambda doc: doc.update(fulfillment={"type": "es", "alpha": math.nan}),
+         "fulfillment.alpha must be a number in (0, 1), not nan"),
+        (lambda doc: doc["market"].update(close_out="no"),
+         "market.close_out must be true or false, not 'no'"),
+        (lambda doc: doc["market"].update(close_out=1),
+         "market.close_out must be true or false, not 1"),
+        (lambda doc: doc["market"].update(close_out=None),
+         "market.close_out must be true or false, not None"),
+        (lambda doc: doc["grid"].update(T=True), "grid.T must be an integer, not True"),
+        (lambda doc: doc["grid"].update(T=1.5), "grid.T must be an integer, not 1.5"),
     ],
     ids=[
         "node_without_id", "node_without_date", "nodes_not_a_list", "node_not_an_object",
@@ -657,7 +681,10 @@ def _family(**family):
         "family_as_list", "tolerances_as_list", "financiability_as_list", "eta_not_a_number",
         "eta_boolean", "eta_infinite", "eta_negative", "grid_depth_negative",
         "grid_depth_string", "grid_depth_fraction", "grid_depth_boolean", "bisection_zero",
-        "bisection_negative", "bisection_nan", "bisection_boolean",
+        "bisection_negative", "bisection_nan", "bisection_boolean", "fulfillment_as_list",
+        "p_boolean", "p_zero", "p_above_one", "alpha_boolean", "alpha_string", "alpha_one",
+        "alpha_nan", "close_out_string", "close_out_number", "close_out_null", "horizon_boolean",
+        "horizon_fraction",
     ],
 )
 def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):
@@ -688,6 +715,23 @@ def test_edge_values_load(engine, financiability):
     problem = problem_from_dict(doc)
     assert problem.engine.grid_depth == engine.get("family", {}).get("grid_depth", 3)
     assert problem.engine.bisection_tol == engine.get("tolerances", {}).get("bisection", 1e-10)
+
+
+@pytest.mark.parametrize(
+    "fulfillment, want",
+    [({"type": "prob", "p": 1}, FulfillmentSpec.probability(1.0)),
+     ({"type": "prob", "p": 0.9}, FulfillmentSpec.probability(0.9)),
+     ({"type": "es", "alpha": 0.01}, FulfillmentSpec.es(0.01))],
+)
+def test_fulfillment_levels_load(fulfillment, want):
+    """An integer p of 1 is full fulfillment in probability; levels load
+    as floats."""
+    doc = two_point_doc()
+    doc.update(fulfillment=fulfillment)
+    doc["market"]["close_out"] = True
+    problem = problem_from_dict(doc)
+    assert problem.fulfillment == want
+    assert problem.market.close_out is True
 
 
 @pytest.mark.parametrize("family", [{"indices": [0]}, {}])

@@ -391,8 +391,10 @@ COMMON = dict(
     depth=st.integers(1, 3),
     zero_price=st.sampled_from([None, None, 0, 1]),
     # Flows stay small: once a scale's float spacing exceeds the
-    # bisection tolerance (above about 2**19 at 1e-10) the oracle's
-    # bisection never ends; the batched step's stops there.
+    # bisection tolerance (above about 2**19 at 1e-10) this per-node
+    # oracle's bisection never ends, where the batched loops stop at
+    # adjacent floats. Larger magnitudes are held to a frozen copy of the
+    # batched bisection in test_scale_search.py.
     magnitude=st.sampled_from([1.0, 1.0, 100.0]),
     **COMMON,
 )
