@@ -489,41 +489,43 @@ def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
     if fulfillment.variant == "full":
         # An infinite liability atom can never be covered.
         solved &= ~year.pad(np.isinf(year.ell)).any(axis=1)
-    pots0, _, end0 = _roll(year, portfolio, np.zeros(n))
-    pending = solved & ~_passes(year, fulfillment, pots0, end0, solved)
-    t = _scale_estimate(year, portfolio, fulfillment, pots0, end0, pending)
+    pending, t = _scale_estimate(year, portfolio, fulfillment, solved)
     hi, found = _certified_replay(ok, t, pending, tol)
     solved &= found | ~pending
     return np.where(found, hi, 0.0)
 
 
-def _scale_estimate(year: _Year, portfolio, fulfillment, pots0, end0, rows):
-    """A guess at the smallest passing scale of each of ``rows`` (+inf
-    where it sees none), from the pots and year-end payoffs ``pots0``,
-    ``end0`` of the roll at scale 0.
+def _scale_estimate(year: _Year, portfolio, fulfillment, solved):
+    """The rows of ``solved`` that fail at scale 0, and for each of them
+    a guess at its smallest passing scale (+inf where it sees none).
 
-    The roll is affine in the scale, so with the roll at scale 1 every
-    pot and year-end surplus is a line. The guess is the larger of the
-    scale that lifts the interior pots to -TOL and the scale at which
-    the surplus lines meet the condition with its SLACK: for full, VaR
-    and probability conditions a lower quantile of the scales at which
-    the atoms reach -SLACK, for ES the root of the buffer by secant
+    The roll is affine in the scale, so the rolls at scale 0 and 1 give
+    every pot and year-end surplus as a line. The guess is the larger of
+    the scale that lifts the interior pots to -TOL and the scale at
+    which the surplus lines meet the condition with its SLACK: for full,
+    VaR and probability conditions a lower quantile of the scales at
+    which the atoms reach -SLACK, for ES the root of the buffer by secant
     steps (``_secant_root``). Only the cost of the search depends on the
     guess.
     """
-    n = len(rows)
+    n = len(solved)
+    pots0, _, end0 = _roll(year, portfolio, np.zeros(n))
+    pending = solved & ~_passes(year, fulfillment, pots0, end0, solved)
     pots1, _, end1 = _roll(year, portfolio, np.ones(n))
     interior, flat = _interior_bound(year, pots0, pots1, TOL)
-    idx = np.flatnonzero(rows)
-    dist = year.dist.take(idx)
+    idx = np.flatnonzero(pending)
     base = year.pad(end0 - year.ell)[idx]
     slope = year.pad(end1 - end0)[idx]
+    # The rolls are not needed past here, and the secant steps below are
+    # the peak of a date's memory.
+    del pots0, pots1, end0, end1, _
+    probs, counts = year.dist.probs[idx], year.dist.counts[idx]
     measure = fulfillment.measure
     if measure is not None and measure.variant == "es":
 
         def excess(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-            values = base[k] + x[:, None] * slope[k]
-            return fulfillment.required_buffer(dist.take(k).with_values(values)) - SLACK
+            rows = DistributionRows(base[k] + x[:, None] * slope[k], probs[k], counts[k])
+            return fulfillment.required_buffer(rows) - SLACK
 
         root = _secant_root(excess, len(idx))
     else:
@@ -533,10 +535,10 @@ def _scale_estimate(year: _Year, portfolio, fulfillment, pots0, end0, rows):
             level = fulfillment.p or 1.0
         lift = -SLACK - base
         reach = np.where(slope > 0.0, lift / slope, np.where(lift > 0.0, INF, -INF))
-        root = lower_quantile(dist.with_values(reach), level)
+        root = lower_quantile(DistributionRows(reach, probs, counts), level)
     t = np.full(n, INF)
     t[idx] = np.where(flat[idx], INF, np.maximum(interior[idx], root))
-    return t
+    return pending, t
 
 
 def _secant_root(excess, n: int) -> np.ndarray:
