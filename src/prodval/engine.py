@@ -480,7 +480,6 @@ def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
     per date instead of one per loop step. Clears ``solved`` where no
     scale works.
     """
-    n = len(solved)
 
     def ok(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         pots, _, end = _roll(year, portfolio, s)
