@@ -617,7 +617,6 @@ def _certified_replay(ok, t, pending, tol):
     ``ok`` itself.
     """
     n = len(pending)
-    t = np.array(t, dtype=float)
     hi, found = np.ones(n), np.zeros(n, dtype=bool)
     low, high = np.zeros(n), np.full(n, INF)
     gap = np.zeros(n)
