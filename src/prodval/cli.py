@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
+    AUDIT_STATUSES,
     HOMOGENEITY_SCALES,
     audit_consistency_with_tradables,
     audit_neutrality_to_tradables,
@@ -362,21 +363,19 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     buf = io.StringIO()
     buf.write("node,date,bel,rm,scr,p_m1,stage\n")
     rows_json = []
-    fields = ("bel", "rm", "scr", "p_m1")
+    arrays = (report.bel, report.rm, report.scr, report.p_m1)
     for i in range(tree.grid.horizon):
         nodes = tree.nodes_at(i)
-        labels = tree.labels[nodes[0]:nodes[-1] + 1]
-        rows = list(map(report.rows.__getitem__, nodes))
-        columns = [list(map(attrgetter(f), rows)) for f in fields]
-        stages = list(map(attrgetter("stage"), rows))
+        ids = slice(nodes[0], nodes[-1] + 1)
+        labels = tree.labels[ids]
+        columns = [values[ids].tolist() for values in arrays]
         buf.writelines(map(
-            "%s,%s,%s,%s,%s,%s,%s\n".__mod__,
-            zip(labels, repeat(str(i)), *map(_fmt_all, columns), map(str, stages)),
+            f"%s,{i},%s,%s,%s,%s,{stage}\n".__mod__, zip(labels, *map(_fmt_all, columns))
         ))
         rows_json += [
             {"node": label, "date": i, "bel": bel, "rm": rm, "scr": scr, "p_m1": p_m1,
-             "stage": st}
-            for label, bel, rm, scr, p_m1, st in zip(labels, *map(_round_all, columns), stages)
+             "stage": stage}
+            for label, bel, rm, scr, p_m1 in zip(labels, *map(_round_all, columns))
         ]
     doc = {"stage": stage, "rows": rows_json}
     if report.sii_formula_rm0 is not None:
@@ -389,18 +388,22 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     return ReportBundle(files)
 
 
-def _certificate_json(problem: ValuationProblem, cert) -> dict:
-    tree = problem.tree
+def _rounded(values: np.ndarray) -> list:
+    """``_round`` of each value, None where it is NaN."""
+    return [None if x != x else _round(x) for x in values.tolist()]
+
+
+def _certificate_json(tree, cert) -> dict:
+    labels = tree.labels
+    weights = _rounded(cert.weights)
     out = {}
-    for node, verdict in sorted(cert.verdicts.items()):
-        entry: dict = {"consistent": verdict.consistent}
-        if verdict.consistent:
-            entry["weights"] = {
-                tree.labels[c]: _round(w) for c, w in sorted(verdict.weights.items())
-            }
+    for node, consistent in enumerate(cert.consistent_at.tolist()):
+        if consistent:
+            entry = {"weights": {labels[c]: weights[c] for c in tree.children[node]}}
         else:
-            entry["violation"] = [_round(v) for v in verdict.violation]
-        out[tree.labels[node]] = entry
+            entry = {"violation": _round_all(cert.violation[node].tolist())}
+        entry["consistent"] = consistent
+        out[labels[node]] = entry
     return out
 
 
@@ -417,12 +420,12 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
             "restriction": "full"
             if problem.restriction is None
             else "custom",
-            "used_subspace": _certificate_json(problem, cert_used),
+            "used_subspace": _certificate_json(tree, cert_used),
         }
     }
     if problem.restriction is not None:
         cert_raw = check_consistency(problem.market, tree, None)
-        doc["consistency"]["full_space"] = _certificate_json(problem, cert_raw)
+        doc["consistency"]["full_space"] = _certificate_json(tree, cert_raw)
     rates = _engine_rates(problem)
     cons = audit_consistency_with_tradables(
         financiability, problem.market, tree, problem.restriction, rates
@@ -440,16 +443,17 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
     )
 
     def audit_json(report):
+        columns = (
+            map(AUDIT_STATUSES.__getitem__, report.status.tolist()),
+            _rounded(report.optimum),
+            _rounded(report.hurdle),
+            report.flagged.tolist(),
+        )
         return {
-            "flagged": report.flagged,
+            "flagged": report.any_flagged,
             "per_node": {
-                tree.labels[n]: {
-                    "status": a.status,
-                    "optimum": _round(a.optimum) if a.optimum is not None else None,
-                    "hurdle": _round(a.hurdle) if a.hurdle is not None else None,
-                    "flagged": a.flagged,
-                }
-                for n, a in sorted(report.per_node.items())
+                label: {"status": status, "optimum": optimum, "hurdle": hurdle, "flagged": flagged}
+                for label, status, optimum, hurdle, flagged in zip(tree.labels, *columns)
             },
         }
 

@@ -21,7 +21,7 @@ child count at a time, without an LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -237,23 +237,13 @@ def _state_prices(spec, payoff, nodes, horizon_index, checks):
     known = payoff.mask & (labels >= 0) & (labels < tree.n_nodes)
     cur = np.where(known, labels, 0)
     walks = known & (tree.date_idx[cur] == horizon_index) & (steps >= 0)[:, None]
-    weight = np.zeros(tree.n_nodes)
-    unweighted = np.zeros(tree.n_nodes, dtype=bool)
     q = np.ones(labels.shape)
     through_bad = np.zeros(labels.shape, dtype=bool)
     for k in range(int(steps.max(initial=0))):
         moving = walks & (k < steps)[:, None]
         par = tree.parent[cur]
-        # A set, not np.unique, which imports numpy.ma (about 2 MB of
-        # resident memory) on first use.
-        for m in set(par[moving].tolist()):
-            verdict = cert.verdicts[m]
-            if verdict.consistent:
-                weight[list(verdict.weights)] = list(verdict.weights.values())
-            else:
-                unweighted[m] = True
-        np.multiply(q, weight[cur], out=q, where=moving)
-        through_bad |= moving & unweighted[par]
+        np.multiply(q, cert.weights[cur], out=q, where=moving)
+        through_bad |= moving & ~cert.consistent_at[par]
         np.copyto(cur, par, where=moving)
     descendant = walks & (cur == nodes[:, None])
     through_bad &= descendant
@@ -263,7 +253,7 @@ def _state_prices(spec, payoff, nodes, horizon_index, checks):
         """The lowest node without weights on the path of row r's first
         atom whose path meets one."""
         m = int(tree.parent[labels[r, through_bad[r].argmax()]])
-        while not unweighted[m]:
+        while cert.consistent_at[m]:
             m = int(tree.parent[m])
         return m
 
@@ -338,22 +328,29 @@ def root_homogeneity_payoffs(
     ]
 
 
-@dataclass(frozen=True)
-class NodeAudit:
-    status: str  # "optimal" | "vacuous" | "unbounded" | "by_construction"
-    optimum: Optional[float]
-    hurdle: Optional[float]
-    flagged: bool
+AUDIT_STATUSES = ("optimal", "vacuous", "unbounded", "by_construction")
+"""The audit statuses, indexed by their int8 codes."""
+
+OPTIMAL, VACUOUS, UNBOUNDED, BY_CONSTRUCTION = range(len(AUDIT_STATUSES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradableAuditReport:
-    kind: str  # "consistency" | "neutrality"
-    per_node: Dict[int, NodeAudit]
+    """One audit (``kind`` "consistency" or "neutrality") as arrays over
+    the inner nodes, indexed as the rates are: the status as an int8 code
+    into ``AUDIT_STATUSES``, the optimum (NaN unless the status is
+    optimal), the hurdle 1 + r + eta (NaN where the status is
+    by_construction) and whether the node is flagged."""
+
+    kind: str
+    status: np.ndarray
+    optimum: np.ndarray
+    hurdle: np.ndarray
+    flagged: np.ndarray
 
     @property
-    def flagged(self) -> bool:
-        return any(a.flagged for a in self.per_node.values())
+    def any_flagged(self) -> bool:
+        return bool(self.flagged.any())
 
 
 def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> np.ndarray:
@@ -367,17 +364,13 @@ def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> np.ndar
             rates[nodes] = market.period_rates(int(tree.grid.dates[j]))
         else:
             rates[nodes] = rates[tree.parent[nodes]]
-    return rates[: _n_inner(tree)]
+    return rates[: tree.n_inner]
 
 
 def flat_rates(tree: ScenarioTree, r: float) -> np.ndarray:
     """The rate ``r`` at every inner node, as ``period_rates_from_market``
     gives rates."""
-    return np.full(_n_inner(tree), float(r))
-
-
-def _n_inner(tree: ScenarioTree) -> int:
-    return tree.n_nodes - len(tree.by_date[-1])
+    return np.full(tree.n_inner, float(r))
 
 
 def _cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
@@ -420,7 +413,8 @@ def _cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
 
 
 def _verdict(kind: str, outside, ray, positive, flat, hi, lo):
-    """(status, optimum) of one node's audit from its ``_cone_facts``.
+    """Per node the (status code, optimum) of an audit from its
+    ``_cone_facts``, the optimum NaN unless the status is optimal.
 
     Both audits optimize the expected one-step payoff p.Yx of the
     unit-price admissible portfolios x (s.x = 1) with non-negative child
@@ -437,13 +431,14 @@ def _verdict(kind: str, outside, ray, positive, flat, hi, lo):
       costs nothing) and the largest ratio if not; the minimum is the
       smallest ratio.
     """
-    if not (outside or positive):
-        return "vacuous", None
     if kind == "neutrality":
-        return "optimal", 0.0 if outside else lo
-    if ray if outside else flat:
-        return "unbounded", None
-    return "optimal", 0.0 if outside else hi
+        unbounded, optimum = False, np.where(outside, 0.0, lo)
+    else:
+        unbounded, optimum = np.where(outside, ray, flat), np.where(outside, 0.0, hi)
+    status = np.where(
+        ~(outside | positive), VACUOUS, np.where(unbounded, UNBOUNDED, OPTIMAL)
+    ).astype(np.int8)
+    return status, np.where(status == OPTIMAL, optimum, np.nan)
 
 
 def _audit_tradables(
@@ -456,36 +451,32 @@ def _audit_tradables(
 ) -> TradableAuditReport:
     """Each inner node's audit, decided by ``_cone_facts`` for the nodes
     of one date and child count at a time and by ``_verdict``."""
-    inner = [node for node in range(tree.n_nodes) if tree.children[node]]
-    if spec.variant == "state_price":
-        audit = NodeAudit("by_construction", None, None, False)
-        return TradableAuditReport(kind, dict.fromkeys(inner, audit))
-    if spec.variant == "zero":
-        # Only C = 0 is acceptable: adding a priced self-financing
-        # payoff can never be financed, so zero is consistent but not
-        # neutral.
-        audit = NodeAudit("by_construction", None, None, kind == "neutrality")
-        return TradableAuditReport(kind, dict.fromkeys(inner, audit))
+    n = tree.n_inner
+    if spec.variant in ("state_price", "zero"):
+        # Only C = 0 is acceptable under zero: adding a priced
+        # self-financing payoff can never be financed, so zero is
+        # consistent but not neutral.
+        flagged = spec.variant == "zero" and kind == "neutrality"
+        return TradableAuditReport(
+            kind, np.full(n, BY_CONSTRUCTION, dtype=np.int8), np.full(n, np.nan),
+            np.full(n, np.nan), np.full(n, flagged),
+        )
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
     pay = restriction.restrict(market.payoffs)
     price = restriction.restrict(market.prices)
-    hurdles = (1.0 + rates + spec.eta).tolist()
-    per_node: Dict[int, NodeAudit] = dict.fromkeys(inner)  # in node order
+    status = np.empty(n, dtype=np.int8)
+    optimum = np.empty(n)
     for group, kids in tree.sibling_groups():
         facts = _cone_facts(pay[kids], price[group], tree.prob[kids])
-        for node, *fact in zip(group, *(f.tolist() for f in facts)):
-            status, optimum = _verdict(kind, *fact)
-            hurdle = hurdles[node]
-            if status == "optimal":
-                if kind == "consistency":
-                    flagged = optimum > hurdle + SLACK
-                else:
-                    flagged = optimum < hurdle - SLACK
-            else:
-                flagged = status == "unbounded"
-            per_node[node] = NodeAudit(status, optimum, hurdle, flagged)
-    return TradableAuditReport(kind, per_node)
+        status[group], optimum[group] = _verdict(kind, *facts)
+    hurdle = 1.0 + rates + spec.eta
+    if kind == "consistency":
+        beyond = optimum > hurdle + SLACK
+    else:
+        beyond = optimum < hurdle - SLACK
+    flagged = np.where(status == OPTIMAL, beyond, status == UNBOUNDED)
+    return TradableAuditReport(kind, status, optimum, hurdle, flagged)
 
 
 def audit_consistency_with_tradables(

@@ -136,12 +136,14 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
             ids, values = sections.column(flows, f"{where}.{name}", name == "prices")
             column[ids, k] = values
         if "bond_period" in spec:
-            try:
-                bond_periods[k] = int(spec["bond_period"])
-            except (TypeError, ValueError):
+            period = spec["bond_period"]
+            if isinstance(period, bool) or not isinstance(period, Integral):
+                raise SchemaViolation(f"{where}.bond_period must be an integer, not {period!r}")
+            if not 0 <= period < horizon:
                 raise SchemaViolation(
-                    f"{where}.bond_period must be an integer, not {spec['bond_period']!r}"
-                ) from None
+                    f"{where}.bond_period must be a period from 0 to {horizon - 1}, not {period}"
+                )
+            bond_periods[k] = int(period)
     close_out = market_doc.get("close_out", False)
     if not isinstance(close_out, bool):
         raise SchemaViolation(f"market.close_out must be true or false, not {close_out!r}")
@@ -188,7 +190,7 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
         _non_negative(financiability_cfg["eta"], "financiability.eta")
 
     engine_doc = _object(doc.get("engine", {}), "engine")
-    mode = str(engine_doc.get("mode", "B")).upper()
+    mode = engine_doc.get("mode", "B")
     if mode not in ("A", "B"):
         raise SchemaViolation(f"engine.mode must be 'A' or 'B', got {mode!r}")
     if mode == "A" and not close_out:

@@ -59,7 +59,6 @@ from .strategy import (
     row_dots,
     short_position_cashflows,
     stopped,
-    strategy_value,
 )
 
 TOL = 1e-9
@@ -278,15 +277,16 @@ def classify_failure(assets, liabilities, tradable_resources, outflow) -> np.nda
 # --- one-period construction ----------------------------------------------------
 
 
-@dataclass
-class OnePeriodResult:
-    feasible: bool
-    scale: float = INF
-    capital: float = 0.0
-    vbar: float = INF
-    value: float = INF
-    params: tuple = ()
-    candidate: int = 0
+class OnePeriodStep(NamedTuple):
+    """The one-period steps of a date's nodes, one entry per node: vbar,
+    the capital raised, the scale and the index of the winning candidate
+    in ``candidate_heads``; where no candidate is feasible, +inf, 0.0,
+    +inf and -1."""
+
+    vbar: np.ndarray
+    capital: np.ndarray
+    scale: np.ndarray
+    candidate: np.ndarray
 
 
 def _year_layers(tree: ScenarioTree, roots: np.ndarray, steps: int):
@@ -706,7 +706,7 @@ def build_one_period(
     bisection_tol: float = 1e-10,
     grid_depth: int = 3,
     assignment: Optional[np.ndarray] = None,
-) -> List[OnePeriodResult]:
+) -> OnePeriodStep:
     """Two-step construction over one year from each of a date's nodes,
     solved together as array operations.
 
@@ -724,9 +724,9 @@ def build_one_period(
     feasible fixed mixes a node takes the least vbar; ties within 1e-12
     take the lexicographically smallest parameters, folded in grid order.
 
-    Returns one result per node, the infeasible sentinel (vbar = +inf)
-    where no scale works, and writes the portfolios of the feasible
-    nodes' years into ``assignment``, an (n_nodes, n_assets) array.
+    Returns the steps of the nodes, and writes the portfolios of the
+    feasible nodes' years into ``assignment``, an (n_nodes, n_assets)
+    array.
     """
     roots = np.asarray(nodes, dtype=np.int64)
     if (tree.date_idx[roots] != tree.date_idx[roots[0]]).any():
@@ -741,7 +741,8 @@ def build_one_period(
     heads = candidate_heads(family, grid_depth)
     if variant == "risk_free":
         if bond is None:
-            return [OnePeriodResult(False, params=(variant, INF)) for _ in nodes]
+            n = len(roots)
+            return OnePeriodStep(np.full(n, INF), np.zeros(n), np.full(n, INF), np.full(n, -1))
         weights = [{bond: 1.0}]
     elif variant == "fixed_mix":
         weights = [dict(head[1]) for head in heads]
@@ -802,22 +803,14 @@ def build_one_period(
         won[best[best >= 0]] = True
         for m, rows, x in zip(year.nodes, year.rows, held):
             assignment[m[won[rows]]] = x[won[rows]]
-    results = []
-    first = np.arange(len(roots)) * n_cand
-    for row in np.where(best >= 0, best, first).tolist():
-        c = row % n_cand
-        params = heads[c]
-        s_row = float(s[row])
-        if feasible[row]:
-            results.append(OnePeriodResult(
-                True, scale=s_row, capital=float(capital[row]), vbar=float(vbar[row]),
-                value=float(value[row]), params=params + (s_row,), candidate=c,
-            ))
-        else:
-            results.append(
-                OnePeriodResult(False, params=params + (s_row if solved[row] else INF,))
-            )
-    return results
+    found = best >= 0
+    row = np.where(found, best, 0)
+    return OnePeriodStep(
+        np.where(found, vbar[row], INF),
+        np.where(found, capital[row], 0.0),
+        np.where(found, s[row], INF),
+        np.where(found, row % n_cand, -1),
+    )
 
 
 def _cheapest(feasible: np.ndarray, vbar: np.ndarray, heads: List[tuple]) -> np.ndarray:
@@ -922,18 +915,15 @@ def backward_value(
         ends = np.asarray(tree.nodes_at(i + 1), dtype=np.int64)
         ell[ends] = outflow[ends] + vbar[ends] - inflow[ends] - psi_inflow[ends]
         nodes = tree.nodes_at(i)
-        results = build_one_period(
+        # A date's node ids are contiguous.
+        ids = slice(nodes[0], nodes[-1] + 1)
+        step = build_one_period(
             nodes, ell, net, family, fulfillment, financiability, market, tree,
-            rates[list(nodes)], config.mode, config.bisection_tol,
+            rates[ids], config.mode, config.bisection_tol,
             config.grid_depth, assignment,
         )
-        # A date's node ids are contiguous; an infeasible result carries
-        # vbar = +inf and capital 0.0.
-        ids = slice(nodes[0], nodes[-1] + 1)
-        vbar[ids] = [res.vbar for res in results]
-        capital[ids] = [res.capital for res in results]
-        scale[ids] = [res.scale for res in results]
-        head[ids] = [first + res.candidate if res.feasible else INFEASIBLE for res in results]
+        vbar[ids], capital[ids], scale[ids] = step.vbar, step.capital, step.scale
+        head[ids] = np.where(step.candidate >= 0, first + step.candidate, INFEASIBLE)
 
     # Scales from the bisection endpoint can leave pots, and hence units,
     # a hair below zero; snap those while keeping genuinely signed
@@ -1158,18 +1148,37 @@ def _first_min(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarr
 # --- illiquid replica shift ------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ShiftReport:
-    per_node: Dict[int, Tuple[float, float, float]]  # (vbar*, vbar - v(psi), diff)
+    """A cost identity checked at the annual nodes before the horizon
+    (``nodes``, in id order): the cost found, the cost the identity
+    predicts and their difference, one array each, and the re-validation
+    of the strategy found."""
+
+    nodes: np.ndarray
+    got: np.ndarray
+    want: np.ndarray
+    diff: np.ndarray
     validation: ValidationReport
 
     @property
     def max_abs_diff(self) -> float:
-        return max((abs(d) for _, _, d in self.per_node.values()), default=0.0)
+        return float(np.abs(self.diff).max(initial=0.0))
 
     @property
     def ok(self) -> bool:
         return self.validation.ok and self.max_abs_diff <= TOL
+
+
+# ``add_short_position`` checks its identity in the same form.
+AdditivityReport = ShiftReport
+
+
+def _annual_values(strategy: Strategy, market: TradableSet, nodes: np.ndarray) -> np.ndarray:
+    """The strategy's value out of each of ``nodes``, with the bits of
+    ``strategy.strategy_value``; the validation before has checked that
+    the strategy spans their dates."""
+    return row_dots(strategy.assignment[nodes], market.prices[nodes])
 
 
 def illiquid_replica_shift(
@@ -1198,7 +1207,7 @@ def illiquid_replica_shift(
     neutrality = audit_neutrality_to_tradables(
         financiability, market, tree, restriction, rates
     )
-    if neutrality.flagged:
+    if neutrality.any_flagged:
         raise NeutralityAuditFailed("financiability fails the neutrality audit")
     units = np.asarray(psi_units, dtype=float)
     if units.min(initial=0.0) < 0:
@@ -1206,11 +1215,11 @@ def illiquid_replica_shift(
     tree.require_per_node(("capital", base_capital.values))
     # Per node units @ inflow and units @ price, each with the bits of
     # that dot product.
-    per_node = np.broadcast_to(units, market.prices.shape)
-    v_psi = row_dots(per_node, market.prices)
+    held = np.broadcast_to(units, market.prices.shape)
+    v_psi = row_dots(held, market.prices)
     if (np.abs(v_psi[list(tree.by_date[-1])]) > TOL).any():
         raise ValueError("static position must be worthless at the horizon")
-    psi = IlliquidPortfolio(row_dots(per_node, market.inflows))
+    psi = IlliquidPortfolio(row_dots(held, market.inflows))
 
     # xi accumulates the illiquid inflows within each year and is flat at
     # annual nodes; it never owns anything across year ends.
@@ -1234,33 +1243,14 @@ def illiquid_replica_shift(
         rates,
         mode="A" if market.close_out else "B",
     )
-    shifts: Dict[int, Tuple[float, float, float]] = {}
-    for i in range(tree.grid.horizon):
-        for node in tree.nodes_at(i):
-            v_star = strategy_value(augmented, market, node) - float(cap_star.values[node])
-            v_base = strategy_value(base_strategy, market, node) - float(
-                base_capital.values[node]
-            )
-            v = float(v_psi[node])
-            shifts[node] = (v_star, v_base - v, v_star - (v_base - v))
-    return ShiftReport(shifts, validation)
+    nodes = np.concatenate([tree.nodes_at(i) for i in range(tree.grid.horizon)])
+    got = _annual_values(augmented, market, nodes) - cap_star.values[nodes]
+    base = _annual_values(base_strategy, market, nodes) - base_capital.values[nodes]
+    want = base - v_psi[nodes]
+    return ShiftReport(nodes, got, want, got - want, validation)
 
 
 # --- short position additivity ----------------------------------------------------
-
-
-@dataclass
-class AdditivityReport:
-    per_node: Dict[int, Tuple[float, float, float]]  # (combined, base + v(phi'), diff)
-    validation: ValidationReport
-
-    @property
-    def max_abs_diff(self) -> float:
-        return max((abs(d) for _, _, d in self.per_node.values()), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return self.validation.ok and self.max_abs_diff <= TOL
 
 
 def add_short_position(
@@ -1307,12 +1297,9 @@ def add_short_position(
         rates,
         mode="A" if market.close_out else "B",
     )
-    per_node: Dict[int, Tuple[float, float, float]] = {}
-    for i in range(tree.grid.horizon):
-        for node in tree.nodes_at(i):
-            c = float(base_capital.values[node])
-            v_comb = strategy_value(combined, market, node) - c
-            v_base = strategy_value(base_strategy, market, node) - c
-            shift = strategy_value(phi_p, market, node)
-            per_node[node] = (v_comb, v_base + shift, v_comb - (v_base + shift))
-    return AdditivityReport(per_node, validation)
+    nodes = np.concatenate([tree.nodes_at(i) for i in range(tree.grid.horizon)])
+    c = base_capital.values[nodes]
+    got = _annual_values(combined, market, nodes) - c
+    shift = _annual_values(phi_p, market, nodes)
+    want = (_annual_values(base_strategy, market, nodes) - c) + shift
+    return AdditivityReport(nodes, got, want, got - want, validation)

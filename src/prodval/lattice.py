@@ -146,6 +146,11 @@ class ScenarioTree:
         return len(self.parent)
 
     @property
+    def n_inner(self) -> int:
+        """The number of inner nodes: the ids before the horizon's."""
+        return self.n_nodes - len(self.by_date[-1])
+
+    @property
     def root(self) -> int:
         return 0
 

@@ -14,7 +14,7 @@ negative price.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,26 +224,22 @@ class RestrictionSet:
         return float(np.abs(B @ coef - x).max(initial=0.0)) <= tol
 
 
-@dataclass(frozen=True)
-class NodeVerdict:
-    consistent: bool
-    weights: Optional[Dict[int, float]] = None  # child node -> lambda
-    violation: Optional[Tuple[float, ...]] = None  # full-space portfolio
-
-    def __post_init__(self):
-        if self.consistent == (self.violation is not None):
-            raise ValueError("exactly one of weights/violation must be present")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyCertificate:
-    """Per non-terminal node: state-price weights or a violating portfolio."""
+    """Per inner node (the ids before the horizon's), whether its price
+    lies in the cone of its child payoffs (``consistent_at``) and
+    otherwise a violating full-space portfolio (a row of ``violation``,
+    NaN at consistent nodes); per node id its weight λ in its parent's
+    certificate (``weights``, NaN at the root and below an inconsistent
+    parent)."""
 
-    verdicts: Dict[int, NodeVerdict]
+    consistent_at: np.ndarray
+    violation: np.ndarray
+    weights: np.ndarray
 
     @property
     def consistent(self) -> bool:
-        return all(v.consistent for v in self.verdicts.values())
+        return bool(self.consistent_at.all())
 
 
 def check_consistency(
@@ -274,22 +270,21 @@ def check_consistency(
     B = restriction.matrix()
     pay = restriction.restrict(market.payoffs)
     price = restriction.restrict(market.prices)
-    weights = _cone_weights(tree, pay, price)
-    verdicts: Dict[int, NodeVerdict] = {}
-    for node in range(tree.n_nodes):
+    consistent_at = np.zeros(tree.n_inner, dtype=bool)
+    weights = np.full(tree.n_nodes, np.nan)
+    for group, kids in tree.sibling_groups():
+        # Y[k] = pay[kids[k]].T, one column per child.
+        feasible, lam = lp.cone_vertices(pay[kids].transpose(0, 2, 1), price[group])
+        consistent_at[group] = feasible
+        weights[kids[feasible]] = lam[feasible]
+    violation = np.full((tree.n_inner, market.n_assets), np.nan)
+    for node in np.flatnonzero(~consistent_at).tolist():
         children = tree.children[node]
-        if not children:
-            continue
-        lam = weights.get(node)
-        if lam is not None:
-            verdicts[node] = NodeVerdict(True, weights=dict(zip(children, lam)))
-            continue
         Y = pay[list(children)].T
         s = price[node]
         # Farkas alternative: u with u.y_c >= 0 for all c and u.s = -1.
-        m = B.shape[1]
         alt = lp.solve_lp(
-            c=np.zeros(m),
+            c=np.zeros(B.shape[1]),
             A_eq=s.reshape(1, -1),
             b_eq=np.array([-1.0]),
             A_ub=-Y.T,
@@ -301,19 +296,5 @@ def check_consistency(
                 f"neither cone membership nor a violation certified at node {node}"
             )
         # x.S_node = u.s = -1 exactly, so the breach margin is unit sized.
-        x_full = B @ alt.x
-        verdicts[node] = NodeVerdict(False, violation=tuple(float(v) for v in x_full))
-    return ConsistencyCertificate(verdicts)
-
-
-def _cone_weights(tree: ScenarioTree, pay: np.ndarray, price: np.ndarray) -> Dict[int, list]:
-    """node -> weights, as floats in child order, for the inner nodes
-    whose price lies in the cone of their child payoffs: one
-    ``lp.cone_vertices`` call per date and child count."""
-    out: Dict[int, list] = {}
-    for group, kids in tree.sibling_groups():
-        # Y[k] = pay[kids[k]].T, one column per child.
-        feasible, lam = lp.cone_vertices(pay[kids].transpose(0, 2, 1), price[group])
-        for k in np.flatnonzero(feasible).tolist():
-            out[group[k]] = lam[k].tolist()
-    return out
+        violation[node] = B @ alt.x
+    return ConsistencyCertificate(consistent_at, violation, weights)

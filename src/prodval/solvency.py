@@ -22,7 +22,7 @@ evaluated as one row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -289,25 +289,18 @@ def stage3_decompose(states, r, eta: float, rho: RiskMeasureSpec) -> tuple:
     return tuple(map(back, (bel0, rm0, scr0, p_m1)))
 
 
-@dataclass(frozen=True)
-class SolvencyRow:
-    node: int
-    date: int
-    bel: float
-    rm: float
-    scr: float
-    p_m1: float
-    stage: int
-
-    @property
-    def total(self) -> float:
-        return self.bel + self.rm
-
-
-@dataclass
+@dataclass(eq=False)
 class SolvencyReport:
+    """The stage's BEL_0, RM_0, SCR_0 and P[M_1] as arrays indexed by node
+    id, read at the annual nodes before the horizon. Elsewhere bel and rm
+    hold the terminal value and 0 at the leaves and 0 between the annual
+    dates, and scr and p_m1 hold 0."""
+
     stage: int
-    rows: Dict[int, SolvencyRow]
+    bel: np.ndarray
+    rm: np.ndarray
+    scr: np.ndarray
+    p_m1: np.ndarray
     sii_formula_rm0: Optional[float] = None  # set in the deterministic case
 
 
@@ -356,8 +349,9 @@ def multi_period_solvency(
     rm = np.zeros(n)
     leaves = np.asarray(tree.by_date[J], dtype=np.int64)
     bel[leaves] = liab.terminal[leaves]
+    scr = np.zeros(n)
+    p_m1 = np.zeros(n)
     step = {1: stage1_value, 2: stage2_decompose, 3: stage3_decompose}[stage]
-    rows: Dict[int, SolvencyRow] = {}
 
     for i in range(T - 1, -1, -1):
         j0, j1 = tree.grid.index(i), tree.grid.index(i + 1)
@@ -369,20 +363,18 @@ def multi_period_solvency(
         r = np.array([rates.at(m) for m in nodes.tolist()], dtype=float)
         out = step(states, r, eta, rho)
         if stage == 1:
-            _, scr, b, p_m1 = out
-            m = np.zeros(len(nodes))
+            # Stage 1 values the liability as a whole: BEL_0 is vbar_0.
+            _, scr[nodes], bel[nodes], p_m1[nodes] = out
         else:
-            b, m, scr, p_m1 = out
-        bel[nodes], rm[nodes] = b, m
-        for node, *values in zip(nodes.tolist(), b.tolist(), m.tolist(), scr.tolist(), p_m1.tolist()):
-            rows[node] = SolvencyRow(node, i, *values, stage)
+            bel[nodes], rm[nodes], scr[nodes], p_m1[nodes] = out
 
-    report = SolvencyReport(stage, rows)
+    report = SolvencyReport(stage, bel, rm, scr, p_m1)
     if stage == 3 and rates.is_flat():
         per_date = []
         deterministic = True
         for i in range(T):
-            scrs = [rows[n].scr for n in tree.nodes_at(i)]
+            nodes = tree.nodes_at(i)
+            scrs = scr[nodes[0]:nodes[-1] + 1].tolist()
             if max(scrs) - min(scrs) > 1e-9:
                 deterministic = False
                 break

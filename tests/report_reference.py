@@ -1,12 +1,14 @@
-"""Frozen node-by-node report formatting for ``value``, ``solvency`` and
-``adjust``.
+"""Frozen node-by-node report formatting for ``value``, ``solvency``,
+``check`` and ``adjust``.
 
 ``prodval.cli`` formats these reports one date at a time from arrays
 and writes JSON with its own encoder. These are the loops over one node
 at a time, and the ``json.dumps(..., sort_keys=True, indent=2)`` writer,
-that it replaced. They read the cost process through the node -> value
-mappings of ``util.cost_mappings``, as the loops read the cost process
-when it held mappings. The differential tests compare every report file
+that it replaced. They read the cost process, the solvency report, the
+certificates and the audits through the node -> value mappings of
+``util.cost_mappings``, ``util.solvency_mappings``,
+``util.certificate_mappings`` and ``util.audit_mappings``, as the loops
+read them when they held mappings. The differential tests compare every report file
 and exit code with them byte for byte, so they must not call the CLI's
 formatting.
 """
@@ -21,13 +23,21 @@ from typing import Optional
 
 from prodval import __version__
 from prodval.cli import ReportBundle, _engine_rates, _solvency_rho
+from prodval.conditions import (
+    HOMOGENEITY_SCALES,
+    audit_consistency_with_tradables,
+    audit_neutrality_to_tradables,
+    audit_positive_homogeneity,
+    root_homogeneity_payoffs,
+)
 from prodval.config import ValuationProblem, financiability_of
 from prodval.engine import backward_value
 from prodval.errors import SchemaViolation
+from prodval.market import check_consistency
 from prodval.resolution import extend_to_full_fulfillment
 from prodval.solvency import RateCurve, multi_period_solvency
 
-from util import cost_mappings
+from util import audit_mappings, certificate_mappings, cost_mappings, solvency_mappings
 
 
 def _fmt(x) -> str:
@@ -146,6 +156,7 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
         problem.liability, rates, eta, _solvency_rho(problem), stage, problem.tree
     )
     tree = problem.tree
+    report = solvency_mappings(report, tree)
     buf = io.StringIO()
     buf.write("node,date,bel,rm,scr,p_m1,stage\n")
     rows_json = []
@@ -185,6 +196,76 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
         files["solvency.csv"] = buf.getvalue()
     if fmt in ("json", "both"):
         files["solvency.json"] = _json_text(doc)
+    return ReportBundle(files)
+
+
+def _certificate_json(tree, cert) -> dict:
+    out = {}
+    for node, verdict in certificate_mappings(cert, tree).items():
+        entry: dict = {"consistent": verdict.consistent}
+        if verdict.consistent:
+            entry["weights"] = {
+                tree.labels[c]: _round(w) for c, w in sorted(verdict.weights.items())
+            }
+        else:
+            entry["violation"] = [_round(v) for v in verdict.violation]
+        out[tree.labels[node]] = entry
+    return out
+
+
+def run_check(problem: ValuationProblem) -> ReportBundle:
+    tree = problem.tree
+    financiability = financiability_of(problem)
+    cert_used = financiability.certificate
+    if cert_used is None:
+        cert_used = check_consistency(problem.market, tree, problem.restriction)
+    doc: dict = {
+        "consistency": {
+            "restriction": "full" if problem.restriction is None else "custom",
+            "used_subspace": _certificate_json(tree, cert_used),
+        }
+    }
+    if problem.restriction is not None:
+        cert_raw = check_consistency(problem.market, tree, None)
+        doc["consistency"]["full_space"] = _certificate_json(tree, cert_raw)
+    rates = _engine_rates(problem)
+    args = (financiability, problem.market, tree, problem.restriction, rates)
+    hom = audit_positive_homogeneity(
+        financiability,
+        root_homogeneity_payoffs(financiability, tree),
+        HOMOGENEITY_SCALES,
+        rate=float(rates[tree.root]),
+        node=tree.root,
+        horizon_index=tree.grid.index(1),
+    )
+
+    def audit_json(report):
+        audits = audit_mappings(report)
+        return {
+            "flagged": any(a.flagged for a in audits.values()),
+            "per_node": {
+                tree.labels[n]: {
+                    "status": a.status,
+                    "optimum": _round(a.optimum) if a.optimum is not None else None,
+                    "hurdle": _round(a.hurdle) if a.hurdle is not None else None,
+                    "flagged": a.flagged,
+                }
+                for n, a in sorted(audits.items())
+            },
+        }
+
+    doc["audits"] = {
+        "positive_homogeneity": {
+            "max_deviation": _round(hom.max_deviation),
+            "passed": hom.passed,
+        },
+        "consistency_with_tradables": audit_json(audit_consistency_with_tradables(*args)),
+        "neutrality_to_tradables": audit_json(audit_neutrality_to_tradables(*args)),
+    }
+    files = {
+        "check.json": _json_text(doc),
+        "metadata.json": _metadata(problem, "check"),
+    }
     return ReportBundle(files)
 
 

@@ -17,6 +17,7 @@ adds them on every version.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Dict
 
 from prodval.errors import (
@@ -30,7 +31,9 @@ from prodval.errors import (
     NumericalFailure,
 )
 from prodval.risk import DiscreteDistribution
-from prodval.solvency import PeriodState, SolvencyReport, SolvencyRow, solvency_ii_risk_margin
+from prodval.solvency import PeriodState, solvency_ii_risk_margin
+
+from util import certificate_mappings
 
 PROB_TOL = 1e-12
 SLACK = 1e-9
@@ -128,12 +131,13 @@ def compose_state_prices(cert, tree, node: int, j_end: int) -> Dict[int, float]:
     """Price of one unit of cash at each date-j_end descendant: the
     per-step certificate weights multiplied along the path."""
     out: Dict[int, float] = {}
+    verdicts = certificate_mappings(cert, tree)
     for target in tree.descendants_at(node, j_end):
         q = 1.0
         m = target
         while m != node:
             par = int(tree.parent[m])
-            verdict = cert.verdicts[par]
+            verdict = verdicts[par]
             if not verdict.consistent:
                 raise NumericalFailure(f"no weights at inconsistent node {par}")
             q *= verdict.weights[m]
@@ -273,7 +277,10 @@ def stage3_decompose(states, r, eta, rho):
     return bel0, rm0, scr0, p_m1
 
 
-def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
+def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SimpleNamespace:
+    """The recursion node by node: the report's ``stage``, its rows as a
+    node -> row mapping (the fields of ``util.solvency_mappings``) and
+    ``sii_formula_rm0``."""
     if stage not in (1, 2, 3):
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
     for node in range(tree.n_nodes):
@@ -286,7 +293,7 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
     J = len(tree.grid.dates) - 1
     bel: Dict[int, float] = {}
     rm: Dict[int, float] = {}
-    rows: Dict[int, SolvencyRow] = {}
+    rows: Dict[int, SimpleNamespace] = {}
     for leaf in tree.by_date[J]:
         bel[leaf] = float(liab.terminal[leaf])
         rm[leaf] = 0.0
@@ -308,18 +315,17 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SolvencyReport:
             r = rates.at(node)
             if stage == 1:
                 a0, scr, vbar, p_m1 = stage1_value(states, r, eta, rho)
-                bel[node], rm[node] = vbar, 0.0
-                rows[node] = SolvencyRow(node, i, vbar, 0.0, scr, p_m1, 1)
+                b, m = vbar, 0.0
             elif stage == 2:
                 b, m, scr, p_m1 = stage2_decompose(states, r, eta, rho)
-                bel[node], rm[node] = b, m
-                rows[node] = SolvencyRow(node, i, b, m, scr, p_m1, 2)
             else:
                 b, m, scr, p_m1 = stage3_decompose(states, r, eta, rho)
-                bel[node], rm[node] = b, m
-                rows[node] = SolvencyRow(node, i, b, m, scr, p_m1, 3)
+            bel[node], rm[node] = b, m
+            rows[node] = SimpleNamespace(
+                node=node, date=i, bel=b, rm=m, scr=scr, p_m1=p_m1, stage=stage, total=b + m
+            )
 
-    report = SolvencyReport(stage, rows)
+    report = SimpleNamespace(stage=stage, rows=rows, sii_formula_rm0=None)
     if stage == 3 and rates.is_flat():
         per_date = []
         deterministic = True

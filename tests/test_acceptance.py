@@ -61,6 +61,7 @@ from prodval.strategy import (
 from test_engine import bond_market, two_point_tree
 from util import (
     by_node,
+    certificate_mappings,
     liability,
     pathwise_tree,
     random_paying_strategy,
@@ -583,7 +584,7 @@ def test_criterion_08_solvency_ii_formula():
     )
     engine_ok = (
         report_obj.sii_formula_rm0 is not None
-        and abs(report_obj.rows[0].rm - report_obj.sii_formula_rm0) <= 1e-12
+        and abs(report_obj.rm[0] - report_obj.sii_formula_rm0) <= 1e-12
     )
     ok = fixture_ok and engine_ok
     report(8, ok, f"risk-margin recursion == summation, fixture RM_0 = {formula:.9f}")
@@ -672,7 +673,7 @@ def test_criterion_10_consistency_certificates():
                 inflows=by_node(tree, {n: tuple(v) for n, v in inflows.items()}),
             )
         cert = check_consistency(market, tree, None)
-        for node, verdict in cert.verdicts.items():
+        for node, verdict in certificate_mappings(cert, tree).items():
             if verdict.consistent:
                 recon = sum(
                     w * market.payoff(c) for c, w in verdict.weights.items()
@@ -702,7 +703,7 @@ def test_criterion_10_consistency_certificates():
         prices=np.array([(0.9, 1.0), (1.0, 2.0), (1.0, 2.0), (1.0, 1.0), (1.0, 1.0)]),
         inflows=np.zeros((5, 2)),
     )
-    refuted = not check_consistency(fixture, ftree, None).verdicts[0].consistent
+    refuted = not check_consistency(fixture, ftree, None).consistent_at[0]
     ok = refuted and n_violations > 0
     report(
         10,

@@ -23,6 +23,7 @@ tolerances. A node with a ray whose |λ.e| is below 1e-6 max|λ| is
 dropped from the example.
 """
 
+import math
 import time
 from itertools import combinations
 
@@ -32,7 +33,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from prodval import lp
-from prodval.conditions import _cone_facts, _verdict
+from prodval.conditions import AUDIT_STATUSES, OPTIMAL, _cone_facts, _verdict
 from prodval.errors import NumericalFailure
 
 # --- oracle: the per-node audit LP, frozen ------------------------------------
@@ -140,6 +141,18 @@ def random_nodes(seed, kind):
     return np.array(Ys).reshape(-1, K, d), np.array(ss).reshape(-1, d), p
 
 
+def verdicts(kind, facts):
+    """Per node the (status, optimum) of ``_verdict``'s arrays, as the
+    oracle gives them: the status's name, and None for an optimum that
+    the status leaves undefined (NaN)."""
+    status, optimum = _verdict(kind, *facts)
+    assert status.dtype == np.int8 and np.isnan(optimum[status != OPTIMAL]).all()
+    return [
+        (AUDIT_STATUSES[code], None if math.isnan(x) else x)
+        for code, x in zip(status.tolist(), optimum.tolist())
+    ]
+
+
 def _same(got, want):
     assert got[0] == want[0]
     if want[1] is None:
@@ -153,10 +166,9 @@ def _same(got, want):
 def test_audits_match_the_lp(seed, kind):
     Y, s, p = random_nodes(seed, kind)
     assume(len(Y))
-    facts = [f.tolist() for f in _cone_facts(Y, s, p)]
-    for k in range(len(Y)):
-        for audit in ("consistency", "neutrality"):
-            got = _verdict(audit, *(f[k] for f in facts))
+    facts = _cone_facts(Y, s, p)
+    for audit in ("consistency", "neutrality"):
+        for k, got in enumerate(verdicts(audit, facts)):
             _same(got, oracle_audit(Y[k], s[k], p[k], audit))
 
 
@@ -189,9 +201,9 @@ def test_complete_nodes_take_the_ratio_of_probability_to_state_price():
     Y = rng.uniform(0.5, 2.0, (3, 4))
     lam = np.array([0.2, 0.3, 0.4])
     p = np.array([0.5, 0.25, 0.25])
-    facts = [f.tolist()[0] for f in _cone_facts(Y[None], (Y.T @ lam)[None], p[None])]
-    assert _verdict("consistency", *facts) == ("optimal", pytest.approx(2.5, rel=1e-12))
-    assert _verdict("neutrality", *facts) == ("optimal", pytest.approx(0.625, rel=1e-12))
+    facts = _cone_facts(Y[None], (Y.T @ lam)[None], p[None])
+    assert verdicts("consistency", facts) == [("optimal", pytest.approx(2.5, rel=1e-12))]
+    assert verdicts("neutrality", facts) == [("optimal", pytest.approx(0.625, rel=1e-12))]
 
 
 def test_chunks_change_no_verdict(monkeypatch):
@@ -222,8 +234,8 @@ def test_a_zero_state_price_makes_the_maximum_unbounded(seed):
     Y = np.random.default_rng(seed).uniform(0.5, 2.0, (3, 4))
     s = Y.T @ np.array([0.3, 0.0, 0.4])
     p = np.array([0.2, 0.5, 0.3])
-    facts = [f.tolist()[0] for f in _cone_facts(Y[None], s[None], p[None])]
-    assert _verdict("consistency", *facts) == ("unbounded", None)
-    assert _verdict("neutrality", *facts) == ("optimal", pytest.approx(0.2 / 0.3, rel=1e-12))
+    facts = _cone_facts(Y[None], s[None], p[None])
+    assert verdicts("consistency", facts) == [("unbounded", None)]
+    assert verdicts("neutrality", facts) == [("optimal", pytest.approx(0.2 / 0.3, rel=1e-12))]
     for audit in ("consistency", "neutrality"):
-        _same(_verdict(audit, *facts), oracle_audit(Y, s, p, audit))
+        _same(verdicts(audit, facts)[0], oracle_audit(Y, s, p, audit))

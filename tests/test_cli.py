@@ -617,6 +617,22 @@ def _family(**family):
          "tree.nodes[2].parent must be a node id, not ['mid']"),
         (lambda doc: doc["market"]["tradables"][0].update(bond_period="x"),
          "market.tradables[0].bond_period must be an integer, not 'x'"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period=0.5),
+         "market.tradables[0].bond_period must be an integer, not 0.5"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period=0.0),
+         "market.tradables[0].bond_period must be an integer, not 0.0"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period="0"),
+         "market.tradables[0].bond_period must be an integer, not '0'"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period=True),
+         "market.tradables[0].bond_period must be an integer, not True"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period=1),
+         "market.tradables[0].bond_period must be a period from 0 to 0, not 1"),
+        (lambda doc: doc["market"]["tradables"][0].update(bond_period=-1),
+         "market.tradables[0].bond_period must be a period from 0 to 0, not -1"),
+        (lambda doc: doc["engine"].update(mode=None), "engine.mode must be 'A' or 'B', got None"),
+        (lambda doc: doc["engine"].update(mode="b"), "engine.mode must be 'A' or 'B', got 'b'"),
+        (lambda doc: doc["engine"].update(mode=["A"]),
+         "engine.mode must be 'A' or 'B', got ['A']"),
         (lambda doc: doc.update(engine=[]), "engine must be an object, not list"),
         (lambda doc: doc["engine"].update(family=[]), "engine.family must be an object, not list"),
         (lambda doc: doc["engine"].update(tolerances=[1e-10]),
@@ -677,7 +693,10 @@ def _family(**family):
         "mix_index_out_of_range", "mix_index_repeated", "mix_indices_empty",
         "mix_index_string", "mix_index_float", "mix_indices_not_a_list",
         "probability_not_a_number", "date_not_a_date", "id_not_hashable",
-        "parent_not_hashable", "bond_period_not_an_integer", "engine_as_list",
+        "parent_not_hashable", "bond_period_not_an_integer", "bond_period_fraction",
+        "bond_period_float", "bond_period_string", "bond_period_boolean",
+        "bond_period_at_horizon", "bond_period_negative", "mode_null", "mode_lower_case",
+        "mode_list", "engine_as_list",
         "family_as_list", "tolerances_as_list", "financiability_as_list", "eta_not_a_number",
         "eta_boolean", "eta_infinite", "eta_negative", "grid_depth_negative",
         "grid_depth_string", "grid_depth_fraction", "grid_depth_boolean", "bisection_zero",

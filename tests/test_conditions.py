@@ -131,7 +131,7 @@ class TestMaxCapital:
     def test_state_price_weighted_sum(self):
         tree, market, cert = spb_fixture()
         spec = FinanciabilitySpec.state_price(cert, tree)
-        lam = cert.verdicts[0].weights
+        lam = cert.weights
         assert lam[1] == pytest.approx(0.49, abs=1e-9)
         assert lam[2] == pytest.approx(0.49, abs=1e-9)
         payoff = dist((10.0, 0.5), (10.0, 0.5), labels=(1, 2))
@@ -207,7 +207,7 @@ def three_leaf_fixture(u_consistent):
         inflows=np.zeros((tree.n_nodes, 1)),
     )
     cert = check_consistency(market, tree)
-    assert [cert.verdicts[n].consistent for n in (0, 1, 2)] == [True, u_consistent, True]
+    assert cert.consistent_at.tolist() == [True, u_consistent, True]
     return tree, cert, FinanciabilitySpec.state_price(cert, tree)
 
 
@@ -273,7 +273,7 @@ class TestStatePriceErrors:
         for bad in (uniform((3, 4, 5)), uniform((4,)), uniform((5, 3))):
             self.check(spec, good, bad, 0, 0, 2, want)
         # Only the atoms' own paths are priced: d1's path avoids u.
-        price = cert.verdicts[0].weights[2] * cert.verdicts[2].weights[5]
+        price = cert.weights[2] * cert.weights[5]
         assert max_capital(spec, good, 0.0, 0, 2) == 10.0 * price
 
     def test_lowest_node_without_weights_is_named(self):
@@ -294,7 +294,7 @@ class TestStatePriceErrors:
             tree=tree, prices=by_node(tree, prices), inflows=np.zeros((tree.n_nodes, 2))
         )
         cert = check_consistency(market, tree)
-        consistent = [cert.verdicts[by_label[lab]].consistent for lab in "rabcd"]
+        consistent = [cert.consistent_at[by_label[lab]] for lab in "rabcd"]
         assert consistent == [True, False, False, True, True]
         spec = FinanciabilitySpec.state_price(cert, tree)
         want = (NumericalFailure, f"no weights at inconsistent node {by_label['b']}")
@@ -370,9 +370,9 @@ class TestTradableAudits:
         report = audit_consistency_with_tradables(
             spec, market, tree, None, flat_rates(tree, 0.02)
         )
-        assert not report.flagged
+        assert not report.any_flagged
         # Max step return is the bond's, strictly below the hurdle.
-        assert report.per_node[0].optimum < report.per_node[0].hurdle
+        assert report.optimum[0] < report.hurdle[0]
 
     def test_rich_tradable_flagged(self):
         # Expected step return 12% beats the 8% hurdle.
@@ -387,8 +387,8 @@ class TestTradableAudits:
         report = audit_consistency_with_tradables(
             spec, market, tree, None, flat_rates(tree, 0.02)
         )
-        assert report.per_node[0].flagged
-        assert report.per_node[0].optimum == pytest.approx(1.12, abs=1e-9)
+        assert report.flagged[0]
+        assert report.optimum[0] == pytest.approx(1.12, abs=1e-9)
 
     def test_zero_capital_consistent_everywhere(self):
         tree = two_step_tree()
@@ -396,7 +396,7 @@ class TestTradableAudits:
         report = audit_consistency_with_tradables(
             FinanciabilitySpec.zero(), market, tree, None, flat_rates(tree, 0.02)
         )
-        assert not report.flagged
+        assert not report.any_flagged
 
     def test_state_price_passes_both_audits(self):
         rng = np.random.default_rng(59)
@@ -407,10 +407,10 @@ class TestTradableAudits:
         rates = flat_rates(tree, 0.02)
         assert not audit_consistency_with_tradables(
             spec, market, tree, None, rates
-        ).flagged
+        ).any_flagged
         assert not audit_neutrality_to_tradables(
             spec, market, tree, None, rates
-        ).flagged
+        ).any_flagged
 
     def test_coc_with_bond_fails_neutrality(self):
         tree = two_step_tree()
@@ -419,7 +419,7 @@ class TestTradableAudits:
         report = audit_neutrality_to_tradables(
             spec, market, tree, None, flat_rates(tree, 0.02)
         )
-        assert report.flagged
+        assert report.any_flagged
 
     def test_tuned_single_tradable_is_neutral(self):
         # Every step's expected return equals the hurdle exactly.
@@ -440,10 +440,10 @@ class TestTradableAudits:
         )
         spec = FinanciabilitySpec.cost_of_capital(0.06)
         rates = flat_rates(tree, 0.02)
-        assert not audit_neutrality_to_tradables(spec, market, tree, None, rates).flagged
+        assert not audit_neutrality_to_tradables(spec, market, tree, None, rates).any_flagged
         assert not audit_consistency_with_tradables(
             spec, market, tree, None, rates
-        ).flagged
+        ).any_flagged
 
 
 def test_capital_schedule_rejects_negative():

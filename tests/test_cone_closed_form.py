@@ -87,10 +87,22 @@ def _outcome(fn, *args):
 
 
 def _program(market, tree, restriction):
+    """The certificate's arrays as the oracle's verdicts: each inner
+    node's weights, read from ``weights`` at its children, or its row of
+    ``violation``."""
     cert = check_consistency(market, tree, restriction)
+    # What no verdict reads is NaN: the weights of the root and of the
+    # children of inconsistent nodes, the violations of consistent nodes.
+    bad = np.flatnonzero(~cert.consistent_at)
+    unread = np.isin(tree.parent, bad) | (tree.parent < 0)
+    assert np.isnan(cert.weights[unread]).all() and not np.isnan(cert.weights[~unread]).any()
+    assert np.isnan(cert.violation[cert.consistent_at]).all()
+    weights = cert.weights.tolist()
     return {
-        node: (True, v.weights) if v.consistent else (False, v.violation)
-        for node, v in cert.verdicts.items()
+        node: (True, {c: weights[c] for c in tree.children[node]})
+        if consistent
+        else (False, tuple(cert.violation[node].tolist()))
+        for node, consistent in enumerate(cert.consistent_at.tolist())
     }
 
 

@@ -309,7 +309,7 @@ class TestBuildOnePeriod:
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
         ell = {leaves[0]: 80.0, leaves[1]: 120.0}
-        [res] = build_one_period(
+        res = build_one_period(
             [0],
             node_values(tree, ell),
             np.zeros(tree.n_nodes),
@@ -320,16 +320,16 @@ class TestBuildOnePeriod:
             tree,
             rates=[0.02],
         )
-        assert res.feasible
-        assert res.scale == pytest.approx(120.0 / 1.02, abs=1e-9)
-        assert res.capital == pytest.approx(20.0 / 1.08, abs=1e-9)
-        assert res.vbar == pytest.approx(99.1285403050109, abs=1e-9)
+        assert res.candidate.tolist() == [0]
+        assert res.scale[0] == pytest.approx(120.0 / 1.02, abs=1e-9)
+        assert res.capital[0] == pytest.approx(20.0 / 1.08, abs=1e-9)
+        assert res.vbar[0] == pytest.approx(99.1285403050109, abs=1e-9)
 
     def test_deterministic_liability_full(self):
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         ell = {nu: 50.0 for nu in tree.by_date[2]}
-        [res] = build_one_period(
+        res = build_one_period(
             [0],
             node_values(tree, ell),
             np.zeros(tree.n_nodes),
@@ -340,14 +340,14 @@ class TestBuildOnePeriod:
             tree,
             rates=[0.02],
         )
-        assert res.vbar == pytest.approx(50.0 / 1.02, abs=1e-12)
-        assert res.capital == 0.0
+        assert res.vbar[0] == pytest.approx(50.0 / 1.02, abs=1e-12)
+        assert res.capital[0] == 0.0
 
     def test_zero_liability(self):
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         ell = {nu: 0.0 for nu in tree.by_date[2]}
-        [res] = build_one_period(
+        res = build_one_period(
             [0],
             node_values(tree, ell),
             np.zeros(tree.n_nodes),
@@ -358,7 +358,7 @@ class TestBuildOnePeriod:
             tree,
             rates=[0.02],
         )
-        assert res.vbar == 0.0
+        assert res.vbar[0] == 0.0
 
     def test_interior_outflow_prefunded(self):
         # A claim at the interior date must be funded by the scale.
@@ -366,7 +366,7 @@ class TestBuildOnePeriod:
         market = bond_market(tree, {0: 0.0})
         mid = tree.by_date[1][0]
         ell = {nu: 0.0 for nu in tree.by_date[2]}
-        [res] = build_one_period(
+        res = build_one_period(
             [0],
             node_values(tree, ell),
             node_values(tree, {mid: -7.0}),
@@ -377,9 +377,9 @@ class TestBuildOnePeriod:
             tree,
             rates=[0.0],
         )
-        assert res.feasible
-        assert res.scale == pytest.approx(7.0, abs=1e-9)
-        assert res.vbar == pytest.approx(7.0, abs=1e-9)
+        assert res.candidate.tolist() == [0]
+        assert res.scale[0] == pytest.approx(7.0, abs=1e-9)
+        assert res.vbar[0] == pytest.approx(7.0, abs=1e-9)
 
     def test_interior_constraint_can_bind_alone(self):
         # Interior funding dominates: the year ends with a net inflow but
@@ -388,7 +388,7 @@ class TestBuildOnePeriod:
         market = bond_market(tree, {0: 0.0})
         mid = tree.by_date[1][0]
         ell = {nu: -10.0 for nu in tree.by_date[2]}
-        [res] = build_one_period(
+        res = build_one_period(
             [0],
             node_values(tree, ell),
             node_values(tree, {mid: -7.0}),
@@ -400,18 +400,18 @@ class TestBuildOnePeriod:
             rates=[0.0],
             mode="A",
         )
-        assert res.feasible
-        assert res.scale == pytest.approx(7.0, abs=1e-9)
+        assert res.candidate.tolist() == [0]
+        assert res.scale[0] == pytest.approx(7.0, abs=1e-9)
         # Year-end surplus: 7 - 7 + 10 = 10 on both leaves.
-        assert res.capital == pytest.approx(10.0 / 1.06, abs=1e-9)
-        assert res.vbar == pytest.approx(7.0 - 10.0 / 1.06, abs=1e-9)
+        assert res.capital[0] == pytest.approx(10.0 / 1.06, abs=1e-9)
+        assert res.vbar[0] == pytest.approx(7.0 - 10.0 / 1.06, abs=1e-9)
 
     def test_infeasible_family_returns_sentinel(self):
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
         leaves = tree.by_date[2]
         ell = {leaves[0]: math.inf, leaves[1]: 1.0}
-        [res] = build_one_period(
+        res = build_one_period(
             [0],
             node_values(tree, ell),
             np.zeros(tree.n_nodes),
@@ -422,8 +422,8 @@ class TestBuildOnePeriod:
             tree,
             rates=[0.02],
         )
-        assert not res.feasible
-        assert res.vbar == math.inf
+        assert res.candidate.tolist() == [-1]
+        assert (res.vbar.tolist(), res.capital.tolist()) == ([math.inf], [0.0])
 
 
 class TestBalanceSheet:
@@ -627,7 +627,7 @@ class TestEngineProperties:
                 RiskMeasureSpec("es", 0.25),
             ):
                 spec = FulfillmentSpec("risk_measure", measure)
-                [res] = build_one_period(
+                res = build_one_period(
                     [0],
                     node_values(tree, ell),
                     np.zeros(tree.n_nodes),
@@ -638,7 +638,7 @@ class TestEngineProperties:
                     tree,
                     rates=[0.02],
                 )
-                payoff = res.scale * 1.02
+                payoff = res.scale[0] * 1.02
                 dist = DiscreteDistribution.from_atoms(
                     [(payoff - ell[leaves[0]], 0.5), (payoff - ell[leaves[1]], 0.5)]
                 )
@@ -846,7 +846,8 @@ class TestEngineProperties:
         )
         assert res.ok
         # Combined cost at the root shifts by the bond price.
-        got, want, diff = res.per_node[0]
+        assert res.nodes[0] == 0
+        got, want, diff = res.got[0], res.want[0], res.diff[0]
         assert got - (cost.values[0]) == pytest.approx(1 / 1.02, abs=1e-9)
 
     def test_replica_shift_requires_neutrality(self):

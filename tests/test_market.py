@@ -9,7 +9,7 @@ from prodval.lattice import DateGrid, build_tree
 from prodval.market import RestrictionSet, TradableSet, check_consistency
 from prodval.risk import DiscreteDistribution
 
-from util import by_node, random_tree, state_price_market
+from util import by_node, certificate_mappings, random_tree, state_price_market
 
 
 def one_period_tree():
@@ -61,8 +61,8 @@ class TestCheckConsistency:
         assert cert.consistent
         # At an interior node the child pays 1, so the weights sum to the
         # bond price there.
-        lam = cert.verdicts[1].weights
-        assert sum(lam.values()) == pytest.approx(1 / 1.01, abs=1e-12)
+        lam = cert.weights[list(tree.children[1])]
+        assert lam.sum() == pytest.approx(1 / 1.01, abs=1e-12)
 
     def test_two_tradable_fixture_refuted(self):
         # Both children pay (1, 2); the price (0.9, 1.0) needs lambda with
@@ -79,9 +79,8 @@ class TestCheckConsistency:
             },
         )
         cert = check_consistency(market, tree)
-        verdict = cert.verdicts[0]
-        assert not verdict.consistent
-        x = np.array(verdict.violation)
+        assert not cert.consistent_at[0]
+        x = cert.violation[0]
         for child in tree.children[0]:
             assert x @ market.payoff(child) >= -1e-12
         assert x @ market.price(0) < -1e-9
@@ -101,7 +100,7 @@ class TestCheckConsistency:
         cert = check_consistency(
             market, tree, RestrictionSet.of_indices(2, [0])
         )
-        assert cert.verdicts[0].consistent
+        assert cert.consistent_at[0]
 
     def test_spanning_payoffs_strictly_positive_weights(self):
         # Oracle: the 2x2 linear system has the unique solution (0.4, 0.3).
@@ -119,11 +118,27 @@ class TestCheckConsistency:
             },
         )
         cert = check_consistency(market, tree)
-        lam = cert.verdicts[0].weights
+        lam = cert.weights
         oracle = np.linalg.solve(np.column_stack([y1, y2]), s)
         assert lam[1] == pytest.approx(oracle[0], abs=1e-9)
         assert lam[2] == pytest.approx(oracle[1], abs=1e-9)
-        assert min(lam.values()) > 0
+        assert lam[[1, 2]].min() > 0
+
+
+def test_certificate_arrays_mark_what_is_undefined():
+    """One entry per inner node in ``consistent_at`` and ``violation``
+    and one per node in ``weights``: NaN weights at the root and below an
+    inconsistent node, NaN violations at consistent nodes."""
+    tree = one_period_tree()
+    market = flat_market(
+        tree, {0: (0.9, 1.0), 1: (1.0, 2.0), 2: (1.0, 2.0), 3: (1.0, 2.0), 4: (1.0, 2.0)}
+    )
+    cert = check_consistency(market, tree)
+    assert cert.consistent_at.tolist() == [False, True, True]
+    assert not cert.consistent
+    assert np.isfinite(cert.violation[0]).all() and np.isnan(cert.violation[1:]).all()
+    assert np.isnan(cert.weights[:3]).all()
+    assert cert.weights[3:].tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 class TestRandomMarkets:
@@ -134,7 +149,7 @@ class TestRandomMarkets:
             market, weights = state_price_market(rng, tree)
             cert = check_consistency(market, tree)
             assert cert.consistent
-            for node, verdict in cert.verdicts.items():
+            for node, verdict in certificate_mappings(cert, tree).items():
                 recon = sum(
                     lam * market.payoff(c)
                     for c, lam in verdict.weights.items()
@@ -162,7 +177,7 @@ class TestRandomMarkets:
                 tree=tree, prices=by_node(tree, prices), inflows=by_node(tree, inflows)
             )
             cert = check_consistency(market2, tree)
-            for node, verdict in cert.verdicts.items():
+            for node, verdict in certificate_mappings(cert, tree).items():
                 if verdict.consistent:
                     recon = sum(
                         lam * market2.payoff(c)
@@ -189,7 +204,7 @@ class TestRandomMarkets:
         for node in range(tree.n_nodes):
             if tree.is_leaf(node):
                 continue
-            lam = cert.verdicts[node].weights
+            lam = cert.weights
             v_node = units @ market.price(node)
             recon = sum(
                 lam[c]

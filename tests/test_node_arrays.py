@@ -3,7 +3,9 @@
 The holders (LiabilitySpec, IlliquidPortfolio, CashflowProcess,
 CapitalSchedule) check their values when built and name the first bad
 node; the entry points that meet a tree check each array's length and
-name its section.
+name its section. The cost identities of the illiquid replica shift and
+the short position come out as arrays with the bits of the per-node
+loops they replaced.
 """
 
 import math
@@ -35,9 +37,14 @@ from prodval.market import check_consistency
 from prodval.resolution import extend_to_full_fulfillment
 from prodval.risk import RiskMeasureSpec
 from prodval.solvency import RateCurve, multi_period_solvency
-from prodval.strategy import CashflowProcess, short_position_cashflows
+from prodval.strategy import (
+    CashflowProcess,
+    short_position_cashflows,
+    stopped,
+    strategy_value,
+)
 
-from util import random_tree, state_price_market
+from util import random_paying_strategy, random_stop, random_tree, state_price_market
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -195,7 +202,7 @@ def test_replica_shift_inflows_and_capital_keep_per_node_bits(monkeypatch):
     original = prodval.engine.validate_production_strategy
 
     def recording(strategy, psi, capital, *args, **kwargs):
-        seen.append((psi, capital))
+        seen.append((strategy, psi, capital))
         return original(strategy, psi, capital, *args, **kwargs)
 
     monkeypatch.setattr(prodval.engine, "validate_production_strategy", recording)
@@ -203,7 +210,7 @@ def test_replica_shift_inflows_and_capital_keep_per_node_bits(monkeypatch):
         liab, units, cost.strategy, CapitalSchedule(capital), FulfillmentSpec.full(), fin,
         market, tree, rates,
     )
-    (shift_psi, shift_capital), = seen
+    (shift_strategy, shift_psi, shift_capital), = seen
     nodes = range(tree.n_nodes)
     assert shift_psi.inflows.tolist() == [float(units @ market.inflow(n)) for n in nodes]
     assert shift_capital.values.tolist() == [
@@ -211,3 +218,50 @@ def test_replica_shift_inflows_and_capital_keep_per_node_bits(monkeypatch):
     ]
     assert shift_psi.inflows.any()
     assert report.max_abs_diff <= 1e-9
+    # The per-node loop the report's arrays replaced.
+    annual = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i)]
+    rows = []
+    for n in annual:
+        v_star = strategy_value(shift_strategy, market, n) - float(shift_capital.values[n])
+        v_base = strategy_value(cost.strategy, market, n) - float(capital[n])
+        v = float(units @ market.price(n))
+        rows.append((v_star, v_base - v, v_star - (v_base - v)))
+    assert report.nodes.tolist() == annual
+    assert list(zip(report.got.tolist(), report.want.tolist(), report.diff.tolist())) == rows
+
+
+def test_short_position_identity_keeps_per_node_bits():
+    """The additivity report holds, at every annual node before the
+    horizon, the bits of the per-node loop it replaced."""
+    rng = np.random.default_rng(7)
+    tree = random_tree(rng, years=2)
+    market, _ = state_price_market(rng, tree)
+    rates = period_rates_from_market(market, tree)
+    liab = LiabilitySpec(rng.uniform(0.0, 5.0, tree.n_nodes), zeros(tree.n_nodes),
+                         zeros(tree.n_nodes))
+    fin = FinanciabilitySpec.cost_of_capital(0.06)
+    config = prodval.engine.EngineConfig(mode="A")
+    cost = backward_value(
+        liab, IlliquidPortfolio(zeros(tree.n_nodes)), config, FulfillmentSpec.full(), fin,
+        market, tree, rates,
+    )
+    phi, flows = random_paying_strategy(rng, tree, market, scale=0.5)
+    stop = random_stop(rng, tree)
+    report = prodval.engine.add_short_position(
+        liab, cost.strategy, CapitalSchedule(cost.capital), phi, stop, flows,
+        FulfillmentSpec.full(), fin, market, tree, rates,
+    )
+    phi_p = stopped(phi, tree, stop)
+    combined = cost.strategy.plus(phi_p)
+    annual = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i)]
+    rows = []
+    for n in annual:
+        c = float(cost.capital[n])
+        v_comb = strategy_value(combined, market, n) - c
+        v_base = strategy_value(cost.strategy, market, n) - c
+        shift = strategy_value(phi_p, market, n)
+        rows.append((v_comb, v_base + shift, v_comb - (v_base + shift)))
+    assert report.ok
+    assert report.nodes.tolist() == annual
+    assert list(zip(report.got.tolist(), report.want.tolist(), report.diff.tolist())) == rows
+    assert report.max_abs_diff == max(abs(d) for _, _, d in rows)

@@ -29,7 +29,6 @@ from prodval.conditions import (
 from prodval.engine import (
     TOL,
     EngineConfig,
-    OnePeriodResult,
     StrategyFamily,
     backward_value,
 )
@@ -43,6 +42,7 @@ from util import cost_mappings
 from test_risk_free_step import (
     FULFILLMENTS,
     SHAPES,
+    StepRecord,
     _bits,
     _financiability,
     _outcome,
@@ -172,7 +172,7 @@ def _wkey(weights):
 def oracle_one_period(
     node_i, ell, interior_net, family, fulfillment, financiability, market, tree,
     rate, mode, bisection_tol, mix_weights,
-) -> OnePeriodResult:
+) -> StepRecord:
     i = int(tree.date_of(node_i))
     j0 = tree.grid.index(i)
     j1 = tree.grid.index(i + 1)
@@ -183,7 +183,7 @@ def oracle_one_period(
             fulfillment, bisection_tol,
         )
         if s_star is None:
-            return OnePeriodResult(False, params=("fixed_mix", _wkey(weights), INF))
+            return StepRecord(False)
         _, payoff, portfolios = _roll_mix_linear(
             tree, market, node_i, j0, j1, weights, s_star, interior_net
         )
@@ -194,12 +194,12 @@ def oracle_one_period(
             tree, market, node_i, j0, j1, family.base, ell, interior_net, fulfillment
         )
         if solved is None:
-            return OnePeriodResult(False, params=("explicit", INF))
+            return StepRecord(False)
         s_star, value, payoff, portfolios = solved
         params = ("explicit", s_star)
     surplus = _surplus_dist(tree, node_i, payoff, ell)
     if not ref.fulfillment_satisfied(fulfillment, surplus):
-        return OnePeriodResult(False, params=params)
+        return StepRecord(False)
     plus_part = DiscreteDistribution(
         tuple(max(0.0, v) for v in surplus.values), surplus.probs, surplus.labels
     )
@@ -208,7 +208,7 @@ def oracle_one_period(
     if mode == "B" and vbar < 0.0:
         capital = value
         vbar = 0.0
-    result = OnePeriodResult(
+    result = StepRecord(
         True, scale=s_star, capital=capital, vbar=vbar, value=value, params=params
     )
     result.portfolios = {m: tuple(float(v) for v in x) for m, x in portfolios.items()}

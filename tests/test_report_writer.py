@@ -3,11 +3,14 @@
 ``cli._json_text`` must return ``json.dumps(obj, sort_keys=True,
 indent=2) + "\\n"`` byte for byte, on its fast paths and on the ones it
 leaves to ``json.dumps``. The ``value``, ``solvency`` and ``adjust``
-reports must equal, file for file, the node-by-node formatting frozen in
-``report_reference``, on generated problems that reach every kind of
-field: infeasible nodes (``inf`` and ``infeasible``), fixed-mix and
-explicit parameters, leaves without capital, mode A balance sheets,
-write-downs, and labels that JSON escapes.
+reports, and ``check``'s, must equal, file for file, the node-by-node
+formatting frozen in ``report_reference``, on generated problems that
+reach every kind of field: infeasible nodes (``inf`` and
+``infeasible``), fixed-mix and explicit parameters, leaves without
+capital, mode A balance sheets, write-downs, inconsistent nodes,
+restricted certificates, optimal and by-construction audits flagged and
+not, and labels that JSON escapes. Check's other audit statuses are
+held to the audit LP in ``test_audit_rays.py``.
 """
 
 import json
@@ -258,6 +261,72 @@ def test_solvency_report_matches_node_by_node(
         lambda: run(problem, "solvency", stage=stage, fmt=fmt),
         lambda: ref.run_solvency(problem, stage, fmt),
     )
+
+
+def _check_problem(seed, years, interior, financiability, restriction, mispriced, prefix):
+    """A generated problem for ``check``: ``restriction`` keeps the given
+    tradables; ``mispriced`` triples asset 0's price at the root, which
+    puts the root outside the cone of its child payoffs."""
+    doc = generated_config(seed, years, interior)
+    _relabel(doc, prefix)
+    doc["financiability"] = financiability
+    if restriction is not None:
+        doc["restriction"] = {"indices": restriction}
+    if mispriced:
+        root = doc["tree"]["nodes"][0]["id"]
+        doc["market"]["tradables"][0]["prices"][root] *= 3.0
+    return problem_from_dict(doc)
+
+
+CHECK_CASES = dict(
+    seed=st.integers(0, 2**16),
+    years=st.integers(1, 2),
+    interior=st.integers(1, 2),
+    financiability=st.sampled_from(
+        [{"type": "coc", "eta": 0.06}, {"type": "coc", "eta": 0.0}, {"type": "state_price"},
+         {"type": "zero"}]
+    ),
+    restriction=st.sampled_from([None, [0, 2], [1], [0, 1]]),
+    mispriced=st.booleans(),
+    prefix=st.sampled_from(PREFIXES),
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**CHECK_CASES)
+def test_check_report_matches_node_by_node(
+    seed, years, interior, financiability, restriction, mispriced, prefix
+):
+    problem = _check_problem(
+        seed, years, interior, financiability, restriction, mispriced, prefix
+    )
+    _assert_same_reports(lambda: run(problem, "check"), lambda: ref.run_check(problem))
+
+
+def test_check_problems_reach_every_verdict():
+    """The check generator reaches inconsistent and consistent nodes,
+    optimal and by-construction audits, flagged and not, and the error
+    of a state-price bound at a mispriced root."""
+    seen = set()
+    for seed in range(4):
+        for financiability in CHECK_CASES["financiability"].elements:
+            for mispriced in (False, True):
+                problem = _check_problem(seed, 2, 1, financiability, [0, 2], mispriced, "")
+                try:
+                    doc = json.loads(run(problem, "check").files["check.json"])
+                except ProdvalError:  # the state-price bound at a mispriced root
+                    seen.add("error")
+                    continue
+                for certificate in doc["consistency"].values():
+                    if isinstance(certificate, dict):
+                        seen |= {entry["consistent"] for entry in certificate.values()}
+                for kind in ("consistency_with_tradables", "neutrality_to_tradables"):
+                    audits = doc["audits"][kind]["per_node"].values()
+                    seen |= {(a["status"], a["flagged"]) for a in audits}
+    assert seen >= {
+        True, False, "error", ("optimal", False), ("optimal", True),
+        ("by_construction", False), ("by_construction", True),
+    }
 
 
 def test_generated_problems_reach_every_field():

@@ -10,6 +10,7 @@ infeasible nodes and strategy bit for bit, and raise the same errors;
 """
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping
 
 import numpy as np
@@ -27,7 +28,6 @@ from prodval.engine import (
     EngineConfig,
     IlliquidPortfolio,
     LiabilitySpec,
-    OnePeriodResult,
     StrategyFamily,
     backward_value,
     build_one_period,
@@ -40,6 +40,19 @@ import scalar_reference as ref
 from util import by_node, cost_mappings, random_tree, state_price_market
 
 INF = math.inf
+
+
+@dataclass
+class StepRecord:
+    """One node's result of the frozen per-node step: the record the
+    one-period step returned per node before it returned arrays."""
+
+    feasible: bool
+    scale: float = INF
+    capital: float = 0.0
+    vbar: float = INF
+    value: float = INF
+    params: tuple = ()
 
 
 # --- oracle: the per-node risk-free path, frozen ------------------------------
@@ -131,25 +144,25 @@ def oracle_one_period(
     tree,
     rate: float,
     mode: str,
-) -> OnePeriodResult:
+) -> StepRecord:
     i = int(tree.date_of(node_i))
     j0 = tree.grid.index(i)
     j1 = tree.grid.index(i + 1)
     try:
         k = market.bond_for_period(i)
     except NoBondAvailable:
-        return OnePeriodResult(False, params=("risk_free", INF))
+        return StepRecord(False)
     solved = _solve_affine_scale(
         tree, market, node_i, j0, j1, {k: 1.0}, ell, interior_net, fulfillment
     )
     if solved is None:
-        return OnePeriodResult(False, params=("risk_free", INF))
+        return StepRecord(False)
     s_star, payoff, portfolios = solved
     value = s_star
     params = ("risk_free", s_star)
     surplus = _surplus_dist(tree, node_i, payoff, ell)
     if not ref.fulfillment_satisfied(fulfillment, surplus):
-        return OnePeriodResult(False, params=params)
+        return StepRecord(False)
     plus_part = DiscreteDistribution(
         tuple(max(0.0, v) for v in surplus.values), surplus.probs, surplus.labels
     )
@@ -158,7 +171,7 @@ def oracle_one_period(
     if mode == "B" and vbar < 0.0:
         capital = value
         vbar = 0.0
-    result = OnePeriodResult(
+    result = StepRecord(
         True, scale=s_star, capital=capital, vbar=vbar, value=value, params=params
     )
     result.portfolios = {m: tuple(float(v) for v in x) for m, x in portfolios.items()}
@@ -380,13 +393,16 @@ def assert_matches_oracle(tree, market, liab, psi, fulfillment, financiability, 
             common = (fulfillment, fin, market, tree)
             ref = oracle_one_period(node, ell, interior_net, *common, rates[node], mode)
             held = np.zeros((tree.n_nodes, market.n_assets))
-            [one] = build_one_period(
+            step = build_one_period(
                 [node], ell_array, net, StrategyFamily.risk_free(), *common,
                 [rates[node]], mode, assignment=held,
             )
             portfolios = getattr(ref, "portfolios", {})
-            fields = {k: v for k, v in vars(ref).items() if k != "portfolios"}
-            assert _bits(vars(one)) == _bits(fields)
+            got = tuple(column[0].item() for column in step)
+            if ref.feasible:
+                assert _bits(got) == _bits((ref.vbar, ref.capital, ref.scale, 0))
+            else:
+                assert _bits(got) == _bits((INF, 0.0, INF, -1))
             assert {m: tuple(held[m].tolist()) for m in portfolios} == portfolios
             held[list(portfolios)] = 0.0
             assert not held.any()
@@ -428,18 +444,18 @@ def test_batch_returns_one_result_per_node_and_fills_assignment():
         tree,
     )
     assignment = np.zeros((tree.n_nodes, market.n_assets))
-    results = build_one_period(
+    step = build_one_period(
         nodes, ell, np.zeros(tree.n_nodes), *args, [0.02] * len(nodes),
         assignment=assignment,
     )
-    assert isinstance(results, list) and len(results) == len(nodes)
-    assert all(res.feasible is True for res in results)
+    assert [len(column) for column in step] == [len(nodes)] * 4
+    assert (step.candidate == 0).all()
     alone = np.zeros_like(assignment)
-    for node, res in zip(nodes, results):
-        [one] = build_one_period(
+    for k, node in enumerate(nodes):
+        one = build_one_period(
             [node], ell, np.zeros(tree.n_nodes), *args, [0.02], assignment=alone
         )
-        assert vars(one) == vars(res)
+        assert [c.tobytes() for c in one] == [c[k:k + 1].tobytes() for c in step]
     assert alone.tobytes() == assignment.tobytes()
 
 

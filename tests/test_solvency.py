@@ -24,7 +24,7 @@ from prodval.solvency import (
     stage3_decompose,
 )
 
-from util import liability
+from util import liability, solvency_mappings
 
 VAR = RiskMeasureSpec("var", 0.005)
 
@@ -218,7 +218,7 @@ class TestMultiPeriod:
             liab, rates, 0.06, RiskMeasureSpec("var", 0.005), 3, tree
         )
         assert report.sii_formula_rm0 is not None
-        assert report.rows[0].rm == pytest.approx(report.sii_formula_rm0, abs=1e-12)
+        assert report.rm[0] == pytest.approx(report.sii_formula_rm0, abs=1e-12)
 
     def test_sii_fixture_path(self):
         # Direct unroll of the stage-3 recursion on the (10, 8, 5) path.
@@ -239,8 +239,7 @@ class TestMultiPeriod:
         report = multi_period_solvency(
             liability(tree), rates, 0.06, VAR, 3, tree
         )
-        for row in report.rows.values():
-            assert row.bel == 0.0 and row.rm == 0.0 and row.scr == 0.0
+        assert not (report.bel.any() or report.rm.any() or report.scr.any())
 
     def test_single_period_is_the_stage_operation(self):
         tree, _ = symmetric_tree(1)
@@ -249,9 +248,9 @@ class TestMultiPeriod:
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(liab, rates, 0.06, VAR, 2, tree)
         bel, rm, scr, p = stage2_decompose(two_point_states(), 0.02, 0.06, VAR)
-        assert report.rows[0].bel == pytest.approx(bel, abs=1e-12)
-        assert report.rows[0].rm == pytest.approx(rm, abs=1e-12)
-        assert report.rows[0].scr == pytest.approx(scr, abs=1e-12)
+        assert report.bel[0] == pytest.approx(bel, abs=1e-12)
+        assert report.rm[0] == pytest.approx(rm, abs=1e-12)
+        assert report.scr[0] == pytest.approx(scr, abs=1e-12)
 
     def test_interior_flows_rejected(self):
         tree, _ = symmetric_tree(1)
@@ -277,9 +276,7 @@ class TestMultiPeriod:
             for s in (1, 2, 3)
         }
         for node in list(tree.nodes_at(0)) + list(tree.nodes_at(1)):
-            t1 = reports[1].rows[node].total
-            t2 = reports[2].rows[node].total
-            t3 = reports[3].rows[node].total
+            t1, t2, t3 = (reports[s].bel[node] + reports[s].rm[node] for s in (1, 2, 3))
             assert t1 == pytest.approx(t2, abs=1e-9)
             assert t2 == pytest.approx(t3, abs=1e-9)
 
@@ -296,7 +293,7 @@ class TestMultiPeriod:
         liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(liab, rates, 0.06, es, 1, tree)
-        bel = {n: r.total for n, r in report.rows.items()}
+        bel = {n: r.total for n, r in solvency_mappings(report, tree).rows.items()}
         for i in (0, 1):
             for node in tree.nodes_at(i):
                 j1 = tree.grid.index(i + 1)
@@ -361,7 +358,7 @@ def test_engine_totals_match_stage2_with_risk_free_investment():
             2,
             tree,
         )
-        for node, row in report.rows.items():
+        for node, row in solvency_mappings(report, tree).rows.items():
             assert cost.values[node] == pytest.approx(row.total, abs=1e-9)
 
 

@@ -23,7 +23,7 @@ from prodval.solvency import (
     stage2_decompose,
 )
 
-from util import liability, random_tree
+from util import liability, random_tree, solvency_mappings
 
 LEVELS = (0.005, 0.1, 0.25, 0.5, 0.75)
 # Small value sets, so states tie and thresholds land on atoms.
@@ -54,7 +54,7 @@ def _outcome(fn):
         return _hex(out)
     rows = [
         (key, row.node, row.date, _hex(row.bel), _hex(row.rm), _hex(row.scr), _hex(row.p_m1), row.stage)
-        for key, row in out.rows.items()
+        for key, row in sorted(out.rows.items())
     ]
     return out.stage, rows, _hex(out.sii_formula_rm0)
 
@@ -104,7 +104,9 @@ def test_per_date_recursion_matches_node_by_node(
 ):
     tree, liab, rates = _problem(seed, years, interior, branch, flat, with_inflows)
     want = _outcome(lambda: ref.multi_period_solvency(liab, rates, eta, rho, stage, tree))
-    got = _outcome(lambda: multi_period_solvency(liab, rates, eta, rho, stage, tree))
+    got = _outcome(
+        lambda: solvency_mappings(multi_period_solvency(liab, rates, eta, rho, stage, tree), tree)
+    )
     assert got == want
 
 

@@ -68,6 +68,63 @@ def cost_mappings(cost, tree: ScenarioTree) -> SimpleNamespace:
     )
 
 
+def certificate_mappings(cert, tree: ScenarioTree) -> dict:
+    """A ConsistencyCertificate as the node -> verdict mapping of the
+    per-node references, keyed in node order over the inner nodes: each
+    verdict's ``consistent``, and its ``weights`` (child -> λ) or its
+    ``violation`` (a tuple of floats), the other None."""
+    out = {}
+    for node, consistent in enumerate(cert.consistent_at.tolist()):
+        if consistent:
+            weights = {c: float(cert.weights[c]) for c in tree.children[node]}
+            out[node] = SimpleNamespace(consistent=True, weights=weights, violation=None)
+        else:
+            violation = tuple(cert.violation[node].tolist())
+            out[node] = SimpleNamespace(consistent=False, weights=None, violation=violation)
+    return out
+
+
+def audit_mappings(report) -> dict:
+    """A TradableAuditReport as node -> audit over the inner nodes: the
+    ``status`` name, the ``optimum`` and ``hurdle`` (None where the
+    status leaves them undefined) and ``flagged``."""
+    from prodval.conditions import AUDIT_STATUSES
+
+    def value(x: float):
+        return None if np.isnan(x) else x
+
+    return {
+        node: SimpleNamespace(
+            status=AUDIT_STATUSES[status], optimum=value(optimum), hurdle=value(hurdle),
+            flagged=flagged,
+        )
+        for node, (status, optimum, hurdle, flagged) in enumerate(zip(
+            report.status.tolist(), report.optimum.tolist(), report.hurdle.tolist(),
+            report.flagged.tolist(),
+        ))
+    }
+
+
+def solvency_mappings(report, tree: ScenarioTree) -> SimpleNamespace:
+    """A SolvencyReport as the node -> row mapping of the node-by-node
+    recursion, keyed in node order over the annual nodes before the
+    horizon: each row's ``node``, ``date``, ``bel``, ``rm``, ``scr``,
+    ``p_m1``, ``stage`` and ``total`` (bel + rm). ``stage`` and
+    ``sii_formula_rm0`` pass through."""
+    rows = {
+        n: SimpleNamespace(
+            node=n, date=i, bel=float(report.bel[n]), rm=float(report.rm[n]),
+            scr=float(report.scr[n]), p_m1=float(report.p_m1[n]), stage=report.stage,
+            total=float(report.bel[n]) + float(report.rm[n]),
+        )
+        for i in range(tree.grid.horizon)
+        for n in tree.nodes_at(i)
+    }
+    return SimpleNamespace(
+        stage=report.stage, rows=rows, sii_formula_rm0=report.sii_formula_rm0
+    )
+
+
 def liability(tree: ScenarioTree, outflows=None, inflows=None, terminal=None):
     """A LiabilitySpec from node -> value mappings (each zero if omitted)."""
     from prodval.engine import LiabilitySpec
