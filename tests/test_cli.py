@@ -1,7 +1,11 @@
+import ctypes
 import hashlib
 import json
 import math
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +194,65 @@ def test_main_advises_no_huge_pages_during_the_call(text, code, tmp_path, monkey
         assert cli._set_madvise_hugepage(True) is True  # restored on return
     finally:
         cli._set_madvise_hugepage(before)
+
+
+@pytest.mark.parametrize("text, code", [(None, 0), ("{}", 1)], ids=["valued", "rejected"])
+def test_main_fixes_the_mmap_threshold_before_loading(text, code, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(text or (CONFIGS / "two_point.json").read_text())
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    def loading(path):
+        calls.append("load")
+        return load_config(path)
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(cli, "load_config", loading)
+    assert main(["value", "--config", str(config), "--output-dir", str(tmp_path)]) == code
+    # M_MMAP_THRESHOLD is -3 in glibc's malloc.h.
+    assert calls == [(-3, 4 << 20), "load"]
+
+
+def test_mmap_threshold_is_left_alone_without_mallopt(tmp_path, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    config = str(CONFIGS / "two_point.json")
+    assert main(["value", "--config", config, "--output-dir", str(tmp_path)]) == 0
+
+
+# Frees a 26 MiB block, then tells whether a new 5 MiB block lies in the
+# brk heap; with argument 1, after cli fixed the mmap threshold.
+_HEAP_PROBE = """
+import ctypes, sys
+from prodval import cli
+if sys.argv[1] == "1":
+    cli._fix_mmap_threshold()
+big = bytes(26 << 20)
+del big
+block = bytearray(5 << 20)
+at = ctypes.addressof(ctypes.c_char.from_buffer(block))
+for line in open("/proc/self/maps"):
+    if line.rstrip().endswith("[heap]"):
+        lo, hi = (int(x, 16) for x in line.split()[0].split("-"))
+        print(lo <= at < hi)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
+def test_fixed_mmap_threshold_keeps_large_blocks_out_of_the_heap():
+    def in_heap(fixed):
+        out = subprocess.run(
+            [sys.executable, "-c", _HEAP_PROBE, str(int(fixed))],
+            capture_output=True, text=True, check=True,
+        )
+        return out.stdout.split()
+
+    assert in_heap(False) == ["True"]  # glibc raised its threshold past 5 MiB
+    assert in_heap(True) == ["False"]
 
 
 @pytest.mark.parametrize("price, cause", [(-0.5, ValueError), (None, TypeError)])
