@@ -433,14 +433,23 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
     neut = audit_neutrality_to_tradables(
         financiability, problem.market, tree, problem.restriction, rates
     )
-    hom = audit_positive_homogeneity(
-        financiability,
-        root_homogeneity_payoffs(financiability, tree),
-        HOMOGENEITY_SCALES,
-        rate=float(rates[tree.root]),
-        node=tree.root,
-        horizon_index=tree.grid.index(1),
-    )
+    first_year = tree.grid.index(1)
+    # The state-price bound prices the root's first year by the weights
+    # of the certificate, which an inconsistent node there has none of:
+    # the homogeneity audit is then not evaluated.
+    homogeneity = {"max_deviation": None, "passed": None}
+    if financiability.variant != "state_price" or cert_used.consistent_at[
+        tree.date_idx[: tree.n_inner] < first_year
+    ].all():
+        hom = audit_positive_homogeneity(
+            financiability,
+            root_homogeneity_payoffs(financiability, tree),
+            HOMOGENEITY_SCALES,
+            rate=float(rates[tree.root]),
+            node=tree.root,
+            horizon_index=first_year,
+        )
+        homogeneity = {"max_deviation": _round(hom.max_deviation), "passed": hom.passed}
 
     def audit_json(report):
         columns = (
@@ -458,10 +467,7 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         }
 
     doc["audits"] = {
-        "positive_homogeneity": {
-            "max_deviation": _round(hom.max_deviation),
-            "passed": hom.passed,
-        },
+        "positive_homogeneity": homogeneity,
         "consistency_with_tradables": audit_json(cons),
         "neutrality_to_tradables": audit_json(neut),
     }

@@ -1,13 +1,15 @@
-"""Small dense linear programs solved by exhaustive basis enumeration.
+"""Small dense feasibility LPs solved by exhaustive basis enumeration.
 
-Problems here are small. ``solve_standard`` reduces ``A z = b`` to
-independent rows (one SVD when ``A`` has full row rank) and then
-enumerates every basis, so the answer is deterministic and needs
-nothing beyond numpy. Three kinds of problem use it:
+Problems here are small, and every LP has a zero cost: ``solve_standard``
+returns a point of {A z = b, z >= 0}, the first vertex in
+``itertools.combinations`` order, or reports that there is none. It
+reduces ``A z = b`` to independent rows (one SVD when ``A`` has full row
+rank) and then enumerates bases until the first vertex, so the answer is
+deterministic and needs nothing beyond numpy. Three kinds of problem use
+it:
 
-- the cone certificates (``market``): the zero-cost membership LP of
-  every inner node, decided for a stack of nodes at once by
-  ``cone_vertices``;
+- the cone certificates (``market``): the membership LP of every inner
+  node, decided for a stack of nodes at once by ``cone_vertices``;
 - the Farkas LP of a node whose price lies outside that cone, through
   ``solve_lp``;
 - the tradable audits (``conditions``) solve no LP: they are read off
@@ -20,12 +22,11 @@ Enumeration is chunked: bases are taken in ``itertools.combinations``
 order, ``_CHUNK`` at a time, from an index array built once per
 ``(n, r)`` and cached. Each chunk's ``(K, r, r)`` stack of ``A[:, J]``
 is solved in one ``np.linalg.solve`` call after dropping exactly
-singular bases, and the residual and ``z >= 0`` filters and the
-objectives are array operations. Each basis gets the same bits as a
-solve of its own. A basis holding an all-zero column of ``A`` (a free
-weight on a coordinate with zero price and payoffs, say) is exactly
-singular, so leaving those columns out keeps the combinations order of
-the other bases.
+singular bases, and the residual and ``z >= 0`` filters are array
+operations. Each basis gets the same bits as a solve of its own. A
+basis holding an all-zero column of ``A`` (a free weight on a coordinate
+with zero price and payoffs, say) is exactly singular, so leaving those
+columns out keeps the combinations order of the other bases.
 
 A basis is a vertex when its solution is finite, non-negative within
 ``FEAS_TOL``, has an absolute residual within ``FEAS_TOL``, and the
@@ -33,40 +34,24 @@ basis is well conditioned: its smallest singular value exceeds
 ``_RANK_TOL * scale``, where ``scale`` is the largest of 1, ``|A|`` and
 ``|b|`` (the rank tolerance of the row reduction). A near-singular basis
 can solve to about 2**53 with a residual that still passes, so the
-residual alone does not decide. Only a basis about to become the
-incumbent is tested, by an SVD unless ``log|det B|`` already proves it.
+residual alone does not decide. Only a basis that passes the other
+filters is tested, by an SVD unless ``log|det B|`` already proves it.
+Tolerances are absolute on constraint residuals.
 
-The vertex returned is part of the contract (stored benchmark reports
-and golden digests pin it where the optimum is not unique): the first
-vertex in combinations order whose objective improves on the incumbent
-by more than 1e-12. With an all-zero cost every vertex has objective 0,
-so enumeration stops at the first one.
+The vertex returned is part of the contract: stored benchmark reports
+and golden digests pin it where the system has more than one.
 
-``cone_vertices`` takes those steps for a stack of zero-cost LPs: the
-greedy row reduction (``_kept_rows``) and the dropped-row test
+``cone_vertices`` takes those steps for a stack of systems: the greedy
+row reduction (``_kept_rows``) and the dropped-row test
 (``_dropped_status``) for the whole stack, then per kept-row count one
 enumeration (``_first_vertices``) that keeps each system until its
 first vertex, about ``_VERTEX_CHUNK`` (system, basis) pairs per stacked
-solve. Each system gets the bits ``solve_lp`` gives it. The dropped-row
-test expresses the dropped rows of all systems that keep equally many
-rows through one stacked SVD; a system whose residuals lie too close to
-the threshold for the rounding of that solve and of ``lstsq`` to agree
-is tested alone, as ``solve_standard`` tests every system.
-
-An optimum with a nonzero cost is reported unbounded when some ray
-``d >= 0`` with ``A d = 0`` and ``sum(d) = 1`` has ``c.d < -FEAS_TOL``.
-For any ``y``, ``c.d = (c - A^T y).d >= min(c - A^T y)`` on those rays,
-so the optimal basis ``J`` proves the LP bounded when the reduced costs
-``c - A^T y``, with ``A[:, J]^T y = c[J]``, are all at least
-``-FEAS_TOL * 1e-3``. Only when they are not (a degenerate optimum can
-have a negative reduced cost and still be bounded) is the ray LP
-``min c.d`` enumerated, and it stops at its first vertex below
-``-FEAS_TOL``: incumbents only decrease, so the verdict is the one the
-whole enumeration would give. The bound holds for exact rays; a ray
-LP vertex meets ``A d = 0`` only within ``FEAS_TOL``, so the two tests
-could part on a vertex that far from exact, which the differential
-tests against the whole enumeration have not produced. Tolerances are
-absolute on constraint residuals.
+solve. Each system gets the bits ``solve_standard`` gives it. The
+dropped-row test expresses the dropped rows of all systems that keep
+equally many rows through one stacked SVD; a system whose residuals lie
+too close to the threshold for the rounding of that solve and of
+``lstsq`` to agree is tested alone, as ``solve_standard`` tests every
+system.
 """
 
 from __future__ import annotations
@@ -89,14 +74,12 @@ _RAY_CHUNK = 1 << 14  # cone_ratios candidate rays per stacked solve
 _CHUNK = 512  # bases per stacked solve
 _VERTEX_CHUNK = 1 << 14  # cone_vertices (system, basis) pairs per stacked solve
 _ROUNDING_SLACK = 1 << 10  # eps multiple in the stacked dropped-row test's bounds
-_DUAL_TOL = FEAS_TOL * 1e-3  # reduced-cost floor that proves boundedness
 
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" (x is feasible) | "infeasible"
     x: Optional[np.ndarray] = None
-    objective: Optional[float] = None
 
 
 def _full_row_rank(M: np.ndarray, tol) -> np.ndarray:
@@ -191,51 +174,34 @@ def _scale(A: np.ndarray, b: np.ndarray):
     )
 
 
-def _reduced_system(A: np.ndarray, b: np.ndarray):
-    """(A, b, scale) with only independent rows kept; None if inconsistent."""
-    scale = float(_scale(A, b))
-    reduced = _independent_rows(A, b, scale)
-    if reduced is None:
-        return None
-    return reduced[0], reduced[1], scale
-
-
-def solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LPResult:
-    """min c.z subject to A z = b, z >= 0, by vertex enumeration."""
-    c = np.asarray(c, dtype=float)
+def solve_standard(A: np.ndarray, b: np.ndarray) -> LPResult:
+    """The first vertex of A z = b, z >= 0 in combinations order."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
 
-    reduced = _reduced_system(A, b)
+    scale = float(_scale(A, b))
+    reduced = _independent_rows(A, b, scale)
     if reduced is None:
         return LPResult("infeasible")
-    A, b, scale = reduced
+    A, b = reduced
 
     if not len(A):
         # No effective constraints: z = 0 is the vertex.
-        if bool((c < -FEAS_TOL).any()):
-            return LPResult("unbounded")
-        return LPResult("optimal", np.zeros(n), 0.0)
-
-    # With an all-zero cost every vertex has objective 0, so the first
-    # one found is the answer and no ray can improve on it.
-    zero_cost = not np.abs(c).max(initial=0.0) > 0.0
-    vertex = _best_vertex(c, A, b, scale, stop_below=np.inf if zero_cost else -np.inf)
-    if vertex is None:
+        return LPResult("optimal", np.zeros(n))
+    x = _first_vertex(A, b, scale)
+    if x is None:
         return LPResult("infeasible")
-    x, obj, J = vertex
-    if not zero_cost and not _bounded_by_basis(c, A, J) and _improving_ray(c, A):
-        return LPResult("unbounded")
-    return LPResult("optimal", x, obj)
+    return LPResult("optimal", x)
 
 
 def cone_vertices(A: np.ndarray, b: np.ndarray):
-    """The zero-cost LPs A[k] z = b[k], z >= 0 of a stack, shape (N, m, n),
+    """The systems A[k] z = b[k], z >= 0 of a stack, shape (N, m, n),
     decided together: (feasible, x). Where ``feasible[k]``, x[k] holds the
-    bits of ``solve_lp(zeros(n), A[k], b[k]).x``; ``solve_lp`` finds every
-    other LP infeasible. Raises the NumericalFailure that ``solve_lp``
-    raises on the first LP of the stack that raises one.
+    bits of ``solve_standard(A[k], b[k]).x``; ``solve_standard`` finds
+    every other system infeasible. Raises the NumericalFailure that
+    ``solve_standard`` raises on the first system of the stack that
+    raises one.
 
     These are ``solve_standard``'s steps, each taken for the whole stack:
     the row reduction (``_kept_rows``), the dropped-row test
@@ -342,22 +308,22 @@ def _dropped_status(A: np.ndarray, b: np.ndarray, kept: np.ndarray, scale: np.nd
 def _first_vertices(A: np.ndarray, b: np.ndarray, scale: np.ndarray):
     """(found, x): for each system A[k] z = b[k], z >= 0 of a stack of
     reduced systems, shape (N, r, n) with r independent rows, whether it
-    has a vertex, and ``solve_lp``'s bits of the first one in
-    combinations order, the vertex ``_best_vertex`` returns at zero cost.
+    has a vertex, and ``solve_standard``'s bits of the first one in
+    combinations order, the vertex ``_first_vertex`` returns.
 
     The bases of ``_bases(n, r)`` are taken over all n columns: a basis
     holding an all-zero column is exactly singular, so the others keep
-    the order ``_best_vertex`` gives them. About ``_VERTEX_CHUNK``
+    the order ``_first_vertex`` gives them. About ``_VERTEX_CHUNK``
     (system, basis) pairs go into one stacked solve, a system's bases
     ``_CHUNK`` at a time, and a system leaves once it has its vertex. The
-    filters are ``_best_vertex``'s: slogdet sign, residual, sign, then
+    filters are ``_first_vertex``'s: slogdet sign, residual, sign, then
     the conditioning test on the bases that pass them."""
     N, r, n = A.shape
     found = np.zeros(N, dtype=bool)
     x = np.zeros((N, n))
     bases = _bases(n, r)
     tol = _RANK_TOL * scale
-    # _best_vertex's log|det| floor. It may differ from that one in the
+    # _first_vertex's log|det| floor. It may differ from that one in the
     # last bits, but a log|det| within rounding of either floor has
     # sigma_min near 2 * tol, so the SVD passes it all the same.
     sure_log_det = np.log(2.0 * tol) + (r - 1) * np.log(np.linalg.norm(A, axis=(1, 2)))
@@ -473,13 +439,9 @@ def _cone_rays(W: np.ndarray):
     return rays, valid
 
 
-def _best_vertex(
-    c: np.ndarray, A: np.ndarray, b: np.ndarray, scale: float, stop_below: float
-):
-    """(x, objective, basis) of the first vertex in combinations order
-    that improves on the incumbent by more than 1e-12, or None if there
-    is no vertex. Returns the incumbent as soon as its objective is
-    below ``stop_below``."""
+def _first_vertex(A: np.ndarray, b: np.ndarray, scale: float):
+    """The first vertex of A z = b, z >= 0 in combinations order, or None
+    if there is none."""
     r, n = A.shape
     if math.comb(n, r) > _MAX_BASES:
         raise NumericalFailure(f"basis enumeration too large: C({n},{r})")
@@ -493,7 +455,6 @@ def _best_vertex(
     # those columns out keeps the combinations order of the other bases.
     cols = np.flatnonzero(A.any(axis=0))
     bases = _bases(len(cols), r)
-    best = None
     for start in range(0, len(bases), _CHUNK):
         J = cols[bases[start : start + _CHUNK]]
         B = A[:, J].transpose(1, 0, 2)  # B[k] = A[:, J[k]]
@@ -509,36 +470,20 @@ def _best_vertex(
         # b as a (K, r, 1) stack of columns: numpy 1.x and 2.x read a
         # 1-D right-hand side of a stacked solve differently.
         z = np.linalg.solve(B, b[None, :, None].repeat(K, axis=0))[..., 0]
-        x = np.zeros((K, n))
-        x[np.arange(K)[:, None], J] = z.clip(0.0, None)
         # B has no zero column, so a row of z that is not finite has a
         # residual that is not finite and is rejected by the residual
-        # test; its residual and objective may overflow meanwhile.
+        # test; its residual may overflow meanwhile.
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.abs((B @ z[..., None])[..., 0] - b).max(axis=1)
-            # Row-by-column products: one dot per basis, the bits of c @ x.
-            obj = (x[:, None, :] @ c[:, None])[:, 0, 0]
         ok = (resid <= FEAS_TOL) & (z.min(axis=1) >= -FEAS_TOL)
-        # The first basis in combinations order that improves on the
-        # incumbent by more than 1e-12 becomes the incumbent.
-        k = 0
-        while k < K:
-            hit = ok[k:] if best is None else ok[k:] & (obj[k:] < best[1] - 1e-12)
-            hit = np.flatnonzero(hit)
-            if not len(hit):
-                break
-            k += int(hit[0])
+        for k in np.flatnonzero(ok).tolist():
             # A near-singular basis is not a vertex: it can solve to about
-            # 2**53 with a residual that still passes FEAS_TOL. Testing
-            # only would-be incumbents gives the same answer as testing all.
+            # 2**53 with a residual that still passes FEAS_TOL.
             if log_det[k] > sure_log_det or _full_row_rank(B[k], tol):
-                best_x = x[k].copy()
-                best = (best_x, float(c @ best_x), J[k])
-                # Incumbents only decrease, so a later one stays below.
-                if best[1] < stop_below:
-                    return best
-            k += 1
-    return best
+                x = np.zeros(n)
+                x[J[k]] = z[k].clip(0.0, None)
+                return x
+    return None
 
 
 @functools.lru_cache(maxsize=32)
@@ -556,46 +501,24 @@ def _bases(n: int, r: int) -> np.ndarray:
     return flat.reshape(-1, r)
 
 
-def _bounded_by_basis(c: np.ndarray, A: np.ndarray, J: np.ndarray) -> bool:
-    """Whether the reduced costs at basis J prove that no ray improves
-    the objective: c.d = (c - A^T y).d >= min(c - A^T y) for every
-    d >= 0 with A d = 0 and sum d = 1, whatever y is."""
-    # A[:, J] passed the conditioning test, so the solve cannot fail.
-    y = np.linalg.solve(A[:, J].T, c[J])
-    return bool((c - A.T @ y).min() >= -_DUAL_TOL)
-
-
-def _improving_ray(c: np.ndarray, A: np.ndarray) -> bool:
-    """Whether some d >= 0 with A d = 0 and sum d = 1 has c.d < -FEAS_TOL."""
-    r, n = A.shape
-    b = np.zeros(r + 1)
-    b[-1] = 1.0
-    reduced = _reduced_system(np.vstack([A, np.ones((1, n))]), b)
-    if reduced is None:
-        return False
-    vertex = _best_vertex(c, *reduced, stop_below=-FEAS_TOL)
-    return vertex is not None and vertex[1] < -FEAS_TOL
-
-
 def solve_lp(
-    c,
     A_eq=None,
     b_eq=None,
     A_ub=None,
     b_ub=None,
-    nonneg=None,
+    nonneg=True,
 ) -> LPResult:
-    """min c.x with A_eq x = b_eq, A_ub x <= b_ub.
+    """A point x with A_eq x = b_eq and A_ub x <= b_ub, or "infeasible".
 
+    The constraint matrices are 2-D, and at least one is given.
     ``nonneg`` is a boolean per variable (True: x_i >= 0, False: free);
     a single bool applies to all variables. Free variables are split,
-    inequality rows get slack variables, then the standard-form solver
-    enumerates vertices.
+    inequality rows get slack variables, then ``solve_standard`` takes
+    the first vertex of the standard form.
     """
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    if nonneg is None:
-        nonneg = True
+    if A_eq is None and A_ub is None:
+        raise ValueError("solve_lp needs A_eq or A_ub")
+    n = np.shape(A_eq if A_eq is not None else A_ub)[1]
     if isinstance(nonneg, bool):
         nonneg = [nonneg] * n
 
@@ -614,20 +537,19 @@ def solve_lp(
 
     Ae, be = _constraint_rows(A_eq, b_eq, n)
     Au, bu = _constraint_rows(A_ub, b_ub, n)
-    # Row 0 is the cost, then the equality and the inequality rows, all
-    # laid out by one gather.
-    rows = np.concatenate([c[None], Ae, Au])
+    # The equality and the inequality rows, laid out by one gather.
+    rows = np.concatenate([Ae, Au])
     std = np.zeros((len(rows), k + len(Au)))
     np.multiply(rows[:, var], sign, out=std[:, :k])
-    std[1 + len(Ae) :, k:] = np.eye(len(Au))
+    std[len(Ae) :, k:] = np.eye(len(Au))
 
-    res = solve_standard(std[0], std[1:], np.concatenate([be, bu]))
+    res = solve_standard(std, np.concatenate([be, bu]))
     if res.status != "optimal":
         return res
     # Summed column by column in layout order: x+ first, then -x-.
     x = np.zeros(n)
     np.add.at(x, var, np.multiply(sign, res.x[:k]))
-    return LPResult("optimal", x, float(c @ x))
+    return LPResult("optimal", x)
 
 
 def _constraint_rows(A, b, n: int):

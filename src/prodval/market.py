@@ -255,8 +255,8 @@ def check_consistency(
     violating portfolio x with x.(S_c + Z_c) >= 0 for all children and
     x.S_node < 0.
 
-    The weights are the vertex the LP ``lp.solve_lp(0, Y, s)`` over the
-    restricted child payoffs Y finds, bit for bit. The LPs of every inner
+    The weights are the vertex ``lp.solve_standard(Y, s)`` finds over the
+    restricted child payoffs Y, bit for bit. The LPs of every inner
     node, complete or not, are decided together per date and child count
     by ``lp.cone_vertices``, one stacked vertex enumeration each. Only a
     node whose LP is infeasible (its price lies outside the cone of its
@@ -284,7 +284,6 @@ def check_consistency(
         s = price[node]
         # Farkas alternative: u with u.y_c >= 0 for all c and u.s = -1.
         alt = lp.solve_lp(
-            c=np.zeros(B.shape[1]),
             A_eq=s.reshape(1, -1),
             b_eq=np.array([-1.0]),
             A_ub=-Y.T,

@@ -230,14 +230,27 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         doc["consistency"]["full_space"] = _certificate_json(tree, cert_raw)
     rates = _engine_rates(problem)
     args = (financiability, problem.market, tree, problem.restriction, rates)
-    hom = audit_positive_homogeneity(
-        financiability,
-        root_homogeneity_payoffs(financiability, tree),
-        HOMOGENEITY_SCALES,
-        rate=float(rates[tree.root]),
-        node=tree.root,
-        horizon_index=tree.grid.index(1),
-    )
+    # Under the state-price bound, an inconsistent node on a path from
+    # the root to date 1 leaves the homogeneity audit not evaluated.
+    verdicts = certificate_mappings(cert_used, tree)
+    before_date_1 = [tree.root]
+    for node in before_date_1:
+        before_date_1.extend(
+            c for c in tree.children[node] if tree.date_idx[c] < tree.grid.index(1)
+        )
+    homogeneity = {"max_deviation": None, "passed": None}
+    if financiability.variant != "state_price" or all(
+        verdicts[node].consistent for node in before_date_1
+    ):
+        hom = audit_positive_homogeneity(
+            financiability,
+            root_homogeneity_payoffs(financiability, tree),
+            HOMOGENEITY_SCALES,
+            rate=float(rates[tree.root]),
+            node=tree.root,
+            horizon_index=tree.grid.index(1),
+        )
+        homogeneity = {"max_deviation": _round(hom.max_deviation), "passed": hom.passed}
 
     def audit_json(report):
         audits = audit_mappings(report)
@@ -255,10 +268,7 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         }
 
     doc["audits"] = {
-        "positive_homogeneity": {
-            "max_deviation": _round(hom.max_deviation),
-            "passed": hom.passed,
-        },
+        "positive_homogeneity": homogeneity,
         "consistency_with_tradables": audit_json(audit_consistency_with_tradables(*args)),
         "neutrality_to_tradables": audit_json(audit_neutrality_to_tradables(*args)),
     }

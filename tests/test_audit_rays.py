@@ -4,7 +4,7 @@
 audits of a node without an LP. The oracle below is the per-node audit
 LP they replaced, frozen: over free portfolio weights x, optimize the
 expected child payoff p.Yx subject to s.x = 1 and Yx >= 0 with
-``lp.solve_lp``, the maximum for the consistency audit and the minimum
+``lp_oracle.oracle_solve_lp``, the maximum for the consistency audit and the minimum
 for the neutrality audit. An infeasible LP is a vacuous audit.
 
 Random nodes cover complete and rank-deficient child payoffs Y, prices
@@ -36,14 +36,16 @@ from prodval import lp
 from prodval.conditions import AUDIT_STATUSES, OPTIMAL, _cone_facts, _verdict
 from prodval.errors import NumericalFailure
 
+from lp_oracle import oracle_solve_lp
+
 # --- oracle: the per-node audit LP, frozen ------------------------------------
 
 
 def oracle_audit(Y, s, p, kind):
     """(status, optimum) of one node's audit by the LP."""
     sign = -1.0 if kind == "consistency" else 1.0
-    res = lp.solve_lp(
-        c=sign * (p @ Y),
+    res = oracle_solve_lp(
+        sign * (p @ Y),
         A_eq=s.reshape(1, -1),
         b_eq=np.array([1.0]),
         A_ub=-Y,

@@ -80,6 +80,25 @@ class TestRunSubcommands:
         assert root["consistent"] is False
         assert len(root["violation"]) == 2
 
+    def test_check_reports_violation_under_state_prices(self, tmp_path, capsys):
+        """Under a state-price condition the inconsistent market has no
+        state prices for the homogeneity audit's first year: check
+        reports the violations with that audit not evaluated, and value
+        keeps its error."""
+        doc = json.loads((CONFIGS / "inconsistent_market.json").read_text())
+        doc["financiability"] = {"type": "state_price"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = ["--config", str(config), "--output-dir"]
+        assert main(["check", *argv, str(tmp_path / "check")]) == 0
+        report = json.loads((tmp_path / "check" / "check.json").read_text())
+        assert report["consistency"]["used_subspace"]["root"]["consistent"] is False
+        assert report["audits"]["positive_homogeneity"] == {"max_deviation": None, "passed": None}
+        capsys.readouterr()
+        assert main(["value", *argv, str(tmp_path / "value")]) == 1
+        assert capsys.readouterr().err == "error: no weights at inconsistent node 1\n"
+        assert not (tmp_path / "value").exists()
+
     def test_value_infeasible_family_exits_two(self):
         # risk-free family with no bond in the market: nothing can fund.
         doc = json.loads((CONFIGS / "inconsistent_market.json").read_text())

@@ -48,13 +48,11 @@ def oracle_check_consistency(market, tree, restriction=None):
             continue
         Y = np.column_stack([B.T @ market.payoff(c) for c in children])
         s = B.T @ market.price(node)
-        primal = solve_lp(c=np.zeros(len(children)), A_eq=Y, b_eq=s, nonneg=True)
+        primal = solve_lp(A_eq=Y, b_eq=s, nonneg=True)
         if primal.status == "optimal":
             verdicts[node] = (True, {c: float(primal.x[k]) for k, c in enumerate(children)})
             continue
-        m = B.shape[1]
         alt = solve_lp(
-            c=np.zeros(m),
             A_eq=s.reshape(1, -1),
             b_eq=np.array([-1.0]),
             A_ub=-Y.T,
@@ -331,7 +329,7 @@ def _lp_outcome(A, b):
     out = []
     for a, v in zip(A, b):
         try:
-            res = solve_lp(c=np.zeros(A.shape[2]), A_eq=a, b_eq=v, nonneg=True)
+            res = solve_lp(A_eq=a, b_eq=v, nonneg=True)
         except NumericalFailure as e:
             return ("raises", str(e))
         out.append(("optimal", res.x.tobytes()) if res.status == "optimal" else (res.status,))
@@ -463,7 +461,7 @@ def test_clipped_weight_keeps_the_lp_bits():
     Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     s = np.array([0.5, -5e-10, 0.5 - 5e-10])
     feasible, x = cone_vertices(Y[None], s[None])
-    res = solve_lp(c=np.zeros(2), A_eq=Y, b_eq=s, nonneg=True)
+    res = solve_lp(A_eq=Y, b_eq=s, nonneg=True)
     assert feasible[0] and res.status == "optimal"
     assert x[0].tobytes() == res.x.tobytes()
     assert np.signbit(x[0]).tolist() == [False, False]
@@ -471,7 +469,7 @@ def test_clipped_weight_keeps_the_lp_bits():
     s = s * [1.0, 10.0, 1.0]
     feasible, _ = cone_vertices(Y[None], s[None])
     assert not feasible[0]
-    assert solve_lp(c=np.zeros(2), A_eq=Y, b_eq=s, nonneg=True).status == "infeasible"
+    assert solve_lp(A_eq=Y, b_eq=s, nonneg=True).status == "infeasible"
 
 
 @pytest.mark.parametrize("N, m, n", [(2, 1, 2), (2, 0, 1), (0, 2, 3)])

@@ -305,18 +305,17 @@ def test_check_report_matches_node_by_node(
 
 def test_check_problems_reach_every_verdict():
     """The check generator reaches inconsistent and consistent nodes,
-    optimal and by-construction audits, flagged and not, and the error
-    of a state-price bound at a mispriced root."""
+    optimal and by-construction audits, flagged and not, and the
+    homogeneity audit left not evaluated by a state-price bound at a
+    mispriced root."""
     seen = set()
     for seed in range(4):
         for financiability in CHECK_CASES["financiability"].elements:
             for mispriced in (False, True):
                 problem = _check_problem(seed, 2, 1, financiability, [0, 2], mispriced, "")
-                try:
-                    doc = json.loads(run(problem, "check").files["check.json"])
-                except ProdvalError:  # the state-price bound at a mispriced root
-                    seen.add("error")
-                    continue
+                doc = json.loads(run(problem, "check").files["check.json"])
+                if doc["audits"]["positive_homogeneity"]["passed"] is None:
+                    seen.add("not_evaluated")
                 for certificate in doc["consistency"].values():
                     if isinstance(certificate, dict):
                         seen |= {entry["consistent"] for entry in certificate.values()}
@@ -324,7 +323,7 @@ def test_check_problems_reach_every_verdict():
                     audits = doc["audits"][kind]["per_node"].values()
                     seen |= {(a["status"], a["flagged"]) for a in audits}
     assert seen >= {
-        True, False, "error", ("optimal", False), ("optimal", True),
+        True, False, "not_evaluated", ("optimal", False), ("optimal", True),
         ("by_construction", False), ("by_construction", True),
     }
 

@@ -229,25 +229,40 @@ def test_estimates_one_grid_step_off_take_two_rounds(tol, side):
     assert calls == 4
 
 
+def _far_off(kind, c):
+    """Estimates of the thresholds ``c`` that are 0, infinite, far off on
+    either side, or random."""
+    return {
+        "zero": np.zeros(len(c)),
+        "inf": np.full(len(c), INF),
+        "far_below": c * 1e-6,
+        "far_above": c * 1e6 + 1e3,
+        "random": 10.0 ** np.random.default_rng(7).uniform(-12.0, 20.0, len(c)),
+    }[kind]
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-6, 2.0])
 @pytest.mark.parametrize("kind", ["zero", "inf", "far_below", "far_above", "random"])
 @pytest.mark.parametrize("strict", [False, True])
 def test_any_estimate_gives_the_bisection_bits(tol, kind, strict):
     """Estimates that are 0, infinite, or far off on either side cost
-    rounds (doubling away from the failed end, then halving once both
-    sides failed), never bits."""
-    rng = np.random.default_rng(7)
+    checks, never bits."""
     c = THRESHOLDS
-    t = {
-        "zero": np.zeros(len(c)),
-        "inf": np.full(len(c), INF),
-        "far_below": c * 1e-6,
-        "far_above": c * 1e6 + 1e3,
-        "random": 10.0 ** rng.uniform(-12.0, 20.0, len(c)),
-    }[kind]
     want, solved, _ = _oracle(c, tol, strict)
-    got, found, _ = _search(c, t, tol, strict)
+    got, found, _ = _search(c, _far_off(kind, c), tol, strict)
     assert got.tobytes() == want.tobytes() and np.array_equal(found, solved)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 2.0])
+@pytest.mark.parametrize("kind", ["zero", "inf", "far_below", "far_above", "random"])
+def test_far_off_estimates_cost_at_most_four_checks_more(tol, kind):
+    """Two replays of two checks each, then the bisection itself: a
+    far-off estimate costs at most 4 checks more than the bisection."""
+    bisection = _threshold(THRESHOLDS)
+    pending = np.ones(len(THRESHOLDS), dtype=bool)
+    frozen_loops(bisection, pending.copy(), pending.copy(), tol)
+    _, _, calls = _search(THRESHOLDS, _far_off(kind, THRESHOLDS), tol)
+    assert calls <= bisection.calls + 4, (calls, bisection.calls)
 
 
 def test_contradicting_checks_fall_back_to_the_bisection():
