@@ -434,9 +434,9 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         financiability, problem.market, tree, problem.restriction, rates
     )
     first_year = tree.grid.index(1)
-    # The state-price bound prices the root's first year by the weights
-    # of the certificate, which an inconsistent node there has none of:
-    # the homogeneity audit is then not evaluated.
+    # The state-price bound prices the root's first year through the
+    # certificate's weights, and an inconsistent node before date 1 has
+    # none: the homogeneity audit is then not evaluated.
     homogeneity = {"max_deviation": None, "passed": None}
     if financiability.variant != "state_price" or cert_used.consistent_at[
         tree.date_idx[: tree.n_inner] < first_year
