@@ -257,13 +257,17 @@ def _state_prices(spec, payoff, nodes, horizon_index, checks):
             m = int(tree.parent[m])
         return m
 
+    def name(node: int) -> str:
+        """A node's config label; an id that names no node as is."""
+        return repr(tree.labels[node]) if 0 <= node < tree.n_nodes else str(node)
+
     checks += [
         (steps < 0, lambda r: ValueError("target date precedes the node's date")),
         (through_bad.any(axis=1), lambda r: NumericalFailure(
-            f"no weights at inconsistent node {lowest_unweighted(r)}"
+            f"no weights at inconsistent node {name(lowest_unweighted(r))}"
         )),
         (stray.any(axis=1), lambda r: MissingCertificate(
-            f"no state price for node {int(labels[r, stray[r].argmax()])}"
+            f"no state price for node {name(int(labels[r, stray[r].argmax()]))}"
         )),
     ]
     return q

@@ -1,32 +1,39 @@
 """Small dense feasibility LPs solved by exhaustive basis enumeration.
 
-Problems here are small, and every LP has a zero cost: ``solve_standard``
-returns a point of {A z = b, z >= 0}, the first vertex in
-``itertools.combinations`` order, or reports that there is none. It
-reduces ``A z = b`` to independent rows (one SVD when ``A`` has full row
-rank) and then enumerates bases until the first vertex, so the answer is
-deterministic and needs nothing beyond numpy. Three kinds of problem use
-it:
+Problems here are small, every LP has a zero cost, and LPs come in
+stacks of one shape. ``cone_vertices`` returns for each system
+A[k] z = b[k], z >= 0 of a stack the first vertex in
+``itertools.combinations`` order of the bases, or reports that there is
+none, so the answer is deterministic and needs nothing beyond numpy.
+``solve_lp`` lays a stack of LPs with free variables and inequality
+rows out in that standard form and returns ``(feasible, x)`` as
+``cone_vertices`` does. Three kinds of problem use the module:
 
-- the cone certificates (``market``): the membership LP of every inner
-  node, decided for a stack of nodes at once by ``cone_vertices``;
-- the Farkas LP of a node whose price lies outside that cone, through
-  ``solve_lp``;
+- the membership LP of every inner node (``market``), stacked per date
+  and child count, through ``cone_vertices``;
+- the Farkas LP of each node whose price lies outside that cone, stacked
+  per date and child count likewise, through ``solve_lp``;
 - the tradable audits (``conditions``) solve no LP: they are read off
   the extreme rays of each node's cone of non-negative attainable child
   payoffs by ``cone_ratios``, which takes them for a stack of nodes as
   the vertices of {W z = 0, sum z = 1, z >= 0}, one stacked solve over
   the supports in ``_bases`` order.
 
-Enumeration is chunked: bases are taken in ``itertools.combinations``
-order, ``_CHUNK`` at a time, from an index array built once per
-``(n, r)`` and cached. Each chunk's ``(K, r, r)`` stack of ``A[:, J]``
-is solved in one ``np.linalg.solve`` call after dropping exactly
-singular bases, and the residual and ``z >= 0`` filters are array
-operations. Each basis gets the same bits as a solve of its own. A
-basis holding an all-zero column of ``A`` (a free weight on a coordinate
-with zero price and payoffs, say) is exactly singular, so leaving those
-columns out keeps the combinations order of the other bases.
+A stack is decided in three steps: the greedy row reduction
+(``_kept_rows``), the test that the dropped rows follow from the kept
+ones (``_dropped_status``), then per kept-row count r one enumeration
+(``_first_vertices``) that keeps each system until its first vertex. A
+system that keeps no row has the vertex z = 0.
+
+Enumeration is chunked: bases are taken in combinations order,
+``_CHUNK`` per system at a time, from an index array built once per
+``(n, r)`` and cached, about ``_VERTEX_CHUNK`` (system, basis) pairs per
+stacked ``np.linalg.solve`` after dropping exactly singular bases; the
+residual and ``z >= 0`` filters are array operations. Each basis gets
+the same bits as a solve of its own. A column that is zero in every
+system of the stack (a free weight on a coordinate with zero price and
+payoffs, say) is left out: a basis holding it is exactly singular, so
+the other bases keep their combinations order.
 
 A basis is a vertex when its solution is finite, non-negative within
 ``FEAS_TOL``, has an absolute residual within ``FEAS_TOL``, and the
@@ -41,26 +48,17 @@ Tolerances are absolute on constraint residuals.
 The vertex returned is part of the contract: stored benchmark reports
 and golden digests pin it where the system has more than one.
 
-``cone_vertices`` takes those steps for a stack of systems: the greedy
-row reduction (``_kept_rows``) and the dropped-row test
-(``_dropped_status``) for the whole stack, then per kept-row count one
-enumeration (``_first_vertices``) that keeps each system until its
-first vertex, about ``_VERTEX_CHUNK`` (system, basis) pairs per stacked
-solve. Each system gets the bits ``solve_standard`` gives it. The
-dropped-row test expresses the dropped rows of all systems that keep
+The dropped-row test expresses the dropped rows of all systems that keep
 equally many rows through one stacked SVD; a system whose residuals lie
 too close to the threshold for the rounding of that solve and of
-``lstsq`` to agree is tested alone, as ``solve_standard`` tests every
-system.
+``lstsq`` to agree is tested alone by ``lstsq`` (``_dropped_rows``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Optional
 
 import numpy as np
 
@@ -71,15 +69,9 @@ _RANK_TOL = 1e-11
 _MAX_BASES = 500_000
 _MAX_SUPPORTS = 1 << 16  # cone_ratios candidate rays per cone
 _RAY_CHUNK = 1 << 14  # cone_ratios candidate rays per stacked solve
-_CHUNK = 512  # bases per stacked solve
+_CHUNK = 512  # bases per system per stacked solve
 _VERTEX_CHUNK = 1 << 14  # cone_vertices (system, basis) pairs per stacked solve
 _ROUNDING_SLACK = 1 << 10  # eps multiple in the stacked dropped-row test's bounds
-
-
-@dataclass
-class LPResult:
-    status: str  # "optimal" (x is feasible) | "infeasible"
-    x: Optional[np.ndarray] = None
 
 
 def _full_row_rank(M: np.ndarray, tol) -> np.ndarray:
@@ -152,62 +144,22 @@ def _dropped_rows(A: np.ndarray, b: np.ndarray, kept: np.ndarray, scale: float) 
     return "failed" if bad_fit[bad[0]] else "inconsistent"
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray, scale: float):
-    """Greedily keep a maximal independent row set; None if inconsistent."""
-    kept = _kept_rows(A[None], np.array([_RANK_TOL * scale]))[0]
-    if kept.all():
-        return A, b
-    status = _dropped_rows(A, b, kept, scale)
-    if status == "failed":
-        raise NumericalFailure("row reduction failed to express a dependent row")
-    if status == "inconsistent":
-        return None
-    return A[kept], b[kept]
-
-
 def _scale(A: np.ndarray, b: np.ndarray):
-    """The largest of 1, |A| and |b|, for one system or per system of a
-    stack: the unit of the rank tolerance. fmax skips a NaN as Python's
-    max does."""
+    """The largest of 1, |A| and |b| per system of a stack: the unit of
+    the rank tolerance. fmax skips a NaN as Python's max does."""
     return np.fmax(
         1.0, np.fmax(np.abs(A).max(axis=(-2, -1), initial=0.0), np.abs(b).max(axis=-1, initial=0.0))
     )
 
 
-def solve_standard(A: np.ndarray, b: np.ndarray) -> LPResult:
-    """The first vertex of A z = b, z >= 0 in combinations order."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[1]
-
-    scale = float(_scale(A, b))
-    reduced = _independent_rows(A, b, scale)
-    if reduced is None:
-        return LPResult("infeasible")
-    A, b = reduced
-
-    if not len(A):
-        # No effective constraints: z = 0 is the vertex.
-        return LPResult("optimal", np.zeros(n))
-    x = _first_vertex(A, b, scale)
-    if x is None:
-        return LPResult("infeasible")
-    return LPResult("optimal", x)
-
-
 def cone_vertices(A: np.ndarray, b: np.ndarray):
     """The systems A[k] z = b[k], z >= 0 of a stack, shape (N, m, n),
-    decided together: (feasible, x). Where ``feasible[k]``, x[k] holds the
-    bits of ``solve_standard(A[k], b[k]).x``; ``solve_standard`` finds
-    every other system infeasible. Raises the NumericalFailure that
-    ``solve_standard`` raises on the first system of the stack that
-    raises one.
-
-    These are ``solve_standard``'s steps, each taken for the whole stack:
-    the row reduction (``_kept_rows``), the dropped-row test
-    (``_dropped_status``), and per kept-row count r the first vertex of
-    each system (``_first_vertices``). A system that keeps no row has the
-    vertex z = 0."""
+    decided together: (feasible, x). Where ``feasible[k]``, x[k] is the
+    first vertex of system k in combinations order, clipped at +0.0;
+    elsewhere it is zero. Raises NumericalFailure for the first system of
+    the stack with a dropped row that the kept rows cannot express, or
+    with more than ``_MAX_BASES`` bases C(n, r) over all n columns, before
+    enumerating any."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     N, m, n = A.shape
@@ -308,31 +260,32 @@ def _dropped_status(A: np.ndarray, b: np.ndarray, kept: np.ndarray, scale: np.nd
 def _first_vertices(A: np.ndarray, b: np.ndarray, scale: np.ndarray):
     """(found, x): for each system A[k] z = b[k], z >= 0 of a stack of
     reduced systems, shape (N, r, n) with r independent rows, whether it
-    has a vertex, and ``solve_standard``'s bits of the first one in
-    combinations order, the vertex ``_first_vertex`` returns.
+    has a vertex, and the first one in combinations order.
 
-    The bases of ``_bases(n, r)`` are taken over all n columns: a basis
-    holding an all-zero column is exactly singular, so the others keep
-    the order ``_first_vertex`` gives them. About ``_VERTEX_CHUNK``
-    (system, basis) pairs go into one stacked solve, a system's bases
-    ``_CHUNK`` at a time, and a system leaves once it has its vertex. The
-    filters are ``_first_vertex``'s: slogdet sign, residual, sign, then
-    the conditioning test on the bases that pass them."""
+    The bases are taken over the columns that are nonzero in some system
+    of the stack: a basis holding a column that is zero in its system is
+    exactly singular, so leaving out the columns zero in every system
+    keeps the order of the other bases. About ``_VERTEX_CHUNK`` (system,
+    basis) pairs go into one stacked solve, a system's bases ``_CHUNK``
+    at a time, and a system leaves once it has its vertex. The filters
+    are: slogdet sign, residual, sign, then the conditioning test on the
+    bases that pass them."""
     N, r, n = A.shape
     found = np.zeros(N, dtype=bool)
     x = np.zeros((N, n))
-    bases = _bases(n, r)
+    cols = np.flatnonzero(A.any(axis=(0, 1)))
+    bases = _bases(len(cols), r)
     tol = _RANK_TOL * scale
-    # _first_vertex's log|det| floor. It may differ from that one in the
-    # last bits, but a log|det| within rounding of either floor has
-    # sigma_min near 2 * tol, so the SVD passes it all the same.
+    # sigma_min(B) >= |det B| / sigma_max(B)**(r-1) >= |det B| / |A|_F**(r-1):
+    # a basis whose log|det| clears this floor is well conditioned
+    # without an SVD (the factor 2 absorbs the rounding of log|det|).
     sure_log_det = np.log(2.0 * tol) + (r - 1) * np.log(np.linalg.norm(A, axis=(1, 2)))
     step = min(len(bases), _CHUNK)
     per_chunk = max(1, _VERTEX_CHUNK // step)
     for start in range(0, N, per_chunk):
         todo = np.arange(start, min(N, start + per_chunk))
         for first in range(0, len(bases), step):
-            J = bases[first : first + step]
+            J = cols[bases[first : first + step]]
             # B[t, j] = A[todo[t]][:, J[j]].
             B = A[todo][:, :, J].transpose(0, 2, 1, 3)
             sign, log_det = np.linalg.slogdet(B)
@@ -354,9 +307,8 @@ def _first_vertices(A: np.ndarray, b: np.ndarray, scale: np.ndarray):
             t, j, z = t[good], j[good], z[good]
             t, hit = np.unique(t, return_index=True)
             node = todo[t]
-            # solve_lp adds the clipped solution to zeros; adding 0.0 here
-            # too gives a clipped -0.0 the same bits whatever clip makes
-            # of it.
+            # Adding 0.0 makes a clipped -0.0 read +0.0, whatever clip
+            # makes of it.
             x[node[:, None], J[j[hit]]] = z[hit].clip(0.0, None) + 0.0
             found[node] = True
             todo = np.delete(todo, t)
@@ -439,53 +391,6 @@ def _cone_rays(W: np.ndarray):
     return rays, valid
 
 
-def _first_vertex(A: np.ndarray, b: np.ndarray, scale: float):
-    """The first vertex of A z = b, z >= 0 in combinations order, or None
-    if there is none."""
-    r, n = A.shape
-    if math.comb(n, r) > _MAX_BASES:
-        raise NumericalFailure(f"basis enumeration too large: C({n},{r})")
-
-    tol = _RANK_TOL * scale
-    # sigma_min(B) >= |det B| / sigma_max(B)**(r-1) >= |det B| / |A|_F**(r-1):
-    # a basis whose log|det| clears this floor is well conditioned
-    # without an SVD (the factor 2 absorbs the rounding of log|det|).
-    sure_log_det = math.log(2.0 * tol) + (r - 1) * math.log(float(np.linalg.norm(A)))
-    # A basis holding an all-zero column is exactly singular, and leaving
-    # those columns out keeps the combinations order of the other bases.
-    cols = np.flatnonzero(A.any(axis=0))
-    bases = _bases(len(cols), r)
-    for start in range(0, len(bases), _CHUNK):
-        J = cols[bases[start : start + _CHUNK]]
-        B = A[:, J].transpose(1, 0, 2)  # B[k] = A[:, J[k]]
-        # An exactly singular basis has no basic solution (and would make
-        # the stacked solve raise); slogdet's sign is 0 exactly then.
-        sign, log_det = np.linalg.slogdet(B)
-        regular = sign != 0
-        if not regular.all():
-            J, B, log_det = J[regular], B[regular], log_det[regular]
-        K = len(J)
-        if not K:
-            continue
-        # b as a (K, r, 1) stack of columns: numpy 1.x and 2.x read a
-        # 1-D right-hand side of a stacked solve differently.
-        z = np.linalg.solve(B, b[None, :, None].repeat(K, axis=0))[..., 0]
-        # B has no zero column, so a row of z that is not finite has a
-        # residual that is not finite and is rejected by the residual
-        # test; its residual may overflow meanwhile.
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = np.abs((B @ z[..., None])[..., 0] - b).max(axis=1)
-        ok = (resid <= FEAS_TOL) & (z.min(axis=1) >= -FEAS_TOL)
-        for k in np.flatnonzero(ok).tolist():
-            # A near-singular basis is not a vertex: it can solve to about
-            # 2**53 with a residual that still passes FEAS_TOL.
-            if log_det[k] > sure_log_det or _full_row_rank(B[k], tol):
-                x = np.zeros(n)
-                x[J[k]] = z[k].clip(0.0, None)
-                return x
-    return None
-
-
 @functools.lru_cache(maxsize=32)
 def _bases(n: int, r: int) -> np.ndarray:
     """Every r-subset of range(n), one row each in combinations order.
@@ -501,24 +406,20 @@ def _bases(n: int, r: int) -> np.ndarray:
     return flat.reshape(-1, r)
 
 
-def solve_lp(
-    A_eq=None,
-    b_eq=None,
-    A_ub=None,
-    b_ub=None,
-    nonneg=True,
-) -> LPResult:
-    """A point x with A_eq x = b_eq and A_ub x <= b_ub, or "infeasible".
+def solve_lp(A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
+    """For each LP k of a stack, a point x[k] with A_eq[k] x = b_eq[k] and
+    A_ub[k] x <= b_ub[k]: (feasible, x), as ``cone_vertices`` gives them.
 
-    The constraint matrices are 2-D, and at least one is given.
-    ``nonneg`` is a boolean per variable (True: x_i >= 0, False: free);
-    a single bool applies to all variables. Free variables are split,
-    inequality rows get slack variables, then ``solve_standard`` takes
-    the first vertex of the standard form.
+    The constraint matrices have shape (N, m, n) and their right-hand
+    sides (N, m); at least one matrix is given. ``nonneg`` is a boolean
+    per variable (True: x_i >= 0, False: free); a single bool applies to
+    all variables. Free variables are split and inequality rows get slack
+    variables for the whole stack, then ``cone_vertices`` takes the first
+    vertex of each standard form. x[k] is zero where LP k is infeasible.
     """
     if A_eq is None and A_ub is None:
         raise ValueError("solve_lp needs A_eq or A_ub")
-    n = np.shape(A_eq if A_eq is not None else A_ub)[1]
+    N, _, n = np.shape(A_eq if A_eq is not None else A_ub)
     if isinstance(nonneg, bool):
         nonneg = [nonneg] * n
 
@@ -535,26 +436,26 @@ def solve_lp(
             sign.append(-1.0)
     k = len(var)
 
-    Ae, be = _constraint_rows(A_eq, b_eq, n)
-    Au, bu = _constraint_rows(A_ub, b_ub, n)
+    Ae, be = _constraint_rows(A_eq, b_eq, N, n)
+    Au, bu = _constraint_rows(A_ub, b_ub, N, n)
+    m_eq, m_ub = Ae.shape[1], Au.shape[1]
     # The equality and the inequality rows, laid out by one gather.
-    rows = np.concatenate([Ae, Au])
-    std = np.zeros((len(rows), k + len(Au)))
-    np.multiply(rows[:, var], sign, out=std[:, :k])
-    std[len(Ae) :, k:] = np.eye(len(Au))
+    rows = np.concatenate([Ae, Au], axis=1)
+    std = np.zeros((N, m_eq + m_ub, k + m_ub))
+    np.multiply(rows[:, :, var], sign, out=std[:, :, :k])
+    std[:, m_eq:, k:] = np.eye(m_ub)
 
-    res = solve_standard(std, np.concatenate([be, bu]))
-    if res.status != "optimal":
-        return res
+    feasible, z = cone_vertices(std, np.concatenate([be, bu], axis=1))
     # Summed column by column in layout order: x+ first, then -x-.
-    x = np.zeros(n)
-    np.add.at(x, var, np.multiply(sign, res.x[:k]))
-    return LPResult("optimal", x)
+    x = np.zeros((N, n))
+    np.add.at(x, (slice(None), var), np.multiply(sign, z[:, :k]))
+    return feasible, x
 
 
-def _constraint_rows(A, b, n: int):
-    """(A, b) as an (m, n) matrix and m values; no rows when A is None."""
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
-    if not len(A):
-        return A, np.zeros(0)
-    return A, np.asarray(b, dtype=float).reshape(-1)
+def _constraint_rows(A, b, N: int, n: int):
+    """(A, b) as an (N, m, n) stack and (N, m) values; no rows when A is
+    None."""
+    if A is None:
+        return np.zeros((N, 0, n)), np.zeros((N, 0))
+    A = np.asarray(A, dtype=float)
+    return A, np.asarray(b, dtype=float).reshape(A.shape[:2])

@@ -255,15 +255,18 @@ def check_consistency(
     violating portfolio x with x.(S_c + Z_c) >= 0 for all children and
     x.S_node < 0.
 
-    The weights are the vertex ``lp.solve_standard(Y, s)`` finds over the
-    restricted child payoffs Y, bit for bit. The LPs of every inner
-    node, complete or not, are decided together per date and child count
-    by ``lp.cone_vertices``, one stacked vertex enumeration each. Only a
-    node whose LP is infeasible (its price lies outside the cone of its
-    child payoffs) solves an LP of its own: the Farkas LP, for its
-    violating portfolio. A NumericalFailure of the membership LPs is
-    raised before any Farkas LP is solved, for the first failing node in
-    date and child-count order.
+    The weights are the first vertex, in combinations order of the
+    bases, of the membership LP {lambda >= 0 : Y lambda = s} over the
+    restricted child payoffs Y. The membership LPs of every inner node,
+    complete or not, are decided together per date and child count by
+    ``lp.cone_vertices``, one stacked vertex enumeration each. After all
+    of them, the nodes whose LP is infeasible (their price lies outside
+    the cone of their child payoffs) get their violating portfolios from
+    the Farkas LP, stacked per date and child count likewise through one
+    ``lp.solve_lp`` call each. A NumericalFailure of a membership stack is
+    raised first, for the first failing node in date and child-count
+    order; then one that a Farkas stack raises; then, if some Farkas LP
+    has no vertex, one naming the lowest such node.
     """
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
@@ -272,28 +275,32 @@ def check_consistency(
     price = restriction.restrict(market.prices)
     consistent_at = np.zeros(tree.n_inner, dtype=bool)
     weights = np.full(tree.n_nodes, np.nan)
+    outside = []
     for group, kids in tree.sibling_groups():
         # Y[k] = pay[kids[k]].T, one column per child.
         feasible, lam = lp.cone_vertices(pay[kids].transpose(0, 2, 1), price[group])
         consistent_at[group] = feasible
         weights[kids[feasible]] = lam[feasible]
+        if not feasible.all():
+            outside.append((np.asarray(group)[~feasible], kids[~feasible]))
     violation = np.full((tree.n_inner, market.n_assets), np.nan)
-    for node in np.flatnonzero(~consistent_at).tolist():
-        children = tree.children[node]
-        Y = pay[list(children)].T
-        s = price[node]
-        # Farkas alternative: u with u.y_c >= 0 for all c and u.s = -1.
-        alt = lp.solve_lp(
-            A_eq=s.reshape(1, -1),
-            b_eq=np.array([-1.0]),
-            A_ub=-Y.T,
-            b_ub=np.zeros(len(children)),
+    no_vertex = []
+    for nodes, kids in outside:
+        # Farkas alternative: u with u.y_c >= 0 for all children c and
+        # u.s = -1.
+        found, u = lp.solve_lp(
+            A_eq=price[nodes, None],
+            b_eq=np.full((len(nodes), 1), -1.0),
+            A_ub=-pay[kids],
+            b_ub=np.zeros(kids.shape),
             nonneg=False,
         )
-        if alt.status != "optimal":
-            raise NumericalFailure(
-                f"neither cone membership nor a violation certified at node {node}"
-            )
         # x.S_node = u.s = -1 exactly, so the breach margin is unit sized.
-        violation[node] = B @ alt.x
+        # A stacked product gives each row the bits of B @ u[k].
+        violation[nodes] = np.matmul(B, u[..., None])[..., 0]
+        no_vertex += nodes[~found].tolist()
+    if no_vertex:
+        raise NumericalFailure(
+            f"neither cone membership nor a violation certified at node {min(no_vertex)}"
+        )
     return ConsistencyCertificate(consistent_at, violation, weights)

@@ -17,12 +17,20 @@ vertex below -FEAS_TOL. The ray LP is skipped where the reduced costs
 at least ``-FEAS_TOL * 1e-3``: c.d = (c - A^T y).d is then at least
 that on every ray.
 
-``oracle_solve_lp`` lays out free variables and inequality rows as
-``lp.solve_lp`` does and solves the standard form by the oracle. The
-audit LPs of ``test_audit_rays.py`` need its cost.
+``oracle_solve_lp`` lays out free variables and inequality rows of one
+LP as ``lp.solve_lp`` does for each LP of its stack, and solves the
+standard form by the oracle.
+
+``oracle_lp_optimum`` gives the status and optimum of the same LP with
+the same row reduction and vertex rules, but evaluates all bases of the
+LP at once, in one stacked ``np.linalg.solve`` (and one more for its ray
+LP). The audit LPs of ``test_audit_rays.py`` need only the optimum, and
+their per-basis loop is slow. It is no reference for the kernel's bits:
+that is ``oracle_solve_standard``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -131,11 +139,12 @@ def oracle_solve_standard(c, A, b, check_ray=True, stats=None):
     return OracleResult("optimal", best_x, best_obj)
 
 
-def oracle_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
-    """min c.x with A_eq x = b_eq, A_ub x <= b_ub, in ``lp.solve_lp``'s
-    layout: one column per non-negative variable, two per free variable
-    (x = x+ - x-), then one slack per inequality row."""
-    c = np.asarray(c, dtype=float)
+def _standard_form(c, A_eq, b_eq, A_ub, b_ub, nonneg):
+    """(cost, A, b, var, sign) of min c.x with A_eq x = b_eq, A_ub x <=
+    b_ub in ``lp.solve_lp``'s layout: one column per non-negative
+    variable, two per free variable (x = x+ - x-), then one slack per
+    inequality row. Column j < len(var) holds sign[j] times variable
+    var[j]."""
     n = len(c)
     if isinstance(nonneg, bool):
         nonneg = [nonneg] * n
@@ -155,9 +164,96 @@ def oracle_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
     std = np.zeros((len(rows), k + len(Au)))
     np.multiply(rows[:, var], sign, out=std[:, :k])
     std[1 + len(Ae) :, k:] = np.eye(len(Au))
-    res = oracle_solve_standard(std[0], std[1:], np.concatenate([be, bu]))
+    return std[0], std[1:], np.concatenate([be, bu]), var, sign
+
+
+def oracle_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
+    """min c.x with A_eq x = b_eq, A_ub x <= b_ub, in ``lp.solve_lp``'s
+    layout (``_standard_form``)."""
+    c = np.asarray(c, dtype=float)
+    cost, A, b, var, sign = _standard_form(c, A_eq, b_eq, A_ub, b_ub, nonneg)
+    res = oracle_solve_standard(cost, A, b)
     if res.status != "optimal":
         return res
-    x = np.zeros(n)
-    np.add.at(x, var, np.multiply(sign, res.x[:k]))
+    x = np.zeros(len(c))
+    np.add.at(x, var, np.multiply(sign, res.x[: len(var)]))
     return OracleResult("optimal", x, float(c @ x))
+
+
+def oracle_lp_optimum(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
+    """(status, optimum) of ``oracle_solve_lp``'s LP, the optimum None
+    unless the status is "optimal", from all bases at once: the least c.z
+    over the vertices of the reduced standard form, and "unbounded" where
+    some vertex of its ray LP (A d = 0, sum d = 1, d >= 0) has c.d below
+    -FEAS_TOL. The ray LP is skipped, as the oracle skips it, where the
+    reduced costs at the least vertex's basis show that no ray can pass.
+    The oracle's incumbent may lie up to 1e-12 above the least value."""
+    c = np.asarray(c, dtype=float)
+    cost, A, b, _, _ = _standard_form(c, A_eq, b_eq, A_ub, b_ub, nonneg)
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    reduced = _oracle_independent_rows(A, b, scale)
+    if reduced is None:
+        return "infeasible", None
+    A, b = reduced
+    J, z = _vertices(A, b, scale)
+    if not len(z):
+        return "infeasible", None
+    costs = (cost[J] * z).sum(axis=1)
+    best = J[costs.argmin()]
+    y = np.linalg.solve(A[:, best].T, cost[best])
+    if (cost - A.T @ y).min() < -FEAS_TOL * 1e-3:
+        r, n = A.shape
+        ray_A = np.vstack([A, np.ones((1, n))])
+        ray_b = np.concatenate([np.zeros(r), [1.0]])
+        ray_scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+        ray = _oracle_independent_rows(ray_A, ray_b, ray_scale)
+        if ray is not None:
+            J, d = _vertices(*ray, ray_scale)
+            if ((cost[J] * d).sum(axis=1) < -FEAS_TOL).any():
+                return "unbounded", None
+    return "optimal", float(costs.min())
+
+
+@lru_cache(maxsize=None)
+def _combinations(n, r):
+    return np.array(list(combinations(range(n), r)), dtype=np.intp)
+
+
+def _vertices(A, b, scale):
+    """(J, z): the basis and the values, clipped at 0, of each vertex of
+    A z = b, z >= 0, for A of full row rank, by the oracle's rules, from
+    one stacked solve over all bases."""
+    r, n = A.shape
+    if not r:
+        return np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0))  # z = 0
+    if comb(n, r) > lp._MAX_BASES:
+        raise NumericalFailure(f"basis enumeration too large: C({n},{r})")
+    J = _combinations(n, r)
+    # A basis holding a column and its negative (the halves of a free
+    # variable), or a zero column (its own negative), is singular: never
+    # a vertex.
+    held = np.zeros((len(J), n), dtype=bool)
+    held[np.arange(len(J))[:, None], J] = True
+    i, j = np.nonzero(np.triu((A[:, :, None] == -A[:, None, :]).all(axis=0)))
+    J = J[~(held[:, i] & held[:, j]).any(axis=1)]
+    B = A[:, J].transpose(1, 0, 2)  # B[j] = A[:, J[j]]
+    # An exactly singular basis, the oracle's LinAlgError, has slogdet
+    # sign 0.
+    sign, log_det = np.linalg.slogdet(B)
+    regular = sign != 0
+    B, J, log_det = B[regular], J[regular], log_det[regular]
+    # b as a stack of columns: numpy 1.x and 2.x read a 1-D right-hand
+    # side of a stacked solve differently.
+    z = np.linalg.solve(B, np.broadcast_to(b[:, None], (len(B), r, 1)))[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs((B @ z[..., None])[..., 0] - b).max(axis=1)
+    ok = np.isfinite(z).all(axis=1) & (resid <= FEAS_TOL) & (z.min(axis=1) >= -FEAS_TOL)
+    B, J, z, log_det = B[ok], J[ok], z[ok], log_det[ok]
+    # sigma_min(B) >= |det B| / |A|_F**(r-1): a log|det| above this floor
+    # (doubled for its rounding) proves the conditioning rule without an
+    # SVD.
+    tol = lp._RANK_TOL * scale
+    vertex = log_det > np.log(2.0 * tol) + (r - 1) * np.log(np.linalg.norm(A))
+    test = ~vertex
+    vertex[test] = np.linalg.svd(B[test], compute_uv=False)[:, -1] > tol
+    return J[vertex], z[vertex].clip(0.0, None)

@@ -139,7 +139,9 @@ def compose_state_prices(cert, tree, node: int, j_end: int) -> Dict[int, float]:
             par = int(tree.parent[m])
             verdict = verdicts[par]
             if not verdict.consistent:
-                raise NumericalFailure(f"no weights at inconsistent node {par}")
+                raise NumericalFailure(
+                    f"no weights at inconsistent node {tree.labels[par]!r}"
+                )
             q *= verdict.weights[m]
             m = par
         out[target] = q
@@ -164,7 +166,8 @@ def max_capital(spec, payoff, rate, node=None, horizon_index=None) -> float:
     total = 0.0
     for value, label in zip(payoff.values, payoff.labels):
         if label not in q:
-            raise MissingCertificate(f"no state price for node {label}")
+            name = repr(spec.tree.labels[label]) if 0 <= label < spec.tree.n_nodes else label
+            raise MissingCertificate(f"no state price for node {name}")
         total += q[label] * value
     return max(0.0, total)
 

@@ -3,9 +3,11 @@
 ``conditions._cone_facts`` and ``conditions._verdict`` decide both
 audits of a node without an LP. The oracle below is the per-node audit
 LP they replaced, frozen: over free portfolio weights x, optimize the
-expected child payoff p.Yx subject to s.x = 1 and Yx >= 0 with
-``lp_oracle.oracle_solve_lp``, the maximum for the consistency audit and the minimum
-for the neutrality audit. An infeasible LP is a vacuous audit.
+expected child payoff p.Yx subject to s.x = 1 and Yx >= 0, the maximum
+for the consistency audit and the minimum for the neutrality audit. An
+infeasible LP is a vacuous audit. The LP is solved by
+``lp_oracle.oracle_lp_optimum``, all bases at once; on a sample of the
+random nodes it must agree with the per-basis ``oracle_solve_lp``.
 
 Random nodes cover complete and rank-deficient child payoffs Y, prices
 s outside the row space of Y, state prices λ (Y^T λ = s) with negative
@@ -36,15 +38,16 @@ from prodval import lp
 from prodval.conditions import AUDIT_STATUSES, OPTIMAL, _cone_facts, _verdict
 from prodval.errors import NumericalFailure
 
-from lp_oracle import oracle_solve_lp
+from lp_oracle import oracle_lp_optimum, oracle_solve_lp
 
 # --- oracle: the per-node audit LP, frozen ------------------------------------
 
 
-def oracle_audit(Y, s, p, kind):
-    """(status, optimum) of one node's audit by the LP."""
+def oracle_audit(Y, s, p, kind, optimum=oracle_lp_optimum):
+    """(status, optimum) of one node's audit by the LP; ``optimum`` solves
+    it and returns (status, objective)."""
     sign = -1.0 if kind == "consistency" else 1.0
-    res = oracle_solve_lp(
+    status, objective = optimum(
         sign * (p @ Y),
         A_eq=s.reshape(1, -1),
         b_eq=np.array([1.0]),
@@ -52,12 +55,17 @@ def oracle_audit(Y, s, p, kind):
         b_ub=np.zeros(len(Y)),
         nonneg=False,
     )
-    if res.status == "infeasible":
+    if status == "infeasible":
         return "vacuous", None
-    if res.status == "unbounded":
+    if status == "unbounded":
         assert kind == "consistency", "neutrality LP unbounded"
         return "unbounded", None
-    return "optimal", sign * res.objective
+    return "optimal", sign * objective
+
+
+def per_basis_optimum(c, **lp_args):
+    res = oracle_solve_lp(c, **lp_args)
+    return res.status, res.objective
 
 
 # --- random nodes ----------------------------------------------------------------
@@ -194,6 +202,20 @@ def test_random_nodes_reach_every_status():
         ("neutrality", "vacuous", False),
         ("neutrality", "optimal", True),
     }
+
+
+def test_stacked_oracle_matches_the_per_basis_oracle():
+    """``oracle_lp_optimum`` decides the audit LPs of the first random
+    nodes as the per-basis ``oracle_solve_lp`` does."""
+    statuses = set()
+    for seed in range(24):
+        Y, s, p = random_nodes(seed, KINDS[seed % len(KINDS)])
+        for k in range(len(Y)):
+            for audit in ("consistency", "neutrality"):
+                want = oracle_audit(Y[k], s[k], p[k], audit, optimum=per_basis_optimum)
+                _same(oracle_audit(Y[k], s[k], p[k], audit), want)
+                statuses.add(want[0])
+    assert statuses == {"optimal", "unbounded", "vacuous"}
 
 
 def test_complete_nodes_take_the_ratio_of_probability_to_state_price():

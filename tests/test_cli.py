@@ -96,7 +96,7 @@ class TestRunSubcommands:
         assert report["audits"]["positive_homogeneity"] == {"max_deviation": None, "passed": None}
         capsys.readouterr()
         assert main(["value", *argv, str(tmp_path / "value")]) == 1
-        assert capsys.readouterr().err == "error: no weights at inconsistent node 1\n"
+        assert capsys.readouterr().err == "error: no weights at inconsistent node 'u'\n"
         assert not (tmp_path / "value").exists()
 
     def test_value_infeasible_family_exits_two(self):

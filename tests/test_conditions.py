@@ -258,17 +258,18 @@ class TestStatePriceErrors:
         tree, cert, spec = three_leaf_fixture(u_consistent=True)
         good = uniform((3, 4, 5))
         # Not at the horizon date, not a node, and below another node.
-        for bad, bad_node, label in (
-            (uniform((3, 1)), 0, 1),
-            (uniform((3, 7)), 0, 7),
-            (uniform((4, 5)), 1, 5),
+        # Named by config label, or by the id where it names no node.
+        for bad, bad_node, name in (
+            (uniform((3, 1)), 0, "'u'"),
+            (uniform((3, 7)), 0, "7"),
+            (uniform((4, 5)), 1, "'d1'"),
         ):
-            want = (MissingCertificate, f"no state price for node {label}")
+            want = (MissingCertificate, f"no state price for node {name}")
             self.check(spec, good, bad, 0, bad_node, 2, want)
 
     def test_path_through_an_inconsistent_node(self):
         tree, cert, spec = three_leaf_fixture(u_consistent=False)
-        want = (NumericalFailure, "no weights at inconsistent node 1")
+        want = (NumericalFailure, "no weights at inconsistent node 'u'")
         good = uniform((5,))
         for bad in (uniform((3, 4, 5)), uniform((4,)), uniform((5, 3))):
             self.check(spec, good, bad, 0, 0, 2, want)
@@ -297,7 +298,7 @@ class TestStatePriceErrors:
         consistent = [cert.consistent_at[by_label[lab]] for lab in "rabcd"]
         assert consistent == [True, False, False, True, True]
         spec = FinanciabilitySpec.state_price(cert, tree)
-        want = (NumericalFailure, f"no weights at inconsistent node {by_label['b']}")
+        want = (NumericalFailure, "no weights at inconsistent node 'b'")
         good = uniform((by_label["leaf2"],))
         self.check(spec, good, uniform((by_label["leaf"],)), 0, 0, 3, want)
 

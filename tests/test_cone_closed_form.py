@@ -2,12 +2,13 @@
 
 ``market.check_consistency`` decides every inner node's membership LP
 with ``lp.cone_vertices``, one stacked vertex enumeration per date and
-child count, and solves the Farkas LP only where that LP is infeasible.
-The oracle below is a frozen copy of the loop it replaced: one
-``lp.solve_lp`` per node, and the Farkas LP where that is not optimal.
-On random markets the two must give the same verdicts, the same weights
-and violations bit for bit (compared by ``float.hex``), and the same
-errors.
+child count, and then the Farkas LPs of the nodes where that LP is
+infeasible, stacked per date and child count through ``lp.solve_lp``.
+The oracle below is a frozen copy of the loop it replaced, on the frozen
+per-basis LP of ``lp_oracle`` at zero cost: one LP per node, and the
+Farkas LP where that is not optimal. On random markets the two must give
+the same verdicts, the same weights and violations bit for bit (compared
+by ``float.hex``), and the same errors.
 
 The market generators build what the certificates must get right:
 square and tall Y, rank-deficient Y (duplicate child payoffs, a child
@@ -16,10 +17,12 @@ the LP, signed zeros included), prices outside the span of Y (the
 Farkas path), Y whose smallest singular value is near the rank
 tolerance, and index and basis restrictions.
 
-The kernel itself is held to one ``solve_lp`` per system on stacks of
+The kernel itself is held to the oracle's LP per system on stacks of
 random systems built around its own rules (see ``_system``), and its
 stacked dropped-row test to the per-system ``_dropped_rows``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +30,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prodval import lp
+from prodval import market as market_module
 from prodval.errors import NumericalFailure
-from prodval.lp import FEAS_TOL, cone_vertices, solve_lp
+from prodval.lp import FEAS_TOL, cone_vertices
 from prodval.market import RestrictionSet, TradableSet, check_consistency
 
+from lp_oracle import oracle_solve_lp
 from util import random_tree
 
 
@@ -48,11 +53,12 @@ def oracle_check_consistency(market, tree, restriction=None):
             continue
         Y = np.column_stack([B.T @ market.payoff(c) for c in children])
         s = B.T @ market.price(node)
-        primal = solve_lp(A_eq=Y, b_eq=s, nonneg=True)
+        primal = oracle_solve_lp(np.zeros(len(children)), A_eq=Y, b_eq=s, nonneg=True)
         if primal.status == "optimal":
             verdicts[node] = (True, {c: float(primal.x[k]) for k, c in enumerate(children)})
             continue
-        alt = solve_lp(
+        alt = oracle_solve_lp(
+            np.zeros(len(s)),
             A_eq=s.reshape(1, -1),
             b_eq=np.array([-1.0]),
             A_ub=-Y.T,
@@ -200,6 +206,22 @@ def test_check_consistency_matches_per_node_lp(seed, kind):
     )
 
 
+def test_the_lowest_node_without_a_farkas_vertex_is_named():
+    """On this market the Farkas LPs of nodes 6 and 11 have no vertex. Node
+    11 is in a date and child-count group before node 6's, so raising in
+    group order would name node 11; the per-node loop names node 6."""
+    market, tree, restriction = market_case(9460, "zero_weight")
+    groups = [group for group, _ in tree.sibling_groups()]
+    assert groups.index([4, 5, 8, 11]) < groups.index([6])
+    want = (
+        "raises",
+        "NumericalFailure",
+        "neither cone membership nor a violation certified at node 6",
+    )
+    assert _outcome(oracle_check_consistency, market, tree, restriction) == want
+    assert _outcome(_program, market, tree, restriction) == want
+
+
 # --- coverage -------------------------------------------------------------------
 
 
@@ -218,7 +240,10 @@ def test_generators_reach_the_stack_and_the_farkas_lp(monkeypatch):
         calls.append((A, b, cone_vertices(A, b)))
         return calls[-1][2]
 
-    monkeypatch.setattr(lp, "cone_vertices", recording)
+    # Only the membership LPs: market sees the recording, while the Farkas
+    # LPs' solve_lp keeps the kernel's own cone_vertices.
+    stand_in = SimpleNamespace(cone_vertices=recording, solve_lp=lp.solve_lp)
+    monkeypatch.setattr(market_module, "lp", stand_in)
     for kind in KINDS:
         for seed in range(30):
             market, tree, restriction = market_case(seed, kind)
@@ -324,12 +349,12 @@ def _stack(rng, draw):
 
 def _lp_outcome(A, b):
     """Per system of the stack: ("optimal", x bytes) or ("infeasible",),
-    from its own LP; or ("raises", message) for the first system whose
-    LP raises."""
+    from the oracle's LP; or ("raises", message) for the first system
+    whose LP raises."""
     out = []
     for a, v in zip(A, b):
         try:
-            res = solve_lp(A_eq=a, b_eq=v, nonneg=True)
+            res = oracle_solve_lp(np.zeros(a.shape[1]), A_eq=a, b_eq=v, nonneg=True)
         except NumericalFailure as e:
             return ("raises", str(e))
         out.append(("optimal", res.x.tobytes()) if res.status == "optimal" else (res.status,))
@@ -359,7 +384,7 @@ def _dropped_statuses(A, b):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cone_vertices_match_solve_lp(seed):
-    """Every system of a stack gets its own LP's feasibility and x bits,
+    """Every system of a stack gets the oracle LP's feasibility and x bits,
     and the stack raises the first NumericalFailure the LPs raise; the
     stacked dropped-row test gives every system its per-system status."""
     rng = np.random.default_rng(seed)
@@ -461,7 +486,7 @@ def test_clipped_weight_keeps_the_lp_bits():
     Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     s = np.array([0.5, -5e-10, 0.5 - 5e-10])
     feasible, x = cone_vertices(Y[None], s[None])
-    res = solve_lp(A_eq=Y, b_eq=s, nonneg=True)
+    res = oracle_solve_lp(np.zeros(2), A_eq=Y, b_eq=s, nonneg=True)
     assert feasible[0] and res.status == "optimal"
     assert x[0].tobytes() == res.x.tobytes()
     assert np.signbit(x[0]).tolist() == [False, False]
@@ -469,7 +494,7 @@ def test_clipped_weight_keeps_the_lp_bits():
     s = s * [1.0, 10.0, 1.0]
     feasible, _ = cone_vertices(Y[None], s[None])
     assert not feasible[0]
-    assert solve_lp(A_eq=Y, b_eq=s, nonneg=True).status == "infeasible"
+    assert oracle_solve_lp(np.zeros(2), A_eq=Y, b_eq=s, nonneg=True).status == "infeasible"
 
 
 @pytest.mark.parametrize("N, m, n", [(2, 1, 2), (2, 0, 1), (0, 2, 3)])

@@ -8,56 +8,56 @@ from prodval import cli, lp
 from prodval.cli import main
 from prodval.errors import NumericalFailure
 from prodval.lattice import build_tree
-from prodval.lp import solve_lp, solve_standard
+from prodval.lp import cone_vertices, solve_lp
 
 from util import config_doc, make_grid, state_price_market
+
+
+def stacked(*arrays):
+    """Each array with a leading axis of one: an LP as a stack of one."""
+    return [np.asarray(a, dtype=float)[None] for a in arrays]
 
 
 class TestStandardForm:
     def test_first_vertex(self):
         # x + y <= 4, x <= 2, x, y >= 0: the first basis in combinations
         # order is {x, y}, the vertex (2, 2).
-        res = solve_lp(
-            A_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
-            b_ub=np.array([4.0, 2.0]),
-            nonneg=True,
-        )
-        assert res.status == "optimal"
-        assert res.x == pytest.approx([2.0, 2.0], abs=1e-9)
+        A_ub, b_ub = stacked([[1.0, 1.0], [1.0, 0.0]], [4.0, 2.0])
+        feasible, x = solve_lp(A_ub=A_ub, b_ub=b_ub, nonneg=True)
+        assert feasible.tolist() == [True]
+        assert x[0] == pytest.approx([2.0, 2.0], abs=1e-9)
 
     def test_infeasible_equality(self):
-        res = solve_lp(
-            A_eq=np.array([[1.0]]),
-            b_eq=np.array([-1.0]),
-            nonneg=True,
-        )
-        assert res.status == "infeasible"
+        A_eq, b_eq = stacked([[1.0]], [-1.0])
+        feasible, x = solve_lp(A_eq=A_eq, b_eq=b_eq, nonneg=True)
+        assert feasible.tolist() == [False]
+        assert x.tolist() == [[0.0]]
 
     def test_free_variable(self):
         # x >= -3 (as -x <= 3), x free: the basis {x-} comes before the
         # slack's, so x = -3.
-        res = solve_lp(
-            A_ub=np.array([[-1.0]]),
-            b_ub=np.array([3.0]),
-            nonneg=False,
-        )
-        assert res.status == "optimal"
-        assert res.x[0] == pytest.approx(-3.0, abs=1e-9)
+        A_ub, b_ub = stacked([[-1.0]], [3.0])
+        feasible, x = solve_lp(A_ub=A_ub, b_ub=b_ub, nonneg=False)
+        assert feasible.tolist() == [True]
+        assert x[0, 0] == pytest.approx(-3.0, abs=1e-9)
 
     def test_redundant_consistent_rows(self):
         # Duplicated equality row is fine; contradictory one is infeasible.
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        ok = solve_lp(A_eq=A, b_eq=np.array([1.0, 2.0]), nonneg=True)
-        assert ok.status == "optimal"
-        bad = solve_lp(A_eq=A, b_eq=np.array([1.0, 3.0]), nonneg=True)
-        assert bad.status == "infeasible"
+        feasible, _ = solve_lp(
+            A_eq=np.stack([A, A]), b_eq=np.array([[1.0, 2.0], [1.0, 3.0]]), nonneg=True
+        )
+        assert feasible.tolist() == [True, False]
 
     def test_degenerate_zero_rows(self):
-        A = np.zeros((2, 2))
-        ok = solve_lp(A_eq=A, b_eq=np.zeros(2), nonneg=True)
-        assert ok.status == "optimal" and ok.x.tolist() == [0.0, 0.0]
-        bad = solve_lp(A_eq=A, b_eq=np.array([0.0, 1.0]), nonneg=True)
-        assert bad.status == "infeasible"
+        A = np.zeros((2, 2, 2))
+        feasible, x = solve_lp(A_eq=A, b_eq=np.array([[0.0, 0.0], [0.0, 1.0]]), nonneg=True)
+        assert feasible.tolist() == [True, False]
+        assert x.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_an_empty_stack(self):
+        feasible, x = solve_lp(A_eq=np.zeros((0, 1, 2)), b_eq=np.zeros((0, 1)), nonneg=False)
+        assert feasible.shape == (0,) and x.shape == (0, 2)
 
     def test_no_constraints_are_an_error(self):
         with pytest.raises(ValueError, match="A_eq or A_ub"):
@@ -65,12 +65,12 @@ class TestStandardForm:
 
 
 def test_cone_membership_forms():
-    # s inside the cone of columns.
+    # s inside the cone of columns, then outside it.
     Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    inside = solve_lp(A_eq=Y, b_eq=np.array([0.3, 0.7]), nonneg=True)
-    assert inside.status == "optimal"
-    outside = solve_lp(A_eq=Y, b_eq=np.array([-0.3, 0.7]), nonneg=True)
-    assert outside.status == "infeasible"
+    feasible, _ = solve_lp(
+        A_eq=np.stack([Y, Y]), b_eq=np.array([[0.3, 0.7], [-0.3, 0.7]]), nonneg=True
+    )
+    assert feasible.tolist() == [True, False]
 
 
 def test_near_singular_bases_are_not_vertices(monkeypatch):
@@ -83,32 +83,43 @@ def test_near_singular_bases_are_not_vertices(monkeypatch):
     to |u| of about 1.2e16 with a residual under FEAS_TOL, which the
     kernel must not report: with b = 1 the first vertex is u = e_0 / s_0,
     and with b = -1 (the Farkas LP of a node whose price lies outside
-    its child's cone) there is no vertex, as y.u = 1.0279 b < 0."""
+    its child's cone) there is no vertex, as y.u = 1.0279 b < 0. Both
+    LPs go in one stack."""
     s = np.array([0.7073836800450722, 0.0, 0.9728817260959624])
     y = np.array([0.7271014153834542, 0.0, 1.0])
 
-    def solve(b):
+    def solve():
         return solve_lp(
-            A_eq=s[None], b_eq=np.array([b]), A_ub=-y[None], b_ub=np.zeros(1), nonneg=False
+            A_eq=np.stack([s[None], s[None]]),
+            b_eq=np.array([[1.0], [-1.0]]),
+            A_ub=np.stack([-y[None], -y[None]]),
+            b_ub=np.zeros((2, 1)),
+            nonneg=False,
         )
 
-    res = solve(1.0)
-    assert res.status == "optimal"
-    assert res.x.tolist() == pytest.approx([1.0 / s[0], 0.0, 0.0], rel=1e-15)
-    assert solve(-1.0).status == "infeasible"
+    feasible, x = solve()
+    assert feasible.tolist() == [True, False]
+    assert x[0].tolist() == pytest.approx([1.0 / s[0], 0.0, 0.0], rel=1e-15)
     # Without the conditioning rule the near-singular basis is reported.
     monkeypatch.setattr(lp, "_RANK_TOL", 1e-300)
-    assert np.abs(solve(1.0).x).max() > 1e15
-    assert solve(-1.0).status == "optimal"
+    feasible, x = solve()
+    assert feasible.tolist() == [True, True]
+    assert np.abs(x[0]).max() > 1e15
 
 
 def test_too_many_bases_raise_before_enumerating():
     # The neutrality ray check of a node with 6 children and 9 tradables:
-    # 8 independent rows over 24 columns.
-    A = np.random.default_rng(0).normal(size=(8, 24))
+    # 8 independent rows over 24 columns. It raises for a stack that
+    # also holds a feasible and an infeasible system of one row each.
+    rng = np.random.default_rng(0)
+    A = np.zeros((3, 8, 24))
+    A[:2, 0] = np.abs(rng.normal(size=24))
+    A[2] = rng.normal(size=(8, 24))
+    b = (A @ np.ones(24)) * np.array([[1.0], [-1.0], [1.0]])
+    assert cone_vertices(A[:2], b[:2])[0].tolist() == [True, False]
     start = time.perf_counter()
     with pytest.raises(NumericalFailure, match=r"C\(24,8\)"):
-        solve_standard(A, A @ np.ones(24))
+        cone_vertices(A, b)
     assert time.perf_counter() - start < 1.0
 
 

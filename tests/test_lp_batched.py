@@ -1,16 +1,19 @@
-"""Differential test of the chunked basis enumeration in ``lp.solve_standard``.
+"""Differential test of the stacked basis enumeration in ``lp.cone_vertices``.
 
 The reference is ``lp_oracle.oracle_solve_standard``, a frozen copy of
 the per-basis loop the chunked kernel replaced, with the kernel's
 conditioning rule applied to every basis. At an all-zero cost its
 answer is the first vertex in combinations order, the kernel's. The
 kernel tests the conditioning rule only on a basis that passes the
-other filters, and leaves all-zero columns out of the enumeration,
-which must give the same answer.
+other filters, and leaves the columns that are zero in every system of
+a stack out of the enumeration, which must give the same answer.
 
-On random standard-form problems, and through ``solve_lp`` with free
-variables and inequality rows, the kernel must reproduce the oracle's
-status and ``x`` bit for bit at zero cost, and raise the same errors.
+On stacks of random standard-form problems, padded to one shape with
+zero rows and columns, and through ``solve_lp`` on stacks with free
+variables and inequality rows, the kernel must give every system the
+oracle's status and ``x`` bit for bit at zero cost, and a stack must
+raise the error of its first system that raises. The kernel adds 0.0
+to the clipped vertex, so a -0.0 of the oracle's reads +0.0.
 """
 
 from math import comb
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from prodval import lp
 from prodval.errors import NumericalFailure
-from prodval.lp import solve_lp, solve_standard
+from prodval.lp import cone_vertices, solve_lp
 
 from lp_oracle import oracle_solve_lp, oracle_solve_standard
 
@@ -160,15 +163,42 @@ KINDS = (
 )
 
 
-def _bits(res):
-    return res.status, None if res.x is None else res.x.tobytes()
+def standard_stack(seed: int, kind: str):
+    """1 to 4 problems of one kind, each padded with zero rows and columns
+    to the largest shape among them: (A, b) of shape (N, m, n) and (N, m).
+    A padded column is zero in every system, and a column of the smaller
+    problems' padding is zero in only some."""
+    seeds = np.random.default_rng(seed).integers(2**32, size=int(seed % 4) + 1)
+    problems = [standard_problem(int(s), kind) for s in seeds]
+    m = max(a.shape[0] for a, _ in problems)
+    n = max(a.shape[1] for a, _ in problems) + int(seed % 3 == 0)
+    A, b = np.zeros((len(problems), m, n)), np.zeros((len(problems), m))
+    for k, (a, v) in enumerate(problems):
+        A[k, : a.shape[0], : a.shape[1]] = a
+        b[k, : len(v)] = v
+    return A, b
 
 
 def _outcome(solver, *args, **kwargs):
+    """The oracle's ("optimal", x bytes), ("infeasible", None) or
+    ("raises", message)."""
     try:
-        return _bits(solver(*args, **kwargs))
+        res = solver(*args, **kwargs)
     except NumericalFailure as e:
         return ("raises", str(e))
+    return res.status, None if res.x is None else (res.x + 0.0).tobytes()
+
+
+def _stack_outcome(feasible, x):
+    return [
+        ("optimal", x[k].tobytes()) if feasible[k] else ("infeasible", None)
+        for k in range(len(x))
+    ]
+
+
+def _first_raise(outcomes):
+    """A stack's outcome from its systems': the first raise, if any."""
+    return next((o for o in outcomes if o[0] == "raises"), outcomes)
 
 
 # --- the differential tests -----------------------------------------------------
@@ -176,10 +206,14 @@ def _outcome(solver, *args, **kwargs):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS))
-def test_solve_standard_matches_per_basis_loop(seed, kind):
-    A, b = standard_problem(seed, kind)
-    want = _outcome(oracle_solve_standard, np.zeros(A.shape[1]), A, b)
-    assert _outcome(solve_standard, A, b) == want
+def test_cone_vertices_match_per_basis_loop(seed, kind):
+    A, b = standard_stack(seed, kind)
+    want = [_outcome(oracle_solve_standard, np.zeros(A.shape[2]), a, v) for a, v in zip(A, b)]
+    try:
+        got = _stack_outcome(*cone_vertices(A, b))
+    except NumericalFailure as e:
+        got = ("raises", str(e))
+    assert got == _first_raise(want)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -187,25 +221,29 @@ def test_solve_standard_matches_per_basis_loop(seed, kind):
 def test_solve_lp_with_free_variables_matches_per_basis_loop(seed):
     rng = np.random.default_rng(seed)
     integer = bool(rng.integers(2))
+    N = int(rng.integers(1, 5))
     n = int(rng.integers(1, 4))
     m_eq = int(rng.integers(0, 3))
     m_ub = int(rng.integers(0, 4))
     nonneg = [bool(v) for v in rng.integers(2, size=n)]
-    A_eq = _matrix(rng, (m_eq, n), integer) if m_eq else None
-    b_eq = _matrix(rng, m_eq, integer) if m_eq else None
+    A_eq = _matrix(rng, (N, m_eq, n), integer) if m_eq else None
+    b_eq = _matrix(rng, (N, m_eq), integer) if m_eq else None
     # Without equality rows, A_ub (if need be with no rows) gives n.
-    A_ub = _matrix(rng, (m_ub, n), integer) if m_ub or not m_eq else None
-    b_ub = np.abs(_matrix(rng, m_ub, integer)) if m_ub or not m_eq else None
-    args = dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, nonneg=nonneg)
-    want = _outcome(oracle_solve_lp, np.zeros(n), **args)
-    assert _outcome(solve_lp, **args) == want
+    A_ub = _matrix(rng, (N, m_ub, n), integer) if m_ub or not m_eq else None
+    b_ub = np.abs(_matrix(rng, (N, m_ub), integer)) if m_ub or not m_eq else None
+    lps = (A_eq, b_eq, A_ub, b_ub)
+    want = []
+    for k in range(N):
+        one = [None if a is None else a[k] for a in lps]
+        want.append(_outcome(oracle_solve_lp, np.zeros(n), *one, nonneg))
+    assert _stack_outcome(*solve_lp(*lps, nonneg=nonneg)) == want
 
 
 def test_generators_cover_every_case():
     """Across fixed seeds, the generators reach what the kernel must get
     right: exactly singular bases, ill-conditioned bases, both statuses,
-    empty constraint sets, all-zero columns, and a first vertex found
-    past the first chunk."""
+    empty constraint sets, all-zero columns, a first vertex found past
+    the first chunk, and stacks that mix both statuses."""
     seen = {"singular": 0, "ill_conditioned": 0, "late_vertex": 0}
     statuses = {kind: set() for kind in KINDS}
     for kind in KINDS:
@@ -231,3 +269,9 @@ def test_generators_cover_every_case():
         comb(A.shape[1], A.shape[0]) > lp._CHUNK
         for A in (standard_problem(s, "many_bases")[0] for s in range(5))
     )
+    mixed = 0
+    for seed in range(40):
+        A, b = standard_stack(seed, KINDS[seed % len(KINDS)])
+        statuses = {oracle_solve_standard(np.zeros(A.shape[2]), a, v).status for a, v in zip(A, b)}
+        mixed += statuses == {"optimal", "infeasible"}
+    assert mixed
