@@ -377,48 +377,9 @@ def flat_rates(tree: ScenarioTree, r: float) -> np.ndarray:
     return np.full(tree.n_inner, float(r))
 
 
-def _cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
-    """What both audits are decided from, for a stack of nodes with equal
-    child counts: Y (N, K, d) holds each node's restricted child payoffs,
-    one row per child, s (N, d) its restricted price and p (N, K) its
-    child probabilities. Returns per node (outside, ray, positive, flat,
-    hi, lo).
-
-    The payoffs of admissible portfolios with non-negative child payoffs
-    form the cone C = range(Y) ∩ R^K_+. ``outside``: s is not in the row
-    space of Y. ``ray``: C has an extreme ray. Otherwise Y^T λ = s, and a
-    portfolio with payoff z ∈ C costs λ.z; ``positive``, ``flat``, ``hi``
-    and ``lo`` are those of ``lp.cone_ratios`` with cost λ: some extreme
-    ray e has λ.e > 0 (above a noise floor), some has not, and the
-    largest and smallest ratio p.e/λ.e over the rays of the first kind.
-
-    One stacked SVD of Y gives every node's rank r, counting the singular
-    values above the LP's rank tolerance ``lp._RANK_TOL * max(1, |Y|,
-    |s|)``; s is outside when a component of V^T s beyond the first r
-    exceeds it. ``lp.cone_ratios`` reads the rest off the rays of the
-    cone {z >= 0 : W z = 0}, W the left null space of Y, one call per
-    rank; at r = K the rays are the unit vectors, with no solve."""
-    N, K, d = Y.shape
-    tol = lp._RANK_TOL * lp._scale(Y, s)
-    U, sv, Vt = np.linalg.svd(Y)
-    rank = (sv > tol[:, None]).sum(axis=1)
-    t = (Vt @ s[..., None])[..., 0]
-    outside = ((np.arange(d) >= rank[:, None]) & (np.abs(t) > tol[:, None])).any(axis=1)
-    ray, positive, flat = (np.zeros(N, dtype=bool) for _ in range(3))
-    hi, lo = np.full(N, -np.inf), np.full(N, np.inf)
-    for r in set(rank.tolist()):
-        g = np.flatnonzero(rank == r)
-        # The least-norm solution of Y^T λ = s where s is not outside;
-        # λ.z is the same for every solution when z ∈ C.
-        lam = (U[g, :, :r] @ (t[g, :r] / sv[g, :r])[..., None])[..., 0]
-        W = U[g, :, r:].transpose(0, 2, 1)  # the left null space of Y
-        ray[g], positive[g], flat[g], hi[g], lo[g] = lp.cone_ratios(W, lam, p[g])
-    return outside, ray, positive, flat, hi, lo
-
-
 def _verdict(kind: str, outside, ray, positive, flat, hi, lo):
     """Per node the (status code, optimum) of an audit from its
-    ``_cone_facts``, the optimum NaN unless the status is optimal.
+    ``lp.cone_facts``, the optimum NaN unless the status is optimal.
 
     Both audits optimize the expected one-step payoff p.Yx of the
     unit-price admissible portfolios x (s.x = 1) with non-negative child
@@ -453,8 +414,8 @@ def _audit_tradables(
     rates: np.ndarray,
     kind: str,
 ) -> TradableAuditReport:
-    """Each inner node's audit, decided by ``_cone_facts`` for the nodes
-    of one date and child count at a time and by ``_verdict``."""
+    """Each inner node's audit, decided by ``lp.cone_facts`` for the
+    nodes of one date and child count at a time and by ``_verdict``."""
     n = tree.n_inner
     if spec.variant in ("state_price", "zero"):
         # Only C = 0 is acceptable under zero: adding a priced
@@ -472,7 +433,7 @@ def _audit_tradables(
     status = np.empty(n, dtype=np.int8)
     optimum = np.empty(n)
     for group, kids in tree.sibling_groups():
-        facts = _cone_facts(pay[kids], price[group], tree.prob[kids])
+        facts = lp.cone_facts(pay[kids], price[group], tree.prob[kids])
         status[group], optimum[group] = _verdict(kind, *facts)
     hurdle = 1.0 + rates + spec.eta
     if kind == "consistency":

@@ -100,10 +100,10 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     if not isinstance(doc, dict):
         raise SchemaViolation("config root must be an object")
 
-    grid_doc = _need(doc, "grid")
-    tree_doc = _need(doc, "tree")
-    market_doc = _need(doc, "market")
-    liab_doc = _need(doc, "liability")
+    grid_doc = _object(_need(doc, "grid"), "grid")
+    tree_doc = _object(_need(doc, "tree"), "tree")
+    market_doc = _object(_need(doc, "market"), "market")
+    liab_doc = _object(_need(doc, "liability"), "liability")
 
     horizon = _need(grid_doc, "T", "grid.")
     if isinstance(horizon, bool) or not isinstance(horizon, Integral):
@@ -156,12 +156,20 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     )
 
     def flow_array(section: Mapping, key: str, where: str) -> np.ndarray:
+        """A label-keyed flow section as an array indexed by node id; only
+        terminal values may be negative."""
+        flows = section.get(key, {})
+        ids, values = sections.column(flows, f"{where}.{key}")
+        bad = np.flatnonzero(values < 0)
+        if key != "terminal" and bad.size:
+            k = int(bad[0])
+            raise SchemaViolation(
+                f"{where}.{key} has negative value {values[k]} at node {list(flows)[k]!r}"
+            )
         out = np.zeros(tree.n_nodes)
-        ids, values = sections.column(section.get(key, {}), f"{where}.{key}")
         out[ids] = values
         return out
 
-    liab_doc = _object(liab_doc, "liability")
     liability = LiabilitySpec(
         outflows=flow_array(liab_doc, "outflows", "liability"),
         inflows=flow_array(liab_doc, "inflows", "liability"),

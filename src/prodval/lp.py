@@ -1,29 +1,27 @@
-"""Small dense feasibility LPs solved by exhaustive basis enumeration.
+"""The three cone questions of ``check``, each asked for a stack of
+nodes at once, answered by exhaustive basis enumeration.
 
-Problems here are small, every LP has a zero cost, and LPs come in
-stacks of one shape. ``cone_vertices`` returns for each system
-A[k] z = b[k], z >= 0 of a stack the first vertex in
-``itertools.combinations`` order of the bases, or reports that there is
-none, so the answer is deterministic and needs nothing beyond numpy.
-``solve_lp`` lays a stack of LPs with free variables and inequality
-rows out in that standard form and returns ``(feasible, x)`` as
-``cone_vertices`` does. Three kinds of problem use the module:
+- ``cone_vertices``: the membership LP of every inner node (``market``),
+  stacked per date and child count. For each system A[k] z = b[k],
+  z >= 0 of a stack it returns the first vertex in
+  ``itertools.combinations`` order of the bases, or reports that there
+  is none, so the answer is deterministic and needs nothing beyond
+  numpy.
+- ``solve_lp``: the Farkas LP of each node whose price lies outside the
+  cone of its child payoffs, stacked per date and child count likewise.
+  It lays the LP out in that standard form and returns ``(found, u)`` as
+  ``cone_vertices`` does.
+- ``cone_facts``: what the tradable audits (``conditions``) are decided
+  from, read off the extreme rays of each node's cone of non-negative
+  attainable child payoffs without an LP: the rays are the vertices of
+  {W z = 0, sum z = 1, z >= 0}, one stacked solve over the supports in
+  ``_bases`` order.
 
-- the membership LP of every inner node (``market``), stacked per date
-  and child count, through ``cone_vertices``;
-- the Farkas LP of each node whose price lies outside that cone, stacked
-  per date and child count likewise, through ``solve_lp``;
-- the tradable audits (``conditions``) solve no LP: they are read off
-  the extreme rays of each node's cone of non-negative attainable child
-  payoffs by ``cone_ratios``, which takes them for a stack of nodes as
-  the vertices of {W z = 0, sum z = 1, z >= 0}, one stacked solve over
-  the supports in ``_bases`` order.
-
-A stack is decided in three steps: the greedy row reduction
-(``_kept_rows``), the test that the dropped rows follow from the kept
-ones (``_dropped_status``), then per kept-row count r one enumeration
-(``_first_vertices``) that keeps each system until its first vertex. A
-system that keeps no row has the vertex z = 0.
+A ``cone_vertices`` stack is decided in three steps: the greedy row
+reduction (``_kept_rows``), the test that the dropped rows follow from
+the kept ones (``_dropped_status``), then per kept-row count r one
+enumeration (``_first_vertices``) that keeps each system until its
+first vertex. A system that keeps no row has the vertex z = 0.
 
 Enumeration is chunked: bases are taken in combinations order,
 ``_CHUNK`` per system at a time, from an index array built once per
@@ -67,8 +65,8 @@ from .errors import NumericalFailure
 FEAS_TOL = 1e-9
 _RANK_TOL = 1e-11
 _MAX_BASES = 500_000
-_MAX_SUPPORTS = 1 << 16  # cone_ratios candidate rays per cone
-_RAY_CHUNK = 1 << 14  # cone_ratios candidate rays per stacked solve
+_MAX_SUPPORTS = 1 << 16  # cone_facts candidate rays per cone
+_RAY_CHUNK = 1 << 14  # cone_facts candidate rays per stacked solve
 _CHUNK = 512  # bases per system per stacked solve
 _VERTEX_CHUNK = 1 << 14  # cone_vertices (system, basis) pairs per stacked solve
 _ROUNDING_SLACK = 1 << 10  # eps multiple in the stacked dropped-row test's bounds
@@ -317,53 +315,77 @@ def _first_vertices(A: np.ndarray, b: np.ndarray, scale: np.ndarray):
     return found, x
 
 
-def cone_ratios(W: np.ndarray, c: np.ndarray, p: np.ndarray):
-    """The linear-fractional programs max and min of p.z / c.z over the
-    cones {z >= 0 : W[k] z = 0} of a stack W, shape (N, q, K), with c and
-    p of shape (N, K), read off each cone's extreme rays e. Returns per
-    cone (ray, positive, flat, hi, lo): whether it has a ray; whether some
-    ray has c.e above the noise floor FEAS_TOL * max|c|, and whether some
-    has not; the largest and smallest p.e / c.e over the rays of the
-    first kind (-inf and inf without one).
+def cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
+    """What both tradable audits are decided from, for a stack of nodes
+    with equal child counts: Y (N, K, d) holds each node's restricted
+    child payoffs, one row per child, s (N, d) its restricted price and
+    p (N, K) its child probabilities. Returns per node (outside, ray,
+    positive, flat, hi, lo).
 
-    The rays, scaled to sum 1, are the vertices of {W z = 0, sum z = 1,
-    z >= 0}: the basic solutions on the supports of ``_bases(K, q+1)``
-    whose basis passes the conditioning test (smallest singular value
-    above ``_RANK_TOL * scale``) and whose entries are at least -FEAS_TOL,
-    clipped at 0 (``_cone_rays``). With q = 0 they are the unit vectors,
-    and no solve is needed. The cones are taken in chunks of about
-    ``_RAY_CHUNK`` candidate rays. Raises NumericalFailure above
-    ``_MAX_SUPPORTS`` supports per cone, before building any."""
-    N, q, K = W.shape
-    n_supports = math.comb(K, q + 1)
-    if n_supports > _MAX_SUPPORTS:
-        raise NumericalFailure(f"ray enumeration too large: C({K},{q + 1})")
+    The payoffs of admissible portfolios with non-negative child payoffs
+    form the cone C = range(Y) ∩ R^K_+. ``outside``: s is not in the row
+    space of Y. ``ray``: C has an extreme ray. Otherwise Y^T λ = s, and a
+    portfolio with payoff z ∈ C costs λ.z. ``positive``: some extreme ray
+    e has λ.e above the noise floor FEAS_TOL * max|λ|; ``flat``: some has
+    not; ``hi`` and ``lo``: the largest and smallest p.e / λ.e over the
+    rays of the first kind (-inf and inf without one).
+
+    One stacked SVD of Y gives every node's rank r, counting the singular
+    values above the rank tolerance ``_RANK_TOL * max(1, |Y|, |s|)``; s
+    is outside when a component of V^T s beyond the first r exceeds it.
+    The rays of C, scaled to sum 1, are the vertices of {W z = 0,
+    sum z = 1, z >= 0}, W the q = K - r rows of the left null space of
+    Y: the basic solutions on the supports of ``_bases(K, q+1)`` whose
+    basis passes the conditioning test and whose entries are at least
+    -FEAS_TOL, clipped at 0 (``_cone_rays``). At r = K they are the unit
+    vectors, and no solve is needed. The nodes of one rank are taken in
+    chunks of about ``_RAY_CHUNK`` candidate rays. Raises NumericalFailure
+    for the first rank, in the order of ``set(rank.tolist())``, with more
+    than ``_MAX_SUPPORTS`` supports per cone, before building any."""
+    N, K, d = Y.shape
+    tol = _RANK_TOL * _scale(Y, s)
+    U, sv, Vt = np.linalg.svd(Y)
+    rank = (sv > tol[:, None]).sum(axis=1)
+    t = (Vt @ s[..., None])[..., 0]
+    outside = ((np.arange(d) >= rank[:, None]) & (np.abs(t) > tol[:, None])).any(axis=1)
     ray, positive, flat = (np.zeros(N, dtype=bool) for _ in range(3))
     hi, lo = np.full(N, -np.inf), np.full(N, np.inf)
-    step = max(1, _RAY_CHUNK // max(n_supports, 1))
-    for start in range(0, N, step):
-        k = slice(start, start + step)
-        if q:
-            rays, is_ray = _cone_rays(W[k])
-            cost = (rays @ c[k, :, None])[..., 0]
-            prob = (rays @ p[k, :, None])[..., 0]
-        else:
-            is_ray = np.ones(c[k].shape, dtype=bool)
-            cost, prob = c[k], p[k]
-        floor = FEAS_TOL * np.abs(c[k]).max(axis=1, initial=0.0)
-        up = is_ray & (cost > floor[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = prob / cost
-        ray[k] = is_ray.any(axis=1)
-        positive[k] = up.any(axis=1)
-        flat[k] = (is_ray & ~up).any(axis=1)
-        hi[k] = np.where(up, ratio, -np.inf).max(axis=1, initial=-np.inf)
-        lo[k] = np.where(up, ratio, np.inf).min(axis=1, initial=np.inf)
-    return ray, positive, flat, hi, lo
+    for r in set(rank.tolist()):
+        g = np.flatnonzero(rank == r)
+        q = K - r
+        n_supports = math.comb(K, q + 1)
+        if n_supports > _MAX_SUPPORTS:
+            raise NumericalFailure(f"ray enumeration too large: C({K},{q + 1})")
+        # The least-norm solution of Y^T λ = s where s is not outside;
+        # λ.z is the same for every solution when z ∈ C.
+        lam = (U[g, :, :r] @ (t[g, :r] / sv[g, :r])[..., None])[..., 0]
+        W = U[g, :, r:].transpose(0, 2, 1)  # the left null space of Y
+        prob = p[g]
+        step = max(1, _RAY_CHUNK // max(n_supports, 1))
+        for start in range(0, len(g), step):
+            k = slice(start, start + step)
+            if q:
+                rays, is_ray = _cone_rays(W[k])
+                cost = (rays @ lam[k, :, None])[..., 0]
+                gain = (rays @ prob[k, :, None])[..., 0]
+            else:
+                is_ray = np.ones(lam[k].shape, dtype=bool)
+                cost, gain = lam[k], prob[k]
+            floor = FEAS_TOL * np.abs(lam[k]).max(axis=1, initial=0.0)
+            up = is_ray & (cost > floor[:, None])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = gain / cost
+            n = g[k]
+            ray[n] = is_ray.any(axis=1)
+            positive[n] = up.any(axis=1)
+            flat[n] = (is_ray & ~up).any(axis=1)
+            hi[n] = np.where(up, ratio, -np.inf).max(axis=1, initial=-np.inf)
+            lo[n] = np.where(up, ratio, np.inf).min(axis=1, initial=np.inf)
+    return outside, ray, positive, flat, hi, lo
 
 
 def _cone_rays(W: np.ndarray):
-    """The candidate rays of ``cone_ratios`` for a stack W, shape
+    """The candidate rays of ``cone_facts`` for a stack W, shape
     (N, q, K) with q >= 1: (rays, valid), where rays has shape
     (N, C(K, q+1), K) and rays[k, j], on the j-th support, is a ray of
     cone k exactly where valid[k, j]. One stacked solve for the stack; a
@@ -406,56 +428,24 @@ def _bases(n: int, r: int) -> np.ndarray:
     return flat.reshape(-1, r)
 
 
-def solve_lp(A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
-    """For each LP k of a stack, a point x[k] with A_eq[k] x = b_eq[k] and
-    A_ub[k] x <= b_ub[k]: (feasible, x), as ``cone_vertices`` gives them.
+def solve_lp(Y: np.ndarray, s: np.ndarray):
+    """The Farkas LPs of a stack of nodes whose price lies outside the
+    cone of their child payoffs: a portfolio u with u.s = -1 and Y u >= 0,
+    for Y (N, K, d), each node's restricted child payoffs one row per
+    child, and s (N, d), its restricted price. Returns (found, u) as
+    ``cone_vertices`` gives them, u zero where no vertex is found.
 
-    The constraint matrices have shape (N, m, n) and their right-hand
-    sides (N, m); at least one matrix is given. ``nonneg`` is a boolean
-    per variable (True: x_i >= 0, False: free); a single bool applies to
-    all variables. Free variables are split and inequality rows get slack
-    variables for the whole stack, then ``cone_vertices`` takes the first
-    vertex of each standard form. x[k] is zero where LP k is infeasible.
-    """
-    if A_eq is None and A_ub is None:
-        raise ValueError("solve_lp needs A_eq or A_ub")
-    N, _, n = np.shape(A_eq if A_eq is not None else A_ub)
-    if isinstance(nonneg, bool):
-        nonneg = [nonneg] * n
-
-    # Column layout: one column per non-negative variable, two per free
-    # variable (x = x+ - x-), then one slack per inequality row. Column j
-    # holds sign[j] times variable var[j].
-    var: list[int] = []
-    sign: list[float] = []
-    for i in range(n):
-        var.append(i)
-        sign.append(1.0)
-        if not nonneg[i]:
-            var.append(i)
-            sign.append(-1.0)
-    k = len(var)
-
-    Ae, be = _constraint_rows(A_eq, b_eq, N, n)
-    Au, bu = _constraint_rows(A_ub, b_ub, N, n)
-    m_eq, m_ub = Ae.shape[1], Au.shape[1]
-    # The equality and the inequality rows, laid out by one gather.
-    rows = np.concatenate([Ae, Au], axis=1)
-    std = np.zeros((N, m_eq + m_ub, k + m_ub))
-    np.multiply(rows[:, :, var], sign, out=std[:, :, :k])
-    std[:, m_eq:, k:] = np.eye(m_ub)
-
-    feasible, z = cone_vertices(std, np.concatenate([be, bu], axis=1))
-    # Summed column by column in layout order: x+ first, then -x-.
-    x = np.zeros((N, n))
-    np.add.at(x, (slice(None), var), np.multiply(sign, z[:, :k]))
-    return feasible, x
-
-
-def _constraint_rows(A, b, N: int, n: int):
-    """(A, b) as an (N, m, n) stack and (N, m) values; no rows when A is
-    None."""
-    if A is None:
-        return np.zeros((N, 0, n)), np.zeros((N, 0))
-    A = np.asarray(A, dtype=float)
-    return A, np.asarray(b, dtype=float).reshape(A.shape[:2])
+    u is free, u = u+ - u-, so the standard form has the columns
+    (u+_0, u-_0, u+_1, ..., u-_{d-1}) and then one slack per child: row 0
+    is s.u+ - s.u- = -1 and row 1 + c is -y_c.u+ + y_c.u- + slack_c = 0."""
+    N, K, d = Y.shape
+    A = np.zeros((N, 1 + K, 2 * d + K))
+    A[:, 0, 0 : 2 * d : 2] = s
+    A[:, 0, 1 : 2 * d : 2] = -s
+    A[:, 1:, 0 : 2 * d : 2] = -Y
+    A[:, 1:, 1 : 2 * d : 2] = Y
+    A[:, 1:, 2 * d :] = np.eye(K)
+    b = np.zeros((N, 1 + K))
+    b[:, 0] = -1.0
+    found, z = cone_vertices(A, b)
+    return found, z[:, 0 : 2 * d : 2] - z[:, 1 : 2 * d : 2]

@@ -27,8 +27,6 @@ from .errors import (
 from .lattice import ScenarioTree
 from . import lp
 
-_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class TradableSet:
@@ -262,11 +260,13 @@ def check_consistency(
     ``lp.cone_vertices``, one stacked vertex enumeration each. After all
     of them, the nodes whose LP is infeasible (their price lies outside
     the cone of their child payoffs) get their violating portfolios from
-    the Farkas LP, stacked per date and child count likewise through one
-    ``lp.solve_lp`` call each. A NumericalFailure of a membership stack is
-    raised first, for the first failing node in date and child-count
-    order; then one that a Farkas stack raises; then, if some Farkas LP
-    has no vertex, one naming the lowest such node.
+    the Farkas LP over free u, u.s = -1 and Y^T u >= 0, as the first
+    vertex of its standard form; those LPs are stacked per date and child
+    count likewise through one ``lp.solve_lp`` call each. A
+    NumericalFailure of a membership stack is raised first, for the first
+    failing node in date and child-count order; then one that a Farkas
+    stack raises; then, if some Farkas LP has no vertex, one naming the
+    lowest such node.
     """
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
@@ -288,13 +288,7 @@ def check_consistency(
     for nodes, kids in outside:
         # Farkas alternative: u with u.y_c >= 0 for all children c and
         # u.s = -1.
-        found, u = lp.solve_lp(
-            A_eq=price[nodes, None],
-            b_eq=np.full((len(nodes), 1), -1.0),
-            A_ub=-pay[kids],
-            b_ub=np.zeros(kids.shape),
-            nonneg=False,
-        )
+        found, u = lp.solve_lp(pay[kids], price[nodes])
         # x.S_node = u.s = -1 exactly, so the breach margin is unit sized.
         # A stacked product gives each row the bits of B @ u[k].
         violation[nodes] = np.matmul(B, u[..., None])[..., 0]

@@ -1,6 +1,6 @@
 """Differential test of the tradable audits decided from cone rays.
 
-``conditions._cone_facts`` and ``conditions._verdict`` decide both
+``lp.cone_facts`` and ``conditions._verdict`` decide both
 audits of a node without an LP. The oracle below is the per-node audit
 LP they replaced, frozen: over free portfolio weights x, optimize the
 expected child payoff p.Yx subject to s.x = 1 and Yx >= 0, the maximum
@@ -35,8 +35,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from prodval import lp
-from prodval.conditions import AUDIT_STATUSES, OPTIMAL, _cone_facts, _verdict
+from prodval.conditions import AUDIT_STATUSES, OPTIMAL, _verdict
 from prodval.errors import NumericalFailure
+from prodval.lp import cone_facts
 
 from lp_oracle import oracle_lp_optimum, oracle_solve_lp
 
@@ -176,7 +177,7 @@ def _same(got, want):
 def test_audits_match_the_lp(seed, kind):
     Y, s, p = random_nodes(seed, kind)
     assume(len(Y))
-    facts = _cone_facts(Y, s, p)
+    facts = cone_facts(Y, s, p)
     for audit in ("consistency", "neutrality"):
         for k, got in enumerate(verdicts(audit, facts)):
             _same(got, oracle_audit(Y[k], s[k], p[k], audit))
@@ -225,26 +226,27 @@ def test_complete_nodes_take_the_ratio_of_probability_to_state_price():
     Y = rng.uniform(0.5, 2.0, (3, 4))
     lam = np.array([0.2, 0.3, 0.4])
     p = np.array([0.5, 0.25, 0.25])
-    facts = _cone_facts(Y[None], (Y.T @ lam)[None], p[None])
+    facts = cone_facts(Y[None], (Y.T @ lam)[None], p[None])
     assert verdicts("consistency", facts) == [("optimal", pytest.approx(2.5, rel=1e-12))]
     assert verdicts("neutrality", facts) == [("optimal", pytest.approx(0.625, rel=1e-12))]
 
 
 def test_chunks_change_no_verdict(monkeypatch):
-    """``lp.cone_ratios`` takes the cones in chunks of about
+    """``lp.cone_facts`` takes the cones of one rank in chunks of about
     ``_RAY_CHUNK`` candidate rays; one cone per chunk decides alike."""
     stacks = [random_nodes(seed, KINDS[seed % len(KINDS)]) for seed in range(200)]
-    whole = [[f.tolist() for f in _cone_facts(*stack)] for stack in stacks]
+    whole = [[f.tolist() for f in cone_facts(*stack)] for stack in stacks]
     monkeypatch.setattr(lp, "_RAY_CHUNK", 1)
-    assert [[f.tolist() for f in _cone_facts(*stack)] for stack in stacks] == whole
+    assert [[f.tolist() for f in cone_facts(*stack)] for stack in stacks] == whole
 
 
 def test_too_many_supports_raise_before_enumerating():
     # 36 children at rank 27: C(36,10) supports.
-    W = np.random.default_rng(0).normal(size=(1, 9, 36))
+    rng = np.random.default_rng(0)
+    Y, s = rng.normal(size=(1, 36, 27)), rng.normal(size=(1, 27))
     start = time.perf_counter()
     with pytest.raises(NumericalFailure, match=r"C\(36,10\)"):
-        lp.cone_ratios(W, np.ones((1, 36)), np.ones((1, 36)))
+        cone_facts(Y, s, np.ones((1, 36)))
     assert time.perf_counter() - start < 1.0
 
 
@@ -258,7 +260,7 @@ def test_a_zero_state_price_makes_the_maximum_unbounded(seed):
     Y = np.random.default_rng(seed).uniform(0.5, 2.0, (3, 4))
     s = Y.T @ np.array([0.3, 0.0, 0.4])
     p = np.array([0.2, 0.5, 0.3])
-    facts = _cone_facts(Y[None], s[None], p[None])
+    facts = cone_facts(Y[None], s[None], p[None])
     assert verdicts("consistency", facts) == [("unbounded", None)]
     assert verdicts("neutrality", facts) == [("optimal", pytest.approx(0.2 / 0.3, rel=1e-12))]
     for audit in ("consistency", "neutrality"):

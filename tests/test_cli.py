@@ -767,6 +767,15 @@ def _family(**family):
          "market.close_out must be true or false, not None"),
         (lambda doc: doc["grid"].update(T=True), "grid.T must be an integer, not True"),
         (lambda doc: doc["grid"].update(T=1.5), "grid.T must be an integer, not 1.5"),
+        (lambda doc: doc["liability"]["outflows"].update(hi=-5),
+         "liability.outflows has negative value -5.0 at node 'hi'"),
+        (lambda doc: doc["liability"].update(inflows={"lo": 0.0, "mid": -1.0}),
+         "liability.inflows has negative value -1.0 at node 'mid'"),
+        (lambda doc: doc.update(illiquid={"inflows": {"hi": -0.5}}),
+         "illiquid.inflows has negative value -0.5 at node 'hi'"),
+        (lambda doc: doc.update(grid=5), "grid must be an object, not int"),
+        (lambda doc: doc.update(tree=[]), "tree must be an object, not list"),
+        (lambda doc: doc.update(market="tradables"), "market must be an object, not str"),
     ],
     ids=[
         "node_without_id", "node_without_date", "nodes_not_a_list", "node_not_an_object",
@@ -785,7 +794,8 @@ def _family(**family):
         "bisection_negative", "bisection_nan", "bisection_boolean", "fulfillment_as_list",
         "p_boolean", "p_zero", "p_above_one", "alpha_boolean", "alpha_string", "alpha_one",
         "alpha_nan", "close_out_string", "close_out_number", "close_out_null", "horizon_boolean",
-        "horizon_fraction",
+        "horizon_fraction", "outflow_negative", "liability_inflow_negative",
+        "illiquid_inflow_negative", "grid_as_number", "tree_as_list", "market_as_string",
     ],
 )
 def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):
@@ -800,6 +810,13 @@ def test_malformed_input_is_one_error_line(edit, message, tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
         problem_from_dict(doc)
+
+
+def test_negative_terminal_values_load():
+    """Terminal values, unlike the other flows, may be negative."""
+    doc = two_point_doc()
+    doc["liability"]["terminal"] = {"lo": -5.0}
+    assert problem_from_dict(doc).liability.terminal.min() == -5.0
 
 
 @pytest.mark.parametrize(

@@ -18,59 +18,71 @@ def stacked(*arrays):
     return [np.asarray(a, dtype=float)[None] for a in arrays]
 
 
+def farkas_form(s, Y, b):
+    """The standard form of ``solve_lp``'s LP over free u with the first
+    row s.u = b[k] (the Farkas LP has b = -1) and Y u >= 0 for a stack:
+    columns (u+_0, u-_0, u+_1, ...), then one slack per row of Y."""
+    s, Y = np.asarray(s, dtype=float), np.asarray(Y, dtype=float)
+    N, K, d = Y.shape
+    A = np.zeros((N, 1 + K, 2 * d + K))
+    A[:, 0, 0 : 2 * d : 2], A[:, 0, 1 : 2 * d : 2] = s, -s
+    A[:, 1:, 0 : 2 * d : 2], A[:, 1:, 1 : 2 * d : 2] = -Y, Y
+    A[:, 1:, 2 * d :] = np.eye(K)
+    rhs = np.zeros((N, 1 + K))
+    rhs[:, 0] = b
+    return A, rhs
+
+
 class TestStandardForm:
     def test_first_vertex(self):
-        # x + y <= 4, x <= 2, x, y >= 0: the first basis in combinations
-        # order is {x, y}, the vertex (2, 2).
-        A_ub, b_ub = stacked([[1.0, 1.0], [1.0, 0.0]], [4.0, 2.0])
-        feasible, x = solve_lp(A_ub=A_ub, b_ub=b_ub, nonneg=True)
+        # x + y + s1 = 4, x + s2 = 2, all >= 0: the first basis in
+        # combinations order is {x, y}, the vertex (2, 2, 0, 0).
+        A, b = stacked([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], [4.0, 2.0])
+        feasible, x = cone_vertices(A, b)
         assert feasible.tolist() == [True]
-        assert x[0] == pytest.approx([2.0, 2.0], abs=1e-9)
+        assert x[0] == pytest.approx([2.0, 2.0, 0.0, 0.0], abs=1e-9)
 
     def test_infeasible_equality(self):
-        A_eq, b_eq = stacked([[1.0]], [-1.0])
-        feasible, x = solve_lp(A_eq=A_eq, b_eq=b_eq, nonneg=True)
+        A, b = stacked([[1.0]], [-1.0])
+        feasible, x = cone_vertices(A, b)
         assert feasible.tolist() == [False]
         assert x.tolist() == [[0.0]]
 
     def test_free_variable(self):
-        # x >= -3 (as -x <= 3), x free: the basis {x-} comes before the
-        # slack's, so x = -3.
-        A_ub, b_ub = stacked([[-1.0]], [3.0])
-        feasible, x = solve_lp(A_ub=A_ub, b_ub=b_ub, nonneg=False)
+        # u = -1 (s.u = -1 with s = 1) and y.u >= 0 with y = -1: the
+        # bases {u+, u-} and {u+, slack} come first but are singular or
+        # negative, then {u-, slack} gives u = -1.
+        feasible, u = solve_lp(*stacked([[-1.0]], [1.0]))
         assert feasible.tolist() == [True]
-        assert x[0, 0] == pytest.approx(-3.0, abs=1e-9)
+        assert u[0, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_redundant_consistent_rows(self):
         # Duplicated equality row is fine; contradictory one is infeasible.
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        feasible, _ = solve_lp(
-            A_eq=np.stack([A, A]), b_eq=np.array([[1.0, 2.0], [1.0, 3.0]]), nonneg=True
-        )
+        feasible, _ = cone_vertices(np.stack([A, A]), np.array([[1.0, 2.0], [1.0, 3.0]]))
         assert feasible.tolist() == [True, False]
 
     def test_degenerate_zero_rows(self):
         A = np.zeros((2, 2, 2))
-        feasible, x = solve_lp(A_eq=A, b_eq=np.array([[0.0, 0.0], [0.0, 1.0]]), nonneg=True)
+        feasible, x = cone_vertices(A, np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert feasible.tolist() == [True, False]
         assert x.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_an_empty_stack(self):
-        feasible, x = solve_lp(A_eq=np.zeros((0, 1, 2)), b_eq=np.zeros((0, 1)), nonneg=False)
-        assert feasible.shape == (0,) and x.shape == (0, 2)
-
-    def test_no_constraints_are_an_error(self):
-        with pytest.raises(ValueError, match="A_eq or A_ub"):
-            solve_lp(nonneg=True)
+        feasible, u = solve_lp(np.zeros((0, 1, 2)), np.zeros((0, 2)))
+        assert feasible.shape == (0,) and u.shape == (0, 2)
 
 
 def test_cone_membership_forms():
-    # s inside the cone of columns, then outside it.
+    # s inside the cone of the children's payoffs, then outside it: the
+    # membership LP has a vertex exactly where the Farkas LP has none.
     Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    feasible, _ = solve_lp(
-        A_eq=np.stack([Y, Y]), b_eq=np.array([[0.3, 0.7], [-0.3, 0.7]]), nonneg=True
-    )
+    s = np.array([[0.3, 0.7], [-0.3, 0.7]])
+    feasible, _ = cone_vertices(np.stack([Y, Y]), s)
     assert feasible.tolist() == [True, False]
+    found, u = solve_lp(np.stack([Y, Y]), s)
+    assert found.tolist() == [False, True]
+    assert u[1] @ s[1] == pytest.approx(-1.0, abs=1e-12) and (Y @ u[1] >= 0.0).all()
 
 
 def test_near_singular_bases_are_not_vertices(monkeypatch):
@@ -83,28 +95,26 @@ def test_near_singular_bases_are_not_vertices(monkeypatch):
     to |u| of about 1.2e16 with a residual under FEAS_TOL, which the
     kernel must not report: with b = 1 the first vertex is u = e_0 / s_0,
     and with b = -1 (the Farkas LP of a node whose price lies outside
-    its child's cone) there is no vertex, as y.u = 1.0279 b < 0. Both
-    LPs go in one stack."""
+    its child's cone, ``solve_lp``'s) there is no vertex, as
+    y.u = 1.0279 b < 0. Both standard forms go in one stack."""
     s = np.array([0.7073836800450722, 0.0, 0.9728817260959624])
     y = np.array([0.7271014153834542, 0.0, 1.0])
+    A, b = farkas_form(np.stack([s, s]), np.stack([y[None], y[None]]), [1.0, -1.0])
 
     def solve():
-        return solve_lp(
-            A_eq=np.stack([s[None], s[None]]),
-            b_eq=np.array([[1.0], [-1.0]]),
-            A_ub=np.stack([-y[None], -y[None]]),
-            b_ub=np.zeros((2, 1)),
-            nonneg=False,
-        )
+        feasible, z = cone_vertices(A, b)
+        return feasible, z[:, 0:6:2] - z[:, 1:6:2]
 
     feasible, x = solve()
     assert feasible.tolist() == [True, False]
     assert x[0].tolist() == pytest.approx([1.0 / s[0], 0.0, 0.0], rel=1e-15)
+    assert solve_lp(y[None, None], s[None])[0].tolist() == [False]
     # Without the conditioning rule the near-singular basis is reported.
     monkeypatch.setattr(lp, "_RANK_TOL", 1e-300)
     feasible, x = solve()
     assert feasible.tolist() == [True, True]
     assert np.abs(x[0]).max() > 1e15
+    assert solve_lp(y[None, None], s[None])[0].tolist() == [True]
 
 
 def test_too_many_bases_raise_before_enumerating():
@@ -202,7 +212,7 @@ def test_check_on_four_children_and_eight_risky_assets(tmp_path, monkeypatch):
 
 
 def test_check_on_six_children_and_eight_risky_assets(tmp_path, monkeypatch):
-    """With 6 children and 9 tradables an audit LP enumerates C(24,7)
-    bases at each of the 7 inner nodes: about 9 s for both audits on a
-    2-vCPU VM."""
+    """With 6 children and 9 tradables the child payoffs have rank 6 at
+    each of the 7 inner nodes: every audit ray is a unit vector, read
+    off without a solve, and each membership LP has a single basis."""
     _check_state_price_market(tmp_path, monkeypatch, 6)

@@ -9,9 +9,9 @@ other filters, and leaves the columns that are zero in every system of
 a stack out of the enumeration, which must give the same answer.
 
 On stacks of random standard-form problems, padded to one shape with
-zero rows and columns, and through ``solve_lp`` on stacks with free
-variables and inequality rows, the kernel must give every system the
-oracle's status and ``x`` bit for bit at zero cost, and a stack must
+zero rows and columns, and through ``solve_lp`` on stacks of Farkas LPs
+(free u with u.s = -1 and Y u >= 0), the kernel must give every system
+the oracle's status and ``x`` bit for bit at zero cost, and a stack must
 raise the error of its first system that raises. The kernel adds 0.0
 to the clipped vertex, so a -0.0 of the oracle's reads +0.0.
 """
@@ -179,6 +179,32 @@ def standard_stack(seed: int, kind: str):
     return A, b
 
 
+def farkas_stack(seed: int):
+    """(Y, s) of 1 to 4 Farkas LPs of one shape, (N, K, d) and (N, d):
+    some with the price inside the cone of the child payoffs (so without
+    a vertex), some with a coordinate whose price and payoffs are zero."""
+    rng = np.random.default_rng(seed)
+    integer = bool(rng.integers(2))
+    N, K, d = (int(v) for v in rng.integers(1, (5, 5, 4)))
+    Y = _matrix(rng, (N, K, d), integer)
+    s = _matrix(rng, (N, d), integer)
+    inside = rng.uniform(size=N) < 0.3
+    s[inside] = np.einsum("nk,nkd->nd", rng.uniform(0.0, 1.0, (N, K)), Y)[inside]
+    zero = np.flatnonzero(rng.uniform(size=N) < 0.3)
+    j = rng.integers(d, size=len(zero))
+    Y[zero, :, j] = 0.0
+    s[zero, j] = 0.0
+    return Y, s
+
+
+def oracle_farkas(Y, s):
+    """One node's Farkas LP by the per-basis oracle, in ``solve_lp``'s
+    layout."""
+    return oracle_solve_lp(
+        np.zeros(len(s)), A_eq=s[None], b_eq=[-1.0], A_ub=-Y, b_ub=np.zeros(len(Y)), nonneg=False
+    )
+
+
 def _outcome(solver, *args, **kwargs):
     """The oracle's ("optimal", x bytes), ("infeasible", None) or
     ("raises", message)."""
@@ -219,24 +245,13 @@ def test_cone_vertices_match_per_basis_loop(seed, kind):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_solve_lp_with_free_variables_matches_per_basis_loop(seed):
-    rng = np.random.default_rng(seed)
-    integer = bool(rng.integers(2))
-    N = int(rng.integers(1, 5))
-    n = int(rng.integers(1, 4))
-    m_eq = int(rng.integers(0, 3))
-    m_ub = int(rng.integers(0, 4))
-    nonneg = [bool(v) for v in rng.integers(2, size=n)]
-    A_eq = _matrix(rng, (N, m_eq, n), integer) if m_eq else None
-    b_eq = _matrix(rng, (N, m_eq), integer) if m_eq else None
-    # Without equality rows, A_ub (if need be with no rows) gives n.
-    A_ub = _matrix(rng, (N, m_ub, n), integer) if m_ub or not m_eq else None
-    b_ub = np.abs(_matrix(rng, (N, m_ub), integer)) if m_ub or not m_eq else None
-    lps = (A_eq, b_eq, A_ub, b_ub)
-    want = []
-    for k in range(N):
-        one = [None if a is None else a[k] for a in lps]
-        want.append(_outcome(oracle_solve_lp, np.zeros(n), *one, nonneg))
-    assert _stack_outcome(*solve_lp(*lps, nonneg=nonneg)) == want
+    Y, s = farkas_stack(seed)
+    want = [_outcome(oracle_farkas, y, t) for y, t in zip(Y, s)]
+    try:
+        got = _stack_outcome(*solve_lp(Y, s))
+    except NumericalFailure as e:
+        got = ("raises", str(e))
+    assert got == _first_raise(want)
 
 
 def test_generators_cover_every_case():
@@ -275,3 +290,9 @@ def test_generators_cover_every_case():
         statuses = {oracle_solve_standard(np.zeros(A.shape[2]), a, v).status for a, v in zip(A, b)}
         mixed += statuses == {"optimal", "infeasible"}
     assert mixed
+    farkas = set()
+    for seed in range(40):
+        for y, t in zip(*farkas_stack(seed)):
+            zero_coordinate = bool((~y.any(axis=0) & (t == 0.0)).any())
+            farkas.add((oracle_farkas(y, t).status, zero_coordinate))
+    assert farkas >= {("optimal", False), ("infeasible", False), ("optimal", True)}
