@@ -36,6 +36,7 @@ from .conditions import (
     flat_rates,
     period_rates_from_market,
     root_homogeneity_payoffs,
+    tradable_cone_facts,
 )
 from .config import ValuationProblem, financiability_of, load_config
 from .engine import (
@@ -427,11 +428,13 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         cert_raw = check_consistency(problem.market, tree, None)
         doc["consistency"]["full_space"] = _certificate_json(tree, cert_raw)
     rates = _engine_rates(problem)
+    # Both audits are read off the same cone facts: one pass for both.
+    facts = tradable_cone_facts(financiability, problem.market, tree, problem.restriction)
     cons = audit_consistency_with_tradables(
-        financiability, problem.market, tree, problem.restriction, rates
+        financiability, problem.market, tree, problem.restriction, rates, facts
     )
     neut = audit_neutrality_to_tradables(
-        financiability, problem.market, tree, problem.restriction, rates
+        financiability, problem.market, tree, problem.restriction, rates, facts
     )
     first_year = tree.grid.index(1)
     # The state-price bound prices the root's first year through the

@@ -406,6 +406,31 @@ def _verdict(kind: str, outside, ray, positive, flat, hi, lo):
     return status, np.where(status == OPTIMAL, optimum, np.nan)
 
 
+def tradable_cone_facts(
+    spec: FinanciabilitySpec,
+    market: TradableSet,
+    tree: ScenarioTree,
+    restriction: Optional[RestrictionSet],
+):
+    """What both tradable audits are decided from: ``lp.cone_facts`` of
+    every inner node, (outside, ray, positive, flat, hi, lo) as arrays
+    over the inner nodes, from one call per date and child count. None
+    where ``spec`` makes both audits hold by construction (state_price
+    and zero), which read no facts. One pass serves both audits."""
+    if spec.variant in ("state_price", "zero"):
+        return None
+    if restriction is None:
+        restriction = RestrictionSet.full(market.n_assets)
+    pay = restriction.restrict(market.payoffs)
+    price = restriction.restrict(market.prices)
+    n = tree.n_inner
+    facts = tuple(np.empty(n, dtype=bool) for _ in range(4)) + (np.empty(n), np.empty(n))
+    for group, kids in tree.sibling_groups():
+        for column, values in zip(facts, lp.cone_facts(pay[kids], price[group], tree.prob[kids])):
+            column[group] = values
+    return facts
+
+
 def _audit_tradables(
     spec: FinanciabilitySpec,
     market: TradableSet,
@@ -413,9 +438,10 @@ def _audit_tradables(
     restriction: Optional[RestrictionSet],
     rates: np.ndarray,
     kind: str,
+    facts,
 ) -> TradableAuditReport:
-    """Each inner node's audit, decided by ``lp.cone_facts`` for the
-    nodes of one date and child count at a time and by ``_verdict``."""
+    """Each inner node's audit, decided by ``_verdict`` from ``facts``
+    (``tradable_cone_facts``, computed here when None)."""
     n = tree.n_inner
     if spec.variant in ("state_price", "zero"):
         # Only C = 0 is acceptable under zero: adding a priced
@@ -426,15 +452,9 @@ def _audit_tradables(
             kind, np.full(n, BY_CONSTRUCTION, dtype=np.int8), np.full(n, np.nan),
             np.full(n, np.nan), np.full(n, flagged),
         )
-    if restriction is None:
-        restriction = RestrictionSet.full(market.n_assets)
-    pay = restriction.restrict(market.payoffs)
-    price = restriction.restrict(market.prices)
-    status = np.empty(n, dtype=np.int8)
-    optimum = np.empty(n)
-    for group, kids in tree.sibling_groups():
-        facts = lp.cone_facts(pay[kids], price[group], tree.prob[kids])
-        status[group], optimum[group] = _verdict(kind, *facts)
+    if facts is None:
+        facts = tradable_cone_facts(spec, market, tree, restriction)
+    status, optimum = _verdict(kind, *facts)
     hurdle = 1.0 + rates + spec.eta
     if kind == "consistency":
         beyond = optimum > hurdle + SLACK
@@ -450,10 +470,13 @@ def audit_consistency_with_tradables(
     tree: ScenarioTree,
     restriction: Optional[RestrictionSet],
     rates: np.ndarray,
+    facts=None,
 ) -> TradableAuditReport:
     """Flag nodes where a self-financing payoff would be funded above its
-    market price (expected step return above the period hurdle)."""
-    return _audit_tradables(spec, market, tree, restriction, rates, "consistency")
+    market price (expected step return above the period hurdle).
+    ``facts`` may hold ``tradable_cone_facts`` of the same market, tree
+    and restriction, to share one pass with the neutrality audit."""
+    return _audit_tradables(spec, market, tree, restriction, rates, "consistency", facts)
 
 
 def audit_neutrality_to_tradables(
@@ -462,7 +485,9 @@ def audit_neutrality_to_tradables(
     tree: ScenarioTree,
     restriction: Optional[RestrictionSet],
     rates: np.ndarray,
+    facts=None,
 ) -> TradableAuditReport:
     """Flag nodes where some admissible self-financing portfolio earns an
-    expected step return below the period hurdle."""
-    return _audit_tradables(spec, market, tree, restriction, rates, "neutrality")
+    expected step return below the period hurdle. ``facts`` as for
+    ``audit_consistency_with_tradables``."""
+    return _audit_tradables(spec, market, tree, restriction, rates, "neutrality", facts)

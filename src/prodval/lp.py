@@ -1,5 +1,5 @@
 """The three cone questions of ``check``, each asked for a stack of
-nodes at once, answered by exhaustive basis enumeration.
+nodes at once.
 
 - ``cone_vertices``: the membership LP of every inner node (``market``),
   stacked per date and child count. For each system A[k] z = b[k],
@@ -7,10 +7,14 @@ nodes at once, answered by exhaustive basis enumeration.
   ``itertools.combinations`` order of the bases, or reports that there
   is none, so the answer is deterministic and needs nothing beyond
   numpy.
-- ``solve_lp``: the Farkas LP of each node whose price lies outside the
-  cone of its child payoffs, stacked per date and child count likewise.
-  It lays the LP out in that standard form and returns ``(found, u)`` as
-  ``cone_vertices`` does.
+- ``solve_lp``: the projection of the price of each node whose
+  membership LP has no vertex onto the cone of its child payoffs,
+  stacked per date and child count likewise: non-negative least squares
+  by Lawson and Hanson's active-set iteration. It returns ``(inside,
+  lam, u)``: whether the residual r = s - Y^T lam is within FEAS_TOL *
+  max(1, |Y|, |s|), the projection's weights lam, and elsewhere the
+  violation u = -r / (s.r), which is -r / |r|^2 at the projection, so
+  that Y u >= 0 and u.s = -1. It enumerates no basis.
 - ``cone_facts``: what the tradable audits (``conditions``) are decided
   from, read off the extreme rays of each node's cone of non-negative
   attainable child payoffs without an LP: the rays are the vertices of
@@ -29,9 +33,10 @@ Enumeration is chunked: bases are taken in combinations order,
 stacked ``np.linalg.solve`` after dropping exactly singular bases; the
 residual and ``z >= 0`` filters are array operations. Each basis gets
 the same bits as a solve of its own. A column that is zero in every
-system of the stack (a free weight on a coordinate with zero price and
-payoffs, say) is left out: a basis holding it is exactly singular, so
-the other bases keep their combinations order.
+system of the stack (the weight of a child that pays nothing on the
+restriction, say) is left out: a basis holding it is exactly singular,
+so the other bases keep their combinations order, and it does not count
+against ``_MAX_BASES``.
 
 A basis is a vertex when its solution is finite, non-negative within
 ``FEAS_TOL``, has an absolute residual within ``FEAS_TOL``, and the
@@ -65,6 +70,7 @@ from .errors import NumericalFailure
 FEAS_TOL = 1e-9
 _RANK_TOL = 1e-11
 _MAX_BASES = 500_000
+_DUAL_TOL = 1e-12  # solve_lp: least y_c.r / (|y_c| |r|) that adds child c
 _MAX_SUPPORTS = 1 << 16  # cone_facts candidate rays per cone
 _RAY_CHUNK = 1 << 14  # cone_facts candidate rays per stacked solve
 _CHUNK = 512  # bases per system per stacked solve
@@ -156,8 +162,9 @@ def cone_vertices(A: np.ndarray, b: np.ndarray):
     first vertex of system k in combinations order, clipped at +0.0;
     elsewhere it is zero. Raises NumericalFailure for the first system of
     the stack with a dropped row that the kept rows cannot express, or
-    with more than ``_MAX_BASES`` bases C(n, r) over all n columns, before
-    enumerating any."""
+    with more than ``_MAX_BASES`` bases C(n', r), before enumerating any:
+    n' counts the columns that ``_first_vertices`` enumerates, those
+    nonzero in the kept rows of some system that keeps r rows."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     N, m, n = A.shape
@@ -170,20 +177,23 @@ def cone_vertices(A: np.ndarray, b: np.ndarray):
     inconsistent, failed = _dropped_status(A, b, kept, scale)
     rank = kept.sum(axis=1)
     implied = ~(inconsistent | failed)
-    too_large = np.array([r > 0 and math.comb(n, r) > _MAX_BASES for r in range(m + 1)])
+    reduced = {}  # kept-row count r -> (systems, A and b on their kept rows)
+    width = np.zeros(m + 1, dtype=np.intp)  # enumerated columns per r
+    for r in sorted(set(rank[implied].tolist()) - {0}):
+        idx = np.flatnonzero(implied & (rank == r))
+        Ar = A[idx][kept[idx]].reshape(-1, r, n)
+        reduced[r] = idx, Ar, b[idx][kept[idx]].reshape(-1, r)
+        width[r] = np.count_nonzero(Ar.any(axis=(0, 1)))
+    too_large = np.array([r > 0 and math.comb(int(width[r]), r) > _MAX_BASES for r in range(m + 1)])
     raises = np.flatnonzero(failed | implied & too_large[rank])
     if len(raises):
         k = raises[0]
         if failed[k]:
             raise NumericalFailure("row reduction failed to express a dependent row")
-        raise NumericalFailure(f"basis enumeration too large: C({n},{rank[k]})")
+        raise NumericalFailure(f"basis enumeration too large: C({width[rank[k]]},{rank[k]})")
     feasible[implied & (rank == 0)] = True
-    for r in sorted(set(rank[implied].tolist()) - {0}):
-        idx = np.flatnonzero(implied & (rank == r))
-        rows = kept[idx]
-        feasible[idx], x[idx] = _first_vertices(
-            A[idx][rows].reshape(-1, r, n), b[idx][rows].reshape(-1, r), scale[idx]
-        )
+    for idx, Ar, br in reduced.values():
+        feasible[idx], x[idx] = _first_vertices(Ar, br, scale[idx])
     return feasible, x
 
 
@@ -429,23 +439,92 @@ def _bases(n: int, r: int) -> np.ndarray:
 
 
 def solve_lp(Y: np.ndarray, s: np.ndarray):
-    """The Farkas LPs of a stack of nodes whose price lies outside the
-    cone of their child payoffs: a portfolio u with u.s = -1 and Y u >= 0,
-    for Y (N, K, d), each node's restricted child payoffs one row per
-    child, and s (N, d), its restricted price. Returns (found, u) as
-    ``cone_vertices`` gives them, u zero where no vertex is found.
+    """The projection of each node's restricted price onto the cone of
+    its child payoffs, for a stack of nodes with equal child counts: Y
+    (N, K, d) holds each node's restricted child payoffs, one row per
+    child, and s (N, d) its restricted price. Returns (inside, lam, u).
+    The name is kept from the Farkas LP this replaced.
 
-    u is free, u = u+ - u-, so the standard form has the columns
-    (u+_0, u-_0, u+_1, ..., u-_{d-1}) and then one slack per child: row 0
-    is s.u+ - s.u- = -1 and row 1 + c is -y_c.u+ + y_c.u- + slack_c = 0."""
+    lam >= 0 minimises |r|, r = s - Y^T lam. ``inside`` is |r| <=
+    FEAS_TOL * max(1, |Y|, |s|). Elsewhere u = -r / (s.r) is a
+    violation, zero where inside: at the projection Y r <= 0 and
+    lam.(Y r) = 0 (Moreau 1962), so s.r = |r|^2, Y u >= 0 and u.s = -1.
+
+    Lawson & Hanson's active-set iteration (1974, ch. 23), one round for
+    the whole stack at a time, with a passive-set mask per node. A node
+    whose last solve on its passive set was non-negative adds the child
+    with the largest y_c.r / |y_c| above ``_DUAL_TOL * |r|``, or stops
+    when there is none or it is inside. A node whose solve was not steps
+    back to where its first weight reaches 0 and drops the children at
+    0. Each solve is the least-norm one, from one stacked SVD with the
+    rank tolerance of ``cone_vertices``. The residual is projected off
+    the span of the passive children once more before u is taken from
+    it: the rounding of s - Y^T lam along that span would otherwise give
+    y_c.u an error of about eps |s| / |r| relative to |y_c| |u|."""
+    Y = np.asarray(Y, dtype=float)
+    s = np.asarray(s, dtype=float)
     N, K, d = Y.shape
-    A = np.zeros((N, 1 + K, 2 * d + K))
-    A[:, 0, 0 : 2 * d : 2] = s
-    A[:, 0, 1 : 2 * d : 2] = -s
-    A[:, 1:, 0 : 2 * d : 2] = -Y
-    A[:, 1:, 1 : 2 * d : 2] = Y
-    A[:, 1:, 2 * d :] = np.eye(K)
-    b = np.zeros((N, 1 + K))
-    b[:, 0] = -1.0
-    found, z = cone_vertices(A, b)
-    return found, z[:, 0 : 2 * d : 2] - z[:, 1 : 2 * d : 2]
+    scale = _scale(Y, s)
+    tol = FEAS_TOL * scale
+    cut = _RANK_TOL * scale
+    size = np.linalg.norm(Y, axis=2)
+    lam = np.zeros((N, K))
+    passive = np.zeros((N, K), dtype=bool)
+    live = np.ones(N, dtype=bool)  # still iterating
+    solved = np.ones(N, dtype=bool)  # lam solves its passive set
+    r = s.copy()
+    for _ in range(3 * K + 1):
+        t = np.flatnonzero(live & solved)
+        if len(t):
+            w = (Y[t] @ r[t, :, None])[..., 0]
+            norm = np.linalg.norm(r[t], axis=1)[:, None]
+            enter = ~passive[t] & (w > _DUAL_TOL * size[t] * norm) & (norm > tol[t, None])
+            some = enter.any(axis=1)
+            live[t[~some]] = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                j = np.where(enter, w / size[t], -np.inf).argmax(axis=1)
+            passive[t[some], j[some]] = True
+        g = np.flatnonzero(live)
+        if not len(g):
+            break
+        z, _ = _passive_solve(Y[g], s[g], passive[g], cut[g])
+        bad = passive[g] & (z <= 0.0)
+        ok = ~bad.any(axis=1)
+        lam[g[ok]] = z[ok]
+        solved[g] = ok
+        b = g[~ok]
+        if len(b):
+            # Step from lam towards z until the first weight reaches 0.
+            old, z, bad = lam[b], z[~ok], bad[~ok]
+            step = np.zeros(old.shape)
+            np.divide(old, old - z, out=step, where=bad & (old > z))
+            step = np.where(bad, step, np.inf)
+            first = step.argmin(axis=1)
+            new = old + step[np.arange(len(b)), first][:, None] * (z - old)
+            keep = passive[b] & (new > 0.0)
+            keep[np.arange(len(b)), first] = False
+            passive[b] = keep
+            lam[b] = np.where(keep, new, 0.0)
+        r[g] = s[g] - (lam[g, None, :] @ Y[g])[:, 0]
+    inside = np.linalg.norm(r, axis=1) <= tol
+    _, V = _passive_solve(Y, s, passive, cut)
+    r -= ((r[:, None, :] @ V.transpose(0, 2, 1)) @ V)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Adding 0.0 makes a -0.0 read +0.0.
+        u = -r / (s * r).sum(axis=1)[:, None] + 0.0
+    u[inside] = 0.0
+    return inside, lam, u
+
+
+def _passive_solve(Y: np.ndarray, s: np.ndarray, passive: np.ndarray, cut: np.ndarray):
+    """(z, V) for a stack: z the least-norm minimiser of |s - Y^T z|
+    over the z that are zero off the ``passive`` children, and V, shape
+    (N, min(K, d), d), whose nonzero rows are an orthonormal basis of the
+    span of the passive children's payoffs. Singular values at most
+    ``cut`` count as zero."""
+    M = Y * passive[..., None]
+    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = S > cut[:, None]
+    inv = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
+    z = (U @ ((Vt @ s[..., None])[..., 0] * inv)[..., None])[..., 0]
+    return z * passive, Vt * keep[..., None]

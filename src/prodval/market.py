@@ -26,6 +26,7 @@ from .errors import (
 )
 from .lattice import ScenarioTree
 from . import lp
+from .lp import FEAS_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,15 +259,17 @@ def check_consistency(
     restricted child payoffs Y. The membership LPs of every inner node,
     complete or not, are decided together per date and child count by
     ``lp.cone_vertices``, one stacked vertex enumeration each. After all
-    of them, the nodes whose LP is infeasible (their price lies outside
-    the cone of their child payoffs) get their violating portfolios from
-    the Farkas LP over free u, u.s = -1 and Y^T u >= 0, as the first
-    vertex of its standard form; those LPs are stacked per date and child
-    count likewise through one ``lp.solve_lp`` call each. A
-    NumericalFailure of a membership stack is raised first, for the first
-    failing node in date and child-count order; then one that a Farkas
-    stack raises; then, if some Farkas LP has no vertex, one naming the
-    lowest such node.
+    of them, the nodes whose LP is infeasible are projected onto the cone
+    of their child payoffs, stacked per date and child count likewise
+    through one ``lp.solve_lp`` call each: lambda* >= 0 minimises the
+    residual r = s - Y lambda*. A node with |r| <= FEAS_TOL * max(1, |Y|,
+    |s|) lies within the tolerance of the cone and is consistent, with
+    the weights lambda*. Any other node is inconsistent, with the
+    violation u = -r / |r|^2: u.y_c >= 0 at every child c and u.s = -1.
+    Each of these verdicts is re-checked from Y and s (``_certified``);
+    one that fails raises NumericalFailure naming the lowest such node.
+    A NumericalFailure of a membership stack is raised first, for the
+    first failing node in date and child-count order.
     """
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
@@ -284,17 +287,39 @@ def check_consistency(
         if not feasible.all():
             outside.append((np.asarray(group)[~feasible], kids[~feasible]))
     violation = np.full((tree.n_inner, market.n_assets), np.nan)
-    no_vertex = []
+    uncertified = []
     for nodes, kids in outside:
-        # Farkas alternative: u with u.y_c >= 0 for all children c and
-        # u.s = -1.
-        found, u = lp.solve_lp(pay[kids], price[nodes])
-        # x.S_node = u.s = -1 exactly, so the breach margin is unit sized.
-        # A stacked product gives each row the bits of B @ u[k].
-        violation[nodes] = np.matmul(B, u[..., None])[..., 0]
-        no_vertex += nodes[~found].tolist()
-    if no_vertex:
+        Y, s = pay[kids], price[nodes]
+        inside, lam, u = lp.solve_lp(Y, s)
+        uncertified += nodes[~_certified(Y, s, inside, lam, u)].tolist()
+        consistent_at[nodes] = inside
+        weights[kids[inside]] = lam[inside]
+        # x.S_node = u.s = -1. A stacked product gives each row the bits
+        # of B @ u[k].
+        violation[nodes[~inside]] = np.matmul(B, u[~inside, :, None])[..., 0]
+    if uncertified:
         raise NumericalFailure(
-            f"neither cone membership nor a violation certified at node {min(no_vertex)}"
+            f"projection certificate failed its check at node {tree.labels[min(uncertified)]!r}"
         )
     return ConsistencyCertificate(consistent_at, violation, weights)
+
+
+def _certified(Y: np.ndarray, s: np.ndarray, inside: np.ndarray, lam: np.ndarray, u: np.ndarray):
+    """Whether each verdict of ``lp.solve_lp`` on the stack (Y, s) holds,
+    re-checked from Y and s alone, with tol = FEAS_TOL * max(1, |Y|, |s|)
+    per node: a consistent node's weights are non-negative and rebuild s
+    within tol; an inconsistent node's violation u has y_c.u >= -tol |u|
+    at every child c and |u.s + 1| <= tol |u|. The violation's bounds
+    grow with |u|, which is about 1 / |r|: rounding of the residual
+    scales with it."""
+    tol = FEAS_TOL * np.fmax(
+        1.0, np.fmax(np.abs(Y).max(axis=(1, 2), initial=0.0), np.abs(s).max(axis=1, initial=0.0))
+    )
+    rebuilt = np.abs((lam[:, None, :] @ Y)[:, 0] - s).max(axis=1, initial=0.0)
+    weights_hold = (lam >= 0.0).all(axis=1) & (rebuilt <= tol)
+    bound = tol * np.linalg.norm(u, axis=1)
+    with np.errstate(invalid="ignore"):
+        pays = (Y @ u[..., None])[..., 0].min(axis=1, initial=np.inf) >= -bound
+        priced = np.abs((u * s).sum(axis=1) + 1.0) <= bound
+    return np.where(inside, weights_hold, pays & priced)
+

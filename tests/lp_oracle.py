@@ -17,9 +17,15 @@ vertex below -FEAS_TOL. The ray LP is skipped where the reduced costs
 at least ``-FEAS_TOL * 1e-3``: c.d = (c - A^T y).d is then at least
 that on every ray.
 
-``oracle_solve_lp`` lays out free variables and inequality rows of one
-LP as ``lp.solve_lp`` does for each LP of its stack, and solves the
-standard form by the oracle.
+``oracle_solve_lp`` lays out free variables (two columns each, u+ and
+u-) and inequality rows (one slack each) of one LP in standard form,
+and solves it by the oracle.
+
+``oracle_verdict`` is what the membership and Farkas LPs of one node,
+solved by the oracle, say about the side of the cone its price lies on,
+where they say it by more than the tolerance of ``lp.solve_lp``'s
+projection; ``projection_problems`` re-checks one node's projection
+verdict from the node's payoffs and price alone.
 
 ``oracle_lp_optimum`` gives the status and optimum of the same LP with
 the same row reduction and vertex rules, but evaluates all bases of the
@@ -141,7 +147,7 @@ def oracle_solve_standard(c, A, b, check_ray=True, stats=None):
 
 def _standard_form(c, A_eq, b_eq, A_ub, b_ub, nonneg):
     """(cost, A, b, var, sign) of min c.x with A_eq x = b_eq, A_ub x <=
-    b_ub in ``lp.solve_lp``'s layout: one column per non-negative
+    b_ub in standard form: one column per non-negative
     variable, two per free variable (x = x+ - x-), then one slack per
     inequality row. Column j < len(var) holds sign[j] times variable
     var[j]."""
@@ -168,8 +174,8 @@ def _standard_form(c, A_eq, b_eq, A_ub, b_ub, nonneg):
 
 
 def oracle_solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True):
-    """min c.x with A_eq x = b_eq, A_ub x <= b_ub, in ``lp.solve_lp``'s
-    layout (``_standard_form``)."""
+    """min c.x with A_eq x = b_eq, A_ub x <= b_ub, laid out by
+    ``_standard_form``."""
     c = np.asarray(c, dtype=float)
     cost, A, b, var, sign = _standard_form(c, A_eq, b_eq, A_ub, b_ub, nonneg)
     res = oracle_solve_standard(cost, A, b)
@@ -212,6 +218,53 @@ def oracle_lp_optimum(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=True
             if ((cost[J] * d).sum(axis=1) < -FEAS_TOL).any():
                 return "unbounded", None
     return "optimal", float(costs.min())
+
+
+def _projection_tol(Y, s):
+    """``lp.solve_lp``'s tolerance on the residual: FEAS_TOL * max(1,
+    |Y|, |s|)."""
+    return FEAS_TOL * max(1.0, float(np.abs(Y).max(initial=0.0)), float(np.abs(s).max(initial=0.0)))
+
+
+def oracle_verdict(Y, s):
+    """True where the oracle's membership LP of one node, Y (K, d) its
+    child payoffs one row each and s (d,) its price, has weights that
+    rebuild s within a tenth of the projection's tolerance; False where
+    its Farkas LP (free u, u.s = -1, Y u >= 0) has a vertex u with 1/|u|,
+    a lower bound on the distance of s from the cone, above ten times
+    that tolerance; None where neither LP says so by that margin."""
+    tol = _projection_tol(Y, s)
+    K, d = Y.shape
+    member = oracle_solve_lp(np.zeros(K), A_eq=Y.T, b_eq=s, nonneg=True)
+    if member.status == "optimal" and np.linalg.norm(Y.T @ member.x - s) <= 0.1 * tol:
+        return True
+    farkas = oracle_solve_lp(
+        np.zeros(d), A_eq=s[None], b_eq=[-1.0], A_ub=-Y, b_ub=np.zeros(K), nonneg=False
+    )
+    if farkas.status == "optimal" and 1.0 / np.linalg.norm(farkas.x) > 10.0 * tol:
+        return False
+    return None
+
+
+def projection_problems(Y, s, inside, lam, u):
+    """What fails in one node's projection verdict (inside, lam, u),
+    checked from Y (K, d) and s (d,) alone, with tol the projection's
+    tolerance: inside, lam >= 0 must rebuild s within tol; outside, every
+    child payoff y.u must be at least -tol |u| and u.s within tol |u| of
+    -1. An empty list when the verdict holds."""
+    tol = _projection_tol(Y, s)
+    if inside:
+        problems = ["negative weight"] if min(lam) < 0.0 else []
+        if np.abs(Y.T @ lam - s).max(initial=0.0) > tol:
+            problems.append(f"weights miss the price by {np.abs(Y.T @ lam - s).max()!r}")
+        return problems
+    size = float(np.linalg.norm(u))
+    problems = []
+    if not (Y @ u).min(initial=np.inf) >= -tol * size:
+        problems.append(f"child payoff {(Y @ u).min()!r} below 0, |u| = {size!r}")
+    if not abs(float(u @ s) + 1.0) <= tol * size:
+        problems.append(f"price {float(u @ s)!r}, not -1, |u| = {size!r}")
+    return problems
 
 
 @lru_cache(maxsize=None)

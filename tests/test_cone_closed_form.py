@@ -2,13 +2,17 @@
 
 ``market.check_consistency`` decides every inner node's membership LP
 with ``lp.cone_vertices``, one stacked vertex enumeration per date and
-child count, and then the Farkas LPs of the nodes where that LP is
-infeasible, stacked per date and child count through ``lp.solve_lp``.
-The oracle below is a frozen copy of the loop it replaced, on the frozen
-per-basis LP of ``lp_oracle`` at zero cost: one LP per node, and the
-Farkas LP where that is not optimal. On random markets the two must give
-the same verdicts, the same weights and violations bit for bit (compared
-by ``float.hex``), and the same errors.
+child count, and then projects the prices of the nodes where that LP is
+infeasible onto the cone of their child payoffs, stacked per date and
+child count through ``lp.solve_lp``. The oracle below is the per-node
+loop of the frozen per-basis LP of ``lp_oracle`` at zero cost: the
+membership LP of each node, and where that is not optimal the verdict
+of ``lp_oracle.oracle_verdict``. On random markets the program must
+give the same weights bit for bit (compared by ``float.hex``) where the
+membership LP is optimal, the same side of the cone wherever the
+oracle's LPs give it by more than the projection's tolerance, and the
+same errors; every certificate it gives must hold when re-checked from
+the market (``lp_oracle.projection_problems``).
 
 The market generators build what the certificates must get right:
 square and tall Y, rank-deficient Y (duplicate child payoffs, a child
@@ -35,7 +39,7 @@ from prodval.errors import NumericalFailure
 from prodval.lp import FEAS_TOL, cone_vertices
 from prodval.market import RestrictionSet, TradableSet, check_consistency
 
-from lp_oracle import oracle_solve_lp
+from lp_oracle import oracle_solve_lp, oracle_verdict, projection_problems
 from util import random_tree
 
 
@@ -43,6 +47,9 @@ from util import random_tree
 
 
 def oracle_check_consistency(market, tree, restriction=None):
+    """Per inner node (True, weights) where its membership LP is
+    optimal, otherwise the side ``oracle_verdict`` gives: (False, None),
+    or None where the LPs do not decide by the margin."""
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)
     B = restriction.matrix()
@@ -56,30 +63,20 @@ def oracle_check_consistency(market, tree, restriction=None):
         primal = oracle_solve_lp(np.zeros(len(children)), A_eq=Y, b_eq=s, nonneg=True)
         if primal.status == "optimal":
             verdicts[node] = (True, {c: float(primal.x[k]) for k, c in enumerate(children)})
-            continue
-        alt = oracle_solve_lp(
-            np.zeros(len(s)),
-            A_eq=s.reshape(1, -1),
-            b_eq=np.array([-1.0]),
-            A_ub=-Y.T,
-            b_ub=np.zeros(len(children)),
-            nonneg=False,
-        )
-        if alt.status != "optimal":
-            raise NumericalFailure(
-                f"neither cone membership nor a violation certified at node {node}"
-            )
-        verdicts[node] = (False, tuple(float(v) for v in B @ alt.x))
+        elif oracle_verdict(Y.T, s) is False:
+            verdicts[node] = (False, None)
+        else:
+            verdicts[node] = None
     return verdicts
 
 
 def _hex(verdicts):
     out = {}
-    for node, (consistent, data) in verdicts.items():
-        if consistent:
-            out[node] = (True, {c: w.hex() for c, w in data.items()})
+    for node, verdict in verdicts.items():
+        if verdict is None or not verdict[0]:
+            out[node] = verdict
         else:
-            out[node] = (False, tuple(v.hex() for v in data))
+            out[node] = (True, {c: w.hex() for c, w in verdict[1].items()})
     return out
 
 
@@ -92,8 +89,8 @@ def _outcome(fn, *args):
 
 def _program(market, tree, restriction):
     """The certificate's arrays as the oracle's verdicts: each inner
-    node's weights, read from ``weights`` at its children, or its row of
-    ``violation``."""
+    node's weights, read from ``weights`` at its children, or (False,
+    None) for a violation."""
     cert = check_consistency(market, tree, restriction)
     # What no verdict reads is NaN: the weights of the root and of the
     # children of inconsistent nodes, the violations of consistent nodes.
@@ -101,13 +98,57 @@ def _program(market, tree, restriction):
     unread = np.isin(tree.parent, bad) | (tree.parent < 0)
     assert np.isnan(cert.weights[unread]).all() and not np.isnan(cert.weights[~unread]).any()
     assert np.isnan(cert.violation[cert.consistent_at]).all()
+    assert not np.isnan(cert.violation[~cert.consistent_at]).any()
     weights = cert.weights.tolist()
     return {
-        node: (True, {c: weights[c] for c in tree.children[node]})
-        if consistent
-        else (False, tuple(cert.violation[node].tolist()))
+        node: (True, {c: weights[c] for c in tree.children[node]}) if consistent else (False, None)
         for node, consistent in enumerate(cert.consistent_at.tolist())
     }
+
+
+def _certificate_problems(market, tree, restriction, nodes):
+    """Per node of ``nodes`` whose certificate fails
+    ``projection_problems`` in the restricted coordinates, what fails:
+    the restricted violation u is read back from the full-space one, x =
+    B u."""
+    cert = check_consistency(market, tree, restriction)
+    if restriction is None:
+        restriction = RestrictionSet.full(market.n_assets)
+    B = restriction.matrix()
+    problems = {}
+    for node in nodes:
+        consistent = cert.consistent_at[node]
+        kids = list(tree.children[node])
+        Y = np.array([B.T @ market.payoff(c) for c in kids])
+        s = B.T @ market.price(node)
+        if consistent:
+            found = projection_problems(Y, s, True, cert.weights[kids], None)
+        else:
+            u = np.linalg.lstsq(B, cert.violation[node], rcond=None)[0]
+            found = projection_problems(Y, s, False, None, u)
+            if np.abs(B @ u - cert.violation[node]).max() > 1e-9 * max(1.0, np.abs(u).max()):
+                found.append("violation leaves the restriction")
+        if found:
+            problems[node] = found
+    return problems
+
+
+def _agree(market, tree, restriction):
+    """(got, want): the program's and the oracle's outcomes, after
+    asserting that they agree: the same errors, the same weights where
+    the membership LP is optimal, and the same side wherever the oracle
+    decides; and that each certificate at a node whose membership LP is
+    not optimal, the projection's, passes ``_certificate_problems``."""
+    got = _outcome(_program, market, tree, restriction)
+    want = _outcome(oracle_check_consistency, market, tree, restriction)
+    if got[0] == "raises" or want[0] == "raises":
+        assert got == want
+        return got, want
+    for node, verdict in want.items():
+        assert verdict is None or got[node] == verdict, (node, got[node], verdict)
+    projected = [node for node, verdict in want.items() if verdict is None or not verdict[0]]
+    assert _certificate_problems(market, tree, restriction, projected) == {}
+    return got, want
 
 
 # --- generators ---------------------------------------------------------------
@@ -200,49 +241,79 @@ def market_case(seed: int, kind: str):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS))
 def test_check_consistency_matches_per_node_lp(seed, kind):
-    market, tree, restriction = market_case(seed, kind)
-    assert _outcome(_program, market, tree, restriction) == _outcome(
-        oracle_check_consistency, market, tree, restriction
-    )
+    _agree(*market_case(seed, kind))
 
 
-def test_the_lowest_node_without_a_farkas_vertex_is_named():
-    """On this market the Farkas LPs of nodes 6 and 11 have no vertex. Node
-    11 is in a date and child-count group before node 6's, so raising in
-    group order would name node 11; the per-node loop names node 6."""
-    market, tree, restriction = market_case(9460, "zero_weight")
-    groups = [group for group, _ in tree.sibling_groups()]
-    assert groups.index([4, 5, 8, 11]) < groups.index([6])
-    want = (
-        "raises",
-        "NumericalFailure",
-        "neither cone membership nor a violation certified at node 6",
-    )
-    assert _outcome(oracle_check_consistency, market, tree, restriction) == want
-    assert _outcome(_program, market, tree, restriction) == want
+def test_nodes_without_a_farkas_vertex_are_decided():
+    """On this market neither the membership LP nor the Farkas LP of
+    nodes 6 and 11 has a vertex, so the oracle leaves them undecided
+    (the Farkas path raised there). Both prices lie within FEAS_TOL of
+    the cone, and the projection puts both inside it, with weights that
+    rebuild the price."""
+    got, want = _agree(*market_case(9460, "zero_weight"))
+    assert [node for node, verdict in want.items() if verdict is None] == [6, 11]
+    assert got[6][0] and got[11][0]
+
+
+def test_every_zero_weight_market_decides():
+    """Prices built from weights that are 0 or within 2 FEAS_TOL below 0
+    lie on or just outside the cone: on seeds 0-399 neither LP has a
+    vertex at 151 nodes. Every node is decided and every certificate
+    holds (``_agree``), on both sides of the tolerance."""
+    sides = set()
+    undecided = 0
+    for seed in range(400):
+        got, want = _agree(*market_case(seed, "zero_weight"))
+        for node, verdict in want.items():
+            if verdict is None:
+                undecided += 1
+                sides.add(got[node][0])
+    assert undecided == 151 and sides == {True, False}
+
+
+def test_a_verdict_that_fails_its_check_raises(monkeypatch):
+    """``check_consistency`` re-checks each projection verdict from the
+    payoffs and price: a violation with the wrong sign (u.s = +1) fails
+    it, and the error names the lowest such node by its label."""
+    market, tree, restriction = market_case(2, "outside_span")
+    assert check_consistency(market, tree, restriction).consistent_at.tolist()[:3] == [
+        False, True, False,
+    ]
+    solve_lp = lp.solve_lp
+
+    def flipped(Y, s):
+        inside, lam, u = solve_lp(Y, s)
+        return inside, lam, -u
+
+    monkeypatch.setattr(lp, "solve_lp", flipped)
+    with pytest.raises(NumericalFailure, match="failed its check at node 'n0'"):
+        check_consistency(market, tree, restriction)
 
 
 # --- coverage -------------------------------------------------------------------
 
 
-def test_generators_reach_the_stack_and_the_farkas_lp(monkeypatch):
+def test_generators_reach_the_stack_and_the_projection(monkeypatch):
     """Over fixed seeds every generator kind has nodes whose weights come
     from the stacked kernel, at complete and at incomplete nodes between
     them. They reach weights just below 0 that are clipped, exact zero
-    weights, inconsistent nodes (the Farkas path), and index and basis
-    restrictions."""
+    weights, inconsistent nodes, nodes that only the projection puts
+    inside the cone, and index and basis restrictions."""
     stacked = {k: 0 for k in KINDS}
-    seen = {"complete": 0, "incomplete": 0, "clipped": 0, "zero": 0, "farkas": 0}
-    seen.update(basis=0, indices=0)
+    seen = {"complete": 0, "incomplete": 0, "clipped": 0, "zero": 0, "violation": 0}
+    seen.update(basis=0, indices=0, projected_inside=0)
     calls = []
 
     def recording(A, b):
         calls.append((A, b, cone_vertices(A, b)))
         return calls[-1][2]
 
-    # Only the membership LPs: market sees the recording, while the Farkas
-    # LPs' solve_lp keeps the kernel's own cone_vertices.
-    stand_in = SimpleNamespace(cone_vertices=recording, solve_lp=lp.solve_lp)
+    def projecting(Y, s):
+        inside, lam, u = lp.solve_lp(Y, s)
+        seen["projected_inside"] += int(inside.sum())
+        return inside, lam, u
+
+    stand_in = SimpleNamespace(cone_vertices=recording, solve_lp=projecting)
     monkeypatch.setattr(market_module, "lp", stand_in)
     for kind in KINDS:
         for seed in range(30):
@@ -260,7 +331,7 @@ def test_generators_reach_the_stack_and_the_farkas_lp(monkeypatch):
                     z = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
                     seen["clipped"] += int(full and ((z < -1e-12) & (x[k] == 0.0)).any())
                     seen["zero"] += int((x[k] == 0.0).any())
-            seen["farkas"] += int(not cert.consistent)
+            seen["violation"] += int(not cert.consistent)
             if restriction is not None:
                 seen["basis" if restriction.basis is not None else "indices"] += 1
     assert all(stacked.values()), stacked

@@ -107,6 +107,33 @@ def test_reports_match_golden_digests(config, subcommand, tmp_path, capsys):
     assert got == GOLDEN[(config, subcommand)]
 
 
+def test_inconsistent_market_violations_are_the_projections(tmp_path, capsys):
+    """The violations that the ``("inconsistent_market", "check")``
+    digest pins, worked by hand. Every node's children pay one vector
+    twice or once, so each cone is a ray {t y : t >= 0}, and the
+    projection of the price s onto it is t y with t = s.y / |y|^2.
+    The violation is u = -r / |r|^2 with r = s - t y.
+
+    - root: s = (0.9, 1), y = (1, 2): t = 2.9 / 5 = 0.58, r = (0.32,
+      -0.16), |r|^2 = 0.128, u = (-2.5, 1.25);
+    - u and d: s = (1, 2), y = (1, 1): t = 1.5, r = (-0.5, 0.5), |r|^2 =
+      0.5, u = (1, -1).
+
+    On a ray in the plane the projection's violation is also the one
+    vertex of the Farkas LP (u.y = 0, u.s = -1), so the digest is the
+    one the Farkas LP gave."""
+    code, _, _ = _run_digests(
+        ["check", "--config", str(CONFIGS / "inconsistent_market.json")], tmp_path, capsys
+    )
+    assert code == 0
+    certs = json.loads((tmp_path / "check.json").read_text())["consistency"]["used_subspace"]
+    assert certs == {
+        "root": {"consistent": False, "violation": [-2.5, 1.25]},
+        "u": {"consistent": False, "violation": [1.0, -1.0]},
+        "d": {"consistent": False, "violation": [1.0, -1.0]},
+    }
+
+
 def compensates(items, start=0) -> bool:
     """Whether Python 3.12's ``sum`` compensates: an int start and every
     item exactly a float (it does not compensate numpy scalars or arrays)."""

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -19,9 +20,9 @@ def stacked(*arrays):
 
 
 def farkas_form(s, Y, b):
-    """The standard form of ``solve_lp``'s LP over free u with the first
-    row s.u = b[k] (the Farkas LP has b = -1) and Y u >= 0 for a stack:
-    columns (u+_0, u-_0, u+_1, ...), then one slack per row of Y."""
+    """The standard form of the LP over free u with the first row s.u =
+    b[k] (the Farkas LP has b = -1) and Y u >= 0 for a stack: columns
+    (u+_0, u-_0, u+_1, ...), then one slack per row of Y."""
     s, Y = np.asarray(s, dtype=float), np.asarray(Y, dtype=float)
     N, K, d = Y.shape
     A = np.zeros((N, 1 + K, 2 * d + K))
@@ -48,13 +49,12 @@ class TestStandardForm:
         assert feasible.tolist() == [False]
         assert x.tolist() == [[0.0]]
 
-    def test_free_variable(self):
-        # u = -1 (s.u = -1 with s = 1) and y.u >= 0 with y = -1: the
-        # bases {u+, u-} and {u+, slack} come first but are singular or
-        # negative, then {u-, slack} gives u = -1.
-        feasible, u = solve_lp(*stacked([[-1.0]], [1.0]))
-        assert feasible.tolist() == [True]
-        assert u[0, 0] == pytest.approx(-1.0, abs=1e-9)
+    def test_a_price_outside_a_ray(self):
+        # s = 1 and one child paying y = -1: the cone is (-inf, 0], the
+        # projection is 0 with lam = 0 and r = 1, so u = -r / |r|^2 = -1.
+        inside, lam, u = solve_lp(*stacked([[-1.0]], [1.0]))
+        assert inside.tolist() == [False]
+        assert lam.tolist() == [[0.0]] and u.tolist() == [[-1.0]]
 
     def test_redundant_consistent_rows(self):
         # Duplicated equality row is fine; contradictory one is infeasible.
@@ -69,20 +69,25 @@ class TestStandardForm:
         assert x.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_an_empty_stack(self):
-        feasible, u = solve_lp(np.zeros((0, 1, 2)), np.zeros((0, 2)))
-        assert feasible.shape == (0,) and u.shape == (0, 2)
+        inside, lam, u = solve_lp(np.zeros((0, 1, 2)), np.zeros((0, 2)))
+        assert inside.shape == (0,) and lam.shape == (0, 1) and u.shape == (0, 2)
 
 
 def test_cone_membership_forms():
     # s inside the cone of the children's payoffs, then outside it: the
-    # membership LP has a vertex exactly where the Farkas LP has none.
+    # membership LP has a vertex exactly where the projection is inside.
+    # Outside, the projection of (-0.3, 0.7) onto the quadrant is
+    # (0, 0.7): r = (-0.3, 0) and u = -r / |r|^2 = (10/3, 0).
     Y = np.array([[1.0, 0.0], [0.0, 1.0]])
     s = np.array([[0.3, 0.7], [-0.3, 0.7]])
     feasible, _ = cone_vertices(np.stack([Y, Y]), s)
     assert feasible.tolist() == [True, False]
-    found, u = solve_lp(np.stack([Y, Y]), s)
-    assert found.tolist() == [False, True]
-    assert u[1] @ s[1] == pytest.approx(-1.0, abs=1e-12) and (Y @ u[1] >= 0.0).all()
+    inside, lam, u = solve_lp(np.stack([Y, Y]), s)
+    assert inside.tolist() == [True, False]
+    assert lam.tolist() == [[0.3, 0.7], [0.0, 0.7]]
+    assert u[0].tolist() == [0.0, 0.0]
+    assert u[1] == pytest.approx([10.0 / 3.0, 0.0], rel=1e-15)
+    assert u[1] @ s[1] == pytest.approx(-1.0, abs=1e-15) and (Y @ u[1] >= 0.0).all()
 
 
 def test_near_singular_bases_are_not_vertices(monkeypatch):
@@ -95,8 +100,9 @@ def test_near_singular_bases_are_not_vertices(monkeypatch):
     to |u| of about 1.2e16 with a residual under FEAS_TOL, which the
     kernel must not report: with b = 1 the first vertex is u = e_0 / s_0,
     and with b = -1 (the Farkas LP of a node whose price lies outside
-    its child's cone, ``solve_lp``'s) there is no vertex, as
-    y.u = 1.0279 b < 0. Both standard forms go in one stack."""
+    its child's cone) there is no vertex, as y.u = 1.0279 b < 0. Both
+    standard forms go in one stack. The projection, which enumerates no
+    basis, puts s inside the cone whatever the rank tolerance."""
     s = np.array([0.7073836800450722, 0.0, 0.9728817260959624])
     y = np.array([0.7271014153834542, 0.0, 1.0])
     A, b = farkas_form(np.stack([s, s]), np.stack([y[None], y[None]]), [1.0, -1.0])
@@ -108,7 +114,7 @@ def test_near_singular_bases_are_not_vertices(monkeypatch):
     feasible, x = solve()
     assert feasible.tolist() == [True, False]
     assert x[0].tolist() == pytest.approx([1.0 / s[0], 0.0, 0.0], rel=1e-15)
-    assert solve_lp(y[None, None], s[None])[0].tolist() == [False]
+    assert solve_lp(y[None, None], s[None])[0].tolist() == [True]
     # Without the conditioning rule the near-singular basis is reported.
     monkeypatch.setattr(lp, "_RANK_TOL", 1e-300)
     feasible, x = solve()
@@ -216,3 +222,18 @@ def test_check_on_six_children_and_eight_risky_assets(tmp_path, monkeypatch):
     each of the 7 inner nodes: every audit ray is a unit vector, read
     off without a solve, and each membership LP has a single basis."""
     _check_state_price_market(tmp_path, monkeypatch, 6)
+
+
+def test_zero_columns_do_not_count_against_the_basis_limit():
+    # 11 independent rows over 12 columns: C(12, 11) = 12 bases. Eleven
+    # more columns, zero in every system, are never enumerated, so they
+    # neither raise C(23, 11) > _MAX_BASES nor change the vertex.
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(11, 12))
+    b = A @ rng.uniform(size=12)
+    feasible, x = cone_vertices(*stacked(A, b))
+    assert feasible.tolist() == [True]
+    wide, xw = cone_vertices(*stacked(np.hstack([A, np.zeros((11, 11))]), b))
+    assert wide.tolist() == [True]
+    assert xw[0, :12].tobytes() == x[0].tobytes() and not xw[0, 12:].any()
+    assert math.comb(23, 11) > lp._MAX_BASES

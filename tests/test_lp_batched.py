@@ -1,4 +1,5 @@
-"""Differential test of the stacked basis enumeration in ``lp.cone_vertices``.
+"""Differential tests of the stacked basis enumeration in
+``lp.cone_vertices`` and of the stacked projection in ``lp.solve_lp``.
 
 The reference is ``lp_oracle.oracle_solve_standard``, a frozen copy of
 the per-basis loop the chunked kernel replaced, with the kernel's
@@ -9,11 +10,18 @@ other filters, and leaves the columns that are zero in every system of
 a stack out of the enumeration, which must give the same answer.
 
 On stacks of random standard-form problems, padded to one shape with
-zero rows and columns, and through ``solve_lp`` on stacks of Farkas LPs
-(free u with u.s = -1 and Y u >= 0), the kernel must give every system
-the oracle's status and ``x`` bit for bit at zero cost, and a stack must
-raise the error of its first system that raises. The kernel adds 0.0
-to the clipped vertex, so a -0.0 of the oracle's reads +0.0.
+zero rows and columns, the kernel must give every system the oracle's
+status and ``x`` bit for bit at zero cost, and a stack must raise the
+error of its first system that raises. The kernel adds 0.0 to the
+clipped vertex, so a -0.0 of the oracle's reads +0.0.
+
+``solve_lp`` projects each price s of a stack onto the cone of its
+child payoffs Y. On random stacks, with prices inside the cone, outside
+it and within about FEAS_TOL of its boundary, every verdict must hold
+when re-checked from Y and s (``lp_oracle.projection_problems``), and
+it must be the side that the oracle's membership or Farkas LP gives
+wherever that LP gives it by more than the tolerance
+(``lp_oracle.oracle_verdict``).
 """
 
 from math import comb
@@ -24,9 +32,14 @@ from hypothesis import strategies as st
 
 from prodval import lp
 from prodval.errors import NumericalFailure
-from prodval.lp import cone_vertices, solve_lp
+from prodval.lp import FEAS_TOL, cone_vertices, solve_lp
 
-from lp_oracle import oracle_solve_lp, oracle_solve_standard
+from lp_oracle import (
+    oracle_solve_lp,
+    oracle_solve_standard,
+    oracle_verdict,
+    projection_problems,
+)
 
 
 # --- generators ---------------------------------------------------------------
@@ -182,14 +195,24 @@ def standard_stack(seed: int, kind: str):
 def farkas_stack(seed: int):
     """(Y, s) of 1 to 4 Farkas LPs of one shape, (N, K, d) and (N, d):
     some with the price inside the cone of the child payoffs (so without
-    a vertex), some with a coordinate whose price and payoffs are zero."""
+    a vertex), some with the price a combination of the payoffs with
+    weights 0 or within about 2 FEAS_TOL below 0 (on or just outside the
+    cone's boundary), some with a coordinate whose price and payoffs are
+    zero."""
     rng = np.random.default_rng(seed)
     integer = bool(rng.integers(2))
     N, K, d = (int(v) for v in rng.integers(1, (5, 5, 4)))
     Y = _matrix(rng, (N, K, d), integer)
     s = _matrix(rng, (N, d), integer)
-    inside = rng.uniform(size=N) < 0.3
-    s[inside] = np.einsum("nk,nkd->nd", rng.uniform(0.0, 1.0, (N, K)), Y)[inside]
+    draw = rng.uniform(size=N)
+    w = rng.uniform(0.0, 1.0, (N, K))
+    near = draw >= 0.8
+    w[near] *= rng.uniform(size=(int(near.sum()), K)) < 0.5
+    w[near] -= FEAS_TOL * rng.uniform(0.0, 2.0, (int(near.sum()), K)) * (
+        rng.uniform(size=(int(near.sum()), K)) < 0.5
+    )
+    cone = (draw < 0.3) | near
+    s[cone] = np.einsum("nk,nkd->nd", w, Y)[cone]
     zero = np.flatnonzero(rng.uniform(size=N) < 0.3)
     j = rng.integers(d, size=len(zero))
     Y[zero, :, j] = 0.0
@@ -198,8 +221,7 @@ def farkas_stack(seed: int):
 
 
 def oracle_farkas(Y, s):
-    """One node's Farkas LP by the per-basis oracle, in ``solve_lp``'s
-    layout."""
+    """One node's Farkas LP by the per-basis oracle."""
     return oracle_solve_lp(
         np.zeros(len(s)), A_eq=s[None], b_eq=[-1.0], A_ub=-Y, b_ub=np.zeros(len(Y)), nonneg=False
     )
@@ -242,16 +264,15 @@ def test_cone_vertices_match_per_basis_loop(seed, kind):
     assert got == _first_raise(want)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1))
-def test_solve_lp_with_free_variables_matches_per_basis_loop(seed):
+def test_solve_lp_verdicts_hold_and_match_the_oracle(seed):
     Y, s = farkas_stack(seed)
-    want = [_outcome(oracle_farkas, y, t) for y, t in zip(Y, s)]
-    try:
-        got = _stack_outcome(*solve_lp(Y, s))
-    except NumericalFailure as e:
-        got = ("raises", str(e))
-    assert got == _first_raise(want)
+    inside, lam, u = solve_lp(Y, s)
+    for k in range(len(s)):
+        assert projection_problems(Y[k], s[k], inside[k], lam[k], u[k]) == [], k
+        want = oracle_verdict(Y[k], s[k])
+        assert want is None or inside[k] == want, k
 
 
 def test_generators_cover_every_case():
@@ -290,9 +311,15 @@ def test_generators_cover_every_case():
         statuses = {oracle_solve_standard(np.zeros(A.shape[2]), a, v).status for a, v in zip(A, b)}
         mixed += statuses == {"optimal", "infeasible"}
     assert mixed
-    farkas = set()
+    farkas, verdicts = set(), set()
     for seed in range(40):
-        for y, t in zip(*farkas_stack(seed)):
+        Y, s = farkas_stack(seed)
+        inside = solve_lp(Y, s)[0]
+        for y, t, got in zip(Y, s, inside.tolist()):
             zero_coordinate = bool((~y.any(axis=0) & (t == 0.0)).any())
             farkas.add((oracle_farkas(y, t).status, zero_coordinate))
+            verdicts.add((oracle_verdict(y, t), got))
     assert farkas >= {("optimal", False), ("infeasible", False), ("optimal", True)}
+    # Both sides as the LPs give them, and nodes too near the boundary
+    # for the LPs to say, decided both ways.
+    assert verdicts >= {(True, True), (False, False), (None, True), (None, False)}, verdicts
