@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -89,7 +90,10 @@ def _round_all(values: list) -> list:
 # encoded a whole list of siblings at a time by C functions. A list of flat
 # dicts sharing one key set (a report's rows) renders from one template.
 # Anything but dicts with str keys, lists and plain leaves goes to
-# json.dumps itself.
+# json.dumps itself. It writes metadata.json, solvency.json and
+# adjust.json. check.json, one dict per node, is instead written from
+# per-kind templates over the certificate and audit arrays (below), and
+# is still ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
 
 
 class _NotPlain(Exception):
@@ -389,23 +393,126 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     return ReportBundle(files)
 
 
-def _rounded(values: np.ndarray) -> list:
-    """``_round`` of each value, None where it is NaN."""
-    return [None if x != x else _round(x) for x in values.tolist()]
+# --- check.json --------------------------------------------------------------
+#
+# check.json is written straight from the certificate and audit arrays,
+# byte for byte what ``_json_text`` writes for the document of one dict
+# per node. A tree has inner nodes, each with children, and a market has
+# tradables, so no certificate, audit, weights or violation is empty.
+# Each float array is rounded and encoded at once (``_float_texts``);
+# each entry kind renders from one template, with the labels, already
+# JSON-encoded, passed in as ``%s`` arguments; the entries are joined in
+# the ``sort_keys`` order of the labels (``ScenarioTree.label_order``).
+
+_BOOL_TEXTS = ("false", "true")
+_STATUS_TEXTS = tuple(map(encode_basestring_ascii, AUDIT_STATUSES))
+
+_CHECK_TEMPLATE = """{
+  "audits": {
+    "consistency_with_tradables": {
+      "flagged": %s,
+      "per_node": %s
+    },
+    "neutrality_to_tradables": {
+      "flagged": %s,
+      "per_node": %s
+    },
+    "positive_homogeneity": %s
+  },
+  "consistency": {%s
+    "restriction": %s,
+    "used_subspace": %s
+  }
+}
+"""
+
+_AUDIT_ENTRY = """        %s: {
+          "flagged": %s,
+          "hurdle": %s,
+          "optimum": %s,
+          "status": %s
+        }"""
+
+# The text of a certificate entry around its violation or its weights.
+_VIOLATION_ENTRY = (
+    '      %s: {\n        "consistent": false,\n        "violation": [',
+    "\n        ]\n      }",
+)
+_WEIGHTS_ENTRY = (
+    '      %s: {\n        "consistent": true,\n        "weights": {',
+    "\n        }\n      }",
+)
 
 
-def _certificate_json(tree, cert) -> dict:
-    labels = tree.labels
-    weights = _rounded(cert.weights)
-    out = {}
-    for node, consistent in enumerate(cert.consistent_at.tolist()):
-        if consistent:
-            entry = {"weights": {labels[c]: weights[c] for c in tree.children[node]}}
-        else:
-            entry = {"violation": _round_all(cert.violation[node].tolist())}
-        entry["consistent"] = consistent
-        out[labels[node]] = entry
-    return out
+def _float_texts(values: np.ndarray, nan: str) -> np.ndarray:
+    """An object array of the JSON text of each value as ``_round`` gives
+    it: rounded to 9 decimals, the strings "inf"/"-inf" at the
+    infinities, and ``nan`` where a value is NaN."""
+    texts = np.full(values.shape, nan, dtype=object)
+    finite = np.isfinite(values)
+    texts[finite] = list(map(float.__repr__, map(round, values[finite].tolist(), repeat(9))))
+    texts[values == math.inf] = '"inf"'
+    texts[values == -math.inf] = '"-inf"'
+    return texts
+
+
+def _child_groups(tree) -> list:
+    """The inner nodes grouped by child count: per group its node ids and
+    an array holding each one's children as a row, in label order."""
+    rank = np.empty(tree.n_nodes, dtype=np.int64)
+    rank[tree.label_order] = np.arange(tree.n_nodes)
+    # The children of each node are a run of ``kids`` from ``first``.
+    kids = np.argsort(tree.parent, kind="stable")[1:]
+    count = np.bincount(tree.parent[1:], minlength=tree.n_nodes)[: tree.n_inner]
+    first = np.cumsum(count) - count
+    groups = []
+    # bincount and a stable sort: np.unique and numpy's default quicksort
+    # page in code that nothing else in a check runs, about 1 MB of peak
+    # memory on a 341-node check.
+    for k in np.flatnonzero(np.bincount(count)).tolist():
+        nodes = np.flatnonzero(count == k)
+        children = kids[first[nodes, None] + np.arange(k)]
+        by_label = np.argsort(rank[children], axis=1, kind="stable")
+        children = np.take_along_axis(children, by_label, axis=1)
+        groups.append((nodes, children))
+    return groups
+
+
+def _certificate_text(cert, labels: np.ndarray, order: np.ndarray, groups: list) -> str:
+    """The JSON text of a certificate, opened at nesting level 2: per
+    inner node, keyed by ``labels`` (JSON-encoded, by node id), whether
+    it is consistent and either its weights keyed by child label or its
+    violation. ``order`` and ``groups`` as in ``run_check``."""
+    entries = np.empty(len(cert.consistent_at), dtype=object)
+    bad = np.flatnonzero(~cert.consistent_at)
+    if bad.size:
+        rows = _float_texts(cert.violation[bad], "NaN")
+        template = ",".join(["\n          %s"] * rows.shape[1]).join(_VIOLATION_ENTRY)
+        entries[bad] = list(map(template.__mod__, zip(labels[bad].tolist(), *rows.T.tolist())))
+    weights = _float_texts(cert.weights, "null")
+    for nodes, children in groups:
+        good = cert.consistent_at[nodes]
+        nodes, children = nodes[good], children[good]
+        columns = [labels[nodes].tolist()]
+        for column in children.T:
+            columns += [labels[column].tolist(), weights[column].tolist()]
+        template = ",".join(["\n          %s: %s"] * children.shape[1]).join(_WEIGHTS_ENTRY)
+        entries[nodes] = list(map(template.__mod__, zip(*columns)))
+    return "{\n" + ",\n".join(entries[order].tolist()) + "\n    }"
+
+
+def _audit_text(report, labels: np.ndarray, order: np.ndarray) -> str:
+    """The JSON text of an audit's ``per_node``, opened at nesting level
+    3: per inner node, keyed by ``labels``, its flag, hurdle, optimum
+    (null where NaN) and status."""
+    columns = (
+        labels[order].tolist(),
+        list(map(_BOOL_TEXTS.__getitem__, report.flagged[order].tolist())),
+        _float_texts(report.hurdle[order], "null").tolist(),
+        _float_texts(report.optimum[order], "null").tolist(),
+        list(map(_STATUS_TEXTS.__getitem__, report.status[order].tolist())),
+    )
+    return "{\n" + ",\n".join(map(_AUDIT_ENTRY.__mod__, zip(*columns))) + "\n      }"
 
 
 def run_check(problem: ValuationProblem) -> ReportBundle:
@@ -416,17 +523,9 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
     cert_used = financiability.certificate
     if cert_used is None:
         cert_used = check_consistency(problem.market, tree, problem.restriction)
-    doc: dict = {
-        "consistency": {
-            "restriction": "full"
-            if problem.restriction is None
-            else "custom",
-            "used_subspace": _certificate_json(tree, cert_used),
-        }
-    }
+    cert_raw = None
     if problem.restriction is not None:
         cert_raw = check_consistency(problem.market, tree, None)
-        doc["consistency"]["full_space"] = _certificate_json(tree, cert_raw)
     rates = _engine_rates(problem)
     # Both audits are read off the same cone facts: one pass for both.
     facts = tradable_cone_facts(financiability, problem.market, tree, problem.restriction)
@@ -453,29 +552,25 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
             horizon_index=first_year,
         )
         homogeneity = {"max_deviation": _round(hom.max_deviation), "passed": hom.passed}
-
-    def audit_json(report):
-        columns = (
-            map(AUDIT_STATUSES.__getitem__, report.status.tolist()),
-            _rounded(report.optimum),
-            _rounded(report.hurdle),
-            report.flagged.tolist(),
-        )
-        return {
-            "flagged": report.any_flagged,
-            "per_node": {
-                label: {"status": status, "optimum": optimum, "hurdle": hurdle, "flagged": flagged}
-                for label, status, optimum, hurdle, flagged in zip(tree.labels, *columns)
-            },
-        }
-
-    doc["audits"] = {
-        "positive_homogeneity": homogeneity,
-        "consistency_with_tradables": audit_json(cons),
-        "neutrality_to_tradables": audit_json(neut),
-    }
+    # Each node's label, JSON-encoded; the inner nodes in label order.
+    labels = np.array(list(map(encode_basestring_ascii, tree.labels)), dtype=object)
+    order = tree.label_order[tree.label_order < tree.n_inner]
+    groups = _child_groups(tree)
+    full_space = ""
+    if cert_raw is not None:
+        full_space = '\n    "full_space": %s,' % _certificate_text(cert_raw, labels, order, groups)
+    check = _CHECK_TEMPLATE % (
+        _BOOL_TEXTS[cons.any_flagged],
+        _audit_text(cons, labels, order),
+        _BOOL_TEXTS[neut.any_flagged],
+        _audit_text(neut, labels, order),
+        _json_text(homogeneity)[:-1].replace("\n", "\n    "),
+        full_space,
+        '"full"' if problem.restriction is None else '"custom"',
+        _certificate_text(cert_used, labels, order, groups),
+    )
     files = {
-        "check.json": _json_text(doc),
+        "check.json": check,
         "metadata.json": _metadata(problem, "check"),
     }
     return ReportBundle(files)
@@ -569,7 +664,10 @@ def run(
     raise SchemaViolation(f"unknown subcommand {subcommand!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every call: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="prodval",
         description="Production-cost valuation of insurance liabilities "

@@ -110,8 +110,9 @@ class ScenarioTree:
     one date form a contiguous id range. ``parent`` (-1 at the root),
     ``date_idx`` and ``prob`` are read-only arrays indexed by node id.
     ``labels`` keeps the caller's original node names for reporting.
-    ``children`` (the child ids of each node, ascending) and
-    ``label_ids`` (the node id of each label) are built on first use,
+    ``children`` (the child ids of each node, ascending), ``label_ids``
+    (the node id of each label) and ``label_order`` (the node ids in
+    ``sorted(labels)`` order, a read-only array) are built on first use,
     unless build_tree already holds them.
     """
 
@@ -130,12 +131,17 @@ class ScenarioTree:
         object.__setattr__(self, "by_date", _group_ids(self.date_idx, len(self.grid.dates)))
 
     def __getattr__(self, name: str):
-        # Only reached while an attribute is missing: the two below are
+        # Only reached while an attribute is missing: the three below are
         # built on first use and then held as plain attributes.
         if name == "children":
             value = _group_ids(self.parent, len(self.parent))
         elif name == "label_ids":
             value = dict(zip(self.labels, range(self.n_nodes)))
+        elif name == "label_order":
+            value = np.array(
+                sorted(range(self.n_nodes), key=self.labels.__getitem__), dtype=np.int64
+            )
+            value.flags.writeable = False
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)

@@ -237,6 +237,38 @@ def test_main_fixes_the_mmap_threshold_before_loading(text, code, tmp_path, monk
     assert calls == [(-3, 4 << 20), "load"]
 
 
+ONE_PROCESS_CALLS = [
+    ["value"],
+    ["solvency", "--stage", "1", "--format", "csv"],
+    ["adjust", "--format", "json"],
+    ["check"],
+    ["value", "--mode", "A"],
+]
+
+
+def _reports(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_calls_in_one_process_write_what_fresh_calls_write(config, tmp_path):
+    """main shares its parser and the process state it sets between
+    calls; no option or state of one call may reach the next."""
+    assert cli.build_parser() is cli.build_parser()
+    for k, call in enumerate(ONE_PROCESS_CALLS):
+        argv = [*call, "--config", str(config), "--output-dir"]
+        code = main([*argv, str(tmp_path / "shared" / str(k))])
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from prodval.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, str(tmp_path / "fresh" / str(k))],
+            capture_output=True, check=False,
+        )
+        assert code == fresh.returncode, call
+        shared = _reports(tmp_path / "shared" / str(k))
+        assert shared == _reports(tmp_path / "fresh" / str(k)), call
+        assert code != 0 or shared, call
+
+
 def test_mmap_threshold_is_left_alone_without_mallopt(tmp_path, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     config = str(CONFIGS / "two_point.json")
@@ -569,7 +601,9 @@ class TestPlainReportValues:
         problem = generated_problem(**self.CASES[subcommand])
         bundle = run(problem, subcommand)
         assert bundle.exit_code == 0
-        assert len(seen) == 2  # the report and metadata.json
+        # The report (check's only in its homogeneity audit: the rest is
+        # written from arrays) and metadata.json.
+        assert len(seen) == 2
         for obj in seen:
             assert list(non_plain_values(obj)) == []
 

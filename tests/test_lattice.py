@@ -215,7 +215,8 @@ class TestArrayLayout:
         assert tree.date_idx.tolist() == [0, 1, 1, 2, 2]
         assert tree.prob.tolist() == [1.0, 0.25, 0.75, 1.0, 1.0]
         assert tree.children == ((1, 2), (3,), (4,), (), ())
-        for arr in (tree.parent, tree.date_idx, tree.prob):
+        assert tree.label_order.tolist() == [1, 3, 2, 4, 0]  # a, a1, b, b1, r
+        for arr in (tree.parent, tree.date_idx, tree.prob, tree.label_order):
             with pytest.raises(ValueError):
                 arr[0] = 1
 

@@ -305,9 +305,11 @@ def test_check_report_matches_node_by_node(
 
 def test_check_problems_reach_every_verdict():
     """The check generator reaches inconsistent and consistent nodes,
-    optimal and by-construction audits, flagged and not, and the
-    homogeneity audit left not evaluated by a state-price bound at a
-    mispriced root."""
+    inconsistent nodes in both certificates of one report, optimal and
+    by-construction audits, flagged and not, unbounded audits with a null
+    optimum, the homogeneity audit left not evaluated by a state-price
+    bound at a mispriced root, trees whose labels sort out of node order
+    (n10 before n2) and dates whose inner nodes differ in child count."""
     seen = set()
     for seed in range(4):
         for financiability in CHECK_CASES["financiability"].elements:
@@ -316,15 +318,33 @@ def test_check_problems_reach_every_verdict():
                 doc = json.loads(run(problem, "check").files["check.json"])
                 if doc["audits"]["positive_homogeneity"]["passed"] is None:
                     seen.add("not_evaluated")
-                for certificate in doc["consistency"].values():
+                inconsistent = set()
+                for name, certificate in doc["consistency"].items():
                     if isinstance(certificate, dict):
-                        seen |= {entry["consistent"] for entry in certificate.values()}
+                        verdicts = {entry["consistent"] for entry in certificate.values()}
+                        seen |= verdicts
+                        if False in verdicts:
+                            inconsistent.add(name)
+                if inconsistent == {"used_subspace", "full_space"}:
+                    seen.add("inconsistent_in_both")
                 for kind in ("consistency_with_tradables", "neutrality_to_tradables"):
                     audits = doc["audits"][kind]["per_node"].values()
                     seen |= {(a["status"], a["flagged"]) for a in audits}
+                    seen |= {
+                        "unbounded_null" for a in audits
+                        if a["status"] == "unbounded" and a["optimum"] is None
+                    }
+                tree = problem.tree
+                inner = tree.labels[: tree.n_inner]
+                if list(doc["consistency"]["used_subspace"]) != list(inner):
+                    seen.add("labels_out_of_node_order")
+                for nodes in tree.by_date[:-1]:
+                    if len({len(tree.children[node]) for node in nodes}) > 1:
+                        seen.add("mixed_child_counts")
     assert seen >= {
         True, False, "not_evaluated", ("optimal", False), ("optimal", True),
-        ("by_construction", False), ("by_construction", True),
+        ("by_construction", False), ("by_construction", True), "unbounded_null",
+        "inconsistent_in_both", "labels_out_of_node_order", "mixed_child_counts",
     }
 
 
