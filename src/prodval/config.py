@@ -4,6 +4,14 @@ problem, validated into engine-ready objects.
 Top-level keys: grid, tree, market, liability, illiquid, restriction,
 fulfillment, financiability, engine. Node references use the labels from
 the tree section; every tradable must price every node.
+
+The label-keyed sections (a tradable's ``prices`` and ``inflows``, the
+liability's ``outflows``, ``inflows`` and ``terminal``, the illiquid
+``inflows``) are read as ``_Column``s: their labels as a tuple and their
+values as a float array. A file's sections become columns while it is
+parsed, as each enclosing object closes, so no section's dict and float
+objects outlive that object; an in-memory document's dicts become
+columns through the same constructor when the problem is built.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral, Real
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,8 +69,9 @@ def load_config(path: str) -> ValuationProblem:
 
 
 def _read_json(path: str):
-    """The parsed document and the sha256 of the file's bytes. Neither
-    the bytes nor the text outlive the parse."""
+    """The parsed document, its label-keyed sections already columns
+    (``_columns_hook``), and the sha256 of the file's bytes. Neither the
+    bytes nor the text outlive the parse."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -76,7 +85,7 @@ def _read_json(path: str):
     digest = hashlib.sha256(data).hexdigest()
     del data
     try:
-        return json.loads(text), digest
+        return json.loads(text, object_hook=_columns_hook), digest
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
 
@@ -133,8 +142,8 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
             (prices, _need(spec, "prices", f"{where}."), "prices"),
             (inflows, spec.get("inflows", {}), "inflows"),
         ):
-            ids, values = sections.column(flows, f"{where}.{name}", name == "prices")
-            column[ids, k] = values
+            ids, flows = sections.column(flows, f"{where}.{name}", name == "prices")
+            column[ids, k] = flows.values
         if "bond_period" in spec:
             period = spec["bond_period"]
             if isinstance(period, bool) or not isinstance(period, Integral):
@@ -158,16 +167,16 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
     def flow_array(section: Mapping, key: str, where: str) -> np.ndarray:
         """A label-keyed flow section as an array indexed by node id; only
         terminal values may be negative."""
-        flows = section.get(key, {})
-        ids, values = sections.column(flows, f"{where}.{key}")
-        bad = np.flatnonzero(values < 0)
+        ids, flows = sections.column(section.get(key, {}), f"{where}.{key}")
+        bad = np.flatnonzero(flows.values < 0)
         if key != "terminal" and bad.size:
             k = int(bad[0])
             raise SchemaViolation(
-                f"{where}.{key} has negative value {values[k]} at node {list(flows)[k]!r}"
+                f"{where}.{key} has negative value {flows.values[k]} "
+                f"at node {flows.labels[k]!r}"
             )
         out = np.zeros(tree.n_nodes)
-        out[ids] = values
+        out[ids] = flows.values
         return out
 
     liability = LiabilitySpec(
@@ -222,8 +231,8 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
 
     return ValuationProblem(
         config_sha256=digest,
-        fulfillment_cfg=doc.get("fulfillment", {"type": "full"}),
-        engine_cfg=doc.get("engine", {"mode": mode}),
+        fulfillment_cfg=_plain(doc.get("fulfillment", {"type": "full"})),
+        engine_cfg=_plain(doc.get("engine", {"mode": mode})),
         grid=grid,
         tree=tree,
         market=market,
@@ -231,7 +240,7 @@ def _problem(doc: dict, digest: str) -> ValuationProblem:
         illiquid=illiquid,
         restriction=restriction,
         fulfillment=fulfillment,
-        financiability_cfg=dict(financiability_cfg),
+        financiability_cfg=_plain(financiability_cfg),
         engine=engine,
     )
 
@@ -258,6 +267,76 @@ def _non_negative(value, where: str, positive: bool = False) -> float:
     return float(value)
 
 
+class _Column(NamedTuple):
+    """A label-keyed section: its labels in the section's order and its
+    values as floats."""
+
+    labels: tuple
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, flows: dict, where: str) -> "_Column":
+        """The column of a section given as a dict; a value that is not a
+        number (a boolean is not one) raises, naming the first such node."""
+        values = flows.values()
+        if not all(map(isinstance, values, repeat(float))):
+            values = []
+            for label, v in flows.items():
+                if isinstance(v, bool) or not isinstance(v, Real):
+                    raise SchemaViolation(
+                        f"{where} has non-numeric value {_shown(v)} at node {label!r}"
+                    )
+                try:
+                    values.append(float(v))
+                except OverflowError:
+                    raise SchemaViolation(
+                        f"{where} has an integer too large for a float at node {label!r}"
+                    ) from None
+        return cls(tuple(flows), np.fromiter(values, float, len(flows)))
+
+
+def _columns_hook(obj: dict) -> dict:
+    """The ``object_hook`` of the config parse: ``obj`` with each dict of
+    numbers under a section key (of a tradable, the liability or the
+    illiquid portfolio) replaced by its column. The parser calls it as
+    each object closes, so a section's dict and floats are freed while
+    the rest of the file is parsed. Any other value stays as parsed, for
+    ``_Sections.column`` to reject, naming the section."""
+    # Four lookups take about half the time of one keys().isdisjoint test
+    # on the tree's node objects, which are most of the objects parsed.
+    if "prices" in obj or "inflows" in obj or "outflows" in obj or "terminal" in obj:
+        for key in ("prices", "inflows", "outflows", "terminal"):
+            if type(obj.get(key)) is dict:
+                try:
+                    obj[key] = _Column.of(obj[key], key)
+                except SchemaViolation:
+                    pass
+    return obj
+
+
+def _plain(doc):
+    """``doc`` with every column turned back into a dict of floats, for
+    the objects a problem keeps verbatim: the parse also turns the
+    section keys those objects may carry into columns."""
+    if isinstance(doc, _Column):
+        return dict(zip(doc.labels, doc.values.tolist()))
+    if isinstance(doc, dict):
+        return {k: _plain(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_plain(v) for v in doc]
+    return doc
+
+
+def _shown(value) -> str:
+    """``value`` as an error names a non-numeric section value: a JSON
+    object or array elided, anything else by its repr."""
+    if isinstance(value, (dict, _Column)):
+        return "{...}"
+    if isinstance(value, list):
+        return "[...]"
+    return repr(value)
+
+
 class _Sections:
     """Reads the label-keyed sections of one config as node-id columns
     of ``tree``."""
@@ -272,13 +351,16 @@ class _Sections:
 
     def column(self, flows, where: str, complete: bool = False):
         """The node ids (a slice where the section lists a run of
-        consecutive nodes in node order) and the finite values of a
-        label-keyed section; with ``complete`` every node must appear."""
-        if not isinstance(flows, dict):
+        consecutive nodes in node order) and the column of a label-keyed
+        section, whose values must be finite; with ``complete`` every
+        node must appear."""
+        if isinstance(flows, dict):
+            flows = _Column.of(flows, where)
+        elif not isinstance(flows, _Column):
             raise SchemaViolation(
                 f"{where} must map node labels to numbers, not {type(flows).__name__}"
             )
-        keys = tuple(flows)
+        keys = flows.labels
         start = self.label_to_id.get(keys[0], -1) if keys else 0
         stop = start + len(keys)
         whole = start == 0 and stop == len(self.labels)
@@ -287,25 +369,31 @@ class _Sections:
                 self.labels = keys
             ids = slice(start, stop)
         else:
-            ids = _node_ids(flows, self.label_to_id, where, complete)
-        return ids, _finite_values(flows, where)
+            ids = _node_ids(keys, self.label_to_id, where, complete)
+        bad = np.flatnonzero(~np.isfinite(flows.values))
+        if bad.size:
+            k = int(bad[0])
+            raise SchemaViolation(
+                f"{where} has non-finite value {flows.values[k]} at node {keys[k]!r}"
+            )
+        return ids, flows
 
 
 def _node_ids(
-    flows: Mapping, label_to_id: Mapping[str, int], where: str, complete: bool = False
+    labels: tuple, label_to_id: Mapping[str, int], where: str, complete: bool = False
 ) -> np.ndarray:
-    """Node ids of a label-keyed section, in the section's order; with
+    """Node ids of a section's labels, in the section's order; with
     ``complete`` every node must appear in it."""
     ids = np.fromiter(
-        map(label_to_id.get, flows, repeat(-1)), dtype=np.int64, count=len(flows)
+        map(label_to_id.get, labels, repeat(-1)), dtype=np.int64, count=len(labels)
     )
     known = ids >= 0
     # Labels are distinct, so fewer known labels than nodes means a gap.
     if complete and np.count_nonzero(known) < len(label_to_id):
-        first = min(label_to_id.keys() - flows.keys(), key=label_to_id.get)
+        first = min(label_to_id.keys() - set(labels), key=label_to_id.get)
         raise CrossRefError(f"{where} is missing node {first!r}")
     if not known.all():
-        first = list(flows)[int(np.argmin(known))]
+        first = labels[int(np.argmin(known))]
         raise CrossRefError(f"{where} references unknown node {first!r}")
     return ids
 
@@ -324,19 +412,6 @@ def _restriction_from(doc, n_assets: int) -> RestrictionSet:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("basis must be a list of vectors")
     return RestrictionSet(n_assets, basis=tuple(tuple(map(float, row)) for row in rows))
-
-
-def _finite_values(flows: Mapping, where: str) -> np.ndarray:
-    """The values of a label-keyed section as floats; NaN and infinite
-    values are rejected, naming the first such node."""
-    values = np.fromiter(map(float, flows.values()), dtype=float, count=len(flows))
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0])
-        raise SchemaViolation(
-            f"{where} has non-finite value {values[k]} at node {list(flows)[k]!r}"
-        )
-    return values
 
 
 def _fulfillment_from(doc: Mapping) -> FulfillmentSpec:
@@ -413,7 +488,7 @@ def _units_array(
     if not isinstance(section, dict):
         raise SchemaViolation(f"{where} must map node labels to unit vectors")
     out = np.zeros((len(label_to_id), n_assets))
-    ids = _node_ids(section, label_to_id, where).tolist()
+    ids = _node_ids(tuple(section), label_to_id, where).tolist()
     for node, (label, vec) in zip(ids, section.items()):
         if not isinstance(vec, list) or len(vec) != n_assets:
             raise SchemaViolation(

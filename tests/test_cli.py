@@ -306,7 +306,9 @@ def test_fixed_mmap_threshold_keeps_large_blocks_out_of_the_heap():
     assert in_heap(True) == ["False"]
 
 
-@pytest.mark.parametrize("price, cause", [(-0.5, ValueError), (None, TypeError)])
+# A negative price is rejected by TradableSet, whose error is the cause; a
+# null one by the config reader itself, so its error has none.
+@pytest.mark.parametrize("price, cause", [(-0.5, ValueError), (None, type(None))])
 def test_invalid_price_is_one_error_line(price, cause, tmp_path, capsys):
     doc = two_point_doc()
     doc["market"]["tradables"][0]["prices"]["mid"] = price
@@ -803,6 +805,26 @@ def _family(**family):
         (lambda doc: doc["grid"].update(T=1.5), "grid.T must be an integer, not 1.5"),
         (lambda doc: doc["liability"]["outflows"].update(hi=-5),
          "liability.outflows has negative value -5.0 at node 'hi'"),
+        (lambda doc: _set(doc, "prices", "lo", "x"),
+         "market.tradables[0].prices has non-numeric value 'x' at node 'lo'"),
+        (lambda doc: _set(doc, "prices", "mid", None),
+         "market.tradables[0].prices has non-numeric value None at node 'mid'"),
+        (lambda doc: _set(doc, "prices", "lo", "0.5"),
+         "market.tradables[0].prices has non-numeric value '0.5' at node 'lo'"),
+        (lambda doc: _set(doc, "prices", "root", True),
+         "market.tradables[0].prices has non-numeric value True at node 'root'"),
+        (lambda doc: _set(doc, "inflows", "hi", [1.0]),
+         "market.tradables[0].inflows has non-numeric value [...] at node 'hi'"),
+        (lambda doc: _set(doc, "inflows", "lo", {"x": 1.0}),
+         "market.tradables[0].inflows has non-numeric value {...} at node 'lo'"),
+        (lambda doc: doc["liability"]["outflows"].update(hi=None),
+         "liability.outflows has non-numeric value None at node 'hi'"),
+        (lambda doc: doc["liability"].update(terminal={"lo": 1, "hi": "5"}),
+         "liability.terminal has non-numeric value '5' at node 'hi'"),
+        (lambda doc: doc.update(illiquid={"inflows": {"hi": False}}),
+         "illiquid.inflows has non-numeric value False at node 'hi'"),
+        (lambda doc: _set(doc, "prices", "lo", 10**400),
+         "market.tradables[0].prices has an integer too large for a float at node 'lo'"),
         (lambda doc: doc["liability"].update(inflows={"lo": 0.0, "mid": -1.0}),
          "liability.inflows has negative value -1.0 at node 'mid'"),
         (lambda doc: doc.update(illiquid={"inflows": {"hi": -0.5}}),
@@ -828,7 +850,10 @@ def _family(**family):
         "bisection_negative", "bisection_nan", "bisection_boolean", "fulfillment_as_list",
         "p_boolean", "p_zero", "p_above_one", "alpha_boolean", "alpha_string", "alpha_one",
         "alpha_nan", "close_out_string", "close_out_number", "close_out_null", "horizon_boolean",
-        "horizon_fraction", "outflow_negative", "liability_inflow_negative",
+        "horizon_fraction", "outflow_negative", "price_not_a_number", "price_null",
+        "price_numeric_string", "price_boolean", "inflow_list", "inflow_object", "outflow_null",
+        "terminal_string", "illiquid_inflow_boolean", "price_too_large",
+        "liability_inflow_negative",
         "illiquid_inflow_negative", "grid_as_number", "tree_as_list", "market_as_string",
     ],
 )

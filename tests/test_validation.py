@@ -197,7 +197,10 @@ class TestConfigValidation:
     def test_non_numeric_price(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["prices"]["lo"] = None
-        with pytest.raises(TypeError):
+        with pytest.raises(
+            SchemaViolation,
+            match=r"^market\.tradables\[0\]\.prices has non-numeric value None at node 'lo'$",
+        ):
             problem_from_dict(doc)
 
     def test_missing_node_in_prices_names_first_label(self):
