@@ -293,8 +293,7 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
     tree = problem.tree
     head_texts = list(map(_head_text, cost.heads))
     for i in range(tree.grid.horizon + 1):
-        nodes = tree.nodes_at(i)
-        ids = slice(nodes[0], nodes[-1] + 1)
+        ids = tree.slice_at(i)
         # Each date's rows come from one template; "%.9f" in it formats
         # the numbers (as _fmt does), except in the capital and params
         # fields of a date where some node ran no funded step.
@@ -370,8 +369,7 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     rows_json = []
     arrays = (report.bel, report.rm, report.scr, report.p_m1)
     for i in range(tree.grid.horizon):
-        nodes = tree.nodes_at(i)
-        ids = slice(nodes[0], nodes[-1] + 1)
+        ids = tree.slice_at(i)
         labels = tree.labels[ids]
         columns = [values[ids].tolist() for values in arrays]
         buf.writelines(map(
@@ -457,24 +455,16 @@ def _float_texts(values: np.ndarray, nan: str) -> np.ndarray:
 
 
 def _child_groups(tree) -> list:
-    """The inner nodes grouped by child count: per group its node ids and
-    an array holding each one's children as a row, in label order."""
+    """The tree's sibling groups, each node's children sorted by label."""
     rank = np.empty(tree.n_nodes, dtype=np.int64)
     rank[tree.label_order] = np.arange(tree.n_nodes)
-    # The children of each node are a run of ``kids`` from ``first``.
-    kids = np.argsort(tree.parent, kind="stable")[1:]
-    count = np.bincount(tree.parent[1:], minlength=tree.n_nodes)[: tree.n_inner]
-    first = np.cumsum(count) - count
     groups = []
-    # bincount and a stable sort: np.unique and numpy's default quicksort
-    # page in code that nothing else in a check runs, about 1 MB of peak
-    # memory on a 341-node check.
-    for k in np.flatnonzero(np.bincount(count)).tolist():
-        nodes = np.flatnonzero(count == k)
-        children = kids[first[nodes, None] + np.arange(k)]
+    for nodes, children in tree.sibling_groups():
+        # A stable sort: numpy's default quicksort pages in code that
+        # nothing else in a check runs, about 1 MB of peak memory on a
+        # 341-node check.
         by_label = np.argsort(rank[children], axis=1, kind="stable")
-        children = np.take_along_axis(children, by_label, axis=1)
-        groups.append((nodes, children))
+        groups.append((nodes, np.take_along_axis(children, by_label, axis=1)))
     return groups
 
 
@@ -616,8 +606,8 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     rows_json = []
     for i in range(tree.grid.horizon + 1):
         date = str(i)
-        nodes = tree.nodes_at(i)
-        ids = slice(nodes[0], nodes[-1] + 1)
+        ids = tree.slice_at(i)
+        nodes = range(tree.n_nodes)[ids]
         labels = tree.labels[ids]
         xi = list(map(result.xi.__getitem__, nodes))
         lam = list(map(result.lam.__getitem__, nodes))

@@ -317,7 +317,7 @@ def root_homogeneity_payoffs(
     ignore the states and get two fixed payoffs.
     """
     if spec.variant == "state_price":
-        targets = tree.descendants_at(tree.root, tree.grid.index(1))
+        targets = tree.descendants_at(tree.root, tree.grid.index(1)).tolist()
         k = len(targets)
         return [
             DiscreteDistribution(
@@ -362,8 +362,7 @@ def period_rates_from_market(market: TradableSet, tree: ScenarioTree) -> np.ndar
     flagged bond at the node's annual ancestor: an array indexed by node
     id over the inner nodes (the ids before the horizon's)."""
     rates = np.empty(tree.n_nodes)
-    for j in range(len(tree.grid.dates) - 1):
-        nodes = np.asarray(tree.by_date[j], dtype=np.int64)
+    for j, nodes in enumerate(tree.by_date[:-1]):
         if tree.grid.is_annual(j):
             rates[nodes] = market.period_rates(int(tree.grid.dates[j]))
         else:

@@ -61,11 +61,7 @@ def load_config(path: str) -> ValuationProblem:
     that cannot be read, is not UTF-8 or is not JSON raises ParseError.
     A value the problem's constructors reject (a negative or non-numeric
     price, say) raises SchemaViolation, with their error as its cause."""
-    doc, digest = _read_json(path)
-    try:
-        return _problem(doc, digest)
-    except (ValueError, TypeError) as e:
-        raise SchemaViolation(f"invalid config: {e}") from e
+    return _problem(*_read_json(path))
 
 
 def _read_json(path: str):
@@ -97,8 +93,9 @@ def _need(doc: Mapping, key: str, path: str = "") -> object:
 
 
 def problem_from_dict(doc: dict) -> ValuationProblem:
-    """Validate an in-memory config document; its ``config_sha256`` is
-    the sha256 of the canonical dump of ``problem_to_dict``."""
+    """Validate an in-memory config document, raising as ``load_config``
+    does; its ``config_sha256`` is the sha256 of the canonical dump of
+    ``problem_to_dict``."""
     problem = _problem(doc, "")
     blob = json.dumps(problem_to_dict(problem), sort_keys=True).encode()
     problem.config_sha256 = hashlib.sha256(blob).hexdigest()
@@ -106,6 +103,13 @@ def problem_from_dict(doc: dict) -> ValuationProblem:
 
 
 def _problem(doc: dict, digest: str) -> ValuationProblem:
+    try:
+        return _checked_problem(doc, digest)
+    except (ValueError, TypeError) as e:
+        raise SchemaViolation(f"invalid config: {e}") from e
+
+
+def _checked_problem(doc: dict, digest: str) -> ValuationProblem:
     if not isinstance(doc, dict):
         raise SchemaViolation("config root must be an object")
 

@@ -289,29 +289,6 @@ class OnePeriodStep(NamedTuple):
     candidate: np.ndarray
 
 
-def _year_layers(tree: ScenarioTree, roots: np.ndarray, steps: int):
-    """The nodes ``0..steps`` grid steps below ``roots``, one ascending id
-    array per step; per node the position of its root in ``roots``; and
-    per node below the first layer the index of its parent in the layer
-    above."""
-    root_pos = np.full(tree.n_nodes, -1)
-    root_pos[roots] = np.arange(len(roots))
-    slot = np.empty(tree.n_nodes, dtype=np.int64)
-    layers, pos, up = [roots], [root_pos[roots]], [None]
-    j = int(tree.date_idx[roots[0]])
-    for d in range(1, steps + 1):
-        slot[layers[-1]] = np.arange(len(layers[-1]))
-        nodes = np.asarray(tree.by_date[j + d], dtype=np.int64)
-        parents = tree.parent[nodes]
-        keep = root_pos[parents] >= 0
-        nodes, parents = nodes[keep], parents[keep]
-        root_pos[nodes] = root_pos[parents]
-        layers.append(nodes)
-        pos.append(root_pos[nodes])
-        up.append(slot[parents])
-    return layers, pos, up
-
-
 class _Year(NamedTuple):
     """The year below one date's nodes, with one row per node and
     candidate: row ``r * n_cand + c`` is candidate c at the node in
@@ -339,7 +316,7 @@ class _Year(NamedTuple):
 
 
 def _year(tree, market, roots, n_cand, steps, ell, net) -> _Year:
-    layers, pos, up = _year_layers(tree, roots, steps)
+    layers, pos, up = tree.walk(roots, steps)
     cand = np.arange(n_cand)
 
     def expand(index: np.ndarray) -> np.ndarray:
@@ -888,7 +865,6 @@ def backward_value(
         raise CloseOutUnavailable("mode A requires short positions with close out")
     tree.require_per_node(*liab.sections(), ("illiquid.inflows", psi.inflows))
     T = tree.grid.horizon
-    J = len(tree.grid.dates) - 1
     n = tree.n_nodes
     family = config.family
     heads = ((), ("infeasible",), *candidate_heads(family, config.grid_depth))
@@ -898,7 +874,7 @@ def backward_value(
     scale = np.zeros(n)
     assignment = np.zeros((n, market.n_assets))
 
-    leaves = list(tree.by_date[J])
+    leaves = tree.slice_at(T)
     vbar = np.zeros(n)
     vbar[leaves] = liab.terminal[leaves]
 
@@ -907,13 +883,11 @@ def backward_value(
     ell = np.zeros(n)
 
     for i in range(T - 1, -1, -1):
-        ends = np.asarray(tree.nodes_at(i + 1), dtype=np.int64)
+        ends = tree.slice_at(i + 1)
         ell[ends] = outflow[ends] + vbar[ends] - inflow[ends] - psi_inflow[ends]
-        nodes = tree.nodes_at(i)
-        # A date's node ids are contiguous.
-        ids = slice(nodes[0], nodes[-1] + 1)
+        ids = tree.slice_at(i)
         step = build_one_period(
-            nodes, ell, net, family, fulfillment, financiability, market, tree,
+            tree.nodes_at(i), ell, net, family, fulfillment, financiability, market, tree,
             rates[ids], config.mode, config.bisection_tol,
             config.grid_depth, assignment,
         )
@@ -933,9 +907,10 @@ def backward_value(
     sheet = BalanceSheet(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int8))
     cash_in = inflow + psi_inflow
     for i in range(1, T + 1):
-        nodes = tree.nodes_at(i)
-        ids = slice(nodes[0], nodes[-1] + 1)
-        rows = balance_sheet(nodes, outflow, cash_in, strategy, vbar[ids], market, config.mode)
+        ids = tree.slice_at(i)
+        rows = balance_sheet(
+            tree.nodes_at(i), outflow, cash_in, strategy, vbar[ids], market, config.mode
+        )
         for column, part in zip(sheet, rows):
             column[ids] = part
     return ProductionCostProcess(
@@ -1043,16 +1018,16 @@ def validate_production_strategy(
     net = cash_in - outflow
 
     vbar = np.zeros(n)
-    ends = list(tree.nodes_at(i_max))
+    ends = tree.slice_at(i_max)
     vbar[ends] = terminal[ends]
     cap = capital.values
     for i in range(i_min, i_max):
-        nodes = np.asarray(tree.nodes_at(i))
+        nodes = tree.nodes_at(i)
         _require_span(strategy, nodes)
         vbar[nodes] = row_dots(strategy.assignment[nodes], market.prices[nodes]) - cap[nodes]
 
     live = np.zeros(n, dtype=bool)
-    first = list(tree.nodes_at(i_min))
+    first = tree.nodes_at(i_min).tolist()
     start = set(first if start_set is None else start_set)
     live[first] = [m in start for m in first]
 
@@ -1061,14 +1036,14 @@ def validate_production_strategy(
     for i in range(i_min, i_max):
         j0 = tree.grid.index(i)
         j1 = tree.grid.index(i + 1)
-        nodes = np.asarray(tree.nodes_at(i))
+        nodes = tree.nodes_at(i)
         reason = "outside start set" if i == i_min else "prior failure"
         skipped.extend((m, i, reason) for m in nodes[~live[nodes]].tolist())
         roots = nodes[live[nodes]]
-        live[list(tree.by_date[j1])] = False
+        live[tree.slice_at(i + 1)] = False
         if not roots.size:
             continue
-        layers, pos, _ = _year_layers(tree, roots, j1 - j0)
+        layers, pos, _ = tree.walk(roots, j1 - j0)
         for layer in layers[1:]:
             _require_span(strategy, layer)
 
@@ -1212,7 +1187,7 @@ def illiquid_replica_shift(
     # that dot product.
     held = np.broadcast_to(units, market.prices.shape)
     v_psi = row_dots(held, market.prices)
-    if (np.abs(v_psi[list(tree.by_date[-1])]) > TOL).any():
+    if (np.abs(v_psi[tree.by_date[-1]]) > TOL).any():
         raise ValueError("static position must be worthless at the horizon")
     psi = IlliquidPortfolio(row_dots(held, market.inflows))
 

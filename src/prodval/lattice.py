@@ -8,7 +8,9 @@ over each node's children, so "almost surely" statements become exact
 assertions at every node.
 
 Both structures are immutable after construction; the tree's per-node
-parent, date index and branch probability are read-only arrays.
+parent, date index and branch probability are read-only arrays. Tree
+node ids are numbered level by level (see ScenarioTree), and only this
+module relies on that layout.
 """
 
 from __future__ import annotations
@@ -101,19 +103,25 @@ class DateGrid:
         return self.dates[j].denominator == 1
 
 
-
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """Rooted scenario tree over a DateGrid.
 
-    Node ids are normalized breadth-first by date so that the nodes of
-    one date form a contiguous id range. ``parent`` (-1 at the root),
-    ``date_idx`` and ``prob`` are read-only arrays indexed by node id.
-    ``labels`` keeps the caller's original node names for reporting.
-    ``children`` (the child ids of each node, ascending), ``label_ids``
-    (the node id of each label) and ``label_order`` (the node ids in
-    ``sorted(labels)`` order, a read-only array) are built on first use,
-    unless build_tree already holds them.
+    ``parent`` (-1 at the root), ``date_idx`` and ``prob`` are read-only
+    arrays indexed by node id; ``labels`` keeps the caller's original node
+    names for reporting.
+
+    Node ids are numbered level by level: node 0 is the root, and neither
+    ``parent[1:]`` nor ``date_idx`` decreases. The constructor rejects any
+    other layout, and only this module relies on it. The
+    nodes of date index j are the ids ``date_start[j]`` up to
+    ``date_start[j + 1]``, the children of node n the ids
+    ``child_start[n]`` up to ``child_start[n + 1]``, and the descendants of
+    a node at any later date one run of ids too. ``by_date``, ``nodes_at``
+    and ``children_of`` give these runs as read-only views of one id array.
+    ``label_ids`` (the node id of each label) and ``label_order`` (the node
+    ids in ``sorted(labels)`` order, a read-only array) are built on first
+    use, unless build_tree already holds them.
     """
 
     grid: DateGrid
@@ -121,21 +129,37 @@ class ScenarioTree:
     date_idx: np.ndarray
     prob: np.ndarray
     labels: Tuple[str, ...]
-    by_date: Tuple[Tuple[int, ...], ...] = field(init=False)
+    date_start: np.ndarray = field(init=False)
+    child_start: np.ndarray = field(init=False)
+    by_date: Tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
         for name, dtype in (("parent", np.int64), ("date_idx", np.int64), ("prob", float)):
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "by_date", _group_ids(self.date_idx, len(self.grid.dates)))
+        n, up = self.n_nodes, self.parent[1:]
+        if not n or self.parent[0] != -1:
+            raise ValueError("node 0 must be the root, with parent -1")
+        if (up[:1] < 0).any() or (up[-1:] >= n).any() or (np.diff(up) < 0).any():
+            raise ValueError("parent ids must be node ids that never decrease after the root's")
+        if (np.diff(self.date_idx) < 0).any():
+            raise ValueError("date indices must never decrease")
+        ids = np.arange(n)
+        date_start = np.searchsorted(self.date_idx, np.arange(len(self.grid.dates) + 1))
+        child_start = 1 + np.concatenate(([0], np.cumsum(np.bincount(up, minlength=n))))
+        for name, arr in (("_ids", ids), ("date_start", date_start), ("child_start", child_start)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        starts = date_start.tolist()
+        object.__setattr__(
+            self, "by_date", tuple(map(ids.__getitem__, map(slice, starts, starts[1:])))
+        )
 
     def __getattr__(self, name: str):
-        # Only reached while an attribute is missing: the three below are
+        # Only reached while an attribute is missing: the two below are
         # built on first use and then held as plain attributes.
-        if name == "children":
-            value = _group_ids(self.parent, len(self.parent))
-        elif name == "label_ids":
+        if name == "label_ids":
             value = dict(zip(self.labels, range(self.n_nodes)))
         elif name == "label_order":
             value = np.array(
@@ -154,7 +178,7 @@ class ScenarioTree:
     @property
     def n_inner(self) -> int:
         """The number of inner nodes: the ids before the horizon's."""
-        return self.n_nodes - len(self.by_date[-1])
+        return int(self.date_start[-2])
 
     @property
     def root(self) -> int:
@@ -163,23 +187,34 @@ class ScenarioTree:
     def date_of(self, node: int) -> Fraction:
         return self.grid.dates[self.date_idx[node]]
 
-    def nodes_at(self, t: DateLike) -> Tuple[int, ...]:
+    def nodes_at(self, t: DateLike) -> np.ndarray:
         return self.by_date[self.grid.index(t)]
 
-    def is_leaf(self, node: int) -> bool:
-        return not self.children[node]
+    def slice_at(self, t: DateLike) -> slice:
+        """The ids of the nodes at date ``t``, as a slice."""
+        j = self.grid.index(t)
+        return slice(int(self.date_start[j]), int(self.date_start[j + 1]))
 
-    def sibling_groups(self) -> Iterator[Tuple[List[int], np.ndarray]]:
-        """The inner nodes grouped by date and child count, in date order:
-        per group its node ids and an array holding each one's children
-        as a row, shape (len(nodes), child count)."""
-        for nodes in self.by_date:
-            groups: Dict[int, List[int]] = {}
-            for node in nodes:
-                if self.children[node]:
-                    groups.setdefault(len(self.children[node]), []).append(node)
-            for group in groups.values():
-                yield group, np.array([self.children[node] for node in group])
+    def children_of(self, node: int) -> np.ndarray:
+        return self._ids[self.child_start[node] : self.child_start[node + 1]]
+
+    def is_leaf(self, node: int) -> bool:
+        return bool(self.child_start[node] == self.child_start[node + 1])
+
+    def sibling_groups(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The inner nodes grouped by date and child count, in date order
+        and then by child count: per group its node ids, ascending, and an
+        array holding each one's children as a row, shape (len(nodes),
+        child count)."""
+        # bincount, not np.unique: that pages in code nothing else in a
+        # check runs, about 1 MB of peak memory on a 341-node check.
+        count = np.diff(self.child_start)
+        starts = self.date_start.tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            at = count[lo:hi]
+            for k in np.flatnonzero(np.bincount(at)[1:]).tolist():
+                nodes = lo + np.flatnonzero(at == k + 1)
+                yield nodes, self.child_start[nodes, None] + np.arange(k + 1)
 
     def require_per_node(self, *sections: Tuple[str, np.ndarray]) -> None:
         """DimensionMismatch naming the first (name, array) section that
@@ -201,19 +236,34 @@ class ScenarioTree:
                 raise OrphanNode(f"{descendant} is not a descendant of {ancestor}")
         return p
 
-    def layers(self, nodes: Sequence[int], steps: int) -> List[List[int]]:
-        """``nodes`` and their descendants 1..``steps`` grid steps later,
-        one list per step, in breadth-first order."""
-        out = [list(nodes)]
+    def walk(self, roots: np.ndarray, steps: int):
+        """The walk ``steps`` grid steps down from ``roots``, ascending ids
+        of one date: per step the ascending ids reached, per node the
+        position of its root in ``roots``, and per node below the first
+        layer the index of its parent in the layer above."""
+        layers, pos, up = [roots], [np.arange(len(roots))], [None]
         for _ in range(steps):
-            out.append([c for m in out[-1] for c in self.children[m]])
-        return out
+            above = layers[-1]
+            first = self.child_start[above]
+            count = self.child_start[above + 1] - first
+            layers.append(_runs(first, count))
+            up.append(np.repeat(np.arange(len(above)), count))
+            pos.append(pos[-1][up[-1]])
+        return layers, pos, up
 
-    def descendants_at(self, node: int, j: int) -> List[int]:
+    def layers(self, nodes: Sequence[int], steps: int) -> List[np.ndarray]:
+        """``nodes`` and their descendants 1..``steps`` grid steps later,
+        one array per step, in breadth-first order."""
+        return self.walk(np.asarray(nodes, dtype=np.int64), steps)[0]
+
+    def descendants_at(self, node: int, j: int) -> np.ndarray:
         """Descendants of ``node`` living at date index ``j``."""
         if j < self.date_idx[node]:
             raise ValueError("target date precedes the node's date")
-        return self.layers([node], j - self.date_idx[node])[-1]
+        lo, hi = node, node + 1
+        for _ in range(j - self.date_idx[node]):
+            lo, hi = self.child_start[lo], self.child_start[hi]
+        return self._ids[lo:hi]
 
     def ancestor_at(self, node: int, j: int) -> int:
         """The unique ancestor of ``node`` at date index ``j``."""
@@ -223,6 +273,12 @@ class ScenarioTree:
         if self.date_idx[m] != j:
             raise ValueError("no ancestor at the requested date")
         return m
+
+
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ids ``first[k]`` up to ``first[k] + count[k]``, run after run."""
+    offsets = np.cumsum(count) - count
+    return np.repeat(first - offsets, count) + np.arange(int(count.sum()))
 
 
 def node_array(values, what: str, nonnegative: bool = True) -> np.ndarray:
@@ -241,16 +297,6 @@ def node_array(values, what: str, nonnegative: bool = True) -> np.ndarray:
             raise ValueError(f"negative {what} {arr[bad[0]]} at node {bad[0]}")
     arr.flags.writeable = False
     return arr
-
-
-def _group_ids(keys: np.ndarray, n_groups: int) -> Tuple[Tuple[int, ...], ...]:
-    """Ids 0..len(keys)-1 grouped by their key in 0..n_groups-1, ascending
-    within each group; ids with a negative key belong to no group."""
-    ids = np.flatnonzero(keys >= 0)
-    ids = ids[np.argsort(keys[ids], kind="stable")]
-    flat = tuple(ids.tolist())
-    ends = np.cumsum(np.bincount(keys[ids], minlength=n_groups)).tolist()
-    return tuple(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
 
 def build_tree(
@@ -347,13 +393,8 @@ def build_tree(
     first = np.cumsum(n_kids) - n_kids
     level = np.array([root], dtype=np.int64)
     levels = [level]
-    while True:
-        counts = n_kids[level]
-        total = int(counts.sum())
-        if not total:
-            break
-        offsets = np.cumsum(counts) - counts
-        level = kids[np.repeat(first[level] - offsets, counts) + np.arange(total)]
+    while level.size:
+        level = kids[_runs(first[level], n_kids[level])]
         levels.append(level)
     order = np.concatenate(levels)
     if len(order) != n:
@@ -505,7 +546,7 @@ def conditional_distribution(
     if j < tree.date_idx[node]:
         raise ValueError("horizon precedes the node's date")
     tree.require_per_node(("process", values))
-    targets = tree.descendants_at(node, j)
+    targets = tree.descendants_at(node, j).tolist()
     atoms = [(float(values[m]), tree.path_probability(node, m)) for m in targets]
     total = float(sum_left_to_right(np.array([[p for _, p in atoms]]))[0])
     return DiscreteDistribution.from_atoms(

@@ -76,7 +76,7 @@ class TradableSet:
     def _check_bonds(self):
         labels = self.tree.labels
         for k, i in self.bond_periods.items():
-            end = np.asarray(self.tree.nodes_at(i + 1), dtype=np.int64)
+            end = self.tree.nodes_at(i + 1)
             bad = end[
                 (np.abs(self.prices[end, k]) > 1e-12)
                 | (np.abs(self.inflows[end, k] - 1.0) > 1e-12)
@@ -86,7 +86,7 @@ class TradableSet:
                     f"tradable {k} flagged as period-{i} bond must have price 0 "
                     f"and inflow 1 at date {i + 1}, not at node {labels[bad[0]]!r}"
                 )
-            start = np.asarray(self.tree.nodes_at(i), dtype=np.int64)
+            start = self.tree.nodes_at(i)
             bad = start[self.prices[start, k] <= 0]
             if bad.size:
                 raise ValueError(
@@ -118,8 +118,7 @@ class TradableSet:
         """R_{i,i+1} implied by the flagged bond's price at each date-i
         node, in node id order."""
         k = self.bond_for_period(i)
-        nodes = np.asarray(self.tree.nodes_at(i), dtype=np.int64)
-        return 1.0 / self.prices[nodes, k] - 1.0
+        return 1.0 / self.prices[self.tree.slice_at(i), k] - 1.0
 
 
 def _node_rows(values, n_nodes: int, what: str, width: Optional[int]) -> np.ndarray:
@@ -285,7 +284,7 @@ def check_consistency(
         consistent_at[group] = feasible
         weights[kids[feasible]] = lam[feasible]
         if not feasible.all():
-            outside.append((np.asarray(group)[~feasible], kids[~feasible]))
+            outside.append((group[~feasible], kids[~feasible]))
     violation = np.full((tree.n_inner, market.n_assets), np.nan)
     uncertified = []
     for nodes, kids in outside:

@@ -90,8 +90,7 @@ def _annual_ancestors(tree: ScenarioTree) -> Tuple[np.ndarray, np.ndarray]:
     annual date, and the one at ceil(t) - 1, -1 at the root."""
     floor = np.arange(tree.n_nodes)
     prev = np.full(tree.n_nodes, -1)
-    for j in range(1, len(tree.grid.dates)):
-        nodes = np.asarray(tree.by_date[j])
+    for j, nodes in enumerate(tree.by_date[1:], 1):
         prev[nodes] = floor[tree.parent[nodes]]
         if not tree.grid.is_annual(j):
             floor[nodes] = prev[nodes]
@@ -106,7 +105,7 @@ def _lam_prev(lam: np.ndarray, prev: np.ndarray) -> np.ndarray:
 
 
 def _annual_nodes(tree: ScenarioTree) -> List[int]:
-    return [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+    return [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i).tolist()]
 
 
 def _sweep(
@@ -144,9 +143,8 @@ def _sweep(
     inflows[0] = (1.0 - 1.0) * psi_in[0]
     payouts[0] = inflows[0]
     for i in range(tree.grid.horizon):
-        ends = np.asarray(tree.nodes_at(i + 1))
-        # The ids of the year's interior and year-end nodes are contiguous.
-        year = slice(tree.by_date[tree.grid.index(i) + 1][0], int(ends[-1]) + 1)
+        ends = tree.nodes_at(i + 1)
+        year = slice(tree.date_start[tree.grid.index(i) + 1], tree.slice_at(i + 1).stop)
         inflows[year] = (1.0 - _lam_prev(lam, prev[year])) * psi_in[year]
         accumulate_year(market, tree, i, inflows, assignment, policy_index)
         held = assignment[tree.parent[ends]]
@@ -234,7 +232,7 @@ def extend_to_full_fulfillment(
         tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment
     )
     scaled_capital = np.where(cost.funded, lam_floor * cost.capital, 0.0)
-    leaves = list(tree.by_date[len(tree.grid.dates) - 1])
+    leaves = tree.by_date[-1]
     scaled_terminal = np.zeros(tree.n_nodes)
     scaled_terminal[leaves] = lam[leaves] * cost.values[leaves]
     adj_liab = LiabilitySpec(

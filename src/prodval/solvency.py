@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import LiabilitySpec, _atom_rows, _year_layers
+from .engine import LiabilitySpec, _atom_rows
 from .errors import (
     BadRate,
     FixedPointDivergence,
@@ -63,18 +63,14 @@ class RateCurve:
 
     @staticmethod
     def flat(tree: ScenarioTree, r: float) -> "RateCurve":
-        nodes = [
-            n
-            for i in range(tree.grid.horizon)
-            for n in tree.nodes_at(i)
-        ]
-        return RateCurve({n: r for n in nodes})
+        nodes = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i).tolist()]
+        return RateCurve(dict.fromkeys(nodes, r))
 
     @staticmethod
     def from_market(market: TradableSet, tree: ScenarioTree) -> "RateCurve":
         values = {}
         for i in range(tree.grid.horizon):
-            values.update(zip(tree.nodes_at(i), market.period_rates(i).tolist()))
+            values.update(zip(tree.nodes_at(i).tolist(), market.period_rates(i).tolist()))
         return RateCurve(values)
 
     def is_flat(self) -> bool:
@@ -342,12 +338,11 @@ def multi_period_solvency(
             f"cash flow at interior date {tree.date_of(node)} (node {node})"
         )
     T = tree.grid.horizon
-    J = len(tree.grid.dates) - 1
     n = tree.n_nodes
     x = liab.outflows - liab.inflows
     bel = np.zeros(n)
     rm = np.zeros(n)
-    leaves = np.asarray(tree.by_date[J], dtype=np.int64)
+    leaves = tree.slice_at(T)
     bel[leaves] = liab.terminal[leaves]
     scr = np.zeros(n)
     p_m1 = np.zeros(n)
@@ -355,8 +350,8 @@ def multi_period_solvency(
 
     for i in range(T - 1, -1, -1):
         j0, j1 = tree.grid.index(i), tree.grid.index(i + 1)
-        nodes = np.asarray(tree.nodes_at(i), dtype=np.int64)
-        layers, pos, _ = _year_layers(tree, nodes, j1 - j0)
+        nodes = tree.nodes_at(i)
+        layers, pos, _ = tree.walk(nodes, j1 - j0)
         pad, dist = _atom_rows(tree, layers[-1], pos[-1], len(nodes), j1 - j0)
         kids = layers[-1]
         states = _States(dist, pad(x[kids]), pad(bel[kids]), pad(rm[kids]))
@@ -373,8 +368,7 @@ def multi_period_solvency(
         per_date = []
         deterministic = True
         for i in range(T):
-            nodes = tree.nodes_at(i)
-            scrs = scr[nodes[0]:nodes[-1] + 1].tolist()
+            scrs = scr[tree.slice_at(i)].tolist()
             if max(scrs) - min(scrs) > 1e-9:
                 deterministic = False
                 break

@@ -96,7 +96,7 @@ class Strategy:
     def span_nodes(self) -> Iterable[int]:
         for j, nodes in enumerate(self.tree.by_date):
             if self._span[j]:
-                yield from nodes
+                yield from nodes.tolist()
 
     def in_span(self, node: int) -> bool:
         return bool(self._span[self.tree.date_idx[node]])
@@ -196,7 +196,7 @@ def _validate_stop(tree: ScenarioTree, stop: Set[int]) -> None:
                 )
             m = int(tree.parent[m])
     # A stopping time must trigger on every path.
-    for leaf in tree.by_date[len(tree.grid.dates) - 1]:
+    for leaf in tree.by_date[-1].tolist():
         m = leaf
         hit = False
         while m >= 0:
@@ -265,7 +265,7 @@ def short_position_cashflows(
             f"underlying has inflow {flows.inflow[bad[0]]} at node {bad[0]}"
         )
     if pay_at_tmax:
-        stop = set(tree.nodes_at(underlying.t_max))
+        stop = set(tree.nodes_at(underlying.t_max).tolist())
     _validate_stop(tree, stop)
     outflow = np.zeros(tree.n_nodes)
     for node in underlying.span_nodes():
@@ -356,8 +356,7 @@ def accumulate_year(
     date order.
     """
     k = policy_index if policy_index is not None else market.bond_for_period(i)
-    for j in range(tree.grid.index(i) + 1, tree.grid.index(i + 1)):
-        nodes = np.asarray(tree.by_date[j])
+    for nodes in tree.by_date[tree.grid.index(i) + 1 : tree.grid.index(i + 1)]:
         price = market.prices[nodes, k]
         bad = np.flatnonzero(price <= 0.0)
         if bad.size:

@@ -111,7 +111,7 @@ def run_value(problem: ValuationProblem, mode: Optional[str] = None) -> ReportBu
     buf.write("node,date,vbar,capital,assets,liabilities,failure,params\n")
     for i in range(tree.grid.horizon + 1):
         date = str(i)
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             row = cost.rows.get(node)
             buf.write(
                 ",".join(
@@ -161,7 +161,7 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     buf.write("node,date,bel,rm,scr,p_m1,stage\n")
     rows_json = []
     for i in range(tree.grid.horizon):
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             row = report.rows[node]
             buf.write(
                 ",".join(
@@ -236,7 +236,7 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
     before_date_1 = [tree.root]
     for node in before_date_1:
         before_date_1.extend(
-            c for c in tree.children[node] if tree.date_idx[c] < tree.grid.index(1)
+            c for c in tree.children_of(node).tolist() if tree.date_idx[c] < tree.grid.index(1)
         )
     homogeneity = {"max_deviation": None, "passed": None}
     if financiability.variant != "state_price" or all(
@@ -302,7 +302,7 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     outflows = result.adjusted_outflows.tolist()
     for i in range(tree.grid.horizon + 1):
         date = str(i)
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             label, xi, lam = tree.labels[node], result.xi[node], result.lam[node]
             inflow, outflow = inflows[node], outflows[node]
             buf.write(

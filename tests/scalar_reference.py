@@ -132,7 +132,7 @@ def compose_state_prices(cert, tree, node: int, j_end: int) -> Dict[int, float]:
     per-step certificate weights multiplied along the path."""
     out: Dict[int, float] = {}
     verdicts = certificate_mappings(cert, tree)
-    for target in tree.descendants_at(node, j_end):
+    for target in tree.descendants_at(node, j_end).tolist():
         q = 1.0
         m = target
         while m != node:
@@ -297,13 +297,13 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SimpleNamespace
     bel: Dict[int, float] = {}
     rm: Dict[int, float] = {}
     rows: Dict[int, SimpleNamespace] = {}
-    for leaf in tree.by_date[J]:
+    for leaf in tree.by_date[J].tolist():
         bel[leaf] = float(liab.terminal[leaf])
         rm[leaf] = 0.0
 
     for i in range(T - 1, -1, -1):
         j1 = tree.grid.index(i + 1)
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             kids = tree.descendants_at(node, j1)
             total_p = loop_sum(tree.path_probability(node, c) for c in kids)
             states = [
@@ -333,7 +333,7 @@ def multi_period_solvency(liab, rates, eta, rho, stage, tree) -> SimpleNamespace
         per_date = []
         deterministic = True
         for i in range(T):
-            scrs = [rows[n].scr for n in tree.nodes_at(i)]
+            scrs = [rows[n].scr for n in tree.nodes_at(i).tolist()]
             if max(scrs) - min(scrs) > 1e-9:
                 deterministic = False
                 break

@@ -197,7 +197,7 @@ def test_criterion_03_market_price_recovery():
             rates,
         )
         for i in range(tree.grid.horizon):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 expected = strategy_value(phi_p, market, node)
                 worst_recovery = max(
                     worst_recovery, abs(cost.values[node] - expected)
@@ -210,12 +210,12 @@ def test_criterion_03_market_price_recovery():
         T = tree.grid.horizon
         J = len(tree.grid.dates) - 1
         cprime = {
-            leaf: strategy_value(xi, market, leaf) for leaf in tree.by_date[J]
+            leaf: strategy_value(xi, market, leaf) for leaf in tree.by_date[J].tolist()
         }
         capital = {}
         for i in range(T - 1, -1, -1):
             j1 = tree.grid.index(i + 1)
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 q = year_state_prices(tree, weights, node, j1)
                 bound = sum(q[nu] * cprime[nu] for nu in q)
                 # Hit the boundary C = max capital on a third of the
@@ -224,7 +224,7 @@ def test_criterion_03_market_price_recovery():
                 capital[node] = u * bound
             cprime = dict(capital)
         for i in range(T):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 vbar_theta = strategy_value(theta, market, node) - capital[node]
                 beat = strategy_value(phi_p, market, node) - vbar_theta
                 worst_beat = max(worst_beat, beat)
@@ -257,7 +257,7 @@ def _failure_instance(rng, with_psi):
     market = bond_market(tree, {i: float(rng.uniform(0.0, 0.05)) for i in range(years)})
     outflows = {}
     for i in range(1, years + 1):
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             base = float(rng.uniform(1.0, 10.0))
             if rng.uniform() < 0.35:
                 base *= float(rng.uniform(5.0, 20.0))  # a branch that will fail
@@ -312,7 +312,7 @@ def test_criterion_04_failure_extension():
         assert res.validation.ok, f"re-validation failed on instance {attempts}"
         worst_identity = max(worst_identity, res.cost_identity_max_diff)
         for i in range(1, tree.grid.horizon + 1):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 prev = res.lam[tree.ancestor_at(node, tree.grid.index(i - 1))]
                 assert res.lam[node] <= prev + 1e-12
                 assert -1e-12 <= res.xi[node] <= 1.0 + 1e-12
@@ -336,7 +336,7 @@ def test_criterion_05_short_position_additivity():
         outflows = {}
         inflows = {}
         for i in (1, 2):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 outflows[node] = float(rng.uniform(0.0, 5.0))
                 if rng.uniform() < 0.3:
                     inflows[node] = float(rng.uniform(0.0, 2.0))
@@ -388,12 +388,12 @@ def _tuned_market(rng, years, hurdle):
     J = len(tree.grid.dates) - 1
     prices = {}
     inflows = {}
-    for node in tree.by_date[J]:
+    for node in tree.by_date[J].tolist():
         prices[node] = 0.0
         inflows[node] = float(rng.uniform(0.5, 1.5))
     for j in range(J - 1, -1, -1):
-        for node in tree.by_date[j]:
-            kids = tree.children[node]
+        for node in tree.by_date[j].tolist():
+            kids = tree.children_of(node)
             expected = sum(
                 tree.prob[c] * (prices[c] + inflows[c]) for c in kids
             )
@@ -402,8 +402,8 @@ def _tuned_market(rng, years, hurdle):
     # Re-tune after adding interior inflows: price excludes the node's own
     # inflow, so only the backward pass above must see the final values.
     for j in range(J - 1, -1, -1):
-        for node in tree.by_date[j]:
-            kids = tree.children[node]
+        for node in tree.by_date[j].tolist():
+            kids = tree.children_of(node)
             expected = sum(
                 tree.prob[c] * (prices[c] + inflows[c]) for c in kids
             )
@@ -441,7 +441,7 @@ def test_criterion_06_illiquid_replica_shift():
         assignment = {}
         extra = {0: extra0}
         for j in range(len(tree.grid.dates)):
-            for node in tree.by_date[j]:
+            for node in tree.by_date[j].tolist():
                 if j > 0:
                     parent_units = assignment[tree.parent[node]][0] - u_liab
                     grown = (
@@ -464,7 +464,7 @@ def test_criterion_06_illiquid_replica_shift():
         capital = {}
         for i in range(tree.grid.horizon):
             j1 = tree.grid.index(i + 1)
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 kids = tree.descendants_at(node, j1)
                 total_p = sum(tree.path_probability(node, c) for c in kids)
                 expected_sur = 0.0
@@ -571,8 +571,8 @@ def test_criterion_08_solvency_ii_formula():
     tree, _ = symmetric_tree(3)
     outflows = {}
     for i, (lo, hi) in {1: (40.0, 80.0), 2: (30.0, 60.0), 3: (20.0, 40.0)}.items():
-        for node in tree.nodes_at(i):
-            rank = tree.children[tree.parent[node]].index(node)
+        for node in tree.nodes_at(i).tolist():
+            rank = tree.children_of(tree.parent[node]).tolist().index(node)
             outflows[node] = hi if rank == 0 else lo
     report_obj = multi_period_solvency(
         liability(tree, outflows=outflows),
@@ -660,7 +660,7 @@ def test_criterion_10_consistency_certificates():
             node = min(node, tree.n_nodes - 1)
             if tree.is_leaf(node):
                 node = 0
-            kids = tree.children[node]
+            kids = tree.children_of(node)
             for c in kids[1:]:
                 prices[c] = list(prices[kids[0]])
                 inflows[c] = list(inflows[kids[0]])
@@ -684,7 +684,7 @@ def test_criterion_10_consistency_certificates():
             else:
                 n_violations += 1
                 x = np.array(verdict.violation)
-                for c in tree.children[node]:
+                for c in tree.children_of(node).tolist():
                     assert float(x @ market.payoff(c)) >= -1e-12
                 assert float(x @ market.price(node)) < -1e-9
 
@@ -743,7 +743,7 @@ def test_criterion_11_nonnegative_cashflows_corollary():
             period_rates_from_market(market, tree),
         )
         assert cost.feasible
-        annual = [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+        annual = [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i).tolist()]
         worst = min(worst, cost.values[annual].min())
     ok = worst >= -1e-9
     report(

@@ -330,9 +330,9 @@ def test_breadth_first_input_matches(seed, ids, dates):
     assert got == _outcome(_oracle_build_tree, grid, nodes)
     tree = build_tree(grid, nodes)
     assert tree.label_ids == {label: k for k, label in enumerate(tree.labels)}
-    assert tree.children == tuple(
-        tuple(np.flatnonzero(tree.parent == k).tolist()) for k in range(tree.n_nodes)
-    )
+    assert [
+        list(range(tree.child_start[k], tree.child_start[k + 1])) for k in range(tree.n_nodes)
+    ] == [np.flatnonzero(tree.parent == k).tolist() for k in range(tree.n_nodes)]
 
 
 @pytest.mark.parametrize("kind", BREAKS)

@@ -55,8 +55,8 @@ def oracle_check_consistency(market, tree, restriction=None):
     B = restriction.matrix()
     verdicts = {}
     for node in range(tree.n_nodes):
-        children = tree.children[node]
-        if not children:
+        children = tree.children_of(node)
+        if not children.size:
             continue
         Y = np.column_stack([B.T @ market.payoff(c) for c in children])
         s = B.T @ market.price(node)
@@ -101,7 +101,7 @@ def _program(market, tree, restriction):
     assert not np.isnan(cert.violation[~cert.consistent_at]).any()
     weights = cert.weights.tolist()
     return {
-        node: (True, {c: weights[c] for c in tree.children[node]}) if consistent else (False, None)
+        node: (True, {c: weights[c] for c in tree.children_of(node).tolist()}) if consistent else (False, None)
         for node, consistent in enumerate(cert.consistent_at.tolist())
     }
 
@@ -118,7 +118,7 @@ def _certificate_problems(market, tree, restriction, nodes):
     problems = {}
     for node in nodes:
         consistent = cert.consistent_at[node]
-        kids = list(tree.children[node])
+        kids = list(tree.children_of(node))
         Y = np.array([B.T @ market.payoff(c) for c in kids])
         s = B.T @ market.price(node)
         if consistent:
@@ -209,7 +209,7 @@ def market_case(seed: int, kind: str):
                 prices[node] = inflows[node] = 0.0  # a child paying nothing
             continue
         inflows[node] = draw(n_assets) * (rng.uniform() < 0.3) * (node != 0)
-        kids = list(tree.children[node])
+        kids = list(tree.children_of(node))
         pay = prices[kids] + inflows[kids]
         if kind == "rank_deficient" and len(kids) > 1:
             pay[-1] = pay[0]

@@ -77,6 +77,19 @@ def _negative(doc, seed):
     return doc
 
 
+def _negative_price(doc, seed):
+    """A price the market's constructor rejects, not the section reader."""
+    flows = doc["market"]["tradables"][1]["prices"]
+    flows[_last_label(flows)] = -0.5
+    return doc
+
+
+def _negative_bond_price(doc, seed):
+    flows = doc["market"]["tradables"][0]["prices"]
+    flows["n0"] = -0.5
+    return doc
+
+
 def _infinite(doc, seed):
     flows = doc["market"]["tradables"][1]["inflows"]
     flows[_last_label(flows)] = math.inf
@@ -122,12 +135,12 @@ def _arrays(problem):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda doc, seed: doc, _shuffled, _integers, _nan, _negative,
-        _infinite, _unknown_node, _missing_price, _string_value,
+        lambda doc, seed: doc, _shuffled, _integers, _nan, _negative, _negative_price,
+        _negative_bond_price, _infinite, _unknown_node, _missing_price, _string_value,
     ],
     ids=[
-        "node_order", "shuffled", "integers", "nan", "negative", "infinite",
-        "unknown_node", "missing_price", "string_value",
+        "node_order", "shuffled", "integers", "nan", "negative", "negative_price",
+        "negative_bond_price", "infinite", "unknown_node", "missing_price", "string_value",
     ],
 )
 def test_loaded_file_is_the_document(edit, seed, tmp_path):
@@ -186,3 +199,4 @@ def test_parse_holds_no_section_dicts(tmp_path):
     plain = traced_peak(lambda: json.loads(path.read_text()))
     loaded = traced_peak(lambda: load_config(str(path)))
     assert loaded < plain
+

@@ -328,7 +328,7 @@ class TestBuildOnePeriod:
     def test_deterministic_liability_full(self):
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
-        ell = {nu: 50.0 for nu in tree.by_date[2]}
+        ell = {nu: 50.0 for nu in tree.by_date[2].tolist()}
         res = build_one_period(
             [0],
             node_values(tree, ell),
@@ -346,7 +346,7 @@ class TestBuildOnePeriod:
     def test_zero_liability(self):
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.02})
-        ell = {nu: 0.0 for nu in tree.by_date[2]}
+        ell = {nu: 0.0 for nu in tree.by_date[2].tolist()}
         res = build_one_period(
             [0],
             node_values(tree, ell),
@@ -365,7 +365,7 @@ class TestBuildOnePeriod:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.0})
         mid = tree.by_date[1][0]
-        ell = {nu: 0.0 for nu in tree.by_date[2]}
+        ell = {nu: 0.0 for nu in tree.by_date[2].tolist()}
         res = build_one_period(
             [0],
             node_values(tree, ell),
@@ -387,7 +387,7 @@ class TestBuildOnePeriod:
         tree = two_point_tree()
         market = bond_market(tree, {0: 0.0})
         mid = tree.by_date[1][0]
-        ell = {nu: -10.0 for nu in tree.by_date[2]}
+        ell = {nu: -10.0 for nu in tree.by_date[2].tolist()}
         res = build_one_period(
             [0],
             node_values(tree, ell),
@@ -551,7 +551,7 @@ class TestEngineProperties:
             tree = random_tree(rng, years=2, max_branch=2)
             market, _ = state_price_market(rng, tree, n_risky=1, with_bonds=True)
             J = len(tree.grid.dates) - 1
-            annual = [n for i in range(1, tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+            annual = [n for i in range(1, tree.grid.horizon + 1) for n in tree.nodes_at(i).tolist()]
             liab = liability(
                 tree,
                 outflows={n: float(rng.uniform(0, 5)) for n in annual},

@@ -53,7 +53,7 @@ class TestBuildTree:
         tree = smallest_tree()
         assert tree.n_nodes == 5
         assert tree.date_of(0) == 0
-        assert [tree.labels[n] for n in tree.by_date[0]] == ["r"]
+        assert [tree.labels[n] for n in tree.by_date[0].tolist()] == ["r"]
         assert len(tree.by_date[1]) == 2
         assert len(tree.by_date[2]) == 2
 
@@ -114,15 +114,15 @@ class TestBuildTree:
     def test_layers_match_date_slices(self):
         tree = random_tree(np.random.default_rng(2), years=2)
         layers = tree.layers(tree.by_date[1], len(tree.grid.dates) - 2)
-        assert [sorted(layer) for layer in layers] == [
-            list(nodes) for nodes in tree.by_date[1:]
+        assert [sorted(layer.tolist()) for layer in layers] == [
+            nodes.tolist() for nodes in tree.by_date[1:]
         ]
-        assert tree.layers([0], 0) == [[0]]
+        assert [layer.tolist() for layer in tree.layers([0], 0)] == [[0]]
 
     def test_descendants_at_rejects_earlier_date(self):
         tree = random_tree(np.random.default_rng(3), years=1)
         node = tree.by_date[1][0]
-        assert tree.descendants_at(node, 1) == [node]
+        assert tree.descendants_at(node, 1).tolist() == [node]
         with pytest.raises(ValueError, match="precedes"):
             tree.descendants_at(node, 0)
 
@@ -157,7 +157,7 @@ class TestConditionalDistribution:
         values = {n: float(i) for i, n in enumerate(tree.by_date[3])}
         d = conditional_distribution(tree, 0, by_node(tree, values), 1)
         expected = {}
-        for leaf in tree.by_date[3]:
+        for leaf in tree.by_date[3].tolist():
             mid = tree.parent[leaf]
             top = tree.parent[mid]
             expected[values[leaf]] = tree.prob[top] * tree.prob[mid]
@@ -176,8 +176,8 @@ class TestConditionalDistribution:
         for _ in range(20):
             tree = random_tree(rng, years=2)
             j = len(tree.grid.dates) - 1
-            values = by_node(tree, {n: float(rng.normal()) for n in tree.by_date[j]})
-            for node in tree.by_date[1]:
+            values = by_node(tree, {n: float(rng.normal()) for n in tree.by_date[j].tolist()})
+            for node in tree.by_date[1].tolist():
                 d = conditional_distribution(tree, node, values, tree.grid.dates[j])
                 assert abs(math.fsum(d.probs) - 1.0) <= 1e-12
 
@@ -189,10 +189,10 @@ def test_tower_property():
         tree = random_tree(rng, years=1, interior_per_year=2, max_branch=3)
         j = len(tree.grid.dates) - 1
         horizon = tree.grid.dates[j]
-        values = by_node(tree, {n: float(rng.uniform(-10, 10)) for n in tree.by_date[j]})
+        values = by_node(tree, {n: float(rng.uniform(-10, 10)) for n in tree.by_date[j].tolist()})
         for mid_j in (1, 2):
             total = 0.0
-            for node in tree.by_date[mid_j]:
+            for node in tree.by_date[mid_j].tolist():
                 inner = conditional_distribution(tree, node, values, horizon).mean()
                 total += tree.path_probability(0, node) * inner
             direct = conditional_distribution(tree, 0, values, horizon).mean()
@@ -214,7 +214,7 @@ class TestArrayLayout:
         assert tree.parent.tolist() == [-1, 0, 0, 1, 2]
         assert tree.date_idx.tolist() == [0, 1, 1, 2, 2]
         assert tree.prob.tolist() == [1.0, 0.25, 0.75, 1.0, 1.0]
-        assert tree.children == ((1, 2), (3,), (4,), (), ())
+        assert tree.child_start.tolist() == [1, 3, 4, 5, 5, 5]
         assert tree.label_order.tolist() == [1, 3, 2, 4, 0]  # a, a1, b, b1, r
         for arr in (tree.parent, tree.date_idx, tree.prob, tree.label_order):
             with pytest.raises(ValueError):

@@ -198,7 +198,7 @@ def _check_state_price_market(tmp_path, monkeypatch, branch: int):
         assert entry["consistent"]
         node = index[label]
         weights = entry["weights"]
-        assert sorted(index[c] for c in weights) == sorted(tree.children[node])
+        assert sorted(index[c] for c in weights) == sorted(tree.children_of(node))
         assert min(weights.values()) >= 0.0
         rebuilt = sum(w * market.payoff(index[c]) for c, w in weights.items())
         np.testing.assert_allclose(rebuilt, market.price(node), rtol=0, atol=1e-8)
@@ -207,7 +207,7 @@ def _check_state_price_market(tmp_path, monkeypatch, branch: int):
         assert len(audits) == 1 + branch
         for label, audit in audits.items():
             node = index[label]
-            child = tree.children[node][0]
+            child = tree.children_of(node)[0]
             mu = state_prices[node][child] / tree.prob[child]
             assert audit["status"] == "optimal"
             assert audit["optimum"] == pytest.approx(1.0 / mu, abs=1e-8)

@@ -61,7 +61,7 @@ class TestCheckConsistency:
         assert cert.consistent
         # At an interior node the child pays 1, so the weights sum to the
         # bond price there.
-        lam = cert.weights[list(tree.children[1])]
+        lam = cert.weights[list(tree.children_of(1))]
         assert lam.sum() == pytest.approx(1 / 1.01, abs=1e-12)
 
     def test_two_tradable_fixture_refuted(self):
@@ -81,7 +81,7 @@ class TestCheckConsistency:
         cert = check_consistency(market, tree)
         assert not cert.consistent_at[0]
         x = cert.violation[0]
-        for child in tree.children[0]:
+        for child in tree.children_of(0).tolist():
             assert x @ market.payoff(child) >= -1e-12
         assert x @ market.price(0) < -1e-9
 
@@ -167,7 +167,7 @@ class TestRandomMarkets:
             # Make both children of the root pay the same and misprice it.
             prices = {n: list(market.prices[n]) for n in range(tree.n_nodes)}
             inflows = {n: list(market.inflows[n]) for n in range(tree.n_nodes)}
-            kids = tree.children[0]
+            kids = tree.children_of(0)
             for c in kids[1:]:
                 prices[c] = list(prices[kids[0]])
                 inflows[c] = list(inflows[kids[0]])
@@ -188,7 +188,7 @@ class TestRandomMarkets:
                 else:
                     n_violations += 1
                     x = np.array(verdict.violation)
-                    for c in tree.children[node]:
+                    for c in tree.children_of(node).tolist():
                         assert x @ market2.payoff(c) >= -1e-12
                     assert x @ market2.price(node) < -1e-9
         assert n_violations > 0
@@ -209,7 +209,7 @@ class TestRandomMarkets:
             recon = sum(
                 lam[c]
                 * (units @ market.price(c) + units @ market.inflow(c))
-                for c in tree.children[node]
+                for c in tree.children_of(node).tolist()
             )
             assert recon == pytest.approx(v_node, abs=1e-9)
 

@@ -219,7 +219,7 @@ def test_replica_shift_inflows_and_capital_keep_per_node_bits(monkeypatch):
     assert shift_psi.inflows.any()
     assert report.max_abs_diff <= 1e-9
     # The per-node loop the report's arrays replaced.
-    annual = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i)]
+    annual = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i).tolist()]
     rows = []
     for n in annual:
         v_star = strategy_value(shift_strategy, market, n) - float(shift_capital.values[n])
@@ -253,7 +253,7 @@ def test_short_position_identity_keeps_per_node_bits():
     )
     phi_p = stopped(phi, tree, stop)
     combined = cost.strategy.plus(phi_p)
-    annual = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i)]
+    annual = [n for i in range(tree.grid.horizon) for n in tree.nodes_at(i).tolist()]
     rows = []
     for n in annual:
         c = float(cost.capital[n])

@@ -75,7 +75,7 @@ def _roll_mix_linear(tree, market, node_i, j0, j1, weights, scale, interior_net)
                     return None
                 x[k] = p * w / price
             portfolios[m] = x
-            for c in tree.children[m]:
+            for c in tree.children_of(m).tolist():
                 res = float(x @ market.payoff(c))
                 if last_step:
                     payoff[c] = res
@@ -137,7 +137,7 @@ def _explicit_with_addon(tree, market, node_i, j0, j1, base, ell, interior_net, 
                 if abs(float(x @ market.price(m)) - resources) > 1e-7:
                     return None
             portfolios[m] = x
-            for c in tree.children[m]:
+            for c in tree.children_of(m).tolist():
                 if last_step:
                     payoff[c] = float(x @ market.payoff(c))
     surplus0 = _surplus_dist(tree, node_i, payoff, ell)
@@ -260,7 +260,7 @@ def oracle_backward(liab, psi, config, fulfillment, financiability, market, tree
     params: Dict[int, tuple] = {}
     portfolios = {}
     infeasible = []
-    for leaf in tree.by_date[J]:
+    for leaf in tree.by_date[J].tolist():
         values[leaf] = float(liab.terminal[leaf])
     fam = config.family
     if fam.variant == "fixed_mix":
@@ -276,9 +276,9 @@ def oracle_backward(liab, psi, config, fulfillment, financiability, market, tree
         ell_all = {
             nu: float(liab.outflows[nu]) + values[nu] - float(liab.inflows[nu])
             - float(psi.inflows[nu])
-            for nu in tree.by_date[j1]
+            for nu in tree.by_date[j1].tolist()
         }
-        for node_i in tree.nodes_at(i):
+        for node_i in tree.nodes_at(i).tolist():
             best = _best_candidate(
                 node_i, ell_all, interior_net, candidates, config, fulfillment,
                 financiability, market, tree, rates[node_i],
@@ -326,7 +326,7 @@ def explicit_base(rng, tree, market, liab, psi, kind):
     for j in range(J):
         i = math.floor(tree.grid.dates[j])
         k = next((a for a, p in market.bond_periods.items() if p == i), 0)
-        for m in tree.by_date[j]:
+        for m in tree.by_date[j].tolist():
             if tree.grid.is_annual(j):
                 x[m, k] = rng.uniform(0.0, 300.0)
                 x[m, 1] += rng.uniform(0.0, 20.0)
@@ -342,7 +342,7 @@ def explicit_base(rng, tree, market, liab, psi, kind):
         inside = [m for m in range(tree.n_nodes) if not tree.grid.is_annual(tree.date_idx[m])]
         x[inside[int(rng.integers(len(inside)))], 0] += 1.0
     elif kind == "negative":
-        annual = [m for i in range(tree.grid.horizon) for m in tree.nodes_at(i)]
+        annual = [m for i in range(tree.grid.horizon) for m in tree.nodes_at(i).tolist()]
         x[annual[int(rng.integers(len(annual)))]] *= -1.0
     elif kind == "starts_late":
         span = {"t_min": Fraction(1)}
@@ -436,7 +436,7 @@ def test_full_fulfillment_reads_only_the_nodes_own_atoms():
     a, b = tree.nodes_at(1)[:2]
     a1 = tree.descendants_at(a, tree.grid.index(2))[0]
     prices = market.prices.copy()
-    prices[tree.children[a1][0], 0] = 0.0
+    prices[tree.children_of(a1)[0], 0] = 0.0
     market = TradableSet(tree, prices, market.inflows, market.bond_periods, close_out=True)
     config = EngineConfig(family=StrategyFamily.fixed_mix((0,)))
     for fulfillment in (FulfillmentSpec.full(), FulfillmentSpec.var(0.2)):

@@ -339,7 +339,7 @@ def test_check_problems_reach_every_verdict():
                 if list(doc["consistency"]["used_subspace"]) != list(inner):
                     seen.add("labels_out_of_node_order")
                 for nodes in tree.by_date[:-1]:
-                    if len({len(tree.children[node]) for node in nodes}) > 1:
+                    if len({len(tree.children_of(node)) for node in nodes}) > 1:
                         seen.add("mixed_child_counts")
     assert seen >= {
         True, False, "not_evaluated", ("optimal", False), ("optimal", True),

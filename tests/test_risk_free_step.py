@@ -77,7 +77,7 @@ def _roll_mix_linear(tree, market, node_i, j0, j1, weights, scale, interior_net)
                     return None
                 x[k] = p * w / price
             portfolios[m] = x
-            for c in tree.children[m]:
+            for c in tree.children_of(m).tolist():
                 res = float(x @ market.payoff(c))
                 if last_step:
                     payoff[c] = res
@@ -189,7 +189,7 @@ def oracle_backward(liab, psi, mode, fulfillment, financiability, market, tree, 
     portfolios = {}
     infeasible = []
     ells = {}
-    for leaf in tree.by_date[J]:
+    for leaf in tree.by_date[J].tolist():
         values[leaf] = float(liab.terminal[leaf])
 
     def interior_net(m):
@@ -200,10 +200,10 @@ def oracle_backward(liab, psi, mode, fulfillment, financiability, market, tree, 
         ell_all = {
             nu: float(liab.outflows[nu]) + values[nu] - float(liab.inflows[nu])
             - float(psi.inflows[nu])
-            for nu in tree.by_date[j1]
+            for nu in tree.by_date[j1].tolist()
         }
         ells[i] = ell_all
-        for node_i in tree.nodes_at(i):
+        for node_i in tree.nodes_at(i).tolist():
             res = oracle_one_period(
                 node_i, ell_all, interior_net, fulfillment, financiability,
                 market, tree, rates[node_i], mode,
@@ -279,7 +279,7 @@ def make_problem(seed, shape, defect, interior_flows, magnitude=1.0, max_branch=
     inside = [
         n
         for j in range(tree.grid.index(period) + 1, tree.grid.index(period + 1))
-        for n in tree.by_date[j]
+        for n in tree.by_date[j].tolist()
     ]
     m = inside[int(rng.integers(len(inside)))]
     if defect == "no_bond":
@@ -290,7 +290,7 @@ def make_problem(seed, shape, defect, interior_flows, magnitude=1.0, max_branch=
         inflows[m, k] += 0.25
     market = TradableSet(tree, prices, inflows, bonds, close_out=True)
 
-    annual = {n for i in range(1, years + 1) for n in tree.nodes_at(i)}
+    annual = {n for i in range(1, years + 1) for n in tree.nodes_at(i).tolist()}
     outflows, liab_inflows, psi_inflows, terminal = {}, {}, {}, {}
     for n in range(1, tree.n_nodes):
         if n in annual:
@@ -302,7 +302,7 @@ def make_problem(seed, shape, defect, interior_flows, magnitude=1.0, max_branch=
             outflows[n] = float(rng.uniform(0.0, 60.0))
         if rng.uniform() < 0.2:
             psi_inflows[n] = float(rng.uniform(0.0, 20.0))
-    for leaf in tree.by_date[-1]:
+    for leaf in tree.by_date[-1].tolist():
         if rng.uniform() < 0.3:
             terminal[leaf] = float(rng.uniform(-20.0, 40.0))
 
@@ -389,7 +389,7 @@ def assert_matches_oracle(tree, market, liab, psi, fulfillment, financiability, 
     for i, ell in ells.items():
         ell_array = np.zeros(tree.n_nodes)
         ell_array[list(ell)] = list(ell.values())
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             common = (fulfillment, fin, market, tree)
             ref = oracle_one_period(node, ell, interior_net, *common, rates[node], mode)
             held = np.zeros((tree.n_nodes, market.n_assets))

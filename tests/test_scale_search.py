@@ -334,7 +334,7 @@ def test_fixed_mix_step_rolls_a_few_times_per_date():
     rng = np.random.default_rng(5)
     tree = _full_tree(3, 2)
     market, _ = state_price_market(rng, tree, n_risky=2)
-    annual = [m for i in (1, 2) for m in tree.nodes_at(i)]
+    annual = [m for i in (1, 2) for m in tree.nodes_at(i).tolist()]
     outflows = np.zeros(tree.n_nodes)
     outflows[annual] = rng.uniform(50.0, 150.0, len(annual))
     terminal = np.zeros(tree.n_nodes)

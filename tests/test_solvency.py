@@ -208,9 +208,9 @@ class TestMultiPeriod:
         outflows = {}
         spreads = {1: (40.0, 80.0), 2: (30.0, 60.0), 3: (20.0, 40.0)}
         for i, (lo, hi) in spreads.items():
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 # Symmetric: the up child gets hi, the down child lo.
-                sibling_rank = tree.children[tree.parent[node]].index(node)
+                sibling_rank = tree.children_of(tree.parent[node]).tolist().index(node)
                 outflows[node] = hi if sibling_rank == 0 else lo
         liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
@@ -266,7 +266,7 @@ class TestMultiPeriod:
         tree, _ = symmetric_tree(2)
         outflows = {}
         for i in (1, 2):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 outflows[node] = float(rng.uniform(10, 100))
         liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
@@ -288,14 +288,14 @@ class TestMultiPeriod:
         es = RiskMeasureSpec("es", 0.01)
         outflows = {}
         for i in (1, 2):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 outflows[node] = float(rng.uniform(10, 100))
         liab = liability(tree, outflows=outflows)
         rates = RateCurve.flat(tree, 0.02)
         report = multi_period_solvency(liab, rates, 0.06, es, 1, tree)
         bel = {n: r.total for n, r in solvency_mappings(report, tree).rows.items()}
         for i in (0, 1):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 j1 = tree.grid.index(i + 1)
                 kids = tree.descendants_at(node, j1)
                 l1 = {
@@ -336,7 +336,7 @@ def test_engine_totals_match_stage2_with_risk_free_investment():
         market = bond_market(tree, {0: 0.02, 1: 0.02})
         outflows = {}
         for i in (1, 2):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 outflows[node] = float(rng.uniform(10, 100))
         liab = liability(tree, outflows=outflows)
         alpha = 0.005 if trial % 2 == 0 else 0.4  # the latter leaves mass outside M_1

@@ -72,17 +72,17 @@ def _problem(seed, years, interior, branch, flat, with_inflows):
     tree = random_tree(rng, years, interior_per_year=interior, max_branch=branch)
     outflows, inflows = {}, {}
     for i in range(1, years + 1):
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             outflows[node] = _flow(rng)
             if with_inflows and rng.uniform() < 0.3:
                 inflows[node] = _flow(rng)
-    terminal = {n: _flow(rng) for n in tree.nodes_at(years) if rng.uniform() < 0.5}
+    terminal = {n: _flow(rng) for n in tree.nodes_at(years).tolist() if rng.uniform() < 0.5}
     liab = liability(tree, outflows=outflows, inflows=inflows, terminal=terminal)
     if flat:
         rates = RateCurve.flat(tree, 0.02)
     else:
         rates = RateCurve({
-            n: float(rng.uniform(-0.03, 0.08)) for i in range(years) for n in tree.nodes_at(i)
+            n: float(rng.uniform(-0.03, 0.08)) for i in range(years) for n in tree.nodes_at(i).tolist()
         })
     return tree, liab, rates
 

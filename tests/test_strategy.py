@@ -68,7 +68,7 @@ def hold_one(tree, n_assets=1):
         tree,
         n_assets,
         same_rows(tree, one),
-        initial=by_node(tree, {n: one for n in tree.by_date[0]}),
+        initial=by_node(tree, {n: one for n in tree.by_date[0].tolist()}),
     )
 
 
@@ -180,7 +180,7 @@ class TestShortPosition:
         phi = hold_one(tree)
         stop = set(tree.by_date[2])
         out = short_position_cashflows(phi, stop, market, tree, flows(tree)).outflow
-        for leaf in tree.by_date[2]:
+        for leaf in tree.by_date[2].tolist():
             assert out[leaf] == pytest.approx(2.5)
         for node in (0, 1, 2):
             assert out[node] == 0.0
@@ -199,11 +199,11 @@ class TestShortPosition:
         phi = hold_one(tree)
         x_flows = flows(tree, outflow={n: 0.5 for n in range(tree.n_nodes)})
         u, d = tree.by_date[1]
-        d_leaf = tree.children[d][0]
+        d_leaf = tree.children_of(d)[0]
         stop = {u, d_leaf}
         out = short_position_cashflows(phi, stop, market, tree, x_flows).outflow
         assert out[u] == pytest.approx(2.5)  # liquidation
-        assert out[tree.children[u][0]] == 0.0  # extinguished
+        assert out[tree.children_of(u)[0]] == 0.0  # extinguished
         assert out[d] == pytest.approx(0.5)  # X continues
         assert out[d_leaf] == pytest.approx(2.5)
 
@@ -217,10 +217,10 @@ class TestShortPosition:
         out = short_position_cashflows(
             phi, {0}, market, tree, x_flows, pay_at_tmax=True
         ).outflow
-        for leaf in tree.by_date[2]:
+        for leaf in tree.by_date[2].tolist():
             assert out[leaf] == pytest.approx(2.5)
         assert out[0] == pytest.approx(0.5)
-        for mid in tree.by_date[1]:
+        for mid in tree.by_date[1].tolist():
             assert out[mid] == pytest.approx(0.5)
 
     def test_underlying_must_have_no_inflows(self):
@@ -239,7 +239,7 @@ class TestShortPosition:
         tree = one_period_tree()
         market = constant_market(tree, 2.0, 0.0)
         u = tree.by_date[1][0]
-        bad = {u, tree.children[u][0], tree.by_date[1][1]}
+        bad = {u, tree.children_of(u)[0], tree.by_date[1][1]}
         with pytest.raises(StopNotAntichain):
             short_position_cashflows(
                 hold_one(tree), bad, market, tree, flows(tree)
@@ -327,7 +327,7 @@ class TestDecomposeGeneral:
                 )
                 for n in range(tree.n_nodes)
             }
-            initial = {n: tuple(rng.uniform(-1, 1, size=2)) for n in tree.by_date[0]}
+            initial = {n: tuple(rng.uniform(-1, 1, size=2)) for n in tree.by_date[0].tolist()}
             phi = Strategy(
                 tree,
                 2,
@@ -397,11 +397,11 @@ def test_consistency_propagation_on_random_trees():
         theta_assign = {}
         theta_init = {
             node: tuple(np.array(phi.initial[node]) + rng.uniform(0.0, 0.5, size=n))
-            for node in tree.by_date[0]
+            for node in tree.by_date[0].tolist()
         }
         ok = True
         for j in range(len(tree.grid.dates)):
-            for node in tree.by_date[j]:
+            for node in tree.by_date[j].tolist():
                 held_in = (
                     np.array(theta_init[node])
                     if j == 0
@@ -425,7 +425,7 @@ def test_consistency_propagation_on_random_trees():
         for node in range(tree.n_nodes):
             if tree.is_leaf(node):
                 continue
-            kids = tree.children[node]
+            kids = tree.children_of(node)
             v_phi = [strategy_value(phi, market, c) for c in kids]
             v_theta = [strategy_value(theta, market, c) for c in kids]
             if all(a >= b - 1e-12 for a, b in zip(v_theta, v_phi)):

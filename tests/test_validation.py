@@ -176,21 +176,27 @@ class TestConfigValidation:
     def test_negative_price(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["prices"]["mid"] = -0.5
-        with pytest.raises(ValueError, match=r"negative price or inflow at node 'mid'$"):
+        with pytest.raises(
+            SchemaViolation, match=r"^invalid config: negative price or inflow at node 'mid'$"
+        ) as err:
             problem_from_dict(doc)
+        assert type(err.value.__cause__) is ValueError
 
     def test_negative_inflow(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["inflows"]["hi"] = -1.0
         doc["market"]["tradables"][0]["inflows"]["lo"] = -1.0
-        with pytest.raises(ValueError, match=r"negative price or inflow at node 'lo'$"):
+        with pytest.raises(
+            SchemaViolation, match=r"^invalid config: negative price or inflow at node 'lo'$"
+        ):
             problem_from_dict(doc)
 
     def test_all_zero_price_vector_at_non_leaf(self):
         doc = two_point_doc()
         doc["market"]["tradables"][0]["prices"]["mid"] = 0.0
         with pytest.raises(
-            ValueError, match=r"price vector is identically zero at node 'mid'$"
+            SchemaViolation,
+            match=r"^invalid config: price vector is identically zero at node 'mid'$",
         ):
             problem_from_dict(doc)
 
@@ -269,9 +275,9 @@ class TestConfigValidation:
         doc = two_point_doc()
         doc["market"]["tradables"][0]["inflows"]["hi"] = 0.5
         with pytest.raises(
-            ValueError,
-            match=r"flagged as period-0 bond must have price 0 and inflow 1 "
-            r"at date 1, not at node 'hi'$",
+            SchemaViolation,
+            match=r"^invalid config: tradable 0 flagged as period-0 bond must have price 0 "
+            r"and inflow 1 at date 1, not at node 'hi'$",
         ):
             problem_from_dict(doc)
 

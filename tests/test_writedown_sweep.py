@@ -128,7 +128,7 @@ def oracle_theta(psi, lam, market, tree, policy_index=None):
     assignment = oracle_accumulate_within_years(market, tree, inflows.get, policy_index)
     payouts = {}
     for i in range(tree.grid.horizon + 1):
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             payouts[node] = inflows[node]
             parent = int(tree.parent[node])
             if parent >= 0:
@@ -150,15 +150,15 @@ def oracle_factors(liab, psi, cost, market, tree, policy_index=None, max_iter=10
             f"(mode B); negative at nodes {bad}"
         )
     T = tree.grid.horizon
-    annual_nodes = [n for i in range(T + 1) for n in tree.nodes_at(i)]
+    annual_nodes = [n for i in range(T + 1) for n in tree.nodes_at(i).tolist()]
     lam = {n: 1.0 for n in annual_nodes}
-    xi = {n: 1.0 for n in tree.nodes_at(0)}
+    xi = {n: 1.0 for n in tree.nodes_at(0).tolist()}
     theta = oracle_theta(psi, lam, market, tree, policy_index)
     for _ in range(max_iter):
-        new_lam = {n: 1.0 for n in tree.nodes_at(0)}
-        new_xi = {n: 1.0 for n in tree.nodes_at(0)}
+        new_lam = {n: 1.0 for n in tree.nodes_at(0).tolist()}
+        new_xi = {n: 1.0 for n in tree.nodes_at(0).tolist()}
         for i in range(1, T + 1):
-            for node in tree.nodes_at(i):
+            for node in tree.nodes_at(i).tolist():
                 prev = new_lam[tree.ancestor_at(node, tree.grid.index(i - 1))]
                 row = cost.rows[node]
                 if row.liabilities <= TOL or prev <= 0.0:
@@ -197,7 +197,7 @@ def oracle_extend(liab, psi, cost, financiability, market, tree, rates, policy_i
     lam_floor = np.array([_lam_floor(tree, lam, n) for n in range(tree.n_nodes)])
     scaled = Strategy(tree, market.n_assets, lam_floor[:, None] * cost.strategy.assignment)
     capital = {n: _lam_floor(tree, lam, n) * c for n, c in cost.capital.items()}
-    terminal = {n: lam[n] * cost.values[n] for n in tree.by_date[J]}
+    terminal = {n: lam[n] * cost.values[n] for n in tree.by_date[J].tolist()}
     nodes = range(tree.n_nodes)
     lam_floor = [_lam_floor(tree, lam, n) for n in nodes]
     lam_prev = [_lam_prev(tree, lam, n) for n in nodes]
@@ -216,7 +216,7 @@ def oracle_extend(liab, psi, cost, financiability, market, tree, rates, policy_i
     )
     worst = 0.0
     for i in range(T):
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             got = strategy_value(scaled, market, node) - capital.get(node, 0.0)
             want = lam[node] * cost.values[node]
             worst = max(worst, abs(got - want))
@@ -253,20 +253,20 @@ def oracle_validate(
     extra = np.zeros(tree.n_nodes) if extra_annual_inflows is None else extra_annual_inflows
 
     vbar = {}
-    for node in tree.nodes_at(i_max):
+    for node in tree.nodes_at(i_max).tolist():
         if terminal is not None:
             vbar[node] = float(terminal[node])
         else:
             vbar[node] = float(liab.terminal[node])
     for i in range(i_min, i_max):
-        for node in tree.nodes_at(i):
+        for node in tree.nodes_at(i).tolist():
             vbar[node] = strategy_value(strategy, market, node) - float(capital.values[node])
 
     flows = CashflowProcess(0.0 + liab.inflows + psi.inflows + extra, liab.outflows)
 
     live = {}
     start = set(start_set) if start_set is not None else set(tree.nodes_at(i_min))
-    for node in tree.nodes_at(i_min):
+    for node in tree.nodes_at(i_min).tolist():
         live[node] = node in start
 
     checks = []
@@ -274,11 +274,11 @@ def oracle_validate(
     for i in range(i_min, i_max):
         j0 = tree.grid.index(i)
         j1 = tree.grid.index(i + 1)
-        for node_i in tree.nodes_at(i):
+        for node_i in tree.nodes_at(i).tolist():
             if not live[node_i]:
                 reason = "outside start set" if i == i_min else "prior failure"
                 skipped.append((node_i, i, reason))
-                for nu in tree.descendants_at(node_i, j1):
+                for nu in tree.descendants_at(node_i, j1).tolist():
                     live[nu] = False
                 continue
             layers = tree.layers([node_i], j1 - j0)
@@ -588,7 +588,7 @@ def test_validation_matches_per_node_oracle(
             tree, {n: float(rng.uniform(-5.0, 30.0)) for n in last if rng.uniform() < 0.7}
         )
     if extra:
-        annual = [n for i in range(T + 1) for n in tree.nodes_at(i)]
+        annual = [n for i in range(T + 1) for n in tree.nodes_at(i).tolist()]
         kwargs["extra_annual_inflows"] = by_node(
             tree, {n: float(rng.uniform(0.0, 3.0)) for n in annual}
         )

@@ -38,7 +38,7 @@ def cost_mappings(cost, tree: ScenarioTree) -> SimpleNamespace:
     ``infeasible_nodes`` pass through."""
     from prodval.engine import FAILURE_KINDS
 
-    annual = [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i)]
+    annual = [n for i in range(tree.grid.horizon + 1) for n in tree.nodes_at(i).tolist()]
     params = {}
     for n in sorted(annual):
         head = cost.heads[cost.head[n]]
@@ -76,7 +76,7 @@ def certificate_mappings(cert, tree: ScenarioTree) -> dict:
     out = {}
     for node, consistent in enumerate(cert.consistent_at.tolist()):
         if consistent:
-            weights = {c: float(cert.weights[c]) for c in tree.children[node]}
+            weights = {c: float(cert.weights[c]) for c in tree.children_of(node).tolist()}
             out[node] = SimpleNamespace(consistent=True, weights=weights, violation=None)
         else:
             violation = tuple(cert.violation[node].tolist())
@@ -118,7 +118,7 @@ def solvency_mappings(report, tree: ScenarioTree) -> SimpleNamespace:
             total=float(report.bel[n]) + float(report.rm[n]),
         )
         for i in range(tree.grid.horizon)
-        for n in tree.nodes_at(i)
+        for n in tree.nodes_at(i).tolist()
     }
     return SimpleNamespace(
         stage=report.stage, rows=rows, sii_formula_rm0=report.sii_formula_rm0
@@ -205,7 +205,7 @@ def state_price_market(
         if tree.is_leaf(node):
             continue
         mu = rng.uniform(*discount_range)
-        weights[node] = {c: mu * tree.prob[c] for c in tree.children[node]}
+        weights[node] = {c: mu * tree.prob[c] for c in tree.children_of(node).tolist()}
 
     prices = {n: np.zeros(n_assets) for n in range(tree.n_nodes)}
     inflows = {n: np.zeros(n_assets) for n in range(tree.n_nodes)}
@@ -213,14 +213,14 @@ def state_price_market(
     # Risky assets: random non-negative leaf prices and inflows, earlier
     # prices from the state prices.
     for k in range(n_risky):
-        for node in tree.by_date[J]:
+        for node in tree.by_date[J].tolist():
             prices[node][k] = rng.uniform(0.5, 2.0)
             inflows[node][k] = rng.uniform(0.0, inflow_scale)
         for j in range(J - 1, -1, -1):
-            for node in tree.by_date[j]:
+            for node in tree.by_date[j].tolist():
                 lam = weights[node]
                 prices[node][k] = sum(
-                    lam[c] * (prices[c][k] + inflows[c][k]) for c in tree.children[node]
+                    lam[c] * (prices[c][k] + inflows[c][k]) for c in tree.children_of(node).tolist()
                 )
                 if j > 0:
                     inflows[node][k] = rng.uniform(0.0, inflow_scale)
@@ -231,17 +231,17 @@ def state_price_market(
             k = n_risky + i
             bond_periods[k] = i
             j_end = tree.grid.index(i + 1)
-            for node in tree.by_date[j_end]:
+            for node in tree.by_date[j_end].tolist():
                 prices[node][k] = 0.0
                 inflows[node][k] = 1.0
             # Backward to the root: the bond must be consistently priced
             # before its own period as well.
             for j in range(j_end - 1, -1, -1):
-                for node in tree.by_date[j]:
+                for node in tree.by_date[j].tolist():
                     lam = weights[node]
                     prices[node][k] = sum(
                         lam[c] * (prices[c][k] + inflows[c][k])
-                        for c in tree.children[node]
+                        for c in tree.children_of(node).tolist()
                     )
 
     market = TradableSet(
@@ -257,7 +257,7 @@ def state_price_market(
 def year_state_prices(tree: ScenarioTree, weights: dict, node: int, j_end: int) -> dict:
     """Compose per-step weights into prices of 1 paid at date-j_end nodes."""
     out = {}
-    for target in tree.descendants_at(node, j_end):
+    for target in tree.descendants_at(node, j_end).tolist():
         q = 1.0
         m = target
         while m != node:
@@ -278,10 +278,10 @@ def random_paying_strategy(rng, tree, market, scale=1.0):
     assignment = {}
     outflow = {}
     init_map = {}
-    for node in tree.by_date[0]:
+    for node in tree.by_date[0].tolist():
         init_map[node] = tuple(init)
     for j in range(len(tree.grid.dates)):
-        for node in tree.by_date[j]:
+        for node in tree.by_date[j].tolist():
             held_in = (
                 np.array(init_map[node])
                 if j == 0
@@ -310,7 +310,7 @@ def random_stop(rng, tree, p_stop=0.2):
     blocked = set()
     J = len(tree.grid.dates) - 1
     for j in range(J + 1):
-        for node in tree.by_date[j]:
+        for node in tree.by_date[j].tolist():
             par = tree.parent[node]
             if par is not None and (par in stop or par in blocked):
                 blocked.add(node)
@@ -328,9 +328,9 @@ def self_financing_addon(rng, tree, market, scale=1.0):
     n = market.n_assets
     init = rng.uniform(0.0, scale, size=n)
     assignment = {}
-    init_map = {node: tuple(init) for node in tree.by_date[0]}
+    init_map = {node: tuple(init) for node in tree.by_date[0].tolist()}
     for j in range(len(tree.grid.dates)):
-        for node in tree.by_date[j]:
+        for node in tree.by_date[j].tolist():
             held_in = (
                 np.array(init_map[node])
                 if j == 0
@@ -365,7 +365,7 @@ def config_doc(rng: np.random.Generator, tree: ScenarioTree, market: TradableSet
     flows drawn from ``rng``."""
     years = tree.grid.horizon
     labels = tree.labels
-    parent_label = {c: labels[n] for n in range(tree.n_nodes) for c in tree.children[n]}
+    parent_label = {c: labels[n] for n in range(tree.n_nodes) for c in tree.children_of(n).tolist()}
     nodes = [
         {
             "id": labels[n],
@@ -390,7 +390,7 @@ def config_doc(rng: np.random.Generator, tree: ScenarioTree, market: TradableSet
         tradables.append(spec)
     outflows, inflows = {}, {}
     for i in range(1, years + 1):
-        for n in tree.nodes_at(i):
+        for n in tree.nodes_at(i).tolist():
             outflows[labels[n]] = float(rng.uniform(50.0, 150.0))
             if i < years and rng.uniform() < 0.5:
                 inflows[labels[n]] = float(rng.uniform(0.0, 30.0))
