@@ -413,9 +413,12 @@ def tradable_cone_facts(
 ):
     """What both tradable audits are decided from: ``lp.cone_facts`` of
     every inner node, (outside, ray, positive, flat, hi, lo) as arrays
-    over the inner nodes, from one call per date and child count. None
-    where ``spec`` makes both audits hold by construction (state_price
-    and zero), which read no facts. One pass serves both audits."""
+    over the inner nodes, from one call per run of
+    ``tree.sibling_groups`` (child count across dates). NumericalFailure
+    is raised for the first failing node in child-count order, then in
+    id order. None where ``spec`` makes both audits hold by construction
+    (state_price and zero), which read no facts. One pass serves both
+    audits."""
     if spec.variant in ("state_price", "zero"):
         return None
     if restriction is None:

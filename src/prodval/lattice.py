@@ -38,6 +38,7 @@ from .risk import DiscreteDistribution, sum_left_to_right
 DateLike = Union[int, float, str, Fraction]
 
 _MASS_TOL = 1e-12
+_GROUP = 1 << 15  # inner nodes per sibling group at most
 
 
 def as_date(x: DateLike) -> Fraction:
@@ -113,7 +114,9 @@ class ScenarioTree:
 
     Node ids are numbered level by level: node 0 is the root, and neither
     ``parent[1:]`` nor ``date_idx`` decreases. The constructor rejects any
-    other layout, and only this module relies on it. The
+    other layout, and only this module relies on it; it also rejects a
+    ``date_idx``, ``prob`` or ``labels`` without one entry per node, and a
+    date index that names no grid date. The
     nodes of date index j are the ids ``date_start[j]`` up to
     ``date_start[j + 1]``, the children of node n the ids
     ``child_start[n]`` up to ``child_start[n + 1]``, and the descendants of
@@ -139,12 +142,18 @@ class ScenarioTree:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n, up = self.n_nodes, self.parent[1:]
+        for name in ("date_idx", "prob", "labels"):
+            size = len(getattr(self, name))
+            if size != n:
+                raise ValueError(f"{name} must hold one entry per node: {size} for {n} nodes")
         if not n or self.parent[0] != -1:
             raise ValueError("node 0 must be the root, with parent -1")
         if (up[:1] < 0).any() or (up[-1:] >= n).any() or (np.diff(up) < 0).any():
             raise ValueError("parent ids must be node ids that never decrease after the root's")
         if (np.diff(self.date_idx) < 0).any():
             raise ValueError("date indices must never decrease")
+        if self.date_idx[0] < 0 or self.date_idx[-1] >= len(self.grid.dates):
+            raise ValueError("date indices must be indices of grid dates")
         ids = np.arange(n)
         date_start = np.searchsorted(self.date_idx, np.arange(len(self.grid.dates) + 1))
         child_start = 1 + np.concatenate(([0], np.cumsum(np.bincount(up, minlength=n))))
@@ -202,18 +211,17 @@ class ScenarioTree:
         return bool(self.child_start[node] == self.child_start[node + 1])
 
     def sibling_groups(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """The inner nodes grouped by date and child count, in date order
-        and then by child count: per group its node ids, ascending, and an
-        array holding each one's children as a row, shape (len(nodes),
-        child count)."""
+        """The inner nodes grouped by child count, in ascending child
+        count, each count's nodes in ascending id order and in runs of at
+        most ``_GROUP`` nodes: per run its node ids and an array holding
+        each one's children as a row, shape (len(nodes), child count)."""
         # bincount, not np.unique: that pages in code nothing else in a
         # check runs, about 1 MB of peak memory on a 341-node check.
-        count = np.diff(self.child_start)
-        starts = self.date_start.tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            at = count[lo:hi]
-            for k in np.flatnonzero(np.bincount(at)[1:]).tolist():
-                nodes = lo + np.flatnonzero(at == k + 1)
+        count = np.diff(self.child_start[: self.n_inner + 1])
+        for k in np.flatnonzero(np.bincount(count)[1:]).tolist():
+            ids = np.flatnonzero(count == k + 1)
+            for lo in range(0, len(ids), _GROUP):
+                nodes = ids[lo : lo + _GROUP]
                 yield nodes, self.child_start[nodes, None] + np.arange(k + 1)
 
     def require_per_node(self, *sections: Tuple[str, np.ndarray]) -> None:

@@ -2,14 +2,15 @@
 nodes at once.
 
 - ``cone_vertices``: the membership LP of every inner node (``market``),
-  stacked per date and child count. For each system A[k] z = b[k],
+  stacked per child count across dates, in the runs of
+  ``ScenarioTree.sibling_groups``. For each system A[k] z = b[k],
   z >= 0 of a stack it returns the first vertex in
   ``itertools.combinations`` order of the bases, or reports that there
   is none, so the answer is deterministic and needs nothing beyond
   numpy.
 - ``solve_lp``: the projection of the price of each node whose
   membership LP has no vertex onto the cone of its child payoffs,
-  stacked per date and child count likewise: non-negative least squares
+  stacked by those runs likewise: non-negative least squares
   by Lawson and Hanson's active-set iteration. It returns ``(inside,
   lam, u)``: whether the residual r = s - Y^T lam is within FEAS_TOL *
   max(1, |Y|, |s|), the projection's weights lam, and elsewhere the
@@ -21,11 +22,17 @@ nodes at once.
   {W z = 0, sum z = 1, z >= 0}, one stacked solve over the supports in
   ``_bases`` order.
 
+No system's answer depends on which systems share its stack: stacked
+SVDs, solves and products give each matrix the bits of its own, and the
+stack-wide steps below keep each system's order of bases. Only the
+limit on bases of ``cone_vertices`` counts columns over the stack.
+
 A ``cone_vertices`` stack is decided in three steps: the greedy row
-reduction (``_kept_rows``), the test that the dropped rows follow from
-the kept ones (``_dropped_status``), then per kept-row count r one
-enumeration (``_first_vertices``) that keeps each system until its
-first vertex. A system that keeps no row has the vertex z = 0.
+reduction (``_kept_rows``, mostly one SVD of each system's nonzero
+rows), the test that the dropped rows follow from the kept ones
+(``_dropped_status``), then per kept-row count r one enumeration
+(``_first_vertices``) that keeps each system until its first vertex. A
+system that keeps no row has the vertex z = 0.
 
 Enumeration is chunked: bases are taken in combinations order,
 ``_CHUNK`` per system at a time, from an index array built once per
@@ -75,7 +82,7 @@ _MAX_SUPPORTS = 1 << 16  # cone_facts candidate rays per cone
 _RAY_CHUNK = 1 << 14  # cone_facts candidate rays per stacked solve
 _CHUNK = 512  # bases per system per stacked solve
 _VERTEX_CHUNK = 1 << 14  # cone_vertices (system, basis) pairs per stacked solve
-_ROUNDING_SLACK = 1 << 10  # eps multiple in the stacked dropped-row test's bounds
+_ROUNDING_SLACK = 1 << 10  # eps multiple in the rounding bounds of the stacked row tests
 
 
 def _full_row_rank(M: np.ndarray, tol) -> np.ndarray:
@@ -93,30 +100,47 @@ def _kept_rows(A: np.ndarray, tol: np.ndarray) -> np.ndarray:
 
     A matrix of full row rank keeps every row. Otherwise row i is kept
     when it is independent of the rows kept before it, until n are kept.
-    Matrices that have kept equally many rows are tested together."""
+    A zero row never is (its matrix's smallest singular value is within
+    rounding of 0), so the greedy skips it.
+
+    Most matrices are decided by one SVD of their p <= n nonzero rows:
+    where the block's smallest singular value exceeds the tolerance by
+    more than the rounding of that SVD and of the greedy's, every prefix
+    of the block does too, as the rows' singular values interlace, so
+    the greedy keeps exactly these rows. At p = m the block is the matrix
+    and needs no margin. Only the other matrices run the greedy, each
+    step testing those whose row i is nonzero, matrices that have kept
+    equally many rows together."""
     N, m, n = A.shape
-    todo = np.arange(N)
-    if m and m <= n:
-        todo = np.flatnonzero(~_full_row_rank(A, tol))
-    kept = np.ones((N, m), dtype=bool)
-    if not len(todo):
-        return kept
-    kept[todo] = False
+    nonzero = (A != 0).any(axis=2)
+    p = nonzero.sum(axis=1)
+    kept = np.zeros((N, m), dtype=bool)
+    greedy = p > 0
+    for size in set(p[greedy & (p <= n)].tolist()):
+        g = np.flatnonzero(p == size)
+        block = A[nonzero & (p == size)[:, None]].reshape(-1, size, n)
+        sv = np.linalg.svd(block, compute_uv=False)
+        margin = 0.0 if size == m else np.finfo(float).eps * _ROUNDING_SLACK * sv[:, 0]
+        full = g[sv[:, -1] - margin > tol[g]]
+        kept[full] = nonzero[full]
+        greedy[full] = False
+    todo = np.flatnonzero(greedy)
     rows = np.zeros((N, n), dtype=np.intp)  # rows[k, :count[k]] are kept
     count = np.zeros(N, dtype=np.intp)
     for i in range(m):
         if not len(todo):
             break
-        c = count[todo]
+        live = todo[nonzero[todo, i]]
+        c = count[live]
         sizes = sorted(set(c.tolist()), reverse=True)
         # Larger sizes first, so a matrix that keeps row i is not tested
         # again with its new size.
         for size in sizes:
-            g = todo if len(sizes) == 1 else todo[c == size]
+            g = live if len(sizes) == 1 else live[c == size]
             rows[g, size] = i
             hit = g[_full_row_rank(A[g[:, None], rows[g, : size + 1]], tol[g])]
             count[hit] = size + 1
-        if sizes[0] + 1 == n:
+        if sizes and sizes[0] + 1 == n:
             # No further row can be independent of n kept ones.
             todo = todo[count[todo] < n]
     held = np.arange(n) < count[:, None]
@@ -350,8 +374,8 @@ def cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
     -FEAS_TOL, clipped at 0 (``_cone_rays``). At r = K they are the unit
     vectors, and no solve is needed. The nodes of one rank are taken in
     chunks of about ``_RAY_CHUNK`` candidate rays. Raises NumericalFailure
-    for the first rank, in the order of ``set(rank.tolist())``, with more
-    than ``_MAX_SUPPORTS`` supports per cone, before building any."""
+    for the first node of the stack whose cone has more than
+    ``_MAX_SUPPORTS`` supports, before building any."""
     N, K, d = Y.shape
     tol = _RANK_TOL * _scale(Y, s)
     U, sv, Vt = np.linalg.svd(Y)
@@ -360,12 +384,14 @@ def cone_facts(Y: np.ndarray, s: np.ndarray, p: np.ndarray):
     outside = ((np.arange(d) >= rank[:, None]) & (np.abs(t) > tol[:, None])).any(axis=1)
     ray, positive, flat = (np.zeros(N, dtype=bool) for _ in range(3))
     hi, lo = np.full(N, -np.inf), np.full(N, np.inf)
+    too_large = [math.comb(K, K - r + 1) > _MAX_SUPPORTS for r in range(min(K, d) + 1)]
+    bad = np.flatnonzero(np.array(too_large)[rank])
+    if len(bad):
+        raise NumericalFailure(f"ray enumeration too large: C({K},{K - rank[bad[0]] + 1})")
     for r in set(rank.tolist()):
         g = np.flatnonzero(rank == r)
         q = K - r
         n_supports = math.comb(K, q + 1)
-        if n_supports > _MAX_SUPPORTS:
-            raise NumericalFailure(f"ray enumeration too large: C({K},{q + 1})")
         # The least-norm solution of Y^T λ = s where s is not outside;
         # λ.z is the same for every solution when z ∈ C.
         lam = (U[g, :, :r] @ (t[g, :r] / sv[g, :r])[..., None])[..., 0]

@@ -256,11 +256,12 @@ def check_consistency(
     The weights are the first vertex, in combinations order of the
     bases, of the membership LP {lambda >= 0 : Y lambda = s} over the
     restricted child payoffs Y. The membership LPs of every inner node,
-    complete or not, are decided together per date and child count by
-    ``lp.cone_vertices``, one stacked vertex enumeration each. After all
-    of them, the nodes whose LP is infeasible are projected onto the cone
-    of their child payoffs, stacked per date and child count likewise
-    through one ``lp.solve_lp`` call each: lambda* >= 0 minimises the
+    complete or not, are decided together per child count across dates,
+    in the runs of ``tree.sibling_groups``, by ``lp.cone_vertices``, one
+    stacked vertex enumeration per run. After all of them, the nodes
+    whose LP is infeasible are projected onto the cone of their child
+    payoffs, stacked by those runs likewise through one ``lp.solve_lp``
+    call each: lambda* >= 0 minimises the
     residual r = s - Y lambda*. A node with |r| <= FEAS_TOL * max(1, |Y|,
     |s|) lies within the tolerance of the cone and is consistent, with
     the weights lambda*. Any other node is inconsistent, with the
@@ -268,7 +269,7 @@ def check_consistency(
     Each of these verdicts is re-checked from Y and s (``_certified``);
     one that fails raises NumericalFailure naming the lowest such node.
     A NumericalFailure of a membership stack is raised first, for the
-    first failing node in date and child-count order.
+    first failing node in child-count order, then in id order.
     """
     if restriction is None:
         restriction = RestrictionSet.full(market.n_assets)

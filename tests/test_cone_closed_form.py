@@ -1,10 +1,11 @@
 """Differential tests of the stacked cone certificates.
 
 ``market.check_consistency`` decides every inner node's membership LP
-with ``lp.cone_vertices``, one stacked vertex enumeration per date and
-child count, and then projects the prices of the nodes where that LP is
-infeasible onto the cone of their child payoffs, stacked per date and
-child count through ``lp.solve_lp``. The oracle below is the per-node
+with ``lp.cone_vertices``, one stacked vertex enumeration per run of
+``ScenarioTree.sibling_groups`` (child count across dates), and then
+projects the prices of the nodes where that LP is infeasible onto the
+cone of their child payoffs, stacked by those runs through
+``lp.solve_lp``. The oracle below is the per-node
 loop of the frozen per-basis LP of ``lp_oracle`` at zero cost: the
 membership LP of each node, and where that is not optimal the verdict
 of ``lp_oracle.oracle_verdict``. On random markets the program must

@@ -6,8 +6,9 @@ sibling groups built from those tuples, the list-based layer walk, and
 the backward pass's year walker, which filtered each date's ids by their
 root. On random trees given in shuffled order, with one to three
 children per node, the arrays must give the same ids in the same order
-and the walker the same arrays bit for bit. ``ScenarioTree`` must reject
-arrays in any other layout.
+(the sibling groups per child count, across dates) and the walker the
+same arrays bit for bit. ``ScenarioTree`` must reject arrays in any
+other layout, or without one entry per node, or off the grid.
 """
 
 from typing import Dict, List, Tuple
@@ -15,8 +16,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 from test_build_tree import _random_grid, _random_nodes
+from util import make_grid
 
+from prodval import lattice
 from prodval.lattice import ScenarioTree, build_tree
+
+GROUP = lattice._GROUP
 
 # --- frozen: the tuple-based tree code ----------------------------------------------
 
@@ -88,9 +93,11 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_id_runs_match_the_tuples(seed):
+def test_id_runs_match_the_tuples(seed, monkeypatch):
     """Dates, children and sibling groups: the same ids in the same
-    order as the tuples; only the order of a date's groups may differ."""
+    order as the tuples. The groups hold per child count the nodes the
+    tuples' groups of that count hold, date after date, in runs of at
+    most ``_GROUP`` (here also 2), in ascending child count."""
     for _, tree in _trees(seed):
         frozen = _Frozen(tree)
         n = tree.n_nodes
@@ -109,19 +116,24 @@ def test_id_runs_match_the_tuples(seed):
             assert not view.flags.writeable
 
         def keyed(groups):
+            # By child count: each count's nodes and children, run after run.
             out = {}
             for nodes, kids in groups:
                 nodes = np.asarray(nodes)
-                key = (int(tree.date_idx[nodes[0]]), kids.shape[1])
-                assert key not in out
-                out[key] = (nodes.tolist(), kids)
-            return out
+                runs = out.setdefault(kids.shape[1], ([], []))
+                runs[0].extend(nodes.tolist())
+                runs[1].append(kids)
+            return {k: (nodes, np.concatenate(kids)) for k, (nodes, kids) in out.items()}
 
-        got, want = keyed(tree.sibling_groups()), keyed(frozen.sibling_groups())
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key][0] == want[key][0]
-            assert _same_bits(got[key][1], want[key][1])
+        want = keyed(frozen.sibling_groups())
+        for group in (GROUP, 2):
+            monkeypatch.setattr(lattice, "_GROUP", group)
+            assert all(0 < len(nodes) <= group for nodes, _ in tree.sibling_groups())
+            got = keyed(tree.sibling_groups())
+            assert list(got) == sorted(want)
+            for key in want:
+                assert got[key][0] == want[key][0]
+                assert _same_bits(got[key][1], want[key][1])
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -154,25 +166,53 @@ def test_walker_matches_the_year_walker(seed):
 
 def _tree_arrays():
     _, tree = next(_trees(0, count=1))
-    return tree.grid, tree.parent.copy(), tree.date_idx.copy(), tree.prob, tree.labels
+    return dict(
+        grid=tree.grid, parent=tree.parent.copy(), date_idx=tree.date_idx.copy(),
+        prob=tree.prob.copy(), labels=tree.labels,
+    )
 
 
 def _swap(arr, a, b):
     arr[[a, b]] = arr[[b, a]]
 
 
+def _set(key, value):
+    return lambda args: args.__setitem__(key, value(args[key]))
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda parent, date_idx: parent.__setitem__(0, 0), "node 0 must be the root"),
-        (lambda parent, date_idx: _swap(parent, 1, -1), "parent ids must be node ids"),
-        (lambda parent, date_idx: _swap(date_idx, 0, -1), "date indices must never decrease"),
+        (lambda args: args["parent"].__setitem__(0, 0), "node 0 must be the root"),
+        (lambda args: _swap(args["parent"], 1, -1), "parent ids must be node ids"),
+        (lambda args: _swap(args["date_idx"], 0, -1), "date indices must never decrease"),
+        (_set("date_idx", lambda d: d[:-1]), "date_idx must hold one entry per node"),
+        (_set("prob", lambda p: p[1:]), "prob must hold one entry per node"),
+        (_set("labels", lambda labels: labels + ("extra",)), "labels must hold one entry per node"),
+        (_set("date_idx", lambda d: d - 1), "date indices must be indices of grid dates"),
+        (
+            _set("date_idx", lambda d: np.where(d == d[-1], d + 1, d)),
+            "date indices must be indices of grid dates",
+        ),
     ],
-    ids=["root_not_first", "parents_decrease", "dates_decrease"],
+    ids=[
+        "root_not_first", "parents_decrease", "dates_decrease", "dates_short", "probs_short",
+        "labels_long", "date_below_grid", "date_beyond_grid",
+    ],
 )
 def test_other_layouts_are_rejected(edit, message):
-    grid, parent, date_idx, prob, labels = _tree_arrays()
-    ScenarioTree(grid, parent, date_idx, prob, labels)
-    edit(parent, date_idx)
+    args = _tree_arrays()
+    ScenarioTree(**args)
+    edit(args)
     with pytest.raises(ValueError, match=f"^{message}"):
-        ScenarioTree(grid, parent, date_idx, prob, labels)
+        ScenarioTree(**args)
+
+
+def test_a_node_outside_every_date_is_rejected():
+    """Three nodes with two probabilities and labels, one of them at a
+    date index past the grid's last: node 2 would be in no date's run."""
+    grid = make_grid(1)
+    with pytest.raises(ValueError, match="^prob must hold one entry per node: 2 for 3 nodes"):
+        ScenarioTree(grid, [-1, 0, 1], [0, 1, 7], [1.0, 1.0], ("r", "m"))
+    with pytest.raises(ValueError, match="^date indices must be indices of grid dates"):
+        ScenarioTree(grid, [-1, 0, 1], [0, 1, 7], [1.0, 1.0, 1.0], ("r", "m", "l"))
