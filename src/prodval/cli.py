@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -62,11 +61,6 @@ def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
-def _fmt_all(values: list) -> list:
-    """``_fmt`` of each of a list of floats."""
-    return [f"{x:.9f}" for x in values]
-
-
 def _round(x):
     if isinstance(x, float):
         if math.isinf(x):
@@ -75,135 +69,47 @@ def _round(x):
     return x
 
 
-def _round_all(values: list) -> list:
-    """``_round`` of each of a list of floats."""
-    if all(map(math.isfinite, values)):
-        return list(map(round, values, repeat(9)))
-    return list(map(_round, values))
-
-
 # --- JSON text ---------------------------------------------------------------
 #
-# ``_json_text(obj)`` is ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
-# newline, byte for byte. The indenting encoder of the json module runs in
-# Python; here only the structure is walked in Python, and leaves are
-# encoded a whole list of siblings at a time by C functions. A list of flat
-# dicts sharing one key set (a report's rows) renders from one template.
-# Anything but dicts with str keys, lists and plain leaves goes to
-# json.dumps itself. It writes metadata.json, solvency.json and
-# adjust.json. check.json, one dict per node, is instead written from
-# per-kind templates over the certificate and audit arrays (below), and
-# is still ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
-
-
-class _NotPlain(Exception):
-    """A value the fast writer leaves to json.dumps."""
-
-
-_LEAF_TYPES = {str, int, float, bool, type(None)}
-
-
-def _leaf(x) -> str:
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    t = type(x)
-    if t is str:
-        return encode_basestring_ascii(x)
-    if t is int:
-        return int.__repr__(x)
-    if t is float:
-        if x != x:
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    raise _NotPlain
-
-
-def _leaves(values: list) -> Optional[list]:
-    """The JSON text of each value, or None unless every value is a leaf."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if all(map(math.isfinite, values)):
-            return list(map(float.__repr__, values))
-    elif kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    elif kinds == {int}:
-        return list(map(int.__repr__, values))
-    elif not kinds <= _LEAF_TYPES:
-        return None
-    return list(map(_leaf, values))
-
-
-def _rows(values: list, level: int) -> Optional[list]:
-    """The JSON text of each value at nesting ``level`` when all are flat
-    dicts with one non-empty key set of strings, else None."""
-    first = values[0]
-    if type(first) is not dict or not first or set(map(type, first)) != {str}:
-        return None
-    if set(map(type, values)) != {dict} or set(map(len, values)) != {len(first)}:
-        return None
-    names = sorted(first)
-    columns = []
-    for name in names:
-        try:
-            column = _leaves(list(map(itemgetter(name), values)))
-        except KeyError:  # the key sets differ
-            return None
-        if column is None:
-            return None
-        columns.append(column)
-    pad = "\n" + "  " * (level + 1)
-    template = (
-        "{"
-        + ",".join(pad + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names)
-        + "\n" + "  " * level + "}"
-    )
-    return list(map(template.__mod__, zip(*columns)))
-
-
-def _text(obj, level: int) -> str:
-    """The JSON text of ``obj`` opened at nesting ``level``."""
-    t = type(obj)
-    if t is dict:
-        if not obj:
-            return "{}"
-        if set(map(type, obj)) != {str}:
-            raise _NotPlain
-        keys = sorted(obj)
-        values = _values(list(map(obj.__getitem__, keys)), level + 1)
-        items = map("".join, zip(map(encode_basestring_ascii, keys), repeat(": "), values))
-        brackets = "{}"
-    elif t is list:
-        if not obj:
-            return "[]"
-        items = _values(obj, level + 1)
-        brackets = "[]"
-    else:
-        return _leaf(obj)
-    pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
-
-
-def _values(values: list, level: int) -> list:
-    """The JSON text of each of a container's values, opened at ``level``."""
-    return (
-        _leaves(values)
-        or _rows(values, level)
-        or [_text(v, level) for v in values]
-    )
+# A JSON report is ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+# newline, byte for byte. The small documents (metadata.json, check's
+# homogeneity audit) are written by json.dumps itself (``_json_text``).
+# solvency.json, adjust.json and check.json are written straight from
+# the node arrays: each float array is rounded and encoded at once
+# (``_float_texts``), each label JSON-encoded (``_json_labels``), and
+# each kind of row or entry rendered from one ``%``-template whose keys
+# are in ``sort_keys`` order, the labels passed in as ``%s`` arguments.
 
 
 def _json_text(obj) -> str:
-    try:
-        text = _text(obj, 0)
-    except _NotPlain:
-        text = json.dumps(obj, sort_keys=True, indent=2)
-    return text + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _float_texts(values: np.ndarray, nan: str) -> np.ndarray:
+    """An object array of the JSON text of each value as ``_round`` gives
+    it: rounded to 9 decimals, the strings "inf"/"-inf" at the
+    infinities, and ``nan`` where a value is NaN."""
+    texts = np.full(values.shape, nan, dtype=object)
+    finite = np.isfinite(values)
+    texts[finite] = list(map(float.__repr__, map(round, values[finite].tolist(), repeat(9))))
+    texts[values == math.inf] = '"inf"'
+    texts[values == -math.inf] = '"-inf"'
+    return texts
+
+
+def _json_labels(labels) -> np.ndarray:
+    """An object array of the JSON text of each label."""
+    return np.array(list(map(encode_basestring_ascii, labels)), dtype=object)
+
+
+def _report_text(doc: dict, rows: list) -> str:
+    """``_json_text`` of ``doc`` with ``rows`` under "rows": ``doc``'s
+    values are leaves, and ``rows`` holds the JSON text of each row,
+    opened at nesting level 2."""
+    texts = {key: json.dumps(value) for key, value in doc.items()}
+    texts["rows"] = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    items = (f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _head_text(head: tuple) -> str:
@@ -351,6 +257,18 @@ def _solvency_rho(problem: ValuationProblem) -> RiskMeasureSpec:
     return RiskMeasureSpec("full")
 
 
+# A solvency.json row, given its date and stage.
+_SOLVENCY_ROW = """    {
+      "bel": %%s,
+      "date": %d,
+      "node": %%s,
+      "p_m1": %%s,
+      "rm": %%s,
+      "scr": %%s,
+      "stage": %s
+    }"""
+
+
 def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundle:
     cfg = problem.financiability_cfg
     if cfg.get("type") != "coc":
@@ -366,41 +284,41 @@ def run_solvency(problem: ValuationProblem, stage: int, fmt: str) -> ReportBundl
     tree = problem.tree
     buf = io.StringIO()
     buf.write("node,date,bel,rm,scr,p_m1,stage\n")
-    rows_json = []
+    rows = []
     arrays = (report.bel, report.rm, report.scr, report.p_m1)
     for i in range(tree.grid.horizon):
         ids = tree.slice_at(i)
-        labels = tree.labels[ids]
-        columns = [values[ids].tolist() for values in arrays]
+        bel, rm, scr, p_m1 = (values[ids] for values in arrays)
         buf.writelines(map(
-            f"%s,{i},%s,%s,%s,%s,{stage}\n".__mod__, zip(labels, *map(_fmt_all, columns))
+            f"%s,{i},%.9f,%.9f,%.9f,%.9f,{stage}\n".__mod__,
+            zip(tree.labels[ids], bel.tolist(), rm.tolist(), scr.tolist(), p_m1.tolist()),
         ))
-        rows_json += [
-            {"node": label, "date": i, "bel": bel, "rm": rm, "scr": scr, "p_m1": p_m1,
-             "stage": stage}
-            for label, bel, rm, scr, p_m1 in zip(labels, *map(_round_all, columns))
-        ]
-    doc = {"stage": stage, "rows": rows_json}
+        rows += map(
+            (_SOLVENCY_ROW % (i, json.dumps(stage))).__mod__,
+            zip(
+                _float_texts(bel, "NaN"), _json_labels(tree.labels[ids]),
+                _float_texts(p_m1, "NaN"), _float_texts(rm, "NaN"), _float_texts(scr, "NaN"),
+            ),
+        )
+    doc = {"stage": stage}
     if report.sii_formula_rm0 is not None:
         doc["sii_formula_rm0"] = _round(report.sii_formula_rm0)
     files = {"metadata.json": _metadata(problem, "solvency", {"stage": stage})}
     if fmt in ("csv", "both"):
         files["solvency.csv"] = buf.getvalue()
     if fmt in ("json", "both"):
-        files["solvency.json"] = _json_text(doc)
+        files["solvency.json"] = _report_text(doc, rows)
     return ReportBundle(files)
 
 
 # --- check.json --------------------------------------------------------------
 #
-# check.json is written straight from the certificate and audit arrays,
-# byte for byte what ``_json_text`` writes for the document of one dict
-# per node. A tree has inner nodes, each with children, and a market has
-# tradables, so no certificate, audit, weights or violation is empty.
-# Each float array is rounded and encoded at once (``_float_texts``);
-# each entry kind renders from one template, with the labels, already
-# JSON-encoded, passed in as ``%s`` arguments; the entries are joined in
-# the ``sort_keys`` order of the labels (``ScenarioTree.label_order``).
+# check.json holds one dict per inner node, from the certificate and
+# audit arrays. A tree has inner nodes, each with children, and a market
+# has tradables, so no certificate, audit, weights or violation is
+# empty. Each entry kind renders from one template; the entries are
+# joined in the ``sort_keys`` order of the labels
+# (``ScenarioTree.label_order``).
 
 _BOOL_TEXTS = ("false", "true")
 _STATUS_TEXTS = tuple(map(encode_basestring_ascii, AUDIT_STATUSES))
@@ -440,18 +358,6 @@ _WEIGHTS_ENTRY = (
     '      %s: {\n        "consistent": true,\n        "weights": {',
     "\n        }\n      }",
 )
-
-
-def _float_texts(values: np.ndarray, nan: str) -> np.ndarray:
-    """An object array of the JSON text of each value as ``_round`` gives
-    it: rounded to 9 decimals, the strings "inf"/"-inf" at the
-    infinities, and ``nan`` where a value is NaN."""
-    texts = np.full(values.shape, nan, dtype=object)
-    finite = np.isfinite(values)
-    texts[finite] = list(map(float.__repr__, map(round, values[finite].tolist(), repeat(9))))
-    texts[values == math.inf] = '"inf"'
-    texts[values == -math.inf] = '"-inf"'
-    return texts
 
 
 def _child_groups(tree) -> list:
@@ -543,7 +449,7 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         )
         homogeneity = {"max_deviation": _round(hom.max_deviation), "passed": hom.passed}
     # Each node's label, JSON-encoded; the inner nodes in label order.
-    labels = np.array(list(map(encode_basestring_ascii, tree.labels)), dtype=object)
+    labels = _json_labels(tree.labels)
     order = tree.label_order[tree.label_order < tree.n_inner]
     groups = _child_groups(tree)
     full_space = ""
@@ -564,6 +470,15 @@ def run_check(problem: ValuationProblem) -> ReportBundle:
         "metadata.json": _metadata(problem, "check"),
     }
     return ReportBundle(files)
+
+
+# An adjust.json row, given its date.
+_ADJUST_ROW = """    {
+      "date": "%d",
+      "lambda": %%s,
+      "node": %%s,
+      "xi": %%s
+    }"""
 
 
 def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
@@ -603,28 +518,24 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     tree = problem.tree
     buf = io.StringIO()
     buf.write("node,date,xi,lambda,adjusted_inflow,adjusted_outflow\n")
-    rows_json = []
+    rows = []
     for i in range(tree.grid.horizon + 1):
-        date = str(i)
         ids = tree.slice_at(i)
         nodes = range(tree.n_nodes)[ids]
-        labels = tree.labels[ids]
-        xi = list(map(result.xi.__getitem__, nodes))
-        lam = list(map(result.lam.__getitem__, nodes))
+        xi = np.fromiter(map(result.xi.__getitem__, nodes), float, len(nodes))
+        lam = np.fromiter(map(result.lam.__getitem__, nodes), float, len(nodes))
         buf.writelines(map(
-            "%s,%s,%s,%s,%s,%s\n".__mod__,
+            f"%s,{i},%.9f,%.9f,%.9f,%.9f\n".__mod__,
             zip(
-                labels, repeat(date), _fmt_all(xi), _fmt_all(lam),
-                _fmt_all(result.adjusted_inflows[ids].tolist()),
-                _fmt_all(result.adjusted_outflows[ids].tolist()),
+                tree.labels[ids], xi.tolist(), lam.tolist(),
+                result.adjusted_inflows[ids].tolist(), result.adjusted_outflows[ids].tolist(),
             ),
         ))
-        rows_json += [
-            {"node": label, "date": date, "xi": x, "lambda": lm}
-            for label, x, lm in zip(labels, _round_all(xi), _round_all(lam))
-        ]
+        rows += map(
+            (_ADJUST_ROW % i).__mod__,
+            zip(_float_texts(lam, "NaN"), _json_labels(tree.labels[ids]), _float_texts(xi, "NaN")),
+        )
     doc = {
-        "rows": rows_json,
         "revalidation_ok": result.validation.ok,
         "cost_identity_max_diff": _round(result.cost_identity_max_diff),
     }
@@ -632,7 +543,7 @@ def run_adjust(problem: ValuationProblem, fmt: str) -> ReportBundle:
     if fmt in ("csv", "both"):
         files["adjust.csv"] = buf.getvalue()
     if fmt in ("json", "both"):
-        files["adjust.json"] = _json_text(doc)
+        files["adjust.json"] = _report_text(doc, rows)
     return ReportBundle(files)
 
 
@@ -673,9 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--output-dir", default=".", help="directory for reports")
-        p.add_argument(
-            "--format", choices=("csv", "json", "both"), default="both"
-        )
+        if name in ("solvency", "adjust"):
+            p.add_argument(
+                "--format", choices=("csv", "json", "both"), default="both"
+            )
         if name == "solvency":
             p.add_argument("--stage", type=int, choices=(1, 2, 3), default=3)
         if name == "value":
@@ -724,7 +636,7 @@ def main(argv=None) -> int:
                 args.subcommand,
                 stage=getattr(args, "stage", 3),
                 mode=getattr(args, "mode", None),
-                fmt=args.format,
+                fmt=getattr(args, "format", "both"),
             )
         except ProdvalError as e:
             print(f"error: {e}", file=sys.stderr)

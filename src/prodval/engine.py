@@ -49,9 +49,9 @@ from .errors import (
     SpanMismatch,
     ValidationFailed,
 )
-from .lattice import ScenarioTree, node_array
+from .lattice import ScenarioTree, atom_rows, node_array
 from .market import RestrictionSet, TradableSet
-from .risk import DistributionRows, lower_quantile, sum_left_to_right
+from .risk import DistributionRows, lower_quantile
 from .strategy import (
     CashflowProcess,
     Strategy,
@@ -324,7 +324,7 @@ def _year(tree, market, roots, n_cand, steps, ell, net) -> _Year:
 
     nodes = [np.repeat(layer, n_cand) for layer in layers]
     rows = [expand(p) for p in pos]
-    pad, dist = _atom_rows(tree, nodes[-1], rows[-1], len(roots) * n_cand, steps)
+    pad, dist = atom_rows(tree, nodes[-1], rows[-1], len(roots) * n_cand, steps)
     return _Year(
         nodes,
         rows,
@@ -336,35 +336,6 @@ def _year(tree, market, roots, n_cand, steps, ell, net) -> _Year:
         dist,
         ell[nodes[-1]],
     )
-
-
-def _atom_rows(tree, atoms, row, n_rows, steps):
-    """Padded rows of the year-end atoms, ascending node ids in each row:
-    a function placing per-atom values in them, and the rows with the
-    conditional probabilities of the atoms (path products from the atom
-    upward, normalised by their left-to-right sum in node order, as
-    ``lattice.conditional_distribution`` gives them)."""
-    counts = np.bincount(row, minlength=n_rows)
-    order = np.argsort(row, kind="stable")
-    col = np.empty(len(atoms), dtype=np.int64)
-    col[order] = np.arange(len(atoms)) - (np.cumsum(counts) - counts)[row[order]]
-    shape = (n_rows, int(counts.max(initial=1)))
-
-    def pad(per_atom: np.ndarray) -> np.ndarray:
-        out = np.zeros(shape, dtype=per_atom.dtype)
-        out[row, col] = per_atom
-        return out
-
-    p = tree.prob[atoms]
-    up = tree.parent[atoms]
-    for _ in range(steps - 1):
-        p = p * tree.prob[up]
-        up = tree.parent[up]
-    paths = pad(p)
-    # Left to right, as the per-node distributions normalise (np.sum adds
-    # pairwise); the padding adds 0.0.
-    probs = paths / sum_left_to_right(paths)[:, None]
-    return pad, DistributionRows(np.zeros(shape), probs, counts, pad(atoms))
 
 
 def _roll(year: _Year, portfolio, scale: np.ndarray):
@@ -1066,7 +1037,7 @@ def validate_production_strategy(
         assets = assets + liab_in[atoms] + psi_in[atoms] + extra[atoms]
         surplus = assets - (outflow[atoms] + vbar[atoms])
         live[atoms] = surplus >= -TOL
-        pad, dist = _atom_rows(tree, atoms, pos[-1], len(roots), j1 - j0)
+        pad, dist = atom_rows(tree, atoms, pos[-1], len(roots), j1 - j0)
         ful_ok = fulfillment_satisfied(fulfillment, dist.with_values(pad(surplus)))
         bound = max_capital(
             financiability,

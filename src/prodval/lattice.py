@@ -33,7 +33,7 @@ from .errors import (
     ProbabilityMass,
     SchemaViolation,
 )
-from .risk import DiscreteDistribution, sum_left_to_right
+from .risk import DiscreteDistribution, DistributionRows, sum_left_to_right
 
 DateLike = Union[int, float, str, Fraction]
 
@@ -537,6 +537,36 @@ def _date_indices(grid: DateGrid, dates: Sequence[DateLike]) -> np.ndarray:
     return np.fromiter(map(parsed.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
+def atom_rows(tree: ScenarioTree, atoms: np.ndarray, row: np.ndarray, n_rows: int, steps: int):
+    """Padded rows of the ``atoms``, each ``steps`` grid steps below the
+    node of its row ``row``, ascending node ids in each row: a function
+    placing per-atom values in them, and the rows with the conditional
+    probabilities of the atoms (the products of the branch probabilities
+    from the atom upward, normalised by their left-to-right sum in node
+    order)."""
+    counts = np.bincount(row, minlength=n_rows)
+    order = np.argsort(row, kind="stable")
+    col = np.empty(len(atoms), dtype=np.int64)
+    col[order] = np.arange(len(atoms)) - (np.cumsum(counts) - counts)[row[order]]
+    shape = (n_rows, int(counts.max(initial=1)))
+
+    def pad(per_atom: np.ndarray) -> np.ndarray:
+        out = np.zeros(shape, dtype=per_atom.dtype)
+        out[row, col] = per_atom
+        return out
+
+    p = np.ones(len(atoms))
+    up = atoms
+    for _ in range(steps):
+        p = p * tree.prob[up]
+        up = tree.parent[up]
+    paths = pad(p)
+    # Normalised by the sum left to right, as a Python sum adds (np.sum
+    # adds pairwise); the padding adds 0.0.
+    probs = paths / sum_left_to_right(paths)[:, None]
+    return pad, DistributionRows(np.zeros(shape), probs, counts, pad(atoms))
+
+
 def conditional_distribution(
     tree: ScenarioTree,
     node: int,
@@ -548,15 +578,18 @@ def conditional_distribution(
     ``horizon`` descendants are read).
 
     Probabilities are products of branch probabilities along each path,
-    renormalized to sum to one. Atoms are labeled with their node ids.
+    renormalized to sum to one (one row of ``atom_rows``). Atoms are
+    labeled with their node ids.
     """
     j = tree.grid.index(horizon)
     if j < tree.date_idx[node]:
         raise ValueError("horizon precedes the node's date")
     tree.require_per_node(("process", values))
-    targets = tree.descendants_at(node, j).tolist()
-    atoms = [(float(values[m]), tree.path_probability(node, m)) for m in targets]
-    total = float(sum_left_to_right(np.array([[p for _, p in atoms]]))[0])
+    atoms = tree.descendants_at(node, j)
+    _, dist = atom_rows(
+        tree, atoms, np.zeros(len(atoms), dtype=np.int64), 1, j - int(tree.date_idx[node])
+    )
     return DiscreteDistribution.from_atoms(
-        [(v, p / total) for v, p in atoms], labels=targets
+        list(zip(np.asarray(values)[atoms].tolist(), dist.probs[0].tolist())),
+        labels=atoms.tolist(),
     )

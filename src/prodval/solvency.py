@@ -26,14 +26,14 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import LiabilitySpec, _atom_rows
+from .engine import LiabilitySpec
 from .errors import (
     BadRate,
     FixedPointDivergence,
     InteriorFlowsPresent,
     MassOutsideM1,
 )
-from .lattice import ScenarioTree
+from .lattice import ScenarioTree, atom_rows
 from .market import TradableSet
 from .risk import (
     DiscreteDistribution,
@@ -352,7 +352,7 @@ def multi_period_solvency(
         j0, j1 = tree.grid.index(i), tree.grid.index(i + 1)
         nodes = tree.nodes_at(i)
         layers, pos, _ = tree.walk(nodes, j1 - j0)
-        pad, dist = _atom_rows(tree, layers[-1], pos[-1], len(nodes), j1 - j0)
+        pad, dist = atom_rows(tree, layers[-1], pos[-1], len(nodes), j1 - j0)
         kids = layers[-1]
         states = _States(dist, pad(x[kids]), pad(bel[kids]), pad(rm[kids]))
         r = np.array([rates.at(m) for m in nodes.tolist()], dtype=float)

@@ -2,10 +2,11 @@
 ``check`` and ``adjust``.
 
 ``prodval.cli`` formats these reports one date at a time from arrays
-and writes JSON with its own encoder. These are the loops over one node
-at a time, and the ``json.dumps(..., sort_keys=True, indent=2)`` writer,
-that it replaced. They read the cost process, the solvency report, the
-certificates and the audits through the node -> value mappings of
+and writes their JSON from row and entry templates. These are the loops
+over one node at a time, and the ``json.dumps(..., sort_keys=True,
+indent=2)`` writer of whole documents, that it replaced. They read the
+cost process, the solvency report, the certificates and the audits
+through the node -> value mappings of
 ``util.cost_mappings``, ``util.solvency_mappings``,
 ``util.certificate_mappings`` and ``util.audit_mappings``, as the loops
 read them when they held mappings. The differential tests compare every report file

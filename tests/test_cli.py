@@ -187,6 +187,17 @@ def test_unusable_output_dir_is_one_error_line(below, reason, tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("subcommand", ["value", "check"])
+def test_format_is_rejected_where_it_selects_nothing(subcommand, tmp_path, capsys):
+    argv = [subcommand, "--config", str(CONFIGS / "two_point.json"), "--output-dir",
+            str(tmp_path), "--format", "json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_error_exit(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     missing.write_text("{}")
@@ -603,9 +614,9 @@ class TestPlainReportValues:
         problem = generated_problem(**self.CASES[subcommand])
         bundle = run(problem, subcommand)
         assert bundle.exit_code == 0
-        # The report (check's only in its homogeneity audit: the rest is
-        # written from arrays) and metadata.json.
-        assert len(seen) == 2
+        # metadata.json, and check's homogeneity audit: the reports
+        # proper are written from arrays.
+        assert len(seen) == (2 if subcommand == "check" else 1)
         for obj in seen:
             assert list(non_plain_values(obj)) == []
 

@@ -13,6 +13,7 @@ from prodval.errors import (
     ProbabilityMass,
 )
 from prodval.lattice import DateGrid, build_tree, conditional_distribution
+from prodval.risk import DiscreteDistribution, sum_left_to_right
 
 from util import by_node, make_grid, random_tree
 
@@ -180,6 +181,40 @@ class TestConditionalDistribution:
             for node in tree.by_date[1].tolist():
                 d = conditional_distribution(tree, node, values, tree.grid.dates[j])
                 assert abs(math.fsum(d.probs) - 1.0) <= 1e-12
+
+
+def _frozen_conditional_distribution(tree, node, values, horizon):
+    """``conditional_distribution`` as it was before it became one row of
+    ``lattice.atom_rows``: each atom's path probability walked up one
+    node at a time by ``path_probability``."""
+    j = tree.grid.index(horizon)
+    targets = tree.descendants_at(node, j).tolist()
+    atoms = [(float(values[m]), tree.path_probability(node, m)) for m in targets]
+    total = float(sum_left_to_right(np.array([[p for _, p in atoms]]))[0])
+    return DiscreteDistribution.from_atoms(
+        [(v, p / total) for v, p in atoms], labels=targets
+    )
+
+
+def test_conditional_distribution_matches_the_path_walk():
+    """Bit for bit the frozen per-atom walk, from every node to every date
+    from its own on, on random trees of one to three years."""
+    rng = np.random.default_rng(20)
+    cases = 0
+    for k in range(40):
+        tree = random_tree(rng, years=1 + k % 3, interior_per_year=1 + k % 2)
+        values = rng.normal(size=tree.n_nodes)
+        for node in range(tree.n_nodes):
+            for j in range(int(tree.date_idx[node]), len(tree.grid.dates)):
+                horizon = tree.grid.dates[j]
+                got = conditional_distribution(tree, node, values, horizon)
+                want = _frozen_conditional_distribution(tree, node, values, horizon)
+                assert got.labels == want.labels
+                for field in ("values", "probs"):
+                    a, b = np.array(getattr(got, field)), np.array(getattr(want, field))
+                    assert a.tobytes() == b.tobytes()
+                cases += 1
+    assert cases > 10_000
 
 
 def test_tower_property():

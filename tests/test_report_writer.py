@@ -1,126 +1,30 @@
-"""The CLI's JSON writer and its per-date report formatting.
+"""The CLI's per-date report formatting, against the node-by-node
+reference.
 
-``cli._json_text`` must return ``json.dumps(obj, sort_keys=True,
-indent=2) + "\\n"`` byte for byte, on its fast paths and on the ones it
-leaves to ``json.dumps``. The ``value``, ``solvency`` and ``adjust``
-reports, and ``check``'s, must equal, file for file, the node-by-node
-formatting frozen in ``report_reference``, on generated problems that
-reach every kind of field: infeasible nodes (``inf`` and
+The ``value``, ``solvency`` and ``adjust`` reports, and ``check``'s,
+must equal, file for file, the node-by-node formatting frozen in
+``report_reference`` (whose JSON is ``json.dumps``), on generated
+problems that reach every kind of field: infeasible nodes (``inf`` and
 ``infeasible``), fixed-mix and explicit parameters, leaves without
 capital, mode A balance sheets, write-downs, inconsistent nodes,
 restricted certificates, optimal and by-construction audits flagged and
-not, and labels that JSON escapes. Check's other audit statuses are
+not, and labels that JSON escapes. On the same problems every JSON
+report must be ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+newline of the document it parses to. Check's other audit statuses are
 held to the audit LP in ``test_audit_rays.py``.
 """
 
 import json
-import math
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import report_reference as ref
-from prodval.cli import _json_text, run
+from prodval.cli import run
 from prodval.config import problem_from_dict
 from prodval.errors import ProdvalError
 from util import generated_config
 
-
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-# --- the writer ----------------------------------------------------------------
-
-TEXT = st.text(
-    st.characters(codec="utf-8") | st.sampled_from('"\\%\n\t\x00\x1f\x7f\u2028é☃')
-)
-FLOATS = (
-    st.floats(allow_nan=True, allow_infinity=True)
-    | st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 9))
-    | st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e-7, 0.1, 1.0, 123456789.123456789])
-)
-LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | FLOATS
-    | TEXT
-    | st.sampled_from(["inf", "-inf"])
-)
-ROW_KEYS = st.lists(TEXT, min_size=1, max_size=4, unique=True)
-
-
-@st.composite
-def rows(draw):
-    """A list of flat dicts on one key set, as the reports' rows, or with
-    one row's key set changed."""
-    keys = draw(ROW_KEYS)
-    out = draw(
-        st.lists(st.fixed_dictionaries({k: LEAVES for k in keys}), min_size=1, max_size=6)
-    )
-    change = draw(st.sampled_from(["none", "drop", "add"]))
-    if change == "drop" and len(keys) > 1:
-        del out[-1][keys[0]]
-    elif change == "add":
-        out[draw(st.integers(0, len(out) - 1))][draw(TEXT)] = draw(LEAVES)
-    return out
-
-
-def columns(values):
-    """Sibling leaves of one type, as a report column."""
-    return st.lists(values, min_size=1, max_size=8)
-
-
-JSON = st.recursive(
-    LEAVES | rows() | columns(FLOATS) | columns(TEXT) | columns(st.integers()),
-    lambda children: st.lists(children, max_size=5)
-    | st.dictionaries(TEXT, children, max_size=5),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(JSON)
-def test_writer_matches_json_dumps(obj):
-    assert _json_text(obj) == dumps(obj)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {},
-        [],
-        {"a": {}, "b": [], "c": [{}], "d": [[]]},
-        [{"x": 1.0}, {"x": 2.0, "y": 3.0}],  # key sets differ: no template
-        [{"x": 1.0, "y": 2.0}, {"x": 1.0, "z": 2.0}],  # same size, other keys
-        [{"%s": 1.0, "%(a)s": "%%"}, {"%s": -0.0, "%(a)s": "%"}],
-        [{"n": [1, 2]}, {"n": {"k": None}}],  # rows that are not flat
-        {"per_node": {"n0": {"status": "optimal", "optimum": None}, "n1": {}}},
-        [1.0, 1.0, 1.0, 0.5, -0.0, 0.0, math.nan, math.inf, -math.inf],
-        [True, 1, False, 0, 1.0, None],
-        {1: "int key", 2: "sorted as ints"},  # json.dumps converts the keys
-        {"t": (1, 2.5, "three")},  # tuples encode as lists
-        {"x": np.float64(0.1), "y": [np.float64(-0.0)]},  # float subclasses
-        [{"x": np.float64(0.1)}, {"x": 0.2}],
-        {"é": "ü", "\u2028": "\x00"},
-    ],
-)
-def test_writer_matches_json_dumps_on_edge_cases(obj):
-    assert _json_text(obj) == dumps(obj)
-
-
-def test_writer_raises_what_json_dumps_raises():
-    for obj in ({"x": object()}, [{"a": 1}, {"a": {1, 2}}], {("a", 1): 1}):
-        with pytest.raises(TypeError):
-            dumps(obj)
-        with pytest.raises(TypeError):
-            _json_text(obj)
-
-
-# --- the per-date reports ----------------------------------------------------
 
 PREFIXES = ["", 'q"', "b\\", "é", "%s", "☃", "c\x07"]
 
@@ -301,6 +205,45 @@ def test_check_report_matches_node_by_node(
         seed, years, interior, financiability, restriction, mispriced, prefix
     )
     _assert_same_reports(lambda: run(problem, "check"), lambda: ref.run_check(problem))
+
+
+def _assert_json_reports_are_canonical(fn):
+    """Every JSON file of the call's reports is the ``json.dumps`` text of
+    the document it parses to; a call that raises writes none."""
+    bundle, error = _outcome(fn)
+    for name, text in ({} if error else bundle.files).items():
+        if name.endswith(".json"):
+            doc = json.loads(text)
+            assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", name
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**16),
+    years=st.integers(1, 3),
+    interior=st.integers(1, 2),
+    family=st.sampled_from(FAMILIES),
+    fulfillment=st.sampled_from(FULFILLMENTS),
+    prefix=st.sampled_from(PREFIXES),
+    subcommand=st.sampled_from(["value", "solvency", "adjust"]),
+    stage=st.sampled_from([1, 2, 3]),
+)
+def test_json_reports_are_json_dumps_text(
+    seed, years, interior, family, fulfillment, prefix, subcommand, stage
+):
+    problem = _problem(seed, years, interior, family, fulfillment, False, prefix)
+    _assert_json_reports_are_canonical(lambda: run(problem, subcommand, stage=stage))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**CHECK_CASES)
+def test_check_json_is_json_dumps_text(
+    seed, years, interior, financiability, restriction, mispriced, prefix
+):
+    problem = _check_problem(
+        seed, years, interior, financiability, restriction, mispriced, prefix
+    )
+    _assert_json_reports_are_canonical(lambda: run(problem, "check"))
 
 
 def test_check_problems_reach_every_verdict():
