@@ -12,19 +12,121 @@ not, and labels that JSON escapes. On the same problems every JSON
 report must be ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
 newline of the document it parses to. Check's other audit statuses are
 held to the audit LP in ``test_audit_rays.py``.
+
+The pieces those reports are written with are held to ``json.dumps``
+on their own: ``_report_text`` of a document's leaves and its rows'
+texts, ``_float_texts`` of a float array, and ``_json_text``.
 """
 
 import json
+import math
+import textwrap
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import report_reference as ref
-from prodval.cli import run
+from prodval.cli import _float_texts, _json_text, _report_text, _round, run
 from prodval.config import problem_from_dict
 from prodval.errors import ProdvalError
 from util import generated_config
 
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# --- the writer ----------------------------------------------------------------
+
+TEXT = st.text(
+    st.characters(codec="utf-8") | st.sampled_from('"\\%\n\t\x00\x1f\x7f\u2028é☃')
+)
+FLOATS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 9))
+    | st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e-7, 0.1, 1.0, 123456789.123456789])
+)
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | FLOATS
+    | TEXT
+    | st.sampled_from(["inf", "-inf"])
+)
+JSON = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(TEXT, children, max_size=5),
+    max_leaves=20,
+)
+
+
+def _row_text(row) -> str:
+    """The JSON text of a row opened at nesting level 2, as the reports'
+    row templates give it."""
+    return textwrap.indent(json.dumps(row, sort_keys=True, indent=2), "    ")
+
+
+def _assert_report_text(obj):
+    doc = {key: value for key, value in obj.items() if key != "rows"}
+    assert _report_text(doc, list(map(_row_text, obj["rows"]))) == dumps(obj)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    doc=st.dictionaries(TEXT.filter(lambda key: key != "rows"), LEAVES, max_size=5),
+    rows=st.lists(st.dictionaries(TEXT, JSON, max_size=5), max_size=5),
+    floats=st.lists(FLOATS, max_size=8),
+)
+def test_writer_matches_json_dumps(doc, rows, floats):
+    _assert_report_text({**doc, "rows": rows})
+    values = np.array(floats, dtype=float)
+    rounded = [_round(x) for x in floats]
+    assert "[" + ", ".join(_float_texts(values, "NaN")) + "]" == json.dumps(rounded)
+    nulls = [None if isinstance(x, float) and math.isnan(x) else x for x in rounded]
+    assert "[" + ", ".join(_float_texts(values, "null")) + "]" == json.dumps(nulls)
+    assert _json_text({**doc, "rows": rows}) == dumps({**doc, "rows": rows})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": []},
+        {"rows": [{}]},
+        {"a": None, "b": True, "c": 1, "rows": [{"x": [], "y": {}}]},
+        {"rows": [{"x": 1.0}, {"x": 2.0, "y": 3.0}]},  # key sets differ
+        {"%s": "%%", "rows": [{"%s": 1.0, "%(a)s": "%"}, {"%s": -0.0, "%(a)s": "%"}]},
+        {"row": 1, "rowsx": 2, "a": 3, "s": 4, "rows": [{"k": 0}]},  # keys around "rows"
+        {"rows": [{"n": [1, 2]}, {"n": {"k": None}}]},  # rows that are not flat
+        {"rows": [{"v": [1.0, 1.0, 0.5, -0.0, 0.0, math.nan, math.inf, -math.inf]}]},
+        {"t": True, "f": False, "n": None, "rows": [{"b": True, "i": 1, "z": 0, "fl": 1.0}]},
+        {"é": "ü", "\u2028": "\x00", "rows": [{"é": "☃"}]},
+        {"x": np.float64(0.1), "rows": [{"x": np.float64(-0.0)}]},  # float subclasses
+        {"status": "inf", "rows": [{"v": "-inf"}]},
+        {"x": math.nan, "y": math.inf, "z": -math.inf, "rows": []},
+        {"stage": 2, "rows": [{"k": i, "label": f"n{i}"} for i in range(5)]},
+        {'q"': "b\\", "rows": [{"c\x07": "\t\n"}]},  # labels that JSON escapes
+    ],
+)
+def test_writer_matches_json_dumps_on_edge_cases(obj):
+    _assert_report_text(obj)
+    assert _json_text(obj) == dumps(obj)
+
+
+def test_writer_raises_what_json_dumps_raises():
+    for doc in ({"x": object()}, {"x": {1, 2}}, {"x": b"bytes"}):
+        with pytest.raises(TypeError):
+            dumps(doc)
+        with pytest.raises(TypeError):
+            _json_text(doc)
+        with pytest.raises(TypeError):
+            _report_text(doc, [])
+
+
+# --- the reports ---------------------------------------------------------------
 
 PREFIXES = ["", 'q"', "b\\", "é", "%s", "☃", "c\x07"]
 
