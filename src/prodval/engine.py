@@ -51,7 +51,7 @@ from .errors import (
 )
 from .lattice import ScenarioTree, atom_rows, node_array
 from .market import RestrictionSet, TradableSet
-from .risk import DistributionRows, lower_quantile
+from .risk import DistributionRows, lower_quantile, shortfall_tangent
 from .strategy import (
     CashflowProcess,
     Strategy,
@@ -422,11 +422,11 @@ def _bisect_scales(year: _Year, portfolio, fulfillment, solved, tol):
     Both conditions are monotone in the scale (pots and payoffs are
     non-decreasing), so the passing scales form an upper half line. The
     search estimates each row's threshold from the rolls at scale 0 and
-    1 (``_scale_estimate``), replays the bisection's loops against the
-    estimate without a roll, and certifies each row with two real checks,
-    retrying the rows that fail (``_certified_replay``): about 5 rolls
-    per date instead of one per loop step. Clears ``solved`` where no
-    scale works.
+    1 (``_scale_estimate``), takes the bisection's outcome against the
+    estimate in closed form (``_bisection_against``), and certifies each
+    row with two real checks, retrying the rows that fail
+    (``_certified_replay``): about 5 rolls per date instead of one per
+    loop step. Clears ``solved`` where no scale works.
     """
 
     def ok(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -451,9 +451,9 @@ def _scale_estimate(year: _Year, portfolio, fulfillment, solved):
     the scale that lifts the interior pots to -TOL and the scale at
     which the surplus lines meet the condition with its SLACK: for full,
     VaR and probability conditions a lower quantile of the scales at
-    which the atoms reach -SLACK, for ES the root of the buffer by secant
-    steps (``_secant_root``). Only the cost of the search depends on the
-    guess.
+    which the atoms reach -SLACK, for ES a scale at or just left of the
+    root of the buffer, by Newton steps (``_es_root``). Only the cost of
+    the search depends on the guess.
     """
     n = len(solved)
     pots0, _, end0 = _roll(year, portfolio, np.zeros(n))
@@ -463,18 +463,13 @@ def _scale_estimate(year: _Year, portfolio, fulfillment, solved):
     idx = np.flatnonzero(pending)
     base = year.pad(end0 - year.ell)[idx]
     slope = year.pad(end1 - end0)[idx]
-    # The rolls are not needed past here, and the secant steps below are
+    # The rolls are not needed past here, and the Newton steps below are
     # the peak of a date's memory.
     del pots0, pots1, end0, end1, _
     probs, counts = year.dist.probs[idx], year.dist.counts[idx]
     measure = fulfillment.measure
     if measure is not None and measure.variant == "es":
-
-        def excess(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-            rows = DistributionRows(base[k] + x[:, None] * slope[k], probs[k], counts[k])
-            return fulfillment.required_buffer(rows) - SLACK
-
-        root = _secant_root(excess, len(idx))
+        root = _es_root(base, slope, probs, counts, measure.alpha)
     else:
         if measure is not None and measure.variant == "var":
             level = 1.0 - measure.alpha
@@ -488,24 +483,41 @@ def _scale_estimate(year: _Year, portfolio, fulfillment, solved):
     return pending, t
 
 
-def _secant_root(excess, n: int) -> np.ndarray:
-    """Per row a root of ``excess(x, rows)``, a decreasing function of x
-    with ``excess(0) > 0`` unless the row has passed already, from up to
-    6 secant steps from -1 and 0, both left of the root; +inf where it
-    does not fall from -1 to 0. ES is convex in the scale (Acerbi &
-    Tasche 2002), so the steps approach the root from the left."""
-    every = np.arange(n)
-    x0, x1 = np.full(n, -1.0), np.zeros(n)
-    b0, b1 = excess(x0, every), excess(x1, every)
-    root = np.where((b1 <= 0.0) | (b1 < b0), 0.0, INF)
-    for _ in range(6):
-        go = np.flatnonzero((b1 > 0.0) & (b1 < b0))
+def _es_root(base, slope, probs, counts, alpha) -> np.ndarray:
+    """Per row a scale x at or left of the first root of the excess
+    ES_alpha(base + x slope) - SLACK, by Newton steps from 0; +inf where
+    a step sees no root.
+
+    ES is convex in x (Acerbi & Tasche 2002), so the tangent from the
+    tail weights at x lies below it (``shortfall_tangent``) and its root
+    does not pass the excess's: every step stays left of the root. A row
+    stops where its excess is at most 0 or a step moves it by no more
+    than rounding, and gets +inf where the tangent does not fall or a
+    value is not finite. The excess is piecewise linear and each step
+    leaves the tangent's piece, so a row takes at most one step per
+    piece; rows still stepping after 16 keep their last step.
+    """
+    n = len(base)
+    x, root = np.zeros(n), np.full(n, INF)
+    go = np.arange(n)
+    for _ in range(16):
         if not len(go):
             break
-        x2 = x1[go] - b1[go] * (x1[go] - x0[go]) / (b1[go] - b0[go])
-        x0[go], b0[go] = x1[go], b1[go]
-        x1[go], b1[go] = x2, excess(x2, go)
-    return root + x1
+        at, along = x[go], slope[go]
+        rows = DistributionRows(base[go] + at[:, None] * along, probs[go], counts[go])
+        es, tangent = shortfall_tangent(rows, alpha, along)
+        excess = es - SLACK
+        step = at - excess / tangent
+        passed = excess <= 0.0
+        moves = ~passed & (tangent < 0.0) & np.isfinite(excess) & np.isfinite(step)
+        # A step of at most 4 ulps is rounding.
+        stops = passed | (moves & (step <= at * (1.0 + 2.0**-50)))
+        root[go[stops]] = at[stops]
+        moves &= ~stops
+        go = go[moves]
+        x[go] = step[moves]
+    root[go] = x[go]
+    return root
 
 
 def _bisection(ok, pending, tol):
@@ -544,24 +556,53 @@ def _bisection(ok, pending, tol):
     return hi, found, np.maximum(failed_at, lo)
 
 
+def _bisection_against(t, pending, tol):
+    """``_bisection(lambda s, rows: rows & (s >= t), pending, tol)``, bit
+    for bit, without a loop; ``tol`` is finite and > 0.
+
+    A pending row with t above 2**60, +inf or NaN doubles hi to 2**61
+    unfound, having failed at 2**60. Otherwise hi starts at the smallest
+    power of two h0 at least max(t, 1), having failed at h0/2 if h0 > 1,
+    and the bracket (0, h0] is halved while it is wider than ``tol`` and
+    its midpoint does not round onto an end. For t > 0 that rounding
+    stops it at a width of t's ulp, or of half of it where t is a power
+    of two (its lower neighbours lie in the binade below); for t <= 0
+    the bracket is (0, w], whose midpoint is a float while w > tol.
+    Every bracket end is a multiple of the width w, so the last bracket
+    is (hi - w, hi] with hi the multiple of w at or above t, at least w.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mantissa, exponent = np.frexp(t)
+        power = mantissa == 0.5
+        e0 = np.where(t > 1.0, exponent - power, 0)
+        stuck = np.where(t > 0.0, exponent - 53 - power, -1075)
+        w = np.ldexp(1.0, np.minimum(e0, np.maximum(np.frexp(tol)[1] - 1, stuck)))
+        hi = np.maximum(np.ceil(t / w), 1.0) * w
+        failed_at = np.maximum(np.where(e0 > 0, np.ldexp(1.0, e0 - 1), 0.0), hi - w)
+    found = pending & (t <= 2.0**60)
+    hi = np.where(found, hi, np.where(pending, 2.0**61, 1.0))
+    failed_at = np.where(found, failed_at, np.where(pending, 2.0**60, 0.0))
+    return hi, found, failed_at
+
+
 def _certified_replay(ok, t, pending, tol):
     """``_bisection(ok, pending, tol)``'s final hi and found bits, from
-    replays of its loops against the thresholds ``t`` and two real checks
-    per row and replay.
+    the bisection against the thresholds ``t`` (``_bisection_against``)
+    and two real checks per row and round.
 
-    The replay decides scale s by ``s >= t``, with no roll. It is
-    certified where ``ok`` passes at the replay's final hi (if it found
-    one) and fails at the largest scale the replay failed (if any). The
+    The bisection against ``t`` decides scale s by ``s >= t``, with no
+    roll. It is certified where ``ok`` passes at its final hi (if it
+    found one) and fails at the largest scale it failed (if any). The
     bisection assumes ``ok`` monotone in the scale; then ``ok`` agrees
-    with every replayed step, which therefore are the bisection's own:
-    a replayed pass lies at or above the final hi, a replayed failure at
-    or below the largest one. A row whose certificate fails is replayed
-    once more, with its threshold in the final bracket next to the failed
-    end: at that end where ``ok`` passed there, at the next float above
-    it where ``ok`` failed. Rows whose second certificate fails, and rows
-    whose checks contradict each other, run the bisection on ``ok``
-    itself, so the search calls ``ok`` at most 4 times more than the
-    bisection does.
+    with every step against ``t``, which therefore are the bisection's
+    own: a pass against ``t`` lies at or above the final hi, a failure at
+    or below the largest one. A row whose certificate fails takes a
+    second round, with its threshold in the final bracket next to the
+    failed end: at that end where ``ok`` passed there, at the next float
+    above it where ``ok`` failed. Rows whose second certificate fails,
+    and rows whose checks contradict each other, run the bisection on
+    ``ok`` itself, so the search calls ``ok`` at most 4 times more than
+    the bisection does.
     """
     n = len(pending)
     hi, found = np.ones(n), np.zeros(n, dtype=bool)
@@ -570,7 +611,7 @@ def _certified_replay(ok, t, pending, tol):
     for _ in range(2):
         if not todo.any():
             break
-        h, f, failed_at = _bisection(lambda s, rows: rows & (s >= t), todo, tol)
+        h, f, failed_at = _bisection_against(t, todo, tol)
         up = todo & f & ~ok(h, todo & f)
         down = ok(failed_at, todo & (failed_at > 0.0))
         done = todo & ~up & ~down
@@ -659,13 +700,14 @@ def build_one_period(
     rate of each node. Step 1 finds the smallest admissible scale of the
     family: closed form for the risk-free bond; for each fixed mix on the
     simplex grid of ``grid_depth`` the scale of the doubling bracket and
-    bisection to ``bisection_tol``, whose loops are replayed against an
-    estimate and certified by two real checks per row, so that they give
-    the bisection's bits from a few rolls per date; the base plus a bond
-    top-up for an explicit base. Step 2 solves the financiability
-    condition with equality on the capital payoff (A' - L)_+. Among the
-    feasible fixed mixes a node takes the least vbar; ties within 1e-12
-    take the lexicographically smallest parameters, folded in grid order.
+    bisection to ``bisection_tol``, taken in closed form against an
+    estimate of each row's threshold and certified by two real checks per
+    row, so that it gives the bisection's bits from a few rolls per date;
+    the base plus a bond top-up for an explicit base. Step 2 solves the
+    financiability condition with equality on the capital payoff
+    (A' - L)_+. Among the feasible fixed mixes a node takes the least
+    vbar; ties within 1e-12 take the lexicographically smallest
+    parameters, folded in grid order.
 
     Returns the steps of the nodes, and writes the portfolios of the
     feasible nodes' years into ``assignment``, an (n_nodes, n_assets)

@@ -142,11 +142,13 @@ class DistributionRows:
 
     def _sorted(self):
         """Atom values sorted by (value, probability) within each row,
-        padding last, and the running sums of their probabilities, added
-        left to right from the first atom."""
+        padding last, the running sums of their probabilities, added left
+        to right from the first atom, and the column order that sorts
+        them."""
         order = np.lexsort((self.probs, self.values, ~self.mask), axis=1)
         values = np.take_along_axis(self.values, order, axis=1)
-        return values, np.cumsum(np.take_along_axis(self.probs, order, axis=1), axis=1)
+        cum = np.cumsum(np.take_along_axis(self.probs, order, axis=1), axis=1)
+        return values, cum, order
 
 
 Distributions = Union[DiscreteDistribution, DistributionRows]
@@ -203,7 +205,7 @@ def lower_quantile(dist: Distributions, u: float):
     if not (0.0 < u <= 1.0):
         raise BadLevel(f"quantile level must lie in (0,1], got {u}")
     rows, back = rows_of(dist)
-    values, cum = rows._sorted()
+    values, cum, _ = rows._sorted()
     hit = cum >= u - _PROB_TOL
     at = np.where(hit.any(axis=1), hit.argmax(axis=1), rows.counts - 1)
     return back(np.take_along_axis(values, at[:, None], axis=1)[:, 0])
@@ -228,12 +230,42 @@ def expected_shortfall(dist: Distributions, alpha: float):
     if not (0.0 < alpha < 1.0):
         raise BadLevel(f"alpha must lie in (0,1), got {alpha}")
     rows, back = rows_of(dist)
-    values, cum = rows._sorted()
+    values, weights, _ = _tail(rows, alpha)
+    return back(-sum_left_to_right(_weighted(values, weights)) / alpha)
+
+
+def shortfall_tangent(rows: DistributionRows, alpha: float, direction: np.ndarray):
+    """Per row ES_alpha of ``rows``, as ``expected_shortfall`` gives it,
+    and the slope of a line through it that lies below x ->
+    ES_alpha(rows.values + x * direction): minus the direction weighted
+    by the sorted atoms' tail weights, over alpha.
+
+    ES_alpha(Y) is the largest -(1/alpha) sum_i h_i y_i over weights
+    0 <= h_i <= p_i summing to alpha, and the tail weights of the sorted
+    atoms attain it, so the line is a tangent of a convex function.
+    """
+    values, weights, order = _tail(rows, alpha)
+    along = np.take_along_axis(direction, order, axis=1)
+    es = -sum_left_to_right(_weighted(values, weights)) / alpha
+    return es, -sum_left_to_right(_weighted(along, weights)) / alpha
+
+
+def _tail(rows: DistributionRows, alpha: float):
+    """The sorted atom values of each row, the length of each one's
+    cumulative probability segment clipped to (0, alpha] (its tail
+    weight; 0 past the level and at the padding), and the column order
+    that sorts them."""
+    values, cum, order = rows._sorted()
     hi = np.minimum(cum, alpha)
     lo = np.minimum(np.hstack([np.zeros((len(cum), 1)), cum[:, :-1]]), alpha)
+    return values, hi - lo, order
+
+
+def _weighted(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """values * weights, 0 where the weight is 0 (an infinite atom
+    outside the tail adds nothing)."""
     with np.errstate(invalid="ignore"):
-        terms = np.where(hi > lo, values * (hi - lo), 0.0)
-    return back(-sum_left_to_right(terms) / alpha)
+        return np.where(weights > 0.0, values * weights, 0.0)
 
 
 def sum_left_to_right(terms: np.ndarray) -> np.ndarray:

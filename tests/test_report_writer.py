@@ -24,7 +24,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import report_reference as ref
@@ -319,7 +319,14 @@ def _assert_json_reports_are_canonical(fn):
             assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", name
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Without shrinking: each shrink step builds a problem and runs a whole
+# subcommand, so a broken template would take minutes to report.
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 @given(
     seed=st.integers(0, 2**16),
     years=st.integers(1, 3),

@@ -12,6 +12,7 @@ from prodval.risk import (
     apply_measure,
     expected_shortfall,
     lower_quantile,
+    shortfall_tangent,
     value_at_risk,
 )
 
@@ -261,6 +262,27 @@ class TestDistributionRows:
         if finite:
             rows = stacked(finite, pad_value)
             assert hexes(rows.mean()) == hexes(ref.dist_mean(d) for d in finite)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(tied_dists(), min_size=1, max_size=6),
+        st.sampled_from(LEVELS),
+        st.sampled_from((-math.inf, 0.0, 7.0, math.inf)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((-3.0, -0.5, 0.25, 1.0, 10.0)),
+    )
+    def test_shortfall_tangent_lies_below_es(self, dists, level, pad_value, seed, y):
+        """The tangent's ES is ``expected_shortfall``'s, bit for bit, and
+        its line lies below ES along the direction, on either side."""
+        rows = stacked(dists, pad_value)
+        direction = np.random.default_rng(seed).choice([-1.0, 0.0, 0.5, 2.0], rows.values.shape)
+        es, slope = shortfall_tangent(rows, level, direction)
+        assert hexes(es) == hexes(expected_shortfall(rows, level))
+        with np.errstate(invalid="ignore"):
+            moved = expected_shortfall(rows.with_values(rows.values + y * direction), level)
+        finite = np.isfinite(es)
+        line = es[finite] + y * slope[finite]
+        assert (moved[finite] >= line - 1e-9 * (1.0 + np.abs(line))).all()
 
     def test_one_distribution_gives_python_scalars(self):
         d = dist((-1.0, 0.25), (2.0, 0.75))

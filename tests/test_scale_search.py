@@ -1,10 +1,11 @@
 """Differential tests of the fixed-mix scale search.
 
 The oracle below is a frozen copy of the batched doubling bracket and
-bisection that ``engine._bisect_scales`` ran before it replayed those
-loops against an estimate and certified the outcome with two real
-checks per row. The search must give the oracle's scales and solved
-bits exactly:
+bisection that ``engine._bisect_scales`` ran on the real check, one roll
+per loop step. The search now estimates each row's threshold, takes the
+bisection's outcome against the estimate in closed form, and certifies
+it with two real checks per row. It must give the oracle's scales and
+solved bits exactly:
 
 - on the one-period problems of ``test_one_period_step.py``, under every
   fulfillment condition, with zero prices, infinite liability atoms,
@@ -13,6 +14,11 @@ bits exactly:
 - on synthetic threshold predicates, from estimates that are exact,
   one grid step off either way, far off, 0 and infinite, which drive
   every retry branch of the certification.
+
+The two pieces of the search are held to their own definitions too: the
+closed form to the bisection's loops against ``s >= t``, and the Newton
+estimate for ES to the ES root, which it never passes by more than
+rounding.
 """
 
 import math
@@ -23,7 +29,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prodval import engine
-from prodval.conditions import FinanciabilitySpec, FulfillmentSpec, flat_rates
+from prodval.conditions import SLACK, FinanciabilitySpec, FulfillmentSpec, flat_rates
 from prodval.engine import (
     EngineConfig,
     IlliquidPortfolio,
@@ -34,6 +40,7 @@ from prodval.engine import (
     fulfillment_satisfied,
 )
 from prodval.lattice import build_tree
+from prodval.risk import DistributionRows, expected_shortfall
 
 from test_one_period_step import MIX_INDICES, zero_price_inside_a_year
 from test_risk_free_step import FULFILLMENTS, SHAPES, make_problem
@@ -306,6 +313,120 @@ def test_random_estimates_give_the_bisection_bits(c, noise, tol, strict):
     assert got.tobytes() == want.tobytes() and np.array_equal(found, solved)
 
 
+# --- the bisection against a threshold, in closed form ---------------------------
+
+
+def _with_neighbours(x):
+    """x or the float next to it on either side."""
+    return st.sampled_from([x, math.nextafter(x, -INF), math.nextafter(x, INF)])
+
+
+# Powers of two from the smallest subnormal to past 2**60 and their
+# neighbours, 0, negatives, infinities, NaN and the thresholds above.
+BRACKET_THRESHOLDS = st.one_of(
+    st.integers(-1074, 62).map(lambda e: math.ldexp(1.0, e)).flatmap(_with_neighbours),
+    _with_neighbours(2.0**60),
+    st.sampled_from([0.0, -0.0, -1e-300, -0.5, -1.0, -1e300, -INF, INF, math.nan]),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.sampled_from(THRESHOLDS.tolist()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.lists(BRACKET_THRESHOLDS, min_size=1, max_size=8),
+    pending=st.lists(st.booleans(), min_size=8, max_size=8),
+    tol=st.sampled_from([1e-10, 1e-6, 2.0, 1e-16, 1e-300, 5e-324, 1e300]),
+)
+@example([0.5], [True] * 8, 1e-16)
+@example([1.0, 0.0, 37.2], [True] * 8, 1e-300)
+@example([1.0, 2.0**-1074, -INF], [True] * 8, 5e-324)
+@example([2.0**60, math.nextafter(2.0**60, INF), 1.5], [True] * 8, 1e300)
+def test_closed_form_is_the_bisection_against_the_threshold(t, pending, tol):
+    """The closed form gives the final hi, found bits and largest failed
+    scale of the doubling and bisection loops deciding each scale by
+    ``s >= t``, to the byte, pending or not: where the bracket reaches
+    the tolerance, adjacent floats (below a power of two they lie in the
+    binade below) or the subnormals, and past 2**60."""
+    t = np.array(t)
+    pending = np.array(pending[: len(t)])
+    want = engine._bisection(lambda s, rows: rows & (s >= t), pending, tol)
+    got = engine._bisection_against(t, pending, tol)
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (t, tol, w, g)
+
+
+# --- the Newton estimate for ES ---------------------------------------------------
+
+# (base, slope) of an atom: few values, so that atoms tie at 0 and where
+# their lines cross.
+ATOMS = st.tuples(
+    st.sampled_from([-40.0, -10.0, -3.0, -3.0, -1.0, 0.0, 2.5, -INF, INF]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.0, 3.0]),
+)
+
+
+@st.composite
+def affine_rows(draw):
+    """Up to 5 rows of up to 5 atoms base + x slope, padded to 6 columns
+    with NaN values; some rows have slopes that do not rise, so that no
+    root exists. The probabilities are sixteenths, cut at drawn points
+    (equal cuts give zero-probability atoms), so that every running sum
+    is exact whatever the order: a rounded sum could give an atom at +inf
+    a sliver of the tail."""
+    n = draw(st.integers(1, 5))
+    base, slope, probs = np.full((n, 6), np.nan), np.zeros((n, 6)), np.zeros((n, 6))
+    counts = np.zeros(n, dtype=np.int64)
+    for r in range(n):
+        atoms = draw(st.lists(ATOMS, min_size=1, max_size=5))
+        k = counts[r] = len(atoms)
+        cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=k - 1, max_size=k - 1)))
+        b, s = np.array(atoms).T
+        base[r, :k], slope[r, :k] = b, s if draw(st.booleans()) else -s
+        probs[r, :k] = np.diff([0, *cuts, 16]) / 16.0
+    return base, slope, probs, counts
+
+
+def _es_excess(base, slope, probs, counts, alpha, x):
+    rows = DistributionRows(base + x[:, None] * slope, probs, counts)
+    return expected_shortfall(rows, alpha) - SLACK
+
+
+# Six atoms without a root: Newton takes 5 steps before the tangent
+# stops falling.
+SLOW_ROW = (
+    np.array([[-15.0, -3.0, -15.0, -10.0, 2.5, -40.0]]),
+    np.array([[0.5, 0.0, 3.0, 0.25, 0.0, 3.0]]),
+    np.array([[3.0, 3.0, 2.0, 1.0, 6.0, 1.0]]) / 16.0,
+    np.array([6]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=affine_rows(), alpha=st.sampled_from([0.01, 0.05, 0.3, 0.5, 0.9]))
+@example(SLOW_ROW, 0.3)
+def test_newton_estimate_never_passes_the_es_root(rows, alpha):
+    """Against ``expected_shortfall`` itself: the estimate is 0 where the
+    excess is at most 0 at 0; it is +inf exactly where no scale brings
+    the excess to 0 (an atom at -inf in the tail, slopes that do not
+    rise, a tail that stops falling above SLACK), and never NaN; a
+    finite estimate does not pass the first root by more than rounding,
+    as the excess is still above 0 just left of it."""
+    base, slope, probs, counts = rows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        est = engine._es_root(base, slope, probs, counts, alpha)
+        n = len(base)
+        at_zero = _es_excess(base, slope, probs, counts, alpha, np.zeros(n))
+        # Past every crossing of two atom lines the excess is linear.
+        far = _es_excess(base, slope, probs, counts, alpha, np.full(n, 1e6))
+        below = _es_excess(base, slope, probs, counts, alpha, est - 1e-9 * (1.0 + est))
+    assert not np.isnan(est).any()
+    assert np.array_equal(est[at_zero <= 0.0], np.zeros((at_zero <= 0.0).sum()))
+    assert np.array_equal(np.isfinite(est), (at_zero <= 0.0) | (far <= 0.0))
+    inside = np.isfinite(est) & (est > 0.0)
+    assert (below[inside] > 0.0).all(), (est, below)
+
+
 # --- the saving, as a count -------------------------------------------------------
 
 
@@ -329,8 +450,10 @@ def _full_tree(branch, years):
 def test_fixed_mix_step_rolls_a_few_times_per_date():
     """A fixed mix over 2 assets at grid_depth 3 under ES 1% on a 3-ary
     two-year tree: the scale search and the step roll each date's year
-    at most 12 times, where the doubling and bisection rolled it about
-    54 times."""
+    at most 5 times (the estimate, one certified round and the step's
+    own roll), where the doubling and bisection rolled it about 54
+    times, and the Newton estimate evaluates ES at most 3 times per
+    date."""
     rng = np.random.default_rng(5)
     tree = _full_tree(3, 2)
     market, _ = state_price_market(rng, tree, n_risky=2)
@@ -341,21 +464,26 @@ def test_fixed_mix_step_rolls_a_few_times_per_date():
     leaves = list(tree.nodes_at(2))
     terminal[leaves] = rng.uniform(0.0, 50.0, len(leaves))
     zero = np.zeros(tree.n_nodes)
-    rolls, per_date = [0], []
-    roll, step = engine._roll, engine.build_one_period
+    rolls, tangents, per_date = [0], [0], []
+    roll, tangent, step = engine._roll, engine.shortfall_tangent, engine.build_one_period
 
     def counted_roll(*args):
         rolls[0] += 1
         return roll(*args)
 
+    def counted_tangent(*args):
+        tangents[0] += 1
+        return tangent(*args)
+
     def counted_step(*args, **kwargs):
-        before = rolls[0]
+        before = rolls[0], tangents[0]
         out = step(*args, **kwargs)
-        per_date.append(rolls[0] - before)
+        per_date.append((rolls[0] - before[0], tangents[0] - before[1]))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_roll", counted_roll)
+        patch.setattr(engine, "shortfall_tangent", counted_tangent)
         patch.setattr(engine, "build_one_period", counted_step)
         cost = backward_value(
             LiabilitySpec(outflows, zero, terminal), IlliquidPortfolio(zero),
@@ -365,4 +493,5 @@ def test_fixed_mix_step_rolls_a_few_times_per_date():
         )
     assert cost.feasible
     assert len(per_date) == 2
-    assert max(per_date) <= 12, per_date
+    assert max(r for r, _ in per_date) <= 5, per_date
+    assert max(e for _, e in per_date) <= 3, per_date
